@@ -2,13 +2,14 @@
 //! transport. N `TkEnv`s run on their own OS threads against one shared
 //! wire server (`Display::wire_handle` / `Display::from_wire`), each
 //! evaluating a fixed Tcl + widget + redraw workload. Client-side work
-//! (parsing, substitution, layout, damage) runs on the app threads;
-//! only protocol dispatch serializes on the server thread.
+//! (parsing, substitution, layout, damage) runs in parallel on the app
+//! threads; protocol dispatch serializes on the shared server lock.
 //!
 //! For each N the same *total* work also runs the old way — N apps
 //! multiplexed on a single thread — so the printed speedup is threaded
-//! vs. what the pre-wire architecture could do at all. Numbers land in
-//! EXPERIMENTS.md.
+//! vs. what the pre-wire architecture could do at all. Each cell is the
+//! median of [`REPS`] runs, which keeps a shared host's speed swings out
+//! of the table. Numbers land in EXPERIMENTS.md.
 //!
 //! Run with: `cargo run -p tk-bench --release --bin wire_scale`
 //! (requires the wire transport; unset `RTK_NO_WIRE`).
@@ -21,6 +22,15 @@ use tk::{TkApp, TkEnv};
 use xsim::Display;
 
 const ITERS_PER_APP: usize = 2_000;
+/// Runs per configuration; each printed time is their median.
+const REPS: usize = 5;
+
+/// Median wall time of [`REPS`] runs of `run`.
+fn median_secs(run: impl Fn() -> f64) -> f64 {
+    let mut times: Vec<f64> = (0..REPS).map(|_| run()).collect();
+    times.sort_by(f64::total_cmp);
+    times[REPS / 2]
+}
 
 /// One app's workload: hot Tcl eval plus a reconfigure-and-repaint per
 /// iteration, so both the interpreter and the protocol stay busy.
@@ -87,17 +97,18 @@ fn run_single_threaded(n: usize) -> f64 {
 }
 
 fn main() {
+    let cpus = thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "wire_scale: {ITERS_PER_APP} eval+redraw iterations per app, \
-         one shared wire server"
+         one shared wire server, median of {REPS} runs, {cpus} CPUs"
     );
     println!(
         "{:>5} {:>14} {:>14} {:>12} {:>9}",
         "apps", "threaded_s", "1-thread_s", "evals/s", "speedup"
     );
     for n in [1, 2, 4, 8] {
-        let threaded = run_threaded(n);
-        let single = run_single_threaded(n);
+        let threaded = median_secs(|| run_threaded(n));
+        let single = median_secs(|| run_single_threaded(n));
         let total = (n * ITERS_PER_APP) as f64;
         println!(
             "{n:>5} {threaded:>14.3} {single:>14.3} {:>12.0} {:>8.2}x",

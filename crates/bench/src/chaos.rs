@@ -558,10 +558,9 @@ pub const BYTES_FAULTS: usize = 4;
 /// *frame* indices (every request and control frame counts), which run a
 /// little past the request horizon of the same script.
 pub const BYTES_HORIZON: u64 = 500;
-/// Sync-watchdog deadline for byte-chaos runs, in wall-clock ms. Low
-/// enough that a stalled dispatcher converts to a clean dead connection
-/// inside the test budget, high enough (1000x a normal dispatch) that a
-/// fault-free run never trips it.
+/// Sync-watchdog deadline for byte-chaos runs, in ms of virtual time.
+/// An injected dispatch stall that adds up to this converts to a clean
+/// dead connection; a fault-free run never stalls, so never trips it.
 pub const BYTES_WATCHDOG_MS: u64 = 1000;
 
 /// Generates the deterministic byte-fault plan for a fault seed: two

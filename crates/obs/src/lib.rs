@@ -19,8 +19,9 @@
 //! The counter/histogram [`Registry`] stays single-threaded
 //! (`Cell`/`RefCell`) because each Tk application owns its registry on
 //! its own thread; the [`Tracer`] and [`VirtualClock`] are `Send + Sync`
-//! (`Mutex`/atomics) because the wire transport's server thread records
-//! flush and fault spans into the same per-application span tree.
+//! (`Mutex`/atomics) because, on the wire transport, whichever app thread
+//! holds the server lock may flush another app's buffer and record flush
+//! and fault spans into that app's span tree.
 //! Counters are plain integer bumps and histogram records are one array
 //! increment either way.
 

@@ -154,8 +154,8 @@ impl TracerInner {
 /// A shared handle to a per-application span store. Cloning is cheap and
 /// all clones see the same store (the xsim connection and the toolkit
 /// layers share one tracer per application). The store is behind a
-/// `Mutex` so the wire transport's server thread can record flush and
-/// fault spans into the same tree the client thread builds.
+/// `Mutex` so another app thread driving the shared wire server can
+/// record flush and fault spans into the tree this client thread builds.
 #[derive(Clone)]
 pub struct Tracer {
     inner: Arc<Mutex<TracerInner>>,

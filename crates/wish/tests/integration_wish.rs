@@ -5,14 +5,15 @@
 use std::io::Write;
 use std::process::{Command, Stdio};
 
-/// Path to the freshly built wish binary (Cargo puts integration tests and
-/// binaries in the same target directory).
-fn wish_path() -> std::path::PathBuf {
-    let mut p = std::env::current_exe().unwrap();
-    p.pop(); // the test binary's hash directory
-    p.pop(); // deps/
-    p.push("wish");
-    p
+/// Path to the wish binary, which Cargo builds before this test.
+fn wish_path() -> &'static str {
+    env!("CARGO_BIN_EXE_wish")
+}
+
+/// The repository's calculator script (`scripts/calc.tcl`).
+fn calc_script() -> String {
+    let repo = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    std::fs::read_to_string(repo.join("scripts/calc.tcl")).unwrap()
 }
 
 fn run_script(script: &str, args: &[&str]) -> (String, i32) {
@@ -137,8 +138,7 @@ fn canvas_drawing_from_script() {
 #[test]
 fn calculator_script_computes() {
     // scripts/calc.tcl driven through its buttons: 7 * 6 = 42.
-    let repo = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let calc = std::fs::read_to_string(repo.join("scripts/calc.tcl")).unwrap();
+    let calc = calc_script();
     let driver = "
         proc press {label} {
             foreach row {0 1 2 3} {
@@ -166,8 +166,7 @@ fn calculator_script_computes() {
 
 #[test]
 fn calculator_handles_division_and_clear() {
-    let repo = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let calc = std::fs::read_to_string(repo.join("scripts/calc.tcl")).unwrap();
+    let calc = calc_script();
     let driver = "
         key {9}; key {/}; key {2}; key {=}
         puts div=[.display get]

@@ -15,9 +15,10 @@
 //! either the in-process path (the server behind a `RefCell`, kept as
 //! the semantics oracle under `RTK_NO_WIRE=1`) or the framed wire path
 //! (`crate::wire`), which encodes every request into length-prefixed
-//! byte frames and runs the server on its own thread. Both transports
-//! share the server's issue-time accounting, so counters, fault keying,
-//! and replies are byte-identical across them — see docs/PROTOCOL.md.
+//! byte frames and shares the server behind a mutex, so apps on several
+//! threads can drive one display. Both transports share the server's
+//! issue-time accounting, so counters, fault keying, and replies are
+//! byte-identical across them — see docs/PROTOCOL.md.
 //!
 //! [`flush`]: Connection::flush
 //! [`wait`]: Connection::wait
@@ -69,7 +70,7 @@ pub(crate) trait Transport {
     fn set_batching(&self, on: bool);
     fn reset_obs(&self, client: ClientId);
     /// Reconfigures the sync-watchdog deadline (ms). The in-process
-    /// oracle has no dispatcher to wedge, so the default is a no-op.
+    /// oracle takes no dispatch stalls, so the default is a no-op.
     fn set_wire_deadline(&self, _ms: u64) {}
     /// The client's position on the byte-fault timeline: how many frames
     /// it has encoded onto the wire (the per-client index [`FaultPlan`]
@@ -305,9 +306,10 @@ impl Transport for LocalTransport {
 /// synthesis) first flushes all clients' output buffers, so the "user"
 /// always sees the effect of every request already issued.
 ///
-/// The display speaks the framed wire protocol by default (the server on
-/// its own thread); set `RTK_NO_WIRE=1` or call [`Display::set_wire`]
-/// before the first connection to use the in-process oracle instead.
+/// The display speaks the framed wire protocol by default (the server
+/// behind a mutex that several threads may share); set `RTK_NO_WIRE=1`
+/// or call [`Display::set_wire`] before the first connection to use the
+/// in-process oracle instead.
 #[derive(Clone)]
 pub struct Display {
     transport: Rc<RefCell<Rc<dyn Transport>>>,
@@ -341,7 +343,7 @@ impl Display {
         }
     }
 
-    /// Builds a display handle attached to an already-running wire
+    /// Builds a display handle attached to an existing wire
     /// server (from [`Display::wire_handle`] on another thread). Each
     /// thread builds its own `Display` this way; the server and all
     /// protocol state are shared.
@@ -390,10 +392,10 @@ impl Display {
         Connection { transport, client }
     }
 
-    /// Reconfigures the wire sync-watchdog deadline at runtime, in
-    /// milliseconds (`RTK_WIRE_DEADLINE_MS` sets the startup value;
-    /// chaos harnesses shrink it so injected stalls trip it quickly).
-    /// No-op on the in-process oracle transport.
+    /// Reconfigures the wire sync-watchdog deadline, in milliseconds of
+    /// virtual time (default `wire::DEFAULT_WIRE_DEADLINE_MS`; chaos
+    /// harnesses shrink it so injected stalls trip it). No-op on the
+    /// in-process oracle transport.
     pub fn set_wire_deadline(&self, ms: u64) {
         self.transport().set_wire_deadline(ms);
     }

@@ -140,10 +140,11 @@ pub enum FaultAction {
     /// at `at` (modulo the frame length). Behavior-invisible by design:
     /// the frame reader reassembles across write boundaries.
     SplitWrite { at: u16 },
-    /// Byte-layer, wire-only: stall the dispatcher thread for `ticks`
-    /// ×10 ms of wall clock before it handles this client's next control
-    /// frame. A long enough stall trips the client's sync watchdog
-    /// (`RTK_WIRE_DEADLINE_MS`).
+    /// Byte-layer, wire-only: stall dispatch of this client's next
+    /// control frame by `ticks` ×10 ms of virtual time. A stall that
+    /// reaches the wire deadline (`Display::set_wire_deadline`) trips the
+    /// sync watchdog: the connection dies and the client sees
+    /// `ConnectionDead`. A shorter stall costs nothing.
     StallDispatch { ticks: u32 },
 }
 
@@ -209,8 +210,8 @@ impl FaultAction {
         )
     }
 
-    /// Does this action attack encoded frame bytes (or the dispatcher
-    /// clock) rather than protocol semantics? Byte faults key on the
+    /// Does this action attack encoded frame bytes (or dispatch timing)
+    /// rather than protocol semantics? Byte faults key on the
     /// client's encoded-frame index and only the wire transport applies
     /// them — a byte-fault plan is a strict no-op under `RTK_NO_WIRE=1`.
     pub fn is_byte_fault(self) -> bool {

@@ -219,7 +219,7 @@ pub struct WireStats {
     pub frames_decoded: u64,
     /// Total decoded bytes, including each frame's length prefix.
     pub bytes_decoded: u64,
-    /// Buffered-frame batches shipped to the server thread (the wire
+    /// Buffered-frame batches decoded and applied by the server (the wire
     /// analogue of `ClientStats::flushes`).
     pub flushes: u64,
     /// Flush batches the per-client request quota cut short: the
@@ -231,9 +231,9 @@ pub struct WireStats {
     /// CRC, truncation, garbage between frames). Each one kills the
     /// connection — corruption is never silently skipped.
     pub checksum_errors: u64,
-    /// Sync-watchdog expiries: control round trips the dispatcher failed
-    /// to ack within `RTK_WIRE_DEADLINE_MS`, surfaced to the client as a
-    /// dead connection instead of a hang.
+    /// Sync-watchdog expiries: control frames whose injected dispatch
+    /// stall reached the wire deadline (virtual time), surfaced to the
+    /// client as a dead connection instead of a hang.
     pub watchdog_fires: u64,
     /// Size distribution of encoded frames, in bytes.
     pub frame_bytes: Histogram,

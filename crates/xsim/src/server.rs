@@ -938,7 +938,7 @@ impl Server {
 
     /// Executes one flushed batch of requests in issue order: the shared
     /// core of [`Server::flush_client`] (in-process transport) and the
-    /// wire dispatcher (which decodes a shipped frame buffer into the
+    /// wire transport (which decodes a shipped frame buffer into the
     /// same `(seq, request)` list). Fault dispatch, the flush/rasterize
     /// spans, and every counter live here, so both transports apply
     /// batches with byte-identical semantics.
@@ -1390,7 +1390,7 @@ impl Server {
     /// written out its queue), allocate the sequence number, dispatch any
     /// injected error/kill fault, and run the request body. Both
     /// transports call this — the in-process oracle directly, the wire
-    /// dispatcher after decoding a Sync frame (having flushed the wire
+    /// transport after decoding a Sync frame (having flushed the wire
     /// buffers first, so the internal `flush_all` sees empty queues) —
     /// which is what keeps sequence numbers, fault firings, and counters
     /// byte-identical across transports.
@@ -1515,8 +1515,8 @@ impl Server {
         }
     }
 
-    /// Counts a sync-watchdog expiry: the dispatcher failed to ack
-    /// `client`'s control frame within `RTK_WIRE_DEADLINE_MS`.
+    /// Counts a sync-watchdog expiry: an injected dispatch stall on
+    /// `client`'s control frame reached the wire deadline.
     pub(crate) fn note_watchdog_fire(&mut self, client: ClientId) {
         if let Some(c) = self.clients.get_mut(&client) {
             c.obs.wire.watchdog_fires += 1;

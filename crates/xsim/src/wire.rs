@@ -1,4 +1,4 @@
-//! The framed wire protocol and the threaded wire transport.
+//! The framed wire protocol and the wire transport.
 //!
 //! Every request, reply, event, and error has a defined byte encoding so
 //! the protocol can cross a real transport boundary instead of a Rust
@@ -19,20 +19,21 @@
 //! reassembly buffer at [`MAX_FRAME_LEN`] + header so a hostile length
 //! prefix or garbage flood cannot grow memory without limit.
 //!
-//! The transport half runs the [`Server`] on its own dispatcher thread:
-//! clients encode request frames into per-client byte buffers and ship
-//! small control frames (flush, sync, reply take, event poll) through a
-//! FIFO inbox, blocking on a condvar until the dispatcher acknowledges
-//! the ticket. Acks are synchronous, which is what keeps counters, fault
-//! firings, and span shapes byte-identical to the in-process transport:
-//! both transports bump the same issue-time accounting under the same
-//! lock, and a flush applies the same decoded batch through
-//! [`Server::apply_batch`]. See docs/PROTOCOL.md.
+//! The transport half keeps the [`Server`] behind one mutex shared by
+//! every client thread: clients encode request frames into per-client
+//! byte buffers, and each small control frame (flush, sync, reply take,
+//! event poll) is encoded, decoded and dispatched inline by the thread
+//! that ships it, under the lock it already holds. The sequence number
+//! in the frame header, not a thread, is the boundary between client and
+//! server (the x11rb cookie model). Dispatch is synchronous, which is
+//! what keeps counters, fault firings, and span shapes byte-identical to
+//! the in-process transport: both transports bump the same issue-time
+//! accounting under the same lock, and a flush applies the same decoded
+//! batch through [`Server::apply_batch`]. See docs/PROTOCOL.md.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Instant;
 
 use crate::atom::Atom;
 use crate::bitmap::{Bitmap, BitmapId};
@@ -1768,7 +1769,13 @@ pub(crate) fn decode_error(payload: &[u8]) -> Result<XError, WireError> {
     Ok(e)
 }
 
-// ----- the threaded wire server -----
+// ----- the inline wire server -----
+
+/// Virtual duration of one `StallDispatch` tick, in milliseconds.
+const STALL_TICK_MS: u64 = 10;
+
+/// Default sync-watchdog deadline (`Display::set_wire_deadline` changes it).
+pub const DEFAULT_WIRE_DEADLINE_MS: u64 = 5000;
 
 /// One client's encoded-but-unflushed request frames.
 #[derive(Debug, Default)]
@@ -1777,99 +1784,29 @@ struct ClientBuf {
     frames: usize,
 }
 
-/// A control frame in flight to the dispatcher, with its ack ticket.
-struct WireMsg {
-    ticket: u64,
-    client: ClientId,
-    bytes: Vec<u8>,
-    /// Injected dispatcher stall (×10 ms of wall clock) before this
-    /// message is handled — the `StallDispatch` byte fault. Zero in
-    /// fault-free runs.
-    stall: u32,
-}
-
-/// Everything behind the wire mutex: the server itself, the per-client
-/// output buffers (BTreeMap so flush-all walks clients in id order, the
-/// same order as [`Server::flush_all`]), the dispatcher inbox, and the
-/// per-client response bytes.
+/// Everything behind the wire mutex: the server itself and the
+/// per-client output buffers (BTreeMap so flush-all walks clients in id
+/// order, the same order as [`Server::flush_all`]).
 pub(crate) struct WireState {
     pub(crate) server: Server,
     bufs: BTreeMap<u32, ClientBuf>,
-    inbox: VecDeque<WireMsg>,
-    outbox: HashMap<u32, Vec<u8>>,
-    shipped: u64,
-    processed: u64,
-    shutdown: bool,
     /// Per-client count of encoded frames — the timeline byte faults key
     /// on (`FaultSpec::at` for a byte action is a 1-based index into this
     /// stream). Counted identically whether or not a plan is installed.
     frame_seq: HashMap<u32, u64>,
-    /// Dispatcher stalls armed by a `StallDispatch` fault that fired on a
-    /// data frame; attached to the client's next shipped control frame.
+    /// Dispatch stalls, in [`STALL_TICK_MS`] ticks of virtual time, armed
+    /// by `StallDispatch` faults and charged to the client's next control
+    /// frame.
     pending_stalls: HashMap<u32, u32>,
-    /// Tickets whose waiting client gave up (watchdog expiry). When the
-    /// dispatcher eventually processes one, its response bytes are
-    /// discarded instead of leaking in the outbox forever.
-    abandoned: std::collections::HashSet<u64>,
-    /// Wall-clock watchdog for sync waits (`RTK_WIRE_DEADLINE_MS`): a
-    /// control frame unacked past this deadline means the dispatcher is
-    /// wedged, and the waiting client gets a clean dead connection
-    /// instead of a hang.
-    deadline: Duration,
-}
-
-pub(crate) struct WireShared {
-    pub(crate) state: Mutex<WireState>,
-    pub(crate) cond: Condvar,
-}
-
-/// The dispatcher loop: pops control frames in FIFO order, dispatches
-/// them against the server, and acks the ticket. Every message is acked
-/// even if dispatch did nothing (e.g. the client died mid-flush), so a
-/// waiting client can never hang.
-fn run_server(shared: Arc<WireShared>) {
-    let mut st = shared.state.lock().unwrap();
-    loop {
-        while st.inbox.is_empty() && !st.shutdown {
-            st = shared.cond.wait(st).unwrap();
-        }
-        let Some(msg) = st.inbox.pop_front() else {
-            return; // empty inbox + shutdown
-        };
-        if msg.stall > 0 {
-            // An injected dispatcher stall: sleep off the lock in short
-            // slices so shutdown (and the client's watchdog) stay
-            // responsive. Long stalls are exactly how the chaos harness
-            // proves a wedged dispatcher cannot hang a sync wait.
-            let mut remaining_ms = (msg.stall as u64).saturating_mul(10);
-            drop(st);
-            while remaining_ms > 0 {
-                let slice = remaining_ms.min(10);
-                std::thread::sleep(Duration::from_millis(slice));
-                remaining_ms -= slice;
-                if shared.state.lock().unwrap().shutdown {
-                    break;
-                }
-            }
-            st = shared.state.lock().unwrap();
-            if st.shutdown && st.inbox.is_empty() {
-                return;
-            }
-        }
-        dispatch(&mut st, msg.client, &msg.bytes);
-        st.processed = msg.ticket;
-        if st.abandoned.remove(&msg.ticket) {
-            // The shipper's watchdog expired while this message sat in
-            // the inbox; nobody will ever read the response.
-            st.outbox.remove(&msg.client.0);
-        }
-        shared.cond.notify_all();
-    }
+    /// Sync-watchdog deadline in ms: a control frame whose virtual stall
+    /// reaches it is never answered, and the client gets a clean dead
+    /// connection instead.
+    deadline_ms: u64,
 }
 
 /// The server's reaction to unrecoverable byte damage on `client`'s
 /// stream: count it, kill the connection (X's response to a protocol
-/// violation), and drop its wire-side buffers. Client id 0 is the
+/// violation), and drop its wire-side buffer. Client id 0 is the
 /// transport's own control channel, not a connection — never killed.
 fn wire_corruption(st: &mut WireState, client: ClientId) {
     st.server.note_checksum_error(client);
@@ -1877,14 +1814,17 @@ fn wire_corruption(st: &mut WireState, client: ClientId) {
         st.server.kill_client(client);
     }
     st.bufs.remove(&client.0);
-    st.outbox.remove(&client.0);
 }
 
-fn dispatch(st: &mut WireState, client: ClientId, bytes: &[u8]) {
+/// Decodes and executes one shipped control message, returning the
+/// response bytes for the client that sent it. Damage anywhere in the
+/// message kills the connection and yields an empty response.
+fn dispatch(st: &mut WireState, client: ClientId, bytes: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
     let mut fr = FrameReader::new();
     if fr.push(bytes).is_err() {
         wire_corruption(st, client);
-        return;
+        return Vec::new();
     }
     loop {
         let f = match fr.next_frame() {
@@ -1892,22 +1832,26 @@ fn dispatch(st: &mut WireState, client: ClientId, bytes: &[u8]) {
             Ok(None) => break,
             Err(_) => {
                 wire_corruption(st, client);
-                return;
+                return Vec::new();
             }
         };
         st.server.note_wire_decode(client, f.wire_len());
-        match f.frame_type {
-            FT_FLUSH_CLIENT => flush_buffered(st, client.0),
+        let resp = match f.frame_type {
+            FT_FLUSH_CLIENT => {
+                flush_buffered(st, client.0);
+                continue;
+            }
             FT_FLUSH_ALL => {
                 // The observation / batching-off path: decode everything
                 // and drain quota-deferred remainders too, so the user
                 // sees the effect of every request already issued.
                 flush_all_buffered(st);
                 st.server.drain_all();
+                continue;
             }
             FT_SYNC => {
                 flush_all_buffered(st);
-                let resp = match decode_sync_request(f.opcode, &f.payload) {
+                match decode_sync_request(f.opcode, &f.payload) {
                     Ok(req) => match st.server.execute_round_trip(client, &req) {
                         Ok(reply) => {
                             let (op, payload) = encode_sync_reply(&reply);
@@ -1923,14 +1867,13 @@ fn dispatch(st: &mut WireState, client: ClientId, bytes: &[u8]) {
                         };
                         frame(FT_ERROR, 0, f.seq, &encode_error_payload(&e))
                     }
-                };
-                respond(st, client, resp);
+                }
             }
             FT_TAKE_REPLY => {
                 if !st.server.has_reply(client, f.seq) {
                     flush_all_buffered(st);
                 }
-                let resp = match st.server.take_reply(client, f.seq) {
+                match st.server.take_reply(client, f.seq) {
                     Some(v) => {
                         let (op, payload) = encode_reply_value(&v);
                         frame(FT_COOKIE_REPLY, op, f.seq, &payload)
@@ -1939,43 +1882,36 @@ fn dispatch(st: &mut WireState, client: ClientId, bytes: &[u8]) {
                         let alive = st.server.is_alive(client);
                         frame(FT_NO_REPLY, 0, f.seq, &[alive as u8])
                     }
-                };
-                respond(st, client, resp);
+                }
             }
             FT_POLL_EVENT => {
                 flush_all_buffered(st);
-                let resp = match st.server.poll_event(client) {
+                match st.server.poll_event(client) {
                     Some(ev) => {
                         let (op, payload) = encode_event(&ev);
                         frame(FT_EVENT, op, 0, &payload)
                     }
                     None => frame(FT_NO_EVENT, 0, 0, &[]),
-                };
-                respond(st, client, resp);
+                }
             }
             FT_PENDING => {
                 flush_all_buffered(st);
                 let n = st.server.pending(client);
-                respond(st, client, frame(FT_PENDING_COUNT, 0, n as u64, &[]));
+                frame(FT_PENDING_COUNT, 0, n as u64, &[])
             }
-            _ => {} // data frames never arrive via the inbox
-        }
+            _ => continue, // data frames never arrive as control messages
+        };
+        st.server.note_wire_encode(client, resp.len());
+        out.extend_from_slice(&resp);
     }
     if fr.pending() > 0 {
         // A partial frame at the end of a control message is truncation
         // damage: control frames are shipped whole, so leftover bytes
         // can only mean the stream is broken.
         wire_corruption(st, client);
+        return Vec::new();
     }
-}
-
-/// Queues response bytes for the client that shipped the control frame.
-fn respond(st: &mut WireState, client: ClientId, bytes: Vec<u8>) {
-    st.server.note_wire_encode(client, bytes.len());
-    st.outbox
-        .entry(client.0)
-        .or_default()
-        .extend_from_slice(&bytes);
+    out
 }
 
 /// Decodes one client's buffered request frames and applies them as a
@@ -2040,110 +1976,46 @@ fn flush_all_buffered(st: &mut WireState) {
     st.server.flush_all();
 }
 
-/// Owns the dispatcher thread; dropping it shuts the thread down.
-pub(crate) struct ServerJoin {
-    shared: Arc<WireShared>,
-    handle: Mutex<Option<JoinHandle<()>>>,
-}
-
-impl Drop for ServerJoin {
-    fn drop(&mut self) {
-        {
-            let mut st = match self.shared.state.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-            st.shutdown = true;
-            self.shared.cond.notify_all();
-        }
-        let handle = match self.handle.lock() {
-            Ok(mut g) => g.take(),
-            Err(mut p) => p.get_mut().take(),
-        };
-        if let Some(h) = handle {
-            let _ = h.join();
-        }
-    }
-}
-
-/// A `Send + Sync` handle to a running wire server. Clone it into other
-/// threads and rebuild per-thread [`Display`](crate::Display)s with
+/// A `Send + Sync` handle to a wire server. Clone it into other threads
+/// and rebuild per-thread [`Display`](crate::Display)s with
 /// [`Display::from_wire`](crate::Display::from_wire) — that is how
 /// several `TkApp`s, each on its own thread, share one display.
 #[derive(Clone)]
 pub struct WireHandle {
-    pub(crate) shared: Arc<WireShared>,
-    pub(crate) join: Arc<ServerJoin>,
+    pub(crate) state: Arc<Mutex<WireState>>,
 }
 
-/// The wire transport: byte frames to a server on its own thread.
+/// The wire transport: byte frames to a server behind a mutex, each
+/// control frame dispatched inline by the thread that ships it.
 pub(crate) struct WireTransport {
-    shared: Arc<WireShared>,
-    join: Arc<ServerJoin>,
-}
-
-/// Default sync-watchdog deadline when `RTK_WIRE_DEADLINE_MS` is unset.
-pub const DEFAULT_WIRE_DEADLINE_MS: u64 = 5000;
-
-/// The configured watchdog deadline: `RTK_WIRE_DEADLINE_MS` (clamped to
-/// at least 1 ms), or 5000 ms.
-fn wire_deadline_from_env() -> Duration {
-    let ms = std::env::var("RTK_WIRE_DEADLINE_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(DEFAULT_WIRE_DEADLINE_MS)
-        .max(1);
-    Duration::from_millis(ms)
+    state: Arc<Mutex<WireState>>,
 }
 
 impl WireTransport {
-    /// Starts a fresh server on its own dispatcher thread.
+    /// Starts a fresh server.
     pub(crate) fn new() -> WireTransport {
-        let shared = Arc::new(WireShared {
-            state: Mutex::new(WireState {
+        WireTransport {
+            state: Arc::new(Mutex::new(WireState {
                 server: Server::new(),
                 bufs: BTreeMap::new(),
-                inbox: VecDeque::new(),
-                outbox: HashMap::new(),
-                shipped: 0,
-                processed: 0,
-                shutdown: false,
                 frame_seq: HashMap::new(),
                 pending_stalls: HashMap::new(),
-                abandoned: std::collections::HashSet::new(),
-                deadline: wire_deadline_from_env(),
-            }),
-            cond: Condvar::new(),
-        });
-        let thread_shared = shared.clone();
-        let handle = std::thread::Builder::new()
-            .name("xsim-wire-server".into())
-            .spawn(move || run_server(thread_shared))
-            .expect("spawn wire server thread");
-        let join = Arc::new(ServerJoin {
-            shared: shared.clone(),
-            handle: Mutex::new(Some(handle)),
-        });
-        WireTransport { shared, join }
-    }
-
-    /// Attaches to an already-running wire server.
-    pub(crate) fn from_handle(h: &WireHandle) -> WireTransport {
-        WireTransport {
-            shared: h.shared.clone(),
-            join: h.join.clone(),
+                deadline_ms: DEFAULT_WIRE_DEADLINE_MS,
+            })),
         }
     }
 
-    pub(crate) fn handle(&self) -> WireHandle {
-        WireHandle {
-            shared: self.shared.clone(),
-            join: self.join.clone(),
+    /// Attaches to an existing wire server.
+    pub(crate) fn from_handle(h: &WireHandle) -> WireTransport {
+        WireTransport {
+            state: h.state.clone(),
         }
     }
 
     fn lock(&self) -> MutexGuard<'_, WireState> {
-        self.shared.state.lock().unwrap()
+        self.state
+            .lock()
+            .expect("wire server lock poisoned by a panic on another thread")
     }
 
     /// Fires any byte fault scheduled for `client`'s next encoded frame
@@ -2196,69 +2068,63 @@ impl WireTransport {
         }
     }
 
-    /// Ships a control frame through the inbox and blocks until the
-    /// dispatcher acks its ticket; returns the reacquired lock and any
-    /// response bytes. The synchronous ack is what makes wire-mode
-    /// accounting and fault timing indistinguishable from the in-process
-    /// transport.
-    fn ship_locked<'a>(
-        &'a self,
-        mut st: MutexGuard<'a, WireState>,
-        client: ClientId,
-        mut bytes: Vec<u8>,
-    ) -> (MutexGuard<'a, WireState>, Vec<u8>) {
+    /// Ships a control frame and dispatches it inline, under the lock the
+    /// caller already holds; returns the response bytes. The bytes are
+    /// still the boundary — byte faults, the CRC check and the codec see
+    /// exactly what a server across a socket would.
+    ///
+    /// A stall armed by `StallDispatch` runs on a virtual clock: one that
+    /// reaches the deadline trips the sync watchdog — the connection is
+    /// torn down, the frame is never answered, and the client sees an
+    /// empty response (`ConnectionDead`, never a hang). A shorter stall
+    /// costs nothing. Client 0 is the transport's own control channel;
+    /// its callers get an empty response but no connection is killed.
+    fn ship(st: &mut WireState, client: ClientId, mut bytes: Vec<u8>) -> Vec<u8> {
         // Control frames ride the same byte stream as data frames, so
         // they share the per-client frame timeline and take byte faults
         // too (a corrupted sync request is damage the server must survive).
-        Self::apply_byte_fault(&mut st, client, &mut bytes);
-        let stall = st.pending_stalls.remove(&client.0).unwrap_or(0);
+        Self::apply_byte_fault(st, client, &mut bytes);
         st.server.note_wire_encode(client, bytes.len());
-        st.shipped += 1;
-        let ticket = st.shipped;
-        st.inbox.push_back(WireMsg {
-            ticket,
-            client,
-            bytes,
-            stall,
-        });
-        self.shared.cond.notify_all();
-        let deadline = st.deadline;
-        let start = Instant::now();
-        while st.processed < ticket && !st.shutdown {
-            let Some(remaining) = deadline.checked_sub(start.elapsed()) else {
-                break;
-            };
-            let (guard, _) = self.shared.cond.wait_timeout(st, remaining).unwrap();
-            st = guard;
-        }
-        if st.processed < ticket && !st.shutdown {
-            // Watchdog: the dispatcher failed to ack within the deadline.
-            // Tear the connection down cleanly — the client sees
-            // ConnectionDead, never a hang. Client 0 is the transport's
-            // own control channel; its callers get an empty response but
-            // no connection is killed.
+        let stall = st.pending_stalls.remove(&client.0).unwrap_or(0);
+        if u64::from(stall) * STALL_TICK_MS >= st.deadline_ms {
             st.server.note_watchdog_fire(client);
             if client.0 != 0 {
                 st.server.kill_client(client);
             }
             st.bufs.remove(&client.0);
-            st.outbox.remove(&client.0);
-            st.abandoned.insert(ticket);
-            return (st, Vec::new());
+            return Vec::new();
         }
-        let resp = st.outbox.remove(&client.0).unwrap_or_default();
-        (st, resp)
+        dispatch(st, client, &bytes)
+    }
+
+    /// Ships a flush of `client`'s buffered request frames.
+    fn ship_flush(st: &mut WireState, client: ClientId) {
+        Self::ship(st, client, frame(FT_FLUSH_CLIENT, 0, 0, &[]));
+    }
+
+    /// Ships a flush of every client's buffer (through the control
+    /// channel, client 0).
+    fn ship_flush_all(st: &mut WireState) {
+        Self::ship(st, ClientId(0), frame(FT_FLUSH_ALL, 0, 0, &[]));
+    }
+
+    /// Ships a control frame and decodes the single response frame it
+    /// produced. `None` means the connection is gone: the watchdog
+    /// tripped (empty response) or the response bytes failed integrity
+    /// checks — callers surface a dead connection, never panic.
+    fn call(&self, client: ClientId, bytes: Vec<u8>) -> Option<RawFrame> {
+        let mut st = self.lock();
+        let resp = Self::ship(&mut st, client, bytes);
+        let mut fr = FrameReader::new();
+        fr.push(&resp).ok()?;
+        let f = fr.next_frame().ok().flatten()?;
+        st.server.note_wire_decode(client, f.wire_len());
+        Some(f)
     }
 
     /// Encodes a request frame into the client's wire buffer; returns
     /// whether the buffer hit capacity (a forced flush point).
-    fn push_request(
-        &self,
-        st: &mut WireState,
-        client: ClientId,
-        seq: u64,
-        q: &QueuedRequest,
-    ) -> bool {
+    fn push_request(st: &mut WireState, client: ClientId, seq: u64, q: &QueuedRequest) -> bool {
         let (op, payload) = encode_request(q);
         let mut bytes = frame(FT_REQUEST, op, seq, &payload);
         let split = Self::apply_byte_fault(st, client, &mut bytes);
@@ -2279,18 +2145,24 @@ impl WireTransport {
         buf.frames >= OUT_BUF_CAPACITY
     }
 
-    /// Decodes the single response frame a control round trip produced.
-    /// `None` means the connection is gone: the watchdog expired (empty
-    /// response), the server shut down, or the response bytes failed
-    /// integrity checks — callers surface a dead connection, never panic.
-    fn take_response(&self, st: &mut WireState, client: ClientId, resp: &[u8]) -> Option<RawFrame> {
-        let mut fr = FrameReader::new();
-        if fr.push(resp).is_err() {
-            return None;
+    /// Issues one buffered request: encodes it, records the issue-time
+    /// accounting both transports share, and flushes at a flush point.
+    fn issue(
+        st: &mut WireState,
+        client: ClientId,
+        kind: RequestKind,
+        reply: bool,
+        window: WindowId,
+        seq: u64,
+        q: &QueuedRequest,
+    ) {
+        let start = Instant::now();
+        let full = Self::push_request(st, client, seq, q);
+        st.server
+            .note_issue(client, kind, reply, window, seq, start);
+        if full || !st.server.batching() {
+            Self::ship_flush(st, client);
         }
-        let f = fr.next_frame().ok().flatten()?;
-        st.server.note_wire_decode(client, f.wire_len());
-        Some(f)
     }
 
     fn buffered_frames(st: &WireState, client: ClientId) -> usize {
@@ -2308,7 +2180,9 @@ impl Transport for WireTransport {
     }
 
     fn wire_handle(&self) -> Option<WireHandle> {
-        Some(self.handle())
+        Some(WireHandle {
+            state: self.state.clone(),
+        })
     }
 
     fn peek(&self, f: &mut dyn FnMut(&mut Server)) {
@@ -2320,40 +2194,32 @@ impl Transport for WireTransport {
     }
 
     fn sync(&self, f: &mut dyn FnMut(&mut Server)) {
-        let st = self.lock();
-        let bytes = frame(FT_FLUSH_ALL, 0, 0, &[]);
-        let (mut st, _) = self.ship_locked(st, ClientId(0), bytes);
+        let mut st = self.lock();
+        Self::ship_flush_all(&mut st);
         f(&mut st.server);
     }
 
     fn flush_client(&self, client: ClientId) {
-        let st = self.lock();
-        if Self::buffered_frames(&st, client) == 0 {
-            return;
+        let mut st = self.lock();
+        if Self::buffered_frames(&st, client) > 0 {
+            Self::ship_flush(&mut st, client);
         }
-        let bytes = frame(FT_FLUSH_CLIENT, 0, 0, &[]);
-        let _ = self.ship_locked(st, client, bytes);
     }
 
     fn set_batching(&self, on: bool) {
-        if on {
-            self.lock().server.set_batching(true);
-        } else {
+        let mut st = self.lock();
+        if !on {
             // Turning batching off is a flush point for everyone, like
             // Server::set_batching's internal flush_all.
-            let st = self.lock();
-            let bytes = frame(FT_FLUSH_ALL, 0, 0, &[]);
-            let (mut st, _) = self.ship_locked(st, ClientId(0), bytes);
-            st.server.set_batching(false);
+            Self::ship_flush_all(&mut st);
         }
+        st.server.set_batching(on);
     }
 
     fn reset_obs(&self, client: ClientId) {
         let mut st = self.lock();
         if Self::buffered_frames(&st, client) > 0 {
-            let bytes = frame(FT_FLUSH_CLIENT, 0, 0, &[]);
-            let (returned, _) = self.ship_locked(st, client, bytes);
-            st = returned;
+            Self::ship_flush(&mut st, client);
         }
         st.server.reset_client_stats(client);
     }
@@ -2364,14 +2230,7 @@ impl Transport for WireTransport {
             return;
         }
         let seq = st.server.next_seq(client);
-        let start = Instant::now();
-        let full = self.push_request(&mut st, client, seq, &q);
-        st.server
-            .note_issue(client, kind, false, window, seq, start);
-        if !st.server.batching() || full {
-            let bytes = frame(FT_FLUSH_CLIENT, 0, 0, &[]);
-            let _ = self.ship_locked(st, client, bytes);
-        }
+        Self::issue(&mut st, client, kind, false, window, seq, &q);
     }
 
     fn pipelined(
@@ -2385,23 +2244,14 @@ impl Transport for WireTransport {
         let seq = st.server.next_seq(client);
         if st.server.is_alive(client) {
             let q = make(seq);
-            let start = Instant::now();
-            let full = self.push_request(&mut st, client, seq, &q);
-            st.server.note_issue(client, kind, true, window, seq, start);
-            if !st.server.batching() || full {
-                let bytes = frame(FT_FLUSH_CLIENT, 0, 0, &[]);
-                let _ = self.ship_locked(st, client, bytes);
-            }
+            Self::issue(&mut st, client, kind, true, window, seq, &q);
         }
         seq
     }
 
     fn round_trip(&self, client: ClientId, req: SyncRequest) -> Result<SyncReply, XError> {
         let (op, payload) = encode_sync_request(&req);
-        let bytes = frame(FT_SYNC, op, 0, &payload);
-        let st = self.lock();
-        let (mut st, resp) = self.ship_locked(st, client, bytes);
-        let Some(f) = self.take_response(&mut st, client, &resp) else {
+        let Some(f) = self.call(client, frame(FT_SYNC, op, 0, &payload)) else {
             return Err(XError::dead(0));
         };
         match f.frame_type {
@@ -2433,8 +2283,7 @@ impl Transport for WireTransport {
             st.server
                 .note_issue(client, RequestKind::CreateWindow, false, parent, seq, start);
             if !st.server.batching() && Self::buffered_frames(&st, client) > 0 {
-                let bytes = frame(FT_FLUSH_CLIENT, 0, 0, &[]);
-                let _ = self.ship_locked(st, client, bytes);
+                Self::ship_flush(&mut st, client);
             }
             return Err(XError {
                 code: XErrorCode::BadWindow,
@@ -2443,49 +2292,42 @@ impl Transport for WireTransport {
             });
         }
         let id = st.server.reserve_window_id();
-        let start = Instant::now();
-        let full = self.push_request(
+        let q = QueuedRequest::CreateWindow {
+            id,
+            parent,
+            x,
+            y,
+            width,
+            height,
+            border_width,
+        };
+        Self::issue(
             &mut st,
             client,
+            RequestKind::CreateWindow,
+            false,
+            parent,
             seq,
-            &QueuedRequest::CreateWindow {
-                id,
-                parent,
-                x,
-                y,
-                width,
-                height,
-                border_width,
-            },
+            &q,
         );
-        st.server
-            .note_issue(client, RequestKind::CreateWindow, false, parent, seq, start);
-        if !st.server.batching() || full {
-            let bytes = frame(FT_FLUSH_CLIENT, 0, 0, &[]);
-            let _ = self.ship_locked(st, client, bytes);
-        }
         Ok(id)
     }
 
     fn create_gc(&self, client: ClientId, values: GcValues) -> crate::ids::GcId {
         let mut st = self.lock();
         let id = st.server.gcs.reserve();
-        if !st.server.is_alive(client) {
-            return id;
-        }
-        let seq = st.server.next_seq(client);
-        let start = Instant::now();
-        let full = self.push_request(
-            &mut st,
-            client,
-            seq,
-            &QueuedRequest::CreateGc { id, values },
-        );
-        st.server
-            .note_issue(client, RequestKind::CreateGc, false, Xid::NONE, seq, start);
-        if !st.server.batching() || full {
-            let bytes = frame(FT_FLUSH_CLIENT, 0, 0, &[]);
-            let _ = self.ship_locked(st, client, bytes);
+        if st.server.is_alive(client) {
+            let seq = st.server.next_seq(client);
+            let q = QueuedRequest::CreateGc { id, values };
+            Self::issue(
+                &mut st,
+                client,
+                RequestKind::CreateGc,
+                false,
+                Xid::NONE,
+                seq,
+                &q,
+            );
         }
         id
     }
@@ -2493,37 +2335,24 @@ impl Transport for WireTransport {
     fn create_bitmap(&self, client: ClientId, bitmap: Bitmap) -> BitmapId {
         let mut st = self.lock();
         let id = st.server.bitmaps.reserve();
-        if !st.server.is_alive(client) {
-            return id;
-        }
-        let seq = st.server.next_seq(client);
-        let start = Instant::now();
-        let full = self.push_request(
-            &mut st,
-            client,
-            seq,
-            &QueuedRequest::CreateBitmap { id, bitmap },
-        );
-        st.server.note_issue(
-            client,
-            RequestKind::CreateBitmap,
-            false,
-            Xid::NONE,
-            seq,
-            start,
-        );
-        if !st.server.batching() || full {
-            let bytes = frame(FT_FLUSH_CLIENT, 0, 0, &[]);
-            let _ = self.ship_locked(st, client, bytes);
+        if st.server.is_alive(client) {
+            let seq = st.server.next_seq(client);
+            let q = QueuedRequest::CreateBitmap { id, bitmap };
+            Self::issue(
+                &mut st,
+                client,
+                RequestKind::CreateBitmap,
+                false,
+                Xid::NONE,
+                seq,
+                &q,
+            );
         }
         id
     }
 
     fn wait_reply(&self, client: ClientId, seq: u64) -> WaitReply {
-        let bytes = frame(FT_TAKE_REPLY, 0, seq, &[]);
-        let st = self.lock();
-        let (mut st, resp) = self.ship_locked(st, client, bytes);
-        let Some(f) = self.take_response(&mut st, client, &resp) else {
+        let Some(f) = self.call(client, frame(FT_TAKE_REPLY, 0, seq, &[])) else {
             return WaitReply::NoReply { alive: false };
         };
         match f.frame_type {
@@ -2539,10 +2368,7 @@ impl Transport for WireTransport {
     }
 
     fn poll_event(&self, client: ClientId) -> Option<Event> {
-        let bytes = frame(FT_POLL_EVENT, 0, 0, &[]);
-        let st = self.lock();
-        let (mut st, resp) = self.ship_locked(st, client, bytes);
-        let f = self.take_response(&mut st, client, &resp)?;
+        let f = self.call(client, frame(FT_POLL_EVENT, 0, 0, &[]))?;
         match f.frame_type {
             FT_EVENT => decode_event(f.opcode, &f.payload).ok(),
             _ => None,
@@ -2550,23 +2376,21 @@ impl Transport for WireTransport {
     }
 
     fn pending(&self, client: ClientId) -> usize {
-        let bytes = frame(FT_PENDING, 0, 0, &[]);
-        let st = self.lock();
-        let (mut st, resp) = self.ship_locked(st, client, bytes);
-        match self.take_response(&mut st, client, &resp) {
+        match self.call(client, frame(FT_PENDING, 0, 0, &[])) {
             Some(f) if f.frame_type == FT_PENDING_COUNT => f.seq as usize,
             _ => 0,
         }
     }
 
     fn set_wire_deadline(&self, ms: u64) {
-        self.lock().deadline = Duration::from_millis(ms.max(1));
+        self.lock().deadline_ms = ms.max(1);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultPlan, FaultSpec};
     use crate::rng::XorShift;
 
     fn rxid(r: &mut XorShift) -> Xid {
@@ -3336,5 +3160,111 @@ mod tests {
     fn crc32_matches_reference_check_value() {
         let crc = crc32_update(CRC32_INIT, b"123456789") ^ 0xFFFF_FFFF;
         assert_eq!(crc, 0xCBF4_3926);
+    }
+
+    /// Deadline the stall tests run under: 10 ticks of virtual time.
+    const STALL_DEADLINE_MS: u64 = 100;
+
+    /// A fixed client script over the wire transport: three data frames
+    /// (create, select input, map; frame indices 1-3), then four control
+    /// frames (indices 4-7) whose raw response bytes are returned.
+    fn stall_script(plan: FaultPlan) -> (WireTransport, ClientId, Vec<Vec<u8>>) {
+        let t = WireTransport::new();
+        t.set_wire_deadline(STALL_DEADLINE_MS);
+        let c = t.connect();
+        let mut root = Xid::NONE;
+        t.peek(&mut |s| {
+            s.install_fault_plan(plan.clone());
+            root = s.root();
+        });
+        let win = t.create_window(c, root, 0, 0, 40, 20, 0).unwrap();
+        let select = QueuedRequest::SelectInput {
+            id: win,
+            event_mask: crate::event::mask::EXPOSURE,
+        };
+        t.one_way(c, RequestKind::SelectInput, win, select);
+        t.one_way(
+            c,
+            RequestKind::MapWindow,
+            win,
+            QueuedRequest::MapWindow { id: win },
+        );
+        let sync = |req: SyncRequest| {
+            let (op, payload) = encode_sync_request(&req);
+            frame(FT_SYNC, op, 0, &payload)
+        };
+        let controls = [
+            sync(SyncRequest::InternAtom {
+                name: "WM_NAME".into(),
+            }),
+            frame(FT_PENDING, 0, 0, &[]),
+            frame(FT_POLL_EVENT, 0, 0, &[]),
+            sync(SyncRequest::GetGeometry { id: win }),
+        ];
+        let resps = controls
+            .into_iter()
+            .map(|bytes| WireTransport::ship(&mut t.lock(), c, bytes))
+            .collect();
+        (t, c, resps)
+    }
+
+    /// A plan that stalls dispatch by `ticks` from the map frame (index
+    /// 3); the stall is charged to the first control frame.
+    fn stall_plan(client: ClientId, ticks: u32) -> FaultPlan {
+        FaultPlan::new(vec![FaultSpec {
+            client: client.0,
+            at: 3,
+            action: FaultAction::StallDispatch { ticks },
+        }])
+    }
+
+    fn watchdog_fires(t: &WireTransport, c: ClientId) -> u64 {
+        let st = t.lock();
+        st.server.client_obs(c).map_or(0, |o| o.wire.watchdog_fires)
+    }
+
+    #[test]
+    fn stall_below_the_deadline_costs_nothing() {
+        let (_, c, clean) = stall_script(FaultPlan::default());
+        let ticks = (STALL_DEADLINE_MS / STALL_TICK_MS) as u32 - 1;
+        let (t, c2, stalled) = stall_script(stall_plan(c, ticks));
+        assert_eq!(c, c2);
+        assert!(clean.iter().all(|r| !r.is_empty()), "{clean:?}");
+        assert_eq!(stalled, clean, "a short stall must not change a reply byte");
+        assert_eq!(watchdog_fires(&t, c), 0);
+        let fired = t.lock().server.fault_plan().unwrap().fired_log().len();
+        assert_eq!(fired, 1, "the stall fault itself fired");
+        assert!(t.lock().server.is_alive(c));
+    }
+
+    #[test]
+    fn stall_at_the_deadline_trips_the_watchdog() {
+        let (_, c, _) = stall_script(FaultPlan::default());
+        let ticks = (STALL_DEADLINE_MS / STALL_TICK_MS) as u32;
+        let (t, c2, resps) = stall_script(stall_plan(c, ticks));
+        assert_eq!(c, c2);
+        assert!(resps[0].is_empty(), "the stalled frame is never answered");
+        assert_eq!(watchdog_fires(&t, c), 1);
+        assert!(!t.lock().server.is_alive(c));
+        assert!(matches!(
+            t.wait_reply(c, 1),
+            WaitReply::NoReply { alive: false }
+        ));
+        let req = SyncRequest::InternAtom {
+            name: "WM_NAME".into(),
+        };
+        assert_eq!(t.round_trip(c, req), Err(XError::dead(0)));
+        assert_eq!(watchdog_fires(&t, c), 1, "only the stalled frame trips it");
+    }
+
+    #[test]
+    fn a_watchdog_kill_leaves_a_clean_audit() {
+        for ticks in [1, 10, 40] {
+            let (_, c, _) = stall_script(FaultPlan::default());
+            let (t, _, _) = stall_script(stall_plan(c, ticks));
+            let mut violations = Vec::new();
+            t.sync(&mut |s| violations = s.audit());
+            assert!(violations.is_empty(), "ticks {ticks}: {violations:?}");
+        }
     }
 }

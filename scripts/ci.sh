@@ -36,7 +36,7 @@ cargo run -p tk-bench --release --offline --locked --bin bench -- --check-budget
 
 # Transport-equivalence gate: the framed wire transport must be
 # invisible. The full run above already exercised the wire side — the
-# threaded byte transport is the default unless RTK_NO_WIRE says
+# framed byte transport is the default unless RTK_NO_WIRE says
 # otherwise. Here the differential suite replays both chaos corpora and
 # a seeded random-script sweep wire-on vs wire-off, asserting
 # byte-identical results, error messages, request streams, fault
@@ -104,11 +104,11 @@ cargo run -p tk-bench --release --offline --locked --bin chaos -- \
 # evidence (checksum/watchdog counters), with an intact span tree and
 # a clean Server::audit() resource reckoning either way (docs/FAULTS.md,
 # "Byte-chaos mode"). Corpus replay first, then fresh pairs.
-echo "==> byte-chaos gate (corpus + 150 fresh seeds)"
+echo "==> byte-chaos gate (corpus + 1000 fresh seeds)"
 cargo run -p tk-bench --release --offline --locked --bin chaos -- \
-    --bytes --corpus tests/chaos_bytes_corpus.txt --seeds 150
+    --bytes --corpus tests/chaos_bytes_corpus.txt --seeds 1000
 
-# Fleet gate: 64 applications in a send ring under the threaded wire
+# Fleet gate: 64 applications in a send ring under the framed wire
 # transport, with a quota-throttled hot client and a deterministic
 # faulted tail round. The p50/p95/p99 send-latency percentiles,
 # backpressure stalls, and clean-error counts are pinned in

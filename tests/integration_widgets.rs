@@ -229,6 +229,9 @@ fn menus_post_and_invoke_via_keyboardless_mouse() {
 #[test]
 fn destroy_cleans_up_everything() {
     let (_env, app) = app();
+    // The <Enter> binding below prints; keep it off the test harness's
+    // stdout, where it could glue onto a parallel test's result line.
+    let _out = app.interp().capture_output();
     app.eval("frame .f").unwrap();
     app.eval("button .f.b -text x -command {}").unwrap();
     app.eval("entry .f.e").unwrap();
