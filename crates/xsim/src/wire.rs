@@ -2901,6 +2901,55 @@ mod tests {
         }
     }
 
+    /// The wire format, frozen: one CRC32 over the frames of seeded random
+    /// messages covering every opcode of every message type, plus error
+    /// bodies. Any change to an opcode, a field order or a field encoding
+    /// moves the digest. The hand-written generators above are the
+    /// independent statement of which variant each opcode carries.
+    #[test]
+    fn wire_format_digest_is_frozen() {
+        let mut r = XorShift::new(0xD16E_5700);
+        let mut crc = CRC32_INIT;
+        let mut feed = |ft: u8, (op, payload): (u16, Vec<u8>), seq: u64| {
+            crc = crc32_update(crc, &frame(ft, op, seq, &payload));
+        };
+        for op in 1..=39u16 {
+            for seq in 0..8 {
+                let q = rand_request(op, &mut r, seq);
+                feed(FT_REQUEST, encode_request(&q), seq);
+            }
+        }
+        for op in 1..=16u16 {
+            for _ in 0..8 {
+                let req = rand_sync_request(op, &mut r);
+                feed(FT_SYNC, encode_sync_request(&req), 0);
+            }
+        }
+        for op in 1..=12u16 {
+            for _ in 0..8 {
+                let reply = rand_sync_reply(op, &mut r);
+                feed(FT_SYNC_REPLY, encode_sync_reply(&reply), 0);
+            }
+        }
+        for op in 1..=6u16 {
+            for seq in 0..8 {
+                let v = rand_reply_value(op, &mut r);
+                feed(FT_COOKIE_REPLY, encode_reply_value(&v), seq);
+            }
+        }
+        for op in 1..=18u16 {
+            for _ in 0..8 {
+                let ev = rand_event(op, &mut r);
+                feed(FT_EVENT, encode_event(&ev), 0);
+            }
+        }
+        for _ in 0..32 {
+            let e = rand_error(&mut r);
+            feed(FT_ERROR, (0, encode_error_payload(&e)), e.seq);
+        }
+        assert_eq!(crc ^ 0xFFFF_FFFF, 0x4341_842C, "wire format changed");
+    }
+
     #[test]
     fn truncated_frames_wait_instead_of_erroring() {
         let mut r = XorShift::new(0x70c4);
