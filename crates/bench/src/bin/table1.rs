@@ -3,145 +3,160 @@
 //!
 //! The Xt/Motif and original-Tk columns are the numbers published in the
 //! paper (they are data, not something we can re-measure). Our column is
-//! measured from this repository with the same module mapping the paper
-//! used: the intrinsics, the Tcl interpreter, the packer, and the three
-//! widget files — including the fact that "in Tk a single file implements
-//! labels, buttons, check buttons, and radio buttons", which this
-//! reproduction preserves.
+//! measured from this repository. Every `.rs` file under
+//! `crates/{tcl,tk,xsim,obs}/src` is classified into one row: a paper
+//! module (the intrinsics, the Tcl interpreter, the packer, and the three
+//! widget files — "in Tk a single file implements labels, buttons, check
+//! buttons, and radio buttons", which this reproduction preserves), a
+//! module the paper's Tk did not need (the simulated X server, later
+//! widgets), or infrastructure (transport, fault injection,
+//! observability). A file no rule claims is an error: the table counts the
+//! whole tree or it fails.
 //!
 //! Run with: `cargo run -p tk-bench --bin table1`
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-use tk_bench::count_loc_files;
+use tk_bench::count_loc;
 
-struct Row {
-    name: &'static str,
-    xt_motif: Option<u32>,
-    tk_1991: u32,
-    ours_code: usize,
-    ours_tests: usize,
+/// The crates whose sources the table covers.
+const CRATES: [&str; 4] = ["tcl", "tk", "xsim", "obs"];
+
+/// Table rows in print order: name, then the Xt/Motif and Tk-1991 line
+/// counts the paper published (`None` where it has none).
+const ROWS: [(&str, Option<u32>, Option<u32>); 11] = [
+    ("Intrinsics", Some(24900), Some(15100)),
+    ("Tcl", None, Some(9300)),
+    ("Geometry Manager", Some(2100), Some(1000)),
+    ("Buttons", Some(6300), Some(1000)),
+    ("Scrollbar", Some(3000), Some(1200)),
+    ("Listbox", Some(6400), Some(1600)),
+    ("Other widgets", None, None),
+    ("X server (sim)", None, None),
+    ("Transport", None, None),
+    ("Fault injection", None, None),
+    ("Observability", None, None),
+];
+
+/// How many leading [`ROWS`] are the paper's modules; the next two are
+/// modules the paper's Tk did not need, the rest infrastructure.
+const PAPER_ROWS: usize = 6;
+const INFRA_START: usize = 8;
+
+/// Classification rules, `crate/path` relative to the crate's `src`,
+/// first match wins. A rule ending in `/` claims everything under it.
+const RULES: &[(&str, &str)] = &[
+    ("tcl/", "Tcl"),
+    ("obs/", "Observability"),
+    ("tk/obs_cmd.rs", "Observability"),
+    ("tk/pack.rs", "Geometry Manager"),
+    ("tk/widget/button.rs", "Buttons"),
+    ("tk/widget/scrollbar.rs", "Scrollbar"),
+    ("tk/widget/listbox.rs", "Listbox"),
+    ("tk/widget/canvas.rs", "Other widgets"),
+    ("tk/widget/entry.rs", "Other widgets"),
+    ("tk/widget/frame.rs", "Other widgets"),
+    ("tk/widget/menu.rs", "Other widgets"),
+    ("tk/widget/message.rs", "Other widgets"),
+    ("tk/widget/scale.rs", "Other widgets"),
+    ("tk/app.rs", "Intrinsics"),
+    ("tk/bind.rs", "Intrinsics"),
+    ("tk/cache.rs", "Intrinsics"),
+    ("tk/cmds.rs", "Intrinsics"),
+    ("tk/config.rs", "Intrinsics"),
+    ("tk/draw.rs", "Intrinsics"),
+    ("tk/lib.rs", "Intrinsics"),
+    ("tk/optiondb.rs", "Intrinsics"),
+    ("tk/selection.rs", "Intrinsics"),
+    ("tk/send.rs", "Intrinsics"),
+    ("tk/window.rs", "Intrinsics"),
+    ("tk/widget/mod.rs", "Intrinsics"),
+    ("xsim/wire.rs", "Transport"),
+    ("xsim/fault.rs", "Fault injection"),
+    ("xsim/rng.rs", "Fault injection"),
+    ("xsim/obs.rs", "Observability"),
+    ("xsim/atom.rs", "X server (sim)"),
+    ("xsim/bitmap.rs", "X server (sim)"),
+    ("xsim/color.rs", "X server (sim)"),
+    ("xsim/connection.rs", "X server (sim)"),
+    ("xsim/cursor.rs", "X server (sim)"),
+    ("xsim/damage.rs", "X server (sim)"),
+    ("xsim/event.rs", "X server (sim)"),
+    ("xsim/font.rs", "X server (sim)"),
+    ("xsim/gc.rs", "X server (sim)"),
+    ("xsim/ids.rs", "X server (sim)"),
+    ("xsim/lib.rs", "X server (sim)"),
+    ("xsim/render.rs", "X server (sim)"),
+    ("xsim/server.rs", "X server (sim)"),
+    ("xsim/window.rs", "X server (sim)"),
+];
+
+/// The row a source file (`crate/path` relative to `src`) counts toward.
+fn classify(file: &str) -> Option<usize> {
+    let (_, row) = RULES
+        .iter()
+        .find(|(rule, _)| file == *rule || (rule.ends_with('/') && file.starts_with(rule)))?;
+    ROWS.iter().position(|(name, _, _)| name == row)
+}
+
+/// Every `.rs` file under `dir`, as paths relative to `base`, sorted.
+fn rust_files(base: &Path, dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            rust_files(base, &path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path.strip_prefix(base).unwrap().to_path_buf());
+        }
+    }
+}
+
+/// `(code, tests)` per row, and the files no rule claims.
+fn tally(crates_dir: &Path) -> ([(usize, usize); ROWS.len()], Vec<String>) {
+    let mut sums = [(0, 0); ROWS.len()];
+    let mut unclassified = Vec::new();
+    for krate in CRATES {
+        let src = crates_dir.join(krate).join("src");
+        let mut files = Vec::new();
+        rust_files(&src, &src, &mut files);
+        files.sort();
+        for rel in files {
+            let name = format!("{krate}/{}", rel.to_string_lossy().replace('\\', "/"));
+            match classify(&name) {
+                Some(row) => {
+                    let (code, tests) = count_loc(&src.join(&rel));
+                    sums[row].0 += code;
+                    sums[row].1 += tests;
+                }
+                None => unclassified.push(name),
+            }
+        }
+    }
+    (sums, unclassified)
 }
 
 fn main() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let tcl_src = root.join("crates/tcl/src");
-    let tk_src = root.join("crates/tk/src");
-    let xsim_src = root.join("crates/xsim/src");
+    let (sums, unclassified) = tally(&root.join("crates"));
+    if !unclassified.is_empty() {
+        for f in &unclassified {
+            eprintln!("table1: no row for crates/{f}: add it to RULES");
+        }
+        std::process::exit(1);
+    }
 
-    // Module mapping (paper row -> our files).
-    let intrinsics = count_loc_files(
-        &tk_src,
-        &[
-            "app.rs",
-            "bind.rs",
-            "cache.rs",
-            "cmds.rs",
-            "config.rs",
-            "draw.rs",
-            "lib.rs",
-            "optiondb.rs",
-            "selection.rs",
-            "send.rs",
-            "window.rs",
-            "widget/mod.rs",
-        ],
-    );
-    let tcl = count_loc_files(
-        &tcl_src,
-        &[
-            "commands/control.rs",
-            "commands/info_cmd.rs",
-            "commands/list_cmds.rs",
-            "commands/misc.rs",
-            "commands/mod.rs",
-            "commands/string_cmds.rs",
-            "commands/var.rs",
-            "error.rs",
-            "expr.rs",
-            "interp.rs",
-            "lib.rs",
-            "list.rs",
-            "parser.rs",
-            "strutil.rs",
-        ],
-    );
-    let packer = count_loc_files(&tk_src, &["pack.rs"]);
-    let buttons = count_loc_files(&tk_src, &["widget/button.rs"]);
-    let scrollbar = count_loc_files(&tk_src, &["widget/scrollbar.rs"]);
-    let listbox = count_loc_files(&tk_src, &["widget/listbox.rs"]);
-    let other_widgets = count_loc_files(
-        &tk_src,
-        &[
-            "widget/entry.rs",
-            "widget/frame.rs",
-            "widget/menu.rs",
-            "widget/message.rs",
-            "widget/scale.rs",
-        ],
-    );
-    let xserver = count_loc_files(
-        &xsim_src,
-        &[
-            "atom.rs",
-            "color.rs",
-            "connection.rs",
-            "cursor.rs",
-            "event.rs",
-            "font.rs",
-            "gc.rs",
-            "ids.rs",
-            "lib.rs",
-            "render.rs",
-            "server.rs",
-            "window.rs",
-        ],
-    );
-
-    let rows = [
-        Row {
-            name: "Intrinsics",
-            xt_motif: Some(24900),
-            tk_1991: 15100,
-            ours_code: intrinsics.0,
-            ours_tests: intrinsics.1,
-        },
-        Row {
-            name: "Tcl",
-            xt_motif: None,
-            tk_1991: 9300,
-            ours_code: tcl.0,
-            ours_tests: tcl.1,
-        },
-        Row {
-            name: "Geometry Manager",
-            xt_motif: Some(2100),
-            tk_1991: 1000,
-            ours_code: packer.0,
-            ours_tests: packer.1,
-        },
-        Row {
-            name: "Buttons",
-            xt_motif: Some(6300),
-            tk_1991: 1000,
-            ours_code: buttons.0,
-            ours_tests: buttons.1,
-        },
-        Row {
-            name: "Scrollbar",
-            xt_motif: Some(3000),
-            tk_1991: 1200,
-            ours_code: scrollbar.0,
-            ours_tests: scrollbar.1,
-        },
-        Row {
-            name: "Listbox",
-            xt_motif: Some(6400),
-            tk_1991: 1600,
-            ours_code: listbox.0,
-            ours_tests: listbox.1,
-        },
-    ];
+    let line = |name: &str, xt: String, tk: String, (code, tests): (usize, usize)| {
+        println!("{name:<18} {xt:>9} {tk:>9} {code:>10} {tests:>11}");
+    };
+    let num = |v: Option<u32>| v.map(|v| v.to_string()).unwrap_or_else(|| "-".into());
+    let sum = |rows: std::ops::Range<usize>| {
+        sums[rows]
+            .iter()
+            .fold((0, 0), |(a, b), &(c, d)| (a + c, b + d))
+    };
 
     println!("Table I — source lines, paper vs this reproduction");
     println!("(Xt/Motif and Tk-1991 columns are the paper's published numbers;");
@@ -150,35 +165,22 @@ fn main() {
         "{:<18} {:>9} {:>9} {:>10} {:>11}",
         "", "Xt/Motif", "Tk 1991", "Rust code", "Rust tests"
     );
-    let mut totals = (0u32, 0u32, 0usize, 0usize);
-    for r in &rows {
-        println!(
-            "{:<18} {:>9} {:>9} {:>10} {:>11}",
-            r.name,
-            r.xt_motif.map(|v| v.to_string()).unwrap_or_default(),
-            r.tk_1991,
-            r.ours_code,
-            r.ours_tests
-        );
-        totals.0 += r.xt_motif.unwrap_or(0);
-        totals.1 += r.tk_1991;
-        totals.2 += r.ours_code;
-        totals.3 += r.ours_tests;
+    for (i, &(name, xt, tk)) in ROWS[..PAPER_ROWS].iter().enumerate() {
+        line(name, num(xt), num(tk), sums[i]);
     }
-    println!(
-        "{:<18} {:>9} {:>9} {:>10} {:>11}",
-        "Total", totals.0, totals.1, totals.2, totals.3
-    );
+    let xt: u32 = ROWS[..PAPER_ROWS].iter().filter_map(|r| r.1).sum();
+    let tk: u32 = ROWS[..PAPER_ROWS].iter().filter_map(|r| r.2).sum();
+    line("Total", xt.to_string(), tk.to_string(), sum(0..PAPER_ROWS));
 
     println!("\nModules the paper's Tk did not need but this reproduction builds:");
-    println!(
-        "{:<18} {:>9} {:>9} {:>10} {:>11}",
-        "X server (sim)", "-", "-", xserver.0, xserver.1
-    );
-    println!(
-        "{:<18} {:>9} {:>9} {:>10} {:>11}",
-        "Other widgets", "-", "-", other_widgets.0, other_widgets.1
-    );
+    for (i, &(name, _, _)) in ROWS.iter().enumerate().take(INFRA_START).skip(PAPER_ROWS) {
+        line(name, "-".into(), "-".into(), sums[i]);
+    }
+    println!("\nInfrastructure (transport, fault injection, observability):");
+    for (i, &(name, _, _)) in ROWS.iter().enumerate().skip(INFRA_START) {
+        line(name, "-".into(), "-".into(), sums[i]);
+    }
+    line("All crates", "-".into(), "-".into(), sum(0..ROWS.len()));
 
     // The paper's second dimension — compiled bytes — can only be
     // approximated per crate (rlib sizes from a release build), since Rust
@@ -193,12 +195,56 @@ fn main() {
     }
 
     println!("\nShape check (the paper's claims, recomputed for the Rust columns):");
-    let ratio = |a: usize, b: u32| b as f64 / a as f64;
+    let ratio = |row: usize| ROWS[row].1.unwrap_or(0) as f64 / sums[row].0 as f64;
     println!(
         "  paper: Tk widgets 2-5x smaller than Motif; Rust buttons vs Motif: {:.1}x,\n\
          \u{20}        scrollbar: {:.1}x, listbox: {:.1}x smaller",
-        ratio(rows[3].ours_code, 6300),
-        ratio(rows[4].ours_code, 3000),
-        ratio(rows[5].ours_code, 6400),
+        ratio(3),
+        ratio(4),
+        ratio(5),
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(file: &str) -> Option<&'static str> {
+        classify(file).map(|i| ROWS[i].0)
+    }
+
+    #[test]
+    fn files_land_in_their_rows() {
+        assert_eq!(row("tcl/compile.rs"), Some("Tcl"));
+        assert_eq!(row("tcl/commands/var.rs"), Some("Tcl"));
+        assert_eq!(row("obs/span.rs"), Some("Observability"));
+        assert_eq!(row("tk/obs_cmd.rs"), Some("Observability"));
+        assert_eq!(row("tk/widget/canvas.rs"), Some("Other widgets"));
+        assert_eq!(row("tk/widget/mod.rs"), Some("Intrinsics"));
+        assert_eq!(row("xsim/wire.rs"), Some("Transport"));
+        assert_eq!(row("xsim/fault.rs"), Some("Fault injection"));
+        assert_eq!(row("xsim/damage.rs"), Some("X server (sim)"));
+    }
+
+    #[test]
+    fn unknown_files_are_unclassified() {
+        assert_eq!(row("xsim/socket.rs"), None);
+        assert_eq!(row("tk/widget/text.rs"), None);
+        assert_eq!(row("tclx/lib.rs"), None, "a directory rule needs its slash");
+    }
+
+    #[test]
+    fn every_rule_names_a_row() {
+        for (rule, name) in RULES {
+            assert!(ROWS.iter().any(|r| r.0 == *name), "{rule} -> {name}");
+        }
+    }
+
+    #[test]
+    fn every_source_file_is_classified() {
+        let crates_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        let (sums, unclassified) = tally(&crates_dir);
+        assert!(unclassified.is_empty(), "no row for {unclassified:?}");
+        assert!(sums.iter().all(|&(code, _)| code > 0), "{sums:?}");
+    }
 }

@@ -334,7 +334,7 @@ impl WidgetOps for Scrollbar {
                 border,
                 1,
                 s0 as i32,
-                w - 2,
+                w.saturating_sub(2),
                 (s1 - s0).max(1) as u32,
                 2,
                 Relief::Raised,
@@ -373,7 +373,7 @@ impl WidgetOps for Scrollbar {
                 s0 as i32,
                 1,
                 (s1 - s0).max(1) as u32,
-                h - 2,
+                h.saturating_sub(2),
                 2,
                 Relief::Raised,
             );
@@ -450,6 +450,34 @@ mod tests {
         env.display().click(1);
         env.dispatch_all();
         assert_eq!(app.eval("set got").unwrap(), "0");
+    }
+
+    #[test]
+    fn redraws_when_squeezed_to_two_pixels_or_less() {
+        // The slider is inset one pixel per side; a bar 0-2 px thick must
+        // still redraw (the inset used to underflow in debug builds).
+        let env = TkEnv::new();
+        let app = env.app("t");
+        for orient in ["vertical", "horizontal"] {
+            app.eval(&format!(
+                "scrollbar .s -orient {orient}; pack append . .s {{top}}"
+            ))
+            .unwrap();
+            app.update();
+            let rec = app.window(".s").unwrap();
+            for thick in 0..=2 {
+                let (w, h) = if orient == "vertical" {
+                    (thick, 90)
+                } else {
+                    (90, thick)
+                };
+                rec.width.set(w);
+                rec.height.set(h);
+                app.schedule_redraw(".s");
+                app.update();
+            }
+            app.eval("destroy .s").unwrap();
+        }
     }
 
     #[test]

@@ -268,6 +268,8 @@ pub enum Event {
     FocusOut { window: WindowId },
 }
 
+// `Event::name()` and the event opcodes come from the event table in
+// `wire.rs`.
 impl Event {
     /// The window this event is reported relative to.
     pub fn window(&self) -> WindowId {
@@ -290,31 +292,6 @@ impl Event {
             | Event::FocusOut { window } => *window,
             Event::SelectionRequest { owner, .. } => *owner,
             Event::SelectionNotify { requestor, .. } => *requestor,
-        }
-    }
-
-    /// The X protocol name of this event type (the string Tk bindings
-    /// use, and the detail the span tracer records on event instants).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Event::Expose { .. } => "Expose",
-            Event::ConfigureNotify { .. } => "ConfigureNotify",
-            Event::MapNotify { .. } => "MapNotify",
-            Event::UnmapNotify { .. } => "UnmapNotify",
-            Event::DestroyNotify { .. } => "DestroyNotify",
-            Event::EnterNotify { .. } => "EnterNotify",
-            Event::LeaveNotify { .. } => "LeaveNotify",
-            Event::MotionNotify { .. } => "MotionNotify",
-            Event::ButtonPress { .. } => "ButtonPress",
-            Event::ButtonRelease { .. } => "ButtonRelease",
-            Event::KeyPress { .. } => "KeyPress",
-            Event::KeyRelease { .. } => "KeyRelease",
-            Event::PropertyNotify { .. } => "PropertyNotify",
-            Event::SelectionClear { .. } => "SelectionClear",
-            Event::SelectionRequest { .. } => "SelectionRequest",
-            Event::SelectionNotify { .. } => "SelectionNotify",
-            Event::FocusIn { .. } => "FocusIn",
-            Event::FocusOut { .. } => "FocusOut",
         }
     }
 

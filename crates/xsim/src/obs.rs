@@ -14,11 +14,38 @@ use rtk_obs::{Histogram, Ring};
 
 use crate::ids::WindowId;
 
-/// Every protocol request the simulated server understands, mirroring the
-/// [`Connection`](crate::connection::Connection) calling surface.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(u8)]
-pub enum RequestKind {
+/// Declares [`RequestKind`] with its `COUNT`, `ALL` and `name()` from one
+/// list. Keep the order: an error frame carries `kind as u16`, so the
+/// list is part of the wire format (docs/PROTOCOL.md).
+macro_rules! request_kinds {
+    ($($k:ident,)*) => {
+        /// Every protocol request the simulated server understands,
+        /// mirroring the [`Connection`](crate::connection::Connection)
+        /// calling surface.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        #[repr(u8)]
+        pub enum RequestKind {
+            $($k,)*
+        }
+
+        impl RequestKind {
+            /// Number of request kinds (array sizing).
+            pub const COUNT: usize = [$(stringify!($k),)*].len();
+
+            /// All kinds, in declaration order.
+            pub const ALL: [RequestKind; RequestKind::COUNT] = [$(RequestKind::$k,)*];
+
+            /// The protocol name, used in `obs counters` and JSON dumps.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(RequestKind::$k => stringify!($k),)*
+                }
+            }
+        }
+    };
+}
+
+request_kinds! {
     InternAtom,
     GetAtomName,
     CreateWindow,
@@ -66,107 +93,6 @@ pub enum RequestKind {
 }
 
 impl RequestKind {
-    /// Number of request kinds (array sizing).
-    pub const COUNT: usize = 44;
-
-    /// All kinds, in declaration order.
-    pub const ALL: [RequestKind; RequestKind::COUNT] = [
-        RequestKind::InternAtom,
-        RequestKind::GetAtomName,
-        RequestKind::CreateWindow,
-        RequestKind::DestroyWindow,
-        RequestKind::MapWindow,
-        RequestKind::UnmapWindow,
-        RequestKind::ConfigureWindow,
-        RequestKind::RaiseWindow,
-        RequestKind::ReparentWindow,
-        RequestKind::SelectInput,
-        RequestKind::ChangeWindowAttributes,
-        RequestKind::QueryTree,
-        RequestKind::GetGeometry,
-        RequestKind::GetWindowAttributes,
-        RequestKind::ChangeProperty,
-        RequestKind::GetProperty,
-        RequestKind::DeleteProperty,
-        RequestKind::AllocColor,
-        RequestKind::FreeColor,
-        RequestKind::QueryColor,
-        RequestKind::OpenFont,
-        RequestKind::QueryFont,
-        RequestKind::CreateCursor,
-        RequestKind::CreateBitmap,
-        RequestKind::FreeBitmap,
-        RequestKind::QueryBitmap,
-        RequestKind::CopyBitmap,
-        RequestKind::CreateGc,
-        RequestKind::ChangeGc,
-        RequestKind::FreeGc,
-        RequestKind::FillRectangle,
-        RequestKind::DrawRectangle,
-        RequestKind::DrawLine,
-        RequestKind::DrawString,
-        RequestKind::ClearArea,
-        RequestKind::SetSelectionOwner,
-        RequestKind::GetSelectionOwner,
-        RequestKind::ConvertSelection,
-        RequestKind::SendEvent,
-        RequestKind::SetInputFocus,
-        RequestKind::GetInputFocus,
-        RequestKind::SetClip,
-        RequestKind::ClearClip,
-        RequestKind::CopyArea,
-    ];
-
-    /// The protocol name, used in `obs counters` and JSON dumps.
-    pub fn name(self) -> &'static str {
-        match self {
-            RequestKind::InternAtom => "InternAtom",
-            RequestKind::GetAtomName => "GetAtomName",
-            RequestKind::CreateWindow => "CreateWindow",
-            RequestKind::DestroyWindow => "DestroyWindow",
-            RequestKind::MapWindow => "MapWindow",
-            RequestKind::UnmapWindow => "UnmapWindow",
-            RequestKind::ConfigureWindow => "ConfigureWindow",
-            RequestKind::RaiseWindow => "RaiseWindow",
-            RequestKind::ReparentWindow => "ReparentWindow",
-            RequestKind::SelectInput => "SelectInput",
-            RequestKind::ChangeWindowAttributes => "ChangeWindowAttributes",
-            RequestKind::QueryTree => "QueryTree",
-            RequestKind::GetGeometry => "GetGeometry",
-            RequestKind::GetWindowAttributes => "GetWindowAttributes",
-            RequestKind::ChangeProperty => "ChangeProperty",
-            RequestKind::GetProperty => "GetProperty",
-            RequestKind::DeleteProperty => "DeleteProperty",
-            RequestKind::AllocColor => "AllocColor",
-            RequestKind::FreeColor => "FreeColor",
-            RequestKind::QueryColor => "QueryColor",
-            RequestKind::OpenFont => "OpenFont",
-            RequestKind::QueryFont => "QueryFont",
-            RequestKind::CreateCursor => "CreateCursor",
-            RequestKind::CreateBitmap => "CreateBitmap",
-            RequestKind::FreeBitmap => "FreeBitmap",
-            RequestKind::QueryBitmap => "QueryBitmap",
-            RequestKind::CopyBitmap => "CopyBitmap",
-            RequestKind::CreateGc => "CreateGc",
-            RequestKind::ChangeGc => "ChangeGc",
-            RequestKind::FreeGc => "FreeGc",
-            RequestKind::FillRectangle => "FillRectangle",
-            RequestKind::DrawRectangle => "DrawRectangle",
-            RequestKind::DrawLine => "DrawLine",
-            RequestKind::DrawString => "DrawString",
-            RequestKind::ClearArea => "ClearArea",
-            RequestKind::SetSelectionOwner => "SetSelectionOwner",
-            RequestKind::GetSelectionOwner => "GetSelectionOwner",
-            RequestKind::ConvertSelection => "ConvertSelection",
-            RequestKind::SendEvent => "SendEvent",
-            RequestKind::SetInputFocus => "SetInputFocus",
-            RequestKind::GetInputFocus => "GetInputFocus",
-            RequestKind::SetClip => "SetClip",
-            RequestKind::ClearClip => "ClearClip",
-            RequestKind::CopyArea => "CopyArea",
-        }
-    }
-
     /// Does this request rasterize pixels? Used by the tracer to decide
     /// whether a flushed batch gets a `rasterize` child span.
     pub fn is_drawing(self) -> bool {

@@ -55,7 +55,8 @@ pub const OUT_BUF_CAPACITY: usize = 256;
 
 /// A buffered request, held in the per-client output buffer until a flush
 /// point. Reply-bearing variants carry the sequence number under which
-/// their reply is filed for later collection.
+/// their reply is filed for later collection. Opcodes, `kind()` and
+/// `expects_reply()` come from the request table in `wire.rs`.
 #[derive(Debug, Clone)]
 #[allow(clippy::enum_variant_names)]
 pub(crate) enum QueuedRequest {
@@ -254,67 +255,6 @@ pub(crate) enum QueuedRequest {
     },
 }
 
-impl QueuedRequest {
-    fn expects_reply(&self) -> bool {
-        matches!(
-            self,
-            QueuedRequest::InternAtom { .. }
-                | QueuedRequest::AllocColor { .. }
-                | QueuedRequest::AllocNamedColor { .. }
-                | QueuedRequest::GetProperty { .. }
-                | QueuedRequest::GetGeometry { .. }
-        )
-    }
-
-    /// The [`RequestKind`] this buffered request was issued as (used to
-    /// label injected faults in the trace ring and in error values).
-    fn kind(&self) -> RequestKind {
-        match self {
-            QueuedRequest::CreateWindow { .. } => RequestKind::CreateWindow,
-            QueuedRequest::DestroyWindow { .. } => RequestKind::DestroyWindow,
-            QueuedRequest::MapWindow { .. } => RequestKind::MapWindow,
-            QueuedRequest::UnmapWindow { .. } => RequestKind::UnmapWindow,
-            QueuedRequest::ConfigureWindow { .. } => RequestKind::ConfigureWindow,
-            QueuedRequest::RaiseWindow { .. } => RequestKind::RaiseWindow,
-            QueuedRequest::ReparentWindow { .. } => RequestKind::ReparentWindow,
-            QueuedRequest::SelectInput { .. } => RequestKind::SelectInput,
-            QueuedRequest::SetWindowBackground { .. }
-            | QueuedRequest::SetWindowBorder { .. }
-            | QueuedRequest::SetOverrideRedirect { .. }
-            | QueuedRequest::DefineCursor { .. } => RequestKind::ChangeWindowAttributes,
-            QueuedRequest::ChangeProperty { .. } | QueuedRequest::AppendProperty { .. } => {
-                RequestKind::ChangeProperty
-            }
-            QueuedRequest::DeleteProperty { .. } => RequestKind::DeleteProperty,
-            QueuedRequest::FreeColor { .. } => RequestKind::FreeColor,
-            QueuedRequest::CreateBitmap { .. } => RequestKind::CreateBitmap,
-            QueuedRequest::FreeBitmap { .. } => RequestKind::FreeBitmap,
-            QueuedRequest::CopyBitmap { .. } => RequestKind::CopyBitmap,
-            QueuedRequest::CreateGc { .. } => RequestKind::CreateGc,
-            QueuedRequest::ChangeGc { .. } => RequestKind::ChangeGc,
-            QueuedRequest::FreeGc { .. } => RequestKind::FreeGc,
-            QueuedRequest::FillRectangle { .. } => RequestKind::FillRectangle,
-            QueuedRequest::DrawRectangle { .. } => RequestKind::DrawRectangle,
-            QueuedRequest::DrawLine { .. } => RequestKind::DrawLine,
-            QueuedRequest::DrawString { .. } => RequestKind::DrawString,
-            QueuedRequest::ClearArea { .. } => RequestKind::ClearArea,
-            QueuedRequest::SetClip { .. } => RequestKind::SetClip,
-            QueuedRequest::ClearClip { .. } => RequestKind::ClearClip,
-            QueuedRequest::CopyArea { .. } => RequestKind::CopyArea,
-            QueuedRequest::SetSelectionOwner { .. } => RequestKind::SetSelectionOwner,
-            QueuedRequest::ConvertSelection { .. } => RequestKind::ConvertSelection,
-            QueuedRequest::SendSelectionNotify { .. } => RequestKind::SendEvent,
-            QueuedRequest::SetInputFocus { .. } => RequestKind::SetInputFocus,
-            QueuedRequest::InternAtom { .. } => RequestKind::InternAtom,
-            QueuedRequest::AllocColor { .. } | QueuedRequest::AllocNamedColor { .. } => {
-                RequestKind::AllocColor
-            }
-            QueuedRequest::GetProperty { .. } => RequestKind::GetProperty,
-            QueuedRequest::GetGeometry { .. } => RequestKind::GetGeometry,
-        }
-    }
-}
-
 /// The payload of a collected pipelined reply. Public only because the
 /// `FromReply` conversion trait needs it in its signature; not part of the
 /// supported API surface.
@@ -334,7 +274,8 @@ pub enum ReplyValue {
 /// round-trip methods on [`crate::connection::Connection`] lower to one
 /// of these so the request can cross a byte transport; the in-process
 /// oracle executes the same value directly. One variant per synchronous
-/// protocol operation.
+/// protocol operation; opcodes and `kind()` come from the table in
+/// `wire.rs`.
 #[doc(hidden)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum SyncRequest {
@@ -357,31 +298,6 @@ pub enum SyncRequest {
 }
 
 impl SyncRequest {
-    /// The [`RequestKind`] this request is counted and traced as
-    /// (identical to what the closure-based methods used to pass).
-    pub(crate) fn kind(&self) -> RequestKind {
-        match self {
-            SyncRequest::InternAtom { .. } => RequestKind::InternAtom,
-            SyncRequest::GetAtomName { .. } => RequestKind::GetAtomName,
-            SyncRequest::QueryTree { .. } => RequestKind::QueryTree,
-            SyncRequest::GetGeometry { .. } => RequestKind::GetGeometry,
-            SyncRequest::IsViewable { .. } => RequestKind::GetWindowAttributes,
-            SyncRequest::GetProperty { .. } | SyncRequest::TakeProperty { .. } => {
-                RequestKind::GetProperty
-            }
-            SyncRequest::AllocNamedColor { .. } | SyncRequest::AllocColor { .. } => {
-                RequestKind::AllocColor
-            }
-            SyncRequest::QueryColor { .. } => RequestKind::QueryColor,
-            SyncRequest::OpenFont { .. } => RequestKind::OpenFont,
-            SyncRequest::QueryFont { .. } => RequestKind::QueryFont,
-            SyncRequest::CreateCursor { .. } => RequestKind::CreateCursor,
-            SyncRequest::QueryBitmap { .. } => RequestKind::QueryBitmap,
-            SyncRequest::GetSelectionOwner { .. } => RequestKind::GetSelectionOwner,
-            SyncRequest::GetInputFocus => RequestKind::GetInputFocus,
-        }
-    }
-
     /// The window the request targets (`Xid::NONE` for windowless ones).
     pub(crate) fn window(&self) -> WindowId {
         match self {

@@ -163,261 +163,221 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-// ----- primitive writers (little-endian throughout) -----
+// ----- field encodings (little-endian throughout) -----
 
-fn put_u16(b: &mut Vec<u8>, v: u16) {
-    b.extend_from_slice(&v.to_le_bytes());
+/// A field type with one wire encoding, shared by every message that
+/// carries it: little-endian integers, `u32`-length-prefixed strings and
+/// lists, and a 0/1 tag in front of an optional value. `get` reads from
+/// the front of the remaining payload and maps malformed input to a
+/// [`WireError`]; it never panics and never reads out of bounds.
+pub(crate) trait Wire: Sized {
+    fn put(&self, b: &mut Vec<u8>);
+    fn get(r: &mut &[u8]) -> Result<Self, WireError>;
 }
-fn put_u32(b: &mut Vec<u8>, v: u32) {
-    b.extend_from_slice(&v.to_le_bytes());
+
+/// Splits the next `n` bytes off the front of the payload.
+fn take<'a>(r: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
+    if r.len() < n {
+        return Err(WireError::Malformed("short payload"));
+    }
+    let (head, rest) = r.split_at(n);
+    *r = rest;
+    Ok(head)
 }
-fn put_u64(b: &mut Vec<u8>, v: u64) {
-    b.extend_from_slice(&v.to_le_bytes());
+
+/// Asserts the payload was consumed exactly.
+fn done(r: &[u8]) -> Result<(), WireError> {
+    if r.is_empty() {
+        Ok(())
+    } else {
+        Err(WireError::Malformed("trailing bytes"))
+    }
 }
-fn put_i32(b: &mut Vec<u8>, v: i32) {
-    put_u32(b, v as u32);
+
+/// Encodes one value as a whole payload (the body of an error frame).
+fn to_payload<T: Wire>(v: &T) -> Vec<u8> {
+    let mut b = Vec::new();
+    v.put(&mut b);
+    b
 }
-fn put_bool(b: &mut Vec<u8>, v: bool) {
-    b.push(v as u8);
+
+/// Decodes a payload that holds exactly one value.
+fn from_payload<T: Wire>(mut r: &[u8]) -> Result<T, WireError> {
+    let v = T::get(&mut r)?;
+    done(r)?;
+    Ok(v)
 }
-fn put_str(b: &mut Vec<u8>, s: &str) {
-    put_u32(b, s.len() as u32);
-    b.extend_from_slice(s.as_bytes());
-}
-fn put_opt_i32(b: &mut Vec<u8>, v: Option<i32>) {
-    match v {
-        None => b.push(0),
-        Some(x) => {
-            b.push(1);
-            put_i32(b, x);
+
+/// Integers: their little-endian bytes.
+macro_rules! wire_int {
+    ($($t:ty)*) => {$(
+        impl Wire for $t {
+            fn put(&self, b: &mut Vec<u8>) {
+                b.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(r: &mut &[u8]) -> Result<Self, WireError> {
+                let bytes = take(r, std::mem::size_of::<$t>())?;
+                Ok(<$t>::from_le_bytes(bytes.try_into().expect("take returns exactly the size asked")))
+            }
         }
-    }
+    )*};
 }
-fn put_opt_u32(b: &mut Vec<u8>, v: Option<u32>) {
-    match v {
-        None => b.push(0),
-        Some(x) => {
-            b.push(1);
-            put_u32(b, x);
+wire_int!(u8 u16 u32 u64 i32);
+
+/// Records and newtypes: the listed fields, in order.
+macro_rules! wire_struct {
+    ($($T:ident { $($f:tt),* })*) => {$(
+        impl Wire for $T {
+            fn put(&self, b: &mut Vec<u8>) {
+                $(self.$f.put(b);)*
+            }
+            fn get(r: &mut &[u8]) -> Result<Self, WireError> {
+                Ok($T { $($f: Wire::get(r)?),* })
+            }
         }
-    }
+    )*};
 }
-fn put_gc(b: &mut Vec<u8>, g: &GcValues) {
-    put_u32(b, g.foreground.0);
-    put_u32(b, g.background.0);
-    put_u32(b, g.line_width);
-    put_u32(b, g.font.0);
+wire_struct! {
+    Xid { 0 }
+    Atom { 0 }
+    Pixel { 0 }
+    Rgb { r, g, b }
+    GcValues { foreground, background, line_width, font }
+    Rect { x, y, w, h }
+    Keysym { name, ch }
+    FontMetrics { char_width, ascent, descent }
+    XError { code, seq, kind }
 }
-fn put_rect(b: &mut Vec<u8>, r: &Rect) {
-    put_i32(b, r.x);
-    put_i32(b, r.y);
-    put_u32(b, r.w);
-    put_u32(b, r.h);
-}
-fn put_rects(b: &mut Vec<u8>, rects: &[Rect]) {
-    put_u32(b, rects.len() as u32);
-    for r in rects {
-        put_rect(b, r);
-    }
-}
-fn put_bitmap(b: &mut Vec<u8>, bm: &Bitmap) {
-    put_u32(b, bm.width);
-    put_u32(b, bm.height);
-    for y in 0..bm.height {
-        for x in 0..bm.width {
-            b.push(bm.get(x, y) as u8);
+
+/// Tuples: their elements, in order.
+macro_rules! wire_tuple {
+    ($($T:ident $i:tt)*) => {
+        impl<$($T: Wire),*> Wire for ($($T,)*) {
+            fn put(&self, b: &mut Vec<u8>) {
+                $(self.$i.put(b);)*
+            }
+            fn get(r: &mut &[u8]) -> Result<Self, WireError> {
+                Ok(($($T::get(r)?,)*))
+            }
         }
-    }
-}
-fn put_keysym(b: &mut Vec<u8>, k: &Keysym) {
-    put_str(b, &k.name);
-    match k.ch {
-        None => b.push(0),
-        Some(c) => {
-            b.push(1);
-            put_u32(b, c as u32);
-        }
-    }
-}
-fn put_error(b: &mut Vec<u8>, e: &XError) {
-    let code = match e.code {
-        XErrorCode::BadWindow => 1u8,
-        XErrorCode::BadAtom => 2,
-        XErrorCode::BadValue => 3,
-        XErrorCode::BadAlloc => 4,
-        XErrorCode::ConnectionDead => 5,
     };
-    b.push(code);
-    put_u64(b, e.seq);
-    match e.kind {
-        None => b.push(0),
-        Some(k) => {
-            b.push(1);
-            put_u16(b, k as u16);
-        }
-    }
 }
+wire_tuple!(A 0 B 1);
+wire_tuple!(A 0 B 1 C 2 D 3 E 4);
 
-// ----- bounds-checked payload reader -----
-
-struct Rd<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Rd<'a> {
-    fn new(b: &'a [u8]) -> Rd<'a> {
-        Rd { b, pos: 0 }
+impl Wire for bool {
+    fn put(&self, b: &mut Vec<u8>) {
+        b.push(*self as u8);
     }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.b.len() - self.pos < n {
-            return Err(WireError::Malformed("short payload"));
-        }
-        let s = &self.b[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn i32(&mut self) -> Result<i32, WireError> {
-        Ok(self.u32()? as i32)
-    }
-    fn bool(&mut self) -> Result<bool, WireError> {
-        match self.u8()? {
+    fn get(r: &mut &[u8]) -> Result<Self, WireError> {
+        match u8::get(r)? {
             0 => Ok(false),
             1 => Ok(true),
             _ => Err(WireError::Malformed("bad bool")),
         }
     }
-    fn string(&mut self) -> Result<String, WireError> {
-        let n = self.u32()? as usize;
-        let s = self.take(n)?;
-        String::from_utf8(s.to_vec()).map_err(|_| WireError::Malformed("invalid utf-8"))
+}
+
+impl Wire for char {
+    fn put(&self, b: &mut Vec<u8>) {
+        (*self as u32).put(b);
     }
-    fn ch(&mut self) -> Result<char, WireError> {
-        char::from_u32(self.u32()?).ok_or(WireError::Malformed("bad char"))
+    fn get(r: &mut &[u8]) -> Result<Self, WireError> {
+        char::from_u32(u32::get(r)?).ok_or(WireError::Malformed("bad char"))
     }
-    fn opt_i32(&mut self) -> Result<Option<i32>, WireError> {
-        match self.bool()? {
-            false => Ok(None),
-            true => Ok(Some(self.i32()?)),
+}
+
+impl Wire for String {
+    fn put(&self, b: &mut Vec<u8>) {
+        (self.len() as u32).put(b);
+        b.extend_from_slice(self.as_bytes());
+    }
+    fn get(r: &mut &[u8]) -> Result<Self, WireError> {
+        let n = u32::get(r)? as usize;
+        String::from_utf8(take(r, n)?.to_vec()).map_err(|_| WireError::Malformed("invalid utf-8"))
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, b: &mut Vec<u8>) {
+        self.is_some().put(b);
+        if let Some(v) = self {
+            v.put(b);
         }
     }
-    fn opt_u32(&mut self) -> Result<Option<u32>, WireError> {
-        match self.bool()? {
-            false => Ok(None),
-            true => Ok(Some(self.u32()?)),
-        }
-    }
-    fn xid(&mut self) -> Result<Xid, WireError> {
-        Ok(Xid(self.u32()?))
-    }
-    fn atom(&mut self) -> Result<Atom, WireError> {
-        Ok(Atom(self.u32()?))
-    }
-    fn pixel(&mut self) -> Result<Pixel, WireError> {
-        Ok(Pixel(self.u32()?))
-    }
-    fn rgb(&mut self) -> Result<Rgb, WireError> {
-        let s = self.take(3)?;
-        Ok(Rgb::new(s[0], s[1], s[2]))
-    }
-    fn gc(&mut self) -> Result<GcValues, WireError> {
-        Ok(GcValues {
-            foreground: self.pixel()?,
-            background: self.pixel()?,
-            line_width: self.u32()?,
-            font: self.xid()?,
+    fn get(r: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(if bool::get(r)? {
+            Some(T::get(r)?)
+        } else {
+            None
         })
     }
-    fn rect(&mut self) -> Result<Rect, WireError> {
-        Ok(Rect::new(
-            self.i32()?,
-            self.i32()?,
-            self.u32()?,
-            self.u32()?,
-        ))
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, b: &mut Vec<u8>) {
+        (self.len() as u32).put(b);
+        for v in self {
+            v.put(b);
+        }
     }
-    fn rects(&mut self) -> Result<Vec<Rect>, WireError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(16) > self.b.len() - self.pos {
-            return Err(WireError::Malformed("rect count exceeds payload"));
+    fn get(r: &mut &[u8]) -> Result<Self, WireError> {
+        // Every element takes at least one byte, so a count the rest of
+        // the payload cannot hold is rejected before anything is decoded.
+        let n = u32::get(r)? as usize;
+        if n > r.len() {
+            return Err(WireError::Malformed("count exceeds payload"));
         }
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.rect()?);
-        }
-        Ok(v)
+        (0..n).map(|_| T::get(r)).collect()
     }
-    fn bitmap(&mut self) -> Result<Bitmap, WireError> {
-        let w = self.u32()?;
-        let h = self.u32()?;
-        let n = (w as u64).saturating_mul(h as u64);
-        if n > MAX_FRAME_LEN as u64 {
-            return Err(WireError::Malformed("bitmap too large"));
-        }
-        let raw = self.take(n as usize)?;
-        let mut bits = Vec::with_capacity(n as usize);
-        for &byte in raw {
-            match byte {
-                0 => bits.push(false),
-                1 => bits.push(true),
-                _ => return Err(WireError::Malformed("bad bitmap bit")),
+}
+
+/// Width, height, then one 0/1 byte per pixel in row-major order.
+impl Wire for Bitmap {
+    fn put(&self, b: &mut Vec<u8>) {
+        self.width.put(b);
+        self.height.put(b);
+        for y in 0..self.height {
+            for x in 0..self.width {
+                b.push(self.get(x, y) as u8);
             }
         }
+    }
+    fn get(r: &mut &[u8]) -> Result<Self, WireError> {
+        let (w, h) = (u32::get(r)?, u32::get(r)?);
+        if u64::from(w) * u64::from(h) > r.len() as u64 {
+            return Err(WireError::Malformed("bitmap exceeds payload"));
+        }
+        let bits = (0..w * h).map(|_| bool::get(r)).collect::<Result<_, _>>()?;
         Bitmap::new(w, h, bits).ok_or(WireError::Malformed("bitmap size mismatch"))
     }
-    fn keysym(&mut self) -> Result<Keysym, WireError> {
-        let name = self.string()?;
-        let ch = match self.bool()? {
-            false => None,
-            true => Some(self.ch()?),
-        };
-        Ok(Keysym { name, ch })
-    }
-    fn error(&mut self) -> Result<XError, WireError> {
-        let code = match self.u8()? {
-            1 => XErrorCode::BadWindow,
-            2 => XErrorCode::BadAtom,
-            3 => XErrorCode::BadValue,
-            4 => XErrorCode::BadAlloc,
-            5 => XErrorCode::ConnectionDead,
-            _ => return Err(WireError::Malformed("bad error code")),
-        };
-        let seq = self.u64()?;
-        let kind = match self.bool()? {
-            false => None,
-            true => {
-                let i = self.u16()? as usize;
-                Some(
-                    *RequestKind::ALL
-                        .get(i)
-                        .ok_or(WireError::Malformed("bad request kind"))?,
-                )
-            }
-        };
-        Ok(XError { code, seq, kind })
-    }
+}
 
-    /// Asserts the payload was consumed exactly.
-    fn done(self) -> Result<(), WireError> {
-        if self.pos == self.b.len() {
-            Ok(())
-        } else {
-            Err(WireError::Malformed("trailing bytes"))
-        }
+/// One byte, 1-based in declaration order.
+impl Wire for XErrorCode {
+    fn put(&self, b: &mut Vec<u8>) {
+        (*self as u8 + 1).put(b);
+    }
+    fn get(r: &mut &[u8]) -> Result<Self, WireError> {
+        use XErrorCode::*;
+        [BadWindow, BadAtom, BadValue, BadAlloc, ConnectionDead]
+            .get(usize::from(u8::get(r)?).wrapping_sub(1))
+            .copied()
+            .ok_or(WireError::Malformed("bad error code"))
+    }
+}
+
+/// A `u16` index into [`RequestKind::ALL`], so the kind list's order is
+/// part of the error-frame format.
+impl Wire for RequestKind {
+    fn put(&self, b: &mut Vec<u8>) {
+        (*self as u16).put(b);
+    }
+    fn get(r: &mut &[u8]) -> Result<Self, WireError> {
+        RequestKind::ALL
+            .get(usize::from(u16::get(r)?))
+            .copied()
+            .ok_or(WireError::Malformed("bad request kind"))
     }
 }
 
@@ -445,13 +405,13 @@ pub fn frame(frame_type: u8, opcode: u16, seq: u64, payload: &[u8]) -> Vec<u8> {
     let len = (HEADER_LEN + payload.len()) as u32;
     debug_assert!(len <= MAX_FRAME_LEN, "frame exceeds MAX_FRAME_LEN");
     let mut b = Vec::with_capacity(4 + len as usize);
-    put_u32(&mut b, len);
+    len.put(&mut b);
     b.push(WIRE_VERSION);
     b.push(frame_type);
-    put_u16(&mut b, opcode);
-    put_u64(&mut b, seq);
+    opcode.put(&mut b);
+    seq.put(&mut b);
     let crc = frame_crc(&b[4..4 + CRC_OFFSET], payload);
-    put_u32(&mut b, crc);
+    crc.put(&mut b);
     b.extend_from_slice(payload);
     b
 }
@@ -562,1212 +522,215 @@ impl FrameReader {
     }
 }
 
-// ----- request codec -----
-//
-// Opcodes follow `QueuedRequest` declaration order, 1-based. The
-// reply-bearing variants (35..=39) do not serialize their embedded
-// sequence number; it is reconstructed from the frame header.
+// ----- message tables -----
 
-/// Encodes a buffered request into `(opcode, payload)`.
-pub(crate) fn encode_request(q: &QueuedRequest) -> (u16, Vec<u8>) {
-    use QueuedRequest as Q;
-    let mut b = Vec::new();
-    let op = match q {
-        Q::CreateWindow {
-            id,
-            parent,
-            x,
-            y,
-            width,
-            height,
-            border_width,
-        } => {
-            put_u32(&mut b, id.0);
-            put_u32(&mut b, parent.0);
-            put_i32(&mut b, *x);
-            put_i32(&mut b, *y);
-            put_u32(&mut b, *width);
-            put_u32(&mut b, *height);
-            put_u32(&mut b, *border_width);
-            1
-        }
-        Q::DestroyWindow { id } => {
-            put_u32(&mut b, id.0);
-            2
-        }
-        Q::MapWindow { id } => {
-            put_u32(&mut b, id.0);
-            3
-        }
-        Q::UnmapWindow { id } => {
-            put_u32(&mut b, id.0);
-            4
-        }
-        Q::ConfigureWindow {
-            id,
-            x,
-            y,
-            width,
-            height,
-            border_width,
-        } => {
-            put_u32(&mut b, id.0);
-            put_opt_i32(&mut b, *x);
-            put_opt_i32(&mut b, *y);
-            put_opt_u32(&mut b, *width);
-            put_opt_u32(&mut b, *height);
-            put_opt_u32(&mut b, *border_width);
-            5
-        }
-        Q::RaiseWindow { id } => {
-            put_u32(&mut b, id.0);
-            6
-        }
-        Q::ReparentWindow {
-            id,
-            new_parent,
-            x,
-            y,
-        } => {
-            put_u32(&mut b, id.0);
-            put_u32(&mut b, new_parent.0);
-            put_i32(&mut b, *x);
-            put_i32(&mut b, *y);
-            7
-        }
-        Q::SelectInput { id, event_mask } => {
-            put_u32(&mut b, id.0);
-            put_u32(&mut b, *event_mask);
-            8
-        }
-        Q::SetWindowBackground { id, pixel } => {
-            put_u32(&mut b, id.0);
-            put_u32(&mut b, pixel.0);
-            9
-        }
-        Q::SetWindowBorder { id, pixel } => {
-            put_u32(&mut b, id.0);
-            put_u32(&mut b, pixel.0);
-            10
-        }
-        Q::SetOverrideRedirect { id, on } => {
-            put_u32(&mut b, id.0);
-            put_bool(&mut b, *on);
-            11
-        }
-        Q::DefineCursor { id, cursor } => {
-            put_u32(&mut b, id.0);
-            put_u32(&mut b, cursor.0);
-            12
-        }
-        Q::ChangeProperty { id, atom, value } => {
-            put_u32(&mut b, id.0);
-            put_u32(&mut b, atom.0);
-            put_str(&mut b, value);
-            13
-        }
-        Q::AppendProperty { id, atom, value } => {
-            put_u32(&mut b, id.0);
-            put_u32(&mut b, atom.0);
-            put_str(&mut b, value);
-            14
-        }
-        Q::DeleteProperty { id, atom } => {
-            put_u32(&mut b, id.0);
-            put_u32(&mut b, atom.0);
-            15
-        }
-        Q::FreeColor { pixel } => {
-            put_u32(&mut b, pixel.0);
-            16
-        }
-        Q::CreateBitmap { id, bitmap } => {
-            put_u32(&mut b, id.0);
-            put_bitmap(&mut b, bitmap);
-            17
-        }
-        Q::FreeBitmap { id } => {
-            put_u32(&mut b, id.0);
-            18
-        }
-        Q::CopyBitmap {
-            id,
-            gc,
-            x,
-            y,
-            bitmap,
-        } => {
-            put_u32(&mut b, id.0);
-            put_u32(&mut b, gc.0);
-            put_i32(&mut b, *x);
-            put_i32(&mut b, *y);
-            put_u32(&mut b, bitmap.0);
-            19
-        }
-        Q::CreateGc { id, values } => {
-            put_u32(&mut b, id.0);
-            put_gc(&mut b, values);
-            20
-        }
-        Q::ChangeGc { gc, values } => {
-            put_u32(&mut b, gc.0);
-            put_gc(&mut b, values);
-            21
-        }
-        Q::FreeGc { gc } => {
-            put_u32(&mut b, gc.0);
-            22
-        }
-        Q::FillRectangle { id, gc, x, y, w, h } => {
-            put_u32(&mut b, id.0);
-            put_u32(&mut b, gc.0);
-            put_i32(&mut b, *x);
-            put_i32(&mut b, *y);
-            put_u32(&mut b, *w);
-            put_u32(&mut b, *h);
-            23
-        }
-        Q::DrawRectangle { id, gc, x, y, w, h } => {
-            put_u32(&mut b, id.0);
-            put_u32(&mut b, gc.0);
-            put_i32(&mut b, *x);
-            put_i32(&mut b, *y);
-            put_u32(&mut b, *w);
-            put_u32(&mut b, *h);
-            24
-        }
-        Q::DrawLine {
-            id,
-            gc,
-            x0,
-            y0,
-            x1,
-            y1,
-        } => {
-            put_u32(&mut b, id.0);
-            put_u32(&mut b, gc.0);
-            put_i32(&mut b, *x0);
-            put_i32(&mut b, *y0);
-            put_i32(&mut b, *x1);
-            put_i32(&mut b, *y1);
-            25
-        }
-        Q::DrawString { id, gc, x, y, text } => {
-            put_u32(&mut b, id.0);
-            put_u32(&mut b, gc.0);
-            put_i32(&mut b, *x);
-            put_i32(&mut b, *y);
-            put_str(&mut b, text);
-            26
-        }
-        Q::ClearArea { id, x, y, w, h } => {
-            put_u32(&mut b, id.0);
-            put_i32(&mut b, *x);
-            put_i32(&mut b, *y);
-            put_u32(&mut b, *w);
-            put_u32(&mut b, *h);
-            27
-        }
-        Q::SetClip { id, rects } => {
-            put_u32(&mut b, id.0);
-            put_rects(&mut b, rects);
-            28
-        }
-        Q::ClearClip { id } => {
-            put_u32(&mut b, id.0);
-            29
-        }
-        Q::CopyArea {
-            id,
-            src_x,
-            src_y,
-            w,
-            h,
-            dst_x,
-            dst_y,
-        } => {
-            put_u32(&mut b, id.0);
-            put_i32(&mut b, *src_x);
-            put_i32(&mut b, *src_y);
-            put_u32(&mut b, *w);
-            put_u32(&mut b, *h);
-            put_i32(&mut b, *dst_x);
-            put_i32(&mut b, *dst_y);
-            30
-        }
-        Q::SetSelectionOwner { selection, owner } => {
-            put_u32(&mut b, selection.0);
-            put_u32(&mut b, owner.0);
-            31
-        }
-        Q::ConvertSelection {
-            requestor,
-            selection,
-            target,
-            property,
-        } => {
-            put_u32(&mut b, requestor.0);
-            put_u32(&mut b, selection.0);
-            put_u32(&mut b, target.0);
-            put_u32(&mut b, property.0);
-            32
-        }
-        Q::SendSelectionNotify {
-            requestor,
-            selection,
-            target,
-            property,
-        } => {
-            put_u32(&mut b, requestor.0);
-            put_u32(&mut b, selection.0);
-            put_u32(&mut b, target.0);
-            put_u32(&mut b, property.0);
-            33
-        }
-        Q::SetInputFocus { id } => {
-            put_u32(&mut b, id.0);
-            34
-        }
-        Q::InternAtom { seq: _, name } => {
-            put_str(&mut b, name);
-            35
-        }
-        Q::AllocColor { seq: _, rgb } => {
-            b.push(rgb.r);
-            b.push(rgb.g);
-            b.push(rgb.b);
-            36
-        }
-        Q::AllocNamedColor { seq: _, name } => {
-            put_str(&mut b, name);
-            37
-        }
-        Q::GetProperty { seq: _, id, atom } => {
-            put_u32(&mut b, id.0);
-            put_u32(&mut b, atom.0);
-            38
-        }
-        Q::GetGeometry { seq: _, id } => {
-            put_u32(&mut b, id.0);
-            39
+/// A message type whose variants each have one opcode: the codec that
+/// [`message_table!`] generates from the type's table.
+pub(crate) trait Message: Sized {
+    /// Every opcode of the type, in table order (read by the tests).
+    #[cfg_attr(not(test), allow(dead_code))]
+    const OPCODES: &'static [u16];
+    /// Encodes into `(opcode, payload)`.
+    fn encode(&self) -> (u16, Vec<u8>);
+    /// Decodes a frame's opcode and payload.
+    fn decode(f: &RawFrame) -> Result<Self, WireError>;
+}
+
+/// Generates a [`Message`] impl from rows of `opcode Variant { fields }`
+/// (`Variant(v)` for a one-field tuple variant). Fields travel in row
+/// order, each in its [`Wire`] encoding, except a leading `[seq]`: that
+/// field is the frame header's sequence number. Encode binds every field
+/// and decode builds a complete literal, so a row that misses a field
+/// does not compile. A leading keyword adds lookups: `requests` rows name
+/// their [`RequestKind`] (`kind()`), `queued` also generates
+/// `expects_reply()` (true on `[seq]` rows), and `events` generates
+/// `name()`, the variant's name.
+macro_rules! message_table {
+    (queued $E:ident { $($op:literal $v:ident $fields:tt => $kind:ident,)* }) => {
+        message_table!(requests $E { $($op $v $fields => $kind,)* });
+        impl $E {
+            /// Does the request file a reply under its sequence number?
+            pub(crate) fn expects_reply(&self) -> bool {
+                match self {
+                    $($E::$v { .. } => message_table!(@seq $fields),)*
+                }
+            }
         }
     };
-    (op, b)
-}
-
-/// Decodes a request frame payload; `seq` comes from the frame header.
-pub(crate) fn decode_request(
-    opcode: u16,
-    seq: u64,
-    payload: &[u8],
-) -> Result<QueuedRequest, WireError> {
-    use QueuedRequest as Q;
-    let mut r = Rd::new(payload);
-    let q = match opcode {
-        1 => Q::CreateWindow {
-            id: r.xid()?,
-            parent: r.xid()?,
-            x: r.i32()?,
-            y: r.i32()?,
-            width: r.u32()?,
-            height: r.u32()?,
-            border_width: r.u32()?,
-        },
-        2 => Q::DestroyWindow { id: r.xid()? },
-        3 => Q::MapWindow { id: r.xid()? },
-        4 => Q::UnmapWindow { id: r.xid()? },
-        5 => Q::ConfigureWindow {
-            id: r.xid()?,
-            x: r.opt_i32()?,
-            y: r.opt_i32()?,
-            width: r.opt_u32()?,
-            height: r.opt_u32()?,
-            border_width: r.opt_u32()?,
-        },
-        6 => Q::RaiseWindow { id: r.xid()? },
-        7 => Q::ReparentWindow {
-            id: r.xid()?,
-            new_parent: r.xid()?,
-            x: r.i32()?,
-            y: r.i32()?,
-        },
-        8 => Q::SelectInput {
-            id: r.xid()?,
-            event_mask: r.u32()?,
-        },
-        9 => Q::SetWindowBackground {
-            id: r.xid()?,
-            pixel: r.pixel()?,
-        },
-        10 => Q::SetWindowBorder {
-            id: r.xid()?,
-            pixel: r.pixel()?,
-        },
-        11 => Q::SetOverrideRedirect {
-            id: r.xid()?,
-            on: r.bool()?,
-        },
-        12 => Q::DefineCursor {
-            id: r.xid()?,
-            cursor: r.xid()?,
-        },
-        13 => Q::ChangeProperty {
-            id: r.xid()?,
-            atom: r.atom()?,
-            value: r.string()?,
-        },
-        14 => Q::AppendProperty {
-            id: r.xid()?,
-            atom: r.atom()?,
-            value: r.string()?,
-        },
-        15 => Q::DeleteProperty {
-            id: r.xid()?,
-            atom: r.atom()?,
-        },
-        16 => Q::FreeColor { pixel: r.pixel()? },
-        17 => Q::CreateBitmap {
-            id: r.xid()?,
-            bitmap: r.bitmap()?,
-        },
-        18 => Q::FreeBitmap { id: r.xid()? },
-        19 => Q::CopyBitmap {
-            id: r.xid()?,
-            gc: r.xid()?,
-            x: r.i32()?,
-            y: r.i32()?,
-            bitmap: r.xid()?,
-        },
-        20 => Q::CreateGc {
-            id: r.xid()?,
-            values: r.gc()?,
-        },
-        21 => Q::ChangeGc {
-            gc: r.xid()?,
-            values: r.gc()?,
-        },
-        22 => Q::FreeGc { gc: r.xid()? },
-        23 => Q::FillRectangle {
-            id: r.xid()?,
-            gc: r.xid()?,
-            x: r.i32()?,
-            y: r.i32()?,
-            w: r.u32()?,
-            h: r.u32()?,
-        },
-        24 => Q::DrawRectangle {
-            id: r.xid()?,
-            gc: r.xid()?,
-            x: r.i32()?,
-            y: r.i32()?,
-            w: r.u32()?,
-            h: r.u32()?,
-        },
-        25 => Q::DrawLine {
-            id: r.xid()?,
-            gc: r.xid()?,
-            x0: r.i32()?,
-            y0: r.i32()?,
-            x1: r.i32()?,
-            y1: r.i32()?,
-        },
-        26 => Q::DrawString {
-            id: r.xid()?,
-            gc: r.xid()?,
-            x: r.i32()?,
-            y: r.i32()?,
-            text: r.string()?,
-        },
-        27 => Q::ClearArea {
-            id: r.xid()?,
-            x: r.i32()?,
-            y: r.i32()?,
-            w: r.u32()?,
-            h: r.u32()?,
-        },
-        28 => Q::SetClip {
-            id: r.xid()?,
-            rects: r.rects()?,
-        },
-        29 => Q::ClearClip { id: r.xid()? },
-        30 => Q::CopyArea {
-            id: r.xid()?,
-            src_x: r.i32()?,
-            src_y: r.i32()?,
-            w: r.u32()?,
-            h: r.u32()?,
-            dst_x: r.i32()?,
-            dst_y: r.i32()?,
-        },
-        31 => Q::SetSelectionOwner {
-            selection: r.atom()?,
-            owner: r.xid()?,
-        },
-        32 => Q::ConvertSelection {
-            requestor: r.xid()?,
-            selection: r.atom()?,
-            target: r.atom()?,
-            property: r.atom()?,
-        },
-        33 => Q::SendSelectionNotify {
-            requestor: r.xid()?,
-            selection: r.atom()?,
-            target: r.atom()?,
-            property: r.atom()?,
-        },
-        34 => Q::SetInputFocus { id: r.xid()? },
-        35 => Q::InternAtom {
-            seq,
-            name: r.string()?,
-        },
-        36 => Q::AllocColor { seq, rgb: r.rgb()? },
-        37 => Q::AllocNamedColor {
-            seq,
-            name: r.string()?,
-        },
-        38 => Q::GetProperty {
-            seq,
-            id: r.xid()?,
-            atom: r.atom()?,
-        },
-        39 => Q::GetGeometry { seq, id: r.xid()? },
-        other => return Err(WireError::BadOpcode(other)),
-    };
-    r.done()?;
-    Ok(q)
-}
-
-// ----- synchronous round-trip codec -----
-
-/// Encodes a synchronous request into `(opcode, payload)`.
-pub(crate) fn encode_sync_request(req: &SyncRequest) -> (u16, Vec<u8>) {
-    use SyncRequest as S;
-    let mut b = Vec::new();
-    let op = match req {
-        S::InternAtom { name } => {
-            put_str(&mut b, name);
-            1
-        }
-        S::GetAtomName { atom } => {
-            put_u32(&mut b, atom.0);
-            2
-        }
-        S::QueryTree { id } => {
-            put_u32(&mut b, id.0);
-            3
-        }
-        S::GetGeometry { id } => {
-            put_u32(&mut b, id.0);
-            4
-        }
-        S::IsViewable { id } => {
-            put_u32(&mut b, id.0);
-            5
-        }
-        S::GetProperty { id, atom } => {
-            put_u32(&mut b, id.0);
-            put_u32(&mut b, atom.0);
-            6
-        }
-        S::AllocNamedColor { name } => {
-            put_str(&mut b, name);
-            7
-        }
-        S::AllocColor { rgb } => {
-            b.push(rgb.r);
-            b.push(rgb.g);
-            b.push(rgb.b);
-            8
-        }
-        S::QueryColor { pixel } => {
-            put_u32(&mut b, pixel.0);
-            9
-        }
-        S::OpenFont { name } => {
-            put_str(&mut b, name);
-            10
-        }
-        S::QueryFont { font } => {
-            put_u32(&mut b, font.0);
-            11
-        }
-        S::CreateCursor { name } => {
-            put_str(&mut b, name);
-            12
-        }
-        S::QueryBitmap { id } => {
-            put_u32(&mut b, id.0);
-            13
-        }
-        S::GetSelectionOwner { selection } => {
-            put_u32(&mut b, selection.0);
-            14
-        }
-        S::GetInputFocus => 15,
-        S::TakeProperty { id, atom } => {
-            put_u32(&mut b, id.0);
-            put_u32(&mut b, atom.0);
-            16
+    (requests $E:ident { $($op:literal $v:ident $fields:tt => $kind:ident,)* }) => {
+        message_table!($E { $($op $v $fields,)* });
+        impl $E {
+            /// The [`RequestKind`] the request is counted and traced as,
+            /// and labelled with in injected faults and error values.
+            pub(crate) fn kind(&self) -> RequestKind {
+                match self {
+                    $($E::$v { .. } => RequestKind::$kind,)*
+                }
+            }
         }
     };
-    (op, b)
-}
-
-pub(crate) fn decode_sync_request(opcode: u16, payload: &[u8]) -> Result<SyncRequest, WireError> {
-    use SyncRequest as S;
-    let mut r = Rd::new(payload);
-    let req = match opcode {
-        1 => S::InternAtom { name: r.string()? },
-        2 => S::GetAtomName { atom: r.atom()? },
-        3 => S::QueryTree { id: r.xid()? },
-        4 => S::GetGeometry { id: r.xid()? },
-        5 => S::IsViewable { id: r.xid()? },
-        6 => S::GetProperty {
-            id: r.xid()?,
-            atom: r.atom()?,
-        },
-        7 => S::AllocNamedColor { name: r.string()? },
-        8 => S::AllocColor { rgb: r.rgb()? },
-        9 => S::QueryColor { pixel: r.pixel()? },
-        10 => S::OpenFont { name: r.string()? },
-        11 => S::QueryFont { font: r.xid()? },
-        12 => S::CreateCursor { name: r.string()? },
-        13 => S::QueryBitmap { id: r.xid()? },
-        14 => S::GetSelectionOwner {
-            selection: r.atom()?,
-        },
-        15 => S::GetInputFocus,
-        16 => S::TakeProperty {
-            id: r.xid()?,
-            atom: r.atom()?,
-        },
-        other => return Err(WireError::BadOpcode(other)),
-    };
-    r.done()?;
-    Ok(req)
-}
-
-/// Encodes a synchronous reply into `(opcode, payload)`.
-pub(crate) fn encode_sync_reply(reply: &SyncReply) -> (u16, Vec<u8>) {
-    use SyncReply as R;
-    let mut b = Vec::new();
-    let op = match reply {
-        R::Atom(a) => {
-            put_u32(&mut b, a.0);
-            1
-        }
-        R::OptString(s) => {
-            match s {
-                None => b.push(0),
-                Some(s) => {
-                    b.push(1);
-                    put_str(&mut b, s);
+    (events $E:ident { $($op:literal $v:ident $fields:tt,)* }) => {
+        message_table!($E { $($op $v $fields,)* });
+        impl $E {
+            /// The X protocol name of this event type (the string Tk
+            /// bindings use, and the detail the span tracer records on
+            /// event instants).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $($E::$v { .. } => stringify!($v),)*
                 }
             }
-            2
-        }
-        R::Tree(t) => {
-            match t {
-                None => b.push(0),
-                Some((parent, children)) => {
-                    b.push(1);
-                    put_u32(&mut b, parent.0);
-                    put_u32(&mut b, children.len() as u32);
-                    for c in children {
-                        put_u32(&mut b, c.0);
-                    }
-                }
-            }
-            3
-        }
-        R::Geometry(g) => {
-            match g {
-                None => b.push(0),
-                Some((x, y, w, h, bw)) => {
-                    b.push(1);
-                    put_i32(&mut b, *x);
-                    put_i32(&mut b, *y);
-                    put_u32(&mut b, *w);
-                    put_u32(&mut b, *h);
-                    put_u32(&mut b, *bw);
-                }
-            }
-            4
-        }
-        R::Bool(v) => {
-            put_bool(&mut b, *v);
-            5
-        }
-        R::NamedColor(c) => {
-            match c {
-                None => b.push(0),
-                Some((pixel, rgb)) => {
-                    b.push(1);
-                    put_u32(&mut b, pixel.0);
-                    b.push(rgb.r);
-                    b.push(rgb.g);
-                    b.push(rgb.b);
-                }
-            }
-            6
-        }
-        R::Pixel(p) => {
-            put_u32(&mut b, p.0);
-            7
-        }
-        R::Rgb(rgb) => {
-            b.push(rgb.r);
-            b.push(rgb.g);
-            b.push(rgb.b);
-            8
-        }
-        R::OptXid(x) => {
-            match x {
-                None => b.push(0),
-                Some(x) => {
-                    b.push(1);
-                    put_u32(&mut b, x.0);
-                }
-            }
-            9
-        }
-        R::Metrics(m) => {
-            match m {
-                None => b.push(0),
-                Some(m) => {
-                    b.push(1);
-                    put_u32(&mut b, m.char_width);
-                    put_u32(&mut b, m.ascent);
-                    put_u32(&mut b, m.descent);
-                }
-            }
-            10
-        }
-        R::Size(s) => {
-            match s {
-                None => b.push(0),
-                Some((w, h)) => {
-                    b.push(1);
-                    put_u32(&mut b, *w);
-                    put_u32(&mut b, *h);
-                }
-            }
-            11
-        }
-        R::Window(w) => {
-            put_u32(&mut b, w.0);
-            12
         }
     };
-    (op, b)
-}
-
-pub(crate) fn decode_sync_reply(opcode: u16, payload: &[u8]) -> Result<SyncReply, WireError> {
-    use SyncReply as R;
-    let mut r = Rd::new(payload);
-    let reply = match opcode {
-        1 => R::Atom(r.atom()?),
-        2 => R::OptString(match r.bool()? {
-            false => None,
-            true => Some(r.string()?),
-        }),
-        3 => R::Tree(match r.bool()? {
-            false => None,
-            true => {
-                let parent = r.xid()?;
-                let n = r.u32()? as usize;
-                if n.saturating_mul(4) > payload.len() {
-                    return Err(WireError::Malformed("child count exceeds payload"));
-                }
-                let mut children = Vec::with_capacity(n);
-                for _ in 0..n {
-                    children.push(r.xid()?);
-                }
-                Some((parent, children))
+    ($E:ident { $($op:literal $v:ident $fields:tt,)* }) => {
+        impl Message for $E {
+            const OPCODES: &'static [u16] = &[$($op),*];
+            fn encode(&self) -> (u16, Vec<u8>) {
+                let mut b = Vec::new();
+                let op = match self {
+                    $(message_table!(@bind $E $v $fields) => {
+                        message_table!(@put b $fields);
+                        $op
+                    })*
+                };
+                (op, b)
             }
-        }),
-        4 => R::Geometry(match r.bool()? {
-            false => None,
-            true => Some((r.i32()?, r.i32()?, r.u32()?, r.u32()?, r.u32()?)),
-        }),
-        5 => R::Bool(r.bool()?),
-        6 => R::NamedColor(match r.bool()? {
-            false => None,
-            true => Some((r.pixel()?, r.rgb()?)),
-        }),
-        7 => R::Pixel(r.pixel()?),
-        8 => R::Rgb(r.rgb()?),
-        9 => R::OptXid(match r.bool()? {
-            false => None,
-            true => Some(r.xid()?),
-        }),
-        10 => R::Metrics(match r.bool()? {
-            false => None,
-            true => Some(FontMetrics {
-                char_width: r.u32()?,
-                ascent: r.u32()?,
-                descent: r.u32()?,
-            }),
-        }),
-        11 => R::Size(match r.bool()? {
-            false => None,
-            true => Some((r.u32()?, r.u32()?)),
-        }),
-        12 => R::Window(r.xid()?),
-        other => return Err(WireError::BadOpcode(other)),
-    };
-    r.done()?;
-    Ok(reply)
-}
-
-// ----- pipelined reply codec -----
-
-/// Encodes a collected pipelined reply into `(opcode, payload)`.
-pub(crate) fn encode_reply_value(v: &ReplyValue) -> (u16, Vec<u8>) {
-    use ReplyValue as V;
-    let mut b = Vec::new();
-    let op = match v {
-        V::Atom(a) => {
-            put_u32(&mut b, a.0);
-            1
-        }
-        V::Pixel(p) => {
-            put_u32(&mut b, p.0);
-            2
-        }
-        V::NamedColor(c) => {
-            match c {
-                None => b.push(0),
-                Some((pixel, rgb)) => {
-                    b.push(1);
-                    put_u32(&mut b, pixel.0);
-                    b.push(rgb.r);
-                    b.push(rgb.g);
-                    b.push(rgb.b);
-                }
+            fn decode(f: &RawFrame) -> Result<Self, WireError> {
+                let r = &mut &f.payload[..];
+                let m = match f.opcode {
+                    $($op => message_table!(@build r f $E $v $fields),)*
+                    other => return Err(WireError::BadOpcode(other)),
+                };
+                done(r)?;
+                Ok(m)
             }
-            3
-        }
-        V::Property(p) => {
-            match p {
-                None => b.push(0),
-                Some(s) => {
-                    b.push(1);
-                    put_str(&mut b, s);
-                }
-            }
-            4
-        }
-        V::Geometry(g) => {
-            match g {
-                None => b.push(0),
-                Some((x, y, w, h, bw)) => {
-                    b.push(1);
-                    put_i32(&mut b, *x);
-                    put_i32(&mut b, *y);
-                    put_u32(&mut b, *w);
-                    put_u32(&mut b, *h);
-                    put_u32(&mut b, *bw);
-                }
-            }
-            5
-        }
-        V::Error(e) => {
-            put_error(&mut b, e);
-            6
         }
     };
-    (op, b)
-}
-
-pub(crate) fn decode_reply_value(opcode: u16, payload: &[u8]) -> Result<ReplyValue, WireError> {
-    use ReplyValue as V;
-    let mut r = Rd::new(payload);
-    let v = match opcode {
-        1 => V::Atom(r.atom()?),
-        2 => V::Pixel(r.pixel()?),
-        3 => V::NamedColor(match r.bool()? {
-            false => None,
-            true => Some((r.pixel()?, r.rgb()?)),
-        }),
-        4 => V::Property(match r.bool()? {
-            false => None,
-            true => Some(r.string()?),
-        }),
-        5 => V::Geometry(match r.bool()? {
-            false => None,
-            true => Some((r.i32()?, r.i32()?, r.u32()?, r.u32()?, r.u32()?)),
-        }),
-        6 => V::Error(r.error()?),
-        other => return Err(WireError::BadOpcode(other)),
+    (@bind $E:ident $v:ident { $([$s:ident])? $($f:ident),* }) => {
+        $E::$v { $($s: _,)? $($f),* }
     };
-    r.done()?;
-    Ok(v)
-}
-
-// ----- event codec -----
-
-/// Encodes an event into `(opcode, payload)`. Opcodes follow `Event`
-/// declaration order, 1-based.
-pub(crate) fn encode_event(ev: &Event) -> (u16, Vec<u8>) {
-    use Event as E;
-    let mut b = Vec::new();
-    let op = match ev {
-        E::Expose {
-            window,
-            x,
-            y,
-            width,
-            height,
-            count,
-        } => {
-            put_u32(&mut b, window.0);
-            put_i32(&mut b, *x);
-            put_i32(&mut b, *y);
-            put_u32(&mut b, *width);
-            put_u32(&mut b, *height);
-            put_u32(&mut b, *count);
-            1
-        }
-        E::ConfigureNotify {
-            window,
-            x,
-            y,
-            width,
-            height,
-            border_width,
-        } => {
-            put_u32(&mut b, window.0);
-            put_i32(&mut b, *x);
-            put_i32(&mut b, *y);
-            put_u32(&mut b, *width);
-            put_u32(&mut b, *height);
-            put_u32(&mut b, *border_width);
-            2
-        }
-        E::MapNotify { window } => {
-            put_u32(&mut b, window.0);
-            3
-        }
-        E::UnmapNotify { window } => {
-            put_u32(&mut b, window.0);
-            4
-        }
-        E::DestroyNotify { window } => {
-            put_u32(&mut b, window.0);
-            5
-        }
-        E::EnterNotify {
-            window,
-            x,
-            y,
-            state,
-            time,
-        } => {
-            put_u32(&mut b, window.0);
-            put_i32(&mut b, *x);
-            put_i32(&mut b, *y);
-            put_u32(&mut b, *state);
-            put_u64(&mut b, *time);
-            6
-        }
-        E::LeaveNotify {
-            window,
-            x,
-            y,
-            state,
-            time,
-        } => {
-            put_u32(&mut b, window.0);
-            put_i32(&mut b, *x);
-            put_i32(&mut b, *y);
-            put_u32(&mut b, *state);
-            put_u64(&mut b, *time);
-            7
-        }
-        E::MotionNotify {
-            window,
-            x,
-            y,
-            x_root,
-            y_root,
-            state,
-            time,
-        } => {
-            put_u32(&mut b, window.0);
-            put_i32(&mut b, *x);
-            put_i32(&mut b, *y);
-            put_i32(&mut b, *x_root);
-            put_i32(&mut b, *y_root);
-            put_u32(&mut b, *state);
-            put_u64(&mut b, *time);
-            8
-        }
-        E::ButtonPress {
-            window,
-            button,
-            x,
-            y,
-            x_root,
-            y_root,
-            state,
-            time,
-        } => {
-            put_u32(&mut b, window.0);
-            b.push(*button);
-            put_i32(&mut b, *x);
-            put_i32(&mut b, *y);
-            put_i32(&mut b, *x_root);
-            put_i32(&mut b, *y_root);
-            put_u32(&mut b, *state);
-            put_u64(&mut b, *time);
-            9
-        }
-        E::ButtonRelease {
-            window,
-            button,
-            x,
-            y,
-            x_root,
-            y_root,
-            state,
-            time,
-        } => {
-            put_u32(&mut b, window.0);
-            b.push(*button);
-            put_i32(&mut b, *x);
-            put_i32(&mut b, *y);
-            put_i32(&mut b, *x_root);
-            put_i32(&mut b, *y_root);
-            put_u32(&mut b, *state);
-            put_u64(&mut b, *time);
-            10
-        }
-        E::KeyPress {
-            window,
-            keysym,
-            x,
-            y,
-            state,
-            time,
-        } => {
-            put_u32(&mut b, window.0);
-            put_keysym(&mut b, keysym);
-            put_i32(&mut b, *x);
-            put_i32(&mut b, *y);
-            put_u32(&mut b, *state);
-            put_u64(&mut b, *time);
-            11
-        }
-        E::KeyRelease {
-            window,
-            keysym,
-            x,
-            y,
-            state,
-            time,
-        } => {
-            put_u32(&mut b, window.0);
-            put_keysym(&mut b, keysym);
-            put_i32(&mut b, *x);
-            put_i32(&mut b, *y);
-            put_u32(&mut b, *state);
-            put_u64(&mut b, *time);
-            12
-        }
-        E::PropertyNotify {
-            window,
-            atom,
-            deleted,
-            time,
-        } => {
-            put_u32(&mut b, window.0);
-            put_u32(&mut b, atom.0);
-            put_bool(&mut b, *deleted);
-            put_u64(&mut b, *time);
-            13
-        }
-        E::SelectionClear {
-            window,
-            selection,
-            time,
-        } => {
-            put_u32(&mut b, window.0);
-            put_u32(&mut b, selection.0);
-            put_u64(&mut b, *time);
-            14
-        }
-        E::SelectionRequest {
-            owner,
-            requestor,
-            selection,
-            target,
-            property,
-            time,
-        } => {
-            put_u32(&mut b, owner.0);
-            put_u32(&mut b, requestor.0);
-            put_u32(&mut b, selection.0);
-            put_u32(&mut b, target.0);
-            put_u32(&mut b, property.0);
-            put_u64(&mut b, *time);
-            15
-        }
-        E::SelectionNotify {
-            requestor,
-            selection,
-            target,
-            property,
-            time,
-        } => {
-            put_u32(&mut b, requestor.0);
-            put_u32(&mut b, selection.0);
-            put_u32(&mut b, target.0);
-            put_u32(&mut b, property.0);
-            put_u64(&mut b, *time);
-            16
-        }
-        E::FocusIn { window } => {
-            put_u32(&mut b, window.0);
-            17
-        }
-        E::FocusOut { window } => {
-            put_u32(&mut b, window.0);
-            18
-        }
+    (@bind $E:ident $v:ident ($f:ident)) => { $E::$v($f) };
+    (@put $b:ident { $([$s:ident])? $($f:ident),* }) => { $($f.put(&mut $b);)* };
+    (@put $b:ident ($f:ident)) => { $f.put(&mut $b) };
+    (@build $r:ident $h:ident $E:ident $v:ident { $([$s:ident])? $($f:ident),* }) => {
+        $E::$v { $($s: $h.seq,)? $($f: Wire::get($r)?),* }
     };
-    (op, b)
+    (@build $r:ident $h:ident $E:ident $v:ident ($f:ident)) => { $E::$v(Wire::get($r)?) };
+    (@seq { [$s:ident] $($f:ident),* }) => { true };
+    (@seq $fields:tt) => { false };
 }
 
-pub(crate) fn decode_event(opcode: u16, payload: &[u8]) -> Result<Event, WireError> {
-    use Event as E;
-    let mut r = Rd::new(payload);
-    let ev = match opcode {
-        1 => E::Expose {
-            window: r.xid()?,
-            x: r.i32()?,
-            y: r.i32()?,
-            width: r.u32()?,
-            height: r.u32()?,
-            count: r.u32()?,
-        },
-        2 => E::ConfigureNotify {
-            window: r.xid()?,
-            x: r.i32()?,
-            y: r.i32()?,
-            width: r.u32()?,
-            height: r.u32()?,
-            border_width: r.u32()?,
-        },
-        3 => E::MapNotify { window: r.xid()? },
-        4 => E::UnmapNotify { window: r.xid()? },
-        5 => E::DestroyNotify { window: r.xid()? },
-        6 => E::EnterNotify {
-            window: r.xid()?,
-            x: r.i32()?,
-            y: r.i32()?,
-            state: r.u32()?,
-            time: r.u64()?,
-        },
-        7 => E::LeaveNotify {
-            window: r.xid()?,
-            x: r.i32()?,
-            y: r.i32()?,
-            state: r.u32()?,
-            time: r.u64()?,
-        },
-        8 => E::MotionNotify {
-            window: r.xid()?,
-            x: r.i32()?,
-            y: r.i32()?,
-            x_root: r.i32()?,
-            y_root: r.i32()?,
-            state: r.u32()?,
-            time: r.u64()?,
-        },
-        9 => E::ButtonPress {
-            window: r.xid()?,
-            button: r.u8()?,
-            x: r.i32()?,
-            y: r.i32()?,
-            x_root: r.i32()?,
-            y_root: r.i32()?,
-            state: r.u32()?,
-            time: r.u64()?,
-        },
-        10 => E::ButtonRelease {
-            window: r.xid()?,
-            button: r.u8()?,
-            x: r.i32()?,
-            y: r.i32()?,
-            x_root: r.i32()?,
-            y_root: r.i32()?,
-            state: r.u32()?,
-            time: r.u64()?,
-        },
-        11 => E::KeyPress {
-            window: r.xid()?,
-            keysym: r.keysym()?,
-            x: r.i32()?,
-            y: r.i32()?,
-            state: r.u32()?,
-            time: r.u64()?,
-        },
-        12 => E::KeyRelease {
-            window: r.xid()?,
-            keysym: r.keysym()?,
-            x: r.i32()?,
-            y: r.i32()?,
-            state: r.u32()?,
-            time: r.u64()?,
-        },
-        13 => E::PropertyNotify {
-            window: r.xid()?,
-            atom: r.atom()?,
-            deleted: r.bool()?,
-            time: r.u64()?,
-        },
-        14 => E::SelectionClear {
-            window: r.xid()?,
-            selection: r.atom()?,
-            time: r.u64()?,
-        },
-        15 => E::SelectionRequest {
-            owner: r.xid()?,
-            requestor: r.xid()?,
-            selection: r.atom()?,
-            target: r.atom()?,
-            property: r.atom()?,
-            time: r.u64()?,
-        },
-        16 => E::SelectionNotify {
-            requestor: r.xid()?,
-            selection: r.atom()?,
-            target: r.atom()?,
-            property: r.atom()?,
-            time: r.u64()?,
-        },
-        17 => E::FocusIn { window: r.xid()? },
-        18 => E::FocusOut { window: r.xid()? },
-        other => return Err(WireError::BadOpcode(other)),
-    };
-    r.done()?;
-    Ok(ev)
-}
+// Client -> server, buffered until a flush. The reply-bearing rows
+// (`[seq]`) file their reply under the frame's sequence number.
+message_table! { queued QueuedRequest {
+    1 CreateWindow { id, parent, x, y, width, height, border_width } => CreateWindow,
+    2 DestroyWindow { id } => DestroyWindow,
+    3 MapWindow { id } => MapWindow,
+    4 UnmapWindow { id } => UnmapWindow,
+    5 ConfigureWindow { id, x, y, width, height, border_width } => ConfigureWindow,
+    6 RaiseWindow { id } => RaiseWindow,
+    7 ReparentWindow { id, new_parent, x, y } => ReparentWindow,
+    8 SelectInput { id, event_mask } => SelectInput,
+    9 SetWindowBackground { id, pixel } => ChangeWindowAttributes,
+    10 SetWindowBorder { id, pixel } => ChangeWindowAttributes,
+    11 SetOverrideRedirect { id, on } => ChangeWindowAttributes,
+    12 DefineCursor { id, cursor } => ChangeWindowAttributes,
+    13 ChangeProperty { id, atom, value } => ChangeProperty,
+    14 AppendProperty { id, atom, value } => ChangeProperty,
+    15 DeleteProperty { id, atom } => DeleteProperty,
+    16 FreeColor { pixel } => FreeColor,
+    17 CreateBitmap { id, bitmap } => CreateBitmap,
+    18 FreeBitmap { id } => FreeBitmap,
+    19 CopyBitmap { id, gc, x, y, bitmap } => CopyBitmap,
+    20 CreateGc { id, values } => CreateGc,
+    21 ChangeGc { gc, values } => ChangeGc,
+    22 FreeGc { gc } => FreeGc,
+    23 FillRectangle { id, gc, x, y, w, h } => FillRectangle,
+    24 DrawRectangle { id, gc, x, y, w, h } => DrawRectangle,
+    25 DrawLine { id, gc, x0, y0, x1, y1 } => DrawLine,
+    26 DrawString { id, gc, x, y, text } => DrawString,
+    27 ClearArea { id, x, y, w, h } => ClearArea,
+    28 SetClip { id, rects } => SetClip,
+    29 ClearClip { id } => ClearClip,
+    30 CopyArea { id, src_x, src_y, w, h, dst_x, dst_y } => CopyArea,
+    31 SetSelectionOwner { selection, owner } => SetSelectionOwner,
+    32 ConvertSelection { requestor, selection, target, property } => ConvertSelection,
+    33 SendSelectionNotify { requestor, selection, target, property } => SendEvent,
+    34 SetInputFocus { id } => SetInputFocus,
+    35 InternAtom { [seq] name } => InternAtom,
+    36 AllocColor { [seq] rgb } => AllocColor,
+    37 AllocNamedColor { [seq] name } => AllocColor,
+    38 GetProperty { [seq] id, atom } => GetProperty,
+    39 GetGeometry { [seq] id } => GetGeometry,
+}}
 
-/// Encodes an error frame body.
-pub(crate) fn encode_error_payload(e: &XError) -> Vec<u8> {
-    let mut b = Vec::new();
-    put_error(&mut b, e);
-    b
-}
+// Client -> server, one synchronous round trip each.
+message_table! { requests SyncRequest {
+    1 InternAtom { name } => InternAtom,
+    2 GetAtomName { atom } => GetAtomName,
+    3 QueryTree { id } => QueryTree,
+    4 GetGeometry { id } => GetGeometry,
+    5 IsViewable { id } => GetWindowAttributes,
+    6 GetProperty { id, atom } => GetProperty,
+    7 AllocNamedColor { name } => AllocColor,
+    8 AllocColor { rgb } => AllocColor,
+    9 QueryColor { pixel } => QueryColor,
+    10 OpenFont { name } => OpenFont,
+    11 QueryFont { font } => QueryFont,
+    12 CreateCursor { name } => CreateCursor,
+    13 QueryBitmap { id } => QueryBitmap,
+    14 GetSelectionOwner { selection } => GetSelectionOwner,
+    15 GetInputFocus {} => GetInputFocus,
+    16 TakeProperty { id, atom } => GetProperty,
+}}
 
-pub(crate) fn decode_error(payload: &[u8]) -> Result<XError, WireError> {
-    let mut r = Rd::new(payload);
-    let e = r.error()?;
-    r.done()?;
-    Ok(e)
-}
+// Server -> client: the answer to a `SyncRequest`.
+message_table! { SyncReply {
+    1 Atom(v),
+    2 OptString(v),
+    3 Tree(v),
+    4 Geometry(v),
+    5 Bool(v),
+    6 NamedColor(v),
+    7 Pixel(v),
+    8 Rgb(v),
+    9 OptXid(v),
+    10 Metrics(v),
+    11 Size(v),
+    12 Window(v),
+}}
+
+// Server -> client: a pipelined reply, collected by its cookie.
+message_table! { ReplyValue {
+    1 Atom(v),
+    2 Pixel(v),
+    3 NamedColor(v),
+    4 Property(v),
+    5 Geometry(v),
+    6 Error(v),
+}}
+
+// Server -> client.
+message_table! { events Event {
+    1 Expose { window, x, y, width, height, count },
+    2 ConfigureNotify { window, x, y, width, height, border_width },
+    3 MapNotify { window },
+    4 UnmapNotify { window },
+    5 DestroyNotify { window },
+    6 EnterNotify { window, x, y, state, time },
+    7 LeaveNotify { window, x, y, state, time },
+    8 MotionNotify { window, x, y, x_root, y_root, state, time },
+    9 ButtonPress { window, button, x, y, x_root, y_root, state, time },
+    10 ButtonRelease { window, button, x, y, x_root, y_root, state, time },
+    11 KeyPress { window, keysym, x, y, state, time },
+    12 KeyRelease { window, keysym, x, y, state, time },
+    13 PropertyNotify { window, atom, deleted, time },
+    14 SelectionClear { window, selection, time },
+    15 SelectionRequest { owner, requestor, selection, target, property, time },
+    16 SelectionNotify { requestor, selection, target, property, time },
+    17 FocusIn { window },
+    18 FocusOut { window },
+}}
 
 // ----- the inline wire server -----
 
@@ -1851,13 +814,13 @@ fn dispatch(st: &mut WireState, client: ClientId, bytes: &[u8]) -> Vec<u8> {
             }
             FT_SYNC => {
                 flush_all_buffered(st);
-                match decode_sync_request(f.opcode, &f.payload) {
+                match SyncRequest::decode(&f) {
                     Ok(req) => match st.server.execute_round_trip(client, &req) {
                         Ok(reply) => {
-                            let (op, payload) = encode_sync_reply(&reply);
+                            let (op, payload) = reply.encode();
                             frame(FT_SYNC_REPLY, op, f.seq, &payload)
                         }
-                        Err(e) => frame(FT_ERROR, 0, e.seq, &encode_error_payload(&e)),
+                        Err(e) => frame(FT_ERROR, 0, e.seq, &to_payload(&e)),
                     },
                     Err(_) => {
                         let e = XError {
@@ -1865,7 +828,7 @@ fn dispatch(st: &mut WireState, client: ClientId, bytes: &[u8]) -> Vec<u8> {
                             seq: f.seq,
                             kind: None,
                         };
-                        frame(FT_ERROR, 0, f.seq, &encode_error_payload(&e))
+                        frame(FT_ERROR, 0, f.seq, &to_payload(&e))
                     }
                 }
             }
@@ -1875,7 +838,7 @@ fn dispatch(st: &mut WireState, client: ClientId, bytes: &[u8]) -> Vec<u8> {
                 }
                 match st.server.take_reply(client, f.seq) {
                     Some(v) => {
-                        let (op, payload) = encode_reply_value(&v);
+                        let (op, payload) = v.encode();
                         frame(FT_COOKIE_REPLY, op, f.seq, &payload)
                     }
                     None => {
@@ -1888,7 +851,7 @@ fn dispatch(st: &mut WireState, client: ClientId, bytes: &[u8]) -> Vec<u8> {
                 flush_all_buffered(st);
                 match st.server.poll_event(client) {
                     Some(ev) => {
-                        let (op, payload) = encode_event(&ev);
+                        let (op, payload) = ev.encode();
                         frame(FT_EVENT, op, 0, &payload)
                     }
                     None => frame(FT_NO_EVENT, 0, 0, &[]),
@@ -1942,7 +905,7 @@ fn flush_buffered(st: &mut WireState, raw: u32) {
             }
         };
         st.server.note_wire_decode(client, f.wire_len());
-        match decode_request(f.opcode, f.seq, &f.payload) {
+        match QueuedRequest::decode(&f) {
             Ok(q) => batch.push((f.seq, q)),
             Err(_) => {
                 corrupt = true;
@@ -2125,7 +1088,7 @@ impl WireTransport {
     /// Encodes a request frame into the client's wire buffer; returns
     /// whether the buffer hit capacity (a forced flush point).
     fn push_request(st: &mut WireState, client: ClientId, seq: u64, q: &QueuedRequest) -> bool {
-        let (op, payload) = encode_request(q);
+        let (op, payload) = q.encode();
         let mut bytes = frame(FT_REQUEST, op, seq, &payload);
         let split = Self::apply_byte_fault(st, client, &mut bytes);
         st.server.note_wire_encode(client, bytes.len());
@@ -2250,13 +1213,13 @@ impl Transport for WireTransport {
     }
 
     fn round_trip(&self, client: ClientId, req: SyncRequest) -> Result<SyncReply, XError> {
-        let (op, payload) = encode_sync_request(&req);
+        let (op, payload) = req.encode();
         let Some(f) = self.call(client, frame(FT_SYNC, op, 0, &payload)) else {
             return Err(XError::dead(0));
         };
         match f.frame_type {
-            FT_SYNC_REPLY => decode_sync_reply(f.opcode, &f.payload).map_err(|_| XError::dead(0)),
-            FT_ERROR => Err(decode_error(&f.payload).unwrap_or(XError::dead(0))),
+            FT_SYNC_REPLY => SyncReply::decode(&f).map_err(|_| XError::dead(0)),
+            FT_ERROR => Err(from_payload(&f.payload).unwrap_or(XError::dead(0))),
             _ => Err(XError::dead(0)),
         }
     }
@@ -2356,7 +1319,7 @@ impl Transport for WireTransport {
             return WaitReply::NoReply { alive: false };
         };
         match f.frame_type {
-            FT_COOKIE_REPLY => match decode_reply_value(f.opcode, &f.payload) {
+            FT_COOKIE_REPLY => match ReplyValue::decode(&f) {
                 Ok(v) => WaitReply::Reply(v),
                 Err(_) => WaitReply::NoReply { alive: false },
             },
@@ -2370,7 +1333,7 @@ impl Transport for WireTransport {
     fn poll_event(&self, client: ClientId) -> Option<Event> {
         let f = self.call(client, frame(FT_POLL_EVENT, 0, 0, &[]))?;
         match f.frame_type {
-            FT_EVENT => decode_event(f.opcode, &f.payload).ok(),
+            FT_EVENT => Event::decode(&f).ok(),
             _ => None,
         }
     }
@@ -2828,18 +1791,43 @@ mod tests {
         f
     }
 
+    /// Frames `m` under `seq`, reads it back, and checks both the opcode
+    /// the table assigned and the decoded value.
+    fn assert_round_trips<M: Message + std::fmt::Debug>(ft: u8, op: u16, seq: u64, m: &M) {
+        let (enc_op, payload) = m.encode();
+        assert_eq!(enc_op, op, "opcode table mismatch for {m:?}");
+        let f = frame_round_trip(ft, enc_op, seq, &payload);
+        let back = M::decode(&f).unwrap();
+        assert_eq!(format!("{m:?}"), format!("{back:?}"));
+    }
+
+    /// A request of a random opcode from the table, and its frame.
+    fn rand_request_frame(r: &mut XorShift, seq: u64) -> (QueuedRequest, Vec<u8>) {
+        let ops = QueuedRequest::OPCODES;
+        let q = rand_request(ops[r.below(ops.len() as u64) as usize], r, seq);
+        let (op, payload) = q.encode();
+        let bytes = frame(FT_REQUEST, op, seq, &payload);
+        (q, bytes)
+    }
+
+    /// A request frame as the reader hands it over.
+    fn raw(opcode: u16, payload: &[u8]) -> RawFrame {
+        RawFrame {
+            frame_type: FT_REQUEST,
+            opcode,
+            seq: 1,
+            payload: payload.to_vec(),
+        }
+    }
+
     #[test]
     fn every_request_kind_round_trips() {
         let mut r = XorShift::new(0x517e_5eed);
-        for op in 1..=39u16 {
+        for &op in QueuedRequest::OPCODES {
             for _ in 0..25 {
                 let seq = r.next_u64();
                 let q = rand_request(op, &mut r, seq);
-                let (enc_op, payload) = encode_request(&q);
-                assert_eq!(enc_op, op, "opcode table mismatch for {q:?}");
-                let f = frame_round_trip(FT_REQUEST, enc_op, seq, &payload);
-                let back = decode_request(f.opcode, f.seq, &f.payload).unwrap();
-                assert_eq!(format!("{q:?}"), format!("{back:?}"));
+                assert_round_trips(FT_REQUEST, op, seq, &q);
             }
         }
     }
@@ -2847,24 +1835,14 @@ mod tests {
     #[test]
     fn every_sync_request_and_reply_round_trips() {
         let mut r = XorShift::new(0x57ee1);
-        for op in 1..=16u16 {
+        for &op in SyncRequest::OPCODES {
             for _ in 0..25 {
-                let req = rand_sync_request(op, &mut r);
-                let (enc_op, payload) = encode_sync_request(&req);
-                assert_eq!(enc_op, op);
-                let f = frame_round_trip(FT_SYNC, enc_op, 0, &payload);
-                let back = decode_sync_request(f.opcode, &f.payload).unwrap();
-                assert_eq!(format!("{req:?}"), format!("{back:?}"));
+                assert_round_trips(FT_SYNC, op, 0, &rand_sync_request(op, &mut r));
             }
         }
-        for op in 1..=12u16 {
+        for &op in SyncReply::OPCODES {
             for _ in 0..25 {
-                let reply = rand_sync_reply(op, &mut r);
-                let (enc_op, payload) = encode_sync_reply(&reply);
-                assert_eq!(enc_op, op);
-                let f = frame_round_trip(FT_SYNC_REPLY, enc_op, 0, &payload);
-                let back = decode_sync_reply(f.opcode, &f.payload).unwrap();
-                assert_eq!(format!("{reply:?}"), format!("{back:?}"));
+                assert_round_trips(FT_SYNC_REPLY, op, 0, &rand_sync_reply(op, &mut r));
             }
         }
     }
@@ -2872,31 +1850,20 @@ mod tests {
     #[test]
     fn every_reply_value_event_and_error_round_trips() {
         let mut r = XorShift::new(0xeeee);
-        for op in 1..=6u16 {
+        for &op in ReplyValue::OPCODES {
             for _ in 0..25 {
-                let v = rand_reply_value(op, &mut r);
-                let (enc_op, payload) = encode_reply_value(&v);
-                assert_eq!(enc_op, op);
-                let f = frame_round_trip(FT_COOKIE_REPLY, enc_op, 7, &payload);
-                let back = decode_reply_value(f.opcode, &f.payload).unwrap();
-                assert_eq!(format!("{v:?}"), format!("{back:?}"));
+                assert_round_trips(FT_COOKIE_REPLY, op, 7, &rand_reply_value(op, &mut r));
             }
         }
-        for op in 1..=18u16 {
+        for &op in Event::OPCODES {
             for _ in 0..25 {
-                let ev = rand_event(op, &mut r);
-                let (enc_op, payload) = encode_event(&ev);
-                assert_eq!(enc_op, op);
-                let f = frame_round_trip(FT_EVENT, enc_op, 0, &payload);
-                let back = decode_event(f.opcode, &f.payload).unwrap();
-                assert_eq!(format!("{ev:?}"), format!("{back:?}"));
+                assert_round_trips(FT_EVENT, op, 0, &rand_event(op, &mut r));
             }
         }
         for _ in 0..200 {
             let e = rand_error(&mut r);
-            let payload = encode_error_payload(&e);
-            let f = frame_round_trip(FT_ERROR, 0, e.seq, &payload);
-            let back = decode_error(&f.payload).unwrap();
+            let f = frame_round_trip(FT_ERROR, 0, e.seq, &to_payload(&e));
+            let back: XError = from_payload(&f.payload).unwrap();
             assert_eq!(format!("{e:?}"), format!("{back:?}"));
         }
     }
@@ -2913,48 +1880,48 @@ mod tests {
         let mut feed = |ft: u8, (op, payload): (u16, Vec<u8>), seq: u64| {
             crc = crc32_update(crc, &frame(ft, op, seq, &payload));
         };
-        for op in 1..=39u16 {
+        for &op in QueuedRequest::OPCODES {
             for seq in 0..8 {
-                let q = rand_request(op, &mut r, seq);
-                feed(FT_REQUEST, encode_request(&q), seq);
+                feed(FT_REQUEST, rand_request(op, &mut r, seq).encode(), seq);
             }
         }
-        for op in 1..=16u16 {
+        for &op in SyncRequest::OPCODES {
             for _ in 0..8 {
-                let req = rand_sync_request(op, &mut r);
-                feed(FT_SYNC, encode_sync_request(&req), 0);
+                feed(FT_SYNC, rand_sync_request(op, &mut r).encode(), 0);
             }
         }
-        for op in 1..=12u16 {
+        for &op in SyncReply::OPCODES {
             for _ in 0..8 {
-                let reply = rand_sync_reply(op, &mut r);
-                feed(FT_SYNC_REPLY, encode_sync_reply(&reply), 0);
+                feed(FT_SYNC_REPLY, rand_sync_reply(op, &mut r).encode(), 0);
             }
         }
-        for op in 1..=6u16 {
+        for &op in ReplyValue::OPCODES {
             for seq in 0..8 {
-                let v = rand_reply_value(op, &mut r);
-                feed(FT_COOKIE_REPLY, encode_reply_value(&v), seq);
+                feed(FT_COOKIE_REPLY, rand_reply_value(op, &mut r).encode(), seq);
             }
         }
-        for op in 1..=18u16 {
+        for &op in Event::OPCODES {
             for _ in 0..8 {
-                let ev = rand_event(op, &mut r);
-                feed(FT_EVENT, encode_event(&ev), 0);
+                feed(FT_EVENT, rand_event(op, &mut r).encode(), 0);
             }
         }
         for _ in 0..32 {
             let e = rand_error(&mut r);
-            feed(FT_ERROR, (0, encode_error_payload(&e)), e.seq);
+            feed(FT_ERROR, (0, to_payload(&e)), e.seq);
         }
         assert_eq!(crc ^ 0xFFFF_FFFF, 0x4341_842C, "wire format changed");
     }
 
     #[test]
     fn truncated_frames_wait_instead_of_erroring() {
-        let mut r = XorShift::new(0x70c4);
-        let q = rand_request(26, &mut r, 9); // DrawString: variable length
-        let (op, payload) = encode_request(&q);
+        let q = QueuedRequest::DrawString {
+            id: Xid(3),
+            gc: Xid(4),
+            x: -2,
+            y: 9,
+            text: "variable length".into(),
+        };
+        let (op, payload) = q.encode();
         let bytes = frame(FT_REQUEST, op, 9, &payload);
         for cut in 0..bytes.len() {
             let mut fr = FrameReader::new();
@@ -2964,7 +1931,7 @@ mod tests {
             fr.push(&bytes[cut..]).unwrap();
             let f = fr.next_frame().unwrap().unwrap();
             assert_eq!(
-                format!("{:?}", decode_request(f.opcode, f.seq, &f.payload).unwrap()),
+                format!("{:?}", QueuedRequest::decode(&f).unwrap()),
                 format!("{q:?}")
             );
         }
@@ -3015,38 +1982,43 @@ mod tests {
 
         // Unknown opcode inside a well-formed frame.
         assert_eq!(
-            decode_request(999, 1, &[]).err(),
+            QueuedRequest::decode(&raw(999, &[])).err(),
             Some(WireError::BadOpcode(999))
         );
-        assert_eq!(decode_sync_request(99, &[]), Err(WireError::BadOpcode(99)));
+        assert_eq!(
+            SyncRequest::decode(&raw(99, &[])),
+            Err(WireError::BadOpcode(99))
+        );
         assert!(matches!(
-            decode_event(99, &[]),
+            Event::decode(&raw(99, &[])),
             Err(WireError::BadOpcode(99))
         ));
 
         // Short payload, trailing bytes, and bad tags all map to Malformed.
+        let (op, payload) = QueuedRequest::MapWindow { id: Xid(5) }.encode();
         assert!(matches!(
-            decode_request(1, 1, &[0, 0]),
+            QueuedRequest::decode(&raw(op, &payload[..2])),
             Err(WireError::Malformed(_))
         ));
-        let (op, mut payload) = encode_request(&QueuedRequest::MapWindow { id: Xid(5) });
-        payload.push(0);
+        let mut trailing = payload;
+        trailing.push(0);
         assert_eq!(
-            decode_request(op, 1, &payload).err(),
+            QueuedRequest::decode(&raw(op, &trailing)).err(),
             Some(WireError::Malformed("trailing bytes"))
         );
         assert!(matches!(
-            decode_error(&[77, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+            from_payload::<XError>(&[77, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
             Err(WireError::Malformed(_))
         ));
         // A corrupt bool/Option tag.
-        let (op, mut payload) = encode_request(&QueuedRequest::SetOverrideRedirect {
+        let (op, mut payload) = QueuedRequest::SetOverrideRedirect {
             id: Xid(5),
             on: true,
-        });
+        }
+        .encode();
         *payload.last_mut().unwrap() = 9;
         assert!(matches!(
-            decode_request(op, 1, &payload),
+            QueuedRequest::decode(&raw(op, &payload)),
             Err(WireError::Malformed(_))
         ));
     }
@@ -3058,10 +2030,8 @@ mod tests {
         let mut stream = Vec::new();
         let mut originals = Vec::new();
         for i in 0..200u64 {
-            let op = r.range(1, 40) as u16;
-            let q = rand_request(op, &mut r, i);
-            let (enc_op, payload) = encode_request(&q);
-            stream.extend_from_slice(&frame(FT_REQUEST, enc_op, i, &payload));
+            let (q, bytes) = rand_request_frame(&mut r, i);
+            stream.extend_from_slice(&bytes);
             originals.push(q);
         }
         // Feed it in random-size chunks; every frame must come back, in
@@ -3074,7 +2044,7 @@ mod tests {
             fr.push(&stream[pos..pos + n]).unwrap();
             pos += n;
             while let Some(f) = fr.next_frame().unwrap() {
-                decoded.push(decode_request(f.opcode, f.seq, &f.payload).unwrap());
+                decoded.push(QueuedRequest::decode(&f).unwrap());
             }
         }
         assert_eq!(decoded.len(), originals.len());
@@ -3087,12 +2057,13 @@ mod tests {
     fn oversized_bitmap_is_rejected_not_allocated() {
         // Claim a gigantic bitmap inside a tiny payload: the decoder must
         // bail out on the dimension check, not try to allocate.
-        let mut payload = Vec::new();
-        put_u32(&mut payload, 5); // id
-        put_u32(&mut payload, 1 << 16); // width
-        put_u32(&mut payload, 1 << 16); // height
+        let bitmap = Bitmap::new(1, 1, vec![true]).unwrap();
+        let (op, mut payload) = QueuedRequest::CreateBitmap { id: Xid(5), bitmap }.encode();
+        payload.truncate(4); // id
+        (1u32 << 16).put(&mut payload); // width
+        (1u32 << 16).put(&mut payload); // height
         assert!(matches!(
-            decode_request(17, 1, &payload),
+            QueuedRequest::decode(&raw(op, &payload)),
             Err(WireError::Malformed(_))
         ));
     }
@@ -3108,10 +2079,7 @@ mod tests {
         let mut r = XorShift::new(0xC4C_5EED);
         let mut cases = 0usize;
         for i in 0..60u64 {
-            let op = r.range(1, 40) as u16;
-            let q = rand_request(op, &mut r, i);
-            let (enc_op, payload) = encode_request(&q);
-            let clean = frame(FT_REQUEST, enc_op, i, &payload);
+            let (_, clean) = rand_request_frame(&mut r, i);
             for offset in 0..clean.len() {
                 let xor = 1 + r.below(255) as u8;
                 let mut bytes = clean.clone();
@@ -3147,10 +2115,7 @@ mod tests {
         let mut r = XorShift::new(0x5117);
         let mut stream = Vec::new();
         for i in 0..5u64 {
-            let op = r.range(1, 40) as u16;
-            let q = rand_request(op, &mut r, i);
-            let (enc_op, payload) = encode_request(&q);
-            stream.extend_from_slice(&frame(FT_REQUEST, enc_op, i, &payload));
+            stream.extend_from_slice(&rand_request_frame(&mut r, i).1);
         }
         let decode_all = |chunks: &[&[u8]]| -> Vec<(u16, u64, Vec<u8>)> {
             let mut fr = FrameReader::new();
@@ -3239,7 +2204,7 @@ mod tests {
             QueuedRequest::MapWindow { id: win },
         );
         let sync = |req: SyncRequest| {
-            let (op, payload) = encode_sync_request(&req);
+            let (op, payload) = req.encode();
             frame(FT_SYNC, op, 0, &payload)
         };
         let controls = [

@@ -25,6 +25,12 @@ cargo build --release --workspace --offline --locked
 echo "==> cargo test -q"
 cargo test -q --workspace --offline --locked
 
+# The benchmark's own checks: replay every rtkbench workload on the
+# in-process transport and compare screenshot digests, in a debug build
+# so arithmetic overflow panics instead of wrapping.
+echo "==> rtkbench checks (debug)"
+cargo test -q --offline --locked --manifest-path rtkbench/Cargo.toml
+
 # The golden-frame suite must be deterministic run to run, not just
 # within a process: render twice, in two separate invocations.
 echo "==> golden frames (twice, for determinism)"

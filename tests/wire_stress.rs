@@ -12,7 +12,7 @@
 //! watchdog aborts the process if a test wedges: a deadlock must fail
 //! CI loudly, not hang it.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 
@@ -87,12 +87,15 @@ fn killing_a_client_mid_flush_tears_down_cleanly() {
     // which real Tk serializes with XGrabServer; app startup takes this
     // lock so announcements don't clobber each other.
     let startup = Arc::new(Mutex::new(()));
+    // Survivors that have finished their own sends.
+    let finished = Arc::new(AtomicUsize::new(0));
     let mut workers = Vec::new();
     for i in 0..APPS {
         let handle = handle.clone();
         let registered = registered.clone();
         let killed = killed.clone();
         let startup = startup.clone();
+        let finished = finished.clone();
         workers.push(thread::spawn(move || {
             let env = TkEnv::with_display(Display::from_wire(&handle));
             let app = {
@@ -148,6 +151,14 @@ fn killing_a_client_mid_flush_tears_down_cleanly() {
             app.eval(&format!(".l configure -text survivor{i}"))
                 .unwrap();
             env.dispatch_all();
+            // Keep answering until every survivor is done: a peer whose
+            // thread has returned no longer serves sends, and the send
+            // to it would time out.
+            finished.fetch_add(1, Ordering::SeqCst);
+            while finished.load(Ordering::SeqCst) < APPS - 1 {
+                env.dispatch_all();
+                thread::yield_now();
+            }
         }));
     }
     for (i, w) in workers.into_iter().enumerate() {
