@@ -676,23 +676,19 @@ fn fleet_mode(napps: usize, check: bool, path: &str) {
     let done = Arc::new(AtomicBool::new(false));
     watchdog("fleet mesh", 570, done.clone());
     let env = TkEnv::new();
-    match run_wire_mesh(&env, &MeshConfig::ring(napps, FLEET_MESH_ROUNDS)) {
-        Some(mesh) => {
-            let l = &mesh.latencies_ns;
-            println!(
-                "fleet mesh: {} apps x {} rounds, {} sends in {:.2?} \
-                 (wall p50 {} / p95 {} / p99 {}, report-only)",
-                napps,
-                FLEET_MESH_ROUNDS,
-                mesh.sends,
-                mesh.wall,
-                fmt_time(percentile(l, 50.0) as f64 * 1e-9),
-                fmt_time(percentile(l, 95.0) as f64 * 1e-9),
-                fmt_time(percentile(l, 99.0) as f64 * 1e-9),
-            );
-        }
-        None => println!("fleet mesh: skipped (wire transport disabled via RTK_NO_WIRE)"),
-    }
+    let mesh = run_wire_mesh(&env, &MeshConfig::ring(napps, FLEET_MESH_ROUNDS));
+    let l = &mesh.latencies_ns;
+    println!(
+        "fleet mesh: {} apps x {} rounds, {} sends in {:.2?} \
+         (wall p50 {} / p95 {} / p99 {}, report-only)",
+        napps,
+        FLEET_MESH_ROUNDS,
+        mesh.sends,
+        mesh.wall,
+        fmt_time(percentile(l, 50.0) as f64 * 1e-9),
+        fmt_time(percentile(l, 95.0) as f64 * 1e-9),
+        fmt_time(percentile(l, 99.0) as f64 * 1e-9),
+    );
     done.store(true, Ordering::SeqCst);
 
     let report = measured_fleet(napps);

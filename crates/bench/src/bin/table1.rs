@@ -4,14 +4,15 @@
 //! The Xt/Motif and original-Tk columns are the numbers published in the
 //! paper (they are data, not something we can re-measure). Our column is
 //! measured from this repository. Every `.rs` file under
-//! `crates/{tcl,tk,xsim,obs}/src` is classified into one row: a paper
-//! module (the intrinsics, the Tcl interpreter, the packer, and the three
-//! widget files — "in Tk a single file implements labels, buttons, check
-//! buttons, and radio buttons", which this reproduction preserves), a
-//! module the paper's Tk did not need (the simulated X server, later
-//! widgets), or infrastructure (transport, fault injection,
-//! observability). A file no rule claims is an error: the table counts the
-//! whole tree or it fails.
+//! `crates/{tcl,tk,xsim,obs,wish,bench}/src` is classified into one row: a
+//! paper module (the intrinsics, the Tcl interpreter, the packer, and the
+//! three widget files — "in Tk a single file implements labels, buttons,
+//! check buttons, and radio buttons", which this reproduction preserves),
+//! a module the paper's Tk did not need (the simulated X server, later
+//! widgets), or infrastructure and tools (transport, fault injection,
+//! observability, the `wish` shell, the benchmark and chaos harness). A
+//! file no rule claims is an error: the table counts the whole tree or it
+//! fails.
 //!
 //! Run with: `cargo run -p tk-bench --bin table1`
 
@@ -20,11 +21,11 @@ use std::path::{Path, PathBuf};
 use tk_bench::count_loc;
 
 /// The crates whose sources the table covers.
-const CRATES: [&str; 4] = ["tcl", "tk", "xsim", "obs"];
+const CRATES: [&str; 6] = ["tcl", "tk", "xsim", "obs", "wish", "bench"];
 
 /// Table rows in print order: name, then the Xt/Motif and Tk-1991 line
 /// counts the paper published (`None` where it has none).
-const ROWS: [(&str, Option<u32>, Option<u32>); 11] = [
+const ROWS: [(&str, Option<u32>, Option<u32>); 13] = [
     ("Intrinsics", Some(24900), Some(15100)),
     ("Tcl", None, Some(9300)),
     ("Geometry Manager", Some(2100), Some(1000)),
@@ -36,10 +37,12 @@ const ROWS: [(&str, Option<u32>, Option<u32>); 11] = [
     ("Transport", None, None),
     ("Fault injection", None, None),
     ("Observability", None, None),
+    ("Shell", None, None),
+    ("Harness", None, None),
 ];
 
 /// How many leading [`ROWS`] are the paper's modules; the next two are
-/// modules the paper's Tk did not need, the rest infrastructure.
+/// modules the paper's Tk did not need, the rest infrastructure and tools.
 const PAPER_ROWS: usize = 6;
 const INFRA_START: usize = 8;
 
@@ -48,6 +51,8 @@ const INFRA_START: usize = 8;
 const RULES: &[(&str, &str)] = &[
     ("tcl/", "Tcl"),
     ("obs/", "Observability"),
+    ("wish/", "Shell"),
+    ("bench/", "Harness"),
     ("tk/obs_cmd.rs", "Observability"),
     ("tk/pack.rs", "Geometry Manager"),
     ("tk/widget/button.rs", "Buttons"),
@@ -176,7 +181,9 @@ fn main() {
     for (i, &(name, _, _)) in ROWS.iter().enumerate().take(INFRA_START).skip(PAPER_ROWS) {
         line(name, "-".into(), "-".into(), sums[i]);
     }
-    println!("\nInfrastructure (transport, fault injection, observability):");
+    println!(
+        "\nInfrastructure and tools (transport, fault injection, observability, shell, harness):"
+    );
     for (i, &(name, _, _)) in ROWS.iter().enumerate().skip(INFRA_START) {
         line(name, "-".into(), "-".into(), sums[i]);
     }
@@ -224,6 +231,9 @@ mod tests {
         assert_eq!(row("xsim/wire.rs"), Some("Transport"));
         assert_eq!(row("xsim/fault.rs"), Some("Fault injection"));
         assert_eq!(row("xsim/damage.rs"), Some("X server (sim)"));
+        assert_eq!(row("wish/main.rs"), Some("Shell"));
+        assert_eq!(row("bench/chaos.rs"), Some("Harness"));
+        assert_eq!(row("bench/bin/table1.rs"), Some("Harness"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! `wire_scale` — thread-scaling measurement for the framed wire
-//! transport. N `TkEnv`s run on their own OS threads against one shared
-//! wire server (`Display::wire_handle` / `Display::from_wire`), each
+//! `wire_scale` — thread-scaling measurement for the shared transport.
+//! N `TkEnv`s run on their own OS threads against one shared server
+//! (`Display::wire_handle` / `Display::from_wire`), each
 //! evaluating a fixed Tcl + widget + redraw workload. Client-side work
 //! (parsing, substitution, layout, damage) runs in parallel on the app
 //! threads; protocol dispatch serializes on the shared server lock.
@@ -12,7 +12,7 @@
 //! of the table. Numbers land in EXPERIMENTS.md.
 //!
 //! Run with: `cargo run -p tk-bench --release --bin wire_scale`
-//! (requires the wire transport; unset `RTK_NO_WIRE`).
+//! (`RTK_NO_WIRE=1` measures the same threads with the codec off).
 
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -53,10 +53,7 @@ fn setup(env: &TkEnv, name: &str) -> TkApp {
 /// N apps on N OS threads, one shared wire server.
 fn run_threaded(n: usize) -> f64 {
     let env = TkEnv::new();
-    let handle = env
-        .display()
-        .wire_handle()
-        .expect("wire_scale needs the wire transport (unset RTK_NO_WIRE)");
+    let handle = env.display().wire_handle();
     // Registration rewrites the shared registry property
     // (read-modify-write, serialized by XGrabServer in real Tk).
     let startup = Arc::new(Mutex::new(()));

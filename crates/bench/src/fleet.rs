@@ -4,7 +4,7 @@
 //! Two complementary runners live here:
 //!
 //! * [`run_wire_mesh`] — the *threaded* stress harness. N `TkApp`s on N
-//!   OS threads over the framed wire transport, each sending to `fanout`
+//!   OS threads sharing one display's transport, each sending to `fanout`
 //!   ring neighbours every round while repainting its own UI. It proves
 //!   liveness (no deadlock — a watchdog aborts on a wedge), completion,
 //!   and per-sender event ordering at every receiver. Wall-clock
@@ -97,27 +97,21 @@ pub struct MeshReport {
     pub latencies_ns: Vec<u64>,
 }
 
-/// Runs the threaded send mesh against `env`'s display. Returns `None`
-/// when the wire transport is disabled (`RTK_NO_WIRE=1` forces the
-/// in-process oracle, which is single-threaded by design — nothing to
-/// stress). Panics on any ordering or completion violation.
+/// Runs the threaded send mesh against `env`'s display, with the codec
+/// on or off. Panics on any ordering or completion violation.
 ///
 /// Every send appends `sender:round` to the receiver's `log`; because
 /// `send` is synchronous, a sender's entries must land at each receiver
 /// in round order — that is exactly the per-client (per-connection)
 /// event-ordering guarantee, observed end-to-end through PropertyNotify
-/// events over the wire.
-pub fn run_wire_mesh(env: &TkEnv, cfg: &MeshConfig) -> Option<MeshReport> {
+/// events through the transport.
+pub fn run_wire_mesh(env: &TkEnv, cfg: &MeshConfig) -> MeshReport {
     assert!(cfg.apps >= 2, "a mesh needs at least two apps");
     assert!(
         cfg.fanout >= 1 && cfg.fanout < cfg.apps,
         "fanout must be in 1..apps"
     );
-    let display = env.display();
-    if !display.wire() {
-        return None;
-    }
-    let handle = display.wire_handle().expect("wire transport has a handle");
+    let handle = env.display().wire_handle();
     let start = Instant::now();
 
     let apps = cfg.apps;
@@ -231,11 +225,11 @@ pub fn run_wire_mesh(env: &TkEnv, cfg: &MeshConfig) -> Option<MeshReport> {
         .into_inner()
         .unwrap();
     latencies_ns.sort_unstable();
-    Some(MeshReport {
+    MeshReport {
         sends: (apps * cfg.fanout) as u64 * cfg.rounds,
         wall: start.elapsed(),
         latencies_ns,
-    })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -456,9 +450,8 @@ mod tests {
     #[test]
     fn mesh_smoke_runs_and_orders() {
         let env = TkEnv::new();
-        if let Some(report) = run_wire_mesh(&env, &MeshConfig::ring(3, 2)) {
-            assert_eq!(report.sends, 6);
-            assert_eq!(report.latencies_ns.len(), 6);
-        }
+        let report = run_wire_mesh(&env, &MeshConfig::ring(3, 2));
+        assert_eq!(report.sends, 6);
+        assert_eq!(report.latencies_ns.len(), 6);
     }
 }

@@ -549,6 +549,12 @@ fn wait_for_outcome(
                  (target alive but unresponsive)"
             )));
         }
+        // Give up the CPU before the clock moves on, the way a client
+        // blocked in select() would: a target on another thread needs
+        // the server lock to answer, and the lock is not fair to it. A
+        // bare yield is not enough: the target may be parked on the lock,
+        // not runnable, and only a real sleep leaves the lock free for it.
+        std::thread::sleep(std::time::Duration::from_micros(1));
         env.advance(WAIT_TICK_MS.min(deadline - now));
     }
 }

@@ -11,21 +11,20 @@
 //! travel back in one blocking wait. The counters power the Table II
 //! client/server split and the Section 3.3 cache-ablation experiment.
 //!
-//! Everything below the calling surface goes through a [`Transport`]:
-//! either the in-process path (the server behind a `RefCell`, kept as
-//! the semantics oracle under `RTK_NO_WIRE=1`) or the framed wire path
-//! (`crate::wire`), which encodes every request into length-prefixed
-//! byte frames and shares the server behind a mutex, so apps on several
-//! threads can drive one display. Both transports share the server's
-//! issue-time accounting, so counters, fault keying, and replies are
-//! byte-identical across them — see docs/PROTOCOL.md.
+//! Everything below the calling surface goes through one transport
+//! (`crate::wire`): the server behind a mutex, so apps on several
+//! threads can drive one display, with the codec on (the default, every
+//! request encoded into length-prefixed byte frames) or off (typed
+//! values, the semantics oracle under `RTK_NO_WIRE=1`). Issue-time
+//! accounting, the output buffer and the batch apply are shared, so
+//! counters, fault keying, and replies are byte-identical either way —
+//! see docs/PROTOCOL.md.
 //!
 //! [`flush`]: Connection::flush
 //! [`wait`]: Connection::wait
 
-use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
-use std::rc::Rc;
+use std::time::Instant;
 
 use crate::atom::Atom;
 use crate::color::Rgb;
@@ -37,266 +36,7 @@ use crate::ids::{ClientId, CursorId, FontId, GcId, Pixel, WindowId, Xid};
 use crate::obs::{ClientObs, RequestKind, TraceEntry, WireStats};
 use crate::render::Surface;
 use crate::server::{ClientStats, QueuedRequest, ReplyValue, Server, SyncReply, SyncRequest};
-use crate::wire::{WireHandle, WireTransport};
-
-/// What redeeming a cookie produced at the transport level.
-pub(crate) enum WaitReply {
-    /// A reply (or stored error) was filed under the sequence number.
-    Reply(ReplyValue),
-    /// No reply exists; `alive` distinguishes a dead connection from a
-    /// double redeem.
-    NoReply { alive: bool },
-}
-
-/// The transport boundary between the Xlib-shaped calling surface and
-/// the server. Object-safe on purpose: a [`Display`] holds a
-/// `Rc<dyn Transport>` and swaps implementations with
-/// [`Display::set_wire`]. Closure-taking methods use `&mut dyn FnMut`
-/// so both the `RefCell` path and the mutex-guarded wire path can run
-/// them against `&mut Server`.
-pub(crate) trait Transport {
-    fn connect(&self) -> ClientId;
-    fn is_wire(&self) -> bool;
-    fn wire_handle(&self) -> Option<WireHandle> {
-        None
-    }
-    /// Runs `f` against the server WITHOUT flushing (internal state
-    /// inspection that must not disturb the buffered transport).
-    fn peek(&self, f: &mut dyn FnMut(&mut Server));
-    /// Flushes every client's output buffer, then runs `f` — the "user
-    /// observes the display" path.
-    fn sync(&self, f: &mut dyn FnMut(&mut Server));
-    fn flush_client(&self, client: ClientId);
-    fn set_batching(&self, on: bool);
-    fn reset_obs(&self, client: ClientId);
-    /// Reconfigures the sync-watchdog deadline (ms). The in-process
-    /// oracle takes no dispatch stalls, so the default is a no-op.
-    fn set_wire_deadline(&self, _ms: u64) {}
-    /// The client's position on the byte-fault timeline: how many frames
-    /// it has encoded onto the wire (the per-client index [`FaultPlan`]
-    /// byte faults key on). Always 0 on the in-process oracle, which
-    /// ships no frames.
-    fn frame_timeline(&self, _client: ClientId) -> u64 {
-        0
-    }
-    fn one_way(&self, client: ClientId, kind: RequestKind, window: WindowId, q: QueuedRequest);
-    fn pipelined(
-        &self,
-        client: ClientId,
-        kind: RequestKind,
-        window: WindowId,
-        make: &mut dyn FnMut(u64) -> QueuedRequest,
-    ) -> u64;
-    fn round_trip(&self, client: ClientId, req: SyncRequest) -> Result<SyncReply, XError>;
-    #[allow(clippy::too_many_arguments)]
-    fn create_window(
-        &self,
-        client: ClientId,
-        parent: WindowId,
-        x: i32,
-        y: i32,
-        width: u32,
-        height: u32,
-        border_width: u32,
-    ) -> Result<WindowId, XError>;
-    fn create_gc(&self, client: ClientId, values: GcValues) -> GcId;
-    fn create_bitmap(
-        &self,
-        client: ClientId,
-        bitmap: crate::bitmap::Bitmap,
-    ) -> crate::bitmap::BitmapId;
-    fn wait_reply(&self, client: ClientId, seq: u64) -> WaitReply;
-    fn poll_event(&self, client: ClientId) -> Option<Event>;
-    fn pending(&self, client: ClientId) -> usize;
-}
-
-/// The in-process transport: the server lives behind a `RefCell` on this
-/// thread and every call is a direct function call. This is the
-/// semantics oracle the wire transport is differentially tested against.
-pub(crate) struct LocalTransport {
-    server: Rc<RefCell<Server>>,
-}
-
-impl LocalTransport {
-    fn new() -> LocalTransport {
-        LocalTransport {
-            server: Rc::new(RefCell::new(Server::new())),
-        }
-    }
-}
-
-impl Transport for LocalTransport {
-    fn connect(&self) -> ClientId {
-        self.server.borrow_mut().connect()
-    }
-
-    fn is_wire(&self) -> bool {
-        false
-    }
-
-    fn peek(&self, f: &mut dyn FnMut(&mut Server)) {
-        f(&mut self.server.borrow_mut());
-    }
-
-    fn sync(&self, f: &mut dyn FnMut(&mut Server)) {
-        let mut s = self.server.borrow_mut();
-        // The observation path drains quota-deferred work too: the user
-        // always sees the effect of every request already issued.
-        s.drain_all();
-        f(&mut s);
-    }
-
-    fn flush_client(&self, client: ClientId) {
-        self.server.borrow_mut().flush_client(client);
-    }
-
-    fn set_batching(&self, on: bool) {
-        self.server.borrow_mut().set_batching(on);
-    }
-
-    fn reset_obs(&self, client: ClientId) {
-        self.server.borrow_mut().reset_client_stats(client);
-    }
-
-    fn one_way(&self, client: ClientId, kind: RequestKind, window: WindowId, q: QueuedRequest) {
-        let mut s = self.server.borrow_mut();
-        if !s.is_alive(client) {
-            return;
-        }
-        let seq = s.next_seq(client);
-        s.enqueue_request(client, kind, false, window, seq, Some(q));
-    }
-
-    fn pipelined(
-        &self,
-        client: ClientId,
-        kind: RequestKind,
-        window: WindowId,
-        make: &mut dyn FnMut(u64) -> QueuedRequest,
-    ) -> u64 {
-        let mut s = self.server.borrow_mut();
-        let seq = s.next_seq(client);
-        if s.is_alive(client) {
-            let q = make(seq);
-            s.enqueue_request(client, kind, true, window, seq, Some(q));
-        }
-        seq
-    }
-
-    fn round_trip(&self, client: ClientId, req: SyncRequest) -> Result<SyncReply, XError> {
-        self.server.borrow_mut().execute_round_trip(client, &req)
-    }
-
-    fn create_window(
-        &self,
-        client: ClientId,
-        parent: WindowId,
-        x: i32,
-        y: i32,
-        width: u32,
-        height: u32,
-        border_width: u32,
-    ) -> Result<WindowId, XError> {
-        let mut s = self.server.borrow_mut();
-        if !s.is_alive(client) {
-            return Err(XError::dead(0));
-        }
-        let seq = s.next_seq(client);
-        if !s.window_exists_or_pending(parent) {
-            // Still counted (the server would answer with an error); no
-            // id is handed out and nothing is queued.
-            s.enqueue_request(client, RequestKind::CreateWindow, false, parent, seq, None);
-            return Err(XError {
-                code: XErrorCode::BadWindow,
-                seq,
-                kind: Some(RequestKind::CreateWindow),
-            });
-        }
-        let id = s.reserve_window_id();
-        s.enqueue_request(
-            client,
-            RequestKind::CreateWindow,
-            false,
-            parent,
-            seq,
-            Some(QueuedRequest::CreateWindow {
-                id,
-                parent,
-                x,
-                y,
-                width,
-                height,
-                border_width,
-            }),
-        );
-        Ok(id)
-    }
-
-    fn create_gc(&self, client: ClientId, values: GcValues) -> GcId {
-        let mut s = self.server.borrow_mut();
-        let id = s.gcs.reserve();
-        if !s.is_alive(client) {
-            return id;
-        }
-        let seq = s.next_seq(client);
-        s.enqueue_request(
-            client,
-            RequestKind::CreateGc,
-            false,
-            Xid::NONE,
-            seq,
-            Some(QueuedRequest::CreateGc { id, values }),
-        );
-        id
-    }
-
-    fn create_bitmap(
-        &self,
-        client: ClientId,
-        bitmap: crate::bitmap::Bitmap,
-    ) -> crate::bitmap::BitmapId {
-        let mut s = self.server.borrow_mut();
-        let id = s.bitmaps.reserve();
-        if !s.is_alive(client) {
-            return id;
-        }
-        let seq = s.next_seq(client);
-        s.enqueue_request(
-            client,
-            RequestKind::CreateBitmap,
-            false,
-            Xid::NONE,
-            seq,
-            Some(QueuedRequest::CreateBitmap { id, bitmap }),
-        );
-        id
-    }
-
-    fn wait_reply(&self, client: ClientId, seq: u64) -> WaitReply {
-        let mut s = self.server.borrow_mut();
-        if !s.has_reply(client, seq) {
-            s.flush_all();
-        }
-        match s.take_reply(client, seq) {
-            Some(v) => WaitReply::Reply(v),
-            None => WaitReply::NoReply {
-                alive: s.is_alive(client),
-            },
-        }
-    }
-
-    fn poll_event(&self, client: ClientId) -> Option<Event> {
-        let mut s = self.server.borrow_mut();
-        s.flush_all();
-        s.poll_event(client)
-    }
-
-    fn pending(&self, client: ClientId) -> usize {
-        let mut s = self.server.borrow_mut();
-        s.flush_all();
-        s.pending(client)
-    }
-}
+use crate::wire::{Answer, Control, State, Transport, WireHandle};
 
 /// A simulated display: the shared server plus a factory for connections.
 ///
@@ -306,14 +46,12 @@ impl Transport for LocalTransport {
 /// synthesis) first flushes all clients' output buffers, so the "user"
 /// always sees the effect of every request already issued.
 ///
-/// The display speaks the framed wire protocol by default (the server
-/// behind a mutex that several threads may share); set `RTK_NO_WIRE=1`
-/// or call [`Display::set_wire`] before the first connection to use the
-/// in-process oracle instead.
+/// The display speaks the framed wire protocol by default; set
+/// `RTK_NO_WIRE=1` or call [`Display::set_wire`] before the first
+/// connection to turn the codec off and run the in-process oracle.
 #[derive(Clone)]
 pub struct Display {
-    transport: Rc<RefCell<Rc<dyn Transport>>>,
-    connected: Rc<Cell<bool>>,
+    transport: Transport,
 }
 
 impl Default for Display {
@@ -326,99 +64,75 @@ fn wire_default() -> bool {
     std::env::var("RTK_NO_WIRE").map_or(true, |v| v.is_empty() || v == "0")
 }
 
-fn make_transport(wire: bool) -> Rc<dyn Transport> {
-    if wire {
-        Rc::new(WireTransport::new())
-    } else {
-        Rc::new(LocalTransport::new())
-    }
-}
-
 impl Display {
     /// Opens a fresh simulated display.
     pub fn new() -> Display {
         Display {
-            transport: Rc::new(RefCell::new(make_transport(wire_default()))),
-            connected: Rc::new(Cell::new(false)),
+            transport: Transport::new(wire_default()),
         }
     }
 
-    /// Builds a display handle attached to an existing wire
-    /// server (from [`Display::wire_handle`] on another thread). Each
-    /// thread builds its own `Display` this way; the server and all
-    /// protocol state are shared.
+    /// Builds a display handle attached to an existing server (from
+    /// [`Display::wire_handle`] on another thread). Each thread builds its
+    /// own `Display` this way; the server and all protocol state are
+    /// shared.
     pub fn from_wire(handle: &WireHandle) -> Display {
-        let t: Rc<dyn Transport> = Rc::new(WireTransport::from_handle(handle));
         Display {
-            transport: Rc::new(RefCell::new(t)),
-            connected: Rc::new(Cell::new(false)),
+            transport: handle.clone(),
         }
     }
 
-    /// Is this display using the framed wire transport?
+    /// Is this display's codec on (the framed wire protocol)?
     pub fn wire(&self) -> bool {
-        self.transport.borrow().is_wire()
+        self.transport.lock().codec
     }
 
-    /// Selects the transport: `true` for the framed wire path, `false`
-    /// for the in-process oracle. Must be called before the first
-    /// connection (the existing server is discarded).
+    /// Turns the codec on (`true`, the framed wire protocol) or off
+    /// (`false`, the in-process oracle). Must be called before the first
+    /// connection.
     pub fn set_wire(&self, wire: bool) {
-        if wire == self.wire() {
-            return;
-        }
+        let mut st = self.transport.lock();
         assert!(
-            !self.connected.get(),
+            !st.server.has_clients(),
             "Display::set_wire must be called before the first connection"
         );
-        *self.transport.borrow_mut() = make_transport(wire);
+        st.codec = wire;
     }
 
-    /// A `Send + Sync` handle to the wire server, for sharing one
-    /// display across threads. `None` on the in-process transport.
-    pub fn wire_handle(&self) -> Option<WireHandle> {
-        self.transport.borrow().wire_handle()
-    }
-
-    fn transport(&self) -> Rc<dyn Transport> {
-        self.transport.borrow().clone()
+    /// A `Send + Sync` handle to this display's transport, for sharing
+    /// one display across threads.
+    pub fn wire_handle(&self) -> WireHandle {
+        self.transport.clone()
     }
 
     /// Connects a new client.
     pub fn connect(&self) -> Connection {
-        self.connected.set(true);
-        let transport = self.transport();
-        let client = transport.connect();
-        Connection { transport, client }
+        let client = self.transport.lock().server.connect();
+        Connection {
+            transport: self.transport.clone(),
+            client,
+        }
     }
 
     /// Reconfigures the wire sync-watchdog deadline, in milliseconds of
     /// virtual time (default `wire::DEFAULT_WIRE_DEADLINE_MS`; chaos
-    /// harnesses shrink it so injected stalls trip it). No-op on the
-    /// in-process oracle transport.
+    /// harnesses shrink it so injected stalls trip it). Only the codec
+    /// ships frames that can stall.
     pub fn set_wire_deadline(&self, ms: u64) {
-        self.transport().set_wire_deadline(ms);
+        self.transport.lock().deadline_ms = ms.max(1);
     }
 
     /// Runs `f` with direct access to the server (test assertions,
     /// compositing, statistics). Pending output buffers are flushed first.
     pub fn with_server<R>(&self, f: impl FnOnce(&mut Server) -> R) -> R {
-        let mut f = Some(f);
-        let mut out = None;
-        self.transport()
-            .sync(&mut |s| out = Some(f.take().expect("sync closure runs once")(s)));
-        out.expect("transport sync must run the closure")
+        self.transport.observe(f)
     }
 
     /// Runs `f` with direct access to the server WITHOUT flushing —
     /// for tests that assert on what has (not) reached the server yet.
     #[doc(hidden)]
     pub fn peek_server<R>(&self, f: impl FnOnce(&mut Server) -> R) -> R {
-        let mut f = Some(f);
-        let mut out = None;
-        self.transport()
-            .peek(&mut |s| out = Some(f.take().expect("peek closure runs once")(s)));
-        out.expect("transport peek must run the closure")
+        f(&mut self.transport.lock().server)
     }
 
     /// Composites the current screen contents (after flushing).
@@ -563,7 +277,7 @@ impl FromReply for Option<Geometry> {
 /// One client's connection to the display.
 #[derive(Clone)]
 pub struct Connection {
-    transport: Rc<dyn Transport>,
+    transport: Transport,
     client: ClientId,
 }
 
@@ -575,11 +289,12 @@ impl Connection {
 
     /// Runs `f` against the server without flushing.
     fn peek<R>(&self, f: impl FnOnce(&mut Server) -> R) -> R {
-        let mut f = Some(f);
-        let mut out = None;
-        self.transport
-            .peek(&mut |s| out = Some(f.take().expect("peek closure runs once")(s)));
-        out.expect("transport peek must run the closure")
+        f(&mut self.transport.lock().server)
+    }
+
+    /// Runs one control message for this client through the transport.
+    fn control(&self, ctl: Control) -> Answer {
+        self.transport.lock().control(self.client, ctl)
     }
 
     /// The root window.
@@ -603,7 +318,7 @@ impl Connection {
     }
 
     /// Snapshot of this client's wire-transport frame/byte counters.
-    /// All zero under the in-process oracle transport (`RTK_NO_WIRE=1`),
+    /// All zero with the codec off (`RTK_NO_WIRE=1`),
     /// so callers can tell from the counters alone whether any traffic
     /// actually crossed the framed byte transport.
     pub fn wire_stats(&self) -> WireStats {
@@ -612,19 +327,18 @@ impl Connection {
 
     /// This client's byte-fault timeline position: how many frames it
     /// has encoded onto the wire so far (the per-client index that
-    /// [`FaultPlan`] byte faults key on). 0 on the in-process oracle.
+    /// [`FaultPlan`] byte faults key on). 0 with the codec off.
     /// Chaos harnesses use it to drive the timeline past a plan's last
     /// plotted fault before auditing.
     pub fn wire_frame_timeline(&self) -> u64 {
-        self.transport.frame_timeline(self.client)
+        let st = self.transport.lock();
+        st.frame_seq.get(&self.client.0).copied().unwrap_or(0)
     }
 
     /// Flushes this client's pending requests, then runs the server's
     /// post-run resource-leak audit ([`Server::audit`]). Empty = clean.
     pub fn audit(&self) -> Vec<String> {
-        let mut out = None;
-        self.transport.sync(&mut |s| out = Some(s.audit()));
-        out.expect("transport sync must run the closure")
+        self.transport.observe(|s| s.audit())
     }
 
     /// Per-request-kind counts, non-zero kinds only.
@@ -675,7 +389,9 @@ impl Connection {
     /// buffer is flushed first so the reset is an exact epoch boundary.
     /// An attached span tracer starts a new epoch at the same boundary.
     pub fn reset_obs(&self) {
-        self.transport.reset_obs(self.client);
+        let mut st = self.transport.lock();
+        self.flush_in(&mut st);
+        st.server.reset_client_stats(self.client);
     }
 
     /// Attaches a span tracer to this connection: flush batches, event
@@ -697,7 +413,13 @@ impl Connection {
 
     /// Flushes this connection's output buffer (Xlib's `XFlush`).
     pub fn flush(&self) {
-        self.transport.flush_client(self.client);
+        self.flush_in(&mut self.transport.lock());
+    }
+
+    fn flush_in(&self, st: &mut State) {
+        if st.server.buffered(self.client) > 0 {
+            st.control(self.client, Control::Flush);
+        }
     }
 
     /// Is output buffering enabled on the shared display?
@@ -709,7 +431,12 @@ impl Connection {
     /// `RTK_NO_BATCH` env var sets the initial state). Turning it off
     /// flushes pending buffers and reproduces the synchronous transport.
     pub fn set_batching(&self, on: bool) {
-        self.transport.set_batching(on);
+        let mut st = self.transport.lock();
+        if !on {
+            // Turning batching off is a flush point for everyone.
+            st.control(ClientId(0), Control::FlushAll);
+        }
+        st.server.set_batching(on);
     }
 
     /// The last request sequence number this connection was assigned
@@ -729,24 +456,24 @@ impl Connection {
 
     /// Queues a one-way request in the output buffer, accounting for it
     /// at issue time. On a dead connection the request is discarded.
-    fn one_way(&self, kind: RequestKind, window: WindowId, q: QueuedRequest) {
-        self.transport.one_way(self.client, kind, window, q);
+    fn one_way(&self, window: WindowId, q: QueuedRequest) {
+        let mut st = self.transport.lock();
+        if st.server.is_alive(self.client) {
+            let seq = st.server.next_seq(self.client);
+            st.issue(self.client, window, seq, q);
+        }
     }
 
     /// Queues a pipelined reply-bearing request; the returned sequence
     /// number is the cookie's claim ticket. On a dead connection nothing
     /// is queued and redeeming the cookie reports the death.
-    fn pipelined(
-        &self,
-        kind: RequestKind,
-        window: WindowId,
-        make: impl FnOnce(u64) -> QueuedRequest,
-    ) -> u64 {
-        let mut make = Some(make);
-        self.transport
-            .pipelined(self.client, kind, window, &mut |seq| {
-                make.take().expect("pipelined make runs once")(seq)
-            })
+    fn pipelined(&self, window: WindowId, make: impl FnOnce(u64) -> QueuedRequest) -> u64 {
+        let mut st = self.transport.lock();
+        let seq = st.server.next_seq(self.client);
+        if st.server.is_alive(self.client) {
+            st.issue(self.client, window, seq, make(seq));
+        }
+        seq
     }
 
     /// Runs a synchronous reply-bearing request through the transport:
@@ -754,7 +481,10 @@ impl Connection {
     /// definition, already written out its queue), then the server
     /// executes and records the request.
     fn round_trip(&self, req: SyncRequest) -> Result<SyncReply, XError> {
-        self.transport.round_trip(self.client, req)
+        match self.control(Control::Sync(req)) {
+            Answer::Sync(r) => r,
+            _ => Err(XError::dead(0)),
+        }
     }
 
     /// Redeems a cookie: blocks (flushes) if the reply has not already
@@ -762,15 +492,15 @@ impl Connection {
     /// the pipelined request — or the connection dying before the reply
     /// traveled back — surfaces here, where Xlib would deliver it.
     pub fn wait<T: FromReply>(&self, cookie: Cookie<T>) -> Result<T, XError> {
-        match self.transport.wait_reply(self.client, cookie.seq) {
-            WaitReply::Reply(ReplyValue::Error(e)) => Err(e),
-            WaitReply::Reply(v) => {
+        match self.control(Control::TakeReply(cookie.seq)) {
+            Answer::Reply(ReplyValue::Error(e)) => Err(e),
+            Answer::Reply(v) => {
                 Ok(T::from_reply(v).expect("reply payload does not match cookie type"))
             }
-            WaitReply::NoReply { alive: false } => Err(XError::dead(cookie.seq)),
-            WaitReply::NoReply { alive: true } => {
+            Answer::NoReply { alive: true } => {
                 panic!("no reply filed for cookie (double wait?)")
             }
+            _ => Err(XError::dead(cookie.seq)),
         }
     }
 
@@ -788,11 +518,9 @@ impl Connection {
 
     /// Interns an atom without blocking (pipelined).
     pub fn send_intern_atom(&self, name: &str) -> Cookie<Atom> {
-        Cookie::new(self.pipelined(RequestKind::InternAtom, Xid::NONE, |seq| {
-            QueuedRequest::InternAtom {
-                seq,
-                name: name.to_string(),
-            }
+        Cookie::new(self.pipelined(Xid::NONE, |seq| QueuedRequest::InternAtom {
+            seq,
+            name: name.to_string(),
         }))
     }
 
@@ -819,31 +547,50 @@ impl Connection {
         height: u32,
         border_width: u32,
     ) -> Result<WindowId, XError> {
-        self.transport
-            .create_window(self.client, parent, x, y, width, height, border_width)
+        let mut st = self.transport.lock();
+        if !st.server.is_alive(self.client) {
+            return Err(XError::dead(0));
+        }
+        let seq = st.server.next_seq(self.client);
+        if !st.server.window_exists_or_pending(parent) {
+            // Still counted (the server would answer with an error); no
+            // id is handed out and nothing is queued.
+            let kind = RequestKind::CreateWindow;
+            st.server
+                .note_issue(self.client, kind, false, parent, seq, Instant::now());
+            return Err(XError {
+                code: XErrorCode::BadWindow,
+                seq,
+                kind: Some(kind),
+            });
+        }
+        let id = st.server.reserve_window_id();
+        let q = QueuedRequest::CreateWindow {
+            id,
+            parent,
+            x,
+            y,
+            width,
+            height,
+            border_width,
+        };
+        st.issue(self.client, parent, seq, q);
+        Ok(id)
     }
 
     /// Destroys a window and its descendants.
     pub fn destroy_window(&self, id: WindowId) {
-        self.one_way(
-            RequestKind::DestroyWindow,
-            id,
-            QueuedRequest::DestroyWindow { id },
-        );
+        self.one_way(id, QueuedRequest::DestroyWindow { id });
     }
 
     /// Maps a window.
     pub fn map_window(&self, id: WindowId) {
-        self.one_way(RequestKind::MapWindow, id, QueuedRequest::MapWindow { id });
+        self.one_way(id, QueuedRequest::MapWindow { id });
     }
 
     /// Unmaps a window.
     pub fn unmap_window(&self, id: WindowId) {
-        self.one_way(
-            RequestKind::UnmapWindow,
-            id,
-            QueuedRequest::UnmapWindow { id },
-        );
+        self.one_way(id, QueuedRequest::UnmapWindow { id });
     }
 
     /// Moves/resizes a window.
@@ -857,7 +604,6 @@ impl Connection {
         border_width: Option<u32>,
     ) {
         self.one_way(
-            RequestKind::ConfigureWindow,
             id,
             QueuedRequest::ConfigureWindow {
                 id,
@@ -872,17 +618,12 @@ impl Connection {
 
     /// Raises a window above its siblings.
     pub fn raise_window(&self, id: WindowId) {
-        self.one_way(
-            RequestKind::RaiseWindow,
-            id,
-            QueuedRequest::RaiseWindow { id },
-        );
+        self.one_way(id, QueuedRequest::RaiseWindow { id });
     }
 
     /// Reparents a window to a new parent at the given position.
     pub fn reparent_window(&self, id: WindowId, new_parent: WindowId, x: i32, y: i32) {
         self.one_way(
-            RequestKind::ReparentWindow,
             id,
             QueuedRequest::ReparentWindow {
                 id,
@@ -895,47 +636,27 @@ impl Connection {
 
     /// Selects the events this client wants from a window.
     pub fn select_input(&self, id: WindowId, event_mask: u32) {
-        self.one_way(
-            RequestKind::SelectInput,
-            id,
-            QueuedRequest::SelectInput { id, event_mask },
-        );
+        self.one_way(id, QueuedRequest::SelectInput { id, event_mask });
     }
 
     /// Sets the window background pixel.
     pub fn set_window_background(&self, id: WindowId, pixel: Pixel) {
-        self.one_way(
-            RequestKind::ChangeWindowAttributes,
-            id,
-            QueuedRequest::SetWindowBackground { id, pixel },
-        );
+        self.one_way(id, QueuedRequest::SetWindowBackground { id, pixel });
     }
 
     /// Sets the window border pixel.
     pub fn set_window_border(&self, id: WindowId, pixel: Pixel) {
-        self.one_way(
-            RequestKind::ChangeWindowAttributes,
-            id,
-            QueuedRequest::SetWindowBorder { id, pixel },
-        );
+        self.one_way(id, QueuedRequest::SetWindowBorder { id, pixel });
     }
 
     /// Marks a window override-redirect (popup menus).
     pub fn set_override_redirect(&self, id: WindowId, on: bool) {
-        self.one_way(
-            RequestKind::ChangeWindowAttributes,
-            id,
-            QueuedRequest::SetOverrideRedirect { id, on },
-        );
+        self.one_way(id, QueuedRequest::SetOverrideRedirect { id, on });
     }
 
     /// Attaches a cursor to a window.
     pub fn define_cursor(&self, id: WindowId, cursor: CursorId) {
-        self.one_way(
-            RequestKind::ChangeWindowAttributes,
-            id,
-            QueuedRequest::DefineCursor { id, cursor },
-        );
+        self.one_way(id, QueuedRequest::DefineCursor { id, cursor });
     }
 
     /// Queries parent and children (round trip).
@@ -956,9 +677,7 @@ impl Connection {
 
     /// Queries geometry without blocking (pipelined).
     pub fn send_get_geometry(&self, id: WindowId) -> Cookie<Option<Geometry>> {
-        Cookie::new(self.pipelined(RequestKind::GetGeometry, id, |seq| {
-            QueuedRequest::GetGeometry { seq, id }
-        }))
+        Cookie::new(self.pipelined(id, |seq| QueuedRequest::GetGeometry { seq, id }))
     }
 
     /// Is the window viewable? (round trip)
@@ -974,7 +693,6 @@ impl Connection {
     /// Sets a property.
     pub fn change_property(&self, id: WindowId, atom: Atom, value: &str) {
         self.one_way(
-            RequestKind::ChangeProperty,
             id,
             QueuedRequest::ChangeProperty {
                 id,
@@ -990,7 +708,6 @@ impl Connection {
     /// several clients append to the same property.
     pub fn append_property(&self, id: WindowId, atom: Atom, value: &str) {
         self.one_way(
-            RequestKind::ChangeProperty,
             id,
             QueuedRequest::AppendProperty {
                 id,
@@ -1021,18 +738,12 @@ impl Connection {
 
     /// Reads a property without blocking (pipelined).
     pub fn send_get_property(&self, id: WindowId, atom: Atom) -> Cookie<Option<String>> {
-        Cookie::new(self.pipelined(RequestKind::GetProperty, id, |seq| {
-            QueuedRequest::GetProperty { seq, id, atom }
-        }))
+        Cookie::new(self.pipelined(id, |seq| QueuedRequest::GetProperty { seq, id, atom }))
     }
 
     /// Deletes a property.
     pub fn delete_property(&self, id: WindowId, atom: Atom) {
-        self.one_way(
-            RequestKind::DeleteProperty,
-            id,
-            QueuedRequest::DeleteProperty { id, atom },
-        );
+        self.one_way(id, QueuedRequest::DeleteProperty { id, atom });
     }
 
     // --- colors, fonts, cursors, GCs ---
@@ -1049,12 +760,12 @@ impl Connection {
 
     /// Allocates a named color without blocking (pipelined).
     pub fn send_alloc_named_color(&self, name: &str) -> Cookie<Option<(Pixel, Rgb)>> {
-        Cookie::new(self.pipelined(RequestKind::AllocColor, Xid::NONE, |seq| {
-            QueuedRequest::AllocNamedColor {
+        Cookie::new(
+            self.pipelined(Xid::NONE, |seq| QueuedRequest::AllocNamedColor {
                 seq,
                 name: name.to_string(),
-            }
-        }))
+            }),
+        )
     }
 
     /// Allocates an RGB color (round trip).
@@ -1067,18 +778,12 @@ impl Connection {
 
     /// Allocates an RGB color without blocking (pipelined).
     pub fn send_alloc_color(&self, rgb: Rgb) -> Cookie<Pixel> {
-        Cookie::new(self.pipelined(RequestKind::AllocColor, Xid::NONE, |seq| {
-            QueuedRequest::AllocColor { seq, rgb }
-        }))
+        Cookie::new(self.pipelined(Xid::NONE, |seq| QueuedRequest::AllocColor { seq, rgb }))
     }
 
     /// Frees one reference to a pixel.
     pub fn free_color(&self, pixel: Pixel) {
-        self.one_way(
-            RequestKind::FreeColor,
-            Xid::NONE,
-            QueuedRequest::FreeColor { pixel },
-        );
+        self.one_way(Xid::NONE, QueuedRequest::FreeColor { pixel });
     }
 
     /// Looks up the RGB stored in a pixel (round trip).
@@ -1120,16 +825,14 @@ impl Connection {
     /// Uploads a bitmap to the server. The id is allocated client-side;
     /// the upload itself is buffered.
     pub fn create_bitmap(&self, bitmap: crate::bitmap::Bitmap) -> crate::bitmap::BitmapId {
-        self.transport.create_bitmap(self.client, bitmap)
+        let id = self.peek(|s| s.bitmaps.reserve());
+        self.one_way(Xid::NONE, QueuedRequest::CreateBitmap { id, bitmap });
+        id
     }
 
     /// Frees a bitmap.
     pub fn free_bitmap(&self, id: crate::bitmap::BitmapId) {
-        self.one_way(
-            RequestKind::FreeBitmap,
-            Xid::NONE,
-            QueuedRequest::FreeBitmap { id },
-        );
+        self.one_way(Xid::NONE, QueuedRequest::FreeBitmap { id });
     }
 
     /// Dimensions of an uploaded bitmap (round trip).
@@ -1150,7 +853,6 @@ impl Connection {
         bitmap: crate::bitmap::BitmapId,
     ) {
         self.one_way(
-            RequestKind::CopyBitmap,
             id,
             QueuedRequest::CopyBitmap {
                 id,
@@ -1165,47 +867,36 @@ impl Connection {
     /// Creates a GC. The id is allocated client-side; the CreateGc itself
     /// is buffered.
     pub fn create_gc(&self, values: GcValues) -> GcId {
-        self.transport.create_gc(self.client, values)
+        let id = self.peek(|s| s.gcs.reserve());
+        self.one_way(Xid::NONE, QueuedRequest::CreateGc { id, values });
+        id
     }
 
     /// Changes a GC.
     pub fn change_gc(&self, gc: GcId, values: GcValues) {
-        self.one_way(
-            RequestKind::ChangeGc,
-            Xid::NONE,
-            QueuedRequest::ChangeGc { gc, values },
-        );
+        self.one_way(Xid::NONE, QueuedRequest::ChangeGc { gc, values });
     }
 
     /// Frees a GC.
     pub fn free_gc(&self, gc: GcId) {
-        self.one_way(RequestKind::FreeGc, Xid::NONE, QueuedRequest::FreeGc { gc });
+        self.one_way(Xid::NONE, QueuedRequest::FreeGc { gc });
     }
 
     // --- drawing ---
 
     /// Fills a rectangle in window coordinates.
     pub fn fill_rectangle(&self, id: WindowId, gc: GcId, x: i32, y: i32, w: u32, h: u32) {
-        self.one_way(
-            RequestKind::FillRectangle,
-            id,
-            QueuedRequest::FillRectangle { id, gc, x, y, w, h },
-        );
+        self.one_way(id, QueuedRequest::FillRectangle { id, gc, x, y, w, h });
     }
 
     /// Draws a rectangle outline.
     pub fn draw_rectangle(&self, id: WindowId, gc: GcId, x: i32, y: i32, w: u32, h: u32) {
-        self.one_way(
-            RequestKind::DrawRectangle,
-            id,
-            QueuedRequest::DrawRectangle { id, gc, x, y, w, h },
-        );
+        self.one_way(id, QueuedRequest::DrawRectangle { id, gc, x, y, w, h });
     }
 
     /// Draws a line.
     pub fn draw_line(&self, id: WindowId, gc: GcId, x0: i32, y0: i32, x1: i32, y1: i32) {
         self.one_way(
-            RequestKind::DrawLine,
             id,
             QueuedRequest::DrawLine {
                 id,
@@ -1221,7 +912,6 @@ impl Connection {
     /// Draws a string, baseline at `(x, y)`.
     pub fn draw_string(&self, id: WindowId, gc: GcId, x: i32, y: i32, text: &str) {
         self.one_way(
-            RequestKind::DrawString,
             id,
             QueuedRequest::DrawString {
                 id,
@@ -1235,11 +925,7 @@ impl Connection {
 
     /// Clears an area to the window background (0 size = whole window).
     pub fn clear_area(&self, id: WindowId, x: i32, y: i32, w: u32, h: u32) {
-        self.one_way(
-            RequestKind::ClearArea,
-            id,
-            QueuedRequest::ClearArea { id, x, y, w, h },
-        );
+        self.one_way(id, QueuedRequest::ClearArea { id, x, y, w, h });
     }
 
     /// Installs a clip-rectangle list on a window: subsequent drawing
@@ -1247,16 +933,12 @@ impl Connection {
     /// unclipped (X's "no clip mask"), so redraw code can send the same
     /// request stream whether or not it has damage to narrow to.
     pub fn set_clip(&self, id: WindowId, rects: Vec<crate::damage::Rect>) {
-        self.one_way(
-            RequestKind::SetClip,
-            id,
-            QueuedRequest::SetClip { id, rects },
-        );
+        self.one_way(id, QueuedRequest::SetClip { id, rects });
     }
 
     /// Removes the clip installed by [`Connection::set_clip`].
     pub fn clear_clip(&self, id: WindowId) {
-        self.one_way(RequestKind::ClearClip, id, QueuedRequest::ClearClip { id });
+        self.one_way(id, QueuedRequest::ClearClip { id });
     }
 
     /// Copies a region within one window (XCopyArea, same drawable as
@@ -1274,7 +956,6 @@ impl Connection {
         dst_y: i32,
     ) {
         self.one_way(
-            RequestKind::CopyArea,
             id,
             QueuedRequest::CopyArea {
                 id,
@@ -1292,11 +973,7 @@ impl Connection {
 
     /// Claims selection ownership.
     pub fn set_selection_owner(&self, selection: Atom, owner: WindowId) {
-        self.one_way(
-            RequestKind::SetSelectionOwner,
-            owner,
-            QueuedRequest::SetSelectionOwner { selection, owner },
-        );
+        self.one_way(owner, QueuedRequest::SetSelectionOwner { selection, owner });
     }
 
     /// Queries the selection owner (round trip).
@@ -1316,7 +993,6 @@ impl Connection {
         property: Atom,
     ) {
         self.one_way(
-            RequestKind::ConvertSelection,
             requestor,
             QueuedRequest::ConvertSelection {
                 requestor,
@@ -1336,7 +1012,6 @@ impl Connection {
         property: Atom,
     ) {
         self.one_way(
-            RequestKind::SendEvent,
             requestor,
             QueuedRequest::SendSelectionNotify {
                 requestor,
@@ -1351,11 +1026,7 @@ impl Connection {
 
     /// Assigns the input focus.
     pub fn set_input_focus(&self, id: WindowId) {
-        self.one_way(
-            RequestKind::SetInputFocus,
-            id,
-            QueuedRequest::SetInputFocus { id },
-        );
+        self.one_way(id, QueuedRequest::SetInputFocus { id });
     }
 
     /// Queries the input focus (round trip).
@@ -1372,12 +1043,18 @@ impl Connection {
     /// checking for events is a flush point: all output buffers are
     /// written out before looking at the queue.
     pub fn poll_event(&self) -> Option<Event> {
-        self.transport.poll_event(self.client)
+        match self.control(Control::PollEvent) {
+            Answer::Event(ev) => ev,
+            _ => None,
+        }
     }
 
     /// Number of queued events (flushes first, like `XPending`).
     pub fn pending(&self) -> usize {
-        self.transport.pending(self.client)
+        match self.control(Control::Pending) {
+            Answer::Pending(n) => n,
+            _ => 0,
+        }
     }
 }
 
@@ -1861,6 +1538,31 @@ mod tests {
         assert!(c.create_window(c.root(), 0, 0, 5, 5, 0).is_err());
         assert!(c.intern_atom("X").is_err());
         assert!(c.poll_event().is_none());
+    }
+
+    #[test]
+    fn a_kill_discards_the_dead_clients_buffered_requests() {
+        // The output buffer dies with its connection, codec on or off:
+        // nothing buffered before the kill may reach the server after it.
+        for wire in [true, false] {
+            let d = Display::new();
+            d.set_wire(wire);
+            let c = d.connect();
+            let w = c.create_window(c.root(), 0, 0, 10, 10, 0).unwrap();
+            c.map_window(w);
+            let gc = c.create_gc(GcValues::default());
+            c.fill_rectangle(w, gc, 0, 0, 5, 5);
+            d.peek_server(|s| s.kill_client(c.client_id()));
+            assert_eq!(
+                d.with_server(|s| s.audit()),
+                Vec::<String>::new(),
+                "wire {wire}"
+            );
+            assert!(
+                d.with_server(|s| s.get_geometry(w).is_none()),
+                "wire {wire}"
+            );
+        }
     }
 
     #[test]

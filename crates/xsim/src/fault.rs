@@ -212,8 +212,8 @@ impl FaultAction {
 
     /// Does this action attack encoded frame bytes (or dispatch timing)
     /// rather than protocol semantics? Byte faults key on the
-    /// client's encoded-frame index and only the wire transport applies
-    /// them — a byte-fault plan is a strict no-op under `RTK_NO_WIRE=1`.
+    /// client's encoded-frame index and only the transport's codec
+    /// applies them — a byte-fault plan is a strict no-op under `RTK_NO_WIRE=1`.
     pub fn is_byte_fault(self) -> bool {
         matches!(
             self,
@@ -310,8 +310,8 @@ impl FaultPlan {
     /// Generates a random byte-layer plan: `faults` specs over clients
     /// `1..=clients` and per-client encoded-frame indices `1..horizon`.
     /// Only byte-fault actions are drawn (seed space disjoint from
-    /// [`FaultPlan::from_seed`]), so the plan is a strict no-op on the
-    /// in-process oracle transport — the `chaos --bytes` harness relies
+    /// [`FaultPlan::from_seed`]), so the plan is a strict no-op with the
+    /// codec off — the `chaos --bytes` harness relies
     /// on that to diff a faulted wire run against a fault-free one.
     pub fn bytes_from_seed(seed: u64, faults: usize, clients: u32, horizon: u64) -> FaultPlan {
         let mut rng = XorShift::new(seed ^ 0xB17E_C4A0_05EE_D000);

@@ -130,8 +130,8 @@ pub struct TraceEntry {
 /// Default trace ring capacity (entries).
 pub const TRACE_CAPACITY: usize = 1024;
 
-/// Per-client wire-transport counters. All zero when the in-process
-/// oracle transport is active (`RTK_NO_WIRE=1`): every field counts
+/// Per-client wire-transport counters. All zero with the codec off
+/// (`RTK_NO_WIRE=1`): every field counts
 /// actual framed bytes crossing the byte transport, so "did anything go
 /// over the wire" is observable from the counters alone.
 #[derive(Debug, Clone, Default)]
@@ -150,8 +150,8 @@ pub struct WireStats {
     pub flushes: u64,
     /// Flush batches the per-client request quota cut short: the
     /// overflow was deferred (never dropped) to keep one hot client
-    /// from starving the rest. Counted under both transports — the
-    /// quota lives in the shared batch executor.
+    /// from starving the rest. Counted with the codec on or off —
+    /// the quota lives in the shared batch executor.
     pub backpressure_stalls: u64,
     /// Frame-integrity failures detected on this client's stream (bad
     /// CRC, truncation, garbage between frames). Each one kills the
@@ -166,8 +166,7 @@ pub struct WireStats {
 }
 
 impl WireStats {
-    /// Did any traffic cross the wire? (False under the in-process
-    /// oracle transport.)
+    /// Did any traffic cross the wire? (False with the codec off.)
     pub fn active(&self) -> bool {
         self.frames_encoded + self.frames_decoded > 0
     }
@@ -203,8 +202,8 @@ pub struct ClientObs {
     /// Damage-coalescing steps (contained-drop / overlap-merge /
     /// overflow-collapse) on windows this client owns.
     pub expose_coalesced: u64,
-    /// Wire-transport frame/byte counters (all zero under the
-    /// in-process oracle transport).
+    /// Wire-transport frame/byte counters (all zero with the codec
+    /// off).
     pub wire: WireStats,
 }
 

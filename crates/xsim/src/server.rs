@@ -330,15 +330,24 @@ pub enum SyncReply {
     Window(WindowId),
 }
 
+/// The Xlib-style output buffer: requests wait here until a flush, in
+/// issue order, each under the sequence number assigned at issue time
+/// (the key the fault plan matches on). With the codec on they wait as
+/// encoded frames, with it off as typed requests; a display uses one
+/// form only.
+#[derive(Debug, Default)]
+struct OutBuf {
+    frames: Vec<u8>,
+    requests: Vec<(u64, QueuedRequest)>,
+    len: usize,
+}
+
 #[derive(Debug, Default)]
 struct ClientState {
     queue: VecDeque<Event>,
     stats: ClientStats,
     obs: ClientObs,
-    /// The Xlib-style output buffer: requests wait here until a flush,
-    /// tagged with the sequence number assigned at issue time (the key
-    /// the fault plan matches on).
-    out_buf: Vec<(u64, QueuedRequest)>,
+    out: OutBuf,
     /// Executed-but-uncollected pipelined replies, keyed by sequence number.
     replies: HashMap<u64, ReplyValue>,
     /// Cookies issued and not yet redeemed (live pipelining depth).
@@ -564,7 +573,7 @@ impl Server {
             return;
         }
         c.dead = true;
-        c.out_buf.clear();
+        c.out = OutBuf::default();
         c.deferred.clear();
         c.queue.clear();
         c.delayed.clear();
@@ -612,7 +621,7 @@ impl Server {
             FaultAction::DropRequest | FaultAction::DuplicateRequest => !reply,
             FaultAction::DelayEvent(_) | FaultAction::ReorderEvent => false,
             // Byte faults key on encoded-frame indices, not sequence
-            // numbers; only the wire transport fires them.
+            // numbers; only the codec fires them.
             FaultAction::CorruptByte { .. }
             | FaultAction::TruncateFrame { .. }
             | FaultAction::InjectGarbage { .. }
@@ -634,7 +643,7 @@ impl Server {
     }
 
     /// Matches (and fires) a byte-layer fault for `client`'s
-    /// `frame_idx`-th encoded wire frame. Only the wire transport calls
+    /// `frame_idx`-th encoded wire frame. Only the codec calls
     /// this, so byte faults are strict no-ops under `RTK_NO_WIRE=1`.
     pub(crate) fn fire_byte_fault(
         &mut self,
@@ -686,6 +695,11 @@ impl Server {
         let id = ClientId(self.next_client);
         self.clients.insert(id, ClientState::default());
         id
+    }
+
+    /// Has any client ever connected?
+    pub(crate) fn has_clients(&self) -> bool {
+        self.next_client > 0
     }
 
     /// The root window.
@@ -777,43 +791,37 @@ impl Server {
         }
     }
 
-    /// Accounts for a request at issue time and places it in the client's
-    /// output buffer (`None` = the request is discarded, e.g. a
-    /// CreateWindow on a dead parent, but still counted). All counters —
-    /// `requests`, per-kind, histograms, trace — bump here, at queue time,
-    /// so statistics never lag behind issued requests.
-    pub(crate) fn enqueue_request(
+    /// Appends one issued request to `client`'s output buffer: its
+    /// encoded `frame` with the codec on, the typed request with it off.
+    /// Returns whether the buffer is now full (a forced flush point).
+    pub(crate) fn buffer(
         &mut self,
         client: ClientId,
-        kind: RequestKind,
-        round_trip: bool,
-        window: WindowId,
         seq: u64,
-        q: Option<QueuedRequest>,
-    ) {
-        let start = std::time::Instant::now();
-        let mut flush_now = !self.batching;
-        if let Some(q) = q {
-            if let Some(c) = self.clients.get_mut(&client) {
-                c.out_buf.push((seq, q));
-                self.dirty.insert(client);
-                if c.out_buf.len() >= OUT_BUF_CAPACITY {
-                    flush_now = true;
-                }
-            }
+        q: QueuedRequest,
+        frame: Option<Vec<u8>>,
+    ) -> bool {
+        let Some(c) = self.clients.get_mut(&client) else {
+            return false;
+        };
+        match frame {
+            Some(bytes) => c.out.frames.extend_from_slice(&bytes),
+            None => c.out.requests.push((seq, q)),
         }
-        self.note_issue(client, kind, round_trip, window, seq, start);
-        if flush_now {
-            self.flush_client(client);
-        }
+        c.out.len += 1;
+        self.dirty.insert(client);
+        c.out.len >= OUT_BUF_CAPACITY
     }
 
-    /// The issue-time accounting half of [`Server::enqueue_request`]:
-    /// bumps `requests`/`batched_requests`/round-trip gauges and records
-    /// the obs entry, without touching any output buffer. The wire
-    /// transport calls this directly — its requests are buffered as
-    /// encoded frames outside the server — so both transports bump
-    /// exactly the same counters at exactly the same point.
+    /// Requests waiting in `client`'s output buffer.
+    pub(crate) fn buffered(&self, client: ClientId) -> usize {
+        self.clients.get(&client).map_or(0, |c| c.out.len)
+    }
+
+    /// Issue-time accounting: bumps `requests`/`batched_requests`/
+    /// round-trip gauges and records the obs entry. All counters bump
+    /// here, when the request is issued, so statistics never lag behind
+    /// issued requests and are the same with the codec on or off.
     pub(crate) fn note_issue(
         &mut self,
         client: ClientId,
@@ -843,29 +851,59 @@ impl Server {
     /// the batch carried any reply-bearing request (the pipelined replies
     /// all travel back in one blocking wait).
     pub fn flush_client(&mut self, client: ClientId) {
-        let buf = match self.clients.get_mut(&client) {
-            Some(c) if !c.out_buf.is_empty() || !c.deferred.is_empty() => {
-                std::mem::take(&mut c.out_buf)
-            }
+        self.flush_inner(client, true);
+    }
+
+    /// Takes `client`'s output buffer as one batch and applies it (with
+    /// any quota-deferred remainder ahead of it). Encoded frames are
+    /// decoded here, on the server side of the wire: a damaged frame ends
+    /// the batch, the frames ahead of it still apply, and then the
+    /// connection is killed.
+    fn flush_inner(&mut self, client: ClientId, enforce_quota: bool) {
+        let out = match self.clients.get_mut(&client) {
+            Some(c) if c.out.len > 0 || !c.deferred.is_empty() => std::mem::take(&mut c.out),
             _ => return,
         };
-        self.apply_batch(client, buf);
+        if out.requests.len() == out.len {
+            self.apply_batch(client, out.requests, enforce_quota);
+            return;
+        }
+        let mut fr = crate::wire::FrameReader::new();
+        let mut corrupt = fr.push(&out.frames).is_err();
+        let mut batch = Vec::new();
+        while !corrupt {
+            let f = match fr.next_frame() {
+                Ok(Some(f)) => f,
+                Ok(None) => break,
+                Err(_) => {
+                    corrupt = true;
+                    break;
+                }
+            };
+            self.note_wire_decode(client, f.wire_len());
+            match crate::wire::Message::decode(&f) {
+                Ok(q) => batch.push((f.seq, q)),
+                Err(_) => corrupt = true,
+            }
+        }
+        // A partial trailing frame is truncation damage: frames are
+        // buffered whole, so a flush must consume every byte.
+        corrupt |= fr.pending() > 0;
+        if let Some(c) = self.clients.get_mut(&client) {
+            c.obs.wire.flushes += 1;
+        }
+        self.apply_batch(client, batch, enforce_quota);
+        if corrupt {
+            self.kill_broken_stream(client, false);
+        }
     }
 
-    /// Executes one flushed batch of requests in issue order: the shared
-    /// core of [`Server::flush_client`] (in-process transport) and the
-    /// wire transport (which decodes a shipped frame buffer into the
-    /// same `(seq, request)` list). Fault dispatch, the flush/rasterize
-    /// spans, and every counter live here, so both transports apply
-    /// batches with byte-identical semantics.
-    pub(crate) fn apply_batch(&mut self, client: ClientId, buf: Vec<(u64, QueuedRequest)>) {
-        self.apply_batch_inner(client, buf, true);
-    }
-
-    /// [`Server::apply_batch`] with the quota optionally bypassed: drain
-    /// points (a client's own round trip, display observation) must apply
-    /// everything regardless of backpressure.
-    fn apply_batch_inner(
+    /// Executes one flushed batch of requests in issue order. Fault
+    /// dispatch, the flush/rasterize spans, and every counter live here.
+    /// Drain points (a client's own round trip, display observation)
+    /// pass `enforce_quota = false`: they must apply everything
+    /// regardless of backpressure.
+    fn apply_batch(
         &mut self,
         client: ClientId,
         mut buf: Vec<(u64, QueuedRequest)>,
@@ -1024,13 +1062,7 @@ impl Server {
     /// executes (its synchronous request must observe all its earlier
     /// one-ways, in order).
     fn drain_client(&mut self, client: ClientId) {
-        let buf = match self.clients.get_mut(&client) {
-            Some(c) if !c.out_buf.is_empty() || !c.deferred.is_empty() => {
-                std::mem::take(&mut c.out_buf)
-            }
-            _ => return,
-        };
-        self.apply_batch_inner(client, buf, false);
+        self.flush_inner(client, false);
     }
 
     /// Drains every client completely, quota ignored — the "user observes
@@ -1304,12 +1336,9 @@ impl Server {
     /// Executes one synchronous reply-bearing request end to end: flush
     /// every output buffer (a blocked client has, by definition, already
     /// written out its queue), allocate the sequence number, dispatch any
-    /// injected error/kill fault, and run the request body. Both
-    /// transports call this — the in-process oracle directly, the wire
-    /// transport after decoding a Sync frame (having flushed the wire
-    /// buffers first, so the internal `flush_all` sees empty queues) —
-    /// which is what keeps sequence numbers, fault firings, and counters
-    /// byte-identical across transports.
+    /// injected error/kill fault, and run the request body. The
+    /// transport's sync control message runs this with the codec on or
+    /// off alike.
     pub(crate) fn execute_round_trip(
         &mut self,
         client: ClientId,
@@ -1415,27 +1444,22 @@ impl Server {
         }
     }
 
-    /// Counts one shipped wire batch (the wire analogue of a non-empty
-    /// buffer flush).
-    pub(crate) fn note_wire_flush(&mut self, client: ClientId) {
+    /// The server's reaction to unrecoverable damage on `client`'s byte
+    /// stream: a frame-integrity failure (bad CRC, truncation, garbage)
+    /// or, with `watchdog`, a control frame stalled past the sync
+    /// deadline. Counts it and kills the connection, X's response to a
+    /// protocol violation. Client id 0 is the transport's own control
+    /// channel, not a connection, and is never killed.
+    pub(crate) fn kill_broken_stream(&mut self, client: ClientId, watchdog: bool) {
         if let Some(c) = self.clients.get_mut(&client) {
-            c.obs.wire.flushes += 1;
+            if watchdog {
+                c.obs.wire.watchdog_fires += 1;
+            } else {
+                c.obs.wire.checksum_errors += 1;
+            }
         }
-    }
-
-    /// Counts a detected frame-integrity failure (bad CRC, truncation,
-    /// garbage) on `client`'s stream — always followed by a kill.
-    pub(crate) fn note_checksum_error(&mut self, client: ClientId) {
-        if let Some(c) = self.clients.get_mut(&client) {
-            c.obs.wire.checksum_errors += 1;
-        }
-    }
-
-    /// Counts a sync-watchdog expiry: an injected dispatch stall on
-    /// `client`'s control frame reached the wire deadline.
-    pub(crate) fn note_watchdog_fire(&mut self, client: ClientId) {
-        if let Some(c) = self.clients.get_mut(&client) {
-            c.obs.wire.watchdog_fires += 1;
+        if client.0 != 0 {
+            self.kill_client(client);
         }
     }
 
@@ -2592,11 +2616,10 @@ impl Server {
         }
         for (id, c) in &self.clients {
             if c.dead {
-                if !c.out_buf.is_empty() {
+                if c.out.len > 0 {
                     v.push(format!(
                         "dead client {} still buffers {} requests",
-                        id.0,
-                        c.out_buf.len()
+                        id.0, c.out.len
                     ));
                 }
                 if !c.deferred.is_empty() {

@@ -1,4 +1,4 @@
-//! The framed wire protocol and the wire transport.
+//! The framed wire protocol and the client-server transport.
 //!
 //! Every request, reply, event, and error has a defined byte encoding so
 //! the protocol can cross a real transport boundary instead of a Rust
@@ -19,26 +19,28 @@
 //! reassembly buffer at [`MAX_FRAME_LEN`] + header so a hostile length
 //! prefix or garbage flood cannot grow memory without limit.
 //!
-//! The transport half keeps the [`Server`] behind one mutex shared by
-//! every client thread: clients encode request frames into per-client
-//! byte buffers, and each small control frame (flush, sync, reply take,
-//! event poll) is encoded, decoded and dispatched inline by the thread
-//! that ships it, under the lock it already holds. The sequence number
-//! in the frame header, not a thread, is the boundary between client and
-//! server (the x11rb cookie model). Dispatch is synchronous, which is
-//! what keeps counters, fault firings, and span shapes byte-identical to
-//! the in-process transport: both transports bump the same issue-time
-//! accounting under the same lock, and a flush applies the same decoded
-//! batch through [`Server::apply_batch`]. See docs/PROTOCOL.md.
+//! The transport half is the one path between the client library and
+//! the server: the [`Server`] behind one mutex shared by every client
+//! thread, with the codec on or off. With it on, requests are encoded
+//! into frames in the client's output buffer, and each small control
+//! message (flush, sync, reply take, event poll) is encoded, decoded and
+//! executed inline by the thread that ships it, under the lock it
+//! already holds. The sequence number in the frame header, not a thread,
+//! is the boundary between client and server (the x11rb cookie model).
+//! With the codec off (`RTK_NO_WIRE=1`), the same calls carry typed
+//! values instead of bytes: that is the oracle `wire_equivalence`
+//! compares against. Everything else is shared — issue-time accounting,
+//! the per-client output buffer in the server, and the batch apply
+//! through [`Server::flush_client`] — so counters, fault firings, and
+//! span shapes are byte-identical either way. See docs/PROTOCOL.md.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::atom::Atom;
-use crate::bitmap::{Bitmap, BitmapId};
+use crate::bitmap::Bitmap;
 use crate::color::Rgb;
-use crate::connection::{Transport, WaitReply};
 use crate::damage::Rect;
 use crate::event::{Event, Keysym};
 use crate::fault::{FaultAction, XError, XErrorCode};
@@ -46,7 +48,7 @@ use crate::font::FontMetrics;
 use crate::gc::GcValues;
 use crate::ids::{ClientId, Pixel, WindowId, Xid};
 use crate::obs::RequestKind;
-use crate::server::{QueuedRequest, ReplyValue, Server, SyncReply, SyncRequest, OUT_BUF_CAPACITY};
+use crate::server::{QueuedRequest, ReplyValue, Server, SyncReply, SyncRequest};
 
 /// Protocol revision carried in every frame header. Version 2 added the
 /// CRC32 trailer field to the header; a version-1 peer is rejected with
@@ -732,7 +734,7 @@ message_table! { events Event {
     18 FocusOut { window },
 }}
 
-// ----- the inline wire server -----
+// ----- the transport -----
 
 /// Virtual duration of one `StallDispatch` tick, in milliseconds.
 const STALL_TICK_MS: u64 = 10;
@@ -740,613 +742,351 @@ const STALL_TICK_MS: u64 = 10;
 /// Default sync-watchdog deadline (`Display::set_wire_deadline` changes it).
 pub const DEFAULT_WIRE_DEADLINE_MS: u64 = 5000;
 
-/// One client's encoded-but-unflushed request frames.
-#[derive(Debug, Default)]
-struct ClientBuf {
-    bytes: Vec<u8>,
-    frames: usize,
+/// A control message: everything a client asks of the server besides
+/// buffering a request. With the codec on each one crosses as a control
+/// frame; with it off [`execute`] runs it directly.
+pub(crate) enum Control {
+    /// Apply the sender's output buffer (Xlib's `XFlush`).
+    Flush,
+    /// Apply every buffer and drain quota-deferred work: the path by
+    /// which the user observes the display.
+    FlushAll,
+    Sync(SyncRequest),
+    TakeReply(u64),
+    PollEvent,
+    Pending,
 }
 
-/// Everything behind the wire mutex: the server itself and the
-/// per-client output buffers (BTreeMap so flush-all walks clients in id
-/// order, the same order as [`Server::flush_all`]).
-pub(crate) struct WireState {
-    pub(crate) server: Server,
-    bufs: BTreeMap<u32, ClientBuf>,
-    /// Per-client count of encoded frames — the timeline byte faults key
-    /// on (`FaultSpec::at` for a byte action is a 1-based index into this
-    /// stream). Counted identically whether or not a plan is installed.
-    frame_seq: HashMap<u32, u64>,
-    /// Dispatch stalls, in [`STALL_TICK_MS`] ticks of virtual time, armed
-    /// by `StallDispatch` faults and charged to the client's next control
-    /// frame.
-    pending_stalls: HashMap<u32, u32>,
-    /// Sync-watchdog deadline in ms: a control frame whose virtual stall
-    /// reaches it is never answered, and the client gets a clean dead
-    /// connection instead.
-    deadline_ms: u64,
+/// The server's answer to a [`Control`] message. `Done` also stands for
+/// a lost connection: a tripped watchdog or a damaged response.
+pub(crate) enum Answer {
+    Done,
+    Sync(Result<SyncReply, XError>),
+    Reply(ReplyValue),
+    NoReply { alive: bool },
+    Event(Option<Event>),
+    Pending(usize),
 }
 
-/// The server's reaction to unrecoverable byte damage on `client`'s
-/// stream: count it, kill the connection (X's response to a protocol
-/// violation), and drop its wire-side buffer. Client id 0 is the
-/// transport's own control channel, not a connection — never killed.
-fn wire_corruption(st: &mut WireState, client: ClientId) {
-    st.server.note_checksum_error(client);
-    if client.0 != 0 {
-        st.server.kill_client(client);
+impl Control {
+    /// The control frame that carries this message.
+    fn frame(&self) -> Vec<u8> {
+        match self {
+            Control::Flush => frame(FT_FLUSH_CLIENT, 0, 0, &[]),
+            Control::FlushAll => frame(FT_FLUSH_ALL, 0, 0, &[]),
+            Control::Sync(req) => {
+                let (op, payload) = req.encode();
+                frame(FT_SYNC, op, 0, &payload)
+            }
+            Control::TakeReply(seq) => frame(FT_TAKE_REPLY, 0, *seq, &[]),
+            Control::PollEvent => frame(FT_POLL_EVENT, 0, 0, &[]),
+            Control::Pending => frame(FT_PENDING, 0, 0, &[]),
+        }
     }
-    st.bufs.remove(&client.0);
+}
+
+impl Answer {
+    /// The response frame to a control frame sent under `seq` (`None`
+    /// for `Done`: flushes are not answered).
+    fn frame(self, seq: u64) -> Option<Vec<u8>> {
+        Some(match self {
+            Answer::Done => return None,
+            Answer::Sync(Ok(reply)) => {
+                let (op, payload) = reply.encode();
+                frame(FT_SYNC_REPLY, op, seq, &payload)
+            }
+            Answer::Sync(Err(e)) => frame(FT_ERROR, 0, e.seq, &to_payload(&e)),
+            Answer::Reply(v) => {
+                let (op, payload) = v.encode();
+                frame(FT_COOKIE_REPLY, op, seq, &payload)
+            }
+            Answer::NoReply { alive } => frame(FT_NO_REPLY, 0, seq, &[alive as u8]),
+            Answer::Event(Some(ev)) => {
+                let (op, payload) = ev.encode();
+                frame(FT_EVENT, op, 0, &payload)
+            }
+            Answer::Event(None) => frame(FT_NO_EVENT, 0, 0, &[]),
+            Answer::Pending(n) => frame(FT_PENDING_COUNT, 0, n as u64, &[]),
+        })
+    }
+
+    /// Decodes a response frame; anything malformed reads as `Done`.
+    fn decode(f: &RawFrame) -> Answer {
+        let answer = match f.frame_type {
+            FT_SYNC_REPLY => SyncReply::decode(f).ok().map(|r| Answer::Sync(Ok(r))),
+            FT_ERROR => from_payload(&f.payload).ok().map(|e| Answer::Sync(Err(e))),
+            FT_COOKIE_REPLY => ReplyValue::decode(f).ok().map(Answer::Reply),
+            FT_NO_REPLY => Some(Answer::NoReply {
+                alive: f.payload.first() == Some(&1),
+            }),
+            FT_EVENT => Event::decode(f).ok().map(|ev| Answer::Event(Some(ev))),
+            FT_NO_EVENT => Some(Answer::Event(None)),
+            FT_PENDING_COUNT => Some(Answer::Pending(f.seq as usize)),
+            _ => None,
+        };
+        answer.unwrap_or(Answer::Done)
+    }
+}
+
+/// Runs one control message against the server: the server side of the
+/// transport, the same with the codec on or off.
+fn execute(s: &mut Server, client: ClientId, ctl: Control) -> Answer {
+    match ctl {
+        Control::Flush => {
+            s.flush_client(client);
+            Answer::Done
+        }
+        Control::FlushAll => {
+            flush_buffers(s);
+            s.drain_all();
+            Answer::Done
+        }
+        Control::Sync(req) => {
+            flush_buffers(s);
+            Answer::Sync(s.execute_round_trip(client, &req))
+        }
+        Control::TakeReply(seq) => {
+            if !s.has_reply(client, seq) {
+                flush_buffers(s);
+            }
+            match s.take_reply(client, seq) {
+                Some(v) => Answer::Reply(v),
+                None => Answer::NoReply {
+                    alive: s.is_alive(client),
+                },
+            }
+        }
+        Control::PollEvent => {
+            flush_buffers(s);
+            Answer::Event(s.poll_event(client))
+        }
+        Control::Pending => {
+            flush_buffers(s);
+            Answer::Pending(s.pending(client))
+        }
+    }
+}
+
+/// The flush a blocking control message starts with: every client's
+/// buffer applies, in client-id order, then each quota-deferred
+/// remainder gets one more chunk. That drain rate is what the fleet
+/// budgets (`backpressure_stalls`, send-latency percentiles) pin.
+fn flush_buffers(s: &mut Server) {
+    s.flush_all();
+    s.flush_all();
 }
 
 /// Decodes and executes one shipped control message, returning the
 /// response bytes for the client that sent it. Damage anywhere in the
 /// message kills the connection and yields an empty response.
-fn dispatch(st: &mut WireState, client: ClientId, bytes: &[u8]) -> Vec<u8> {
+fn dispatch(s: &mut Server, client: ClientId, bytes: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
     let mut fr = FrameReader::new();
-    if fr.push(bytes).is_err() {
-        wire_corruption(st, client);
-        return Vec::new();
-    }
-    loop {
+    let mut intact = fr.push(bytes).is_ok();
+    while intact {
         let f = match fr.next_frame() {
             Ok(Some(f)) => f,
             Ok(None) => break,
             Err(_) => {
-                wire_corruption(st, client);
-                return Vec::new();
+                intact = false;
+                break;
             }
         };
-        st.server.note_wire_decode(client, f.wire_len());
-        let resp = match f.frame_type {
-            FT_FLUSH_CLIENT => {
-                flush_buffered(st, client.0);
-                continue;
-            }
-            FT_FLUSH_ALL => {
-                // The observation / batching-off path: decode everything
-                // and drain quota-deferred remainders too, so the user
-                // sees the effect of every request already issued.
-                flush_all_buffered(st);
-                st.server.drain_all();
-                continue;
-            }
-            FT_SYNC => {
-                flush_all_buffered(st);
-                match SyncRequest::decode(&f) {
-                    Ok(req) => match st.server.execute_round_trip(client, &req) {
-                        Ok(reply) => {
-                            let (op, payload) = reply.encode();
-                            frame(FT_SYNC_REPLY, op, f.seq, &payload)
-                        }
-                        Err(e) => frame(FT_ERROR, 0, e.seq, &to_payload(&e)),
-                    },
-                    Err(_) => {
-                        let e = XError {
-                            code: XErrorCode::BadValue,
-                            seq: f.seq,
-                            kind: None,
-                        };
-                        frame(FT_ERROR, 0, f.seq, &to_payload(&e))
-                    }
+        s.note_wire_decode(client, f.wire_len());
+        let answer = match f.frame_type {
+            FT_FLUSH_CLIENT => execute(s, client, Control::Flush),
+            FT_FLUSH_ALL => execute(s, client, Control::FlushAll),
+            FT_SYNC => match SyncRequest::decode(&f) {
+                Ok(req) => execute(s, client, Control::Sync(req)),
+                // An intact frame the codec cannot read: BadValue.
+                Err(_) => {
+                    flush_buffers(s);
+                    Answer::Sync(Err(XError {
+                        code: XErrorCode::BadValue,
+                        seq: f.seq,
+                        kind: None,
+                    }))
                 }
-            }
-            FT_TAKE_REPLY => {
-                if !st.server.has_reply(client, f.seq) {
-                    flush_all_buffered(st);
-                }
-                match st.server.take_reply(client, f.seq) {
-                    Some(v) => {
-                        let (op, payload) = v.encode();
-                        frame(FT_COOKIE_REPLY, op, f.seq, &payload)
-                    }
-                    None => {
-                        let alive = st.server.is_alive(client);
-                        frame(FT_NO_REPLY, 0, f.seq, &[alive as u8])
-                    }
-                }
-            }
-            FT_POLL_EVENT => {
-                flush_all_buffered(st);
-                match st.server.poll_event(client) {
-                    Some(ev) => {
-                        let (op, payload) = ev.encode();
-                        frame(FT_EVENT, op, 0, &payload)
-                    }
-                    None => frame(FT_NO_EVENT, 0, 0, &[]),
-                }
-            }
-            FT_PENDING => {
-                flush_all_buffered(st);
-                let n = st.server.pending(client);
-                frame(FT_PENDING_COUNT, 0, n as u64, &[])
-            }
+            },
+            FT_TAKE_REPLY => execute(s, client, Control::TakeReply(f.seq)),
+            FT_POLL_EVENT => execute(s, client, Control::PollEvent),
+            FT_PENDING => execute(s, client, Control::Pending),
             _ => continue, // data frames never arrive as control messages
         };
-        st.server.note_wire_encode(client, resp.len());
-        out.extend_from_slice(&resp);
+        if let Some(resp) = answer.frame(f.seq) {
+            s.note_wire_encode(client, resp.len());
+            out.extend_from_slice(&resp);
+        }
     }
-    if fr.pending() > 0 {
-        // A partial frame at the end of a control message is truncation
-        // damage: control frames are shipped whole, so leftover bytes
-        // can only mean the stream is broken.
-        wire_corruption(st, client);
+    // A partial frame at the end of a control message is truncation
+    // damage: control frames are shipped whole, so leftover bytes can
+    // only mean the stream is broken.
+    if !intact || fr.pending() > 0 {
+        s.kill_broken_stream(client, false);
         return Vec::new();
     }
     out
 }
 
-/// Decodes one client's buffered request frames and applies them as a
-/// single batch — the wire-side mirror of [`Server::flush_client`].
-fn flush_buffered(st: &mut WireState, raw: u32) {
-    let Some(buf) = st.bufs.get_mut(&raw) else {
-        return;
-    };
-    if buf.frames == 0 {
-        // No new frames, but a quota-deferred remainder may be waiting
-        // server-side; a flush is its chance to apply one more chunk.
-        st.server.flush_client(ClientId(raw));
-        return;
-    }
-    let bytes = std::mem::take(&mut buf.bytes);
-    buf.frames = 0;
-    let client = ClientId(raw);
-    let mut fr = FrameReader::new();
-    let mut corrupt = fr.push(&bytes).is_err();
-    let mut batch = Vec::new();
-    while !corrupt {
-        let f = match fr.next_frame() {
-            Ok(Some(f)) => f,
-            Ok(None) => break,
-            Err(_) => {
-                corrupt = true;
-                break;
-            }
-        };
-        st.server.note_wire_decode(client, f.wire_len());
-        match QueuedRequest::decode(&f) {
-            Ok(q) => batch.push((f.seq, q)),
-            Err(_) => {
-                corrupt = true;
-                break;
-            }
-        }
-    }
-    // A partial trailing frame means truncation damage: data frames are
-    // buffered whole, so a flush must consume every byte.
-    if !corrupt && fr.pending() > 0 {
-        corrupt = true;
-    }
-    st.server.note_wire_flush(client);
-    // Frames ahead of the damage still decoded cleanly and still apply —
-    // the stream was good up to that point.
-    st.server.apply_batch(client, batch);
-    if corrupt {
-        wire_corruption(st, client);
-    }
+/// Everything behind the transport mutex: the server (which holds every
+/// client's output buffer) and the byte stream's per-client state.
+pub(crate) struct State {
+    pub(crate) server: Server,
+    /// Codec on (the default): requests and control messages cross as
+    /// frame bytes. Off (`RTK_NO_WIRE=1`): they cross as typed values,
+    /// the oracle the wire-equivalence suite compares against.
+    pub(crate) codec: bool,
+    /// Per-client count of encoded frames — the timeline byte faults key
+    /// on (`FaultSpec::at` for a byte action is a 1-based index into this
+    /// stream). Counted identically whether or not a plan is installed.
+    pub(crate) frame_seq: HashMap<u32, u64>,
+    /// Dispatch stalls, in [`STALL_TICK_MS`] ticks of virtual time, armed
+    /// by `StallDispatch` faults and charged to the client's next control
+    /// frame.
+    stalls: HashMap<u32, u32>,
+    /// Sync-watchdog deadline in ms: a control frame whose virtual stall
+    /// reaches it is never answered, and the client gets a clean dead
+    /// connection instead.
+    pub(crate) deadline_ms: u64,
 }
 
-/// Flushes every client's wire buffer in client-id order (the same order
-/// [`Server::flush_all`] uses for in-process buffers).
-fn flush_all_buffered(st: &mut WireState) {
-    let ids: Vec<u32> = st.bufs.keys().copied().collect();
-    for id in ids {
-        flush_buffered(st, id);
-    }
-    // Clients with deferred-but-unbuffered work (quota backpressure) get
-    // their next chunk applied here too, in sorted id order.
-    st.server.flush_all();
-}
-
-/// A `Send + Sync` handle to a wire server. Clone it into other threads
-/// and rebuild per-thread [`Display`](crate::Display)s with
+/// The one transport between the Xlib-shaped calling surface and the
+/// server: the server behind a mutex that every client thread shares,
+/// with the codec on or off. Clone it into other threads and rebuild
+/// per-thread [`Display`](crate::Display)s with
 /// [`Display::from_wire`](crate::Display::from_wire) — that is how
 /// several `TkApp`s, each on its own thread, share one display.
 #[derive(Clone)]
-pub struct WireHandle {
-    pub(crate) state: Arc<Mutex<WireState>>,
+pub struct Transport {
+    state: Arc<Mutex<State>>,
 }
 
-/// The wire transport: byte frames to a server behind a mutex, each
-/// control frame dispatched inline by the thread that ships it.
-pub(crate) struct WireTransport {
-    state: Arc<Mutex<WireState>>,
-}
+/// A `Send + Sync` handle to a display's shared transport.
+pub type WireHandle = Transport;
 
-impl WireTransport {
-    /// Starts a fresh server.
-    pub(crate) fn new() -> WireTransport {
-        WireTransport {
-            state: Arc::new(Mutex::new(WireState {
+impl Transport {
+    /// Starts a fresh server, the codec on or off.
+    pub(crate) fn new(codec: bool) -> Transport {
+        Transport {
+            state: Arc::new(Mutex::new(State {
                 server: Server::new(),
-                bufs: BTreeMap::new(),
+                codec,
                 frame_seq: HashMap::new(),
-                pending_stalls: HashMap::new(),
+                stalls: HashMap::new(),
                 deadline_ms: DEFAULT_WIRE_DEADLINE_MS,
             })),
         }
     }
 
-    /// Attaches to an existing wire server.
-    pub(crate) fn from_handle(h: &WireHandle) -> WireTransport {
-        WireTransport {
-            state: h.state.clone(),
+    pub(crate) fn lock(&self) -> MutexGuard<'_, State> {
+        self.state
+            .lock()
+            .expect("transport lock poisoned by a panic on another thread")
+    }
+
+    /// Flushes every client's buffer and drains deferred work — the
+    /// "user observes the display" path — then runs `f`.
+    pub(crate) fn observe<R>(&self, f: impl FnOnce(&mut Server) -> R) -> R {
+        let mut st = self.lock();
+        st.control(ClientId(0), Control::FlushAll);
+        f(&mut st.server)
+    }
+}
+
+impl State {
+    /// Issues one buffered request, one-way or pipelined: buffers it —
+    /// encoded, and exposed to byte faults, with the codec on — records
+    /// the issue-time accounting, and flushes at a flush point.
+    pub(crate) fn issue(&mut self, client: ClientId, window: WindowId, seq: u64, q: QueuedRequest) {
+        let start = Instant::now();
+        let frame = self.codec.then(|| {
+            let (op, payload) = q.encode();
+            let mut bytes = frame(FT_REQUEST, op, seq, &payload);
+            self.byte_fault(client, &mut bytes);
+            self.server.note_wire_encode(client, bytes.len());
+            bytes
+        });
+        let (kind, reply) = (q.kind(), q.expects_reply());
+        let full = self.server.buffer(client, seq, q, frame);
+        self.server
+            .note_issue(client, kind, reply, window, seq, start);
+        if full || !self.server.batching() {
+            self.control(client, Control::Flush);
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, WireState> {
-        self.state
-            .lock()
-            .expect("wire server lock poisoned by a panic on another thread")
-    }
-
-    /// Fires any byte fault scheduled for `client`'s next encoded frame
-    /// and applies it to `bytes` in place. Returns the split point for a
-    /// `SplitWrite` (the frame goes out as two writes), arming any
-    /// `StallDispatch` in `pending_stalls` for the next ship. The frame
-    /// counter advances on every encoded frame, plan or no plan, so a
-    /// fault's timeline index is independent of the plan's own contents.
-    fn apply_byte_fault(
-        st: &mut WireState,
-        client: ClientId,
-        bytes: &mut Vec<u8>,
-    ) -> Option<usize> {
-        let counter = st.frame_seq.entry(client.0).or_insert(0);
-        *counter += 1;
-        let idx = *counter;
-        let action = st.server.fire_byte_fault(client, idx)?;
-        match action {
-            FaultAction::CorruptByte { offset, xor } => {
-                if !bytes.is_empty() {
-                    let off = offset as usize % bytes.len();
-                    bytes[off] ^= xor;
-                }
-                None
+    /// The control call: runs one control message for `client` (0 is the
+    /// transport's own channel) and returns the answer. With the codec
+    /// on the message crosses as bytes both ways, so byte faults, the
+    /// CRC check and the codec see exactly what a server across a socket
+    /// would; with it off the server executes it directly.
+    pub(crate) fn control(&mut self, client: ClientId, ctl: Control) -> Answer {
+        if !self.codec {
+            return execute(&mut self.server, client, ctl);
+        }
+        let resp = self.ship(client, ctl.frame());
+        let mut fr = FrameReader::new();
+        match fr.push(&resp).and_then(|()| fr.next_frame()) {
+            Ok(Some(f)) => {
+                self.server.note_wire_decode(client, f.wire_len());
+                Answer::decode(&f)
             }
-            FaultAction::TruncateFrame { keep } => {
-                let keep = keep as usize % bytes.len().max(1);
-                bytes.truncate(keep);
-                None
-            }
-            FaultAction::InjectGarbage { bytes: n } => {
-                // Seed-derived line noise, deterministic per (client, idx).
-                let mut r = crate::rng::XorShift::new(
-                    (u64::from(client.0) << 32 | idx) ^ 0x6A_5B_4C_3D_2E_1F,
-                );
-                for _ in 0..n {
-                    bytes.push(r.below(256) as u8);
-                }
-                None
-            }
-            FaultAction::SplitWrite { at } => Some(at as usize % bytes.len().max(1)),
-            FaultAction::StallDispatch { ticks } => {
-                st.pending_stalls
-                    .entry(client.0)
-                    .and_modify(|t| *t += ticks)
-                    .or_insert(ticks);
-                None
-            }
-            _ => None, // fire_byte_fault only returns byte faults
+            _ => Answer::Done,
         }
     }
 
     /// Ships a control frame and dispatches it inline, under the lock the
-    /// caller already holds; returns the response bytes. The bytes are
-    /// still the boundary — byte faults, the CRC check and the codec see
-    /// exactly what a server across a socket would.
-    ///
-    /// A stall armed by `StallDispatch` runs on a virtual clock: one that
-    /// reaches the deadline trips the sync watchdog — the connection is
-    /// torn down, the frame is never answered, and the client sees an
-    /// empty response (`ConnectionDead`, never a hang). A shorter stall
-    /// costs nothing. Client 0 is the transport's own control channel;
-    /// its callers get an empty response but no connection is killed.
-    fn ship(st: &mut WireState, client: ClientId, mut bytes: Vec<u8>) -> Vec<u8> {
+    /// caller already holds; returns the response bytes. A stall armed by
+    /// `StallDispatch` runs on a virtual clock: one that reaches the
+    /// deadline trips the sync watchdog — the connection is torn down,
+    /// the frame is never answered, and the client sees an empty response
+    /// (`ConnectionDead`, never a hang). A shorter stall costs nothing.
+    fn ship(&mut self, client: ClientId, mut bytes: Vec<u8>) -> Vec<u8> {
         // Control frames ride the same byte stream as data frames, so
         // they share the per-client frame timeline and take byte faults
         // too (a corrupted sync request is damage the server must survive).
-        Self::apply_byte_fault(st, client, &mut bytes);
-        st.server.note_wire_encode(client, bytes.len());
-        let stall = st.pending_stalls.remove(&client.0).unwrap_or(0);
-        if u64::from(stall) * STALL_TICK_MS >= st.deadline_ms {
-            st.server.note_watchdog_fire(client);
-            if client.0 != 0 {
-                st.server.kill_client(client);
-            }
-            st.bufs.remove(&client.0);
+        self.byte_fault(client, &mut bytes);
+        self.server.note_wire_encode(client, bytes.len());
+        let stall = self.stalls.remove(&client.0).unwrap_or(0);
+        if u64::from(stall) * STALL_TICK_MS >= self.deadline_ms {
+            self.server.kill_broken_stream(client, true);
             return Vec::new();
         }
-        dispatch(st, client, &bytes)
+        dispatch(&mut self.server, client, &bytes)
     }
 
-    /// Ships a flush of `client`'s buffered request frames.
-    fn ship_flush(st: &mut WireState, client: ClientId) {
-        Self::ship(st, client, frame(FT_FLUSH_CLIENT, 0, 0, &[]));
-    }
-
-    /// Ships a flush of every client's buffer (through the control
-    /// channel, client 0).
-    fn ship_flush_all(st: &mut WireState) {
-        Self::ship(st, ClientId(0), frame(FT_FLUSH_ALL, 0, 0, &[]));
-    }
-
-    /// Ships a control frame and decodes the single response frame it
-    /// produced. `None` means the connection is gone: the watchdog
-    /// tripped (empty response) or the response bytes failed integrity
-    /// checks — callers surface a dead connection, never panic.
-    fn call(&self, client: ClientId, bytes: Vec<u8>) -> Option<RawFrame> {
-        let mut st = self.lock();
-        let resp = Self::ship(&mut st, client, bytes);
-        let mut fr = FrameReader::new();
-        fr.push(&resp).ok()?;
-        let f = fr.next_frame().ok().flatten()?;
-        st.server.note_wire_decode(client, f.wire_len());
-        Some(f)
-    }
-
-    /// Encodes a request frame into the client's wire buffer; returns
-    /// whether the buffer hit capacity (a forced flush point).
-    fn push_request(st: &mut WireState, client: ClientId, seq: u64, q: &QueuedRequest) -> bool {
-        let (op, payload) = q.encode();
-        let mut bytes = frame(FT_REQUEST, op, seq, &payload);
-        let split = Self::apply_byte_fault(st, client, &mut bytes);
-        st.server.note_wire_encode(client, bytes.len());
-        let buf = st.bufs.entry(client.0).or_default();
-        match split {
-            // A split write lands as two appends to the same stream —
-            // byte-identical once buffered, which is exactly the
-            // invariant SplitWrite exists to witness.
-            Some(at) => {
-                let at = at.min(bytes.len());
-                buf.bytes.extend_from_slice(&bytes[..at]);
-                buf.bytes.extend_from_slice(&bytes[at..]);
+    /// Fires any byte fault scheduled for `client`'s next encoded frame
+    /// and applies it to `bytes` in place; a `StallDispatch` is armed for
+    /// the client's next control frame. The frame counter advances on
+    /// every encoded frame, plan or no plan, so a fault's timeline index
+    /// is independent of the plan's own contents.
+    fn byte_fault(&mut self, client: ClientId, bytes: &mut Vec<u8>) {
+        let counter = self.frame_seq.entry(client.0).or_insert(0);
+        *counter += 1;
+        let idx = *counter;
+        match self.server.fire_byte_fault(client, idx) {
+            Some(FaultAction::CorruptByte { offset, xor }) if !bytes.is_empty() => {
+                let off = offset as usize % bytes.len();
+                bytes[off] ^= xor;
             }
-            None => buf.bytes.extend_from_slice(&bytes),
-        }
-        buf.frames += 1;
-        buf.frames >= OUT_BUF_CAPACITY
-    }
-
-    /// Issues one buffered request: encodes it, records the issue-time
-    /// accounting both transports share, and flushes at a flush point.
-    fn issue(
-        st: &mut WireState,
-        client: ClientId,
-        kind: RequestKind,
-        reply: bool,
-        window: WindowId,
-        seq: u64,
-        q: &QueuedRequest,
-    ) {
-        let start = Instant::now();
-        let full = Self::push_request(st, client, seq, q);
-        st.server
-            .note_issue(client, kind, reply, window, seq, start);
-        if full || !st.server.batching() {
-            Self::ship_flush(st, client);
-        }
-    }
-
-    fn buffered_frames(st: &WireState, client: ClientId) -> usize {
-        st.bufs.get(&client.0).map_or(0, |b| b.frames)
-    }
-}
-
-impl Transport for WireTransport {
-    fn connect(&self) -> ClientId {
-        self.lock().server.connect()
-    }
-
-    fn is_wire(&self) -> bool {
-        true
-    }
-
-    fn wire_handle(&self) -> Option<WireHandle> {
-        Some(WireHandle {
-            state: self.state.clone(),
-        })
-    }
-
-    fn peek(&self, f: &mut dyn FnMut(&mut Server)) {
-        f(&mut self.lock().server);
-    }
-
-    fn frame_timeline(&self, client: ClientId) -> u64 {
-        self.lock().frame_seq.get(&client.0).copied().unwrap_or(0)
-    }
-
-    fn sync(&self, f: &mut dyn FnMut(&mut Server)) {
-        let mut st = self.lock();
-        Self::ship_flush_all(&mut st);
-        f(&mut st.server);
-    }
-
-    fn flush_client(&self, client: ClientId) {
-        let mut st = self.lock();
-        if Self::buffered_frames(&st, client) > 0 {
-            Self::ship_flush(&mut st, client);
-        }
-    }
-
-    fn set_batching(&self, on: bool) {
-        let mut st = self.lock();
-        if !on {
-            // Turning batching off is a flush point for everyone, like
-            // Server::set_batching's internal flush_all.
-            Self::ship_flush_all(&mut st);
-        }
-        st.server.set_batching(on);
-    }
-
-    fn reset_obs(&self, client: ClientId) {
-        let mut st = self.lock();
-        if Self::buffered_frames(&st, client) > 0 {
-            Self::ship_flush(&mut st, client);
-        }
-        st.server.reset_client_stats(client);
-    }
-
-    fn one_way(&self, client: ClientId, kind: RequestKind, window: WindowId, q: QueuedRequest) {
-        let mut st = self.lock();
-        if !st.server.is_alive(client) {
-            return;
-        }
-        let seq = st.server.next_seq(client);
-        Self::issue(&mut st, client, kind, false, window, seq, &q);
-    }
-
-    fn pipelined(
-        &self,
-        client: ClientId,
-        kind: RequestKind,
-        window: WindowId,
-        make: &mut dyn FnMut(u64) -> QueuedRequest,
-    ) -> u64 {
-        let mut st = self.lock();
-        let seq = st.server.next_seq(client);
-        if st.server.is_alive(client) {
-            let q = make(seq);
-            Self::issue(&mut st, client, kind, true, window, seq, &q);
-        }
-        seq
-    }
-
-    fn round_trip(&self, client: ClientId, req: SyncRequest) -> Result<SyncReply, XError> {
-        let (op, payload) = req.encode();
-        let Some(f) = self.call(client, frame(FT_SYNC, op, 0, &payload)) else {
-            return Err(XError::dead(0));
-        };
-        match f.frame_type {
-            FT_SYNC_REPLY => SyncReply::decode(&f).map_err(|_| XError::dead(0)),
-            FT_ERROR => Err(from_payload(&f.payload).unwrap_or(XError::dead(0))),
-            _ => Err(XError::dead(0)),
-        }
-    }
-
-    fn create_window(
-        &self,
-        client: ClientId,
-        parent: WindowId,
-        x: i32,
-        y: i32,
-        width: u32,
-        height: u32,
-        border_width: u32,
-    ) -> Result<WindowId, XError> {
-        let mut st = self.lock();
-        if !st.server.is_alive(client) {
-            return Err(XError::dead(0));
-        }
-        let seq = st.server.next_seq(client);
-        if !st.server.window_exists_or_pending(parent) {
-            // Counted like the in-process path (the server would answer
-            // with an error); no id handed out, nothing queued.
-            let start = Instant::now();
-            st.server
-                .note_issue(client, RequestKind::CreateWindow, false, parent, seq, start);
-            if !st.server.batching() && Self::buffered_frames(&st, client) > 0 {
-                Self::ship_flush(&mut st, client);
+            Some(FaultAction::TruncateFrame { keep }) => {
+                bytes.truncate(keep as usize % bytes.len().max(1));
             }
-            return Err(XError {
-                code: XErrorCode::BadWindow,
-                seq,
-                kind: Some(RequestKind::CreateWindow),
-            });
+            Some(FaultAction::InjectGarbage { bytes: n }) => {
+                // Seed-derived line noise, deterministic per (client, idx).
+                let mut r = crate::rng::XorShift::new(
+                    (u64::from(client.0) << 32 | idx) ^ 0x6A_5B_4C_3D_2E_1F,
+                );
+                bytes.extend((0..n).map(|_| r.below(256) as u8));
+            }
+            Some(FaultAction::StallDispatch { ticks }) => {
+                *self.stalls.entry(client.0).or_insert(0) += ticks;
+            }
+            // A SplitWrite lands as two writes to the same stream, which
+            // are byte-identical once buffered: the invariant it exists
+            // to witness.
+            _ => {}
         }
-        let id = st.server.reserve_window_id();
-        let q = QueuedRequest::CreateWindow {
-            id,
-            parent,
-            x,
-            y,
-            width,
-            height,
-            border_width,
-        };
-        Self::issue(
-            &mut st,
-            client,
-            RequestKind::CreateWindow,
-            false,
-            parent,
-            seq,
-            &q,
-        );
-        Ok(id)
-    }
-
-    fn create_gc(&self, client: ClientId, values: GcValues) -> crate::ids::GcId {
-        let mut st = self.lock();
-        let id = st.server.gcs.reserve();
-        if st.server.is_alive(client) {
-            let seq = st.server.next_seq(client);
-            let q = QueuedRequest::CreateGc { id, values };
-            Self::issue(
-                &mut st,
-                client,
-                RequestKind::CreateGc,
-                false,
-                Xid::NONE,
-                seq,
-                &q,
-            );
-        }
-        id
-    }
-
-    fn create_bitmap(&self, client: ClientId, bitmap: Bitmap) -> BitmapId {
-        let mut st = self.lock();
-        let id = st.server.bitmaps.reserve();
-        if st.server.is_alive(client) {
-            let seq = st.server.next_seq(client);
-            let q = QueuedRequest::CreateBitmap { id, bitmap };
-            Self::issue(
-                &mut st,
-                client,
-                RequestKind::CreateBitmap,
-                false,
-                Xid::NONE,
-                seq,
-                &q,
-            );
-        }
-        id
-    }
-
-    fn wait_reply(&self, client: ClientId, seq: u64) -> WaitReply {
-        let Some(f) = self.call(client, frame(FT_TAKE_REPLY, 0, seq, &[])) else {
-            return WaitReply::NoReply { alive: false };
-        };
-        match f.frame_type {
-            FT_COOKIE_REPLY => match ReplyValue::decode(&f) {
-                Ok(v) => WaitReply::Reply(v),
-                Err(_) => WaitReply::NoReply { alive: false },
-            },
-            FT_NO_REPLY => WaitReply::NoReply {
-                alive: f.payload.first().is_some_and(|&b| b == 1),
-            },
-            _ => WaitReply::NoReply { alive: false },
-        }
-    }
-
-    fn poll_event(&self, client: ClientId) -> Option<Event> {
-        let f = self.call(client, frame(FT_POLL_EVENT, 0, 0, &[]))?;
-        match f.frame_type {
-            FT_EVENT => Event::decode(&f).ok(),
-            _ => None,
-        }
-    }
-
-    fn pending(&self, client: ClientId) -> usize {
-        match self.call(client, frame(FT_PENDING, 0, 0, &[])) {
-            Some(f) if f.frame_type == FT_PENDING_COUNT => f.seq as usize,
-            _ => 0,
-        }
-    }
-
-    fn set_wire_deadline(&self, ms: u64) {
-        self.lock().deadline_ms = ms.max(1);
     }
 }
 
@@ -1355,6 +1095,7 @@ mod tests {
     use super::*;
     use crate::fault::{FaultPlan, FaultSpec};
     use crate::rng::XorShift;
+    use crate::Display;
 
     fn rxid(r: &mut XorShift) -> Xid {
         Xid(r.below(1 << 20) as u32)
@@ -2179,47 +1920,31 @@ mod tests {
     /// Deadline the stall tests run under: 10 ticks of virtual time.
     const STALL_DEADLINE_MS: u64 = 100;
 
-    /// A fixed client script over the wire transport: three data frames
+    /// A fixed client script with the codec on: three data frames
     /// (create, select input, map; frame indices 1-3), then four control
     /// frames (indices 4-7) whose raw response bytes are returned.
-    fn stall_script(plan: FaultPlan) -> (WireTransport, ClientId, Vec<Vec<u8>>) {
-        let t = WireTransport::new();
-        t.set_wire_deadline(STALL_DEADLINE_MS);
-        let c = t.connect();
-        let mut root = Xid::NONE;
-        t.peek(&mut |s| {
-            s.install_fault_plan(plan.clone());
-            root = s.root();
-        });
-        let win = t.create_window(c, root, 0, 0, 40, 20, 0).unwrap();
-        let select = QueuedRequest::SelectInput {
-            id: win,
-            event_mask: crate::event::mask::EXPOSURE,
-        };
-        t.one_way(c, RequestKind::SelectInput, win, select);
-        t.one_way(
-            c,
-            RequestKind::MapWindow,
-            win,
-            QueuedRequest::MapWindow { id: win },
-        );
-        let sync = |req: SyncRequest| {
-            let (op, payload) = req.encode();
-            frame(FT_SYNC, op, 0, &payload)
-        };
+    fn stall_script(plan: FaultPlan) -> (Display, ClientId, Vec<Vec<u8>>) {
+        let d = Display::new();
+        d.set_wire(true);
+        d.set_wire_deadline(STALL_DEADLINE_MS);
+        let c = d.connect();
+        d.peek_server(|s| s.install_fault_plan(plan));
+        let win = c.create_window(c.root(), 0, 0, 40, 20, 0).unwrap();
+        c.select_input(win, crate::event::mask::EXPOSURE);
+        c.map_window(win);
         let controls = [
-            sync(SyncRequest::InternAtom {
+            Control::Sync(SyncRequest::InternAtom {
                 name: "WM_NAME".into(),
             }),
-            frame(FT_PENDING, 0, 0, &[]),
-            frame(FT_POLL_EVENT, 0, 0, &[]),
-            sync(SyncRequest::GetGeometry { id: win }),
+            Control::Pending,
+            Control::PollEvent,
+            Control::Sync(SyncRequest::GetGeometry { id: win }),
         ];
         let resps = controls
-            .into_iter()
-            .map(|bytes| WireTransport::ship(&mut t.lock(), c, bytes))
+            .iter()
+            .map(|ctl| d.wire_handle().lock().ship(c.client_id(), ctl.frame()))
             .collect();
-        (t, c, resps)
+        (d, c.client_id(), resps)
     }
 
     /// A plan that stalls dispatch by `ticks` from the map frame (index
@@ -2232,52 +1957,56 @@ mod tests {
         }])
     }
 
-    fn watchdog_fires(t: &WireTransport, c: ClientId) -> u64 {
-        let st = t.lock();
-        st.server.client_obs(c).map_or(0, |o| o.wire.watchdog_fires)
+    fn watchdog_fires(d: &Display, c: ClientId) -> u64 {
+        d.peek_server(|s| s.client_obs(c).map_or(0, |o| o.wire.watchdog_fires))
     }
 
     #[test]
     fn stall_below_the_deadline_costs_nothing() {
         let (_, c, clean) = stall_script(FaultPlan::default());
         let ticks = (STALL_DEADLINE_MS / STALL_TICK_MS) as u32 - 1;
-        let (t, c2, stalled) = stall_script(stall_plan(c, ticks));
+        let (d, c2, stalled) = stall_script(stall_plan(c, ticks));
         assert_eq!(c, c2);
         assert!(clean.iter().all(|r| !r.is_empty()), "{clean:?}");
         assert_eq!(stalled, clean, "a short stall must not change a reply byte");
-        assert_eq!(watchdog_fires(&t, c), 0);
-        let fired = t.lock().server.fault_plan().unwrap().fired_log().len();
+        assert_eq!(watchdog_fires(&d, c), 0);
+        let fired = d.peek_server(|s| s.fault_plan().unwrap().fired_log().len());
         assert_eq!(fired, 1, "the stall fault itself fired");
-        assert!(t.lock().server.is_alive(c));
+        assert!(d.peek_server(|s| s.is_alive(c)));
     }
 
     #[test]
     fn stall_at_the_deadline_trips_the_watchdog() {
         let (_, c, _) = stall_script(FaultPlan::default());
         let ticks = (STALL_DEADLINE_MS / STALL_TICK_MS) as u32;
-        let (t, c2, resps) = stall_script(stall_plan(c, ticks));
+        let (d, c2, resps) = stall_script(stall_plan(c, ticks));
         assert_eq!(c, c2);
         assert!(resps[0].is_empty(), "the stalled frame is never answered");
-        assert_eq!(watchdog_fires(&t, c), 1);
-        assert!(!t.lock().server.is_alive(c));
+        assert_eq!(watchdog_fires(&d, c), 1);
+        assert!(!d.peek_server(|s| s.is_alive(c)));
+        let handle = d.wire_handle();
+        let mut st = handle.lock();
         assert!(matches!(
-            t.wait_reply(c, 1),
-            WaitReply::NoReply { alive: false }
+            st.control(c, Control::TakeReply(1)),
+            Answer::NoReply { alive: false }
         ));
         let req = SyncRequest::InternAtom {
             name: "WM_NAME".into(),
         };
-        assert_eq!(t.round_trip(c, req), Err(XError::dead(0)));
-        assert_eq!(watchdog_fires(&t, c), 1, "only the stalled frame trips it");
+        assert!(matches!(
+            st.control(c, Control::Sync(req)),
+            Answer::Sync(Err(e)) if e == XError::dead(0)
+        ));
+        drop(st);
+        assert_eq!(watchdog_fires(&d, c), 1, "only the stalled frame trips it");
     }
 
     #[test]
     fn a_watchdog_kill_leaves_a_clean_audit() {
         for ticks in [1, 10, 40] {
             let (_, c, _) = stall_script(FaultPlan::default());
-            let (t, _, _) = stall_script(stall_plan(c, ticks));
-            let mut violations = Vec::new();
-            t.sync(&mut |s| violations = s.audit());
+            let (d, _, _) = stall_script(stall_plan(c, ticks));
+            let violations = d.with_server(|s| s.audit());
             assert!(violations.is_empty(), "ticks {ticks}: {violations:?}");
         }
     }

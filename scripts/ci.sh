@@ -54,6 +54,16 @@ cargo test -q --offline --locked --test wire_equivalence
 echo "==> full suite on the oracle transport (RTK_NO_WIRE=1)"
 RTK_NO_WIRE=1 cargo test -q --workspace --offline --locked
 
+# Threaded stress in an optimised build: a sender spinning on the
+# shared transport lock can starve the peer thread it waits on, and
+# that race only shows with optimisations on. Ten runs, because one
+# green run proves little about a race.
+echo "==> wire_stress in release (10 runs)"
+for i in 1 2 3 4 5 6 7 8 9 10; do
+    echo "    run $i"
+    cargo test -q --release --offline --locked --test wire_stress
+done
+
 # The wire budgets must hold on the oracle run too: the wire_send
 # workload forces the framed transport regardless of RTK_NO_WIRE, so
 # its frame/byte counters are pinned in both CI transport runs.

@@ -1,7 +1,7 @@
-//! Threaded-server stress: the framed wire transport's reason to exist
-//! is that each `TkApp` can own a thread while one server thread owns
-//! the semantics. These tests run several apps on their own OS threads
-//! against one shared wire server, exchanging `send`s and redraws, and
+//! Threaded-server stress: the shared transport lets each `TkApp` own a
+//! thread while one server owns the semantics. These tests run several
+//! apps on their own OS threads against one shared server, with the
+//! codec on or off (`RTK_NO_WIRE=1`), exchanging `send`s and redraws, and
 //! assert the three properties that matter: no deadlock, per-client
 //! event ordering, and clean teardown when one client's connection is
 //! killed mid-flush.
@@ -43,20 +43,11 @@ fn threaded_apps_exchange_sends_without_deadlock_and_in_order() {
         send_timeout_ms: SEND_TIMEOUT_MS,
         prefix: "worker",
     };
-    match run_wire_mesh(&env, &cfg) {
-        Some(report) => {
-            assert_eq!(report.sends, (APPS * (APPS - 1)) as u64 * ROUNDS);
-            // The shared display outlives the worker threads: the main
-            // thread can still observe the final screen through the same
-            // server.
-            assert!(!env.display().ascii_dump().is_empty());
-        }
-        None => {
-            // RTK_NO_WIRE=1 forces the in-process oracle, which is
-            // single-threaded by design — nothing to stress.
-            eprintln!("skipping: wire transport disabled via RTK_NO_WIRE");
-        }
-    }
+    let report = run_wire_mesh(&env, &cfg);
+    assert_eq!(report.sends, (APPS * (APPS - 1)) as u64 * ROUNDS);
+    // The shared display outlives the worker threads: the main thread can
+    // still observe the final screen through the same server.
+    assert!(!env.display().ascii_dump().is_empty());
     done.store(true, Ordering::SeqCst);
 }
 
@@ -73,13 +64,7 @@ fn killing_a_client_mid_flush_tears_down_cleanly() {
     watchdog("mid-flush kill", 240, done.clone());
 
     let env = TkEnv::new();
-    let display = env.display();
-    if !display.wire() {
-        done.store(true, Ordering::SeqCst);
-        eprintln!("skipping: wire transport disabled via RTK_NO_WIRE");
-        return;
-    }
-    let handle = display.wire_handle().expect("wire transport has a handle");
+    let handle = env.display().wire_handle();
 
     let registered = Arc::new(Barrier::new(APPS));
     let killed = Arc::new(Barrier::new(APPS));
