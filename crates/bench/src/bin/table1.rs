@@ -15,9 +15,15 @@
 //! fails.
 //!
 //! Run with: `cargo run -p tk-bench --bin table1`
+//!
+//! `table1 -- --check-budgets [BUDGETS.json]` is the economy gate: it
+//! exits 1 if any row's code-line count is above its ceiling in the
+//! budget file's `table1` object. Counts may go down freely; lower the
+//! ceilings by hand when they do, so growth shows up as a diff.
 
 use std::path::{Path, PathBuf};
 
+use rtk_obs::json;
 use tk_bench::count_loc;
 
 /// The crates whose sources the table covers.
@@ -143,6 +149,24 @@ fn tally(crates_dir: &Path) -> ([(usize, usize); ROWS.len()], Vec<String>) {
     (sums, unclassified)
 }
 
+/// The rows whose code-line count is above its ceiling in the budget
+/// file's `table1` object (or that have no ceiling), one message each.
+fn over_budget(budgets: &str, sums: &[(usize, usize)]) -> Result<Vec<String>, String> {
+    let budgets = json::parse(budgets)?;
+    let ceilings = budgets.get("table1").ok_or("no \"table1\" object")?;
+    Ok(ROWS
+        .iter()
+        .zip(sums)
+        .filter_map(|(&(name, _, _), &(code, _))| {
+            match ceilings.get(name).and_then(|v| v.as_u64()) {
+                Some(max) if code as u64 <= max => None,
+                Some(max) => Some(format!("{name}: {code} code lines, ceiling {max}")),
+                None => Some(format!("{name}: no ceiling")),
+            }
+        })
+        .collect())
+}
+
 fn main() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let (sums, unclassified) = tally(&root.join("crates"));
@@ -151,6 +175,26 @@ fn main() {
             eprintln!("table1: no row for crates/{f}: add it to RULES");
         }
         std::process::exit(1);
+    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) == Some("--check-budgets") {
+        let path = args
+            .get(1)
+            .map_or_else(|| root.join("BUDGETS.json"), PathBuf::from);
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        let over = over_budget(&text, &sums).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        if !over.is_empty() {
+            for msg in &over {
+                eprintln!("table1: {msg}");
+            }
+            std::process::exit(1);
+        }
+        println!(
+            "table1: every row is within its ceiling in {}",
+            path.display()
+        );
+        return;
     }
 
     let line = |name: &str, xt: String, tk: String, (code, tests): (usize, usize)| {
@@ -248,6 +292,25 @@ mod tests {
         for (rule, name) in RULES {
             assert!(ROWS.iter().any(|r| r.0 == *name), "{rule} -> {name}");
         }
+    }
+
+    #[test]
+    fn rows_above_their_ceiling_are_reported() {
+        let mut sums = [(10, 0); ROWS.len()];
+        let ceilings: Vec<String> = ROWS.iter().map(|r| format!("\"{}\":10", r.0)).collect();
+        let budgets = format!("{{\"table1\":{{{}}}}}", ceilings.join(","));
+        assert_eq!(over_budget(&budgets, &sums), Ok(vec![]));
+        sums[7].0 = 11;
+        assert_eq!(
+            over_budget(&budgets, &sums),
+            Ok(vec!["X server (sim): 11 code lines, ceiling 10".to_string()])
+        );
+        let missing = budgets.replace("\"Shell\":10,", "");
+        assert_eq!(
+            over_budget(&missing, &sums).unwrap().last().unwrap(),
+            "Shell: no ceiling"
+        );
+        assert!(over_budget("{}", &sums).is_err());
     }
 
     #[test]

@@ -11,6 +11,12 @@
 //! travel back in one blocking wait. The counters power the Table II
 //! client/server split and the Section 3.3 cache-ablation experiment.
 //!
+//! The request methods (one-way, pipelined `send_*`, and round trip)
+//! are generated from the request table in `crate::wire`, which declares
+//! each request once. Written here by hand are the three that reserve a
+//! resource id on the client side (`create_window`, `create_gc`,
+//! `create_bitmap`), cookie redemption, events, and flushing.
+//!
 //! Everything below the calling surface goes through one transport
 //! (`crate::wire`): the server behind a mutex, so apps on several
 //! threads can drive one display, with the codec on (the default, every
@@ -26,17 +32,15 @@
 use std::marker::PhantomData;
 use std::time::Instant;
 
-use crate::atom::Atom;
-use crate::color::Rgb;
 use crate::event::{Event, Keysym};
 use crate::fault::{XError, XErrorCode};
-use crate::font::FontMetrics;
 use crate::gc::GcValues;
-use crate::ids::{ClientId, CursorId, FontId, GcId, Pixel, WindowId, Xid};
+use crate::ids::{ClientId, GcId, WindowId, Xid};
 use crate::obs::{ClientObs, RequestKind, TraceEntry, WireStats};
 use crate::render::Surface;
-use crate::server::{ClientStats, QueuedRequest, ReplyValue, Server, SyncReply, SyncRequest};
-use crate::wire::{Answer, Control, State, Transport, WireHandle};
+use crate::server::{ClientStats, Server};
+use crate::wire::{Answer, Control, QueuedRequest, ReplyValue, State, SyncReply, SyncRequest};
+use crate::wire::{Transport, WireHandle};
 
 /// A simulated display: the shared server plus a factory for connections.
 ///
@@ -197,7 +201,18 @@ impl Display {
 /// was queued, carrying the sequence number its reply is filed under.
 /// Redeem it with [`Connection::wait`]; redeeming blocks (flushes) only if
 /// the reply has not already traveled back with an earlier flush.
-#[derive(Debug, Clone, Copy)]
+///
+/// `wait` takes the cookie by value, so a reply is collected at most
+/// once: waiting on the same cookie twice does not compile.
+///
+/// ```compile_fail,E0382
+/// let display = xsim::Display::new();
+/// let conn = display.connect();
+/// let cookie = conn.send_intern_atom("WM_NAME");
+/// let first = conn.wait(cookie);
+/// let second = conn.wait(cookie);
+/// ```
+#[derive(Debug)]
 #[must_use = "a cookie must be redeemed with Connection::wait"]
 pub struct Cookie<T> {
     seq: u64,
@@ -205,7 +220,7 @@ pub struct Cookie<T> {
 }
 
 impl<T> Cookie<T> {
-    fn new(seq: u64) -> Cookie<T> {
+    pub(crate) fn new(seq: u64) -> Cookie<T> {
         Cookie {
             seq,
             _reply: PhantomData,
@@ -220,59 +235,15 @@ impl<T> Cookie<T> {
 
 /// Conversion from the wire-level reply payload to the typed result a
 /// cookie promises. Implemented for exactly the types the `send_*`
-/// methods return cookies for.
+/// methods return cookies for: each pipelined row of the request table
+/// generates one impl.
 pub trait FromReply: Sized {
     #[doc(hidden)]
     fn from_reply(v: ReplyValue) -> Option<Self>;
 }
 
-impl FromReply for Atom {
-    fn from_reply(v: ReplyValue) -> Option<Self> {
-        match v {
-            ReplyValue::Atom(a) => Some(a),
-            _ => None,
-        }
-    }
-}
-
-impl FromReply for Pixel {
-    fn from_reply(v: ReplyValue) -> Option<Self> {
-        match v {
-            ReplyValue::Pixel(p) => Some(p),
-            _ => None,
-        }
-    }
-}
-
-impl FromReply for Option<(Pixel, Rgb)> {
-    fn from_reply(v: ReplyValue) -> Option<Self> {
-        match v {
-            ReplyValue::NamedColor(c) => Some(c),
-            _ => None,
-        }
-    }
-}
-
-impl FromReply for Option<String> {
-    fn from_reply(v: ReplyValue) -> Option<Self> {
-        match v {
-            ReplyValue::Property(p) => Some(p),
-            _ => None,
-        }
-    }
-}
-
 /// A window's geometry reply: `(x, y, width, height, border_width)`.
 pub type Geometry = (i32, i32, u32, u32, u32);
-
-impl FromReply for Option<Geometry> {
-    fn from_reply(v: ReplyValue) -> Option<Self> {
-        match v {
-            ReplyValue::Geometry(g) => Some(g),
-            _ => None,
-        }
-    }
-}
 
 /// One client's connection to the display.
 #[derive(Clone)]
@@ -456,7 +427,7 @@ impl Connection {
 
     /// Queues a one-way request in the output buffer, accounting for it
     /// at issue time. On a dead connection the request is discarded.
-    fn one_way(&self, window: WindowId, q: QueuedRequest) {
+    pub(crate) fn one_way(&self, window: WindowId, q: QueuedRequest) {
         let mut st = self.transport.lock();
         if st.server.is_alive(self.client) {
             let seq = st.server.next_seq(self.client);
@@ -467,7 +438,11 @@ impl Connection {
     /// Queues a pipelined reply-bearing request; the returned sequence
     /// number is the cookie's claim ticket. On a dead connection nothing
     /// is queued and redeeming the cookie reports the death.
-    fn pipelined(&self, window: WindowId, make: impl FnOnce(u64) -> QueuedRequest) -> u64 {
+    pub(crate) fn pipelined(
+        &self,
+        window: WindowId,
+        make: impl FnOnce(u64) -> QueuedRequest,
+    ) -> u64 {
         let mut st = self.transport.lock();
         let seq = st.server.next_seq(self.client);
         if st.server.is_alive(self.client) {
@@ -480,7 +455,7 @@ impl Connection {
     /// every output buffer is flushed (a blocked client has, by
     /// definition, already written out its queue), then the server
     /// executes and records the request.
-    fn round_trip(&self, req: SyncRequest) -> Result<SyncReply, XError> {
+    pub(crate) fn round_trip(&self, req: SyncRequest) -> Result<SyncReply, XError> {
         match self.control(Control::Sync(req)) {
             Answer::Sync(r) => r,
             _ => Err(XError::dead(0)),
@@ -498,41 +473,13 @@ impl Connection {
                 Ok(T::from_reply(v).expect("reply payload does not match cookie type"))
             }
             Answer::NoReply { alive: true } => {
-                panic!("no reply filed for cookie (double wait?)")
+                panic!("no reply filed for live cookie {}", cookie.seq)
             }
             _ => Err(XError::dead(cookie.seq)),
         }
     }
 
-    // --- atoms ---
-
-    /// Interns an atom (round trip).
-    pub fn intern_atom(&self, name: &str) -> Result<Atom, XError> {
-        match self.round_trip(SyncRequest::InternAtom {
-            name: name.to_string(),
-        })? {
-            SyncReply::Atom(a) => Ok(a),
-            _ => unreachable!("InternAtom answers with an atom"),
-        }
-    }
-
-    /// Interns an atom without blocking (pipelined).
-    pub fn send_intern_atom(&self, name: &str) -> Cookie<Atom> {
-        Cookie::new(self.pipelined(Xid::NONE, |seq| QueuedRequest::InternAtom {
-            seq,
-            name: name.to_string(),
-        }))
-    }
-
-    /// Gets an atom's name (round trip).
-    pub fn atom_name(&self, atom: Atom) -> Result<Option<String>, XError> {
-        match self.round_trip(SyncRequest::GetAtomName { atom })? {
-            SyncReply::OptString(s) => Ok(s),
-            _ => unreachable!("GetAtomName answers with an optional string"),
-        }
-    }
-
-    // --- windows ---
+    // --- resources whose ids the client reserves ---
 
     /// Creates an (unmapped) window. The id is allocated client-side and
     /// returned immediately; the CreateWindow itself is buffered. A stale
@@ -578,250 +525,6 @@ impl Connection {
         Ok(id)
     }
 
-    /// Destroys a window and its descendants.
-    pub fn destroy_window(&self, id: WindowId) {
-        self.one_way(id, QueuedRequest::DestroyWindow { id });
-    }
-
-    /// Maps a window.
-    pub fn map_window(&self, id: WindowId) {
-        self.one_way(id, QueuedRequest::MapWindow { id });
-    }
-
-    /// Unmaps a window.
-    pub fn unmap_window(&self, id: WindowId) {
-        self.one_way(id, QueuedRequest::UnmapWindow { id });
-    }
-
-    /// Moves/resizes a window.
-    pub fn configure_window(
-        &self,
-        id: WindowId,
-        x: Option<i32>,
-        y: Option<i32>,
-        width: Option<u32>,
-        height: Option<u32>,
-        border_width: Option<u32>,
-    ) {
-        self.one_way(
-            id,
-            QueuedRequest::ConfigureWindow {
-                id,
-                x,
-                y,
-                width,
-                height,
-                border_width,
-            },
-        );
-    }
-
-    /// Raises a window above its siblings.
-    pub fn raise_window(&self, id: WindowId) {
-        self.one_way(id, QueuedRequest::RaiseWindow { id });
-    }
-
-    /// Reparents a window to a new parent at the given position.
-    pub fn reparent_window(&self, id: WindowId, new_parent: WindowId, x: i32, y: i32) {
-        self.one_way(
-            id,
-            QueuedRequest::ReparentWindow {
-                id,
-                new_parent,
-                x,
-                y,
-            },
-        );
-    }
-
-    /// Selects the events this client wants from a window.
-    pub fn select_input(&self, id: WindowId, event_mask: u32) {
-        self.one_way(id, QueuedRequest::SelectInput { id, event_mask });
-    }
-
-    /// Sets the window background pixel.
-    pub fn set_window_background(&self, id: WindowId, pixel: Pixel) {
-        self.one_way(id, QueuedRequest::SetWindowBackground { id, pixel });
-    }
-
-    /// Sets the window border pixel.
-    pub fn set_window_border(&self, id: WindowId, pixel: Pixel) {
-        self.one_way(id, QueuedRequest::SetWindowBorder { id, pixel });
-    }
-
-    /// Marks a window override-redirect (popup menus).
-    pub fn set_override_redirect(&self, id: WindowId, on: bool) {
-        self.one_way(id, QueuedRequest::SetOverrideRedirect { id, on });
-    }
-
-    /// Attaches a cursor to a window.
-    pub fn define_cursor(&self, id: WindowId, cursor: CursorId) {
-        self.one_way(id, QueuedRequest::DefineCursor { id, cursor });
-    }
-
-    /// Queries parent and children (round trip).
-    pub fn query_tree(&self, id: WindowId) -> Result<Option<(WindowId, Vec<WindowId>)>, XError> {
-        match self.round_trip(SyncRequest::QueryTree { id })? {
-            SyncReply::Tree(t) => Ok(t),
-            _ => unreachable!("QueryTree answers with a tree"),
-        }
-    }
-
-    /// Queries geometry (round trip).
-    pub fn get_geometry(&self, id: WindowId) -> Result<Option<Geometry>, XError> {
-        match self.round_trip(SyncRequest::GetGeometry { id })? {
-            SyncReply::Geometry(g) => Ok(g),
-            _ => unreachable!("GetGeometry answers with a geometry"),
-        }
-    }
-
-    /// Queries geometry without blocking (pipelined).
-    pub fn send_get_geometry(&self, id: WindowId) -> Cookie<Option<Geometry>> {
-        Cookie::new(self.pipelined(id, |seq| QueuedRequest::GetGeometry { seq, id }))
-    }
-
-    /// Is the window viewable? (round trip)
-    pub fn is_viewable(&self, id: WindowId) -> Result<bool, XError> {
-        match self.round_trip(SyncRequest::IsViewable { id })? {
-            SyncReply::Bool(v) => Ok(v),
-            _ => unreachable!("IsViewable answers with a bool"),
-        }
-    }
-
-    // --- properties ---
-
-    /// Sets a property.
-    pub fn change_property(&self, id: WindowId, atom: Atom, value: &str) {
-        self.one_way(
-            id,
-            QueuedRequest::ChangeProperty {
-                id,
-                atom,
-                value: value.to_string(),
-            },
-        );
-    }
-
-    /// Appends one line to a property atomically (`PropModeAppend`): the
-    /// server does the concatenation, so the append is a single one-way
-    /// request — no read-modify-write round trip, and no lost update when
-    /// several clients append to the same property.
-    pub fn append_property(&self, id: WindowId, atom: Atom, value: &str) {
-        self.one_way(
-            id,
-            QueuedRequest::AppendProperty {
-                id,
-                atom,
-                value: value.to_string(),
-            },
-        );
-    }
-
-    /// Reads a property (round trip).
-    pub fn get_property(&self, id: WindowId, atom: Atom) -> Result<Option<String>, XError> {
-        match self.round_trip(SyncRequest::GetProperty { id, atom })? {
-            SyncReply::OptString(s) => Ok(s),
-            _ => unreachable!("GetProperty answers with an optional string"),
-        }
-    }
-
-    /// Reads AND deletes a property in one round trip — X's
-    /// `XGetWindowProperty` with `delete=True`. Atomic at the server, so
-    /// a concurrent append from another client can never land between
-    /// the read and the delete and be destroyed unread.
-    pub fn take_property(&self, id: WindowId, atom: Atom) -> Result<Option<String>, XError> {
-        match self.round_trip(SyncRequest::TakeProperty { id, atom })? {
-            SyncReply::OptString(s) => Ok(s),
-            _ => unreachable!("TakeProperty answers with an optional string"),
-        }
-    }
-
-    /// Reads a property without blocking (pipelined).
-    pub fn send_get_property(&self, id: WindowId, atom: Atom) -> Cookie<Option<String>> {
-        Cookie::new(self.pipelined(id, |seq| QueuedRequest::GetProperty { seq, id, atom }))
-    }
-
-    /// Deletes a property.
-    pub fn delete_property(&self, id: WindowId, atom: Atom) {
-        self.one_way(id, QueuedRequest::DeleteProperty { id, atom });
-    }
-
-    // --- colors, fonts, cursors, GCs ---
-
-    /// Allocates a named color (round trip), returning pixel and RGB.
-    pub fn alloc_named_color(&self, name: &str) -> Result<Option<(Pixel, Rgb)>, XError> {
-        match self.round_trip(SyncRequest::AllocNamedColor {
-            name: name.to_string(),
-        })? {
-            SyncReply::NamedColor(c) => Ok(c),
-            _ => unreachable!("AllocNamedColor answers with a named color"),
-        }
-    }
-
-    /// Allocates a named color without blocking (pipelined).
-    pub fn send_alloc_named_color(&self, name: &str) -> Cookie<Option<(Pixel, Rgb)>> {
-        Cookie::new(
-            self.pipelined(Xid::NONE, |seq| QueuedRequest::AllocNamedColor {
-                seq,
-                name: name.to_string(),
-            }),
-        )
-    }
-
-    /// Allocates an RGB color (round trip).
-    pub fn alloc_color(&self, rgb: Rgb) -> Result<Pixel, XError> {
-        match self.round_trip(SyncRequest::AllocColor { rgb })? {
-            SyncReply::Pixel(p) => Ok(p),
-            _ => unreachable!("AllocColor answers with a pixel"),
-        }
-    }
-
-    /// Allocates an RGB color without blocking (pipelined).
-    pub fn send_alloc_color(&self, rgb: Rgb) -> Cookie<Pixel> {
-        Cookie::new(self.pipelined(Xid::NONE, |seq| QueuedRequest::AllocColor { seq, rgb }))
-    }
-
-    /// Frees one reference to a pixel.
-    pub fn free_color(&self, pixel: Pixel) {
-        self.one_way(Xid::NONE, QueuedRequest::FreeColor { pixel });
-    }
-
-    /// Looks up the RGB stored in a pixel (round trip).
-    pub fn query_color(&self, pixel: Pixel) -> Result<Rgb, XError> {
-        match self.round_trip(SyncRequest::QueryColor { pixel })? {
-            SyncReply::Rgb(rgb) => Ok(rgb),
-            _ => unreachable!("QueryColor answers with an rgb"),
-        }
-    }
-
-    /// Opens a font (round trip).
-    pub fn open_font(&self, name: &str) -> Result<Option<FontId>, XError> {
-        match self.round_trip(SyncRequest::OpenFont {
-            name: name.to_string(),
-        })? {
-            SyncReply::OptXid(x) => Ok(x),
-            _ => unreachable!("OpenFont answers with an optional id"),
-        }
-    }
-
-    /// Queries font metrics (round trip).
-    pub fn font_metrics(&self, font: FontId) -> Result<Option<FontMetrics>, XError> {
-        match self.round_trip(SyncRequest::QueryFont { font })? {
-            SyncReply::Metrics(m) => Ok(m),
-            _ => unreachable!("QueryFont answers with metrics"),
-        }
-    }
-
-    /// Creates a cursor from the cursor font (round trip).
-    pub fn create_cursor(&self, name: &str) -> Result<Option<CursorId>, XError> {
-        match self.round_trip(SyncRequest::CreateCursor {
-            name: name.to_string(),
-        })? {
-            SyncReply::OptXid(x) => Ok(x),
-            _ => unreachable!("CreateCursor answers with an optional id"),
-        }
-    }
-
     /// Uploads a bitmap to the server. The id is allocated client-side;
     /// the upload itself is buffered.
     pub fn create_bitmap(&self, bitmap: crate::bitmap::Bitmap) -> crate::bitmap::BitmapId {
@@ -830,211 +533,12 @@ impl Connection {
         id
     }
 
-    /// Frees a bitmap.
-    pub fn free_bitmap(&self, id: crate::bitmap::BitmapId) {
-        self.one_way(Xid::NONE, QueuedRequest::FreeBitmap { id });
-    }
-
-    /// Dimensions of an uploaded bitmap (round trip).
-    pub fn bitmap_size(&self, id: crate::bitmap::BitmapId) -> Result<Option<(u32, u32)>, XError> {
-        match self.round_trip(SyncRequest::QueryBitmap { id })? {
-            SyncReply::Size(s) => Ok(s),
-            _ => unreachable!("QueryBitmap answers with a size"),
-        }
-    }
-
-    /// Draws a bitmap's set bits in the GC foreground at `(x, y)`.
-    pub fn copy_bitmap(
-        &self,
-        id: WindowId,
-        gc: GcId,
-        x: i32,
-        y: i32,
-        bitmap: crate::bitmap::BitmapId,
-    ) {
-        self.one_way(
-            id,
-            QueuedRequest::CopyBitmap {
-                id,
-                gc,
-                x,
-                y,
-                bitmap,
-            },
-        );
-    }
-
     /// Creates a GC. The id is allocated client-side; the CreateGc itself
     /// is buffered.
     pub fn create_gc(&self, values: GcValues) -> GcId {
         let id = self.peek(|s| s.gcs.reserve());
         self.one_way(Xid::NONE, QueuedRequest::CreateGc { id, values });
         id
-    }
-
-    /// Changes a GC.
-    pub fn change_gc(&self, gc: GcId, values: GcValues) {
-        self.one_way(Xid::NONE, QueuedRequest::ChangeGc { gc, values });
-    }
-
-    /// Frees a GC.
-    pub fn free_gc(&self, gc: GcId) {
-        self.one_way(Xid::NONE, QueuedRequest::FreeGc { gc });
-    }
-
-    // --- drawing ---
-
-    /// Fills a rectangle in window coordinates.
-    pub fn fill_rectangle(&self, id: WindowId, gc: GcId, x: i32, y: i32, w: u32, h: u32) {
-        self.one_way(id, QueuedRequest::FillRectangle { id, gc, x, y, w, h });
-    }
-
-    /// Draws a rectangle outline.
-    pub fn draw_rectangle(&self, id: WindowId, gc: GcId, x: i32, y: i32, w: u32, h: u32) {
-        self.one_way(id, QueuedRequest::DrawRectangle { id, gc, x, y, w, h });
-    }
-
-    /// Draws a line.
-    pub fn draw_line(&self, id: WindowId, gc: GcId, x0: i32, y0: i32, x1: i32, y1: i32) {
-        self.one_way(
-            id,
-            QueuedRequest::DrawLine {
-                id,
-                gc,
-                x0,
-                y0,
-                x1,
-                y1,
-            },
-        );
-    }
-
-    /// Draws a string, baseline at `(x, y)`.
-    pub fn draw_string(&self, id: WindowId, gc: GcId, x: i32, y: i32, text: &str) {
-        self.one_way(
-            id,
-            QueuedRequest::DrawString {
-                id,
-                gc,
-                x,
-                y,
-                text: text.to_string(),
-            },
-        );
-    }
-
-    /// Clears an area to the window background (0 size = whole window).
-    pub fn clear_area(&self, id: WindowId, x: i32, y: i32, w: u32, h: u32) {
-        self.one_way(id, QueuedRequest::ClearArea { id, x, y, w, h });
-    }
-
-    /// Installs a clip-rectangle list on a window: subsequent drawing
-    /// rasterizes only inside the union of the rects. An empty list means
-    /// unclipped (X's "no clip mask"), so redraw code can send the same
-    /// request stream whether or not it has damage to narrow to.
-    pub fn set_clip(&self, id: WindowId, rects: Vec<crate::damage::Rect>) {
-        self.one_way(id, QueuedRequest::SetClip { id, rects });
-    }
-
-    /// Removes the clip installed by [`Connection::set_clip`].
-    pub fn clear_clip(&self, id: WindowId) {
-        self.one_way(id, QueuedRequest::ClearClip { id });
-    }
-
-    /// Copies a region within one window (XCopyArea, same drawable as
-    /// source and destination) — the scroll blit. Moved pixels are not
-    /// re-rasterized and do not count toward `pixels_drawn`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn copy_area(
-        &self,
-        id: WindowId,
-        src_x: i32,
-        src_y: i32,
-        w: u32,
-        h: u32,
-        dst_x: i32,
-        dst_y: i32,
-    ) {
-        self.one_way(
-            id,
-            QueuedRequest::CopyArea {
-                id,
-                src_x,
-                src_y,
-                w,
-                h,
-                dst_x,
-                dst_y,
-            },
-        );
-    }
-
-    // --- selections ---
-
-    /// Claims selection ownership.
-    pub fn set_selection_owner(&self, selection: Atom, owner: WindowId) {
-        self.one_way(owner, QueuedRequest::SetSelectionOwner { selection, owner });
-    }
-
-    /// Queries the selection owner (round trip).
-    pub fn get_selection_owner(&self, selection: Atom) -> Result<WindowId, XError> {
-        match self.round_trip(SyncRequest::GetSelectionOwner { selection })? {
-            SyncReply::Window(w) => Ok(w),
-            _ => unreachable!("GetSelectionOwner answers with a window"),
-        }
-    }
-
-    /// Requests conversion of a selection into a property on `requestor`.
-    pub fn convert_selection(
-        &self,
-        requestor: WindowId,
-        selection: Atom,
-        target: Atom,
-        property: Atom,
-    ) {
-        self.one_way(
-            requestor,
-            QueuedRequest::ConvertSelection {
-                requestor,
-                selection,
-                target,
-                property,
-            },
-        );
-    }
-
-    /// Replies to a SelectionRequest after storing the converted value.
-    pub fn send_selection_notify(
-        &self,
-        requestor: WindowId,
-        selection: Atom,
-        target: Atom,
-        property: Atom,
-    ) {
-        self.one_way(
-            requestor,
-            QueuedRequest::SendSelectionNotify {
-                requestor,
-                selection,
-                target,
-                property,
-            },
-        );
-    }
-
-    // --- focus ---
-
-    /// Assigns the input focus.
-    pub fn set_input_focus(&self, id: WindowId) {
-        self.one_way(id, QueuedRequest::SetInputFocus { id });
-    }
-
-    /// Queries the input focus (round trip).
-    pub fn get_input_focus(&self) -> Result<WindowId, XError> {
-        match self.round_trip(SyncRequest::GetInputFocus)? {
-            SyncReply::Window(w) => Ok(w),
-            _ => unreachable!("GetInputFocus answers with a window"),
-        }
     }
 
     // --- events ---
@@ -1061,6 +565,7 @@ impl Connection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::color::Rgb;
     use crate::event::mask;
     use crate::server::OUT_BUF_CAPACITY;
 
@@ -1618,5 +1123,546 @@ mod tests {
         };
         assert_eq!(run(true), run(false));
         assert!(!run(true));
+    }
+
+    // --- the generated request surface ---
+
+    /// Resources the request rows below act on.
+    struct Fixture {
+        w: WindowId,
+        w2: WindowId,
+        doomed: WindowId,
+        gc: GcId,
+        spare_gc: GcId,
+        bitmap: crate::bitmap::BitmapId,
+        spare_bitmap: crate::bitmap::BitmapId,
+        atom: crate::atom::Atom,
+        atom2: crate::atom::Atom,
+        pixel: crate::ids::Pixel,
+        font: crate::ids::FontId,
+        cursor: crate::ids::CursorId,
+    }
+
+    fn fixture(c: &Connection) -> Fixture {
+        let w = c.create_window(c.root(), 0, 0, 40, 30, 1).unwrap();
+        let w2 = c.create_window(w, 5, 5, 10, 10, 0).unwrap();
+        let doomed = c.create_window(w, 20, 5, 10, 10, 0).unwrap();
+        c.map_window(w);
+        let bits = |n| crate::bitmap::Bitmap::new(2, 2, vec![true, n, n, true]).unwrap();
+        Fixture {
+            w,
+            w2,
+            doomed,
+            gc: c.create_gc(GcValues::default()),
+            spare_gc: c.create_gc(GcValues::default()),
+            bitmap: c.create_bitmap(bits(false)),
+            spare_bitmap: c.create_bitmap(bits(true)),
+            atom: c.intern_atom("RTK_ROW").unwrap(),
+            atom2: c.intern_atom("RTK_ROW2").unwrap(),
+            pixel: c.alloc_color(Rgb::new(1, 2, 3)).unwrap(),
+            font: c.open_font("fixed").unwrap().unwrap(),
+            cursor: c.create_cursor("xterm").unwrap().unwrap(),
+        }
+    }
+
+    /// One request row: the kind it is counted as, its method, the window
+    /// it is traced on, and a call through the method that prints the
+    /// result.
+    type Row = (
+        RequestKind,
+        &'static str,
+        fn(&Fixture) -> WindowId,
+        fn(&Connection, &Fixture) -> String,
+    );
+
+    /// Every row of both request tables, in table order: the queued
+    /// requests, then the synchronous ones.
+    const ROWS: &[Row] = &[
+        (
+            RequestKind::CreateWindow,
+            "create_window",
+            |f| f.w,
+            |c, f| format!("{:?}", c.create_window(f.w, 1, 1, 5, 5, 0)),
+        ),
+        (
+            RequestKind::DestroyWindow,
+            "destroy_window",
+            |f| f.doomed,
+            |c, f| {
+                c.destroy_window(f.doomed);
+                String::new()
+            },
+        ),
+        (
+            RequestKind::MapWindow,
+            "map_window",
+            |f| f.w2,
+            |c, f| {
+                c.map_window(f.w2);
+                String::new()
+            },
+        ),
+        (
+            RequestKind::UnmapWindow,
+            "unmap_window",
+            |f| f.w2,
+            |c, f| {
+                c.unmap_window(f.w2);
+                String::new()
+            },
+        ),
+        (
+            RequestKind::ConfigureWindow,
+            "configure_window",
+            |f| f.w,
+            |c, f| {
+                c.configure_window(f.w, Some(2), None, Some(48), Some(36), None);
+                String::new()
+            },
+        ),
+        (
+            RequestKind::RaiseWindow,
+            "raise_window",
+            |f| f.w2,
+            |c, f| {
+                c.raise_window(f.w2);
+                String::new()
+            },
+        ),
+        (
+            RequestKind::ReparentWindow,
+            "reparent_window",
+            |f| f.w2,
+            |c, f| {
+                c.reparent_window(f.w2, f.w, 3, 4);
+                String::new()
+            },
+        ),
+        (
+            RequestKind::SelectInput,
+            "select_input",
+            |f| f.w,
+            |c, f| {
+                c.select_input(f.w, mask::EXPOSURE);
+                String::new()
+            },
+        ),
+        (
+            RequestKind::ChangeWindowAttributes,
+            "set_window_background",
+            |f| f.w,
+            |c, f| {
+                c.set_window_background(f.w, f.pixel);
+                String::new()
+            },
+        ),
+        (
+            RequestKind::ChangeWindowAttributes,
+            "set_window_border",
+            |f| f.w,
+            |c, f| {
+                c.set_window_border(f.w, f.pixel);
+                String::new()
+            },
+        ),
+        (
+            RequestKind::ChangeWindowAttributes,
+            "set_override_redirect",
+            |f| f.w2,
+            |c, f| {
+                c.set_override_redirect(f.w2, false);
+                String::new()
+            },
+        ),
+        (
+            RequestKind::ChangeWindowAttributes,
+            "define_cursor",
+            |f| f.w,
+            |c, f| {
+                c.define_cursor(f.w, f.cursor);
+                String::new()
+            },
+        ),
+        (
+            RequestKind::ChangeProperty,
+            "change_property",
+            |f| f.w,
+            |c, f| {
+                c.change_property(f.w, f.atom, "one");
+                String::new()
+            },
+        ),
+        (
+            RequestKind::ChangeProperty,
+            "append_property",
+            |f| f.w,
+            |c, f| {
+                c.append_property(f.w, f.atom, "two");
+                String::new()
+            },
+        ),
+        (
+            RequestKind::DeleteProperty,
+            "delete_property",
+            |f| f.w,
+            |c, f| {
+                c.delete_property(f.w, f.atom2);
+                String::new()
+            },
+        ),
+        (
+            RequestKind::FreeColor,
+            "free_color",
+            |_| Xid::NONE,
+            |c, f| {
+                c.free_color(f.pixel);
+                String::new()
+            },
+        ),
+        (
+            RequestKind::CreateBitmap,
+            "create_bitmap",
+            |_| Xid::NONE,
+            |c, _| {
+                let bitmap = crate::bitmap::Bitmap::new(1, 1, vec![true]).unwrap();
+                format!("{:?}", c.create_bitmap(bitmap))
+            },
+        ),
+        (
+            RequestKind::FreeBitmap,
+            "free_bitmap",
+            |_| Xid::NONE,
+            |c, f| {
+                c.free_bitmap(f.spare_bitmap);
+                String::new()
+            },
+        ),
+        (
+            RequestKind::CopyBitmap,
+            "copy_bitmap",
+            |f| f.w,
+            |c, f| {
+                c.copy_bitmap(f.w, f.gc, 1, 1, f.bitmap);
+                String::new()
+            },
+        ),
+        (
+            RequestKind::CreateGc,
+            "create_gc",
+            |_| Xid::NONE,
+            |c, _| format!("{:?}", c.create_gc(GcValues::default())),
+        ),
+        (
+            RequestKind::ChangeGc,
+            "change_gc",
+            |_| Xid::NONE,
+            |c, f| {
+                let values = GcValues {
+                    line_width: 2,
+                    ..GcValues::default()
+                };
+                c.change_gc(f.gc, values);
+                String::new()
+            },
+        ),
+        (
+            RequestKind::FreeGc,
+            "free_gc",
+            |_| Xid::NONE,
+            |c, f| {
+                c.free_gc(f.spare_gc);
+                String::new()
+            },
+        ),
+        (
+            RequestKind::FillRectangle,
+            "fill_rectangle",
+            |f| f.w,
+            |c, f| {
+                c.fill_rectangle(f.w, f.gc, 0, 0, 8, 8);
+                String::new()
+            },
+        ),
+        (
+            RequestKind::DrawRectangle,
+            "draw_rectangle",
+            |f| f.w,
+            |c, f| {
+                c.draw_rectangle(f.w, f.gc, 1, 1, 6, 6);
+                String::new()
+            },
+        ),
+        (
+            RequestKind::DrawLine,
+            "draw_line",
+            |f| f.w,
+            |c, f| {
+                c.draw_line(f.w, f.gc, 0, 0, 9, 9);
+                String::new()
+            },
+        ),
+        (
+            RequestKind::DrawString,
+            "draw_string",
+            |f| f.w,
+            |c, f| {
+                c.draw_string(f.w, f.gc, 2, 12, "hi");
+                String::new()
+            },
+        ),
+        (
+            RequestKind::ClearArea,
+            "clear_area",
+            |f| f.w,
+            |c, f| {
+                c.clear_area(f.w, 0, 0, 4, 4);
+                String::new()
+            },
+        ),
+        (
+            RequestKind::SetClip,
+            "set_clip",
+            |f| f.w,
+            |c, f| {
+                c.set_clip(f.w, vec![crate::damage::Rect::new(0, 0, 5, 5)]);
+                String::new()
+            },
+        ),
+        (
+            RequestKind::ClearClip,
+            "clear_clip",
+            |f| f.w,
+            |c, f| {
+                c.clear_clip(f.w);
+                String::new()
+            },
+        ),
+        (
+            RequestKind::CopyArea,
+            "copy_area",
+            |f| f.w,
+            |c, f| {
+                c.copy_area(f.w, 0, 0, 4, 4, 6, 6);
+                String::new()
+            },
+        ),
+        (
+            RequestKind::SetSelectionOwner,
+            "set_selection_owner",
+            |f| f.w2,
+            |c, f| {
+                c.set_selection_owner(f.atom, f.w2);
+                String::new()
+            },
+        ),
+        (
+            RequestKind::ConvertSelection,
+            "convert_selection",
+            |f| f.w,
+            |c, f| {
+                c.convert_selection(f.w, f.atom, f.atom, f.atom2);
+                String::new()
+            },
+        ),
+        (
+            RequestKind::SendEvent,
+            "send_selection_notify",
+            |f| f.w,
+            |c, f| {
+                c.send_selection_notify(f.w, f.atom, f.atom, f.atom2);
+                String::new()
+            },
+        ),
+        (
+            RequestKind::SetInputFocus,
+            "set_input_focus",
+            |f| f.w,
+            |c, f| {
+                c.set_input_focus(f.w);
+                String::new()
+            },
+        ),
+        (
+            RequestKind::InternAtom,
+            "send_intern_atom",
+            |_| Xid::NONE,
+            |c, _| format!("{:?}", c.wait(c.send_intern_atom("RTK_ROW"))),
+        ),
+        (
+            RequestKind::AllocColor,
+            "send_alloc_color",
+            |_| Xid::NONE,
+            |c, _| format!("{:?}", c.wait(c.send_alloc_color(Rgb::new(9, 8, 7)))),
+        ),
+        (
+            RequestKind::AllocColor,
+            "send_alloc_named_color",
+            |_| Xid::NONE,
+            |c, _| format!("{:?}", c.wait(c.send_alloc_named_color("red"))),
+        ),
+        (
+            RequestKind::GetProperty,
+            "send_get_property",
+            |f| f.w,
+            |c, f| format!("{:?}", c.wait(c.send_get_property(f.w, f.atom))),
+        ),
+        (
+            RequestKind::GetGeometry,
+            "send_get_geometry",
+            |f| f.w,
+            |c, f| format!("{:?}", c.wait(c.send_get_geometry(f.w))),
+        ),
+        (
+            RequestKind::InternAtom,
+            "intern_atom",
+            |_| Xid::NONE,
+            |c, _| format!("{:?}", c.intern_atom("RTK_ROW")),
+        ),
+        (
+            RequestKind::GetAtomName,
+            "atom_name",
+            |_| Xid::NONE,
+            |c, f| format!("{:?}", c.atom_name(f.atom)),
+        ),
+        (
+            RequestKind::QueryTree,
+            "query_tree",
+            |f| f.w,
+            |c, f| format!("{:?}", c.query_tree(f.w)),
+        ),
+        (
+            RequestKind::GetGeometry,
+            "get_geometry",
+            |f| f.w,
+            |c, f| format!("{:?}", c.get_geometry(f.w)),
+        ),
+        (
+            RequestKind::GetWindowAttributes,
+            "is_viewable",
+            |f| f.w,
+            |c, f| format!("{:?}", c.is_viewable(f.w)),
+        ),
+        (
+            RequestKind::GetProperty,
+            "get_property",
+            |f| f.w,
+            |c, f| format!("{:?}", c.get_property(f.w, f.atom)),
+        ),
+        (
+            RequestKind::AllocColor,
+            "alloc_named_color",
+            |_| Xid::NONE,
+            |c, _| format!("{:?}", c.alloc_named_color("red")),
+        ),
+        (
+            RequestKind::AllocColor,
+            "alloc_color",
+            |_| Xid::NONE,
+            |c, _| format!("{:?}", c.alloc_color(Rgb::new(9, 8, 7))),
+        ),
+        (
+            RequestKind::QueryColor,
+            "query_color",
+            |_| Xid::NONE,
+            |c, f| format!("{:?}", c.query_color(f.pixel)),
+        ),
+        (
+            RequestKind::OpenFont,
+            "open_font",
+            |_| Xid::NONE,
+            |c, _| format!("{:?}", c.open_font("fixed")),
+        ),
+        (
+            RequestKind::QueryFont,
+            "font_metrics",
+            |_| Xid::NONE,
+            |c, f| format!("{:?}", c.font_metrics(f.font)),
+        ),
+        (
+            RequestKind::CreateCursor,
+            "create_cursor",
+            |_| Xid::NONE,
+            |c, _| format!("{:?}", c.create_cursor("watch")),
+        ),
+        (
+            RequestKind::QueryBitmap,
+            "bitmap_size",
+            |_| Xid::NONE,
+            |c, f| format!("{:?}", c.bitmap_size(f.bitmap)),
+        ),
+        (
+            RequestKind::GetSelectionOwner,
+            "get_selection_owner",
+            |_| Xid::NONE,
+            |c, f| format!("{:?}", c.get_selection_owner(f.atom)),
+        ),
+        (
+            RequestKind::GetInputFocus,
+            "get_input_focus",
+            |_| Xid::NONE,
+            |c, _| format!("{:?}", c.get_input_focus()),
+        ),
+        (
+            RequestKind::GetProperty,
+            "take_property",
+            |f| f.w,
+            |c, f| format!("{:?}", c.take_property(f.w, f.atom)),
+        ),
+    ];
+
+    /// Issues every row once, each in an epoch of its own, checks what it
+    /// was counted and traced as, and returns each row's printed result.
+    fn issue_every_row(wire: bool) -> Vec<String> {
+        let d = Display::new();
+        d.set_wire(wire);
+        let c = d.connect();
+        let f = fixture(&c);
+        c.obs_set_trace(true);
+        let mut out = Vec::new();
+        for &(kind, method, traced, call) in ROWS {
+            c.reset_obs();
+            let result = call(&c, &f);
+            assert_eq!(
+                c.obs_kind_counts(),
+                vec![(kind.name(), 1)],
+                "{method}, wire {wire}"
+            );
+            let trace = c.obs_trace(2);
+            assert_eq!(trace.len(), 1, "{method}, wire {wire}");
+            assert_eq!(trace[0].kind, kind, "{method}, wire {wire}");
+            assert_eq!(trace[0].window, traced(&f), "{method}, wire {wire}");
+            out.push(result);
+        }
+        assert!(c.alive());
+        assert_eq!(c.audit(), Vec::<String>::new());
+        out
+    }
+
+    #[test]
+    fn every_request_row_issues_through_its_method() {
+        use crate::wire::{Message, QueuedRequest as Queued, SyncRequest as RoundTrip};
+        let rows = Queued::OPCODES.len() + RoundTrip::OPCODES.len();
+        assert_eq!(ROWS.len(), rows, "one call per table row");
+        let on = issue_every_row(true);
+        let off = issue_every_row(false);
+        for ((row, a), b) in ROWS.iter().zip(&on).zip(&off) {
+            assert_eq!(a, b, "{}: codec on vs off", row.1);
+        }
+        // A pipelined request and its synchronous twin run one handler.
+        let result = |method: &str| {
+            let i = ROWS.iter().position(|r| r.1 == method).unwrap();
+            &on[i]
+        };
+        for sync in [
+            "intern_atom",
+            "alloc_color",
+            "alloc_named_color",
+            "get_property",
+            "get_geometry",
+        ] {
+            let pipelined = format!("send_{sync}");
+            assert_eq!(result(&pipelined), result(sync), "{sync}");
+            assert!(result(sync).starts_with("Ok("), "{sync}: {}", result(sync));
+        }
     }
 }

@@ -11,7 +11,9 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use crate::atom::{Atom, AtomTable};
+use crate::bitmap::{Bitmap, BitmapId};
 use crate::color::{lookup_color, Colormap, Rgb};
+use crate::connection::Geometry;
 use crate::cursor::CursorTable;
 use crate::damage::Rect;
 use crate::event::{mask, state, Event, Keysym};
@@ -22,6 +24,7 @@ use crate::ids::{ClientId, CursorId, FontId, GcId, IdAllocator, Pixel, WindowId,
 use crate::obs::{ClientObs, RequestKind};
 use crate::render::Surface;
 use crate::window::{Window, WindowTree};
+use crate::wire::{QueuedRequest, ReplyValue, SyncReply, SyncRequest};
 
 /// Per-client protocol statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -52,283 +55,6 @@ pub struct ClientStats {
 /// Capacity of the per-client output buffer; reaching it forces a flush,
 /// like Xlib's fixed-size request buffer.
 pub const OUT_BUF_CAPACITY: usize = 256;
-
-/// A buffered request, held in the per-client output buffer until a flush
-/// point. Reply-bearing variants carry the sequence number under which
-/// their reply is filed for later collection. Opcodes, `kind()` and
-/// `expects_reply()` come from the request table in `wire.rs`.
-#[derive(Debug, Clone)]
-#[allow(clippy::enum_variant_names)]
-pub(crate) enum QueuedRequest {
-    CreateWindow {
-        id: WindowId,
-        parent: WindowId,
-        x: i32,
-        y: i32,
-        width: u32,
-        height: u32,
-        border_width: u32,
-    },
-    DestroyWindow {
-        id: WindowId,
-    },
-    MapWindow {
-        id: WindowId,
-    },
-    UnmapWindow {
-        id: WindowId,
-    },
-    ConfigureWindow {
-        id: WindowId,
-        x: Option<i32>,
-        y: Option<i32>,
-        width: Option<u32>,
-        height: Option<u32>,
-        border_width: Option<u32>,
-    },
-    RaiseWindow {
-        id: WindowId,
-    },
-    ReparentWindow {
-        id: WindowId,
-        new_parent: WindowId,
-        x: i32,
-        y: i32,
-    },
-    SelectInput {
-        id: WindowId,
-        event_mask: u32,
-    },
-    SetWindowBackground {
-        id: WindowId,
-        pixel: Pixel,
-    },
-    SetWindowBorder {
-        id: WindowId,
-        pixel: Pixel,
-    },
-    SetOverrideRedirect {
-        id: WindowId,
-        on: bool,
-    },
-    DefineCursor {
-        id: WindowId,
-        cursor: CursorId,
-    },
-    ChangeProperty {
-        id: WindowId,
-        atom: Atom,
-        value: String,
-    },
-    AppendProperty {
-        id: WindowId,
-        atom: Atom,
-        value: String,
-    },
-    DeleteProperty {
-        id: WindowId,
-        atom: Atom,
-    },
-    FreeColor {
-        pixel: Pixel,
-    },
-    CreateBitmap {
-        id: crate::bitmap::BitmapId,
-        bitmap: crate::bitmap::Bitmap,
-    },
-    FreeBitmap {
-        id: crate::bitmap::BitmapId,
-    },
-    CopyBitmap {
-        id: WindowId,
-        gc: GcId,
-        x: i32,
-        y: i32,
-        bitmap: crate::bitmap::BitmapId,
-    },
-    CreateGc {
-        id: GcId,
-        values: GcValues,
-    },
-    ChangeGc {
-        gc: GcId,
-        values: GcValues,
-    },
-    FreeGc {
-        gc: GcId,
-    },
-    FillRectangle {
-        id: WindowId,
-        gc: GcId,
-        x: i32,
-        y: i32,
-        w: u32,
-        h: u32,
-    },
-    DrawRectangle {
-        id: WindowId,
-        gc: GcId,
-        x: i32,
-        y: i32,
-        w: u32,
-        h: u32,
-    },
-    DrawLine {
-        id: WindowId,
-        gc: GcId,
-        x0: i32,
-        y0: i32,
-        x1: i32,
-        y1: i32,
-    },
-    DrawString {
-        id: WindowId,
-        gc: GcId,
-        x: i32,
-        y: i32,
-        text: String,
-    },
-    ClearArea {
-        id: WindowId,
-        x: i32,
-        y: i32,
-        w: u32,
-        h: u32,
-    },
-    SetClip {
-        id: WindowId,
-        rects: Vec<Rect>,
-    },
-    ClearClip {
-        id: WindowId,
-    },
-    CopyArea {
-        id: WindowId,
-        src_x: i32,
-        src_y: i32,
-        w: u32,
-        h: u32,
-        dst_x: i32,
-        dst_y: i32,
-    },
-    SetSelectionOwner {
-        selection: Atom,
-        owner: WindowId,
-    },
-    ConvertSelection {
-        requestor: WindowId,
-        selection: Atom,
-        target: Atom,
-        property: Atom,
-    },
-    SendSelectionNotify {
-        requestor: WindowId,
-        selection: Atom,
-        target: Atom,
-        property: Atom,
-    },
-    SetInputFocus {
-        id: WindowId,
-    },
-    // Reply-bearing requests that were pipelined instead of executed
-    // synchronously; the reply lands in the per-client reply table.
-    InternAtom {
-        seq: u64,
-        name: String,
-    },
-    AllocColor {
-        seq: u64,
-        rgb: Rgb,
-    },
-    AllocNamedColor {
-        seq: u64,
-        name: String,
-    },
-    GetProperty {
-        seq: u64,
-        id: WindowId,
-        atom: Atom,
-    },
-    GetGeometry {
-        seq: u64,
-        id: WindowId,
-    },
-}
-
-/// The payload of a collected pipelined reply. Public only because the
-/// `FromReply` conversion trait needs it in its signature; not part of the
-/// supported API surface.
-#[doc(hidden)]
-#[derive(Debug, Clone)]
-pub enum ReplyValue {
-    Atom(Atom),
-    Pixel(Pixel),
-    NamedColor(Option<(Pixel, Rgb)>),
-    Property(Option<String>),
-    Geometry(Option<(i32, i32, u32, u32, u32)>),
-    /// An injected X error traveled back instead of a reply.
-    Error(XError),
-}
-
-/// A synchronous reply-bearing request, as data. The closure-based
-/// round-trip methods on [`crate::connection::Connection`] lower to one
-/// of these so the request can cross a byte transport; the in-process
-/// oracle executes the same value directly. One variant per synchronous
-/// protocol operation; opcodes and `kind()` come from the table in
-/// `wire.rs`.
-#[doc(hidden)]
-#[derive(Debug, Clone, PartialEq)]
-pub enum SyncRequest {
-    InternAtom { name: String },
-    GetAtomName { atom: Atom },
-    QueryTree { id: WindowId },
-    GetGeometry { id: WindowId },
-    IsViewable { id: WindowId },
-    GetProperty { id: WindowId, atom: Atom },
-    TakeProperty { id: WindowId, atom: Atom },
-    AllocNamedColor { name: String },
-    AllocColor { rgb: Rgb },
-    QueryColor { pixel: Pixel },
-    OpenFont { name: String },
-    QueryFont { font: FontId },
-    CreateCursor { name: String },
-    QueryBitmap { id: crate::bitmap::BitmapId },
-    GetSelectionOwner { selection: Atom },
-    GetInputFocus,
-}
-
-impl SyncRequest {
-    /// The window the request targets (`Xid::NONE` for windowless ones).
-    pub(crate) fn window(&self) -> WindowId {
-        match self {
-            SyncRequest::QueryTree { id }
-            | SyncRequest::GetGeometry { id }
-            | SyncRequest::IsViewable { id }
-            | SyncRequest::GetProperty { id, .. }
-            | SyncRequest::TakeProperty { id, .. } => *id,
-            _ => Xid::NONE,
-        }
-    }
-}
-
-/// The typed result of a [`SyncRequest`], mirroring what the old
-/// closure-based round trips returned.
-#[doc(hidden)]
-#[derive(Debug, Clone, PartialEq)]
-pub enum SyncReply {
-    Atom(Atom),
-    OptString(Option<String>),
-    Tree(Option<(WindowId, Vec<WindowId>)>),
-    Geometry(Option<(i32, i32, u32, u32, u32)>),
-    Bool(bool),
-    NamedColor(Option<(Pixel, Rgb)>),
-    Pixel(Pixel),
-    Rgb(Rgb),
-    OptXid(Option<Xid>),
-    Metrics(Option<FontMetrics>),
-    Size(Option<(u32, u32)>),
-    Window(WindowId),
-}
 
 /// The Xlib-style output buffer: requests wait here until a flush, in
 /// issue order, each under the sequence number assigned at issue time
@@ -967,17 +693,14 @@ impl Server {
         let work_start = std::time::Instant::now();
         for (seq, q) in buf {
             self.time += 1;
-            match self.fault_for_queued(client, seq, q.expects_reply()) {
+            let fault = self.fault_for_queued(client, seq, q.expects_reply());
+            if let Some(action) = fault {
+                self.record_fault(client, seq, action, Some(q.kind()), Xid::NONE);
+            }
+            match fault {
                 Some(FaultAction::KillConnection) => {
                     // The connection dies mid-flush: this request and the
                     // rest of the batch never reach the server.
-                    self.record_fault(
-                        client,
-                        seq,
-                        FaultAction::KillConnection,
-                        Some(q.kind()),
-                        Xid::NONE,
-                    );
                     killed = true;
                     break;
                 }
@@ -986,13 +709,6 @@ impl Server {
                     // reply-bearing request carries the error back under
                     // its cookie; a one-way fails asynchronously (the
                     // default Xlib handler would print it and carry on).
-                    self.record_fault(
-                        client,
-                        seq,
-                        FaultAction::Error(code),
-                        Some(q.kind()),
-                        Xid::NONE,
-                    );
                     if q.expects_reply() {
                         any_reply = true;
                         let err = XError {
@@ -1003,23 +719,8 @@ impl Server {
                         self.store_reply(client, seq, ReplyValue::Error(err));
                     }
                 }
-                Some(FaultAction::DropRequest) => {
-                    self.record_fault(
-                        client,
-                        seq,
-                        FaultAction::DropRequest,
-                        Some(q.kind()),
-                        Xid::NONE,
-                    );
-                }
+                Some(FaultAction::DropRequest) => {}
                 Some(FaultAction::DuplicateRequest) => {
-                    self.record_fault(
-                        client,
-                        seq,
-                        FaultAction::DuplicateRequest,
-                        Some(q.kind()),
-                        Xid::NONE,
-                    );
                     self.apply_queued(client, q.clone());
                     self.apply_queued(client, q);
                 }
@@ -1075,154 +776,11 @@ impl Server {
         }
     }
 
-    /// Executes one buffered request. Reply-bearing variants file their
-    /// result in the client's reply table under their sequence number.
+    /// Executes one buffered request through its handler; a pipelined
+    /// request files its reply in the client's reply table.
     fn apply_queued(&mut self, client: ClientId, q: QueuedRequest) {
-        match q {
-            QueuedRequest::CreateWindow {
-                id,
-                parent,
-                x,
-                y,
-                width,
-                height,
-                border_width,
-            } => {
-                self.pending_windows.remove(&id);
-                self.create_window_with_id(client, id, parent, x, y, width, height, border_width);
-            }
-            QueuedRequest::DestroyWindow { id } => self.destroy_window(id),
-            QueuedRequest::MapWindow { id } => self.map_window(id),
-            QueuedRequest::UnmapWindow { id } => self.unmap_window(id),
-            QueuedRequest::ConfigureWindow {
-                id,
-                x,
-                y,
-                width,
-                height,
-                border_width,
-            } => self.configure_window(id, x, y, width, height, border_width),
-            QueuedRequest::RaiseWindow { id } => self.raise_window(id),
-            QueuedRequest::ReparentWindow {
-                id,
-                new_parent,
-                x,
-                y,
-            } => self.reparent_window(id, new_parent, x, y),
-            QueuedRequest::SelectInput { id, event_mask } => {
-                self.select_input(client, id, event_mask)
-            }
-            QueuedRequest::SetWindowBackground { id, pixel } => {
-                self.set_window_background(id, pixel)
-            }
-            QueuedRequest::SetWindowBorder { id, pixel } => self.set_window_border(id, pixel),
-            QueuedRequest::SetOverrideRedirect { id, on } => self.set_override_redirect(id, on),
-            QueuedRequest::DefineCursor { id, cursor } => self.define_cursor(id, cursor),
-            QueuedRequest::ChangeProperty { id, atom, value } => {
-                self.change_property(id, atom, value)
-            }
-            QueuedRequest::AppendProperty { id, atom, value } => {
-                self.append_property(id, atom, value)
-            }
-            QueuedRequest::DeleteProperty { id, atom } => self.delete_property(id, atom),
-            QueuedRequest::FreeColor { pixel } => self.colormap.free(pixel),
-            QueuedRequest::CreateBitmap { id, bitmap } => self.bitmaps.create_with_id(id, bitmap),
-            QueuedRequest::FreeBitmap { id } => self.bitmaps.free(id),
-            QueuedRequest::CopyBitmap {
-                id,
-                gc,
-                x,
-                y,
-                bitmap,
-            } => {
-                self.copy_bitmap(id, gc, x, y, bitmap);
-                self.drain_pixels(client, id);
-            }
-            QueuedRequest::CreateGc { id, values } => {
-                self.gcs.create_with_id(id, values);
-                self.gc_owners.insert(id, client);
-            }
-            QueuedRequest::ChangeGc { gc, values } => {
-                self.gcs.change(gc, values);
-            }
-            QueuedRequest::FreeGc { gc } => {
-                self.gcs.free(gc);
-                self.gc_owners.remove(&gc);
-            }
-            QueuedRequest::FillRectangle { id, gc, x, y, w, h } => {
-                self.fill_rectangle(id, gc, x, y, w, h);
-                self.drain_pixels(client, id);
-            }
-            QueuedRequest::DrawRectangle { id, gc, x, y, w, h } => {
-                self.draw_rectangle(id, gc, x, y, w, h);
-                self.drain_pixels(client, id);
-            }
-            QueuedRequest::DrawLine {
-                id,
-                gc,
-                x0,
-                y0,
-                x1,
-                y1,
-            } => {
-                self.draw_line(id, gc, x0, y0, x1, y1);
-                self.drain_pixels(client, id);
-            }
-            QueuedRequest::DrawString { id, gc, x, y, text } => {
-                self.draw_string(id, gc, x, y, &text);
-                self.drain_pixels(client, id);
-            }
-            QueuedRequest::ClearArea { id, x, y, w, h } => {
-                self.clear_area(id, x, y, w, h);
-                self.drain_pixels(client, id);
-            }
-            QueuedRequest::SetClip { id, rects } => self.set_clip(id, rects),
-            QueuedRequest::ClearClip { id } => self.clear_clip(id),
-            QueuedRequest::CopyArea {
-                id,
-                src_x,
-                src_y,
-                w,
-                h,
-                dst_x,
-                dst_y,
-            } => self.copy_area(id, src_x, src_y, w, h, dst_x, dst_y),
-            QueuedRequest::SetSelectionOwner { selection, owner } => {
-                self.set_selection_owner(client, selection, owner)
-            }
-            QueuedRequest::ConvertSelection {
-                requestor,
-                selection,
-                target,
-                property,
-            } => self.convert_selection(requestor, selection, target, property),
-            QueuedRequest::SendSelectionNotify {
-                requestor,
-                selection,
-                target,
-                property,
-            } => self.send_selection_notify(requestor, selection, target, property),
-            QueuedRequest::SetInputFocus { id } => self.set_input_focus(id),
-            QueuedRequest::InternAtom { seq, name } => {
-                let v = ReplyValue::Atom(self.atoms.intern(&name));
-                self.store_reply(client, seq, v);
-            }
-            QueuedRequest::AllocColor { seq, rgb } => {
-                let v = ReplyValue::Pixel(self.colormap.alloc(rgb));
-                self.store_reply(client, seq, v);
-            }
-            QueuedRequest::AllocNamedColor { seq, name } => {
-                let v = ReplyValue::NamedColor(self.alloc_named_color(&name));
-                self.store_reply(client, seq, v);
-            }
-            QueuedRequest::GetProperty { seq, id, atom } => {
-                let v = ReplyValue::Property(self.get_property(id, atom));
-                self.store_reply(client, seq, v);
-            }
-            QueuedRequest::GetGeometry { seq, id } => {
-                let v = ReplyValue::Geometry(self.get_geometry(id));
-                self.store_reply(client, seq, v);
-            }
+        if let Some((seq, v)) = q.dispatch(self, client) {
+            self.store_reply(client, seq, v);
         }
     }
 
@@ -1291,8 +849,7 @@ impl Server {
     }
 
     /// Records the structured trace/histogram entry for a completed
-    /// request; called by [`crate::connection::Connection`] with the
-    /// measured duration after the request body ran.
+    /// round trip, with the duration measured after its handler ran.
     pub(crate) fn record_request(
         &mut self,
         client: ClientId,
@@ -1342,7 +899,7 @@ impl Server {
     pub(crate) fn execute_round_trip(
         &mut self,
         client: ClientId,
-        req: &SyncRequest,
+        req: SyncRequest,
     ) -> Result<SyncReply, XError> {
         self.flush_all();
         // The round trip must observe every request this client already
@@ -1377,51 +934,11 @@ impl Server {
             };
         }
         let work_start = std::time::Instant::now();
-        let r = self.apply_sync(req);
+        let r = req.dispatch(self, client);
         let end = std::time::Instant::now();
         self.work_time += end - work_start;
         self.record_request(client, seq, kind, true, window, end - start);
         Ok(r)
-    }
-
-    /// The request body of each [`SyncRequest`] (the code the old
-    /// closure-based round trips inlined at their call sites).
-    fn apply_sync(&mut self, req: &SyncRequest) -> SyncReply {
-        match req {
-            SyncRequest::InternAtom { name } => SyncReply::Atom(self.atoms.intern(name)),
-            SyncRequest::GetAtomName { atom } => {
-                SyncReply::OptString(self.atoms.name(*atom).map(str::to_string))
-            }
-            SyncRequest::QueryTree { id } => SyncReply::Tree(self.query_tree(*id)),
-            SyncRequest::GetGeometry { id } => SyncReply::Geometry(self.get_geometry(*id)),
-            SyncRequest::IsViewable { id } => SyncReply::Bool(self.is_viewable(*id)),
-            SyncRequest::GetProperty { id, atom } => {
-                SyncReply::OptString(self.get_property(*id, *atom))
-            }
-            SyncRequest::TakeProperty { id, atom } => {
-                // X's GetProperty with delete=True: the read and the
-                // delete are one request, so a concurrent append can
-                // never land between them and be destroyed unread.
-                let value = self.get_property(*id, *atom);
-                self.delete_property(*id, *atom);
-                SyncReply::OptString(value)
-            }
-            SyncRequest::AllocNamedColor { name } => {
-                SyncReply::NamedColor(self.alloc_named_color(name))
-            }
-            SyncRequest::AllocColor { rgb } => SyncReply::Pixel(self.colormap.alloc(*rgb)),
-            SyncRequest::QueryColor { pixel } => SyncReply::Rgb(self.colormap.rgb(*pixel)),
-            SyncRequest::OpenFont { name } => SyncReply::OptXid(self.open_font(name)),
-            SyncRequest::QueryFont { font } => SyncReply::Metrics(self.fonts.metrics(*font)),
-            SyncRequest::CreateCursor { name } => SyncReply::OptXid(self.cursors.create(name)),
-            SyncRequest::QueryBitmap { id } => {
-                SyncReply::Size(self.bitmaps.get(*id).map(|b| (b.width, b.height)))
-            }
-            SyncRequest::GetSelectionOwner { selection } => {
-                SyncReply::Window(self.get_selection_owner(*selection))
-            }
-            SyncRequest::GetInputFocus => SyncReply::Window(self.get_input_focus()),
-        }
     }
 
     // ----- wire-transport counters ----------------------------------------------
@@ -1641,33 +1158,18 @@ impl Server {
     ) -> Option<WindowId> {
         self.tree.get(parent)?;
         let id = self.ids.alloc();
-        self.create_window_with_id(client, id, parent, x, y, width, height, border_width);
+        crate::wire::Requests::create_window(
+            self,
+            client,
+            id,
+            parent,
+            x,
+            y,
+            width,
+            height,
+            border_width,
+        );
         Some(id)
-    }
-
-    /// Creates a window under a pre-reserved id (the buffered-transport
-    /// path: the client already holds `id`). Dropped silently if the
-    /// parent vanished before the buffer flushed, matching the X error
-    /// semantics for a stale parent.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn create_window_with_id(
-        &mut self,
-        client: ClientId,
-        id: WindowId,
-        parent: WindowId,
-        x: i32,
-        y: i32,
-        width: u32,
-        height: u32,
-        border_width: u32,
-    ) {
-        if self.tree.get(parent).is_none() {
-            return;
-        }
-        let mut w = Window::new(id, parent, client, x, y, width, height, border_width);
-        let bg = self.colormap.rgb(w.background);
-        w.surface.clear(bg);
-        self.tree.insert(w);
     }
 
     /// Destroys a window and its subtree, generating DestroyNotify.
@@ -1920,20 +1422,6 @@ impl Server {
         }
     }
 
-    /// Sets override-redirect (popups).
-    pub fn set_override_redirect(&mut self, id: WindowId, on: bool) {
-        if let Some(w) = self.tree.get_mut(id) {
-            w.override_redirect = on;
-        }
-    }
-
-    /// Attaches a cursor to a window.
-    pub fn define_cursor(&mut self, id: WindowId, cursor: CursorId) {
-        if let Some(w) = self.tree.get_mut(id) {
-            w.cursor = cursor;
-        }
-    }
-
     /// Parent and children (bottom-to-top) of a window.
     pub fn query_tree(&self, id: WindowId) -> Option<(WindowId, Vec<WindowId>)> {
         self.tree.get(id).map(|w| (w.parent, w.children.clone()))
@@ -2123,11 +1611,6 @@ impl Server {
         }
     }
 
-    /// The focus window (`NONE` = pointer-driven).
-    pub fn get_input_focus(&self) -> WindowId {
-        self.focus
-    }
-
     // ----- drawing ---------------------------------------------------------------------
 
     fn gc_color(&self, gc: GcId) -> (Rgb, GcValues) {
@@ -2144,26 +1627,6 @@ impl Server {
         }
     }
 
-    /// Draws a rectangle outline.
-    pub fn draw_rectangle(&mut self, id: WindowId, gc: GcId, x: i32, y: i32, w: u32, h: u32) {
-        self.draw_requests += 1;
-        let (color, values) = self.gc_color(gc);
-        if let Some(win) = self.tree.get_mut(id) {
-            win.surface
-                .draw_rect(x, y, w, h, values.line_width.max(1), color);
-        }
-    }
-
-    /// Draws a line.
-    pub fn draw_line(&mut self, id: WindowId, gc: GcId, x0: i32, y0: i32, x1: i32, y1: i32) {
-        self.draw_requests += 1;
-        let (color, values) = self.gc_color(gc);
-        if let Some(win) = self.tree.get_mut(id) {
-            win.surface
-                .draw_line(x0, y0, x1, y1, values.line_width.max(1), color);
-        }
-    }
-
     /// Draws text with the GC's font, baseline at `(x, y)`.
     pub fn draw_string(&mut self, id: WindowId, gc: GcId, x: i32, y: i32, text: &str) {
         self.draw_requests += 1;
@@ -2175,32 +1638,6 @@ impl Server {
         });
         if let Some(win) = self.tree.get_mut(id) {
             win.surface.draw_text(x, y, text, metrics, color);
-        }
-    }
-
-    /// Draws a bitmap at `(x, y)`: set bits in the GC foreground.
-    pub fn copy_bitmap(
-        &mut self,
-        id: WindowId,
-        gc: GcId,
-        x: i32,
-        y: i32,
-        bitmap: crate::bitmap::BitmapId,
-    ) {
-        self.draw_requests += 1;
-        let (color, _) = self.gc_color(gc);
-        let Some(bm) = self.bitmaps.get(bitmap).cloned() else {
-            return;
-        };
-        let Some(win) = self.tree.get_mut(id) else {
-            return;
-        };
-        for by in 0..bm.height {
-            for bx in 0..bm.width {
-                if bm.get(bx, by) {
-                    win.surface.put_pixel(x + bx as i32, y + by as i32, color);
-                }
-            }
         }
     }
 
@@ -2220,42 +1657,6 @@ impl Server {
         );
         let win = self.tree.get_mut(id).unwrap();
         win.surface.fill_rect(x, y, w, h, bg);
-    }
-
-    /// Installs a clip-rectangle list on a window's surface: subsequent
-    /// drawing rasterizes (and counts) only inside the union of the
-    /// rects. An empty list means unclipped — X's "no clip mask".
-    pub fn set_clip(&mut self, id: WindowId, rects: Vec<Rect>) {
-        if let Some(w) = self.tree.get_mut(id) {
-            w.surface.set_clip(rects);
-        }
-    }
-
-    /// Removes the clip from a window's surface.
-    pub fn clear_clip(&mut self, id: WindowId) {
-        if let Some(w) = self.tree.get_mut(id) {
-            w.surface.clear_clip();
-        }
-    }
-
-    /// Copies a region within one window (XCopyArea with the same
-    /// drawable as source and destination). Moved pixels are not
-    /// re-rasterized, so nothing counts toward `pixels_drawn`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn copy_area(
-        &mut self,
-        id: WindowId,
-        src_x: i32,
-        src_y: i32,
-        w: u32,
-        h: u32,
-        dst_x: i32,
-        dst_y: i32,
-    ) {
-        self.draw_requests += 1;
-        if let Some(win) = self.tree.get_mut(id) {
-            win.surface.copy_within(src_x, src_y, w, h, dst_x, dst_y);
-        }
     }
 
     // ----- input synthesis (the test/driver interface) -------------------------------------
@@ -2541,7 +1942,7 @@ impl Server {
         }
     }
 
-    // ----- resource helpers used by Connection ------------------------------------------------
+    // ----- resource helpers used by the request handlers --------------------------------
 
     pub(crate) fn alloc_named_color(&mut self, name: &str) -> Option<(Pixel, Rgb)> {
         let rgb = lookup_color(name)?;
@@ -2705,6 +2106,353 @@ impl Server {
     /// Number of distinct colormap cells (cache ablation metric).
     pub fn colormap_cells(&self) -> usize {
         self.colormap.cell_count()
+    }
+}
+
+/// The request handlers: what each request does to the server, reached
+/// through the request tables' `dispatch`. A handler that runs an
+/// inherent method calls it as `Server::name(self, ..)`: inside this impl
+/// a bare `self.name(..)` can resolve to the handler of that name.
+impl crate::wire::Requests for Server {
+    fn create_window(
+        &mut self,
+        client: ClientId,
+        id: WindowId,
+        parent: WindowId,
+        x: i32,
+        y: i32,
+        width: u32,
+        height: u32,
+        border_width: u32,
+    ) {
+        // Dropped silently if the parent vanished before the buffer
+        // flushed, matching the X error semantics for a stale parent.
+        self.pending_windows.remove(&id);
+        if self.tree.get(parent).is_none() {
+            return;
+        }
+        let mut w = Window::new(id, parent, client, x, y, width, height, border_width);
+        let bg = self.colormap.rgb(w.background);
+        w.surface.clear(bg);
+        self.tree.insert(w);
+    }
+
+    fn destroy_window(&mut self, _: ClientId, id: WindowId) {
+        Server::destroy_window(self, id);
+    }
+
+    fn map_window(&mut self, _: ClientId, id: WindowId) {
+        Server::map_window(self, id);
+    }
+
+    fn unmap_window(&mut self, _: ClientId, id: WindowId) {
+        Server::unmap_window(self, id);
+    }
+
+    fn configure_window(
+        &mut self,
+        _: ClientId,
+        id: WindowId,
+        x: Option<i32>,
+        y: Option<i32>,
+        width: Option<u32>,
+        height: Option<u32>,
+        border_width: Option<u32>,
+    ) {
+        Server::configure_window(self, id, x, y, width, height, border_width);
+    }
+
+    fn raise_window(&mut self, _: ClientId, id: WindowId) {
+        Server::raise_window(self, id);
+    }
+
+    fn reparent_window(&mut self, _: ClientId, id: WindowId, new_parent: WindowId, x: i32, y: i32) {
+        Server::reparent_window(self, id, new_parent, x, y);
+    }
+
+    fn select_input(&mut self, client: ClientId, id: WindowId, event_mask: u32) {
+        Server::select_input(self, client, id, event_mask);
+    }
+
+    fn set_window_background(&mut self, _: ClientId, id: WindowId, pixel: Pixel) {
+        Server::set_window_background(self, id, pixel);
+    }
+
+    fn set_window_border(&mut self, _: ClientId, id: WindowId, pixel: Pixel) {
+        Server::set_window_border(self, id, pixel);
+    }
+
+    fn set_override_redirect(&mut self, _: ClientId, id: WindowId, on: bool) {
+        if let Some(w) = self.tree.get_mut(id) {
+            w.override_redirect = on;
+        }
+    }
+
+    fn define_cursor(&mut self, _: ClientId, id: WindowId, cursor: CursorId) {
+        if let Some(w) = self.tree.get_mut(id) {
+            w.cursor = cursor;
+        }
+    }
+
+    fn change_property(&mut self, _: ClientId, id: WindowId, atom: Atom, value: String) {
+        Server::change_property(self, id, atom, value);
+    }
+
+    fn append_property(&mut self, _: ClientId, id: WindowId, atom: Atom, value: String) {
+        Server::append_property(self, id, atom, value);
+    }
+
+    fn delete_property(&mut self, _: ClientId, id: WindowId, atom: Atom) {
+        Server::delete_property(self, id, atom);
+    }
+
+    fn free_color(&mut self, _: ClientId, pixel: Pixel) {
+        self.colormap.free(pixel);
+    }
+
+    fn create_bitmap(&mut self, _: ClientId, id: BitmapId, bitmap: Bitmap) {
+        self.bitmaps.create_with_id(id, bitmap);
+    }
+
+    fn free_bitmap(&mut self, _: ClientId, id: BitmapId) {
+        self.bitmaps.free(id);
+    }
+
+    fn copy_bitmap(
+        &mut self,
+        client: ClientId,
+        id: WindowId,
+        gc: GcId,
+        x: i32,
+        y: i32,
+        bitmap: BitmapId,
+    ) {
+        self.draw_requests += 1;
+        let (color, _) = self.gc_color(gc);
+        if let (Some(bm), Some(win)) = (self.bitmaps.get(bitmap), self.tree.get_mut(id)) {
+            for by in 0..bm.height {
+                for bx in 0..bm.width {
+                    if bm.get(bx, by) {
+                        win.surface.put_pixel(x + bx as i32, y + by as i32, color);
+                    }
+                }
+            }
+        }
+        self.drain_pixels(client, id);
+    }
+
+    fn create_gc(&mut self, client: ClientId, id: GcId, values: GcValues) {
+        self.gcs.create_with_id(id, values);
+        self.gc_owners.insert(id, client);
+    }
+
+    fn change_gc(&mut self, _: ClientId, gc: GcId, values: GcValues) {
+        self.gcs.change(gc, values);
+    }
+
+    fn free_gc(&mut self, _: ClientId, gc: GcId) {
+        self.gcs.free(gc);
+        self.gc_owners.remove(&gc);
+    }
+
+    fn fill_rectangle(
+        &mut self,
+        client: ClientId,
+        id: WindowId,
+        gc: GcId,
+        x: i32,
+        y: i32,
+        w: u32,
+        h: u32,
+    ) {
+        Server::fill_rectangle(self, id, gc, x, y, w, h);
+        self.drain_pixels(client, id);
+    }
+
+    fn draw_rectangle(
+        &mut self,
+        client: ClientId,
+        id: WindowId,
+        gc: GcId,
+        x: i32,
+        y: i32,
+        w: u32,
+        h: u32,
+    ) {
+        self.draw_requests += 1;
+        let (color, values) = self.gc_color(gc);
+        if let Some(win) = self.tree.get_mut(id) {
+            win.surface
+                .draw_rect(x, y, w, h, values.line_width.max(1), color);
+        }
+        self.drain_pixels(client, id);
+    }
+
+    fn draw_line(
+        &mut self,
+        client: ClientId,
+        id: WindowId,
+        gc: GcId,
+        x0: i32,
+        y0: i32,
+        x1: i32,
+        y1: i32,
+    ) {
+        self.draw_requests += 1;
+        let (color, values) = self.gc_color(gc);
+        if let Some(win) = self.tree.get_mut(id) {
+            win.surface
+                .draw_line(x0, y0, x1, y1, values.line_width.max(1), color);
+        }
+        self.drain_pixels(client, id);
+    }
+
+    fn draw_string(
+        &mut self,
+        client: ClientId,
+        id: WindowId,
+        gc: GcId,
+        x: i32,
+        y: i32,
+        text: String,
+    ) {
+        Server::draw_string(self, id, gc, x, y, &text);
+        self.drain_pixels(client, id);
+    }
+
+    fn clear_area(&mut self, client: ClientId, id: WindowId, x: i32, y: i32, w: u32, h: u32) {
+        Server::clear_area(self, id, x, y, w, h);
+        self.drain_pixels(client, id);
+    }
+
+    fn set_clip(&mut self, _: ClientId, id: WindowId, rects: Vec<Rect>) {
+        if let Some(w) = self.tree.get_mut(id) {
+            w.surface.set_clip(rects);
+        }
+    }
+
+    fn clear_clip(&mut self, _: ClientId, id: WindowId) {
+        if let Some(w) = self.tree.get_mut(id) {
+            w.surface.clear_clip();
+        }
+    }
+
+    fn copy_area(
+        &mut self,
+        _: ClientId,
+        id: WindowId,
+        src_x: i32,
+        src_y: i32,
+        w: u32,
+        h: u32,
+        dst_x: i32,
+        dst_y: i32,
+    ) {
+        // Moved pixels are not re-rasterized, so nothing counts toward
+        // `pixels_drawn`.
+        self.draw_requests += 1;
+        if let Some(win) = self.tree.get_mut(id) {
+            win.surface.copy_within(src_x, src_y, w, h, dst_x, dst_y);
+        }
+    }
+
+    fn set_selection_owner(&mut self, client: ClientId, selection: Atom, owner: WindowId) {
+        Server::set_selection_owner(self, client, selection, owner);
+    }
+
+    fn convert_selection(
+        &mut self,
+        _: ClientId,
+        requestor: WindowId,
+        selection: Atom,
+        target: Atom,
+        property: Atom,
+    ) {
+        Server::convert_selection(self, requestor, selection, target, property);
+    }
+
+    fn send_selection_notify(
+        &mut self,
+        _: ClientId,
+        requestor: WindowId,
+        selection: Atom,
+        target: Atom,
+        property: Atom,
+    ) {
+        Server::send_selection_notify(self, requestor, selection, target, property);
+    }
+
+    fn set_input_focus(&mut self, _: ClientId, id: WindowId) {
+        Server::set_input_focus(self, id);
+    }
+
+    fn intern_atom(&mut self, _: ClientId, name: String) -> Atom {
+        self.atoms.intern(&name)
+    }
+
+    fn atom_name(&mut self, _: ClientId, atom: Atom) -> Option<String> {
+        self.atoms.name(atom).map(str::to_string)
+    }
+
+    fn query_tree(&mut self, _: ClientId, id: WindowId) -> Option<(WindowId, Vec<WindowId>)> {
+        Server::query_tree(self, id)
+    }
+
+    fn get_geometry(&mut self, _: ClientId, id: WindowId) -> Option<Geometry> {
+        Server::get_geometry(self, id)
+    }
+
+    fn is_viewable(&mut self, _: ClientId, id: WindowId) -> bool {
+        Server::is_viewable(self, id)
+    }
+
+    fn get_property(&mut self, _: ClientId, id: WindowId, atom: Atom) -> Option<String> {
+        Server::get_property(self, id, atom)
+    }
+
+    fn alloc_named_color(&mut self, _: ClientId, name: String) -> Option<(Pixel, Rgb)> {
+        Server::alloc_named_color(self, &name)
+    }
+
+    fn alloc_color(&mut self, _: ClientId, rgb: Rgb) -> Pixel {
+        self.colormap.alloc(rgb)
+    }
+
+    fn query_color(&mut self, _: ClientId, pixel: Pixel) -> Rgb {
+        self.colormap.rgb(pixel)
+    }
+
+    fn open_font(&mut self, _: ClientId, name: String) -> Option<FontId> {
+        Server::open_font(self, &name)
+    }
+
+    fn font_metrics(&mut self, _: ClientId, font: FontId) -> Option<FontMetrics> {
+        self.fonts.metrics(font)
+    }
+
+    fn create_cursor(&mut self, _: ClientId, name: String) -> Option<CursorId> {
+        self.cursors.create(&name)
+    }
+
+    fn bitmap_size(&mut self, _: ClientId, id: BitmapId) -> Option<(u32, u32)> {
+        self.bitmaps.get(id).map(|b| (b.width, b.height))
+    }
+
+    fn get_selection_owner(&mut self, _: ClientId, selection: Atom) -> WindowId {
+        Server::get_selection_owner(self, selection)
+    }
+
+    fn get_input_focus(&mut self, _: ClientId) -> WindowId {
+        self.focus
+    }
+
+    fn take_property(&mut self, _: ClientId, id: WindowId, atom: Atom) -> Option<String> {
+        // X's GetProperty with delete=True: the read and the delete are
+        // one request, so a concurrent append can never land between
+        // them and be destroyed unread.
+        let value = Server::get_property(self, id, atom);
+        Server::delete_property(self, id, atom);
+        value
     }
 }
 

@@ -33,22 +33,27 @@
 //! the per-client output buffer in the server, and the batch apply
 //! through [`Server::flush_client`] — so counters, fault firings, and
 //! span shapes are byte-identical either way. See docs/PROTOCOL.md.
+//!
+//! The message tables declare each request once, for both ends: besides
+//! the codec they generate the request types, the `Connection` request
+//! methods, and the `Requests` handler trait the server implements.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::atom::Atom;
-use crate::bitmap::Bitmap;
+use crate::bitmap::{Bitmap, BitmapId};
 use crate::color::Rgb;
+use crate::connection::{Connection, Cookie, FromReply, Geometry};
 use crate::damage::Rect;
 use crate::event::{Event, Keysym};
 use crate::fault::{FaultAction, XError, XErrorCode};
 use crate::font::FontMetrics;
 use crate::gc::GcValues;
-use crate::ids::{ClientId, Pixel, WindowId, Xid};
+use crate::ids::{ClientId, CursorId, FontId, GcId, Pixel, WindowId, Xid};
 use crate::obs::RequestKind;
-use crate::server::{QueuedRequest, ReplyValue, Server, SyncReply, SyncRequest};
+use crate::server::Server;
 
 /// Protocol revision carried in every frame header. Version 2 added the
 /// CRC32 trailer field to the header; a version-1 peer is rejected with
@@ -538,38 +543,127 @@ pub(crate) trait Message: Sized {
     fn decode(f: &RawFrame) -> Result<Self, WireError>;
 }
 
-/// Generates a [`Message`] impl from rows of `opcode Variant { fields }`
-/// (`Variant(v)` for a one-field tuple variant). Fields travel in row
-/// order, each in its [`Wire`] encoding, except a leading `[seq]`: that
-/// field is the frame header's sequence number. Encode binds every field
-/// and decode builds a complete literal, so a row that misses a field
-/// does not compile. A leading keyword adds lookups: `requests` rows name
-/// their [`RequestKind`] (`kind()`), `queued` also generates
-/// `expects_reply()` (true on `[seq]` rows), and `events` generates
-/// `name()`, the variant's name.
+/// Generates a message type from its table: the [`Message`] codec for
+/// every table, and for the request and reply tables the type itself.
+///
+/// Fields travel in row order, each in its [`Wire`] encoding, except a
+/// leading `[seq]`: that field is the frame header's sequence number.
+/// Encode binds every field and decode builds a complete literal, so a
+/// row that misses a field does not compile.
+///
+/// * `requests` takes both request types, queued then synchronous. A
+///   row also names the [`RequestKind`] it is counted as, with the field
+///   it is traced on, and its [`Connection`] method. It generates the
+///   enums, `kind()`, `expects_reply()`, `SyncRequest::window()`, the
+///   [`Requests`] handler trait with `dispatch()` into it, the
+///   `Connection` methods, and a [`FromReply`] impl per cookie type.
+/// * `replies` takes a reply type whose rows are one-field variants.
+/// * `events` generates `name()`, the variant's name.
 macro_rules! message_table {
-    (queued $E:ident { $($op:literal $v:ident $fields:tt => $kind:ident,)* }) => {
-        message_table!(requests $E { $($op $v $fields => $kind,)* });
-        impl $E {
-            /// Does the request file a reply under its sequence number?
-            pub(crate) fn expects_reply(&self) -> bool {
-                match self {
-                    $($E::$v { .. } => message_table!(@seq $fields),)*
-                }
-            }
-        }
-    };
-    (requests $E:ident { $($op:literal $v:ident $fields:tt => $kind:ident,)* }) => {
-        message_table!($E { $($op $v $fields,)* });
-        impl $E {
+    (requests
+        $(#[$qa:meta])* $qvis:vis enum $Q:ident { $(
+            $(#[$qdoc:meta])*
+            $qop:literal $QV:ident { $([$seq:ident])? $($qf:ident: $qt:ty $(as $qp:ty)?),* }
+                => $qk:ident($($qw:ident)?) $how:tt $qm:ident $(-> $QR:ident($QT:ty) via $via:ident)?;
+        )* }
+        $(#[$sa:meta])* $svis:vis enum $S:ident { $(
+            $(#[$sdoc:meta])*
+            $sop:literal $SV:ident $({ $($sf:ident: $st:ty $(as $sp:ty)?),* })?
+                => $sk:ident($($sw:ident)?) fn $sm:ident -> $SR:ident($ST:ty);
+        )* }
+    ) => {
+        $(#[$qa])* $qvis enum $Q { $($(#[$qdoc])* $QV { $($seq: u64,)? $($qf: $qt),* },)* }
+        $(#[$sa])* $svis enum $S { $($(#[$sdoc])* $SV $({ $($sf: $st),* })?,)* }
+        message_table!($Q { $($qop $QV { $([$seq])? $($qf),* },)* });
+        message_table!($S { $($sop $SV { $($($sf),*)? },)* });
+
+        impl $Q {
             /// The [`RequestKind`] the request is counted and traced as,
             /// and labelled with in injected faults and error values.
             pub(crate) fn kind(&self) -> RequestKind {
                 match self {
-                    $($E::$v { .. } => RequestKind::$kind,)*
+                    $($Q::$QV { .. } => RequestKind::$qk,)*
+                }
+            }
+
+            /// Does the request file a reply under its sequence number?
+            pub(crate) fn expects_reply(&self) -> bool {
+                match self {
+                    $($Q::$QV { .. } => message_table!(@reply $($seq)?),)*
+                }
+            }
+
+            /// Runs the request's handler. A pipelined request hands back
+            /// its reply and the sequence number to file it under.
+            pub(crate) fn dispatch(
+                self,
+                h: &mut impl Requests,
+                client: ClientId,
+            ) -> Option<(u64, ReplyValue)> {
+                match self {
+                    $($Q::$QV { $($seq,)? $($qf),* } => {
+                        message_table!(@apply h client $qm ($($qf),*) $($seq $QR $via)?)
+                    })*
                 }
             }
         }
+
+        impl $S {
+            /// The [`RequestKind`] the request is counted and traced as.
+            pub(crate) fn kind(&self) -> RequestKind {
+                match self {
+                    $($S::$SV { .. } => RequestKind::$sk,)*
+                }
+            }
+
+            /// The window the request is traced on (`Xid::NONE` for
+            /// windowless ones).
+            pub(crate) fn window(&self) -> WindowId {
+                match self {
+                    $($S::$SV { $($sw,)? .. } => message_table!(@window $(*$sw)?),)*
+                }
+            }
+
+            /// Runs the request's handler.
+            pub(crate) fn dispatch(self, h: &mut impl Requests, client: ClientId) -> SyncReply {
+                match self {
+                    $($S::$SV { $($($sf),*)? } => SyncReply::$SR(h.$sm(client $($(, $sf)*)?)),)*
+                }
+            }
+        }
+
+        /// The server side of the request protocol: one handler per
+        /// request, passed the issuing client and the request's fields. A
+        /// pipelined request shares the handler of its synchronous twin.
+        #[allow(clippy::too_many_arguments)]
+        pub(crate) trait Requests {
+            $(message_table!(@handler $qm ($($qf: $qt),*) $($via)?);)*
+            $(fn $sm(&mut self, client: ClientId $($(, $sf: $st)*)?) -> $ST;)*
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        impl Connection {
+            $(message_table!(
+                @method [$(#[$qdoc])*] $how $qm $Q $QV ($($qw)?) ($($qf: $qt $(as $qp)?),*) $($seq $QT)?
+            );)*
+            $(
+                $(#[$sdoc])*
+                pub fn $sm(&self $($(, $sf: message_table!(@param $st $(, $sp)?))*)?) -> Result<$ST, XError> {
+                    match self.round_trip($S::$SV { $($($sf: message_table!(@own $sf $($sp)?)),*)? })? {
+                        SyncReply::$SR(v) => Ok(v),
+                        // A reply of another type is as broken as one that
+                        // does not decode.
+                        _ => Err(XError::dead(0)),
+                    }
+                }
+            )*
+        }
+
+        $(message_table!(@from_reply $($QR $QT)?);)*
+    };
+    (replies $(#[$a:meta])* $vis:vis enum $E:ident { $($(#[$doc:meta])* $op:literal $v:ident($t:ty),)* }) => {
+        $(#[$a])* $vis enum $E { $($(#[$doc])* $v($t),)* }
+        message_table!($E { $($op $v(v),)* });
     };
     (events $E:ident { $($op:literal $v:ident $fields:tt,)* }) => {
         message_table!($E { $($op $v $fields,)* });
@@ -618,99 +712,240 @@ macro_rules! message_table {
         $E::$v { $($s: $h.seq,)? $($f: Wire::get($r)?),* }
     };
     (@build $r:ident $h:ident $E:ident $v:ident ($f:ident)) => { $E::$v(Wire::get($r)?) };
-    (@seq { [$s:ident] $($f:ident),* }) => { true };
-    (@seq $fields:tt) => { false };
+    (@reply) => { false };
+    (@reply $seq:ident) => { true };
+    (@window) => { Xid::NONE };
+    (@window $w:expr) => { $w };
+    (@param $t:ty) => { $t };
+    (@param $t:ty, $p:ty) => { $p };
+    (@own $f:ident) => { $f };
+    (@own $f:ident $p:ty) => { $f.into() };
+    (@handler $h:ident ($($f:ident: $t:ty),*)) => {
+        fn $h(&mut self, client: ClientId, $($f: $t),*);
+    };
+    (@handler $h:ident $fields:tt $via:ident) => {};
+    (@apply $h:ident $c:ident $m:ident ($($f:ident),*)) => {{
+        $h.$m($c, $($f),*);
+        None
+    }};
+    (@apply $h:ident $c:ident $m:ident ($($f:ident),*) $seq:ident $R:ident $via:ident) => {
+        Some(($seq, ReplyValue::$R($h.$via($c, $($f),*))))
+    };
+    (@method $docs:tt by_hand $($rest:tt)*) => {};
+    (@method [$($doc:tt)*] fn $m:ident $Q:ident $V:ident ($($w:ident)?) ($($f:ident: $t:ty $(as $p:ty)?),*)) => {
+        $($doc)*
+        pub fn $m(&self, $($f: message_table!(@param $t $(, $p)?)),*) {
+            let q = $Q::$V { $($f: message_table!(@own $f $($p)?)),* };
+            self.one_way(message_table!(@window $($w)?), q);
+        }
+    };
+    (@method [$($doc:tt)*] fn $m:ident $Q:ident $V:ident ($($w:ident)?) ($($f:ident: $t:ty $(as $p:ty)?),*) $seq:ident $T:ty) => {
+        $($doc)*
+        pub fn $m(&self, $($f: message_table!(@param $t $(, $p)?)),*) -> Cookie<$T> {
+            let window = message_table!(@window $($w)?);
+            Cookie::new(self.pipelined(window, |$seq| $Q::$V {
+                $seq,
+                $($f: message_table!(@own $f $($p)?)),*
+            }))
+        }
+    };
+    (@from_reply) => {};
+    (@from_reply $R:ident $T:ty) => {
+        impl FromReply for $T {
+            fn from_reply(v: ReplyValue) -> Option<Self> {
+                match v {
+                    ReplyValue::$R(r) => Some(r),
+                    _ => None,
+                }
+            }
+        }
+    };
 }
 
-// Client -> server, buffered until a flush. The reply-bearing rows
-// (`[seq]`) file their reply under the frame's sequence number.
-message_table! { queued QueuedRequest {
-    1 CreateWindow { id, parent, x, y, width, height, border_width } => CreateWindow,
-    2 DestroyWindow { id } => DestroyWindow,
-    3 MapWindow { id } => MapWindow,
-    4 UnmapWindow { id } => UnmapWindow,
-    5 ConfigureWindow { id, x, y, width, height, border_width } => ConfigureWindow,
-    6 RaiseWindow { id } => RaiseWindow,
-    7 ReparentWindow { id, new_parent, x, y } => ReparentWindow,
-    8 SelectInput { id, event_mask } => SelectInput,
-    9 SetWindowBackground { id, pixel } => ChangeWindowAttributes,
-    10 SetWindowBorder { id, pixel } => ChangeWindowAttributes,
-    11 SetOverrideRedirect { id, on } => ChangeWindowAttributes,
-    12 DefineCursor { id, cursor } => ChangeWindowAttributes,
-    13 ChangeProperty { id, atom, value } => ChangeProperty,
-    14 AppendProperty { id, atom, value } => ChangeProperty,
-    15 DeleteProperty { id, atom } => DeleteProperty,
-    16 FreeColor { pixel } => FreeColor,
-    17 CreateBitmap { id, bitmap } => CreateBitmap,
-    18 FreeBitmap { id } => FreeBitmap,
-    19 CopyBitmap { id, gc, x, y, bitmap } => CopyBitmap,
-    20 CreateGc { id, values } => CreateGc,
-    21 ChangeGc { gc, values } => ChangeGc,
-    22 FreeGc { gc } => FreeGc,
-    23 FillRectangle { id, gc, x, y, w, h } => FillRectangle,
-    24 DrawRectangle { id, gc, x, y, w, h } => DrawRectangle,
-    25 DrawLine { id, gc, x0, y0, x1, y1 } => DrawLine,
-    26 DrawString { id, gc, x, y, text } => DrawString,
-    27 ClearArea { id, x, y, w, h } => ClearArea,
-    28 SetClip { id, rects } => SetClip,
-    29 ClearClip { id } => ClearClip,
-    30 CopyArea { id, src_x, src_y, w, h, dst_x, dst_y } => CopyArea,
-    31 SetSelectionOwner { selection, owner } => SetSelectionOwner,
-    32 ConvertSelection { requestor, selection, target, property } => ConvertSelection,
-    33 SendSelectionNotify { requestor, selection, target, property } => SendEvent,
-    34 SetInputFocus { id } => SetInputFocus,
-    35 InternAtom { [seq] name } => InternAtom,
-    36 AllocColor { [seq] rgb } => AllocColor,
-    37 AllocNamedColor { [seq] name } => AllocColor,
-    38 GetProperty { [seq] id, atom } => GetProperty,
-    39 GetGeometry { [seq] id } => GetGeometry,
-}}
+// The request protocol, each request declared once. A row gives the
+// opcode, the variant and its fields in wire order with their types (a
+// `String` field its method takes `as &str`), then the `RequestKind` it
+// is counted as with the field it is traced on (empty: `Xid::NONE`),
+// then its `Connection` method, whose name is also its handler's in
+// `Requests`. `by_hand` marks the three methods written by hand because
+// they reserve the new resource's id on the client side. A pipelined
+// row (`[seq]`, filed under the frame's sequence number) returns a
+// cookie for a `ReplyValue` variant and runs the handler of its
+// synchronous twin (`via`). A synchronous row returns the payload of a
+// `SyncReply` variant.
+message_table! { requests
+    /// A buffered request, held in the per-client output buffer until a
+    /// flush point.
+    #[derive(Debug, Clone)]
+    #[allow(clippy::enum_variant_names)]
+    pub(crate) enum QueuedRequest {
+        /// Creates an (unmapped) window.
+        1 CreateWindow { id: WindowId, parent: WindowId, x: i32, y: i32, width: u32, height: u32, border_width: u32 } => CreateWindow(parent) by_hand create_window;
+        /// Destroys a window and its descendants.
+        2 DestroyWindow { id: WindowId } => DestroyWindow(id) fn destroy_window;
+        /// Maps a window.
+        3 MapWindow { id: WindowId } => MapWindow(id) fn map_window;
+        /// Unmaps a window.
+        4 UnmapWindow { id: WindowId } => UnmapWindow(id) fn unmap_window;
+        /// Moves/resizes a window.
+        5 ConfigureWindow { id: WindowId, x: Option<i32>, y: Option<i32>, width: Option<u32>, height: Option<u32>, border_width: Option<u32> } => ConfigureWindow(id) fn configure_window;
+        /// Raises a window above its siblings.
+        6 RaiseWindow { id: WindowId } => RaiseWindow(id) fn raise_window;
+        /// Reparents a window to a new parent at the given position.
+        7 ReparentWindow { id: WindowId, new_parent: WindowId, x: i32, y: i32 } => ReparentWindow(id) fn reparent_window;
+        /// Selects the events this client wants from a window.
+        8 SelectInput { id: WindowId, event_mask: u32 } => SelectInput(id) fn select_input;
+        /// Sets the window background pixel.
+        9 SetWindowBackground { id: WindowId, pixel: Pixel } => ChangeWindowAttributes(id) fn set_window_background;
+        /// Sets the window border pixel.
+        10 SetWindowBorder { id: WindowId, pixel: Pixel } => ChangeWindowAttributes(id) fn set_window_border;
+        /// Marks a window override-redirect (popup menus).
+        11 SetOverrideRedirect { id: WindowId, on: bool } => ChangeWindowAttributes(id) fn set_override_redirect;
+        /// Attaches a cursor to a window.
+        12 DefineCursor { id: WindowId, cursor: CursorId } => ChangeWindowAttributes(id) fn define_cursor;
+        /// Sets a property.
+        13 ChangeProperty { id: WindowId, atom: Atom, value: String as &str } => ChangeProperty(id) fn change_property;
+        /// Appends one line to a property atomically (`PropModeAppend`): the
+        /// server does the concatenation, so the append is a single one-way
+        /// request — no read-modify-write round trip, and no lost update when
+        /// several clients append to the same property.
+        14 AppendProperty { id: WindowId, atom: Atom, value: String as &str } => ChangeProperty(id) fn append_property;
+        /// Deletes a property.
+        15 DeleteProperty { id: WindowId, atom: Atom } => DeleteProperty(id) fn delete_property;
+        /// Frees one reference to a pixel.
+        16 FreeColor { pixel: Pixel } => FreeColor() fn free_color;
+        /// Uploads a bitmap to the server.
+        17 CreateBitmap { id: BitmapId, bitmap: Bitmap } => CreateBitmap() by_hand create_bitmap;
+        /// Frees a bitmap.
+        18 FreeBitmap { id: BitmapId } => FreeBitmap() fn free_bitmap;
+        /// Draws a bitmap's set bits in the GC foreground at `(x, y)`.
+        19 CopyBitmap { id: WindowId, gc: GcId, x: i32, y: i32, bitmap: BitmapId } => CopyBitmap(id) fn copy_bitmap;
+        /// Creates a GC.
+        20 CreateGc { id: GcId, values: GcValues } => CreateGc() by_hand create_gc;
+        /// Changes a GC.
+        21 ChangeGc { gc: GcId, values: GcValues } => ChangeGc() fn change_gc;
+        /// Frees a GC.
+        22 FreeGc { gc: GcId } => FreeGc() fn free_gc;
+        /// Fills a rectangle in window coordinates.
+        23 FillRectangle { id: WindowId, gc: GcId, x: i32, y: i32, w: u32, h: u32 } => FillRectangle(id) fn fill_rectangle;
+        /// Draws a rectangle outline.
+        24 DrawRectangle { id: WindowId, gc: GcId, x: i32, y: i32, w: u32, h: u32 } => DrawRectangle(id) fn draw_rectangle;
+        /// Draws a line.
+        25 DrawLine { id: WindowId, gc: GcId, x0: i32, y0: i32, x1: i32, y1: i32 } => DrawLine(id) fn draw_line;
+        /// Draws a string, baseline at `(x, y)`.
+        26 DrawString { id: WindowId, gc: GcId, x: i32, y: i32, text: String as &str } => DrawString(id) fn draw_string;
+        /// Clears an area to the window background (0 size = whole window).
+        27 ClearArea { id: WindowId, x: i32, y: i32, w: u32, h: u32 } => ClearArea(id) fn clear_area;
+        /// Installs a clip-rectangle list on a window: subsequent drawing
+        /// rasterizes only inside the union of the rects. An empty list means
+        /// unclipped (X's "no clip mask"), so redraw code can send the same
+        /// request stream whether or not it has damage to narrow to.
+        28 SetClip { id: WindowId, rects: Vec<Rect> } => SetClip(id) fn set_clip;
+        /// Removes the clip installed by [`Connection::set_clip`].
+        29 ClearClip { id: WindowId } => ClearClip(id) fn clear_clip;
+        /// Copies a region within one window (XCopyArea, same drawable as
+        /// source and destination) — the scroll blit. Moved pixels are not
+        /// re-rasterized and do not count toward `pixels_drawn`.
+        30 CopyArea { id: WindowId, src_x: i32, src_y: i32, w: u32, h: u32, dst_x: i32, dst_y: i32 } => CopyArea(id) fn copy_area;
+        /// Claims selection ownership.
+        31 SetSelectionOwner { selection: Atom, owner: WindowId } => SetSelectionOwner(owner) fn set_selection_owner;
+        /// Requests conversion of a selection into a property on `requestor`.
+        32 ConvertSelection { requestor: WindowId, selection: Atom, target: Atom, property: Atom } => ConvertSelection(requestor) fn convert_selection;
+        /// Replies to a SelectionRequest after storing the converted value.
+        33 SendSelectionNotify { requestor: WindowId, selection: Atom, target: Atom, property: Atom } => SendEvent(requestor) fn send_selection_notify;
+        /// Assigns the input focus.
+        34 SetInputFocus { id: WindowId } => SetInputFocus(id) fn set_input_focus;
+        /// Interns an atom without blocking (pipelined).
+        35 InternAtom { [seq] name: String as &str } => InternAtom() fn send_intern_atom -> Atom(Atom) via intern_atom;
+        /// Allocates an RGB color without blocking (pipelined).
+        36 AllocColor { [seq] rgb: Rgb } => AllocColor() fn send_alloc_color -> Pixel(Pixel) via alloc_color;
+        /// Allocates a named color without blocking (pipelined).
+        37 AllocNamedColor { [seq] name: String as &str } => AllocColor() fn send_alloc_named_color -> NamedColor(Option<(Pixel, Rgb)>) via alloc_named_color;
+        /// Reads a property without blocking (pipelined).
+        38 GetProperty { [seq] id: WindowId, atom: Atom } => GetProperty(id) fn send_get_property -> Property(Option<String>) via get_property;
+        /// Queries geometry without blocking (pipelined).
+        39 GetGeometry { [seq] id: WindowId } => GetGeometry(id) fn send_get_geometry -> Geometry(Option<Geometry>) via get_geometry;
+    }
 
-// Client -> server, one synchronous round trip each.
-message_table! { requests SyncRequest {
-    1 InternAtom { name } => InternAtom,
-    2 GetAtomName { atom } => GetAtomName,
-    3 QueryTree { id } => QueryTree,
-    4 GetGeometry { id } => GetGeometry,
-    5 IsViewable { id } => GetWindowAttributes,
-    6 GetProperty { id, atom } => GetProperty,
-    7 AllocNamedColor { name } => AllocColor,
-    8 AllocColor { rgb } => AllocColor,
-    9 QueryColor { pixel } => QueryColor,
-    10 OpenFont { name } => OpenFont,
-    11 QueryFont { font } => QueryFont,
-    12 CreateCursor { name } => CreateCursor,
-    13 QueryBitmap { id } => QueryBitmap,
-    14 GetSelectionOwner { selection } => GetSelectionOwner,
-    15 GetInputFocus {} => GetInputFocus,
-    16 TakeProperty { id, atom } => GetProperty,
-}}
+    /// A synchronous reply-bearing request, as data: it crosses the
+    /// transport in a sync control message, one round trip each.
+    #[doc(hidden)]
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum SyncRequest {
+        /// Interns an atom (round trip).
+        1 InternAtom { name: String as &str } => InternAtom() fn intern_atom -> Atom(Atom);
+        /// Gets an atom's name (round trip).
+        2 GetAtomName { atom: Atom } => GetAtomName() fn atom_name -> OptString(Option<String>);
+        /// Queries parent and children (round trip).
+        3 QueryTree { id: WindowId } => QueryTree(id) fn query_tree -> Tree(Option<(WindowId, Vec<WindowId>)>);
+        /// Queries geometry (round trip).
+        4 GetGeometry { id: WindowId } => GetGeometry(id) fn get_geometry -> Geometry(Option<Geometry>);
+        /// Is the window viewable? (round trip)
+        5 IsViewable { id: WindowId } => GetWindowAttributes(id) fn is_viewable -> Bool(bool);
+        /// Reads a property (round trip).
+        6 GetProperty { id: WindowId, atom: Atom } => GetProperty(id) fn get_property -> OptString(Option<String>);
+        /// Allocates a named color (round trip), returning pixel and RGB.
+        7 AllocNamedColor { name: String as &str } => AllocColor() fn alloc_named_color -> NamedColor(Option<(Pixel, Rgb)>);
+        /// Allocates an RGB color (round trip).
+        8 AllocColor { rgb: Rgb } => AllocColor() fn alloc_color -> Pixel(Pixel);
+        /// Looks up the RGB stored in a pixel (round trip).
+        9 QueryColor { pixel: Pixel } => QueryColor() fn query_color -> Rgb(Rgb);
+        /// Opens a font (round trip).
+        10 OpenFont { name: String as &str } => OpenFont() fn open_font -> OptXid(Option<FontId>);
+        /// Queries font metrics (round trip).
+        11 QueryFont { font: FontId } => QueryFont() fn font_metrics -> Metrics(Option<FontMetrics>);
+        /// Creates a cursor from the cursor font (round trip).
+        12 CreateCursor { name: String as &str } => CreateCursor() fn create_cursor -> OptXid(Option<CursorId>);
+        /// Dimensions of an uploaded bitmap (round trip).
+        13 QueryBitmap { id: BitmapId } => QueryBitmap() fn bitmap_size -> Size(Option<(u32, u32)>);
+        /// Queries the selection owner (round trip).
+        14 GetSelectionOwner { selection: Atom } => GetSelectionOwner() fn get_selection_owner -> Window(WindowId);
+        /// Queries the input focus (round trip).
+        15 GetInputFocus => GetInputFocus() fn get_input_focus -> Window(WindowId);
+        /// Reads AND deletes a property in one round trip — X's
+        /// `XGetWindowProperty` with `delete=True`. Atomic at the server, so
+        /// a concurrent append from another client can never land between
+        /// the read and the delete and be destroyed unread.
+        16 TakeProperty { id: WindowId, atom: Atom } => GetProperty(id) fn take_property -> OptString(Option<String>);
+    }
+}
 
-// Server -> client: the answer to a `SyncRequest`.
-message_table! { SyncReply {
-    1 Atom(v),
-    2 OptString(v),
-    3 Tree(v),
-    4 Geometry(v),
-    5 Bool(v),
-    6 NamedColor(v),
-    7 Pixel(v),
-    8 Rgb(v),
-    9 OptXid(v),
-    10 Metrics(v),
-    11 Size(v),
-    12 Window(v),
-}}
+message_table! { replies
+    /// Server -> client: the answer to a `SyncRequest`.
+    #[doc(hidden)]
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum SyncReply {
+        1 Atom(Atom),
+        2 OptString(Option<String>),
+        3 Tree(Option<(WindowId, Vec<WindowId>)>),
+        4 Geometry(Option<Geometry>),
+        5 Bool(bool),
+        6 NamedColor(Option<(Pixel, Rgb)>),
+        7 Pixel(Pixel),
+        8 Rgb(Rgb),
+        9 OptXid(Option<Xid>),
+        10 Metrics(Option<FontMetrics>),
+        11 Size(Option<(u32, u32)>),
+        12 Window(WindowId),
+    }
+}
 
-// Server -> client: a pipelined reply, collected by its cookie.
-message_table! { ReplyValue {
-    1 Atom(v),
-    2 Pixel(v),
-    3 NamedColor(v),
-    4 Property(v),
-    5 Geometry(v),
-    6 Error(v),
-}}
+message_table! { replies
+    /// Server -> client: a pipelined reply, collected by its cookie.
+    /// Public only because the [`FromReply`] conversion trait needs it in
+    /// its signature; not part of the supported API surface.
+    #[doc(hidden)]
+    #[derive(Debug, Clone)]
+    pub enum ReplyValue {
+        1 Atom(Atom),
+        2 Pixel(Pixel),
+        3 NamedColor(Option<(Pixel, Rgb)>),
+        4 Property(Option<String>),
+        5 Geometry(Option<Geometry>),
+        /// An injected X error traveled back instead of a reply.
+        6 Error(XError),
+    }
+}
 
 // Server -> client.
 message_table! { events Event {
@@ -843,7 +1078,7 @@ fn execute(s: &mut Server, client: ClientId, ctl: Control) -> Answer {
         }
         Control::Sync(req) => {
             flush_buffers(s);
-            Answer::Sync(s.execute_round_trip(client, &req))
+            Answer::Sync(s.execute_round_trip(client, req))
         }
         Control::TakeReply(seq) => {
             if !s.has_reply(client, seq) {

@@ -40,6 +40,11 @@ cargo test -q --offline --locked --test golden_frames
 echo "==> bench --check-budgets"
 cargo run -p tk-bench --release --offline --locked --bin bench -- --check-budgets
 
+# Economy gate: no Table I row may grow past its code-line ceiling in
+# BUDGETS.json's `table1` object (the paper's Table I claim, pinned).
+echo "==> table1 --check-budgets"
+cargo run -p tk-bench --release --offline --locked --bin table1 -- --check-budgets
+
 # Transport-equivalence gate: the framed wire transport must be
 # invisible. The full run above already exercised the wire side — the
 # framed byte transport is the default unless RTK_NO_WIRE says
