@@ -6,6 +6,11 @@
 //!
 //! * `audit` — replays `tests/chaos_storm_corpus.txt` and prints which
 //!   fault kinds each entry actually fires now (and its dedup drops).
+//! * `bytes` — replays `tests/chaos_bytes_corpus.txt` and prints each
+//!   entry's `byte.*` firings. Byte faults key on per-client frame
+//!   indices, so any change to how many frames a client ships (event
+//!   batching, a new control message) moves them; an entry that stops
+//!   hitting its fault needs a new fault seed.
 //! * `flagship` — searches for a 3-app storm fault seed that fires
 //!   ONLY a duplicate, with the receiver dropping the copy (corpus
 //!   entry 0's contract).
@@ -13,7 +18,7 @@
 //! * `fleet [napps]` — mines N-app storm entries that each cover 3+
 //!   fault kinds, for the corpus's fleet-sized rows.
 
-use tk_bench::chaos::{run_case, run_storm_case};
+use tk_bench::chaos::{run_bytes_case, run_case, run_storm_case};
 use tk_bench::XorShift;
 use xsim::fault::FAULT_KIND_NAMES;
 
@@ -48,6 +53,30 @@ fn main() {
                         st.send_dedup_drops,
                     ),
                     Err(e) => println!("{s} {f} {n}: FAILED {e}"),
+                }
+            }
+        }
+        "bytes" => {
+            let text = std::fs::read_to_string("tests/chaos_bytes_corpus.txt").unwrap();
+            for line in text.lines() {
+                let line = line.split('#').next().unwrap_or("").trim();
+                if line.is_empty() {
+                    continue;
+                }
+                let mut it = line.split_whitespace();
+                let s: u64 = it.next().unwrap().parse().unwrap();
+                let f: u64 = it.next().unwrap().parse().unwrap();
+                match run_bytes_case(s, f) {
+                    Ok(st) => {
+                        let fired: Vec<String> = FAULT_KIND_NAMES
+                            .iter()
+                            .zip(&st.fault_counts)
+                            .filter(|(name, n)| name.starts_with("byte.") && **n > 0)
+                            .map(|(name, n)| format!("{name}={n}"))
+                            .collect();
+                        println!("{s} {f}: {}", fired.join(" "));
+                    }
+                    Err(e) => println!("{s} {f}: FAILED {e}"),
                 }
             }
         }
@@ -125,6 +154,6 @@ fn main() {
                 }
             }
         }
-        _ => println!("modes: audit | flagship | twoapp | fleet [napps]"),
+        _ => println!("modes: audit | bytes | flagship | twoapp | fleet [napps]"),
     }
 }

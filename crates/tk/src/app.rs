@@ -1238,6 +1238,48 @@ mod fault_tests {
     }
 
     #[test]
+    fn a_connection_killed_mid_batch_delivers_nothing_more() {
+        let env = TkEnv::new();
+        let a = env.app("doomed");
+        a.eval("frame .f -geometry 60x60; pack append . .f {top}")
+            .unwrap();
+        a.eval("set hits 0; bind .f <Motion> {incr hits; focus}")
+            .unwrap();
+        a.update();
+        let rec = a.window(".f").unwrap();
+        // Five motion events wait in the server queue: one poll exchange
+        // brings them all into the read-ahead.
+        for i in 0..5 {
+            env.display()
+                .move_pointer(rec.x.get() + 5 + i, rec.y.get() + 5);
+        }
+        assert_eq!(a.conn().pending(), 5);
+        // The first handler's `focus` is the next request: a round trip,
+        // and the connection dies on it.
+        let seq = a.conn().sequence();
+        let client = a.conn().client_id();
+        env.display().with_server(|s| {
+            s.install_fault_plan(xsim::FaultPlan::default().kill_at(client.0, seq + 1))
+        });
+        env.dispatch_all();
+        assert_eq!(
+            a.conn().sequence(),
+            seq + 1,
+            "the round trip was the last request"
+        );
+        assert_eq!(
+            a.conn().with_obs(|o| o.fault_kind_counts()).unwrap(),
+            vec![("kill", 1)]
+        );
+        // The four events read ahead behind it died with the connection.
+        assert_eq!(a.eval("set hits").unwrap(), "1");
+        assert!(a.destroyed());
+        assert_eq!(a.obs().counter("connection.dead"), 1);
+        let audit = env.display().with_server(|s| s.audit());
+        assert!(audit.is_empty(), "{audit:?}");
+    }
+
+    #[test]
     fn protocol_error_in_command_becomes_tcl_error() {
         let env = TkEnv::new();
         let app = env.app("t");

@@ -4,12 +4,16 @@
 //! A `Connection` mirrors Xlib's calling surface, including its buffered
 //! transport: one-way requests are queued in a per-client output buffer
 //! and only reach the server at a *flush point* — an explicit [`flush`],
-//! the buffer filling, a synchronous reply-bearing request, or blocking
-//! for events. Reply-bearing requests can also be *pipelined*: the
-//! `send_*` methods queue the request and return a sequence-numbered
-//! [`Cookie`] that is redeemed later with [`wait`], so several replies
-//! travel back in one blocking wait. The counters power the Table II
-//! client/server split and the Section 3.3 cache-ablation experiment.
+//! the buffer filling, a synchronous reply-bearing request, or reading
+//! events with an empty read-ahead. Reply-bearing requests can also be
+//! *pipelined*: the `send_*` methods queue the request and return a
+//! sequence-numbered [`Cookie`] that is redeemed later with [`wait`], so
+//! several replies travel back in one blocking wait. Events come the
+//! other way in batches, as with Xlib's event queue: [`poll_event`]
+//! exchanges with the server only when the client's read-ahead is
+//! empty, and that one exchange brings back every queued event, up to
+//! `wire::EVENT_BATCH`. The counters power the Table II client/server
+//! split and the Section 3.3 cache-ablation experiment.
 //!
 //! The request methods (one-way, pipelined `send_*`, and round trip)
 //! are generated from the request table in `crate::wire`, which declares
@@ -28,6 +32,7 @@
 //!
 //! [`flush`]: Connection::flush
 //! [`wait`]: Connection::wait
+//! [`poll_event`]: Connection::poll_event
 
 use std::marker::PhantomData;
 use std::time::Instant;
@@ -543,22 +548,20 @@ impl Connection {
 
     // --- events ---
 
-    /// Takes the next queued event, if any. Like `XPending`/`XNextEvent`,
-    /// checking for events is a flush point: all output buffers are
-    /// written out before looking at the queue.
+    /// Takes the next event, if any. Like Xlib's `XNextEvent`, it answers
+    /// from the client-side read-ahead and exchanges with the server only
+    /// when that is empty: the exchange is a flush point (all output
+    /// buffers are written out first) and brings back every queued
+    /// event, up to [`EVENT_BATCH`](crate::wire::EVENT_BATCH), at once.
     pub fn poll_event(&self) -> Option<Event> {
-        match self.control(Control::PollEvent) {
-            Answer::Event(ev) => ev,
-            _ => None,
-        }
+        self.transport.lock().poll_event(self.client)
     }
 
-    /// Number of queued events (flushes first, like `XPending`).
+    /// Number of events not yet taken: read-ahead, server queue and
+    /// held-back events. With the read-ahead empty it is an exchange,
+    /// and so a flush point, like `XPending`.
     pub fn pending(&self) -> usize {
-        match self.control(Control::Pending) {
-            Answer::Pending(n) => n,
-            _ => 0,
-        }
+        self.transport.lock().pending(self.client)
     }
 }
 

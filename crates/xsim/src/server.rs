@@ -74,6 +74,10 @@ struct ClientState {
     stats: ClientStats,
     obs: ClientObs,
     out: OutBuf,
+    /// The client library's read-ahead (Xlib's event queue): the last
+    /// polled batch, handed out one event at a time by
+    /// `Connection::poll_event` before it polls again.
+    read_ahead: VecDeque<Event>,
     /// Executed-but-uncollected pipelined replies, keyed by sequence number.
     replies: HashMap<u64, ReplyValue>,
     /// Cookies issued and not yet redeemed (live pipelining depth).
@@ -300,6 +304,7 @@ impl Server {
         }
         c.dead = true;
         c.out = OutBuf::default();
+        c.read_ahead.clear();
         c.deferred.clear();
         c.queue.clear();
         c.delayed.clear();
@@ -525,13 +530,13 @@ impl Server {
         client: ClientId,
         seq: u64,
         q: QueuedRequest,
-        frame: Option<Vec<u8>>,
+        frame: Option<&[u8]>,
     ) -> bool {
         let Some(c) = self.clients.get_mut(&client) else {
             return false;
         };
         match frame {
-            Some(bytes) => c.out.frames.extend_from_slice(&bytes),
+            Some(bytes) => c.out.frames.extend_from_slice(bytes),
             None => c.out.requests.push((seq, q)),
         }
         c.out.len += 1;
@@ -594,8 +599,8 @@ impl Server {
             self.apply_batch(client, out.requests, enforce_quota);
             return;
         }
-        let mut fr = crate::wire::FrameReader::new();
-        let mut corrupt = fr.push(&out.frames).is_err();
+        let mut fr = crate::wire::FrameReader::from_buffer(out.frames);
+        let mut corrupt = false;
         let mut batch = Vec::new();
         while !corrupt {
             let f = match fr.next_frame() {
@@ -617,6 +622,7 @@ impl Server {
         corrupt |= fr.pending() > 0;
         if let Some(c) = self.clients.get_mut(&client) {
             c.obs.wire.flushes += 1;
+            c.out.frames = fr.into_buffer();
         }
         self.apply_batch(client, batch, enforce_quota);
         if corrupt {
@@ -1133,13 +1139,18 @@ impl Server {
         self.clients.get_mut(&client)?.queue.pop_front()
     }
 
-    /// Number of queued events for a client (held-back delayed events
-    /// count: they are guaranteed to arrive by the next poll).
+    /// Number of events a client has yet to take: its read-ahead, its
+    /// server queue, and held-back delayed events (they are guaranteed
+    /// to arrive by the next poll).
     pub fn pending(&self, client: ClientId) -> usize {
         self.clients
             .get(&client)
-            .map(|c| c.queue.len() + c.delayed.len())
-            .unwrap_or(0)
+            .map_or(0, |c| c.read_ahead.len() + c.queue.len() + c.delayed.len())
+    }
+
+    /// The client's read-ahead queue.
+    pub(crate) fn read_ahead(&mut self, client: ClientId) -> Option<&mut VecDeque<Event>> {
+        self.clients.get_mut(&client).map(|c| &mut c.read_ahead)
     }
 
     // ----- window requests ------------------------------------------------------
@@ -1975,8 +1986,8 @@ impl Server {
     /// Invariants:
     /// * no window, window interest entry (saved event mask), selection,
     ///   or GC is owned by a dead client;
-    /// * dead clients hold no buffered requests, queued or delayed
-    ///   events, parked replies, or dirty-set membership;
+    /// * dead clients hold no buffered requests, read-ahead, queued or
+    ///   delayed events, parked replies, or dirty-set membership;
     /// * no live client has a quota-deferred remainder (deferral is
     ///   backpressure, never loss — at quiescence it must have drained);
     /// * every `send` registry shard on the root window references only
@@ -2030,10 +2041,11 @@ impl Server {
                         c.deferred.len()
                     ));
                 }
-                if !c.queue.is_empty() || !c.delayed.is_empty() {
+                if !c.read_ahead.is_empty() || !c.queue.is_empty() || !c.delayed.is_empty() {
                     v.push(format!(
-                        "dead client {} still has queued events ({} queued, {} delayed)",
+                        "dead client {} still has events ({} read ahead, {} queued, {} delayed)",
                         id.0,
+                        c.read_ahead.len(),
                         c.queue.len(),
                         c.delayed.len()
                     ));
@@ -2958,5 +2970,134 @@ mod tests {
         let dump = s.ascii_dump();
         assert!(dump.contains('+'), "dump:\n{dump}");
         assert!(dump.contains("Hello"), "dump:\n{dump}");
+    }
+
+    // --- the client read-ahead ---
+
+    /// A codec-on display whose one client (id 1) selected pointer motion
+    /// on two side-by-side windows, with `plan` installed and `n`
+    /// MotionNotify events queued: the pointer sweeps x = 7i mod 1000,
+    /// so it crosses between the windows every ~71 events.
+    fn motion_queue(n: u64, plan: FaultPlan) -> (crate::Display, crate::Connection) {
+        let d = crate::Display::new();
+        d.set_wire(true);
+        let c = d.connect();
+        for x in [0, 500] {
+            let w = c.create_window(c.root(), x, 0, 500, 40, 0).unwrap();
+            c.select_input(w, mask::POINTER_MOTION);
+            c.map_window(w);
+        }
+        d.with_server(|s| {
+            s.install_fault_plan(plan);
+            for i in 0..n {
+                s.warp_pointer((7 * i % 1000) as i32, 20);
+            }
+        });
+        (d, c)
+    }
+
+    /// `(read-ahead, server queue, delayed)` lengths for `client`.
+    fn event_queues(d: &crate::Display, client: ClientId) -> (usize, usize, usize) {
+        d.peek_server(|s| {
+            let c = &s.clients[&client];
+            (c.read_ahead.len(), c.queue.len(), c.delayed.len())
+        })
+    }
+
+    fn motion_time(ev: &Event) -> u64 {
+        match ev {
+            Event::MotionNotify { time, .. } => *time,
+            other => panic!("expected only motion, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn event_batches_drain_bounded_and_in_order() {
+        use crate::wire::{EVENT_BATCH, HEADER_LEN, MAX_BUFFERED};
+        let (d, c) = motion_queue(1000, FaultPlan::default());
+        let client = c.client_id();
+        assert_eq!(event_queues(&d, client), (0, 1000, 0));
+        let mut times = Vec::new();
+        let mut exchanges = 0;
+        loop {
+            let (frames, bytes) = (c.wire_frame_timeline(), c.wire_stats().bytes_encoded);
+            let ev = c.poll_event();
+            if c.wire_frame_timeline() > frames {
+                exchanges += 1;
+                // Encoded since: the poll frame and its whole response.
+                let response = c.wire_stats().bytes_encoded - bytes - (4 + HEADER_LEN) as u64;
+                assert!(response < MAX_BUFFERED as u64, "{response}");
+            }
+            let (ahead, queued, delayed) = event_queues(&d, client);
+            assert_eq!(c.pending(), ahead + queued + delayed);
+            match ev {
+                Some(ev) => times.push(motion_time(&ev)),
+                None => break,
+            }
+        }
+        assert_eq!(times.len(), 1000);
+        assert!(times.windows(2).all(|t| t[0] < t[1]), "enqueue order");
+        // One exchange per full or partial batch, and the empty one that
+        // ends the drain.
+        assert_eq!(exchanges, 1000usize.div_ceil(EVENT_BATCH) + 1);
+    }
+
+    #[test]
+    fn event_batches_release_delayed_events_like_single_polls() {
+        // Events 72 and 929 end a run on the left window: the right
+        // window's run overtakes them, and 929 is held past every
+        // enqueue, so only a poll frees it. The other two are freed at
+        // once by the next event on their own window.
+        let plan = || {
+            FaultPlan::default()
+                .delay_at(1, 72, 30)
+                .delay_at(1, 140, 3)
+                .delay_at(1, 600, 80)
+                .delay_at(1, 929, 500)
+        };
+        let (d, c) = motion_queue(1000, plan());
+        let (ahead, queued, delayed) = event_queues(&d, c.client_id());
+        assert_eq!((ahead, delayed), (0, 1), "only the last hold is pending");
+        assert_eq!(c.pending(), queued + delayed);
+        let batched: Vec<Event> = std::iter::from_fn(|| c.poll_event()).collect();
+        let faults = c.with_obs(|o| o.fault_kind_counts()).unwrap();
+        assert_eq!(faults, vec![("delay", 4)]);
+        // The oracle: the same queue taken one event per server poll.
+        let (d, c) = motion_queue(1000, plan());
+        let single: Vec<Event> =
+            d.peek_server(|s| std::iter::from_fn(|| s.poll_event(c.client_id())).collect());
+        assert_eq!(batched, single);
+        assert_eq!(batched.len(), 1000);
+        let times: Vec<u64> = batched.iter().map(motion_time).collect();
+        assert!(times.windows(2).any(|t| t[0] > t[1]), "a delay reordered");
+        for w in [batched[0].window(), batched[999].window()] {
+            let on_w: Vec<u64> = batched
+                .iter()
+                .filter(|e| e.window() == w)
+                .map(motion_time)
+                .collect();
+            assert!(on_w.windows(2).all(|t| t[0] < t[1]), "per-window order");
+        }
+    }
+
+    #[test]
+    fn a_kill_empties_the_read_ahead_and_the_audit_checks_it() {
+        let (d, c) = motion_queue(5, FaultPlan::default());
+        let client = c.client_id();
+        assert!(c.poll_event().is_some());
+        assert_eq!(event_queues(&d, client), (4, 0, 0));
+        d.peek_server(|s| s.kill_client(client));
+        assert_eq!(event_queues(&d, client), (0, 0, 0));
+        assert_eq!(c.poll_event(), None);
+        assert_eq!(d.with_server(|s| s.audit()), Vec::<String>::new());
+        // A dead client that still held read-ahead would be reported.
+        d.peek_server(|s| {
+            let ev = Event::FocusIn { window: s.root() };
+            s.clients.get_mut(&client).unwrap().read_ahead.push_back(ev);
+            assert_eq!(
+                s.audit(),
+                vec!["dead client 1 still has events (1 read ahead, 0 queued, 0 delayed)"]
+            );
+        });
     }
 }

@@ -25,8 +25,10 @@
 //! into frames in the client's output buffer, and each small control
 //! message (flush, sync, reply take, event poll) is encoded, decoded and
 //! executed inline by the thread that ships it, under the lock it
-//! already holds. The sequence number in the frame header, not a thread,
-//! is the boundary between client and server (the x11rb cookie model).
+//! already holds. An event poll is answered with a batch: every queued
+//! event, up to [`EVENT_BATCH`], one frame each. The sequence number in
+//! the frame header, not a thread, is the boundary between client and
+//! server (the x11rb cookie model).
 //! With the codec off (`RTK_NO_WIRE=1`), the same calls carry typed
 //! values instead of bytes: that is the oracle `wire_equivalence`
 //! compares against. Everything else is shared — issue-time accounting,
@@ -72,34 +74,44 @@ pub const MAX_FRAME_LEN: u32 = 1 << 20;
 /// [`FrameReader::push`] before any allocation happens.
 pub const MAX_BUFFERED: usize = 4 + MAX_FRAME_LEN as usize;
 
-/// CRC32 (IEEE, reflected, polynomial 0xEDB88320) lookup table, built at
-/// compile time — the same function zlib and PNG use, hand-rolled so the
-/// wire layer stays zero-dependency.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC32 (IEEE, reflected, polynomial 0xEDB88320) lookup tables for
+/// slicing-by-8, built at compile time — the same function zlib and PNG
+/// use, hand-rolled so the wire layer stays zero-dependency. Table 0 is
+/// the classic bytewise table; table `k` advances a byte through `k`
+/// more zero bytes, so eight lookups fold in eight bytes at once.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
+    while i < 8 * 256 {
+        let (k, n) = (i / 256, i % 256);
+        t[k][n] = if k == 0 {
+            let mut c = n as u32;
+            let mut bit = 0;
+            while bit < 8 {
+                // Shift out one bit, folding in the polynomial if it was set.
+                c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+                bit += 1;
+            }
+            c
+        } else {
+            (t[k - 1][n] >> 8) ^ t[0][(t[k - 1][n] & 0xFF) as usize]
+        };
         i += 1;
     }
-    table
+    t
 };
 
 /// Feeds `bytes` into a running CRC32 state (init [`CRC32_INIT`],
-/// finalize by XOR with `0xFFFF_FFFF`).
+/// finalize by XOR with `0xFFFF_FFFF`), eight bytes per step.
 fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        state = CRC32_TABLE[((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
+    let t = &CRC32_TABLES;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let x = u64::from_le_bytes(c.try_into().expect("chunks of 8")) ^ u64::from(state);
+        state = (0..8).fold(0, |acc, i| acc ^ t[7 - i][(x >> (8 * i) & 0xFF) as usize]);
+    }
+    for &b in chunks.remainder() {
+        state = t[0][((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
     }
     state
 }
@@ -201,11 +213,11 @@ fn done(r: &[u8]) -> Result<(), WireError> {
     }
 }
 
-/// Encodes one value as a whole payload (the body of an error frame).
-fn to_payload<T: Wire>(v: &T) -> Vec<u8> {
-    let mut b = Vec::new();
-    v.put(&mut b);
-    b
+/// Encodes one value as a whole payload (the body of an error frame), for
+/// [`frame_into`]: a frame type that carries a bare value has opcode 0.
+fn payload<T: Wire>(v: &T, b: &mut Vec<u8>) -> u16 {
+    v.put(b);
+    0
 }
 
 /// Decodes a payload that holds exactly one value.
@@ -409,18 +421,37 @@ impl RawFrame {
 /// Encodes one frame: length prefix, versioned header with CRC32 of
 /// header fields + payload, payload.
 pub fn frame(frame_type: u8, opcode: u16, seq: u64, payload: &[u8]) -> Vec<u8> {
-    let len = (HEADER_LEN + payload.len()) as u32;
-    debug_assert!(len <= MAX_FRAME_LEN, "frame exceeds MAX_FRAME_LEN");
-    let mut b = Vec::with_capacity(4 + len as usize);
-    len.put(&mut b);
-    b.push(WIRE_VERSION);
-    b.push(frame_type);
-    opcode.put(&mut b);
-    seq.put(&mut b);
-    let crc = frame_crc(&b[4..4 + CRC_OFFSET], payload);
-    crc.put(&mut b);
-    b.extend_from_slice(payload);
+    let mut b = Vec::with_capacity(4 + HEADER_LEN + payload.len());
+    frame_into(&mut b, frame_type, seq, |b| {
+        b.extend_from_slice(payload);
+        opcode
+    });
     b
+}
+
+/// Appends one frame to `out` in place: `put` writes the payload straight
+/// after a reserved header and returns the opcode, then the length, the
+/// header and its CRC32 are filled in. Returns the frame's encoded size.
+pub(crate) fn frame_into(
+    out: &mut Vec<u8>,
+    frame_type: u8,
+    seq: u64,
+    put: impl FnOnce(&mut Vec<u8>) -> u16,
+) -> usize {
+    let start = out.len();
+    out.resize(start + 4 + HEADER_LEN, 0);
+    let opcode = put(out);
+    let len = out.len() - start - 4;
+    debug_assert!(len <= MAX_FRAME_LEN as usize, "frame exceeds MAX_FRAME_LEN");
+    let (head, payload) = out[start..].split_at_mut(4 + HEADER_LEN);
+    head[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    head[4] = WIRE_VERSION;
+    head[5] = frame_type;
+    head[6..8].copy_from_slice(&opcode.to_le_bytes());
+    head[8..16].copy_from_slice(&seq.to_le_bytes());
+    let crc = frame_crc(&head[4..4 + CRC_OFFSET], payload);
+    head[4 + CRC_OFFSET..].copy_from_slice(&crc.to_le_bytes());
+    4 + len
 }
 
 /// Incremental frame reassembly over arbitrary read chunks. Feed bytes
@@ -454,6 +485,22 @@ impl FrameReader {
         Ok(())
     }
 
+    /// A reader over a whole buffer it takes ownership of (a flushed
+    /// batch, a shipped control message, a response) instead of copying
+    /// it in through [`push`](FrameReader::push). The same
+    /// [`MAX_BUFFERED`] bound applies: an oversized buffer yields
+    /// `Oversized` from [`next_frame`](FrameReader::next_frame), not a
+    /// frame.
+    pub fn from_buffer(buf: Vec<u8>) -> FrameReader {
+        FrameReader { buf, pos: 0 }
+    }
+
+    /// Hands the buffer back, emptied, for reuse.
+    pub(crate) fn into_buffer(mut self) -> Vec<u8> {
+        self.buf.clear();
+        self.buf
+    }
+
     /// Unconsumed bytes sitting in the reassembly buffer — nonzero after
     /// a drain means a partial (or corrupt) frame is still pending.
     pub fn pending(&self) -> usize {
@@ -462,6 +509,9 @@ impl FrameReader {
 
     pub fn next_frame(&mut self) -> Result<Option<RawFrame>, WireError> {
         let avail = self.buf.len() - self.pos;
+        if avail > MAX_BUFFERED {
+            return Err(WireError::Oversized(avail.min(u32::MAX as usize) as u32));
+        }
         if avail < 4 {
             self.compact();
             return Ok(None);
@@ -537,8 +587,8 @@ pub(crate) trait Message: Sized {
     /// Every opcode of the type, in table order (read by the tests).
     #[cfg_attr(not(test), allow(dead_code))]
     const OPCODES: &'static [u16];
-    /// Encodes into `(opcode, payload)`.
-    fn encode(&self) -> (u16, Vec<u8>);
+    /// Appends the payload to `b` and returns the opcode.
+    fn encode_into(&self, b: &mut Vec<u8>) -> u16;
     /// Decodes a frame's opcode and payload.
     fn decode(f: &RawFrame) -> Result<Self, WireError>;
 }
@@ -681,15 +731,13 @@ macro_rules! message_table {
     ($E:ident { $($op:literal $v:ident $fields:tt,)* }) => {
         impl Message for $E {
             const OPCODES: &'static [u16] = &[$($op),*];
-            fn encode(&self) -> (u16, Vec<u8>) {
-                let mut b = Vec::new();
-                let op = match self {
+            fn encode_into(&self, b: &mut Vec<u8>) -> u16 {
+                match self {
                     $(message_table!(@bind $E $v $fields) => {
                         message_table!(@put b $fields);
                         $op
                     })*
-                };
-                (op, b)
+                }
             }
             fn decode(f: &RawFrame) -> Result<Self, WireError> {
                 let r = &mut &f.payload[..];
@@ -706,8 +754,8 @@ macro_rules! message_table {
         $E::$v { $($s: _,)? $($f),* }
     };
     (@bind $E:ident $v:ident ($f:ident)) => { $E::$v($f) };
-    (@put $b:ident { $([$s:ident])? $($f:ident),* }) => { $($f.put(&mut $b);)* };
-    (@put $b:ident ($f:ident)) => { $f.put(&mut $b) };
+    (@put $b:ident { $([$s:ident])? $($f:ident),* }) => { $($f.put($b);)* };
+    (@put $b:ident ($f:ident)) => { $f.put($b) };
     (@build $r:ident $h:ident $E:ident $v:ident { $([$s:ident])? $($f:ident),* }) => {
         $E::$v { $($s: $h.seq,)? $($f: Wire::get($r)?),* }
     };
@@ -977,6 +1025,12 @@ const STALL_TICK_MS: u64 = 10;
 /// Default sync-watchdog deadline (`Display::set_wire_deadline` changes it).
 pub const DEFAULT_WIRE_DEADLINE_MS: u64 = 5000;
 
+/// Most events one poll exchange carries. A `PollEvent` is answered with
+/// every queued event up to this many, so draining a burst costs one
+/// exchange per batch (Xlib's `XPending`/`XNextEvent` read-ahead) and no
+/// response outgrows [`MAX_BUFFERED`].
+pub const EVENT_BATCH: usize = 256;
+
 /// A control message: everything a client asks of the server besides
 /// buffering a request. With the codec on each one crosses as a control
 /// frame; with it off [`execute`] runs it directly.
@@ -988,6 +1042,7 @@ pub(crate) enum Control {
     FlushAll,
     Sync(SyncRequest),
     TakeReply(u64),
+    /// Take the next batch of queued events (at most [`EVENT_BATCH`]).
     PollEvent,
     Pending,
 }
@@ -998,54 +1053,59 @@ pub(crate) enum Answer {
     Done,
     Sync(Result<SyncReply, XError>),
     Reply(ReplyValue),
-    NoReply { alive: bool },
-    Event(Option<Event>),
+    NoReply {
+        alive: bool,
+    },
+    /// A poll's batch, oldest first; empty when nothing was queued.
+    Events(Vec<Event>),
     Pending(usize),
 }
 
 impl Control {
-    /// The control frame that carries this message.
-    fn frame(&self) -> Vec<u8> {
-        match self {
-            Control::Flush => frame(FT_FLUSH_CLIENT, 0, 0, &[]),
-            Control::FlushAll => frame(FT_FLUSH_ALL, 0, 0, &[]),
+    /// Appends the control frame that carries this message to `out`.
+    fn frame_into(&self, out: &mut Vec<u8>) {
+        let (ft, seq) = match self {
+            Control::Flush => (FT_FLUSH_CLIENT, 0),
+            Control::FlushAll => (FT_FLUSH_ALL, 0),
             Control::Sync(req) => {
-                let (op, payload) = req.encode();
-                frame(FT_SYNC, op, 0, &payload)
+                frame_into(out, FT_SYNC, 0, |b| req.encode_into(b));
+                return;
             }
-            Control::TakeReply(seq) => frame(FT_TAKE_REPLY, 0, *seq, &[]),
-            Control::PollEvent => frame(FT_POLL_EVENT, 0, 0, &[]),
-            Control::Pending => frame(FT_PENDING, 0, 0, &[]),
-        }
+            Control::TakeReply(seq) => (FT_TAKE_REPLY, *seq),
+            Control::PollEvent => (FT_POLL_EVENT, 0),
+            Control::Pending => (FT_PENDING, 0),
+        };
+        frame_into(out, ft, seq, |_| 0);
     }
 }
 
 impl Answer {
-    /// The response frame to a control frame sent under `seq` (`None`
-    /// for `Done`: flushes are not answered).
-    fn frame(self, seq: u64) -> Option<Vec<u8>> {
-        Some(match self {
-            Answer::Done => return None,
+    /// Appends the response frames to a control frame sent under `seq`
+    /// and calls `sent` with each one's size. `Done` has none (flushes
+    /// are not answered); a batch of events is one `FT_EVENT` frame per
+    /// event, an empty one a single `FT_NO_EVENT`.
+    fn frame_into(self, seq: u64, out: &mut Vec<u8>, mut sent: impl FnMut(usize)) {
+        let n = match self {
+            Answer::Done => return,
             Answer::Sync(Ok(reply)) => {
-                let (op, payload) = reply.encode();
-                frame(FT_SYNC_REPLY, op, seq, &payload)
+                frame_into(out, FT_SYNC_REPLY, seq, |b| reply.encode_into(b))
             }
-            Answer::Sync(Err(e)) => frame(FT_ERROR, 0, e.seq, &to_payload(&e)),
-            Answer::Reply(v) => {
-                let (op, payload) = v.encode();
-                frame(FT_COOKIE_REPLY, op, seq, &payload)
+            Answer::Sync(Err(e)) => frame_into(out, FT_ERROR, e.seq, |b| payload(&e, b)),
+            Answer::Reply(v) => frame_into(out, FT_COOKIE_REPLY, seq, |b| v.encode_into(b)),
+            Answer::NoReply { alive } => frame_into(out, FT_NO_REPLY, seq, |b| payload(&alive, b)),
+            Answer::Events(batch) if !batch.is_empty() => {
+                for ev in &batch {
+                    sent(frame_into(out, FT_EVENT, 0, |b| ev.encode_into(b)));
+                }
+                return;
             }
-            Answer::NoReply { alive } => frame(FT_NO_REPLY, 0, seq, &[alive as u8]),
-            Answer::Event(Some(ev)) => {
-                let (op, payload) = ev.encode();
-                frame(FT_EVENT, op, 0, &payload)
-            }
-            Answer::Event(None) => frame(FT_NO_EVENT, 0, 0, &[]),
-            Answer::Pending(n) => frame(FT_PENDING_COUNT, 0, n as u64, &[]),
-        })
+            Answer::Events(_) => frame_into(out, FT_NO_EVENT, 0, |_| 0),
+            Answer::Pending(n) => frame_into(out, FT_PENDING_COUNT, n as u64, |_| 0),
+        };
+        sent(n);
     }
 
-    /// Decodes a response frame; anything malformed reads as `Done`.
+    /// Decodes one response frame; anything malformed reads as `Done`.
     fn decode(f: &RawFrame) -> Answer {
         let answer = match f.frame_type {
             FT_SYNC_REPLY => SyncReply::decode(f).ok().map(|r| Answer::Sync(Ok(r))),
@@ -1054,8 +1114,8 @@ impl Answer {
             FT_NO_REPLY => Some(Answer::NoReply {
                 alive: f.payload.first() == Some(&1),
             }),
-            FT_EVENT => Event::decode(f).ok().map(|ev| Answer::Event(Some(ev))),
-            FT_NO_EVENT => Some(Answer::Event(None)),
+            FT_EVENT => Event::decode(f).ok().map(|ev| Answer::Events(vec![ev])),
+            FT_NO_EVENT => Some(Answer::Events(Vec::new())),
             FT_PENDING_COUNT => Some(Answer::Pending(f.seq as usize)),
             _ => None,
         };
@@ -1093,7 +1153,8 @@ fn execute(s: &mut Server, client: ClientId, ctl: Control) -> Answer {
         }
         Control::PollEvent => {
             flush_buffers(s);
-            Answer::Event(s.poll_event(client))
+            let batch = std::iter::from_fn(|| s.poll_event(client));
+            Answer::Events(batch.take(EVENT_BATCH).collect())
         }
         Control::Pending => {
             flush_buffers(s);
@@ -1112,12 +1173,13 @@ fn flush_buffers(s: &mut Server) {
 }
 
 /// Decodes and executes one shipped control message, returning the
-/// response bytes for the client that sent it. Damage anywhere in the
-/// message kills the connection and yields an empty response.
-fn dispatch(s: &mut Server, client: ClientId, bytes: &[u8]) -> Vec<u8> {
+/// response bytes for the client that sent it; the reader borrows the
+/// message's buffer and hands it back. Damage anywhere in the message
+/// kills the connection and yields an empty response.
+fn dispatch(s: &mut Server, client: ClientId, bytes: &mut Vec<u8>) -> Vec<u8> {
     let mut out = Vec::new();
-    let mut fr = FrameReader::new();
-    let mut intact = fr.push(bytes).is_ok();
+    let mut fr = FrameReader::from_buffer(std::mem::take(bytes));
+    let mut intact = true;
     while intact {
         let f = match fr.next_frame() {
             Ok(Some(f)) => f,
@@ -1148,15 +1210,14 @@ fn dispatch(s: &mut Server, client: ClientId, bytes: &[u8]) -> Vec<u8> {
             FT_PENDING => execute(s, client, Control::Pending),
             _ => continue, // data frames never arrive as control messages
         };
-        if let Some(resp) = answer.frame(f.seq) {
-            s.note_wire_encode(client, resp.len());
-            out.extend_from_slice(&resp);
-        }
+        answer.frame_into(f.seq, &mut out, |n| s.note_wire_encode(client, n));
     }
     // A partial frame at the end of a control message is truncation
     // damage: control frames are shipped whole, so leftover bytes can
     // only mean the stream is broken.
-    if !intact || fr.pending() > 0 {
+    let damaged = !intact || fr.pending() > 0;
+    *bytes = fr.into_buffer();
+    if damaged {
         s.kill_broken_stream(client, false);
         return Vec::new();
     }
@@ -1183,6 +1244,9 @@ pub(crate) struct State {
     /// reaches it is never answered, and the client gets a clean dead
     /// connection instead.
     pub(crate) deadline_ms: u64,
+    /// The reused outgoing buffer each request and control frame is
+    /// encoded into, and byte faults damage, before it is shipped.
+    tx: Vec<u8>,
 }
 
 /// The one transport between the Xlib-shaped calling surface and the
@@ -1209,6 +1273,7 @@ impl Transport {
                 frame_seq: HashMap::new(),
                 stalls: HashMap::new(),
                 deadline_ms: DEFAULT_WIRE_DEADLINE_MS,
+                tx: Vec::new(),
             })),
         }
     }
@@ -1234,14 +1299,13 @@ impl State {
     /// the issue-time accounting, and flushes at a flush point.
     pub(crate) fn issue(&mut self, client: ClientId, window: WindowId, seq: u64, q: QueuedRequest) {
         let start = Instant::now();
-        let frame = self.codec.then(|| {
-            let (op, payload) = q.encode();
-            let mut bytes = frame(FT_REQUEST, op, seq, &payload);
-            self.byte_fault(client, &mut bytes);
-            self.server.note_wire_encode(client, bytes.len());
-            bytes
-        });
+        if self.codec {
+            self.tx.clear();
+            frame_into(&mut self.tx, FT_REQUEST, seq, |b| q.encode_into(b));
+            self.send_tx(client);
+        }
         let (kind, reply) = (q.kind(), q.expects_reply());
+        let frame = self.codec.then_some(&self.tx[..]);
         let full = self.server.buffer(client, seq, q, frame);
         self.server
             .note_issue(client, kind, reply, window, seq, start);
@@ -1254,19 +1318,48 @@ impl State {
     /// transport's own channel) and returns the answer. With the codec
     /// on the message crosses as bytes both ways, so byte faults, the
     /// CRC check and the codec see exactly what a server across a socket
-    /// would; with it off the server executes it directly.
+    /// would; with it off the server executes it directly. A batch of
+    /// events arrives as one frame per event, decoded into one answer.
     pub(crate) fn control(&mut self, client: ClientId, ctl: Control) -> Answer {
         if !self.codec {
             return execute(&mut self.server, client, ctl);
         }
-        let resp = self.ship(client, ctl.frame());
-        let mut fr = FrameReader::new();
-        match fr.push(&resp).and_then(|()| fr.next_frame()) {
-            Ok(Some(f)) => {
-                self.server.note_wire_decode(client, f.wire_len());
-                Answer::decode(&f)
-            }
-            _ => Answer::Done,
+        let mut fr = FrameReader::from_buffer(self.ship(client, &ctl));
+        let mut answer = Answer::Done;
+        while let Ok(Some(f)) = fr.next_frame() {
+            self.server.note_wire_decode(client, f.wire_len());
+            answer = match (answer, Answer::decode(&f)) {
+                (Answer::Events(mut batch), Answer::Events(more)) => {
+                    batch.extend(more);
+                    Answer::Events(batch)
+                }
+                (_, next) => next,
+            };
+        }
+        answer
+    }
+
+    /// `Connection::poll_event`: the next event from `client`'s
+    /// read-ahead, refilled by one `PollEvent` exchange when empty.
+    pub(crate) fn poll_event(&mut self, client: ClientId) -> Option<Event> {
+        if let Some(ev) = self.server.read_ahead(client)?.pop_front() {
+            return Some(ev);
+        }
+        if let Answer::Events(batch) = self.control(client, Control::PollEvent) {
+            self.server.read_ahead(client)?.extend(batch);
+        }
+        self.server.read_ahead(client)?.pop_front()
+    }
+
+    /// `Connection::pending`: answered from the read-ahead when it holds
+    /// events, by a `Pending` exchange otherwise.
+    pub(crate) fn pending(&mut self, client: ClientId) -> usize {
+        if self.server.read_ahead(client).map_or(0, |q| q.len()) > 0 {
+            return self.server.pending(client);
+        }
+        match self.control(client, Control::Pending) {
+            Answer::Pending(n) => n,
+            _ => 0,
         }
     }
 
@@ -1276,26 +1369,30 @@ impl State {
     /// deadline trips the sync watchdog — the connection is torn down,
     /// the frame is never answered, and the client sees an empty response
     /// (`ConnectionDead`, never a hang). A shorter stall costs nothing.
-    fn ship(&mut self, client: ClientId, mut bytes: Vec<u8>) -> Vec<u8> {
+    fn ship(&mut self, client: ClientId, ctl: &Control) -> Vec<u8> {
         // Control frames ride the same byte stream as data frames, so
         // they share the per-client frame timeline and take byte faults
         // too (a corrupted sync request is damage the server must survive).
-        self.byte_fault(client, &mut bytes);
-        self.server.note_wire_encode(client, bytes.len());
+        self.tx.clear();
+        ctl.frame_into(&mut self.tx);
+        self.send_tx(client);
         let stall = self.stalls.remove(&client.0).unwrap_or(0);
         if u64::from(stall) * STALL_TICK_MS >= self.deadline_ms {
             self.server.kill_broken_stream(client, true);
             return Vec::new();
         }
-        dispatch(&mut self.server, client, &bytes)
+        dispatch(&mut self.server, client, &mut self.tx)
     }
 
-    /// Fires any byte fault scheduled for `client`'s next encoded frame
-    /// and applies it to `bytes` in place; a `StallDispatch` is armed for
-    /// the client's next control frame. The frame counter advances on
-    /// every encoded frame, plan or no plan, so a fault's timeline index
-    /// is independent of the plan's own contents.
-    fn byte_fault(&mut self, client: ClientId, bytes: &mut Vec<u8>) {
+    /// Sends the frame just encoded into `tx` onto `client`'s byte
+    /// stream: fires any byte fault scheduled for the client's next
+    /// encoded frame and applies it to `tx` in place (a `StallDispatch`
+    /// is armed for the client's next control frame), then counts the
+    /// frame. The frame counter advances on every encoded frame, plan or
+    /// no plan, so a fault's timeline index is independent of the plan's
+    /// own contents.
+    fn send_tx(&mut self, client: ClientId) {
+        let bytes = &mut self.tx;
         let counter = self.frame_seq.entry(client.0).or_insert(0);
         *counter += 1;
         let idx = *counter;
@@ -1322,6 +1419,7 @@ impl State {
             // to witness.
             _ => {}
         }
+        self.server.note_wire_encode(client, self.tx.len());
     }
 }
 
@@ -1756,6 +1854,26 @@ mod tests {
         }
     }
 
+    /// A message encoded on its own, into `(opcode, payload)`.
+    trait Encode {
+        fn encode(&self) -> (u16, Vec<u8>);
+    }
+
+    impl<M: Message> Encode for M {
+        fn encode(&self) -> (u16, Vec<u8>) {
+            let mut b = Vec::new();
+            let op = self.encode_into(&mut b);
+            (op, b)
+        }
+    }
+
+    /// Encodes one value as a whole payload (the body of an error frame).
+    fn to_payload<T: Wire>(v: &T) -> Vec<u8> {
+        let mut b = Vec::new();
+        v.put(&mut b);
+        b
+    }
+
     /// Encodes through a frame and decodes back via a FrameReader.
     fn frame_round_trip(ft: u8, op: u16, seq: u64, payload: &[u8]) -> RawFrame {
         let bytes = frame(ft, op, seq, payload);
@@ -2152,6 +2270,52 @@ mod tests {
         assert_eq!(crc, 0xCBF4_3926);
     }
 
+    /// The bytewise reference the slicing-by-8 update must match.
+    fn crc32_bytewise(mut state: u32, bytes: &[u8]) -> u32 {
+        for &b in bytes {
+            state = CRC32_TABLES[0][((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
+        }
+        state
+    }
+
+    #[test]
+    fn slicing_by_8_matches_the_bytewise_crc() {
+        let mut r = XorShift::new(0x51_1CE8);
+        let bytes: Vec<u8> = (0..72).map(|_| r.below(256) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let chunk = &bytes[start..start + len];
+                for init in [CRC32_INIT, r.next_u64() as u32] {
+                    assert_eq!(
+                        crc32_update(init, chunk),
+                        crc32_bytewise(init, chunk),
+                        "start {start}, len {len}, init {init:#x}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every frame is counted once on each side: a drain of 40 queued
+    /// events (one poll answered by 40 frames, then an empty poll) leaves
+    /// the client's encoded and decoded tallies equal.
+    #[test]
+    fn every_response_frame_is_counted_on_both_sides() {
+        let d = Display::new();
+        d.set_wire(true);
+        let c = d.connect();
+        let w = c.create_window(c.root(), 0, 0, 100, 40, 0).unwrap();
+        c.select_input(w, crate::event::mask::POINTER_MOTION);
+        c.map_window(w);
+        d.with_server(|s| (0..40).for_each(|x| s.warp_pointer(x, 20)));
+        assert_eq!(std::iter::from_fn(|| c.poll_event()).count(), 40);
+        let wire = c.wire_stats();
+        // 3 requests, 2 polls, 40 events and the empty answer.
+        assert_eq!(wire.frames_encoded, 3 + 2 + 40 + 1);
+        assert_eq!(wire.frames_encoded, wire.frames_decoded);
+        assert_eq!(wire.bytes_encoded, wire.bytes_decoded);
+    }
+
     /// Deadline the stall tests run under: 10 ticks of virtual time.
     const STALL_DEADLINE_MS: u64 = 100;
 
@@ -2177,7 +2341,7 @@ mod tests {
         ];
         let resps = controls
             .iter()
-            .map(|ctl| d.wire_handle().lock().ship(c.client_id(), ctl.frame()))
+            .map(|ctl| d.wire_handle().lock().ship(c.client_id(), ctl))
             .collect();
         (d, c.client_id(), resps)
     }
