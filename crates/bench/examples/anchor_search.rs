@@ -6,6 +6,7 @@
 //!
 //! * `audit` — replays `tests/chaos_storm_corpus.txt` and prints which
 //!   fault kinds each entry actually fires now (and its dedup drops).
+//! * `pairs` — the same for the two-app corpus, `tests/chaos_corpus.txt`.
 //! * `bytes` — replays `tests/chaos_bytes_corpus.txt` and prints each
 //!   entry's `byte.*` firings. Byte faults key on per-client frame
 //!   indices, so any change to how many frames a client ships (event
@@ -15,6 +16,9 @@
 //!   ONLY a duplicate, with the receiver dropping the copy (corpus
 //!   entry 0's contract).
 //! * `twoapp` — same for the two-app fuzz's dedup anchor (pair 142).
+//! * `remine SCRIPT KIND[=N]...` — searches for a fault seed that makes
+//!   the two-app script `SCRIPT` fire every listed fault kind (at least
+//!   `N` times), for a `pairs` entry that stopped hitting its faults.
 //! * `fleet [napps]` — mines N-app storm entries that each cover 3+
 //!   fault kinds, for the corpus's fleet-sized rows.
 
@@ -32,20 +36,27 @@ fn show(tag: &str, counts: &[u64], dedup: u64) {
     println!("{tag}: {} dedup={dedup}", parts.join(" "));
 }
 
+/// The `script_seed fault_seed [apps]` entries of a corpus file.
+fn corpus(path: &str) -> Vec<(u64, u64, Option<usize>)> {
+    let text = std::fs::read_to_string(path).unwrap();
+    text.lines()
+        .map(|line| line.split('#').next().unwrap_or("").trim())
+        .filter(|line| !line.is_empty())
+        .map(|line| {
+            let mut it = line.split_whitespace();
+            let s = it.next().unwrap().parse().unwrap();
+            let f = it.next().unwrap().parse().unwrap();
+            (s, f, it.next().map(|v| v.parse().unwrap()))
+        })
+        .collect()
+}
+
 fn main() {
     let mode = std::env::args().nth(1).unwrap_or_default();
     match mode.as_str() {
         "audit" => {
-            let text = std::fs::read_to_string("tests/chaos_storm_corpus.txt").unwrap();
-            for line in text.lines() {
-                let line = line.split('#').next().unwrap_or("").trim();
-                if line.is_empty() {
-                    continue;
-                }
-                let mut it = line.split_whitespace();
-                let s: u64 = it.next().unwrap().parse().unwrap();
-                let f: u64 = it.next().unwrap().parse().unwrap();
-                let n: usize = it.next().map(|v| v.parse().unwrap()).unwrap_or(3);
+            for (s, f, n) in corpus("tests/chaos_storm_corpus.txt") {
+                let n = n.unwrap_or(3);
                 match run_storm_case(s, f, n) {
                     Ok(st) => show(
                         &format!("{s} {f} {n}"),
@@ -56,16 +67,16 @@ fn main() {
                 }
             }
         }
-        "bytes" => {
-            let text = std::fs::read_to_string("tests/chaos_bytes_corpus.txt").unwrap();
-            for line in text.lines() {
-                let line = line.split('#').next().unwrap_or("").trim();
-                if line.is_empty() {
-                    continue;
+        "pairs" => {
+            for (s, f, _) in corpus("tests/chaos_corpus.txt") {
+                match run_case(s, f) {
+                    Ok(st) => show(&format!("{s} {f}"), &st.fault_counts, st.send_dedup_drops),
+                    Err(e) => println!("{s} {f}: FAILED {e}"),
                 }
-                let mut it = line.split_whitespace();
-                let s: u64 = it.next().unwrap().parse().unwrap();
-                let f: u64 = it.next().unwrap().parse().unwrap();
+            }
+        }
+        "bytes" => {
+            for (s, f, _) in corpus("tests/chaos_bytes_corpus.txt") {
                 match run_bytes_case(s, f) {
                     Ok(st) => {
                         let fired: Vec<String> = FAULT_KIND_NAMES
@@ -125,6 +136,29 @@ fn main() {
             }
             println!("no two-app pair found");
         }
+        "remine" => {
+            let args: Vec<String> = std::env::args().skip(2).collect();
+            let script: u64 = args[0].parse().unwrap();
+            // `kind` or `kind=N`: fire that kind at least once (N times).
+            let kinds: Vec<(usize, u64)> = args[1..]
+                .iter()
+                .map(|arg| {
+                    let (k, n) = arg.split_once('=').unwrap_or((arg, "1"));
+                    let kind = FAULT_KIND_NAMES.iter().position(|name| *name == k);
+                    (kind.unwrap(), n.parse().unwrap())
+                })
+                .collect();
+            let mut rng = XorShift::new(0x4e3a ^ script);
+            for _ in 0..100_000 {
+                let f = rng.next_u64();
+                let Ok(st) = run_case(script, f) else { continue };
+                if kinds.iter().all(|(k, n)| st.fault_counts[*k] >= *n) {
+                    show(&format!("{script} {f}"), &st.fault_counts, st.send_dedup_drops);
+                    return;
+                }
+            }
+            println!("no fault seed found for {script}");
+        }
         "fleet" => {
             // N-app storm entries (N > 3) that together cover every
             // fault kind, for the corpus's fleet rows.
@@ -154,6 +188,8 @@ fn main() {
                 }
             }
         }
-        _ => println!("modes: audit | bytes | flagship | twoapp | fleet [napps]"),
+        _ => println!(
+            "modes: audit | pairs | bytes | flagship | twoapp | remine SCRIPT KIND[=N]... | fleet [napps]"
+        ),
     }
 }

@@ -156,14 +156,7 @@ impl TkEnv {
         let mut any = false;
         for _ in 0..1000 {
             let mut progressed = false;
-            let apps: Vec<Rc<AppInner>> = self
-                .apps
-                .borrow()
-                .iter()
-                .filter_map(Weak::upgrade)
-                .collect();
-            for inner in apps {
-                let app = TkApp { inner };
+            for app in self.live_apps() {
                 if app.process_pending() {
                     progressed = true;
                 }
@@ -183,17 +176,19 @@ impl TkEnv {
     /// settles all pending work.
     pub fn advance(&self, ms: u64) {
         self.clock.set(self.clock.get() + ms);
-        let apps: Vec<Rc<AppInner>> = self
-            .apps
-            .borrow()
-            .iter()
-            .filter_map(Weak::upgrade)
-            .collect();
-        for inner in apps {
-            let app = TkApp { inner };
+        for app in self.live_apps() {
             app.run_due_timers();
         }
         self.dispatch_all();
+    }
+
+    /// The applications still alive, in creation order.
+    fn live_apps(&self) -> Vec<TkApp> {
+        let apps = self.apps.borrow();
+        apps.iter()
+            .filter_map(Weak::upgrade)
+            .map(|inner| TkApp { inner })
+            .collect()
     }
 
     /// Applications currently registered for `send`, by name.
@@ -303,11 +298,7 @@ impl TkApp {
             .conn()
             .create_window(app.conn().root(), 0, 0, 200, 200, 0)
             .expect("root window exists");
-        let rec = Rc::new(TkWindow::new(".", "Toplevel", main_xid));
-        rec.width.set(200);
-        rec.height.set(200);
-        rec.req_width.set(200);
-        rec.req_height.set(200);
+        let rec = Rc::new(TkWindow::new(".", "Toplevel", main_xid, 200, 200));
         app.select_standard_input(main_xid);
         app.inner.windows.borrow_mut().insert(".".into(), rec);
         app.inner.by_xid.borrow_mut().insert(main_xid, ".".into());
@@ -429,11 +420,7 @@ impl TkApp {
             .create_window(parent_rec.xid, 0, 0, width, height, border_width)
             .map_err(crate::cache::xerr)?;
         self.select_standard_input(xid);
-        let rec = Rc::new(TkWindow::new(path, class, xid));
-        rec.width.set(width.max(1));
-        rec.height.set(height.max(1));
-        rec.req_width.set(width.max(1));
-        rec.req_height.set(height.max(1));
+        let rec = Rc::new(TkWindow::new(path, class, xid, width, height));
         rec.border_width.set(border_width);
         self.inner
             .windows
@@ -520,44 +507,50 @@ impl TkApp {
             }
         } else if self.is_toplevel(path) {
             // No real window manager in the simulation: grant the request.
-            self.conn().configure_window(
-                rec.xid,
-                None,
-                None,
-                Some(width.max(1)),
-                Some(height.max(1)),
-                None,
-            );
+            self.configure(path, &rec, None, width, height);
         }
     }
 
     /// Is this path a toplevel (the main window or a Toplevel widget)?
     pub fn is_toplevel(&self, path: &str) -> bool {
-        path == "."
-            || self
-                .window(path)
-                .map(|w| w.class == "Toplevel")
-                .unwrap_or(false)
+        path == "." || self.window(path).is_some_and(|w| w.class == "Toplevel")
     }
 
-    /// Moves/resizes a window (geometry managers call this).
+    /// Moves/resizes a window and maps it (geometry managers call this).
+    /// Like `Tk_MoveResizeWindow` and `Tk_MapWindow`, it writes the
+    /// structure cache as it sends the requests, and sends nothing the
+    /// cache already holds.
     pub fn place_window(&self, path: &str, x: i32, y: i32, width: u32, height: u32) {
         let Some(rec) = self.window(path) else {
             return;
         };
-        let (width, height) = (width.max(1), height.max(1));
-        if rec.x.get() == x
-            && rec.y.get() == y
-            && rec.width.get() == width
-            && rec.height.get() == height
-            && rec.mapped.get()
-        {
+        self.configure(path, &rec, Some((x, y)), width, height);
+        if !rec.mapped.replace(true) {
+            self.conn().map_window(rec.xid);
+        }
+    }
+
+    /// Sends a ConfigureWindow, unless the structure cache already holds
+    /// this geometry, and writes it through to the cache. A resized master
+    /// re-arranges its packed slaves; the server exposes a resized
+    /// viewable window, and that repaints it.
+    fn configure(&self, path: &str, rec: &TkWindow, pos: Option<(i32, i32)>, w: u32, h: u32) {
+        let (x, y) = pos.unwrap_or((rec.x.get(), rec.y.get()));
+        let (w, h) = (w.max(1), h.max(1));
+        let resized = (rec.width.get(), rec.height.get()) != (w, h);
+        if !resized && (rec.x.get(), rec.y.get()) == (x, y) {
             return;
         }
+        rec.x.set(x);
+        rec.y.set(y);
+        rec.width.set(w);
+        rec.height.set(h);
+        rec.configures.set(rec.configures.get() + 1);
+        let (px, py) = (pos.map(|p| p.0), pos.map(|p| p.1));
         self.conn()
-            .configure_window(rec.xid, Some(x), Some(y), Some(width), Some(height), None);
-        if !rec.mapped.get() {
-            self.conn().map_window(rec.xid);
+            .configure_window(rec.xid, px, py, Some(w), Some(h), None);
+        if resized && self.inner.packer.borrow().has_slaves(path) {
+            self.schedule_relayout(path);
         }
     }
 
@@ -572,8 +565,12 @@ impl TkApp {
     }
 
     /// Schedules a full-widget redraw (deduplicated). Full damage
-    /// swallows any rect damage already pending for the path.
+    /// swallows any rect damage already pending for the path. As in Tk,
+    /// an unmapped window schedules nothing: mapping it exposes it.
     pub fn schedule_redraw(&self, path: &str) {
+        if !self.is_mapped(path) {
+            return;
+        }
         self.inner.tracer.instant("damage", path, 0);
         self.inner
             .damage
@@ -587,7 +584,7 @@ impl TkApp {
     /// the path; pending full damage stays full. With damage disabled
     /// this degenerates to [`TkApp::schedule_redraw`].
     pub fn schedule_redraw_damage(&self, path: &str, rect: Rect) {
-        if !self.damage_enabled() {
+        if !self.damage_enabled() || !self.is_mapped(path) {
             return self.schedule_redraw(path);
         }
         self.inner.tracer.instant("damage", path, 0);
@@ -642,6 +639,11 @@ impl TkApp {
     /// blit is safe (blitting would shift not-yet-repainted damage).
     pub fn has_pending_damage(&self, path: &str) -> bool {
         self.inner.damage.borrow().contains_key(path)
+    }
+
+    /// Is the window mapped, as far as the structure cache knows?
+    pub(crate) fn is_mapped(&self, path: &str) -> bool {
+        self.window(path).is_some_and(|w| w.mapped.get())
     }
 
     fn push_redraw_task(&self, path: &str) {
@@ -788,7 +790,8 @@ impl TkApp {
                     IdleTask::Redraw { path, cause } => {
                         self.inner.obs.incr("idle.redraws");
                         let damage = self.inner.damage.borrow_mut().remove(&path);
-                        if let Some(rec) = self.window(&path) {
+                        // A window unmapped since the schedule is not drawn.
+                        if let Some(rec) = self.window(&path).filter(|w| w.mapped.get()) {
                             let widget = rec.widget.borrow().clone();
                             if let Some(w) = widget {
                                 // Both modes send the same request stream
@@ -827,13 +830,14 @@ impl TkApp {
     /// part of the Section 3.2 dispatcher). Returns true if any work ran.
     /// Noticing a dead connection tears the application down cleanly.
     pub fn process_pending(&self) -> bool {
-        if !self.conn().alive() {
-            return self.connection_died();
-        }
         let mut any = false;
         while let Some(ev) = self.conn().poll_event() {
             any = true;
             self.dispatch_event(&ev);
+        }
+        // A dead connection polls nothing; a poll's flush can kill it.
+        if !self.conn().alive() {
+            return self.connection_died() || any;
         }
         if !self.inner.file_handlers.borrow().is_empty() && self.poll_file_handlers() {
             any = true;
@@ -943,6 +947,10 @@ impl TkApp {
         // Structure cache updates.
         if let Some(rec) = self.window(&path) {
             match ev {
+                // The echo of an own configure is already in the cache.
+                // One with a later configure in flight must not roll the
+                // cache back.
+                Event::ConfigureNotify { .. } if rec.configure_echo_is_stale() => {}
                 Event::ConfigureNotify {
                     x,
                     y,

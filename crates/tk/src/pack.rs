@@ -5,7 +5,9 @@
 //! *parcel* off one side of the remaining cavity, exactly as the paper's
 //! Figure 8 shows for an all-in-a-column arrangement. The layout algorithm
 //! (including `expand`'s look-ahead space distribution) follows the
-//! original `tkPack.c`.
+//! original `tkPack.c`, and so does its timing: `pack` only schedules
+//! the arrangement at idle time, and it settles top-down, placing each
+//! slave once per `update`.
 
 use std::collections::HashMap;
 
@@ -161,10 +163,7 @@ impl Packer {
 
     /// Does this master have packed slaves?
     pub fn has_slaves(&self, master: &str) -> bool {
-        self.masters
-            .get(master)
-            .map(|s| !s.is_empty())
-            .unwrap_or(false)
+        self.masters.get(master).is_some_and(|s| !s.is_empty())
     }
 
     /// The slots of a master, in packing order.
@@ -300,6 +299,12 @@ pub fn relayout(app: &TkApp, master: &str) {
     need_h += 2 * ib;
     if need_w != master_rec.req_width.get() as i64 || need_h != master_rec.req_height.get() as i64 {
         app.geometry_request(master, need_w.max(1) as u32, need_h.max(1) as u32);
+        // `ArrangePacking`'s abort: a packed master waits for its own
+        // master to place it, then arranges its slaves once, top-down.
+        if app.inner.packer.borrow().master_of(master).is_some() {
+            app.schedule_relayout(master);
+            return;
+        }
     }
 
     // Carve parcels out of the cavity.
@@ -403,7 +408,6 @@ fn cmd_pack(app: &TkApp, _interp: &tcl::Interp, argv: &[String]) -> TclResult {
                 app.inner.packer.borrow_mut().insert(master, slot, None);
             }
             app.schedule_relayout(master);
-            crate::pack::relayout(app, master);
             Ok(String::new())
         }
         "before" | "after" => {
@@ -443,7 +447,6 @@ fn cmd_pack(app: &TkApp, _interp: &tcl::Interp, argv: &[String]) -> TclResult {
                 );
             }
             app.schedule_relayout(&packer_master);
-            relayout(app, &packer_master);
             Ok(String::new())
         }
         "unpack" => {
@@ -451,11 +454,11 @@ fn cmd_pack(app: &TkApp, _interp: &tcl::Interp, argv: &[String]) -> TclResult {
             let master = app.inner.packer.borrow_mut().unpack(path);
             if let Some(rec) = app.window(path) {
                 *rec.manager.borrow_mut() = String::new();
+                rec.mapped.set(false);
                 app.conn().unmap_window(rec.xid);
             }
             if let Some(master) = master {
                 app.schedule_relayout(&master);
-                relayout(app, &master);
             }
             Ok(String::new())
         }
@@ -477,10 +480,7 @@ fn cmd_pack(app: &TkApp, _interp: &tcl::Interp, argv: &[String]) -> TclResult {
 
 /// The packer only manages children (or descendants) of the master.
 fn check_master(master: &str, slave: &str) -> Result<(), Exception> {
-    let ok = crate::window::parent_path(slave)
-        .map(|p| p == master)
-        .unwrap_or(false);
-    if ok {
+    if crate::window::parent_path(slave) == Some(master) {
         Ok(())
     } else {
         Err(Exception::error(format!(
@@ -623,6 +623,13 @@ mod tests {
         app.update();
         assert!(!app.window(".a").unwrap().mapped.get());
         assert!(app.inner.packer.borrow().master_of(".a").is_none());
+        // Unpacked and packed again before the UnmapNotify is read.
+        app.eval("pack append . .a {top}; update; pack unpack .a; pack append . .a {top}")
+            .unwrap();
+        app.update();
+        assert_eq!(app.eval("winfo ismapped .a").unwrap(), "1");
+        let xid = app.window(".a").unwrap().xid;
+        assert!(app.env().display().with_server(|s| s.is_viewable(xid)));
     }
 
     #[test]
@@ -679,6 +686,106 @@ mod tests {
         // Repacking into the same master twice must not duplicate.
         app.eval("pack append .m1 .m1.w {bottom}").unwrap();
         assert_eq!(app.inner.packer.borrow().slots(".m1").len(), 1);
+    }
+
+    /// How many requests of `kind` the app sent since its last obs reset.
+    fn sent(app: &TkApp, kind: &str) -> u64 {
+        app.conn()
+            .with_obs(|o| o.kind_counts())
+            .unwrap()
+            .into_iter()
+            .find(|(k, _)| *k == kind)
+            .map_or(0, |(_, n)| n)
+    }
+
+    #[test]
+    fn nested_masters_settle_in_one_update() {
+        // A frame of two frames of buttons, packed into ".": the packer
+        // settles top-down, so every window is configured and mapped once.
+        let (_env, app) = setup();
+        app.conn().reset_obs();
+        app.eval("frame .f; frame .f.a; frame .f.b").unwrap();
+        for m in [".f.a", ".f.b"] {
+            for i in 0..3 {
+                app.eval(&format!(
+                    "button {m}.b{i} -text {{b {i}}}; pack append {m} {m}.b{i} {{top fillx}}"
+                ))
+                .unwrap();
+            }
+        }
+        app.eval("pack append .f .f.a {left} .f.b {left}; pack append . .f {top}")
+            .unwrap();
+        app.update();
+        // Nine new windows plus ".", which was mapped when it was created.
+        assert_eq!(sent(&app, "ConfigureWindow"), 10);
+        assert_eq!(sent(&app, "MapWindow"), 9);
+        let (a, b) = (app.window(".f.a").unwrap(), app.window(".f.b").unwrap());
+        assert_eq!(b.x.get(), a.width.get() as i32);
+        let b2 = app.window(".f.b.b2").unwrap();
+        assert_eq!(b2.y.get() + b2.height.get() as i32, b.height.get() as i32);
+        app.conn().reset_obs();
+        app.update();
+        assert_eq!(sent(&app, "ConfigureWindow"), 0);
+        assert_eq!(sent(&app, "MapWindow"), 0);
+    }
+
+    #[test]
+    fn external_configure_of_a_packed_master_rearranges_it() {
+        let (_env, app) = setup();
+        child(&app, ".m", 10, 10);
+        child(&app, ".m.a", 10, 10);
+        child(&app, ".m.b", 10, 10);
+        app.eval("pack append .m .m.a {top expand fill} .m.b {top expand fill}")
+            .unwrap();
+        app.eval("pack append . .m {top}").unwrap();
+        app.update();
+        let (a, b) = (app.window(".m.a").unwrap(), app.window(".m.b").unwrap());
+        assert_eq!((a.height.get(), b.y.get()), (10, 10));
+        let m = app.window(".m").unwrap();
+        app.conn()
+            .configure_window(m.xid, None, None, Some(100), Some(100), None);
+        app.update();
+        assert_eq!((m.width.get(), m.height.get()), (100, 100));
+        assert_eq!((a.width.get(), a.height.get()), (100, 50));
+        assert_eq!((b.y.get(), b.height.get()), (50, 50));
+    }
+
+    #[test]
+    fn a_stale_configure_notify_changes_nothing() {
+        // `.m.a` fills `.m`'s height, which follows its sibling `.m.b`.
+        // The sibling grows twice in one update, in idle generations far
+        // enough apart that `.m.a` is placed twice before the app reads
+        // either ConfigureNotify.
+        let (_env, app) = setup();
+        child(&app, ".m", 10, 10);
+        child(&app, ".m.a", 20, 20);
+        child(&app, ".m.a.x", 10, 10);
+        app.eval("frame .m.b -geometry 20x20").unwrap();
+        app.eval("pack append .m.a .m.a.x {top expand fill}")
+            .unwrap();
+        app.eval("pack append .m .m.a {left filly} .m.b {left}; pack append . .m {top}")
+            .unwrap();
+        app.update();
+        app.eval("set heights {}; bind .m.a <Configure> {lappend heights [winfo height .m.a]}")
+            .unwrap();
+        app.eval(".m.b configure -geometry 20x50").unwrap();
+        app.eval("after idle {after idle {after idle {.m.b configure -geometry 20x80}}}")
+            .unwrap();
+        app.conn().reset_obs();
+        app.update();
+        // Both notifies reached the binding; neither rolled the cache back.
+        assert_eq!(app.eval("set heights").unwrap(), "80 80");
+        assert_eq!(app.window(".m.a.x").unwrap().height.get(), 80);
+        // Once the app reads the notifies, no relayout runs: they were
+        // the echoes of its own placements.
+        let spans = app.tracer().snapshot();
+        let first_event = spans.iter().position(|s| s.kind == "dispatch").unwrap();
+        let late: Vec<&str> = spans[first_event..]
+            .iter()
+            .filter(|s| s.kind == "relayout")
+            .map(|s| s.detail.as_str())
+            .collect();
+        assert!(late.is_empty(), "relayouts after the notifies: {late:?}");
     }
 
     #[test]

@@ -326,12 +326,15 @@ impl WidgetOps for ButtonWidget {
             }
             (ButtonKind::Button, "flash") => {
                 // "causes the button to change colors back and forth a few
-                // times" — each toggle redraws synchronously.
-                for _ in 0..2 {
-                    self.active.set(true);
-                    self.redraw(app, path);
-                    self.active.set(false);
-                    self.redraw(app, path);
+                // times" — each toggle redraws synchronously. An unmapped
+                // button has nothing to flash.
+                if app.is_mapped(path) {
+                    for _ in 0..2 {
+                        self.active.set(true);
+                        self.redraw(app, path);
+                        self.active.set(false);
+                        self.redraw(app, path);
+                    }
                 }
                 Ok(String::new())
             }
@@ -488,9 +491,6 @@ impl WidgetOps for ButtonWidget {
 
     fn redraw(&self, app: &TkApp, path: &str) {
         let Some(rec) = app.window(path) else { return };
-        if !rec.mapped.get() {
-            return;
-        }
         let conn = app.conn();
         let cache = app.cache();
         let active = self.active.get() && self.kind != ButtonKind::Label;

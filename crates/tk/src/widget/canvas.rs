@@ -518,9 +518,6 @@ impl WidgetOps for Canvas {
 
     fn redraw(&self, app: &TkApp, path: &str) {
         let Some(rec) = app.window(path) else { return };
-        if !rec.mapped.get() {
-            return;
-        }
         let conn = app.conn();
         let cache = app.cache();
         conn.clear_area(rec.xid, 0, 0, 0, 0);

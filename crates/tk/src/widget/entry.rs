@@ -573,9 +573,6 @@ impl WidgetOps for Entry {
 
     fn redraw(&self, app: &TkApp, path: &str) {
         let Some(rec) = app.window(path) else { return };
-        if !rec.mapped.get() {
-            return;
-        }
         let conn = app.conn();
         let cache = app.cache();
         let Ok(border) = cache.border(conn, &self.config.get("-background")) else {

@@ -160,9 +160,6 @@ impl WidgetOps for Message {
 
     fn redraw(&self, app: &TkApp, path: &str) {
         let Some(rec) = app.window(path) else { return };
-        if !rec.mapped.get() {
-            return;
-        }
         let conn = app.conn();
         let cache = app.cache();
         let Ok(fg) = cache.color(conn, &self.config.get("-foreground")) else {

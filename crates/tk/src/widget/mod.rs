@@ -49,7 +49,8 @@ pub trait WidgetOps {
         app.schedule_redraw(path);
     }
 
-    /// Repaints the widget.
+    /// Repaints the widget. The idle loop calls it only while the
+    /// widget's window is mapped.
     fn redraw(&self, _app: &TkApp, _path: &str) {}
 
     /// Cleanup hook when the window is destroyed.

@@ -35,6 +35,9 @@ pub struct TkWindow {
     pub border_width: Cell<u32>,
     /// Structure cache: is the window mapped?
     pub mapped: Cell<bool>,
+    /// ConfigureWindow requests the app sent whose ConfigureNotify has
+    /// not come back yet.
+    pub configures: Cell<u32>,
     /// The size the widget asked its geometry manager for.
     pub req_width: Cell<u32>,
     /// The size the widget asked its geometry manager for.
@@ -49,24 +52,35 @@ pub struct TkWindow {
 }
 
 impl TkWindow {
-    /// Creates a record with geometry zeroed (filled in by the caller).
-    pub fn new(path: &str, class: &str, xid: WindowId) -> TkWindow {
+    /// Creates the record of an unmapped window of the given size at the
+    /// origin, which also asks for that size.
+    pub fn new(path: &str, class: &str, xid: WindowId, width: u32, height: u32) -> TkWindow {
+        let (width, height) = (width.max(1), height.max(1));
         TkWindow {
             path: path.to_string(),
             class: class.to_string(),
             xid,
             x: Cell::new(0),
             y: Cell::new(0),
-            width: Cell::new(1),
-            height: Cell::new(1),
+            width: Cell::new(width),
+            height: Cell::new(height),
             border_width: Cell::new(0),
             mapped: Cell::new(false),
-            req_width: Cell::new(1),
-            req_height: Cell::new(1),
+            configures: Cell::new(0),
+            req_width: Cell::new(width),
+            req_height: Cell::new(height),
             internal_border: Cell::new(0),
             manager: RefCell::new(String::new()),
             widget: RefCell::new(None),
         }
+    }
+
+    /// Counts one ConfigureNotify against the configures in flight; true
+    /// while a later one is still in flight.
+    pub fn configure_echo_is_stale(&self) -> bool {
+        let in_flight = self.configures.get();
+        self.configures.set(in_flight.saturating_sub(1));
+        in_flight > 1
     }
 
     /// The window's own name (last path component).
@@ -187,8 +201,9 @@ mod tests {
 
     #[test]
     fn window_record_name() {
-        let w = TkWindow::new(".x.y", "Button", xsim::Xid(5));
+        let w = TkWindow::new(".x.y", "Button", xsim::Xid(5), 0, 0);
         assert_eq!(w.name(), "y");
         assert_eq!(w.class, "Button");
+        assert_eq!((w.width.get(), w.req_height.get()), (1, 1));
     }
 }

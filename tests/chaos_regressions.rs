@@ -156,7 +156,7 @@ fn a_duplicated_send_request_evaluates_exactly_once() {
 /// duplicates send traffic and the receiver drops the copy.
 #[test]
 fn two_app_dedup_pair_replays_with_a_drop() {
-    let stats = run_case(142, 14671272994938756755).expect("no panic");
+    let stats = run_case(142, 18325835371311368290).expect("no panic");
     assert!(stats.fault_counts[fault_kind_index("duplicate")] >= 1);
     assert!(stats.send_dedup_drops >= 1);
 }
@@ -178,7 +178,7 @@ fn replay_is_deterministic() {
 /// issuing commands (137 kills both).
 #[test]
 fn connection_kills_mid_script_stay_contained() {
-    for (script_seed, fault_seed) in [(3, 15733602095581869388), (137, 5227058181464348512)] {
+    for (script_seed, fault_seed) in [(3, 15733602095581869388), (137, 18342085214519866823)] {
         let stats = run_case(script_seed, fault_seed).expect("kill case must not panic");
         assert!(stats.faults_injected >= 1);
     }

@@ -88,11 +88,14 @@ fn observability_overhead_is_small() {
     assert!(!app.conn().obs_trace_enabled(), "trace must default to off");
     workload(&app); // warm caches
 
-    // Median of several runs to shrug off scheduler noise.
+    // Median of several runs to shrug off scheduler noise. Each sample
+    // builds and destroys the buttons twice: one round settles in under
+    // 1000 requests, too few to stand for a protocol-heavy workload.
     let mut times: Vec<std::time::Duration> = (0..5)
         .map(|_| {
             app.conn().reset_obs();
             let start = Instant::now();
+            workload(&app);
             workload(&app);
             start.elapsed()
         })
