@@ -681,6 +681,25 @@ mod tests {
         assert!(painted >= 19 * 19, "filled rect: {painted} red pixels");
     }
 
+    /// Coordinates are any `i32`: a line whose ends lie a billion pixels
+    /// off the canvas draws only the row it crosses the window on.
+    #[test]
+    fn far_off_line_draws_what_crosses_the_window() {
+        let (env, app) = setup();
+        app.eval(".c create line -1000000000 0 1000000000 5 -fill red")
+            .unwrap();
+        app.update();
+        let rec = app.window(".c").unwrap();
+        let red = xsim::Rgb::new(255, 0, 0);
+        let (painted, on_row) = env.display().with_server(|s| {
+            let surface = s.window_surface(rec.xid).unwrap();
+            let on_row = (0..rec.width.get() as i32).all(|x| surface.pixel(x, 3) == red);
+            (surface.count_pixels(red), on_row)
+        });
+        assert!(on_row, "the line crosses the window on row 3");
+        assert_eq!(painted, rec.width.get() as usize);
+    }
+
     #[test]
     fn move_and_coords() {
         let (_env, app) = setup();

@@ -271,11 +271,6 @@ impl Colormap {
             .unwrap_or(Rgb::new(0, 0, 0))
     }
 
-    /// Number of distinct allocated cells.
-    pub fn cell_count(&self) -> usize {
-        self.cells.len()
-    }
-
     /// Reference count of a pixel (for tests and cache ablation).
     pub fn refcount(&self, pixel: Pixel) -> u32 {
         self.cells

@@ -118,21 +118,24 @@ impl Surface {
     /// installed only part of it rasterizes, but the re-drawn text
     /// records arrive either way, so the list stays consistent).
     pub fn fill_rect(&mut self, x: i32, y: i32, w: u32, h: u32, color: Rgb) {
-        if x <= 0
-            && y <= 0
-            && x + w as i32 >= self.width as i32
-            && y + h as i32 >= self.height as i32
-        {
+        let (x, y) = (x as i64, y as i64);
+        let (right, bottom) = (x + w as i64, y + h as i64);
+        if x <= 0 && y <= 0 && right >= self.width as i64 && bottom >= self.height as i64 {
             self.texts.clear();
         }
-        let x0 = x.max(0);
-        let y0 = y.max(0);
-        let x1 = (x + w as i32).min(self.width as i32);
-        let y1 = (y + h as i32).min(self.height as i32);
+        self.fill_clipped(x, y, right, bottom, color);
+    }
+
+    /// Fills `[x0, x1) x [y0, y1)` where it meets the surface and the
+    /// clip region.
+    fn fill_clipped(&mut self, x0: i64, y0: i64, x1: i64, y1: i64, color: Rgb) {
+        let (x0, y0) = (x0.max(0), y0.max(0));
+        let x1 = x1.min(self.width as i64);
+        let y1 = y1.min(self.height as i64);
         if x0 >= x1 || y0 >= y1 {
             return;
         }
-        let bounded = Rect::new(x0, y0, (x1 - x0) as u32, (y1 - y0) as u32);
+        let bounded = Rect::new(x0 as i32, y0 as i32, (x1 - x0) as u32, (y1 - y0) as u32);
         match self.clip.take() {
             None => self.fill_span(&bounded, color),
             Some(clip) => {
@@ -148,26 +151,15 @@ impl Surface {
         }
     }
 
-    /// Fills an in-bounds rect unconditionally, counting its pixels.
+    /// Fills an in-bounds rect unconditionally, a row at a time,
+    /// counting its pixels.
     fn fill_span(&mut self, r: &Rect, color: Rgb) {
-        let packed = color.packed();
-        for yy in r.y..r.bottom() {
-            let row = yy as u32 * self.width;
-            for xx in r.x..r.right() {
-                self.pixels[(row + xx as u32) as usize] = packed;
-            }
+        let (stride, x) = (self.width as usize, r.x as usize);
+        let rows = &mut self.pixels[r.y as usize * stride..r.bottom() as usize * stride];
+        for row in rows.chunks_exact_mut(stride) {
+            row[x..x + r.w as usize].fill(color.packed());
         }
         self.pixels_drawn += r.area();
-    }
-
-    /// Fills the whole surface and forgets recorded text. This is
-    /// initialization, not drawing: it ignores the clip region and does
-    /// not count toward `pixels_drawn` (clients clear through
-    /// `ClearArea`, which rasterizes via [`Surface::fill_rect`]).
-    pub fn clear(&mut self, color: Rgb) {
-        let packed = color.packed();
-        self.pixels.fill(packed);
-        self.texts.clear();
     }
 
     /// Draws a 1-pixel (or wider) rectangle outline.
@@ -179,32 +171,63 @@ impl Surface {
         self.fill_rect(x + w as i32 - lw as i32, y, lw, h, color); // right
     }
 
-    /// Draws a line with Bresenham's algorithm.
+    /// Draws a line with a square pen of side `lw` (at least 1).
+    ///
+    /// A horizontal or vertical line with a one-pixel pen is a
+    /// one-pixel-wide rect and fills as one. Any other line walks
+    /// Bresenham's algorithm, stamping the pen at every step; a wide pen
+    /// writes (and counts) the pixels its squares share once per square.
+    /// The walk covers only the steps whose pen can reach the surface,
+    /// so endpoints far outside it cost nothing extra.
     pub fn draw_line(&mut self, x0: i32, y0: i32, x1: i32, y1: i32, lw: u32, color: Rgb) {
-        let lw = lw.max(1) as i32;
-        let (mut x, mut y) = (x0, y0);
-        let dx = (x1 - x0).abs();
-        let dy = -(y1 - y0).abs();
-        let sx = if x0 < x1 { 1 } else { -1 };
-        let sy = if y0 < y1 { 1 } else { -1 };
-        let mut err = dx + dy;
-        loop {
-            // A square pen of side `lw`.
-            for oy in 0..lw {
-                for ox in 0..lw {
-                    self.put_pixel(x + ox - lw / 2, y + oy - lw / 2, color);
+        let (x0, y0, x1, y1) = (x0 as i64, y0 as i64, x1 as i64, y1 as i64);
+        if lw <= 1 && (x0 == x1 || y0 == y1) {
+            let (left, top) = (x0.min(x1), y0.min(y1));
+            return self.fill_clipped(left, top, x0.max(x1) + 1, y0.max(y1) + 1, color);
+        }
+        let lw = lw.max(1) as i64;
+        let (a, b) = ((x1 - x0).abs(), (y1 - y0).abs());
+        let (sx, sy) = (if x0 < x1 { 1 } else { -1 }, if y0 < y1 { 1 } else { -1 });
+        // Step k moves k pixels along the major axis; keep the steps whose
+        // pen centre lies within `lw` of the surface on that axis.
+        let (major, start, dir, extent) = if a >= b {
+            (a, x0, sx, self.width as i64)
+        } else {
+            (b, y0, sy, self.height as i64)
+        };
+        let (near, far) = (-lw - start, extent + lw - start);
+        let (k0, k1) = if dir > 0 { (near, far) } else { (-far, -near) };
+        let (k0, k1) = (k0.max(0), k1.min(major));
+        if k0 > k1 {
+            return;
+        }
+        // After k steps the minor axis has moved round(k * minor / major),
+        // ties rounding up. With i steps taken in x and j in y, the error
+        // term is a(j+1) - b(i+1).
+        let minor = |m: i64| {
+            ((2 * m as i128 * k0 as i128 + major as i128) / (2 * major.max(1) as i128)) as i64
+        };
+        let (i, j) = if a >= b {
+            (k0, minor(b))
+        } else {
+            (minor(a), k0)
+        };
+        let mut err = (a as i128 * (j + 1) as i128 - b as i128 * (i + 1) as i128) as i64;
+        let (mut x, mut y) = (x0 + sx * i, y0 + sy * j);
+        let (w, h, half) = (self.width as i64, self.height as i64, lw / 2);
+        for _ in k0..=k1 {
+            for oy in (half - y).max(0)..(h + half - y).min(lw) {
+                for ox in (half - x).max(0)..(w + half - x).min(lw) {
+                    self.put_pixel((x + ox - half) as i32, (y + oy - half) as i32, color);
                 }
             }
-            if x == x1 && y == y1 {
-                break;
-            }
             let e2 = 2 * err;
-            if e2 >= dy {
-                err += dy;
+            if e2 >= -b {
+                err -= b;
                 x += sx;
             }
-            if e2 <= dx {
-                err += dx;
+            if e2 <= a {
+                err += a;
                 y += sy;
             }
         }
@@ -233,21 +256,18 @@ impl Surface {
         self.texts.push((x, y, text.to_string()));
     }
 
-    /// Copies `src` into this surface at `(x, y)`, clipping.
+    /// Copies `src` into this surface at `(x, y)`, clipping, a row at a
+    /// time.
     pub fn blit(&mut self, src: &Surface, x: i32, y: i32) {
-        for sy in 0..src.height as i32 {
-            let dy = y + sy;
-            if dy < 0 || dy >= self.height as i32 {
-                continue;
-            }
-            for sx in 0..src.width as i32 {
-                let dx = x + sx;
-                if dx < 0 || dx >= self.width as i32 {
-                    continue;
-                }
-                self.pixels[(dy as u32 * self.width + dx as u32) as usize] =
-                    src.pixels[(sy as u32 * src.width + sx as u32) as usize];
-            }
+        let cols = offsets(src.width, 0, src.width, x, self.width);
+        if cols.is_empty() {
+            return;
+        }
+        let len = (cols.end - cols.start) as usize;
+        for sy in offsets(src.height, 0, src.height, y, self.height) {
+            let from = (sy * src.width as i64 + cols.start) as usize;
+            let to = ((y as i64 + sy) * self.width as i64 + x as i64 + cols.start) as usize;
+            self.pixels[to..to + len].copy_from_slice(&src.pixels[from..from + len]);
         }
     }
 
@@ -257,41 +277,27 @@ impl Surface {
     /// is not rasterization: the clip region and `pixels_drawn` are
     /// untouched.
     pub fn copy_within(&mut self, src_x: i32, src_y: i32, w: u32, h: u32, dst_x: i32, dst_y: i32) {
-        if w == 0 || h == 0 || (src_x == dst_x && src_y == dst_y) {
+        let cols = offsets(w, src_x, self.width, dst_x, self.width);
+        let rows = offsets(h, src_y, self.height, dst_y, self.height);
+        if cols.is_empty() || rows.is_empty() {
             return;
         }
-        let mut saved = vec![None; (w * h) as usize];
-        for sy in 0..h as i32 {
-            for sx in 0..w as i32 {
-                let (x, y) = (src_x + sx, src_y + sy);
-                if x >= 0 && y >= 0 && (x as u32) < self.width && (y as u32) < self.height {
-                    saved[(sy as u32 * w + sx as u32) as usize] =
-                        Some(self.pixels[(y as u32 * self.width + x as u32) as usize]);
-                }
-            }
+        let stride = self.width as i64;
+        let at =
+            |x: i32, y: i32, oy: i64| ((y as i64 + oy) * stride + x as i64 + cols.start) as usize;
+        let len = (cols.end - cols.start) as usize;
+        let copy_row = |oy: i64| {
+            let from = at(src_x, src_y, oy);
+            self.pixels
+                .copy_within(from..from + len, at(dst_x, dst_y, oy));
+        };
+        // Moving down, copy the bottom row first so every source row is
+        // read before a destination row overwrites it.
+        if dst_y > src_y {
+            rows.rev().for_each(copy_row);
+        } else {
+            rows.for_each(copy_row);
         }
-        for sy in 0..h as i32 {
-            for sx in 0..w as i32 {
-                let Some(p) = saved[(sy as u32 * w + sx as u32) as usize] else {
-                    continue;
-                };
-                let (x, y) = (dst_x + sx, dst_y + sy);
-                if x >= 0 && y >= 0 && (x as u32) < self.width && (y as u32) < self.height {
-                    self.pixels[(y as u32 * self.width + x as u32) as usize] = p;
-                }
-            }
-        }
-    }
-
-    /// Resizes the surface, preserving the overlapping region and filling
-    /// new area with `fill`. The clip region is dropped; the pixel
-    /// counter carries over.
-    pub fn resize(&mut self, width: u32, height: u32, fill: Rgb) {
-        let mut next = Surface::new(width, height, fill);
-        next.blit(self, 0, 0);
-        next.texts = std::mem::take(&mut self.texts);
-        next.pixels_drawn = self.pixels_drawn;
-        *self = next;
     }
 
     /// Serializes as a binary PPM (P6) image.
@@ -311,9 +317,17 @@ impl Surface {
     }
 }
 
+/// The offsets `o` in `0..n` that keep both `a + o` in `0..a_len` and
+/// `b + o` in `0..b_len`: one row or column range of a clipped copy.
+fn offsets(n: u32, a: i32, a_len: u32, b: i32, b_len: u32) -> std::ops::Range<i64> {
+    let (a, b) = (a as i64, b as i64);
+    0.max(-a).max(-b)..(n as i64).min(a_len as i64 - a).min(b_len as i64 - b)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::XorShift;
 
     const RED: Rgb = Rgb::new(255, 0, 0);
     const WHITE: Rgb = Rgb::new(255, 255, 255);
@@ -362,14 +376,11 @@ mod tests {
     }
 
     #[test]
-    fn blit_and_resize() {
+    fn blit_clips() {
         let mut dst = Surface::new(10, 10, WHITE);
         let src = Surface::new(4, 4, RED);
         dst.blit(&src, 8, 8); // clipped to 2x2
         assert_eq!(dst.count_pixels(RED), 4);
-        dst.resize(12, 12, WHITE);
-        assert_eq!(dst.count_pixels(RED), 4);
-        assert_eq!(dst.width(), 12);
     }
 
     #[test]
@@ -435,6 +446,368 @@ mod tests {
         assert!(s.texts.is_empty(), "requested-full fill forgets text");
         s.draw_text(2, 12, "Hi", m, RED);
         assert_eq!(s.texts.len(), 1, "re-drawn text records under clip");
+    }
+
+    /// The per-pixel rasterizer the row kernels replaced, kept as the
+    /// oracle they must match pixel for pixel and count for count.
+    mod reference {
+        use super::*;
+
+        pub fn fill_rect(s: &mut Surface, x: i32, y: i32, w: u32, h: u32, color: Rgb) {
+            if x <= 0 && y <= 0 && x + w as i32 >= s.width as i32 && y + h as i32 >= s.height as i32
+            {
+                s.texts.clear();
+            }
+            let x0 = x.max(0);
+            let y0 = y.max(0);
+            let x1 = (x + w as i32).min(s.width as i32);
+            let y1 = (y + h as i32).min(s.height as i32);
+            if x0 >= x1 || y0 >= y1 {
+                return;
+            }
+            let bounded = Rect::new(x0, y0, (x1 - x0) as u32, (y1 - y0) as u32);
+            match s.clip.clone() {
+                None => fill_span(s, &bounded, color),
+                Some(clip) => {
+                    for r in &clip {
+                        if let Some(part) = bounded.intersect(r) {
+                            fill_span(s, &part, color);
+                        }
+                    }
+                }
+            }
+        }
+
+        fn fill_span(s: &mut Surface, r: &Rect, color: Rgb) {
+            let packed = color.packed();
+            for yy in r.y..r.bottom() {
+                let row = yy as u32 * s.width;
+                for xx in r.x..r.right() {
+                    s.pixels[(row + xx as u32) as usize] = packed;
+                }
+            }
+            s.pixels_drawn += r.area();
+        }
+
+        pub fn draw_rect(s: &mut Surface, x: i32, y: i32, w: u32, h: u32, lw: u32, color: Rgb) {
+            let lw = lw.max(1);
+            fill_rect(s, x, y, w, lw, color);
+            fill_rect(s, x, y + h as i32 - lw as i32, w, lw, color);
+            fill_rect(s, x, y, lw, h, color);
+            fill_rect(s, x + w as i32 - lw as i32, y, lw, h, color);
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        pub fn draw_line(s: &mut Surface, x0: i32, y0: i32, x1: i32, y1: i32, lw: u32, color: Rgb) {
+            let lw = lw.max(1) as i32;
+            let (mut x, mut y) = (x0, y0);
+            let dx = (x1 - x0).abs();
+            let dy = -(y1 - y0).abs();
+            let sx = if x0 < x1 { 1 } else { -1 };
+            let sy = if y0 < y1 { 1 } else { -1 };
+            let mut err = dx + dy;
+            loop {
+                for oy in 0..lw {
+                    for ox in 0..lw {
+                        s.put_pixel(x + ox - lw / 2, y + oy - lw / 2, color);
+                    }
+                }
+                if x == x1 && y == y1 {
+                    break;
+                }
+                let e2 = 2 * err;
+                if e2 >= dy {
+                    err += dy;
+                    x += sx;
+                }
+                if e2 <= dx {
+                    err += dx;
+                    y += sy;
+                }
+            }
+        }
+
+        pub fn blit(s: &mut Surface, src: &Surface, x: i32, y: i32) {
+            for sy in 0..src.height as i32 {
+                let dy = y + sy;
+                if dy < 0 || dy >= s.height as i32 {
+                    continue;
+                }
+                for sx in 0..src.width as i32 {
+                    let dx = x + sx;
+                    if dx < 0 || dx >= s.width as i32 {
+                        continue;
+                    }
+                    s.pixels[(dy as u32 * s.width + dx as u32) as usize] =
+                        src.pixels[(sy as u32 * src.width + sx as u32) as usize];
+                }
+            }
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        pub fn copy_within(
+            s: &mut Surface,
+            src_x: i32,
+            src_y: i32,
+            w: u32,
+            h: u32,
+            dst_x: i32,
+            dst_y: i32,
+        ) {
+            if w == 0 || h == 0 || (src_x == dst_x && src_y == dst_y) {
+                return;
+            }
+            let mut saved = vec![None; (w * h) as usize];
+            for sy in 0..h as i32 {
+                for sx in 0..w as i32 {
+                    let (x, y) = (src_x + sx, src_y + sy);
+                    if x >= 0 && y >= 0 && (x as u32) < s.width && (y as u32) < s.height {
+                        saved[(sy as u32 * w + sx as u32) as usize] =
+                            Some(s.pixels[(y as u32 * s.width + x as u32) as usize]);
+                    }
+                }
+            }
+            for sy in 0..h as i32 {
+                for sx in 0..w as i32 {
+                    let Some(p) = saved[(sy as u32 * w + sx as u32) as usize] else {
+                        continue;
+                    };
+                    let (x, y) = (dst_x + sx, dst_y + sy);
+                    if x >= 0 && y >= 0 && (x as u32) < s.width && (y as u32) < s.height {
+                        s.pixels[(y as u32 * s.width + x as u32) as usize] = p;
+                    }
+                }
+            }
+        }
+    }
+
+    /// A surface of seeded random pixels, so a misplaced row shows.
+    fn noise(rng: &mut XorShift, w: u32, h: u32) -> Surface {
+        let mut s = Surface::new(w, h, WHITE);
+        for p in &mut s.pixels {
+            *p = rng.below(1 << 24) as u32;
+        }
+        s
+    }
+
+    /// Asserts both surfaces agree on pixels, drawn-pixel count and text
+    /// records, naming the first differing pixel.
+    fn assert_same(fast: &mut Surface, slow: &mut Surface, what: &str) {
+        if let Some(i) = (0..fast.pixels.len()).find(|&i| fast.pixels[i] != slow.pixels[i]) {
+            let w = fast.width as usize;
+            panic!(
+                "{what}: pixel ({}, {}) is {:06x}, reference {:06x}",
+                i % w,
+                i / w,
+                fast.pixels[i],
+                slow.pixels[i]
+            );
+        }
+        assert_eq!(
+            fast.take_pixels_drawn(),
+            slow.take_pixels_drawn(),
+            "{what}: pixels_drawn"
+        );
+        assert_eq!(fast.texts, slow.texts, "{what}: texts");
+    }
+
+    /// A coordinate from a few pixels before the surface to a few past it.
+    fn coord(rng: &mut XorShift, extent: u32) -> i32 {
+        rng.range(0, extent as u64 + 16) as i32 - 8
+    }
+
+    /// Seeded random drawing on surfaces from 1x1 upward, with and
+    /// without disjoint clips coalesced through a `DamageList`, against
+    /// the per-pixel reference.
+    #[test]
+    fn row_kernels_match_per_pixel_reference() {
+        let m = FontMetrics {
+            char_width: 6,
+            ascent: 10,
+            descent: 3,
+        };
+        let mut rng = XorShift::new(0x5eed);
+        for case in 0..400 {
+            let (w, h) = if case < 16 {
+                (case % 4 + 1, case / 4 + 1)
+            } else {
+                (rng.range(1, 40) as u32, rng.range(1, 40) as u32)
+            };
+            let mut fast = noise(&mut rng, w, h);
+            let mut slow = fast.clone();
+            for op in 0..24 {
+                let what = format!("case {case} ({w}x{h}) op {op}");
+                let color = Rgb::from_packed(rng.below(1 << 24) as u32);
+                let (x, y) = (coord(&mut rng, w), coord(&mut rng, h));
+                let (rw, rh) = (
+                    rng.below(w as u64 + 12) as u32,
+                    rng.below(h as u64 + 12) as u32,
+                );
+                match rng.below(8) {
+                    0 => {
+                        let mut damage = crate::damage::DamageList::new();
+                        for _ in 0..rng.range(1, 5) {
+                            let (cx, cy) = (coord(&mut rng, w), coord(&mut rng, h));
+                            let (cw, ch) = (rng.below(w as u64 + 4), rng.below(h as u64 + 4));
+                            damage.add(Rect::new(cx, cy, cw as u32, ch as u32));
+                        }
+                        let rects = damage.take();
+                        fast.set_clip(rects.clone());
+                        slow.set_clip(rects);
+                    }
+                    1 => {
+                        fast.clear_clip();
+                        slow.clear_clip();
+                    }
+                    2 => {
+                        fast.fill_rect(x, y, rw, rh, color);
+                        reference::fill_rect(&mut slow, x, y, rw, rh, color);
+                    }
+                    3 => {
+                        let lw = rng.below(4) as u32;
+                        fast.draw_rect(x, y, rw, rh, lw, color);
+                        reference::draw_rect(&mut slow, x, y, rw, rh, lw, color);
+                    }
+                    4 | 5 => {
+                        let lw = rng.below(4) as u32;
+                        let (mut x1, mut y1) = (coord(&mut rng, w), coord(&mut rng, h));
+                        match rng.below(4) {
+                            0 => y1 = y,
+                            1 => x1 = x,
+                            _ => {}
+                        }
+                        fast.draw_line(x, y, x1, y1, lw, color);
+                        reference::draw_line(&mut slow, x, y, x1, y1, lw, color);
+                    }
+                    6 => {
+                        let (dx, dy) = (coord(&mut rng, w), coord(&mut rng, h));
+                        fast.copy_within(x, y, rw, rh, dx, dy);
+                        reference::copy_within(&mut slow, x, y, rw, rh, dx, dy);
+                    }
+                    _ => {
+                        if rng.below(4) == 0 {
+                            fast.draw_text(x, y, "Ab", m, color);
+                            slow.draw_text(x, y, "Ab", m, color);
+                        } else {
+                            let src = noise(&mut rng, rw.max(1), rh.max(1));
+                            fast.blit(&src, x, y);
+                            reference::blit(&mut slow, &src, x, y);
+                        }
+                    }
+                }
+                assert_same(&mut fast, &mut slow, &what);
+            }
+        }
+    }
+
+    /// Lines of pen width 0-3 from one point to every point of a square
+    /// around it: all eight octants, the axes and the zero-length line,
+    /// unclipped and clipped, on and off the surface.
+    #[test]
+    fn lines_match_reference_in_every_octant() {
+        let mut rng = XorShift::new(8);
+        for (cx, cy) in [(6, 5), (0, 0), (-3, 4), (13, -2)] {
+            for lw in 0..4 {
+                for dy in -9..=9 {
+                    for dx in -9..=9 {
+                        let mut fast = noise(&mut rng, 12, 10);
+                        if (dx + dy + lw) % 2 == 0 {
+                            fast.set_clip(vec![Rect::new(0, 0, 5, 4), Rect::new(3, 6, 7, 3)]);
+                        }
+                        let mut slow = fast.clone();
+                        let lw = lw as u32;
+                        fast.draw_line(cx, cy, cx + dx, cy + dy, lw, RED);
+                        reference::draw_line(&mut slow, cx, cy, cx + dx, cy + dy, lw, RED);
+                        let what = format!("({cx},{cy})->({},{}) pen {lw}", cx + dx, cy + dy);
+                        assert_same(&mut fast, &mut slow, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Long lines that cross a small surface from far outside it: the
+    /// walk starts at the first step whose pen can reach the surface, in
+    /// the state the reference reaches by walking there.
+    #[test]
+    fn long_lines_match_reference() {
+        let mut rng = XorShift::new(10);
+        for case in 0..3000 {
+            let mut fast = noise(&mut rng, 16, 12);
+            if case % 3 == 0 {
+                fast.set_clip(vec![Rect::new(2, 1, 9, 5), Rect::new(0, 8, 16, 2)]);
+            }
+            let mut slow = fast.clone();
+            let mut end = || rng.range(0, 6000) as i32 - 3000;
+            let (x0, y0, x1, y1) = (end(), end(), end(), end());
+            let lw = rng.below(4) as u32;
+            fast.draw_line(x0, y0, x1, y1, lw, RED);
+            reference::draw_line(&mut slow, x0, y0, x1, y1, lw, RED);
+            let what = format!("({x0},{y0})->({x1},{y1}) pen {lw}");
+            assert_same(&mut fast, &mut slow, &what);
+        }
+    }
+
+    /// Endpoints near the ends of `i32` neither overflow nor walk the
+    /// whole line: each case draws what a short line along the same
+    /// pixels draws.
+    #[test]
+    fn far_endpoints_draw_only_what_shows() {
+        let (min, max) = (i32::MIN, i32::MAX);
+        for (far, near, lw) in [
+            ((-2_000_000_000, 4, 2_000_000_000, 4), (-5, 4, 30, 4), 1),
+            ((min, min, max, max), (-20, -20, 40, 40), 3),
+            ((max, max, min, min), (40, 40, -20, -20), 2),
+            ((3, min, 3, max), (3, -10, 3, 30), 2),
+            ((max, 7, min, 7), (30, 7, -5, 7), 0),
+        ] {
+            let mut fast = Surface::new(20, 10, WHITE);
+            let mut slow = fast.clone();
+            fast.draw_line(far.0, far.1, far.2, far.3, lw, RED);
+            reference::draw_line(&mut slow, near.0, near.1, near.2, near.3, lw, RED);
+            assert_same(&mut fast, &mut slow, &format!("{far:?} pen {lw}"));
+        }
+        // The slope stays exact across the whole span: one row shows.
+        let mut s = Surface::new(20, 10, WHITE);
+        s.draw_line(-2_000_000_000, 0, 2_000_000_000, 5, 1, RED);
+        assert_eq!(s.take_pixels_drawn(), 20);
+        assert!((0..20).all(|x| s.pixel(x, 3) == RED));
+    }
+
+    /// Overlapping copies shifted in each of the eight directions, by
+    /// less than and more than the copied extent, some hanging off the
+    /// surface.
+    #[test]
+    fn copies_match_reference_in_every_direction() {
+        let mut rng = XorShift::new(9);
+        for (ux, uy) in [
+            (1, 0),
+            (1, 1),
+            (0, 1),
+            (-1, 1),
+            (-1, 0),
+            (-1, -1),
+            (0, -1),
+            (1, -1),
+        ] {
+            for step in [1, 2, 5, 11] {
+                for _ in 0..6 {
+                    let (w, h) = (rng.range(1, 24) as u32, rng.range(1, 24) as u32);
+                    let mut fast = noise(&mut rng, w, h);
+                    let mut slow = fast.clone();
+                    let (sx, sy) = (coord(&mut rng, w), coord(&mut rng, h));
+                    let (cw, ch) = (
+                        rng.range(1, w as u64 + 8) as u32,
+                        rng.range(1, h as u64 + 8) as u32,
+                    );
+                    let (dx, dy) = (sx + ux * step, sy + uy * step);
+                    fast.copy_within(sx, sy, cw, ch, dx, dy);
+                    reference::copy_within(&mut slow, sx, sy, cw, ch, dx, dy);
+                    let what = format!("{w}x{h}: {cw}x{ch} ({sx},{sy})->({dx},{dy})");
+                    assert_same(&mut fast, &mut slow, &what);
+                }
+            }
+        }
     }
 
     #[test]

@@ -180,9 +180,9 @@ impl Server {
             SCREEN_WIDTH,
             SCREEN_HEIGHT,
             0,
+            Rgb::new(255, 255, 255),
         );
         root.mapped = true;
-        root.background = Pixel(1);
         Server {
             tree: WindowTree::with_root(root),
             atoms: AtomTable::new(),
@@ -1969,11 +1969,6 @@ impl Server {
         self.tree.get(id).map(|w| &w.surface)
     }
 
-    /// Number of live windows including the root.
-    pub fn window_count(&self) -> usize {
-        self.tree.len()
-    }
-
     // ----- post-run resource audit ------------------------------------------------
 
     /// The post-run resource reckoning: checks every reclamation
@@ -2114,11 +2109,6 @@ impl Server {
         v.sort();
         v
     }
-
-    /// Number of distinct colormap cells (cache ablation metric).
-    pub fn colormap_cells(&self) -> usize {
-        self.colormap.cell_count()
-    }
 }
 
 /// The request handlers: what each request does to the server, reached
@@ -2143,9 +2133,8 @@ impl crate::wire::Requests for Server {
         if self.tree.get(parent).is_none() {
             return;
         }
-        let mut w = Window::new(id, parent, client, x, y, width, height, border_width);
-        let bg = self.colormap.rgb(w.background);
-        w.surface.clear(bg);
+        let bg = self.colormap.rgb(Window::BACKGROUND);
+        let w = Window::new(id, parent, client, x, y, width, height, border_width, bg);
         self.tree.insert(w);
     }
 

@@ -8,6 +8,7 @@
 use std::collections::HashMap;
 
 use crate::atom::Atom;
+use crate::color::Rgb;
 use crate::damage::DamageList;
 use crate::ids::{ClientId, CursorId, Pixel, WindowId, Xid};
 use crate::render::Surface;
@@ -54,7 +55,12 @@ pub struct Window {
 }
 
 impl Window {
-    /// Creates a window record with defaults matching `CreateWindow`.
+    /// The background pixel `CreateWindow` gives a window (white).
+    pub const BACKGROUND: Pixel = Pixel(1);
+
+    /// Creates a window record with defaults matching `CreateWindow`,
+    /// its surface filled with `background`, the colour of
+    /// [`Window::BACKGROUND`].
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         id: WindowId,
@@ -65,6 +71,7 @@ impl Window {
         width: u32,
         height: u32,
         border_width: u32,
+        background: Rgb,
     ) -> Window {
         Window {
             id,
@@ -75,18 +82,14 @@ impl Window {
             width: width.max(1),
             height: height.max(1),
             border_width,
-            background: Pixel(1),
+            background: Window::BACKGROUND,
             border_pixel: Pixel(0),
             mapped: false,
             override_redirect: false,
             cursor: Xid::NONE,
             event_masks: HashMap::new(),
             properties: HashMap::new(),
-            surface: Surface::new(
-                width.max(1),
-                height.max(1),
-                crate::color::Rgb::new(255, 255, 255),
-            ),
+            surface: Surface::new(width.max(1), height.max(1), background),
             damage: DamageList::new(),
             owner,
         }
@@ -175,16 +178,6 @@ impl WindowTree {
                 self.collect_subtree(c, out);
             }
         }
-    }
-
-    /// Number of live windows.
-    pub fn len(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// True when only the root exists.
-    pub fn is_empty(&self) -> bool {
-        self.windows.len() <= 1
     }
 
     /// Absolute (root-relative) coordinates of a window's interior origin.
@@ -277,13 +270,15 @@ mod tests {
     use super::*;
     use crate::ids::Xid;
 
+    const WHITE: Rgb = Rgb::new(255, 255, 255);
+
     fn tree() -> WindowTree {
-        let root = Window::new(Xid(1), Xid::NONE, ClientId(0), 0, 0, 800, 600, 0);
+        let root = Window::new(Xid(1), Xid::NONE, ClientId(0), 0, 0, 800, 600, 0, WHITE);
         let mut t = WindowTree::with_root(root);
-        let mut a = Window::new(Xid(2), Xid(1), ClientId(1), 10, 20, 100, 50, 1);
+        let mut a = Window::new(Xid(2), Xid(1), ClientId(1), 10, 20, 100, 50, 1, WHITE);
         a.mapped = true;
         t.insert(a);
-        let mut b = Window::new(Xid(3), Xid(2), ClientId(1), 5, 5, 20, 20, 0);
+        let mut b = Window::new(Xid(3), Xid(2), ClientId(1), 5, 5, 20, 20, 0, WHITE);
         b.mapped = true;
         t.insert(b);
         t.get_mut(Xid(1)).unwrap().mapped = true;
@@ -327,7 +322,7 @@ mod tests {
     fn window_at_honors_stacking() {
         let mut t = tree();
         // A sibling of window 2 covering the same area, added later (on top).
-        let mut c = Window::new(Xid(4), Xid(1), ClientId(1), 10, 20, 100, 50, 1);
+        let mut c = Window::new(Xid(4), Xid(1), ClientId(1), 10, 20, 100, 50, 1, WHITE);
         c.mapped = true;
         t.insert(c);
         assert_eq!(t.window_at(17, 27), Xid(4));
