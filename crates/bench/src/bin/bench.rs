@@ -61,8 +61,18 @@ const FLEET_BUDGET_APPS: usize = 64;
 /// Rounds for the threaded (report-only) mesh leg of `--fleet`.
 const FLEET_MESH_ROUNDS: u64 = 3;
 
+/// A workload's protocol counters, and the pixels its display's window
+/// buffers hold once it has run (`Server::surface_pixels`).
+type Counters = (ClientStats, u64);
+
+/// Reads `app`'s counters without flushing, so taking them moves none.
+fn counters(app: &TkApp) -> Counters {
+    let held = app.env().display().peek_server(|s| s.surface_pixels());
+    (app.conn().stats(), held)
+}
+
 /// The counters pinned per workload, in file order.
-fn budget_fields(stats: &ClientStats) -> [(&'static str, u64); 7] {
+fn budget_fields((stats, surface_pixels): &Counters) -> [(&'static str, u64); 8] {
     [
         ("requests", stats.requests),
         ("round_trips", stats.round_trips),
@@ -71,6 +81,7 @@ fn budget_fields(stats: &ClientStats) -> [(&'static str, u64); 7] {
         ("max_batch", stats.max_batch),
         ("max_pending_replies", stats.max_pending_replies),
         ("pixels_drawn", stats.pixels_drawn),
+        ("surface_pixels", *surface_pixels),
     ]
 }
 
@@ -93,14 +104,14 @@ fn incremental_workloads() -> [IncrWorkload; 3] {
     ]
 }
 
-/// One budget run: workload name, iterations, protocol counters, (for the
+/// One budget run: workload name, iterations, counters, (for the
 /// workloads whose causal pipeline CI pins) the span-tree shape, (for the
 /// interpreter workloads) the Tcl compile/cache counters, and (for the
 /// wire workload) the framed-transport frame/byte counters.
 type BudgetRun = (
     &'static str,
     u64,
-    ClientStats,
+    Counters,
     Option<SpanShape>,
     Vec<(&'static str, u64)>,
     Vec<(&'static str, u64)>,
@@ -131,7 +142,7 @@ fn budget_workloads() -> Vec<BudgetRun> {
     for _ in 0..send_iters {
         sender.eval("send beta {}").unwrap();
     }
-    let send_stats = sender.conn().stats();
+    let send_stats = counters(sender);
     out.push((
         "send_empty",
         send_iters,
@@ -172,7 +183,7 @@ fn budget_workloads() -> Vec<BudgetRun> {
     out.push((
         "wire_send",
         wire_iters,
-        wsender.conn().stats(),
+        counters(wsender),
         None,
         Vec::new(),
         wire_counters,
@@ -186,7 +197,7 @@ fn budget_workloads() -> Vec<BudgetRun> {
     for _ in 0..button_iters {
         create_display_delete_buttons(app, 50);
     }
-    let button_stats = app.conn().stats();
+    let button_stats = counters(app);
     out.push((
         "buttons_50",
         button_iters,
@@ -213,7 +224,7 @@ fn budget_workloads() -> Vec<BudgetRun> {
             run(app); // warm caches
             app.eval("obs reset").unwrap();
             run(app);
-            out.push((label, 1, app.conn().stats(), None, Vec::new(), Vec::new()));
+            out.push((label, 1, counters(app), None, Vec::new(), Vec::new()));
         }
     }
 
@@ -230,7 +241,7 @@ fn budget_workloads() -> Vec<BudgetRun> {
         app.eval("obs reset").unwrap();
         eval_hot(app, eval_iters as usize);
         let tcl = app.interp().compile_counters();
-        out.push((label, eval_iters, app.conn().stats(), None, tcl, Vec::new()));
+        out.push((label, eval_iters, counters(app), None, tcl, Vec::new()));
     }
 
     let click_iters = 20;
@@ -243,14 +254,7 @@ fn budget_workloads() -> Vec<BudgetRun> {
         app.eval("obs reset").unwrap();
         bind_dispatch(&env, app, click_iters as usize);
         let tcl = app.interp().compile_counters();
-        out.push((
-            label,
-            click_iters,
-            app.conn().stats(),
-            None,
-            tcl,
-            Vec::new(),
-        ));
+        out.push((label, click_iters, counters(app), None, tcl, Vec::new()));
     }
 
     out
@@ -264,7 +268,7 @@ fn check_damage_ratios(runs: &[BudgetRun]) {
         let pixels = |n: &str| {
             runs.iter()
                 .find(|(name, ..)| *name == n)
-                .map(|(_, _, s, ..)| s.pixels_drawn)
+                .map(|(_, _, (s, _), ..)| s.pixels_drawn)
                 .unwrap_or_else(|| panic!("missing workload {n}"))
         };
         let damage = pixels(base);

@@ -210,6 +210,19 @@ mod tests {
         assert!(app.is_toplevel(".top"));
     }
 
+    /// Pixel counts of huge surfaces neither overflow nor allocate: the
+    /// frame and the toplevel it stretches are filled with their
+    /// background but never drawn on, so neither holds a buffer.
+    #[test]
+    fn huge_frame_holds_no_pixels() {
+        let env = TkEnv::new();
+        let app = env.app("t");
+        app.eval("frame .f -geometry 70000x70000; pack append . .f {top}; update")
+            .unwrap();
+        assert_eq!(app.eval("winfo width .f").unwrap(), "70000");
+        assert_eq!(env.display().with_server(|s| s.surface_pixels()), 0);
+    }
+
     #[test]
     fn unknown_subcommand_reports_error() {
         let env = TkEnv::new();

@@ -322,12 +322,6 @@ impl Connection {
         self.with_obs(|o| o.kind_counts()).unwrap_or_default()
     }
 
-    /// Per-request-kind round-trip counts, non-zero kinds only.
-    pub fn obs_kind_round_trip_counts(&self) -> Vec<(&'static str, u64)> {
-        self.with_obs(|o| o.kind_round_trip_counts())
-            .unwrap_or_default()
-    }
-
     /// Snapshot of the all-requests latency histogram.
     pub fn obs_request_histogram(&self) -> rtk_obs::Histogram {
         self.with_obs(|o| o.request_ns.clone()).unwrap_or_default()
@@ -770,7 +764,8 @@ mod tests {
         let kinds = c.obs_kind_counts();
         let total: u64 = kinds.iter().map(|(_, n)| n).sum();
         assert_eq!(total, stats.requests);
-        let rt_total: u64 = c.obs_kind_round_trip_counts().iter().map(|(_, n)| n).sum();
+        let rt_kinds = c.with_obs(|o| o.kind_round_trip_counts()).unwrap();
+        let rt_total: u64 = rt_kinds.iter().map(|(_, n)| n).sum();
         assert_eq!(rt_total, stats.round_trips);
         assert_eq!(c.obs_request_histogram().count(), stats.requests);
         assert_eq!(c.obs_round_trip_histogram().count(), stats.round_trips);

@@ -52,11 +52,6 @@ pub struct IdAllocator {
 }
 
 impl IdAllocator {
-    /// Creates an allocator whose first id is `first`.
-    pub fn starting_at(first: u32) -> IdAllocator {
-        IdAllocator { next: first }
-    }
-
     /// Returns a fresh id.
     pub fn alloc(&mut self) -> Xid {
         self.next += 1;

@@ -1,9 +1,9 @@
 //! Rasterization: per-window backing surfaces and drawing primitives.
 //!
-//! Each viewable window owns a pixel surface the size of its interior.
-//! Clients draw into surfaces with GC-driven primitives; the server
-//! composites the window tree into a single screen image for screendumps
-//! (the reproduction of the paper's Figure 10).
+//! Each window owns a pixel surface the size of its interior. Clients
+//! draw into surfaces with GC-driven primitives; the server composites
+//! the window tree into a single screen image for screendumps (the
+//! reproduction of the paper's Figure 10).
 
 use crate::color::Rgb;
 use crate::damage::Rect;
@@ -17,13 +17,22 @@ use crate::font::{glyph, FontMetrics};
 /// Compositing ([`blit`]) and scrolling ([`copy_within`]) ignore the
 /// clip; they move pixels rather than rasterize them.
 ///
+/// A surface may also be *undrawn* ([`Surface::undrawn`]): every pixel
+/// is one colour and no buffer is held. The first write that lands on it
+/// allocates the buffer, filled with that colour; until then reads
+/// answer from the colour, a fill over the whole surface only recolours
+/// it, and [`copy_within`] has nothing to move.
+///
 /// [`blit`]: Surface::blit
 /// [`copy_within`]: Surface::copy_within
 #[derive(Debug, Clone)]
 pub struct Surface {
     width: u32,
     height: u32,
+    /// Row-major pixels: empty while undrawn, `width * height` once drawn.
     pixels: Vec<u32>,
+    /// The colour of every pixel while undrawn.
+    fill: u32,
     /// Pairwise-disjoint clip rects; `None` = unclipped.
     clip: Option<Vec<Rect>>,
     /// Pixels written by rasterizing primitives since the last
@@ -35,16 +44,44 @@ pub struct Surface {
 }
 
 impl Surface {
-    /// Creates a surface filled with `fill`.
+    /// Creates a surface filled with `fill`, its buffer allocated.
     pub fn new(width: u32, height: u32, fill: Rgb) -> Surface {
+        let mut s = Surface::undrawn(width, height, fill);
+        s.buffer();
+        s
+    }
+
+    /// Creates an undrawn surface: every pixel reads as `fill`, and no
+    /// buffer exists until a write lands on it.
+    pub fn undrawn(width: u32, height: u32, fill: Rgb) -> Surface {
         Surface {
             width,
             height,
-            pixels: vec![fill.packed(); (width * height) as usize],
+            pixels: Vec::new(),
+            fill: fill.packed(),
             clip: None,
             pixels_drawn: 0,
             texts: Vec::new(),
         }
+    }
+
+    /// Pixel count of the whole surface.
+    fn area(&self) -> usize {
+        self.width as usize * self.height as usize
+    }
+
+    /// The pixel buffer, allocated and filled with the undrawn colour by
+    /// the first write that needs it.
+    fn buffer(&mut self) -> &mut [u32] {
+        if self.pixels.is_empty() {
+            self.pixels = vec![self.fill; self.area()];
+        }
+        &mut self.pixels
+    }
+
+    /// The word at row-major index `i`, read from the colour while undrawn.
+    fn word(&self, i: usize) -> u32 {
+        self.pixels.get(i).copied().unwrap_or(self.fill)
     }
 
     /// Installs a clip region. The rects should be pairwise disjoint
@@ -81,7 +118,10 @@ impl Surface {
 
     /// The whole framebuffer as packed `0xRRGGBB` words, row-major.
     /// Equivalence suites hash and diff entire frames; going through
-    /// [`Surface::pixel`] per pixel is far too slow for that.
+    /// [`Surface::pixel`] per pixel is far too slow for that. Screens
+    /// from [`Surface::new`] always hold a framebuffer; an undrawn surface
+    /// holds none and yields an empty slice, so the length is also the
+    /// count of pixels the surface holds.
     pub fn raw_pixels(&self) -> &[u32] {
         &self.pixels
     }
@@ -91,7 +131,7 @@ impl Surface {
         if x < 0 || y < 0 || x as u32 >= self.width || y as u32 >= self.height {
             return Rgb::new(0, 0, 0);
         }
-        Rgb::from_packed(self.pixels[(y as u32 * self.width + x as u32) as usize])
+        Rgb::from_packed(self.word(y as usize * self.width as usize + x as usize))
     }
 
     /// Writes one pixel, clipping silently (surface bounds and the clip
@@ -108,7 +148,8 @@ impl Surface {
                 return;
             }
         }
-        self.pixels[(y as u32 * self.width + x as u32) as usize] = color.packed();
+        let i = y as usize * self.width as usize + x as usize;
+        self.buffer()[i] = color.packed();
         self.pixels_drawn += 1;
     }
 
@@ -152,14 +193,19 @@ impl Surface {
     }
 
     /// Fills an in-bounds rect unconditionally, a row at a time,
-    /// counting its pixels.
+    /// counting its pixels. Filling the whole of an undrawn surface only
+    /// recolours it.
     fn fill_span(&mut self, r: &Rect, color: Rgb) {
+        self.pixels_drawn += r.area();
+        if self.pixels.is_empty() && r.area() == self.area() as u64 {
+            self.fill = color.packed();
+            return;
+        }
         let (stride, x) = (self.width as usize, r.x as usize);
-        let rows = &mut self.pixels[r.y as usize * stride..r.bottom() as usize * stride];
+        let rows = &mut self.buffer()[r.y as usize * stride..r.bottom() as usize * stride];
         for row in rows.chunks_exact_mut(stride) {
             row[x..x + r.w as usize].fill(color.packed());
         }
-        self.pixels_drawn += r.area();
     }
 
     /// Draws a 1-pixel (or wider) rectangle outline.
@@ -257,17 +303,22 @@ impl Surface {
     }
 
     /// Copies `src` into this surface at `(x, y)`, clipping, a row at a
-    /// time.
+    /// time. An undrawn `src` fills the rows with its colour.
     pub fn blit(&mut self, src: &Surface, x: i32, y: i32) {
         let cols = offsets(src.width, 0, src.width, x, self.width);
-        if cols.is_empty() {
+        let rows = offsets(src.height, 0, src.height, y, self.height);
+        if cols.is_empty() || rows.is_empty() {
             return;
         }
-        let len = (cols.end - cols.start) as usize;
-        for sy in offsets(src.height, 0, src.height, y, self.height) {
+        let (len, stride) = ((cols.end - cols.start) as usize, self.width as i64);
+        let dst = self.buffer();
+        for sy in rows {
             let from = (sy * src.width as i64 + cols.start) as usize;
-            let to = ((y as i64 + sy) * self.width as i64 + x as i64 + cols.start) as usize;
-            self.pixels[to..to + len].copy_from_slice(&src.pixels[from..from + len]);
+            let to = ((y as i64 + sy) * stride + x as i64 + cols.start) as usize;
+            match src.pixels.get(from..from + len) {
+                Some(words) => dst[to..to + len].copy_from_slice(words),
+                None => dst[to..to + len].fill(src.fill),
+            }
         }
     }
 
@@ -275,11 +326,11 @@ impl Surface {
     /// within one drawable — the scrolling primitive). Overlap-safe; out
     /// of bounds source or destination pixels are skipped. Moving pixels
     /// is not rasterization: the clip region and `pixels_drawn` are
-    /// untouched.
+    /// untouched, and an undrawn surface has no pixels to move.
     pub fn copy_within(&mut self, src_x: i32, src_y: i32, w: u32, h: u32, dst_x: i32, dst_y: i32) {
         let cols = offsets(w, src_x, self.width, dst_x, self.width);
         let rows = offsets(h, src_y, self.height, dst_y, self.height);
-        if cols.is_empty() || rows.is_empty() {
+        if cols.is_empty() || rows.is_empty() || self.pixels.is_empty() {
             return;
         }
         let stride = self.width as i64;
@@ -303,8 +354,8 @@ impl Surface {
     /// Serializes as a binary PPM (P6) image.
     pub fn to_ppm(&self) -> Vec<u8> {
         let mut out = format!("P6\n{} {}\n255\n", self.width, self.height).into_bytes();
-        for &p in &self.pixels {
-            let c = Rgb::from_packed(p);
+        for i in 0..self.area() {
+            let c = Rgb::from_packed(self.word(i));
             out.extend_from_slice(&[c.r, c.g, c.b]);
         }
         out
@@ -313,7 +364,7 @@ impl Surface {
     /// Count of pixels exactly matching `color` (for tests).
     pub fn count_pixels(&self, color: Rgb) -> usize {
         let packed = color.packed();
-        self.pixels.iter().filter(|&&p| p == packed).count()
+        (0..self.area()).filter(|&i| self.word(i) == packed).count()
     }
 }
 
@@ -808,6 +859,150 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Asserts an undrawn-born surface reads exactly like an eager one,
+    /// through every reader, and that its buffer is absent or whole.
+    fn assert_same_reads(lazy: &mut Surface, eager: &mut Surface, what: &str) {
+        let (w, h) = (eager.width as i32, eager.height as i32);
+        for y in -1..=h {
+            for x in -1..=w {
+                assert_eq!(lazy.pixel(x, y), eager.pixel(x, y), "{what}: ({x}, {y})");
+            }
+        }
+        for c in PALETTE {
+            assert_eq!(lazy.count_pixels(c), eager.count_pixels(c), "{what}: count");
+        }
+        assert!(lazy.to_ppm() == eager.to_ppm(), "{what}: ppm");
+        let held = lazy.raw_pixels().len();
+        assert!([0, lazy.area()].contains(&held), "{what}: holds {held}");
+        assert_eq!(
+            lazy.take_pixels_drawn(),
+            eager.take_pixels_drawn(),
+            "{what}"
+        );
+        assert_eq!(lazy.texts, eager.texts, "{what}: texts");
+    }
+
+    const PALETTE: [Rgb; 3] = [WHITE, RED, Rgb::new(0, 0, 255)];
+
+    /// Seeded random drawing on a surface born undrawn and on its eager
+    /// twin, including resizes that return the first to undrawn: every
+    /// read agrees after every op.
+    #[test]
+    fn undrawn_surfaces_read_like_eager_ones() {
+        let m = FontMetrics {
+            char_width: 6,
+            ascent: 10,
+            descent: 3,
+        };
+        let mut rng = XorShift::new(0x1a2e);
+        for case in 0..300 {
+            let (mut w, mut h) = (rng.range(1, 24) as u32, rng.range(1, 24) as u32);
+            let mut lazy = Surface::undrawn(w, h, WHITE);
+            let mut eager = Surface::new(w, h, WHITE);
+            for op in 0..16 {
+                let what = format!("case {case} ({w}x{h}) op {op}");
+                let color = PALETTE[rng.below(3) as usize];
+                let (x, y) = (coord(&mut rng, w), coord(&mut rng, h));
+                let (rw, rh) = (
+                    rng.below(w as u64 + 8) as u32,
+                    rng.below(h as u64 + 8) as u32,
+                );
+                match rng.below(9) {
+                    0 => {
+                        let (nx, ny) = (-(rng.below(2) as i32), -(rng.below(2) as i32));
+                        lazy.fill_rect(nx, ny, w + 2, h + 2, color);
+                        eager.fill_rect(nx, ny, w + 2, h + 2, color);
+                    }
+                    1 => {
+                        let clip = vec![Rect::new(x, y, rw, rh)];
+                        lazy.set_clip(clip.clone());
+                        eager.set_clip(clip);
+                    }
+                    2 => {
+                        lazy.clear_clip();
+                        eager.clear_clip();
+                    }
+                    3 => {
+                        lazy.fill_rect(x, y, rw, rh, color);
+                        eager.fill_rect(x, y, rw, rh, color);
+                    }
+                    4 => {
+                        let (dx, dy) = (coord(&mut rng, w), coord(&mut rng, h));
+                        lazy.copy_within(x, y, rw, rh, dx, dy);
+                        eager.copy_within(x, y, rw, rh, dx, dy);
+                    }
+                    5 => {
+                        let (sw, sh) = (rw.max(1), rh.max(1));
+                        let mut src = Surface::undrawn(sw, sh, color);
+                        let mut twin = Surface::new(sw, sh, color);
+                        if rng.below(2) == 0 {
+                            src = noise(&mut rng, sw, sh);
+                            twin = src.clone();
+                        }
+                        lazy.blit(&src, x, y);
+                        eager.blit(&twin, x, y);
+                    }
+                    6 => {
+                        lazy.draw_text(x, y, "Ab", m, color);
+                        eager.draw_text(x, y, "Ab", m, color);
+                    }
+                    7 => {
+                        let (x1, y1) = (coord(&mut rng, w), coord(&mut rng, h));
+                        let lw = rng.below(3) as u32;
+                        lazy.draw_line(x, y, x1, y1, lw, color);
+                        eager.draw_line(x, y, x1, y1, lw, color);
+                    }
+                    _ => {
+                        // A resize: the surface starts over in its colour.
+                        (w, h) = (rng.range(1, 24) as u32, rng.range(1, 24) as u32);
+                        lazy = Surface::undrawn(w, h, color);
+                        eager = Surface::new(w, h, color);
+                    }
+                }
+                assert_same_reads(&mut lazy, &mut eager, &what);
+            }
+        }
+    }
+
+    /// Whole-surface fills, copies and writes that miss the surface leave
+    /// it undrawn; the first write that lands allocates all of it.
+    #[test]
+    fn only_a_landing_write_allocates() {
+        let m = FontMetrics {
+            char_width: 6,
+            ascent: 10,
+            descent: 3,
+        };
+        let mut s = Surface::undrawn(8, 6, WHITE);
+        s.fill_rect(-2, -2, 20, 20, RED);
+        s.copy_within(0, 0, 4, 4, 2, 2);
+        s.set_clip(vec![Rect::new(0, 0, 2, 2)]);
+        s.draw_text(20, 20, "x", m, WHITE);
+        s.put_pixel(5, 5, WHITE);
+        Surface::new(3, 3, WHITE).blit(&s, 0, 0);
+        s.blit(&Surface::new(3, 3, WHITE), 10, 0);
+        assert_eq!((s.raw_pixels().len(), s.take_pixels_drawn()), (0, 48));
+        assert_eq!(s.pixel(7, 5), RED);
+        s.put_pixel(1, 1, WHITE);
+        assert_eq!(s.raw_pixels().len(), 48);
+        assert_eq!(s.count_pixels(RED), 47);
+    }
+
+    /// A 70000x70000 surface (4.9 G pixels) counts in `usize` and, while
+    /// undrawn, holds nothing.
+    #[test]
+    fn huge_undrawn_surface_holds_nothing() {
+        let mut s = Surface::undrawn(70_000, 70_000, WHITE);
+        s.fill_rect(0, 0, 70_000, 70_000, RED);
+        s.copy_within(0, 0, 100, 100, 5, 5);
+        assert_eq!(s.take_pixels_drawn(), 4_900_000_000);
+        assert_eq!(s.pixel(69_999, 69_999), RED);
+        assert!(s.raw_pixels().is_empty());
+        let mut small = Surface::new(4, 4, WHITE);
+        small.blit(&s, -69_998, -69_998);
+        assert_eq!(small.count_pixels(RED), 4);
     }
 
     #[test]

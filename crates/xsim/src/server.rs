@@ -104,7 +104,6 @@ struct ClientState {
 struct SelectionOwner {
     window: WindowId,
     client: ClientId,
-    since: u64,
 }
 
 /// The simulated X server.
@@ -223,11 +222,6 @@ impl Server {
         self.fault_plan = Some(plan);
     }
 
-    /// Removes the installed fault plan, returning it (with its log).
-    pub fn clear_fault_plan(&mut self) -> Option<FaultPlan> {
-        self.fault_plan.take()
-    }
-
     /// The installed fault plan, if any.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.fault_plan.as_ref()
@@ -250,11 +244,6 @@ impl Server {
     /// tail carries one applies through it.
     pub fn set_client_quota(&mut self, quota: Option<usize>) {
         self.quota = quota.filter(|q| *q > 0);
-    }
-
-    /// The configured per-client request quota, if any.
-    pub fn client_quota(&self) -> Option<usize> {
-        self.quota
     }
 
     /// Total quota deferrals recorded against `client` (the
@@ -1329,7 +1318,8 @@ impl Server {
     }
 
     /// Moves/resizes a window; generates ConfigureNotify and, when the size
-    /// changed, clears the surface to the background and exposes.
+    /// changed, returns the surface to undrawn in the background colour
+    /// (dropping its pixels) and exposes.
     pub fn configure_window(
         &mut self,
         id: WindowId,
@@ -1350,12 +1340,10 @@ impl Server {
         w.width = new_w;
         w.height = new_h;
         w.border_width = border_width.unwrap_or(w.border_width);
-        let (nx, ny, bw, bg) = (w.x, w.y, w.border_width, w.background);
         if resized {
-            let bg_rgb = self.colormap.rgb(bg);
-            let w = self.tree.get_mut(id).unwrap();
-            w.surface = Surface::new(new_w, new_h, bg_rgb);
+            w.surface = Surface::undrawn(new_w, new_h, self.colormap.rgb(w.background));
         }
+        let (nx, ny, bw) = (w.x, w.y, w.border_width);
         self.deliver_structure(Event::ConfigureNotify {
             window: id,
             x: nx,
@@ -1528,14 +1516,8 @@ impl Server {
         if window.is_none() {
             self.selections.remove(&selection);
         } else {
-            self.selections.insert(
-                selection,
-                SelectionOwner {
-                    window,
-                    client,
-                    since: time,
-                },
-            );
+            self.selections
+                .insert(selection, SelectionOwner { window, client });
         }
     }
 
@@ -1600,11 +1582,6 @@ impl Server {
         });
     }
 
-    /// Timestamp when the selection was acquired (tests/ICCCM ordering).
-    pub fn selection_since(&self, selection: Atom) -> Option<u64> {
-        self.selections.get(&selection).map(|o| o.since)
-    }
-
     // ----- focus ------------------------------------------------------------------------
 
     /// Sets the input focus, generating FocusOut/FocusIn.
@@ -1629,27 +1606,29 @@ impl Server {
         (self.colormap.rgb(values.foreground), values)
     }
 
+    /// Counts a drawing request and runs it on `id`'s surface, if any.
+    fn paint(&mut self, id: WindowId, f: impl FnOnce(&mut Surface)) {
+        self.draw_requests += 1;
+        if let Some(win) = self.tree.get_mut(id) {
+            f(&mut win.surface);
+        }
+    }
+
     /// Fills a rectangle in window coordinates.
     pub fn fill_rectangle(&mut self, id: WindowId, gc: GcId, x: i32, y: i32, w: u32, h: u32) {
-        self.draw_requests += 1;
         let (color, _) = self.gc_color(gc);
-        if let Some(win) = self.tree.get_mut(id) {
-            win.surface.fill_rect(x, y, w, h, color);
-        }
+        self.paint(id, |s| s.fill_rect(x, y, w, h, color));
     }
 
     /// Draws text with the GC's font, baseline at `(x, y)`.
     pub fn draw_string(&mut self, id: WindowId, gc: GcId, x: i32, y: i32, text: &str) {
-        self.draw_requests += 1;
         let (color, values) = self.gc_color(gc);
         let metrics = self.fonts.metrics(values.font).unwrap_or(FontMetrics {
             char_width: 6,
             ascent: 10,
             descent: 3,
         });
-        if let Some(win) = self.tree.get_mut(id) {
-            win.surface.draw_text(x, y, text, metrics, color);
-        }
+        self.paint(id, |s| s.draw_text(x, y, text, metrics, color));
     }
 
     /// Clears an area to the window background (whole window when w/h are
@@ -1658,16 +1637,15 @@ impl Server {
     /// recorded text overlay even when the clip narrows the raster.
     pub fn clear_area(&mut self, id: WindowId, x: i32, y: i32, w: u32, h: u32) {
         self.draw_requests += 1;
-        let Some(win) = self.tree.get(id) else {
+        let Some(win) = self.tree.get_mut(id) else {
             return;
         };
-        let bg = self.colormap.rgb(win.background);
         let (w, h) = (
             if w == 0 { win.width } else { w },
             if h == 0 { win.height } else { h },
         );
-        let win = self.tree.get_mut(id).unwrap();
-        win.surface.fill_rect(x, y, w, h, bg);
+        win.surface
+            .fill_rect(x, y, w, h, self.colormap.rgb(win.background));
     }
 
     // ----- input synthesis (the test/driver interface) -------------------------------------
@@ -1832,6 +1810,21 @@ impl Server {
         screen
     }
 
+    /// FNV-1a over the composed screen's packed words, row-major: what
+    /// equivalence suites compare at every quiescence point.
+    pub fn screen_digest(&self) -> u64 {
+        let fnv = |h: u64, &p: &u32| (h ^ p as u64).wrapping_mul(0x1000_0000_01b3);
+        let screen = self.compose_screen();
+        screen.raw_pixels().iter().fold(0xcbf2_9ce4_8422_2325, fnv)
+    }
+
+    /// Pixels held by window buffers, summed over windows; an undrawn
+    /// surface holds none.
+    pub fn surface_pixels(&self) -> u64 {
+        let held = |w: &Window| w.surface.raw_pixels().len() as u64;
+        self.tree.iter().map(held).sum()
+    }
+
     fn compose_into(&self, screen: &mut Surface, id: WindowId) {
         let Some(w) = self.tree.get(id) else {
             return;
@@ -1987,11 +1980,21 @@ impl Server {
     ///   backpressure, never loss — at quiescence it must have drained);
     /// * every `send` registry shard on the root window references only
     ///   existing comm windows owned by live clients;
-    /// * dead clients' span tracers have no open spans.
+    /// * dead clients' span tracers have no open spans;
+    /// * every window's surface has the window's size, and its buffer is
+    ///   absent (undrawn) or exactly `width * height` pixels.
     pub fn audit(&self) -> Vec<String> {
         let mut v = Vec::new();
         let root = self.tree.root();
         for w in self.tree.iter() {
+            let (s, area) = (&w.surface, w.width as usize * w.height as usize);
+            let (size, held) = ((s.width(), s.height()), s.raw_pixels().len());
+            if size != (w.width, w.height) || ![0, area].contains(&held) {
+                v.push(format!(
+                    "window {} holds {held} pixels in a {size:?} surface",
+                    w.id.0
+                ));
+            }
             if w.id != root && !self.is_alive(w.owner) {
                 v.push(format!(
                     "window {} owned by dead client {}",
@@ -2280,12 +2283,9 @@ impl crate::wire::Requests for Server {
         w: u32,
         h: u32,
     ) {
-        self.draw_requests += 1;
         let (color, values) = self.gc_color(gc);
-        if let Some(win) = self.tree.get_mut(id) {
-            win.surface
-                .draw_rect(x, y, w, h, values.line_width.max(1), color);
-        }
+        let lw = values.line_width.max(1);
+        self.paint(id, |s| s.draw_rect(x, y, w, h, lw, color));
         self.drain_pixels(client, id);
     }
 
@@ -2299,12 +2299,9 @@ impl crate::wire::Requests for Server {
         x1: i32,
         y1: i32,
     ) {
-        self.draw_requests += 1;
         let (color, values) = self.gc_color(gc);
-        if let Some(win) = self.tree.get_mut(id) {
-            win.surface
-                .draw_line(x0, y0, x1, y1, values.line_width.max(1), color);
-        }
+        let lw = values.line_width.max(1);
+        self.paint(id, |s| s.draw_line(x0, y0, x1, y1, lw, color));
         self.drain_pixels(client, id);
     }
 
@@ -2351,10 +2348,7 @@ impl crate::wire::Requests for Server {
     ) {
         // Moved pixels are not re-rasterized, so nothing counts toward
         // `pixels_drawn`.
-        self.draw_requests += 1;
-        if let Some(win) = self.tree.get_mut(id) {
-            win.surface.copy_within(src_x, src_y, w, h, dst_x, dst_y);
-        }
+        self.paint(id, |s| s.copy_within(src_x, src_y, w, h, dst_x, dst_y));
     }
 
     fn set_selection_owner(&mut self, client: ClientId, selection: Atom, owner: WindowId) {
@@ -2867,6 +2861,75 @@ mod tests {
         assert_eq!(s.compose_screen().pixel(5, 5), Rgb::new(255, 0, 0));
         s.unmap_window(w);
         assert_eq!(s.compose_screen().pixel(5, 5), Rgb::new(255, 255, 255));
+    }
+
+    /// A mapped window nobody draws on composites as its background and
+    /// holds no buffer. Drawing allocates exactly its area and a resize
+    /// drops it again; the audit is clean after every step.
+    #[test]
+    fn surfaces_hold_pixels_only_once_drawn() {
+        let (mut s, c) = setup();
+        let root = s.root();
+        let (red, blue) = (Rgb::new(255, 0, 0), Rgb::new(0, 0, 255));
+        let pixel = s.alloc_named_color("red").unwrap().0;
+        let gc = s.gcs.create(GcValues {
+            foreground: pixel,
+            ..Default::default()
+        });
+        let w = s.create_window(c, root, 10, 10, 30, 20, 0).unwrap();
+        let bg = s.alloc_named_color("blue").unwrap().0;
+        s.set_window_background(w, bg);
+        s.map_window(w);
+        assert_eq!(s.compose_screen().pixel(10, 10), Rgb::new(255, 255, 255));
+        for (width, height) in [(50, 10), (7, 40), (7, 40), (64, 64)] {
+            assert_eq!(s.audit(), Vec::<String>::new());
+            s.fill_rectangle(w, gc, 2, 2, 3, 3);
+            let (ww, wh) = (s.tree.get(w).unwrap().width, s.tree.get(w).unwrap().height);
+            assert_eq!(s.surface_pixels(), (ww * wh) as u64);
+            assert_eq!(s.compose_screen().pixel(12, 12), red);
+            assert_eq!(s.audit(), Vec::<String>::new());
+            s.configure_window(w, None, None, Some(width), Some(height), None);
+            assert_eq!(s.audit(), Vec::<String>::new());
+            let resized = (width, height) != (ww, wh);
+            assert_eq!(s.surface_pixels() == 0, resized);
+            if resized {
+                let screen = s.compose_screen();
+                assert_eq!(screen.pixel(12, 12), blue);
+                assert_eq!(screen.pixel(10 + width as i32 - 1, 10), blue);
+                assert_eq!(screen.pixel(10 + width as i32, 10), Rgb::new(255, 255, 255));
+            }
+        }
+    }
+
+    /// `screen_digest` is FNV-1a over the composed screen: the
+    /// `hash_surface(&screenshot())` of the golden-frame suite, and what
+    /// `damage_equivalence` compares at its quiescence points.
+    #[test]
+    fn screen_digest_hashes_the_composed_screen() {
+        let (mut s, c) = setup();
+        let root = s.root();
+        let red = s.alloc_named_color("red").unwrap().0;
+        let gc = s.gcs.create(GcValues {
+            foreground: red,
+            ..Default::default()
+        });
+        let a = s.create_window(c, root, 10, 10, 40, 30, 2).unwrap();
+        let b = s.create_window(c, a, 5, 5, 20, 10, 1).unwrap();
+        s.map_window(a);
+        s.map_window(b);
+        s.draw_string(a, gc, 2, 12, "Hi");
+        s.fill_rectangle(b, gc, 3, 3, 4, 4);
+        let fnv = |screen: &Surface| {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for &p in screen.raw_pixels() {
+                h = (h ^ p as u64).wrapping_mul(0x1000_0000_01b3);
+            }
+            h
+        };
+        let before = s.screen_digest();
+        assert_eq!(before, fnv(&s.compose_screen()));
+        s.fill_rectangle(a, gc, 0, 0, 1, 1);
+        assert_ne!(s.screen_digest(), before);
     }
 
     fn exposes(events: &[Event]) -> Vec<(i32, i32, u32, u32, u32)> {

@@ -46,7 +46,7 @@ pub struct Window {
     pub event_masks: HashMap<ClientId, u32>,
     /// Properties attached to this window.
     pub properties: HashMap<Atom, String>,
-    /// Backing pixels.
+    /// Backing pixels, undrawn until a client draws on them.
     pub surface: Surface,
     /// Pending damage: areas awaiting Expose delivery, coalesced.
     pub damage: DamageList,
@@ -59,7 +59,7 @@ impl Window {
     pub const BACKGROUND: Pixel = Pixel(1);
 
     /// Creates a window record with defaults matching `CreateWindow`,
-    /// its surface filled with `background`, the colour of
+    /// its surface undrawn in `background`, the colour of
     /// [`Window::BACKGROUND`].
     #[allow(clippy::too_many_arguments)]
     pub fn new(
@@ -89,7 +89,7 @@ impl Window {
             cursor: Xid::NONE,
             event_masks: HashMap::new(),
             properties: HashMap::new(),
-            surface: Surface::new(width.max(1), height.max(1), background),
+            surface: Surface::undrawn(width.max(1), height.max(1), background),
             damage: DamageList::new(),
             owner,
         }
@@ -180,20 +180,13 @@ impl WindowTree {
         }
     }
 
-    /// Absolute (root-relative) coordinates of a window's interior origin.
+    /// Absolute (root-relative) coordinates of a window's interior origin;
+    /// the root's own offset counts as zero.
     pub fn abs_pos(&self, id: WindowId) -> (i32, i32) {
-        let mut x = 0;
-        let mut y = 0;
-        let mut cur = id;
-        while let Some(w) = self.windows.get(&cur) {
+        let (mut x, mut y, mut cur) = (0, 0, id);
+        while let Some(w) = self.windows.get(&cur).filter(|w| !w.parent.is_none()) {
             x += w.x + w.border_width as i32;
             y += w.y + w.border_width as i32;
-            if w.parent.is_none() {
-                // The root's own offset is zero; undo the border add.
-                x -= w.x + w.border_width as i32;
-                y -= w.y + w.border_width as i32;
-                break;
-            }
             cur = w.parent;
         }
         (x, y)
@@ -202,18 +195,13 @@ impl WindowTree {
     /// Is the window and all of its ancestors mapped?
     pub fn viewable(&self, id: WindowId) -> bool {
         let mut cur = id;
-        loop {
-            let Some(w) = self.windows.get(&cur) else {
-                return false;
-            };
-            if !w.mapped {
-                return false;
-            }
+        while let Some(w) = self.windows.get(&cur).filter(|w| w.mapped) {
             if w.parent.is_none() {
                 return true;
             }
             cur = w.parent;
         }
+        false
     }
 
     /// The deepest viewable window containing the root-relative point.

@@ -138,22 +138,13 @@ fn run_script(seed: u64, damage: bool) -> (Vec<u64>, Surface, String, xsim::Clie
             }
             Op::Update => {
                 app.update();
-                hashes.push(hash_surface(&env.display().screenshot()));
+                hashes.push(env.display().with_server(|s| s.screen_digest()));
             }
         }
     }
     app.update();
     let dump = env.display().ascii_dump();
     (hashes, env.display().screenshot(), dump, app.conn().stats())
-}
-
-/// FNV-1a over the packed framebuffer words, row-major.
-fn hash_surface(s: &Surface) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &p in s.raw_pixels() {
-        h = (h ^ p as u64).wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 fn assert_same_pixels(seed: u64, on: &Surface, off: &Surface) {
