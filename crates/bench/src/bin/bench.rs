@@ -1,14 +1,7 @@
-//! `bench` — replays the Table II workloads with the observability core
-//! switched on and writes a machine-readable `BENCH_obs.json`: per-workload
-//! latency percentiles (from `rtk_obs::Histogram`), protocol request and
-//! round-trip counts per kind, and resource-cache hit rates.
-//!
-//! Run with: `cargo run -p tk-bench --release --bin bench -- [output.json]`
-//! (the output path defaults to `BENCH_obs.json` in the current directory).
-//!
-//! Two extra modes back the CI request-budget gate. The protocol workloads
-//! are fully deterministic (single-threaded, no timing-dependent requests),
-//! so CI pins their *exact* request/round-trip/flush counts:
+//! `bench` — the budget and trace checker. The protocol workloads are
+//! fully deterministic (single-threaded, no timing-dependent requests),
+//! so CI pins their *exact* request/round-trip/flush counts in
+//! `BUDGETS.json`:
 //!
 //! * `bench -- --write-budgets [BUDGETS.json]` runs the workloads and
 //!   records their protocol counters;
@@ -28,9 +21,13 @@
 //! `RTK_NO_COMPILE` twin, and any drift in compiles, hits, or evictions
 //! fails the budget check.
 //!
+//! `bench -- --fleet N [--check-budgets [BUDGETS.json]]` drives an N-app
+//! send mesh and checks the deterministic fleet percentiles.
+//!
 //! Three trace-export modes run an instrumented workload suite (a
 //! cross-application send pair with one fault-dropped send, plus the
-//! buttons workload augmented with a bound button and a real click):
+//! buttons workload augmented with a bound button and a real click), with
+//! the protocol trace on so traced requests form their own lane:
 //!
 //! * `bench -- --trace [trace.json]` writes Chrome trace-event JSON
 //!   loadable in Perfetto / `chrome://tracing`;
@@ -38,13 +35,14 @@
 //!   flamegraph tooling, weighted by wall-clock self time;
 //! * `bench -- --trace-vprofile [trace.vprofile]` writes the deterministic
 //!   virtual-clock profile (same folded format, simulated-ms weights).
-
-use std::time::Instant;
+//!
+//! Wall-clock timings of the paper's Table II rows come from the `table2`
+//! binary; end-to-end benchmark runs from `rtkbench`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use rtk_obs::{json, Histogram, SpanShape};
+use rtk_obs::{json, SpanShape};
 use tk::{TkApp, TkEnv};
 use tk_bench::fleet::{percentile, run_fleet, run_wire_mesh, watchdog, FleetReport, MeshConfig};
 use tk_bench::{
@@ -52,7 +50,7 @@ use tk_bench::{
     eval_hot, fmt_time, scroll_listbox, setup_bind_dispatch, setup_blink, setup_entry,
     setup_eval_hot, setup_listbox, type_into_entry,
 };
-use xsim::{ClientStats, FaultPlan, RequestKind};
+use xsim::{ClientStats, FaultPlan};
 
 /// The fleet size whose deterministic percentiles BUDGETS.json pins
 /// (`--write-budgets` regenerates it; the CI gate is
@@ -559,27 +557,25 @@ fn traced_workloads() -> Vec<(String, Vec<rtk_obs::SpanRecord>)> {
         sender.eval("send beta {expr 1+1}").unwrap();
     }
     // Learn the request offset of a send's AppendProperty from the
-    // protocol trace, then aim a drop fault at the next send's append.
+    // traced `request` records, then aim a drop fault at the next send's
+    // append.
     sender.eval("obs trace on").unwrap();
     let s0 = sender.conn().sequence();
     sender.eval("send beta {expr 1+1}").unwrap();
     let append_off = sender
         .conn()
-        .with_obs(|o| {
-            o.trace
-                .iter()
-                .find(|e| e.seq > s0 && e.kind == RequestKind::ChangeProperty)
-                .map(|e| e.seq - s0)
-        })
-        .flatten()
+        .obs_trace(usize::MAX)
+        .iter()
+        .find(|r| r.kind == "request" && r.seq > s0 && r.detail.starts_with("ChangeProperty "))
+        .map(|r| r.seq - s0)
         .expect("a send must issue a ChangeProperty append");
-    sender.eval("obs trace off").unwrap();
     let client = sender.conn().client_id().0;
     let doomed = sender.conn().sequence() + append_off;
     env.display()
         .with_server(|s| s.install_fault_plan(FaultPlan::default().drop_at(client, doomed)));
     let timed_out = sender.eval("send -timeout 200 beta {expr 1+1}").is_err();
     assert!(timed_out, "the fault-dropped send must time out");
+    sender.eval("obs trace off").unwrap();
     env.dispatch_all();
     for app in &apps {
         app.tracer()
@@ -599,6 +595,7 @@ fn traced_workloads() -> Vec<(String, Vec<rtk_obs::SpanRecord>)> {
         .unwrap();
     app.update();
     app.conn().reset_obs();
+    app.eval("obs trace on").unwrap();
     create_display_delete_buttons(app, 5);
     let rec = app.window(".target").unwrap();
     envb.display()
@@ -631,28 +628,6 @@ fn write_trace(path: &str, format: &str) {
         "wrote {path} ({total} spans from {} applications, {format} format)",
         traces.len()
     );
-}
-
-/// Times `iters` runs of `f`, recording each run into a histogram.
-fn measure(iters: u64, mut f: impl FnMut()) -> Histogram {
-    let mut h = Histogram::new();
-    for _ in 0..iters {
-        let start = Instant::now();
-        f();
-        h.record_duration(start.elapsed());
-    }
-    h
-}
-
-fn workload_json(name: &str, iters: u64, h: &Histogram, extra: Option<(&str, String)>) -> String {
-    let mut o = json::Object::new();
-    o.field_str("name", name);
-    o.field_u64("iters", iters);
-    o.field_raw("time_ns", &h.to_json());
-    if let Some((key, raw)) = extra {
-        o.field_raw(key, &raw);
-    }
-    o.build()
 }
 
 /// Checks a measured fleet report against the `fleet` section of the
@@ -774,227 +749,10 @@ fn main() {
         }
         _ => {}
     }
-    let out_path = args
-        .first()
-        .cloned()
-        .unwrap_or_else(|| "BENCH_obs.json".to_string());
-
-    // Row 1: simple Tcl command (no X traffic at all).
-    let interp = tcl::Interp::new();
-    interp.eval("set a 0").unwrap();
-    let set_iters = 100_000;
-    let h_set = measure(set_iters, || {
-        interp.eval("set a 1").unwrap();
-    });
-    println!(
-        "set_a_1:     p50 {}",
-        fmt_time(h_set.quantile(0.5) as f64 * 1e-9)
+    eprintln!(
+        "usage: bench -- --check-budgets|--write-budgets [BUDGETS.json]\n       \
+         bench -- --fleet N [--check-budgets [BUDGETS.json]]\n       \
+         bench -- --trace|--trace-folded|--trace-vprofile [path]"
     );
-
-    // Row 2: send an empty command between two applications, with the
-    // synthetic round-trip cost the paper's IPC numbers imply.
-    let rt_cost = std::time::Duration::from_micros(50);
-    let (env_send, apps) = env_with_apps(&["alpha", "beta"]);
-    env_send
-        .display()
-        .with_server(|s| s.set_round_trip_cost(rt_cost));
-    let sender = &apps[0];
-    sender.eval("send beta {}").unwrap(); // warm up
-    sender.conn().reset_obs();
-    let send_iters = 2_000;
-    let h_send = measure(send_iters, || {
-        sender.eval("send beta {}").unwrap();
-    });
-    // One extra iteration with the protocol trace ring recording, so the
-    // dump carries real trace samples (the timed loop stays untraced).
-    sender.eval("obs trace on").unwrap();
-    sender.eval("send beta {}").unwrap();
-    let send_protocol = sender.conn().obs_json();
-    println!(
-        "send_empty:  p50 {}",
-        fmt_time(h_send.quantile(0.5) as f64 * 1e-9)
-    );
-    let send_wire = sender.conn().wire_stats();
-    if send_wire.active() {
-        println!(
-            "send_empty wire: {} frames / {} bytes encoded, {} frames / {} bytes decoded, \
-             {} flushes, largest frame {} bytes",
-            send_wire.frames_encoded,
-            send_wire.bytes_encoded,
-            send_wire.frames_decoded,
-            send_wire.bytes_decoded,
-            send_wire.flushes,
-            send_wire.frame_bytes.max()
-        );
-    }
-
-    // Row 3: create, display, delete 50 buttons, with the full
-    // observability stack collecting underneath.
-    let (env50, apps50) = env_with_apps(&["buttons"]);
-    env50
-        .display()
-        .with_server(|s| s.set_round_trip_cost(rt_cost));
-    let app = &apps50[0];
-    create_display_delete_buttons(app, 50); // warm caches
-    app.eval("obs reset").unwrap();
-    let button_iters = 20;
-    let h_buttons = measure(button_iters, || {
-        create_display_delete_buttons(app, 50);
-    });
-    // Snapshot the counters before the traced extra iteration so the
-    // per-iteration arithmetic below stays exact.
-    let stats = app.conn().stats();
-    app.eval("obs trace on").unwrap();
-    create_display_delete_buttons(app, 50);
-    let buttons_dump = tk::obs_cmd::dump_json(app);
-    println!(
-        "buttons_50:  p50 {} ({} requests, {} round trips, {} flushes per iteration)",
-        fmt_time(h_buttons.quantile(0.5) as f64 * 1e-9),
-        stats.requests / button_iters,
-        stats.round_trips / button_iters,
-        stats.flushes / button_iters
-    );
-
-    // The same workload with the output buffer disabled: every request
-    // becomes its own client→server transition, the transport the toolkit
-    // had before batching. The ratio of "server trips" (flushes + round
-    // trips — each is one blocking transition) is the headline batching
-    // win.
-    let (env_nb, apps_nb) = env_with_apps(&["buttons"]);
-    env_nb
-        .display()
-        .with_server(|s| s.set_round_trip_cost(rt_cost));
-    let app_nb = &apps_nb[0];
-    app_nb.conn().set_batching(false);
-    create_display_delete_buttons(app_nb, 50); // warm caches
-    app_nb.eval("obs reset").unwrap();
-    let h_unbatched = measure(button_iters, || {
-        create_display_delete_buttons(app_nb, 50);
-    });
-    let stats_nb = app_nb.conn().stats();
-    let trips = stats.flushes + stats.round_trips;
-    let trips_nb = stats_nb.flushes + stats_nb.round_trips;
-    println!(
-        "buttons_50 unbatched: p50 {} ({} server trips/iter vs {} batched, {:.1}x)",
-        fmt_time(h_unbatched.quantile(0.5) as f64 * 1e-9),
-        trips_nb / button_iters,
-        trips / button_iters,
-        trips_nb as f64 / trips.max(1) as f64
-    );
-
-    let mut comparison = json::Object::new();
-    for (key, s, h) in [
-        ("batched", &stats, &h_buttons),
-        ("unbatched", &stats_nb, &h_unbatched),
-    ] {
-        let mut side = json::Object::new();
-        side.field_u64("requests", s.requests);
-        side.field_u64("round_trips", s.round_trips);
-        side.field_u64("flushes", s.flushes);
-        side.field_u64("server_trips", s.flushes + s.round_trips);
-        side.field_u64("max_batch", s.max_batch);
-        side.field_u64("p50_ns", h.quantile(0.5));
-        comparison.field_raw(key, &side.build());
-    }
-
-    // The incremental-redraw workloads, each timed in both damage modes;
-    // the pixels_drawn ratio is the damage engine's headline number.
-    let mut incremental = json::Array::new();
-    for (name, setup, run) in incremental_workloads() {
-        let mut o = json::Object::new();
-        o.field_str("name", name);
-        let mut ratio = (0u64, 0u64);
-        for (damage, key) in [(true, "damage"), (false, "full")] {
-            let (_env, apps) = env_with_apps(&["incr"]);
-            let app = &apps[0];
-            app.set_damage(damage);
-            setup(app);
-            run(app); // warm caches
-            app.eval("obs reset").unwrap();
-            let h = measure(10, || run(app));
-            let s = app.conn().stats();
-            let mut side = json::Object::new();
-            side.field_u64("pixels_drawn", s.pixels_drawn);
-            side.field_u64("requests", s.requests);
-            side.field_u64("p50_ns", h.quantile(0.5));
-            o.field_raw(key, &side.build());
-            if damage {
-                ratio.0 = s.pixels_drawn;
-            } else {
-                ratio.1 = s.pixels_drawn;
-            }
-        }
-        println!(
-            "{name}: {} pixels damage-narrowed vs {} full ({:.1}x fewer)",
-            ratio.0,
-            ratio.1,
-            ratio.1 as f64 / ratio.0.max(1) as f64
-        );
-        incremental.push_raw(&o.build());
-    }
-
-    // The hot-eval workload in both compile modes: the program cache's
-    // headline wall-clock win, alongside the exact parse/hit counters.
-    let mut evalhot = json::Object::new();
-    let mut eval_p50 = (0u64, 0u64);
-    for (enabled, key) in [(true, "compiled"), (false, "direct")] {
-        let (_env, apps) = env_with_apps(&["evalhot"]);
-        let app = &apps[0];
-        app.interp().set_compile(enabled);
-        setup_eval_hot(app);
-        eval_hot(app, 50); // warm caches
-        app.eval("obs reset").unwrap();
-        let h = measure(200, || eval_hot(app, 10));
-        let mut side = json::Object::new();
-        for (name, v) in app.interp().compile_counters() {
-            side.field_u64(name.trim_start_matches("tcl."), v);
-        }
-        side.field_u64("p50_ns", h.quantile(0.5));
-        evalhot.field_raw(key, &side.build());
-        if enabled {
-            eval_p50.0 = h.quantile(0.5);
-        } else {
-            eval_p50.1 = h.quantile(0.5);
-        }
-    }
-    println!(
-        "eval_hot: p50 {} compiled vs {} direct ({:.1}x faster)",
-        fmt_time(eval_p50.0 as f64 * 1e-9),
-        fmt_time(eval_p50.1 as f64 * 1e-9),
-        eval_p50.1 as f64 / eval_p50.0.max(1) as f64
-    );
-
-    let mut workloads = json::Array::new();
-    workloads.push_raw(&workload_json("set_a_1", set_iters, &h_set, None));
-    workloads.push_raw(&workload_json(
-        "send_empty",
-        send_iters,
-        &h_send,
-        Some(("protocol", send_protocol)),
-    ));
-    workloads.push_raw(&workload_json(
-        "buttons_50",
-        button_iters,
-        &h_buttons,
-        Some(("obs", buttons_dump)),
-    ));
-    workloads.push_raw(&workload_json(
-        "buttons_50_unbatched",
-        button_iters,
-        &h_unbatched,
-        Some(("batching_comparison", comparison.build())),
-    ));
-
-    let mut root = json::Object::new();
-    root.field_str("source", "Table II workloads, Ousterhout USENIX 1991");
-    root.field_str("regenerate", "cargo run -p tk-bench --release --bin bench");
-    root.field_u64("round_trip_cost_us", rt_cost.as_micros() as u64);
-    root.field_raw("workloads", &workloads.build());
-    root.field_raw("incremental_redraw", &incremental.build());
-    root.field_raw("eval_hot", &evalhot.build());
-    let text = root.build();
-    assert!(json::is_valid(&text), "bench produced invalid JSON");
-
-    std::fs::write(&out_path, format!("{text}\n")).expect("write BENCH_obs.json");
-    println!("wrote {out_path}");
+    std::process::exit(2);
 }

@@ -1,8 +1,9 @@
 //! Fixed log₂-bucket latency histograms.
 //!
-//! Values are nanoseconds. Bucket `i` holds values whose highest set bit
-//! is `i`, i.e. the half-open range `[2^(i-1), 2^i)` (bucket 0 holds the
-//! value 0 and 1 ns). With `BUCKETS = 40` the top bucket covers ~550 s,
+//! Values are nanoseconds. Bucket 0 holds only the value 0; bucket
+//! `i ≥ 1` holds values whose highest set bit is bit `i - 1`, i.e. the
+//! half-open range `[2^(i-1), 2^i)` (bucket 1 holds 1 ns, bucket 2 holds
+//! 2 and 3 ns). With `BUCKETS = 40` the top bucket covers ~550 s,
 //! far beyond any latency this toolkit produces; larger values clamp into
 //! the last bucket. Recording is one comparison and one array increment,
 //! cheap enough for always-on instrumentation.
@@ -199,6 +200,14 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bucket_of_pins_the_low_buckets() {
+        assert_eq!(Histogram::bucket_of(0), 0);
+        assert_eq!(Histogram::bucket_of(1), 1);
+        assert_eq!(Histogram::bucket_of(2), 2);
+        assert_eq!(Histogram::bucket_of(3), 2);
+    }
 
     #[test]
     fn empty_histogram_reports_zeros() {

@@ -6,14 +6,14 @@
 //! crate provides the primitives to do that *cheaply enough to leave on
 //! in production*:
 //!
-//! * [`Registry`] — named monotonic counters and latency histograms with
+//! * [`Registry`] — named monotonic counters and value histograms with
 //!   interior mutability, so instrumented code needs only `&Registry`;
 //! * [`Histogram`] — fixed log₂-bucket latency histograms (no external
 //!   dependencies, constant memory, O(1) record);
-//! * [`Span`] — a drop guard that times a scope into a histogram;
-//! * [`Ring`] — a bounded ring buffer for trace entries;
-//! * [`span`] — rtk-trace: causal span records across the pipeline, with
-//!   Chrome trace-event, folded-stack, and virtual-clock-profile exports;
+//! * [`span`] — rtk-trace: causal span records across the pipeline, the
+//!   toolkit's one timing source (per-stage histograms and the protocol
+//!   trace are views of its store), with Chrome trace-event, folded-stack,
+//!   and virtual-clock-profile exports;
 //! * [`json`] — a tiny hand-rolled JSON emitter used by `obs dump`.
 //!
 //! The counter/histogram [`Registry`] stays single-threaded
@@ -28,10 +28,8 @@
 mod hist;
 pub mod json;
 mod registry;
-mod ring;
 pub mod span;
 
 pub use hist::Histogram;
-pub use registry::{Registry, Span};
-pub use ring::Ring;
+pub use registry::Registry;
 pub use span::{SpanGuard, SpanId, SpanRecord, SpanShape, Tracer, VirtualClock};

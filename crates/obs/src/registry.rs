@@ -1,9 +1,10 @@
-//! A named-metric registry: monotonic counters and latency histograms
+//! A named-metric registry: monotonic counters and value histograms
 //! behind interior mutability, so instrumented code only needs `&Registry`.
+//! Stage timings are not kept here: they come from the span tracer
+//! ([`crate::span::stage_totals`]).
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use crate::hist::Histogram;
 
@@ -64,11 +65,6 @@ impl Registry {
             .record(ns);
     }
 
-    /// Records a duration into the named histogram.
-    pub fn record_duration(&self, name: &str, d: std::time::Duration) {
-        self.record_ns(name, d.as_nanos().min(u64::MAX as u128) as u64);
-    }
-
     /// Snapshot of one histogram, if it exists.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
         self.histograms.borrow().get(name).cloned()
@@ -77,17 +73,6 @@ impl Registry {
     /// Names of all histograms, sorted.
     pub fn histogram_names(&self) -> Vec<String> {
         self.histograms.borrow().keys().cloned().collect()
-    }
-
-    /// Starts a span that records its elapsed time into `name` when
-    /// dropped (or when [`Span::finish`] is called).
-    pub fn span<'r>(&'r self, name: &str) -> Span<'r> {
-        Span {
-            registry: self,
-            name: name.to_string(),
-            start: Instant::now(),
-            done: false,
-        }
     }
 
     /// Zeroes every counter and histogram (names are forgotten too, so a
@@ -116,35 +101,6 @@ impl Registry {
     }
 }
 
-/// A drop guard timing one scope into a registry histogram.
-pub struct Span<'r> {
-    registry: &'r Registry,
-    name: String,
-    start: Instant,
-    done: bool,
-}
-
-impl Span<'_> {
-    /// Ends the span now, recording the elapsed time.
-    pub fn finish(mut self) {
-        self.record();
-    }
-
-    fn record(&mut self) {
-        if !self.done {
-            self.done = true;
-            self.registry
-                .record_duration(&self.name, self.start.elapsed());
-        }
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        self.record();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,18 +116,6 @@ mod tests {
         assert_eq!(r.counter("missing"), 0);
         let names: Vec<String> = r.counters().into_iter().map(|(k, _)| k).collect();
         assert_eq!(names, vec!["a", "b"]);
-    }
-
-    #[test]
-    fn span_records_into_histogram() {
-        let r = Registry::new();
-        {
-            let _s = r.span("work");
-            std::thread::sleep(std::time::Duration::from_micros(50));
-        }
-        let h = r.histogram("work").unwrap();
-        assert_eq!(h.count(), 1);
-        assert!(h.max() >= 50_000, "{}", h.max());
     }
 
     #[test]

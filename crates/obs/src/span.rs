@@ -30,6 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::hist::Histogram;
 use crate::json;
 
 /// A span identifier. `0` is reserved for "no span" / the epoch root.
@@ -149,6 +150,45 @@ impl TracerInner {
         }
         0
     }
+
+    /// Stores one record under `parent` and returns its id; an open one
+    /// also becomes the innermost context. When the store is full the
+    /// record is counted in `dropped` instead and the id is `0`.
+    fn record(
+        &mut self,
+        kind: &'static str,
+        detail: String,
+        seq: u64,
+        parent: SpanId,
+        open: bool,
+    ) -> SpanId {
+        if self.spans.len() >= self.cap {
+            self.dropped += 1;
+            return 0;
+        }
+        let id = self.next_id;
+        self.next_id += 1;
+        let (now, vms) = (self.now_ns(), self.now_vms());
+        self.spans.push(SpanRecord {
+            id,
+            parent,
+            kind,
+            detail,
+            client: self.client,
+            seq,
+            start_ns: now,
+            end_ns: now,
+            start_vms: vms,
+            end_vms: vms,
+            epoch: self.epoch,
+            open,
+        });
+        self.index.insert(id, self.spans.len() - 1);
+        if open {
+            self.stack.push(id);
+        }
+        id
+    }
 }
 
 /// A shared handle to a per-application span store. Cloning is cheap and
@@ -169,6 +209,13 @@ impl std::fmt::Debug for Tracer {
             .field("epoch", &t.epoch)
             .field("dropped", &t.dropped)
             .finish()
+    }
+}
+
+impl Default for Tracer {
+    /// A tracer whose wall clock starts now.
+    fn default() -> Tracer {
+        Tracer::new(Instant::now())
     }
 }
 
@@ -217,8 +264,12 @@ impl Tracer {
     /// Opens a span parented on the innermost open span. The returned
     /// guard closes it on drop.
     pub fn begin(&self, kind: &'static str, detail: impl Into<String>, seq: u64) -> SpanGuard {
-        let parent = self.inner.lock().unwrap().resolve_parent();
-        self.begin_at(kind, detail, seq, parent)
+        let mut t = self.inner.lock().unwrap();
+        let parent = t.resolve_parent();
+        SpanGuard {
+            id: t.record(kind, detail.into(), seq, parent, true),
+            tracer: self.clone(),
+        }
     }
 
     /// Opens a span with an explicit parent (causal chaining for deferred
@@ -231,74 +282,23 @@ impl Tracer {
         parent: SpanId,
     ) -> SpanGuard {
         let mut t = self.inner.lock().unwrap();
-        if t.spans.len() >= t.cap {
-            t.dropped += 1;
-            return SpanGuard {
-                tracer: self.clone(),
-                id: 0,
-            };
-        }
-        let parent = if parent != 0 && t.index.contains_key(&parent) {
+        let parent = if t.index.contains_key(&parent) {
             parent
         } else {
             0
         };
-        let id = t.next_id;
-        t.next_id += 1;
-        let (now, vms) = (t.now_ns(), t.now_vms());
-        let rec = SpanRecord {
-            id,
-            parent,
-            kind,
-            detail: detail.into(),
-            client: t.client,
-            seq,
-            start_ns: now,
-            end_ns: now,
-            start_vms: vms,
-            end_vms: vms,
-            epoch: t.epoch,
-            open: true,
-        };
-        t.spans.push(rec);
-        let idx = t.spans.len() - 1;
-        t.index.insert(id, idx);
-        t.stack.push(id);
         SpanGuard {
+            id: t.record(kind, detail.into(), seq, parent, true),
             tracer: self.clone(),
-            id,
         }
     }
 
     /// Records a zero-width marker (damage event, fault injection, event
-    /// enqueue) attached to the innermost open span.
+    /// enqueue, traced request) attached to the innermost open span.
     pub fn instant(&self, kind: &'static str, detail: impl Into<String>, seq: u64) {
         let mut t = self.inner.lock().unwrap();
-        if t.spans.len() >= t.cap {
-            t.dropped += 1;
-            return;
-        }
         let parent = t.resolve_parent();
-        let id = t.next_id;
-        t.next_id += 1;
-        let (now, vms) = (t.now_ns(), t.now_vms());
-        let rec = SpanRecord {
-            id,
-            parent,
-            kind,
-            detail: detail.into(),
-            client: t.client,
-            seq,
-            start_ns: now,
-            end_ns: now,
-            start_vms: vms,
-            end_vms: vms,
-            epoch: t.epoch,
-            open: false,
-        };
-        t.spans.push(rec);
-        let idx = t.spans.len() - 1;
-        t.index.insert(id, idx);
+        t.record(kind, detail.into(), seq, parent, false);
     }
 
     /// Pushes an explicit parent context (typically a cause captured at
@@ -550,7 +550,7 @@ pub fn spans_to_flat(spans: &[SpanRecord]) -> String {
 
 /// Pipeline stages in thread-id order for the Chrome trace export; spans
 /// of unknown kinds get tids after these.
-const STAGES: [&str; 14] = [
+const STAGES: [&str; 15] = [
     "event",
     "dispatch",
     "bind",
@@ -561,6 +561,7 @@ const STAGES: [&str; 14] = [
     "update",
     "send",
     "send.eval",
+    "request",
     "flush",
     "rasterize",
     "fault",
@@ -585,7 +586,8 @@ fn micros(ns: u64) -> String {
 /// Emits Chrome trace-event JSON (loadable in Perfetto / `chrome://tracing`)
 /// for one or more applications: one pid per application, one tid per
 /// pipeline stage, `X` complete events for spans, `i` instant events for
-/// zero-width markers (damage, event enqueues, injected faults).
+/// zero-width markers (damage, event enqueues, injected faults, traced
+/// requests).
 pub fn chrome_trace(apps: &[(String, Vec<SpanRecord>)]) -> String {
     let mut events = json::Array::new();
     for (pid0, (name, spans)) in apps.iter().enumerate() {
@@ -709,20 +711,43 @@ fn aggregate_stacks(
     out
 }
 
-/// Per-stage rollup of a span set: `(kind, count, total wall ns, total
-/// virtual ms)`, sorted by kind — the `--stats` per-stage breakdown.
-/// Instants count but contribute no time.
-pub fn stage_totals(spans: &[SpanRecord]) -> Vec<(String, u64, u64, u64)> {
-    let mut agg: BTreeMap<&str, (u64, u64, u64)> = BTreeMap::new();
+/// One pipeline stage's rollup in a span set (see [`stage_totals`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Stage {
+    /// The span kind, e.g. `"dispatch"`.
+    pub kind: &'static str,
+    /// Records of this kind, instants and still-open spans included.
+    pub count: u64,
+    /// Total wall-clock nanoseconds.
+    pub total_ns: u64,
+    /// Total virtual milliseconds.
+    pub total_vms: u64,
+    /// Wall durations of the kind's closed spans: what `obs histogram
+    /// <kind>_ns` reports. `None` for a kind with only instants.
+    pub ns: Option<Histogram>,
+}
+
+/// Per-stage rollup of a span set, sorted by kind — the one source of the
+/// `--stats` breakdown, the `obs dump` stages, and the `<kind>_ns` stage
+/// histograms. Instants count but contribute no time.
+pub fn stage_totals(spans: &[SpanRecord]) -> Vec<Stage> {
+    let mut agg: BTreeMap<&'static str, Stage> = BTreeMap::new();
     for s in spans {
-        let e = agg.entry(s.kind).or_insert((0, 0, 0));
-        e.0 += 1;
-        e.1 += s.dur_ns();
-        e.2 += s.dur_vms();
+        let e = agg.entry(s.kind).or_insert(Stage {
+            kind: s.kind,
+            count: 0,
+            total_ns: 0,
+            total_vms: 0,
+            ns: None,
+        });
+        e.count += 1;
+        e.total_ns += s.dur_ns();
+        e.total_vms += s.dur_vms();
+        if !s.open && !s.is_instant() {
+            e.ns.get_or_insert_with(Histogram::new).record(s.dur_ns());
+        }
     }
-    agg.into_iter()
-        .map(|(k, (n, ns, vms))| (k.to_string(), n, ns, vms))
-        .collect()
+    agg.into_values().collect()
 }
 
 /// The deterministic *shape* of a span tree: counts by kind, parent→child
@@ -961,6 +986,25 @@ mod tests {
         let p = make();
         assert_eq!(p, make());
         assert!(p.contains("app;send 200"), "{p}");
+    }
+
+    #[test]
+    fn stage_totals_histogram_closed_spans_only() {
+        let t = tracer();
+        for _ in 0..3 {
+            let _d = t.begin("dispatch", "", 0);
+            t.instant("damage", "", 0);
+        }
+        let _open = t.begin("dispatch", "", 0);
+        let stages = stage_totals(&t.snapshot());
+        let kinds: Vec<&str> = stages.iter().map(|s| s.kind).collect();
+        assert_eq!(kinds, ["damage", "dispatch"]);
+        assert_eq!(stages[0].count, 3);
+        assert!(stages[0].ns.is_none(), "an instant kind has no histogram");
+        assert_eq!(stages[1].count, 4, "the open span counts");
+        let h = stages[1].ns.as_ref().unwrap();
+        assert_eq!(h.count(), 3, "but only closed spans are timed");
+        assert_eq!(h.sum(), stages[1].total_ns);
     }
 
     #[test]

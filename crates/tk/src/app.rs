@@ -221,8 +221,9 @@ pub struct AppInner {
     pub(crate) packer: RefCell<Packer>,
     pub(crate) selection: RefCell<SelectionState>,
     pub(crate) send: RefCell<SendState>,
-    /// Toolkit-level observability: counters and latency histograms for
-    /// event dispatch, bindings, redraw, relayout, timers, and idle work.
+    /// Toolkit-level observability: counters for event dispatch,
+    /// bindings, redraw, relayout, timers, and idle work, and value
+    /// histograms (`send_latency_ms`). Stage timings come from `tracer`.
     pub(crate) obs: rtk_obs::Registry,
     /// Causal span tracing (rtk-trace): one store per application, shared
     /// with the X connection so client- and server-side records form one
@@ -805,13 +806,11 @@ impl TkApp {
                                     }
                                     _ => Vec::new(),
                                 };
-                                let span = self.inner.obs.span("redraw_ns");
                                 let _scope = self.inner.tracer.scope(cause);
                                 let _tspan = self.inner.tracer.begin("redraw", &*path, 0);
                                 self.conn().set_clip(rec.xid, rects);
                                 w.redraw(self, &path);
                                 self.conn().clear_clip(rec.xid);
-                                span.finish();
                             }
                         }
                     }
@@ -869,7 +868,6 @@ impl TkApp {
     /// classic `DoWhenIdle` footgun) makes some progress and then returns
     /// instead of hanging the application.
     pub fn update(&self) {
-        let span = self.inner.obs.span("update_ns");
         let _tspan = self.inner.tracer.begin("update", "", 0);
         for _ in 0..100 {
             let events = self.process_pending();
@@ -881,7 +879,6 @@ impl TkApp {
         // Flush before going back to blocking/idle: any one-way requests
         // the idle handlers queued must reach the display now.
         self.conn().flush();
-        span.finish();
     }
 
     /// Evaluates a script whose errors are reported through `tkerror`
@@ -912,10 +909,8 @@ impl TkApp {
     /// the widget's built-in handler, then user bindings.
     pub fn dispatch_event(&self, ev: &Event) {
         self.inner.obs.incr("events.dispatched");
-        let dispatch_span = self.inner.obs.span("dispatch_ns");
         let _tspan = self.inner.tracer.begin("dispatch", ev.name(), 0);
         self.dispatch_event_inner(ev);
-        dispatch_span.finish();
     }
 
     fn dispatch_event_inner(&self, ev: &Event) {
@@ -1003,13 +998,11 @@ impl TkApp {
             if let Some(script) = script {
                 self.inner.obs.incr("bind.matches");
                 let script = percent_substitute(&script, &info, &path);
-                let span = self.inner.obs.span("bind.script_ns");
                 let _tspan =
                     self.inner
                         .tracer
                         .begin("bind", format!("{path} {}", info.descriptor()), 0);
                 self.eval_background(&script);
-                span.finish();
             } else {
                 self.inner.obs.incr("bind.misses");
             }

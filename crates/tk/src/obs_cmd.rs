@@ -2,13 +2,14 @@
 //!
 //! Everything the toolkit measures — protocol requests per kind, round-trip
 //! latency, cache hits and misses, binding dispatch, redraw and relayout
-//! timing — is inspectable from scripts:
+//! timing — is inspectable from scripts. Stage timings (`<kind>_ns`) and
+//! the protocol trace are views of the span tracer's store:
 //!
 //! ```tcl
 //! obs counters              ;# flat name/value list
 //! obs histogram redraw_ns   ;# one-line latency summary
 //! obs trace on              ;# start recording the protocol trace
-//! obs trace 10              ;# the last 10 protocol requests
+//! obs trace 10              ;# the last 10 traced requests and faults
 //! obs spans                 ;# causal span tree (rtk-trace)
 //! obs spans flat            ;# one span per line
 //! obs spans json            ;# span records as JSON
@@ -197,44 +198,48 @@ fn counters_list(app: &TkApp) -> String {
     tcl::format_list(&items)
 }
 
+/// The span store's per-stage rollup: the one source of the `<kind>_ns`
+/// stage histograms.
+fn stages(app: &TkApp) -> Vec<rtk_obs::span::Stage> {
+    rtk_obs::span::stage_totals(&app.tracer().snapshot())
+}
+
 /// Looks up a histogram by name: the protocol histograms have the fixed
-/// names `request_ns` and `round_trip_ns`; everything else lives in the
-/// toolkit registry.
+/// names `request_ns` and `round_trip_ns`; any other `<kind>_ns` is the
+/// wall time of the current epoch's closed `<kind>` spans; everything
+/// else lives in the toolkit registry.
 fn find_histogram(app: &TkApp, name: &str) -> Option<rtk_obs::Histogram> {
     match name {
         "request_ns" => Some(app.conn().obs_request_histogram()),
         "round_trip_ns" => Some(app.conn().obs_round_trip_histogram()),
-        _ => app.obs().histogram(name),
+        _ => match name.strip_suffix("_ns") {
+            Some(kind) => stages(app).into_iter().find(|s| s.kind == kind)?.ns,
+            None => app.obs().histogram(name),
+        },
     }
 }
 
 fn histogram_names(app: &TkApp) -> Vec<String> {
     let mut names = vec!["request_ns".to_string(), "round_trip_ns".to_string()];
+    for stage in stages(app) {
+        if stage.ns.is_some() {
+            names.push(format!("{}_ns", stage.kind));
+        }
+    }
     names.extend(app.obs().histogram_names());
     names
 }
 
-/// The last `n` protocol trace entries, one per line:
-/// `seq kind one-way|round-trip window duration_ns ?fault=<kind>?`.
+/// The last `n` protocol trace records, one per line: a traced request
+/// as `seq kind one-way|round-trip window duration_ns`, an injected
+/// fault as `seq fault=<kind>` (the faulted request shares its `seq`).
 fn trace_lines(app: &TkApp, n: usize) -> String {
     app.conn()
         .obs_trace(n)
         .iter()
-        .map(|e| {
-            let fault = e.fault.map(|f| format!(" fault={f}")).unwrap_or_default();
-            format!(
-                "{} {} {} 0x{:x} {}{}",
-                e.seq,
-                e.kind.name(),
-                if e.round_trip {
-                    "round-trip"
-                } else {
-                    "one-way"
-                },
-                e.window.0,
-                e.duration_ns,
-                fault
-            )
+        .map(|r| match r.kind {
+            "fault" => format!("{} fault={}", r.seq, r.detail),
+            _ => format!("{} {}", r.seq, r.detail),
         })
         .collect::<Vec<_>>()
         .join("\n")
@@ -296,6 +301,12 @@ fn snapshot(app: &TkApp) -> String {
             out.push_str(&format!("  {name}: {}\n", h.summary()));
         }
     }
+    out.push_str("stages:\n");
+    for stage in stages(app) {
+        if let Some(h) = stage.ns {
+            out.push_str(&format!("  {}_ns: {}\n", stage.kind, h.summary()));
+        }
+    }
     out.push_str(&format!(
         "trace: {}\n",
         if app.conn().obs_trace_enabled() {
@@ -320,7 +331,8 @@ fn snapshot(app: &TkApp) -> String {
 /// observability core. Validated JSON with the app name, the protocol
 /// view (compat `ClientStats` plus the structured per-kind counters,
 /// histograms, and trace), the cache hit/miss table, binding match
-/// statistics, and the toolkit registry.
+/// statistics, the toolkit registry, and the span store's per-stage
+/// rollup (each timed stage with its `ns` histogram).
 pub fn dump_json(app: &TkApp) -> String {
     let stats = app.conn().stats();
     let mut protocol = rtk_obs::json::Object::new();
@@ -353,12 +365,15 @@ pub fn dump_json(app: &TkApp) -> String {
     let mut shape = rtk_obs::SpanShape::default();
     shape.collect(&span_records);
     let mut stages = rtk_obs::json::Array::new();
-    for (kind, count, ns, vms) in rtk_obs::span::stage_totals(&span_records) {
+    for stage in rtk_obs::span::stage_totals(&span_records) {
         let mut st = rtk_obs::json::Object::new();
-        st.field_str("kind", &kind)
-            .field_u64("count", count)
-            .field_u64("total_ns", ns)
-            .field_u64("total_vms", vms);
+        st.field_str("kind", stage.kind)
+            .field_u64("count", stage.count)
+            .field_u64("total_ns", stage.total_ns)
+            .field_u64("total_vms", stage.total_vms);
+        if let Some(h) = stage.ns {
+            st.field_raw("ns", &h.to_json());
+        }
         stages.push_raw(&st.build());
     }
     let mut spans = rtk_obs::json::Object::new();
@@ -425,6 +440,43 @@ mod tests {
             before,
             "trace off records nothing"
         );
+    }
+
+    #[test]
+    fn stage_histograms_count_the_spans_of_their_kind() {
+        let env = TkEnv::new();
+        let app = env.app("t");
+        app.eval("button .b -text hi; pack append . .b {top}")
+            .unwrap();
+        app.eval("bind .b <ButtonPress-1> {set hits 1}").unwrap();
+        app.update();
+        let rec = app.window(".b").unwrap();
+        env.display().move_pointer(rec.x.get() + 5, rec.y.get() + 5);
+        env.display().click(1);
+        env.dispatch_all();
+        let kinds = ["dispatch", "update", "redraw", "bind", "relayout"];
+        let spans_of = |flat: &str, kind: &str| {
+            flat.lines()
+                .filter(|l| l.split(' ').nth(1) == Some(kind))
+                .count()
+        };
+        let flat = app.eval("obs spans flat").unwrap();
+        for kind in kinds {
+            let spans = spans_of(&flat, kind);
+            assert!(spans > 0, "no {kind} spans: {flat}");
+            let summary = app.eval(&format!("obs histogram {kind}_ns")).unwrap();
+            assert!(
+                summary.starts_with(&format!("count {spans} ")),
+                "{kind}: {spans} spans, histogram {summary}"
+            );
+        }
+        app.eval("obs reset").unwrap();
+        let flat = app.eval("obs spans flat").unwrap();
+        for kind in kinds {
+            assert_eq!(spans_of(&flat, kind), 0, "{kind} after reset: {flat}");
+            let err = app.eval(&format!("obs histogram {kind}_ns")).unwrap_err();
+            assert!(err.msg.contains("no histogram named"), "{}", err.msg);
+        }
     }
 
     #[test]

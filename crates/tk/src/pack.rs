@@ -268,7 +268,6 @@ pub fn relayout(app: &TkApp, master: &str) {
         return;
     }
     app.inner.obs.incr("pack.relayouts");
-    let _span = app.inner.obs.span("pack.relayout_ns");
     let _tspan = app.inner.tracer.begin("relayout", master, 0);
     // Requested sizes of every slave (the structure cache; no server trip).
     let req: Vec<(u32, u32)> = slots

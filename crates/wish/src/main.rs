@@ -181,12 +181,10 @@ fn print_stats(enabled: bool, app: &tk::TkApp) {
         return;
     }
     eprintln!("per-stage span breakdown ({} spans):", spans.len());
-    eprintln!(
-        "  {:<12} {:>8} {:>12} {:>10}",
-        "stage", "count", "wall_us", "virtual_ms"
-    );
-    for (kind, count, ns, vms) in totals {
-        eprintln!("  {kind:<12} {count:>8} {:>12} {vms:>10}", ns / 1_000);
+    eprintln!("  stage           count      wall_us virtual_ms");
+    for s in totals {
+        let (us, vms) = (s.total_ns / 1_000, s.total_vms);
+        eprintln!("  {:<12} {:>8} {us:>12} {vms:>10}", s.kind, s.count);
     }
 }
 

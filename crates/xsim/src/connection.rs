@@ -41,7 +41,7 @@ use crate::event::{Event, Keysym};
 use crate::fault::{XError, XErrorCode};
 use crate::gc::GcValues;
 use crate::ids::{ClientId, GcId, WindowId, Xid};
-use crate::obs::{ClientObs, RequestKind, TraceEntry, WireStats};
+use crate::obs::{ClientObs, RequestKind, WireStats};
 use crate::render::Surface;
 use crate::server::{ClientStats, Server};
 use crate::wire::{Answer, Control, QueuedRequest, ReplyValue, State, SyncReply, SyncRequest};
@@ -333,14 +333,16 @@ impl Connection {
             .unwrap_or_default()
     }
 
-    /// The most recent `n` trace entries (oldest first).
-    pub fn obs_trace(&self, n: usize) -> Vec<TraceEntry> {
-        self.with_obs(|o| o.trace.last_n(n).into_iter().cloned().collect())
+    /// The protocol trace: this client's last `n` `request` and `fault`
+    /// records of the tracer's current epoch, oldest first.
+    pub fn obs_trace(&self, n: usize) -> Vec<rtk_obs::SpanRecord> {
+        self.peek(|s| s.client_tracer(self.client).cloned())
+            .map(|t| crate::obs::trace_records(&t, n))
             .unwrap_or_default()
     }
 
-    /// Enables or disables protocol tracing for this client. The trace
-    /// ring stays allocated either way; disabled tracing skips the push.
+    /// Enables or disables protocol tracing for this client: while on,
+    /// each request records a `request` instant into its tracer.
     pub fn obs_set_trace(&self, on: bool) {
         self.peek(|s| {
             if let Some(o) = s.client_obs_mut(self.client) {
@@ -354,20 +356,21 @@ impl Connection {
         self.with_obs(|o| o.trace_enabled).unwrap_or(false)
     }
 
-    /// Resets this client's counters, histograms, and trace (but not the
-    /// trace-enabled flag), along with its `ClientStats` view. The output
+    /// Resets this client's counters and histograms (but not the
+    /// trace-enabled flag), along with its `ClientStats` view, and starts
+    /// a new epoch of its span tracer (which holds the trace). The output
     /// buffer is flushed first so the reset is an exact epoch boundary.
-    /// An attached span tracer starts a new epoch at the same boundary.
     pub fn reset_obs(&self) {
         let mut st = self.transport.lock();
         self.flush_in(&mut st);
         st.server.reset_client_stats(self.client);
     }
 
-    /// Attaches a span tracer to this connection: flush batches, event
-    /// enqueues, and injected faults record into it, stamped with this
-    /// client's id. The toolkit shares the same tracer for its own spans,
-    /// so client- and server-side records form one tree.
+    /// Replaces this connection's span tracer: flush batches, event
+    /// enqueues, injected faults and traced requests record into it,
+    /// stamped with this client's id. The toolkit shares the same tracer
+    /// for its own spans, so client- and server-side records form one
+    /// tree.
     pub fn set_tracer(&self, tracer: rtk_obs::Tracer) {
         let mut tracer = Some(tracer);
         self.peek(|s| s.set_client_tracer(self.client, tracer.take().expect("tracer set once")));
@@ -375,8 +378,11 @@ impl Connection {
 
     /// JSON object describing this client's protocol observability state.
     pub fn obs_json(&self) -> String {
-        self.with_obs(|o| o.to_json())
-            .unwrap_or_else(|| "{}".into())
+        self.peek(|s| {
+            let tracer = s.client_tracer(self.client)?;
+            Some(s.client_obs(self.client)?.to_json(tracer))
+        })
+        .unwrap_or_else(|| "{}".into())
     }
 
     // --- the buffered transport ---
@@ -565,6 +571,20 @@ mod tests {
     use crate::color::Rgb;
     use crate::event::mask;
     use crate::server::OUT_BUF_CAPACITY;
+
+    /// A traced request's kind, class (`one-way`/`round-trip`) and
+    /// window, read back from its `request` record's detail.
+    fn traced_request(r: &rtk_obs::SpanRecord) -> (RequestKind, &str, WindowId) {
+        assert_eq!(r.kind, "request", "{r:?}");
+        let f: Vec<&str> = r.detail.split(' ').collect();
+        let kind = RequestKind::ALL.into_iter().find(|k| k.name() == f[0]);
+        let window = u32::from_str_radix(f[2].trim_start_matches("0x"), 16);
+        (
+            kind.expect("a request kind"),
+            f[1],
+            Xid(window.expect("a hex window")),
+        )
+    }
 
     #[test]
     fn connection_counts_round_trips() {
@@ -787,10 +807,14 @@ mod tests {
         c.unmap_window(w);
         let trace = c.obs_trace(10);
         assert_eq!(trace.len(), 2);
-        assert_eq!(trace[0].kind, crate::obs::RequestKind::GetGeometry);
-        assert!(trace[0].round_trip);
-        assert_eq!(trace[0].window, w);
-        assert_eq!(trace[1].kind, crate::obs::RequestKind::UnmapWindow);
+        let (kind, class, window) = traced_request(&trace[0]);
+        assert_eq!(kind, crate::obs::RequestKind::GetGeometry);
+        assert_eq!(class, "round-trip");
+        assert_eq!(window, w);
+        assert_eq!(
+            traced_request(&trace[1]).0,
+            crate::obs::RequestKind::UnmapWindow
+        );
         assert!(trace[0].seq < trace[1].seq);
     }
 
@@ -1627,8 +1651,9 @@ mod tests {
             );
             let trace = c.obs_trace(2);
             assert_eq!(trace.len(), 1, "{method}, wire {wire}");
-            assert_eq!(trace[0].kind, kind, "{method}, wire {wire}");
-            assert_eq!(trace[0].window, traced(&f), "{method}, wire {wire}");
+            let (got, _, window) = traced_request(&trace[0]);
+            assert_eq!(got, kind, "{method}, wire {wire}");
+            assert_eq!(window, traced(&f), "{method}, wire {wire}");
             out.push(result);
         }
         assert!(c.alive());

@@ -29,9 +29,9 @@
 //!   and every later request fails with `ConnectionDead`.
 //!
 //! Every fired fault is counted in the client's `rtk-obs` counters
-//! (`faults_injected` plus a per-kind split), traced in the protocol
-//! trace ring when enabled, and appended to the plan's fired-fault log so
-//! a failing run can print exactly what was injected
+//! (`faults_injected` plus a per-kind split), recorded as a `fault`
+//! instant in the client's span tracer, and appended to the plan's
+//! fired-fault log so a failing run can print exactly what was injected
 //! ([`FaultPlan::describe`]).
 
 use crate::ids::ClientId;

@@ -4,13 +4,15 @@
 //! totals the seed exposed; this module extends per-connection accounting
 //! into a structured view: a counter per [`RequestKind`], latency
 //! histograms for all requests and for round trips specifically, and a
-//! bounded protocol trace (off by default) whose entries record sequence
-//! number, request kind, one-way/round-trip, target window, and duration.
+//! protocol trace (off by default): each traced request becomes a
+//! `request` instant in the client's span tracer, keyed on its sequence
+//! number and detailed as `Kind one-way|round-trip 0xWINDOW duration_ns`,
+//! so it joins the `flush` span that carried it on `seq`.
 //!
 //! Everything is always-on-cheap: counters are array bumps, histograms
 //! are one bucket increment, and the trace costs nothing until enabled.
 
-use rtk_obs::{Histogram, Ring};
+use rtk_obs::{Histogram, SpanRecord, Tracer};
 
 use crate::ids::WindowId;
 
@@ -108,27 +110,17 @@ impl RequestKind {
     }
 }
 
-/// One entry in the protocol trace ring.
-#[derive(Debug, Clone, Copy)]
-pub struct TraceEntry {
-    /// Server sequence number (the server clock tick of the request).
-    pub seq: u64,
-    /// What kind of request this was.
-    pub kind: RequestKind,
-    /// Did the request require a reply (a full round trip)?
-    pub round_trip: bool,
-    /// The window the request targeted (`Xid::NONE` for windowless ones).
-    pub window: WindowId,
-    /// Wall time the request spent in the server, including the synthetic
-    /// round-trip cost when configured.
-    pub duration_ns: u64,
-    /// When a fault fired on this request, its counter name
-    /// (`"error.BadWindow"`, `"drop"`, ...); `None` for normal requests.
-    pub fault: Option<&'static str>,
+/// The protocol trace of `tracer`'s current epoch: its last `n`
+/// `request` and `fault` records, oldest first.
+pub fn trace_records(tracer: &Tracer, n: usize) -> Vec<SpanRecord> {
+    let mut records: Vec<SpanRecord> = tracer
+        .snapshot()
+        .into_iter()
+        .filter(|s| s.kind == "request" || s.kind == "fault")
+        .collect();
+    records.drain(..records.len().saturating_sub(n));
+    records
 }
-
-/// Default trace ring capacity (entries).
-pub const TRACE_CAPACITY: usize = 1024;
 
 /// Per-client wire-transport counters. All zero with the codec off
 /// (`RTK_NO_WIRE=1`): every field counts
@@ -184,9 +176,7 @@ pub struct ClientObs {
     pub request_ns: Histogram,
     /// Latency of round-trip requests only (the paper's expensive class).
     pub round_trip_ns: Histogram,
-    /// Bounded protocol trace, recorded only while `trace_enabled`.
-    pub trace: Ring<TraceEntry>,
-    /// Is the trace ring recording?
+    /// Are requests traced into the client's span tracer?
     pub trace_enabled: bool,
     /// Total injected faults observed by this client.
     pub faults_injected: u64,
@@ -214,7 +204,6 @@ impl Default for ClientObs {
             kind_round_trips: [0; RequestKind::COUNT],
             request_ns: Histogram::new(),
             round_trip_ns: Histogram::new(),
-            trace: Ring::new(TRACE_CAPACITY),
             trace_enabled: false,
             faults_injected: 0,
             fault_counts: [0; crate::fault::FAULT_KIND_COUNT],
@@ -227,9 +216,11 @@ impl Default for ClientObs {
 }
 
 impl ClientObs {
-    /// Records one completed request.
+    /// Records one completed request; while tracing, also a `request`
+    /// instant in `tracer`.
     pub fn record(
         &mut self,
+        tracer: &Tracer,
         seq: u64,
         kind: RequestKind,
         round_trip: bool,
@@ -244,41 +235,20 @@ impl ClientObs {
             self.round_trip_ns.record(ns);
         }
         if self.trace_enabled {
-            self.trace.push(TraceEntry {
-                seq,
-                kind,
-                round_trip,
-                window,
-                duration_ns: ns,
-                fault: None,
-            });
+            let class = if round_trip { "round-trip" } else { "one-way" };
+            let detail = format!("{} {class} 0x{:x} {ns}", kind.name(), window.0);
+            tracer.instant("request", detail, seq);
         }
     }
 
     /// Records one injected fault: bumps the total and per-kind counters
-    /// and, when tracing, pushes a marked trace entry so a dumped trace
-    /// shows exactly where the schedule fired. `kind` is the faulted
-    /// request's kind when known (event faults have none and reuse
-    /// `SendEvent` as the delivery-path marker).
-    pub fn record_fault(
-        &mut self,
-        seq: u64,
-        action: crate::fault::FaultAction,
-        kind: Option<RequestKind>,
-        window: WindowId,
-    ) {
+    /// and records a `fault` instant keyed on `at` (the faulted request's
+    /// sequence number, or the event or frame index the fault fired on),
+    /// so a trace shows exactly where the schedule fired.
+    pub fn record_fault(&mut self, tracer: &Tracer, at: u64, action: crate::fault::FaultAction) {
         self.faults_injected += 1;
         self.fault_counts[action.kind_index()] += 1;
-        if self.trace_enabled {
-            self.trace.push(TraceEntry {
-                seq,
-                kind: kind.unwrap_or(RequestKind::SendEvent),
-                round_trip: false,
-                window,
-                duration_ns: 0,
-                fault: Some(action.kind_name()),
-            });
-        }
+        tracer.instant("fault", action.kind_name(), at);
     }
 
     /// Fault kinds with a non-zero count, as `(name, count)` pairs.
@@ -314,7 +284,8 @@ impl ClientObs {
         self.kind_counts.iter().sum()
     }
 
-    /// Clears counters, histograms, and the trace; keeps the trace toggle.
+    /// Clears counters and histograms; keeps the trace toggle. (The trace
+    /// itself lives in the tracer, which starts a new epoch alongside.)
     pub fn reset(&mut self) {
         let enabled = self.trace_enabled;
         *self = ClientObs::default();
@@ -322,11 +293,8 @@ impl ClientObs {
     }
 
     /// JSON object with the per-kind counters, both histograms, and —
-    /// only while the trace ring is recording — the trace contents. An
-    /// idle ring used to emit dead `"trace_enabled":false,"trace":[]`
-    /// fields into every dump; now the trace block appears exactly when
-    /// there is (or could be) something in it.
-    pub fn to_json(&self) -> String {
+    /// only while tracing — `tracer`'s protocol trace records.
+    pub fn to_json(&self, tracer: &Tracer) -> String {
         let mut by_kind = rtk_obs::json::Object::new();
         for (name, count) in self.kind_counts() {
             by_kind.field_u64(name, count);
@@ -363,25 +331,10 @@ impl ClientObs {
             o.field_raw("wire", &w.build());
         }
         if self.trace_enabled {
-            let mut trace = rtk_obs::json::Array::new();
-            for e in self.trace.iter() {
-                let mut t = rtk_obs::json::Object::new();
-                t.field_u64("seq", e.seq);
-                t.field_str("kind", e.kind.name());
-                t.field_bool("round_trip", e.round_trip);
-                t.field_u64("window", e.window.0 as u64);
-                t.field_u64("duration_ns", e.duration_ns);
-                if let Some(fault) = e.fault {
-                    t.field_str("fault", fault);
-                }
-                trace.push_raw(&t.build());
-            }
+            let trace = trace_records(tracer, usize::MAX);
             o.field_bool("trace_enabled", true);
-            o.field_u64(
-                "trace_dropped",
-                self.trace.total_pushed() - self.trace.len() as u64,
-            );
-            o.field_raw("trace", &trace.build());
+            o.field_u64("trace_dropped", tracer.dropped());
+            o.field_raw("trace", &rtk_obs::span::spans_to_json(&trace));
         }
         o.build()
     }
@@ -393,6 +346,10 @@ mod tests {
     use crate::ids::Xid;
     use std::time::Duration;
 
+    fn tracer() -> Tracer {
+        Tracer::new(std::time::Instant::now())
+    }
+
     #[test]
     fn all_list_matches_count_and_indices() {
         assert_eq!(RequestKind::ALL.len(), RequestKind::COUNT);
@@ -403,8 +360,10 @@ mod tests {
 
     #[test]
     fn record_counts_by_kind_and_latency_class() {
+        let t = tracer();
         let mut o = ClientObs::default();
         o.record(
+            &t,
             1,
             RequestKind::CreateWindow,
             false,
@@ -412,6 +371,7 @@ mod tests {
             Duration::from_micros(2),
         );
         o.record(
+            &t,
             2,
             RequestKind::GetGeometry,
             true,
@@ -427,54 +387,55 @@ mod tests {
         assert_eq!(o.request_ns.count(), 2);
         assert_eq!(o.round_trip_ns.count(), 1);
         // Trace off by default: nothing recorded.
-        assert!(o.trace.is_empty());
+        assert!(trace_records(&t, usize::MAX).is_empty());
     }
 
     #[test]
     fn trace_records_only_when_enabled() {
+        let t = tracer();
         let mut o = ClientObs {
             trace_enabled: true,
             ..Default::default()
         };
         o.record(
+            &t,
             7,
             RequestKind::MapWindow,
             false,
             Xid(3),
             Duration::from_nanos(100),
         );
-        assert_eq!(o.trace.len(), 1);
-        let e = o.trace.iter().next().unwrap();
+        let trace = trace_records(&t, usize::MAX);
+        assert_eq!(trace.len(), 1);
+        let e = &trace[0];
+        assert_eq!(e.kind, "request");
         assert_eq!(e.seq, 7);
-        assert_eq!(e.kind, RequestKind::MapWindow);
-        assert_eq!(e.window, Xid(3));
-        assert!(!e.round_trip);
+        assert_eq!(e.detail, "MapWindow one-way 0x3 100");
     }
 
     #[test]
     fn reset_clears_but_keeps_trace_toggle() {
+        let t = tracer();
         let mut o = ClientObs {
             trace_enabled: true,
             ..Default::default()
         };
         o.record(
+            &t,
             1,
             RequestKind::DrawLine,
             false,
             Xid::NONE,
             Duration::from_nanos(5),
         );
-        o.record_fault(
-            2,
-            crate::fault::FaultAction::DropRequest,
-            Some(RequestKind::ClearArea),
-            Xid::NONE,
-        );
+        o.record_fault(&t, 2, crate::fault::FaultAction::DropRequest);
         assert_eq!(o.faults_injected, 1);
         o.reset();
+        // The server starts the tracer's new epoch alongside.
+        t.reset_epoch();
         assert_eq!(o.total_requests(), 0);
         assert!(o.request_ns.is_empty());
-        assert!(o.trace.is_empty());
+        assert!(trace_records(&t, usize::MAX).is_empty());
         assert_eq!(o.faults_injected, 0, "fault counters reset too");
         assert!(o.fault_kind_counts().is_empty());
         assert!(o.trace_enabled, "toggle survives reset");
@@ -482,45 +443,68 @@ mod tests {
 
     #[test]
     fn record_fault_counts_splits_and_traces() {
+        let t = tracer();
         let mut o = ClientObs {
             trace_enabled: true,
             ..Default::default()
         };
         let kill = crate::fault::FaultAction::KillConnection;
-        o.record_fault(9, kill, Some(RequestKind::MapWindow), Xid(4));
-        o.record_fault(11, crate::fault::FaultAction::ReorderEvent, None, Xid(4));
+        o.record(
+            &t,
+            9,
+            RequestKind::MapWindow,
+            false,
+            Xid(4),
+            Duration::from_nanos(1),
+        );
+        o.record_fault(&t, 9, kill);
+        o.record_fault(&t, 11, crate::fault::FaultAction::ReorderEvent);
         assert_eq!(o.faults_injected, 2);
         assert_eq!(
             o.fault_kind_counts(),
             vec![("reorder", 1), ("kill", 1)],
             "per-kind split"
         );
-        let entries: Vec<_> = o.trace.iter().collect();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].fault, Some("kill"));
-        assert_eq!(entries[0].kind, RequestKind::MapWindow);
-        assert_eq!(entries[1].fault, Some("reorder"));
-        let j = o.to_json();
+        let faults: Vec<_> = trace_records(&t, usize::MAX)
+            .into_iter()
+            .filter(|r| r.kind == "fault")
+            .collect();
+        assert_eq!(faults.len(), 2);
+        assert_eq!(faults[0].detail, "kill");
+        // The faulted request joins its fault on the sequence number.
+        let faulted = trace_records(&t, usize::MAX)
+            .into_iter()
+            .find(|r| r.kind == "request" && r.seq == faults[0].seq)
+            .expect("the faulted request is traced");
+        assert!(
+            faulted.detail.starts_with("MapWindow "),
+            "{}",
+            faulted.detail
+        );
+        assert_eq!(faults[1].detail, "reorder");
+        let j = o.to_json(&t);
         assert!(rtk_obs::json::is_valid(&j), "{j}");
         assert!(j.contains("\"faults_injected\":2"), "{j}");
         assert!(j.contains("\"by_fault\":{\"reorder\":1,\"kill\":1}"), "{j}");
-        assert!(j.contains("\"fault\":\"kill\""), "{j}");
+        assert!(j.contains("\"kind\":\"fault\",\"detail\":\"kill\""), "{j}");
     }
 
     #[test]
     fn json_is_valid_and_contains_kinds() {
+        let t = tracer();
         let mut o = ClientObs {
             trace_enabled: true,
             ..Default::default()
         };
         o.record(
+            &t,
             1,
             RequestKind::InternAtom,
             true,
             Xid::NONE,
             Duration::from_micros(1),
         );
-        let j = o.to_json();
+        let j = o.to_json(&t);
         assert!(rtk_obs::json::is_valid(&j), "{j}");
         assert!(j.contains("\"InternAtom\":1"), "{j}");
         assert!(

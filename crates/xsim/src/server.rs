@@ -93,10 +93,12 @@ struct ClientState {
     deferred: Vec<(u64, QueuedRequest)>,
     /// Did an injected kill close this connection?
     dead: bool,
-    /// The application's causal span tracer, when one is attached: flush
-    /// batches, event enqueues, and injected faults record into it so the
-    /// server side of the pipeline shares the client's span tree.
-    tracer: Option<rtk_obs::Tracer>,
+    /// The client's causal span tracer: flush batches, event enqueues,
+    /// injected faults and traced requests record into it. Every
+    /// connection gets its own at connect time; an application attaches
+    /// its tracer instead so the server side of the pipeline shares the
+    /// application's span tree.
+    tracer: rtk_obs::Tracer,
 }
 
 /// The selection table entry: who owns a selection.
@@ -372,24 +374,14 @@ impl Server {
     ) -> Option<FaultAction> {
         let plan = self.fault_plan.as_mut()?;
         let action = plan.fire(client, frame_idx, |a| a.is_byte_fault())?;
-        self.record_fault(client, frame_idx, action, None, Xid::NONE);
+        self.record_fault(client, frame_idx, action);
         Some(action)
     }
 
-    /// Books an injected fault into the client's obs counters/trace.
-    pub(crate) fn record_fault(
-        &mut self,
-        client: ClientId,
-        at: u64,
-        action: FaultAction,
-        kind: Option<RequestKind>,
-        window: WindowId,
-    ) {
+    /// Books an injected fault into the client's obs counters and trace.
+    pub(crate) fn record_fault(&mut self, client: ClientId, at: u64, action: FaultAction) {
         if let Some(c) = self.clients.get_mut(&client) {
-            c.obs.record_fault(at, action, kind, window);
-            if let Some(t) = &c.tracer {
-                t.instant("fault", action.kind_name(), at);
-            }
+            c.obs.record_fault(&c.tracer, at, action);
         }
     }
 
@@ -399,7 +391,7 @@ impl Server {
     pub fn set_client_tracer(&mut self, client: ClientId, tracer: rtk_obs::Tracer) {
         if let Some(c) = self.clients.get_mut(&client) {
             tracer.set_client(client.0);
-            c.tracer = Some(tracer);
+            c.tracer = tracer;
         }
     }
 
@@ -413,7 +405,9 @@ impl Server {
     pub fn connect(&mut self) -> ClientId {
         self.next_client += 1;
         let id = ClientId(self.next_client);
-        self.clients.insert(id, ClientState::default());
+        let state = ClientState::default();
+        state.tracer.set_client(id.0);
+        self.clients.insert(id, state);
         id
     }
 
@@ -443,17 +437,16 @@ impl Server {
     /// Resets statistics for all clients (benchmark warm-up boundary):
     /// the coarse [`ClientStats`] — including the flush/batch counters and
     /// the pending-reply gauge — the per-kind counters, the latency
-    /// histograms, and the protocol trace (the trace on/off toggle is
-    /// preserved), plus the server-wide work counters. Output buffers are
-    /// flushed first so the epoch boundary is exact.
+    /// histograms, and the span tracers, which hold the protocol trace
+    /// (the trace on/off toggle is preserved), plus the server-wide work
+    /// counters. Output buffers are flushed first so the epoch boundary
+    /// is exact.
     pub fn reset_stats(&mut self) {
         self.flush_all();
         for c in self.clients.values_mut() {
             c.stats = ClientStats::default();
             c.obs.reset();
-            if let Some(t) = &c.tracer {
-                t.reset_epoch();
-            }
+            c.tracer.reset_epoch();
         }
         if let Some(p) = self.fault_plan.as_mut() {
             p.clear_log();
@@ -470,9 +463,7 @@ impl Server {
         if let Some(c) = self.clients.get_mut(&client) {
             c.stats = ClientStats::default();
             c.obs.reset();
-            if let Some(t) = &c.tracer {
-                t.reset_epoch();
-            }
+            c.tracer.reset_epoch();
         }
         if let Some(p) = self.fault_plan.as_mut() {
             p.clear_log_for(client.0);
@@ -562,7 +553,8 @@ impl Server {
                 c.pending_replies += 1;
                 c.stats.max_pending_replies = c.stats.max_pending_replies.max(c.pending_replies);
             }
-            c.obs.record(seq, kind, round_trip, window, start.elapsed());
+            c.obs
+                .record(&c.tracer, seq, kind, round_trip, window, start.elapsed());
         }
     }
 
@@ -662,7 +654,6 @@ impl Server {
                 }
             }
         }
-        let tracer = self.clients.get(&client).and_then(|c| c.tracer.clone());
         let n = buf.len() as u64;
         // The whole batch becomes one "flush" span keyed on its first
         // sequence number; a batch carrying drawing requests gets one
@@ -673,16 +664,12 @@ impl Server {
         let first_seq = buf.first().map_or(0, |(s, _)| *s);
         let last_seq = buf.last().map_or(0, |(s, _)| *s);
         let draws = buf.iter().filter(|(_, q)| q.kind().is_drawing()).count();
-        let _flush_span = tracer
-            .as_ref()
-            .map(|t| t.begin("flush", format!("seq {first_seq}..{last_seq}"), first_seq));
-        let _raster_span = if draws > 0 {
-            tracer
-                .as_ref()
-                .map(|t| t.begin("rasterize", format!("{draws} drawing requests"), first_seq))
-        } else {
-            None
+        let Some(tracer) = self.clients.get(&client).map(|c| &c.tracer) else {
+            return;
         };
+        let _flush_span = tracer.begin("flush", format!("seq {first_seq}..{last_seq}"), first_seq);
+        let _raster_span = (draws > 0)
+            .then(|| tracer.begin("rasterize", format!("{draws} drawing requests"), first_seq));
         let mut any_reply = false;
         let mut killed = false;
         let work_start = std::time::Instant::now();
@@ -690,7 +677,7 @@ impl Server {
             self.time += 1;
             let fault = self.fault_for_queued(client, seq, q.expects_reply());
             if let Some(action) = fault {
-                self.record_fault(client, seq, action, Some(q.kind()), Xid::NONE);
+                self.record_fault(client, seq, action);
             }
             match fault {
                 Some(FaultAction::KillConnection) => {
@@ -838,6 +825,12 @@ impl Server {
         self.clients.get(&client).map(|c| &c.obs)
     }
 
+    /// The span tracer one client's flushes, events, faults and traced
+    /// requests record into.
+    pub fn client_tracer(&self, client: ClientId) -> Option<&rtk_obs::Tracer> {
+        self.clients.get(&client).map(|c| &c.tracer)
+    }
+
     /// Mutable observability state for one client (trace toggling).
     pub fn client_obs_mut(&mut self, client: ClientId) -> Option<&mut ClientObs> {
         self.clients.get_mut(&client).map(|c| &mut c.obs)
@@ -855,7 +848,8 @@ impl Server {
         duration: std::time::Duration,
     ) {
         if let Some(c) = self.clients.get_mut(&client) {
-            c.obs.record(seq, kind, round_trip, window, duration);
+            c.obs
+                .record(&c.tracer, seq, kind, round_trip, window, duration);
         }
     }
 
@@ -913,7 +907,7 @@ impl Server {
         if let Some(action) = self.fault_for_round_trip(client, seq) {
             // The request went out and an error (or the connection's
             // death) came back: it costs the round trip either way.
-            self.record_fault(client, seq, action, Some(kind), window);
+            self.record_fault(client, seq, action);
             self.record_request(client, seq, kind, true, window, start.elapsed());
             return match action {
                 FaultAction::KillConnection => {
@@ -978,19 +972,18 @@ impl Server {
     // ----- event delivery -----------------------------------------------------
 
     fn enqueue(&mut self, client: ClientId, event: Event) {
-        let (idx, tracer) = match self.clients.get_mut(&client) {
+        let idx = match self.clients.get_mut(&client) {
             Some(c) if !c.dead => {
                 c.next_event += 1;
-                (c.next_event, c.tracer.clone())
+                // The enqueue is an instant keyed on the event index (the
+                // same key the fault plan fires on); it parents on
+                // whatever span is open — e.g. the flush that generated
+                // an Expose.
+                c.tracer.instant("event", event.name(), c.next_event);
+                c.next_event
             }
             _ => return, // a dead connection receives nothing
         };
-        // The enqueue is an instant keyed on the event index (the same
-        // key the fault plan fires on); it parents on whatever span is
-        // open — e.g. the flush that generated an Expose.
-        if let Some(t) = &tracer {
-            t.instant("event", event.name(), idx);
-        }
         // ICCCM guard: before this event can be queued, any held event due
         // by now — or targeting the same window — must go first, so
         // per-window order is never violated by an injected delay.
@@ -1001,7 +994,7 @@ impl Server {
             })
         });
         if let Some(a) = action {
-            self.record_fault(client, idx, a, None, event.window());
+            self.record_fault(client, idx, a);
         }
         let Some(c) = self.clients.get_mut(&client) else {
             return;
@@ -2059,11 +2052,9 @@ impl Server {
                 if self.dirty.contains(id) {
                     v.push(format!("dead client {} is still in the dirty set", id.0));
                 }
-                if let Some(t) = &c.tracer {
-                    let open = t.open_count();
-                    if open > 0 {
-                        v.push(format!("dead client {} has {open} unclosed spans", id.0));
-                    }
+                let open = c.tracer.open_count();
+                if open > 0 {
+                    v.push(format!("dead client {} has {open} unclosed spans", id.0));
                 }
             } else if !c.deferred.is_empty() {
                 v.push(format!(

@@ -197,6 +197,46 @@ fn trace_captures_the_workload_when_enabled() {
     assert!(j.contains("\"trace_enabled\":true"), "{j}");
 }
 
+/// Traced requests join the server's flush spans on the sequence number
+/// (the x11rb cookie model): every traced one-way request lies in exactly
+/// one `flush` span's `seq first..last` range.
+#[test]
+fn traced_one_way_requests_join_exactly_one_flush() {
+    let env = TkEnv::new();
+    let app = env.app("join");
+    app.eval("obs trace on").unwrap();
+    fifty_buttons(&app);
+    let spans = app.tracer().snapshot();
+    let flushes: Vec<(u64, u64)> = spans
+        .iter()
+        .filter(|s| s.kind == "flush")
+        .map(|s| {
+            let range = s.detail.strip_prefix("seq ").expect("flush detail");
+            let (first, last) = range.split_once("..").expect("a seq range");
+            let first: u64 = first.parse().unwrap();
+            assert_eq!(first, s.seq, "a flush is keyed on its first seq");
+            (first, last.parse().unwrap())
+        })
+        .collect();
+    let one_way: Vec<u64> = spans
+        .iter()
+        .filter(|s| s.kind == "request" && s.detail.split(' ').nth(1) == Some("one-way"))
+        .map(|s| s.seq)
+        .collect();
+    assert!(
+        one_way.len() > 100,
+        "{} one-way requests traced",
+        one_way.len()
+    );
+    for seq in one_way {
+        let batches = flushes
+            .iter()
+            .filter(|(first, last)| (*first..=*last).contains(&seq))
+            .count();
+        assert_eq!(batches, 1, "request {seq} lies in {batches} flush batches");
+    }
+}
+
 /// `obs reset` is a span-epoch boundary: the recorded spans are cleared,
 /// the epoch advances, and spans begun after the reset land in the new
 /// epoch with no dangling references to the cleared ones.

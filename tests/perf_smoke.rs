@@ -66,8 +66,8 @@ fn fifty_buttons_stay_fast() {
 
 #[test]
 fn observability_overhead_is_small() {
-    // The observability core must be always-on-cheap: with the trace ring
-    // disabled (the default), the per-request recording work attributable
+    // The observability core must be always-on-cheap: with the protocol
+    // trace disabled (the default), the per-request recording work attributable
     // to the 50-button workload must stay well under 10% of the
     // workload's own time. Measured directly: time the workload, count
     // its requests, then time that many record operations in isolation.
@@ -108,10 +108,12 @@ fn observability_overhead_is_small() {
     // The per-request instrumentation: one kind-counter bump, one or two
     // histogram records, one disabled-trace check.
     let mut obs = xsim::ClientObs::default();
+    let tracer = rtk_obs::Tracer::default();
     let d = std::time::Duration::from_nanos(700);
     let start = Instant::now();
     for i in 0..requests {
         obs.record(
+            &tracer,
             i,
             xsim::RequestKind::CreateWindow,
             i % 4 == 0,
