@@ -21,6 +21,10 @@
 //! `RTK_NO_COMPILE` twin, and any drift in compiles, hits, or evictions
 //! fails the budget check.
 //!
+//! `pack_relayout_{4,16,64}` pin the packer's work per resize as the
+//! slave count grows, and `bind_match_50` pins how many binding
+//! sequences a keystroke is matched against (`bind.considered`).
+//!
 //! `bench -- --fleet N [--check-budgets [BUDGETS.json]]` drives an N-app
 //! send mesh and checks the deterministic fleet percentiles.
 //!
@@ -102,18 +106,16 @@ fn incremental_workloads() -> [IncrWorkload; 3] {
     ]
 }
 
+/// A named group of extra pinned counters: the Tcl compile/cache counters
+/// of the interpreter workloads (`tcl`), the framed-transport frame/byte
+/// counters of the wire workload (`wire`), or the binding-match counters
+/// of the bind workload (`bind`).
+type Group = (&'static str, Vec<(&'static str, u64)>);
+
 /// One budget run: workload name, iterations, counters, (for the
-/// workloads whose causal pipeline CI pins) the span-tree shape, (for the
-/// interpreter workloads) the Tcl compile/cache counters, and (for the
-/// wire workload) the framed-transport frame/byte counters.
-type BudgetRun = (
-    &'static str,
-    u64,
-    Counters,
-    Option<SpanShape>,
-    Vec<(&'static str, u64)>,
-    Vec<(&'static str, u64)>,
-);
+/// workloads whose causal pipeline CI pins) the span-tree shape, and its
+/// counter groups.
+type BudgetRun = (&'static str, u64, Counters, Option<SpanShape>, Vec<Group>);
 
 /// Aggregates the span-tree shape across every application in a workload
 /// (a cross-app send involves spans on both sides).
@@ -146,7 +148,6 @@ fn budget_workloads() -> Vec<BudgetRun> {
         send_iters,
         send_stats,
         Some(shape_of(&apps)),
-        Vec::new(),
         Vec::new(),
     ));
 
@@ -183,8 +184,7 @@ fn budget_workloads() -> Vec<BudgetRun> {
         wire_iters,
         counters(wsender),
         None,
-        Vec::new(),
-        wire_counters,
+        vec![("wire", wire_counters)],
     ));
 
     let (_env50, apps50) = env_with_apps(&["buttons"]);
@@ -201,7 +201,6 @@ fn budget_workloads() -> Vec<BudgetRun> {
         button_iters,
         button_stats,
         Some(shape_of(&apps50)),
-        Vec::new(),
         Vec::new(),
     ));
 
@@ -222,7 +221,7 @@ fn budget_workloads() -> Vec<BudgetRun> {
             run(app); // warm caches
             app.eval("obs reset").unwrap();
             run(app);
-            out.push((label, 1, counters(app), None, Vec::new(), Vec::new()));
+            out.push((label, 1, counters(app), None, Vec::new()));
         }
     }
 
@@ -238,8 +237,8 @@ fn budget_workloads() -> Vec<BudgetRun> {
         eval_hot(app, eval_iters as usize); // warm caches
         app.eval("obs reset").unwrap();
         eval_hot(app, eval_iters as usize);
-        let tcl = app.interp().compile_counters();
-        out.push((label, eval_iters, counters(app), None, tcl, Vec::new()));
+        let tcl = vec![("tcl", app.interp().compile_counters())];
+        out.push((label, eval_iters, counters(app), None, tcl));
     }
 
     let click_iters = 20;
@@ -251,9 +250,68 @@ fn budget_workloads() -> Vec<BudgetRun> {
         bind_dispatch(&env, app, click_iters as usize); // warm caches
         app.eval("obs reset").unwrap();
         bind_dispatch(&env, app, click_iters as usize);
-        let tcl = app.interp().compile_counters();
-        out.push((label, click_iters, counters(app), None, tcl, Vec::new()));
+        let tcl = vec![("tcl", app.interp().compile_counters())];
+        out.push((label, click_iters, counters(app), None, tcl));
     }
+
+    // Relayout cost as the packer's slave count grows: a `{top fillx}`
+    // column of n frames where each iteration resizes one slave (slave
+    // k mod n toggles between 16 and 12 pixels tall) and runs `update`.
+    let relayout_iters = 20;
+    for (n, label) in [
+        (4, "pack_relayout_4"),
+        (16, "pack_relayout_16"),
+        (64, "pack_relayout_64"),
+    ] {
+        let (_env, apps) = env_with_apps(&["relayout"]);
+        let app = &apps[0];
+        for i in 0..n {
+            app.eval(&format!(
+                "frame .f{i} -geometry 40x12; pack append . .f{i} {{top fillx}}"
+            ))
+            .unwrap();
+        }
+        app.update();
+        app.eval("obs reset").unwrap();
+        for k in 0..relayout_iters {
+            let h = if (k / n) % 2 == 0 { 16 } else { 12 };
+            app.eval(&format!(".f{} configure -geometry 40x{h}; update", k % n))
+                .unwrap();
+        }
+        out.push((
+            label,
+            relayout_iters,
+            counters(app),
+            Some(shape_of(&apps)),
+            Vec::new(),
+        ));
+    }
+
+    // Binding-table match cost with many bindings installed: 50
+    // `<Control-x>` bindings plus `z` on the focus window, and typing `z`.
+    let (env, apps) = env_with_apps(&["bindmatch"]);
+    let app = &apps[0];
+    app.eval("frame .m -geometry 50x50; pack append . .m {top}; focus .m")
+        .unwrap();
+    for i in 0..50u8 {
+        let key = (b'a' + i % 26) as char;
+        app.eval(&format!("bind .m <Control-{key}> {{set hit {i}}}"))
+            .unwrap();
+    }
+    app.eval("bind .m z {set z 1}; update").unwrap();
+    app.eval("obs reset").unwrap();
+    let key_iters = 20;
+    for _ in 0..key_iters {
+        env.display().type_char('z');
+        app.process_pending();
+    }
+    let items = tcl::parse_list(&app.eval("obs counters").unwrap()).unwrap();
+    let bind = ["bind.considered", "bind.matched"].map(|name| {
+        let at = items.iter().position(|item| item == name).unwrap();
+        (name, items[at + 1].parse().unwrap())
+    });
+    let bind = vec![("bind", bind.to_vec())];
+    out.push(("bind_match_50", key_iters, counters(app), None, bind));
 
     out
 }
@@ -285,11 +343,13 @@ fn check_damage_ratios(runs: &[BudgetRun]) {
 fn check_compile_ratios(runs: &[BudgetRun]) {
     for base in ["eval_hot", "bind_dispatch"] {
         let parses = |n: &str| {
-            let (_, _, _, _, tcl, _) = runs
+            let (.., groups) = runs
                 .iter()
                 .find(|(name, ..)| *name == n)
                 .unwrap_or_else(|| panic!("missing workload {n}"));
-            tcl.iter()
+            groups
+                .iter()
+                .flat_map(|(_, counters)| counters)
                 .find(|(f, _)| *f == "tcl.parses")
                 .map(|(_, v)| *v)
                 .unwrap_or_else(|| panic!("workload {n} lacks a tcl.parses counter"))
@@ -336,7 +396,7 @@ fn measured_fleet(napps: usize) -> FleetReport {
 
 fn budgets_to_json(runs: &[BudgetRun], fleet: &FleetReport, table1: Option<&str>) -> String {
     let mut workloads = json::Object::new();
-    for (name, iters, stats, shape, tcl, wire) in runs {
+    for (name, iters, stats, shape, groups) in runs {
         let mut w = json::Object::new();
         w.field_u64("iters", *iters);
         for (field, value) in budget_fields(stats) {
@@ -345,19 +405,12 @@ fn budgets_to_json(runs: &[BudgetRun], fleet: &FleetReport, table1: Option<&str>
         if let Some(shape) = shape {
             w.field_raw("spans", &shape.to_json());
         }
-        if !tcl.is_empty() {
+        for (group, counters) in groups {
             let mut t = json::Object::new();
-            for (field, value) in tcl {
+            for (field, value) in counters {
                 t.field_u64(field, *value);
             }
-            w.field_raw("tcl", &t.build());
-        }
-        if !wire.is_empty() {
-            let mut t = json::Object::new();
-            for (field, value) in wire {
-                t.field_u64(field, *value);
-            }
-            w.field_raw("wire", &t.build());
+            w.field_raw(group, &t.build());
         }
         workloads.field_raw(name, &w.build());
     }
@@ -402,7 +455,7 @@ fn table1_ceilings(path: &str) -> Option<String> {
 fn measured_budgets() -> Vec<BudgetRun> {
     let first = budget_workloads();
     let second = budget_workloads();
-    for ((name, _, a, sa, ta, wa), (_, _, b, sb, tb, wb)) in first.iter().zip(&second) {
+    for ((name, _, a, sa, ga), (_, _, b, sb, gb)) in first.iter().zip(&second) {
         assert_eq!(
             a, b,
             "workload {name} is not deterministic: two identical runs \
@@ -414,14 +467,9 @@ fn measured_budgets() -> Vec<BudgetRun> {
              produced different span-tree shapes"
         );
         assert_eq!(
-            ta, tb,
+            ga, gb,
             "workload {name} is not deterministic: two identical runs \
-             produced different Tcl compile counters"
-        );
-        assert_eq!(
-            wa, wb,
-            "workload {name} is not deterministic: two identical runs \
-             produced different wire frame/byte counters"
+             produced different Tcl, wire or bind counters"
         );
     }
     check_damage_ratios(&first);
@@ -446,7 +494,7 @@ fn check_budgets(path: &str) {
         .unwrap_or_else(|| panic!("{path}: missing \"workloads\""));
 
     let mut failures = Vec::new();
-    for (name, iters, stats, shape, tcl, wire) in measured_budgets() {
+    for (name, iters, stats, shape, groups) in measured_budgets() {
         let Some(budget) = expected.get(name) else {
             failures.push(format!("workload {name}: missing from {path}"));
             continue;
@@ -468,34 +516,22 @@ fn check_budgets(path: &str) {
                 None => failures.push(format!("workload {name}: budget lacks field {field}")),
             }
         }
-        for (field, got) in &tcl {
-            match budget
-                .get("tcl")
-                .and_then(|t| t.get(field))
-                .and_then(|v| v.as_u64())
-            {
-                Some(want) if want == *got => {}
-                Some(want) => failures.push(format!(
-                    "workload {name}: {field} = {got}, budget says {want}"
-                )),
-                None => failures.push(format!(
-                    "workload {name}: budget lacks Tcl counter {field} — regenerate the budgets"
-                )),
-            }
-        }
-        for (field, got) in &wire {
-            match budget
-                .get("wire")
-                .and_then(|t| t.get(field))
-                .and_then(|v| v.as_u64())
-            {
-                Some(want) if want == *got => {}
-                Some(want) => failures.push(format!(
-                    "workload {name}: wire.{field} = {got}, budget says {want}"
-                )),
-                None => failures.push(format!(
-                    "workload {name}: budget lacks wire counter {field} — regenerate the budgets"
-                )),
+        for (group, counters) in &groups {
+            for (field, got) in counters {
+                match budget
+                    .get(group)
+                    .and_then(|t| t.get(field))
+                    .and_then(|v| v.as_u64())
+                {
+                    Some(want) if want == *got => {}
+                    Some(want) => failures.push(format!(
+                        "workload {name}: {group} counter {field} = {got}, budget says {want}"
+                    )),
+                    None => failures.push(format!(
+                        "workload {name}: budget lacks {group} counter {field} — \
+                         regenerate the budgets"
+                    )),
+                }
             }
         }
         if let Some(got) = shape {

@@ -1,5 +1,5 @@
 //! Shared helpers for the benchmark harness: workload builders used by
-//! both the Criterion benches and the table-printing binaries that
+//! the `bench` budget checker and the table-printing binaries that
 //! regenerate the paper's Tables I and II and Figure 8.
 
 use std::time::Instant;

@@ -1,17 +1,19 @@
-//! Fixed log₂-bucket latency histograms.
+//! Fixed log₂-bucket histograms.
 //!
-//! Values are nanoseconds. Bucket 0 holds only the value 0; bucket
-//! `i ≥ 1` holds values whose highest set bit is bit `i - 1`, i.e. the
-//! half-open range `[2^(i-1), 2^i)` (bucket 1 holds 1 ns, bucket 2 holds
-//! 2 and 3 ns). With `BUCKETS = 40` the top bucket covers ~550 s,
-//! far beyond any latency this toolkit produces; larger values clamp into
-//! the last bucket. Recording is one comparison and one array increment,
+//! Values carry no unit here: a histogram's name says what it holds
+//! (`round_trip_ns` nanoseconds, `frame_bytes` bytes, `send_latency_ms`
+//! virtual milliseconds), so the JSON keys are unitless too. Bucket 0
+//! holds only the value 0; bucket `i ≥ 1` holds values whose highest set
+//! bit is bit `i - 1`, i.e. the half-open range `[2^(i-1), 2^i)` (bucket
+//! 1 holds 1, bucket 2 holds 2 and 3). With `BUCKETS = 40` the top bucket
+//! starts near 2^39 (~550 s of nanoseconds), far beyond any value this
+//! toolkit records; larger values clamp into the last bucket. Recording is one comparison and one array increment,
 //! cheap enough for always-on instrumentation.
 
 /// Number of log₂ buckets.
 pub const BUCKETS: usize = 40;
 
-/// A latency histogram with fixed log₂ buckets over nanoseconds.
+/// A histogram with fixed log₂ buckets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     counts: [u64; BUCKETS],
@@ -178,17 +180,17 @@ impl Histogram {
     pub fn to_json(&self) -> String {
         let mut o = crate::json::Object::new();
         o.field_u64("count", self.count);
-        o.field_u64("sum_ns", self.sum);
-        o.field_u64("min_ns", self.min());
-        o.field_u64("mean_ns", self.mean());
-        o.field_u64("p50_ns", self.quantile(0.50));
-        o.field_u64("p90_ns", self.quantile(0.90));
-        o.field_u64("p99_ns", self.quantile(0.99));
-        o.field_u64("max_ns", self.max);
+        o.field_u64("sum", self.sum);
+        o.field_u64("min", self.min());
+        o.field_u64("mean", self.mean());
+        o.field_u64("p50", self.quantile(0.50));
+        o.field_u64("p90", self.quantile(0.90));
+        o.field_u64("p99", self.quantile(0.99));
+        o.field_u64("max", self.max);
         let mut arr = crate::json::Array::new();
         for (le, c) in self.buckets() {
             let mut b = crate::json::Object::new();
-            b.field_u64("le_ns", le);
+            b.field_u64("le", le);
             b.field_u64("count", c);
             arr.push_raw(&b.build());
         }
@@ -300,7 +302,8 @@ mod tests {
         h.record(500);
         let j = h.to_json();
         assert!(j.contains("\"count\":1"), "{j}");
-        assert!(j.contains("\"p99_ns\""), "{j}");
+        assert!(j.contains("\"p99\":500"), "{j}");
+        assert!(!j.contains("_ns"), "keys carry no unit: {j}");
         assert!(j.contains("\"buckets\":[{"), "{j}");
     }
 }

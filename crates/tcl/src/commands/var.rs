@@ -100,7 +100,7 @@ fn cmd_incr(interp: &Interp, argv: &[String]) -> TclResult {
     } else {
         1
     };
-    interp.set_var(&name, idx.as_deref(), &(cur + by).to_string())
+    interp.set_var(&name, idx.as_deref(), &cur.wrapping_add(by).to_string())
 }
 
 fn cmd_append(interp: &Interp, argv: &[String]) -> TclResult {
@@ -232,6 +232,9 @@ mod tests {
         assert_eq!(i.eval("incr x").unwrap(), "6");
         assert_eq!(i.eval("incr x 10").unwrap(), "16");
         assert_eq!(i.eval("incr x -1").unwrap(), "15");
+        // Past i64::MAX wraps, like `expr`'s `+`.
+        i.eval("set x 9223372036854775807").unwrap();
+        assert_eq!(i.eval("incr x").unwrap(), i64::MIN.to_string());
     }
 
     #[test]

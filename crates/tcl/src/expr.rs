@@ -95,27 +95,28 @@ pub fn parse_number(s: &str) -> Option<Value> {
     if t.is_empty() {
         return None;
     }
-    let (neg, body) = match t.as_bytes()[0] {
-        b'-' => (true, &t[1..]),
-        b'+' => (false, &t[1..]),
-        _ => (false, t),
+    let (sign, body) = match t.as_bytes()[0] {
+        b'-' => (-1, &t[1..]),
+        b'+' => (1, &t[1..]),
+        _ => (1, t),
     };
     if body.is_empty() {
         return None;
     }
-    let mk = |v: i64| Some(Value::Int(if neg { -v } else { v }));
+    // The magnitude is unsigned, so `-9223372036854775808` (i64::MIN) parses.
+    let mk = |v: u64| i64::try_from(sign * v as i128).ok().map(Value::Int);
     if let Some(hex) = body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
-        return i64::from_str_radix(hex, 16).ok().and_then(mk);
+        return u64::from_str_radix(hex, 16).ok().and_then(mk);
     }
     if body.len() > 1
         && body.starts_with('0')
         && body.bytes().all(|b| b.is_ascii_digit())
         && !body.contains(['8', '9'])
     {
-        return i64::from_str_radix(&body[1..], 8).ok().and_then(mk);
+        return u64::from_str_radix(&body[1..], 8).ok().and_then(mk);
     }
     if body.bytes().all(|b| b.is_ascii_digit()) {
-        return body.parse::<i64>().ok().and_then(mk);
+        return body.parse::<u64>().ok().and_then(mk);
     }
     // Floats: require a digit and reject trailing junk.
     if body
@@ -785,14 +786,20 @@ fn eval_binary(op: Op, l: &Value, r: &Value) -> Result<Value, Exception> {
                 _ => a * b,
             }))
         }
-        Div => match (l, r) {
+        Div | Mod => match (l, r) {
             (Value::Int(_), Value::Int(0)) => Err(Exception::error("divide by zero")),
             (Value::Int(a), Value::Int(b)) => {
-                // C-style truncating division adjusted to floor (Tcl
-                // specifies floor semantics for `/` and `%`).
-                let q = a.div_euclid(*b);
-                Ok(Value::Int(q))
+                // Tcl floors `/` and `%`: the remainder takes the divisor's
+                // sign. Scaled by that sign the divisor is positive, where
+                // Euclid's quotient is the floor; in i128 `i64::MIN / -1`
+                // wraps, like `*`, instead of trapping.
+                let s = b.signum() as i128;
+                let q = (s * *a as i128).div_euclid(s * *b as i128) as i64;
+                let r = a.wrapping_sub(q.wrapping_mul(*b));
+                Ok(Value::Int(if op == Div { q } else { r }))
             }
+            // `%` takes integers only.
+            _ if op == Mod => Err(int_pair(l, r).expect_err("Int pairs are matched above")),
             _ => {
                 let (a, b, _) = promote(l, r).ok_or_else(|| non_numeric(l, r))?;
                 if b == 0.0 {
@@ -801,13 +808,6 @@ fn eval_binary(op: Op, l: &Value, r: &Value) -> Result<Value, Exception> {
                 Ok(Value::Double(a / b))
             }
         },
-        Mod => {
-            let (a, b) = int_pair(l, r)?;
-            if b == 0 {
-                return Err(Exception::error("divide by zero"));
-            }
-            Ok(Value::Int(a.rem_euclid(b)))
-        }
         Shl => {
             let (a, b) = int_pair(l, r)?;
             Ok(Value::Int(a.wrapping_shl(b as u32)))
@@ -1049,6 +1049,20 @@ mod tests {
     }
 
     #[test]
+    fn division_floors_and_wraps() {
+        // Floor: the remainder takes the divisor's sign.
+        assert_eq!((ev("7 / -2"), ev("7 % -2")), ("-4".into(), "-1".into()));
+        assert_eq!((ev("-7 / 2"), ev("-7 % 2")), ("-4".into(), "1".into()));
+        assert_eq!((ev("-7 / -2"), ev("-7 % -2")), ("3".into(), "-1".into()));
+        assert_eq!((ev("7 / 2"), ev("7 % 2")), ("3".into(), "1".into()));
+        // i64::MIN / -1 wraps like `*` instead of killing the process.
+        let min = i64::MIN.to_string();
+        assert_eq!(ev("(-9223372036854775807 - 1) / -1"), min);
+        assert_eq!(ev("(-9223372036854775807 - 1) % -1"), "0");
+        assert!(ev_err("7.0 % 2").msg.contains("integer operator"));
+    }
+
+    #[test]
     fn divide_by_zero_errors() {
         assert!(ev_err("1/0").msg.contains("divide by zero"));
         assert!(ev_err("1%0").msg.contains("divide by zero"));
@@ -1136,6 +1150,12 @@ mod tests {
         assert_eq!(parse_number("abc"), None);
         assert_eq!(parse_number(""), None);
         assert_eq!(parse_number(" 7 "), Some(Value::Int(7)));
+        let min = Some(Value::Int(i64::MIN));
+        assert_eq!(parse_number("-9223372036854775808"), min);
+        assert_eq!(parse_number("-0x8000000000000000"), min);
+        assert_eq!(parse_number("-01000000000000000000000"), min);
+        assert_eq!(parse_number("9223372036854775808"), None);
+        assert_eq!(parse_number("0x8000000000000000"), None);
     }
 
     #[test]

@@ -273,7 +273,7 @@ struct CompileState {
 
 impl CompileState {
     fn new() -> CompileState {
-        // Mirrors the RTK_NO_DAMAGE convention: set and non-zero disables.
+        // `RTK_NO_COMPILE` set and non-zero disables the compiler.
         let enabled = std::env::var("RTK_NO_COMPILE").map_or(true, |v| v.is_empty() || v == "0");
         CompileState {
             programs: RefCell::new(HashMap::new()),

@@ -141,8 +141,10 @@ fn quoting_for(elem: &str) -> Quoting {
                 needs = needs.max_braces();
             }
             b'\\' => {
-                if idx + 1 == bytes.len() {
-                    // A trailing backslash cannot be brace-quoted.
+                if idx + 1 == bytes.len() || bytes[idx + 1] == b'\n' {
+                    // A trailing backslash cannot be brace-quoted, nor can
+                    // a backslash-newline: the command parser turns it into
+                    // a space even inside braces.
                     unbalanced = true;
                 } else {
                     // Inside braces a backslash shields the next character
@@ -273,6 +275,14 @@ mod tests {
     #[test]
     fn junk_after_brace_errors() {
         assert!(parse_list("{a}b").is_err());
+    }
+
+    #[test]
+    fn backslash_newline_survives_evaluation() {
+        let word = "a\\\nb";
+        assert_eq!(format_list(&[word]), r"a\\\nb");
+        let script = format!("lindex [list {}] 0", format_list(&[word]));
+        assert_eq!(crate::Interp::new().eval(&script).unwrap(), word);
     }
 
     #[test]

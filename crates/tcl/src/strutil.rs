@@ -230,7 +230,7 @@ pub fn format_cmd(spec: &str, args: &[String]) -> TclResult {
             }
             'd' | 'i' => {
                 let v = int_arg(&next_arg(&mut arg_i)?)?;
-                let mut s = v.abs().to_string();
+                let mut s = v.unsigned_abs().to_string();
                 if v < 0 {
                     s.insert(0, '-');
                 } else if plus {
@@ -565,6 +565,9 @@ mod tests {
         assert_eq!(format_cmd("%-5d|", &["42".into()]).unwrap(), "42   |");
         assert_eq!(format_cmd("%05d", &["42".into()]).unwrap(), "00042");
         assert_eq!(format_cmd("%05d", &["-42".into()]).unwrap(), "-0042");
+        for v in [i64::MIN, i64::MAX] {
+            assert_eq!(format_cmd("%d", &[v.to_string()]).unwrap(), v.to_string());
+        }
     }
 
     #[test]

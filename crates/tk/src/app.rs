@@ -83,7 +83,7 @@ pub struct TkEnv {
     /// timeline in the Chrome trace export.
     origin: std::time::Instant,
     /// How many root-window property shards the `send` registry hashes
-    /// interpreter names into (`RTK_SEND_SHARDS`; 1 = the paper's single
+    /// interpreter names into ([`TkEnv::set_send_shards`]; 1 = the paper's single
     /// `InterpRegistry` property). Every environment sharing a display
     /// must agree — the value routes lookups, it is not stored anywhere
     /// server-side.
@@ -106,17 +106,12 @@ impl TkEnv {
     /// [`xsim::WireHandle`], so several environments on their own threads
     /// talk to one threaded wire server).
     pub fn with_display(display: Display) -> TkEnv {
-        let shards = std::env::var("RTK_SEND_SHARDS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|n| *n >= 1)
-            .unwrap_or(crate::send::DEFAULT_SEND_SHARDS);
         TkEnv {
             display,
             apps: Rc::new(RefCell::new(Vec::new())),
             clock: rtk_obs::VirtualClock::new(),
             origin: std::time::Instant::now(),
-            send_shards: Rc::new(Cell::new(shards)),
+            send_shards: Rc::new(Cell::new(crate::send::DEFAULT_SEND_SHARDS)),
         }
     }
 
@@ -236,8 +231,8 @@ pub struct AppInner {
     /// Pending damage for scheduled redraws, by widget path.
     damage: RefCell<HashMap<String, Damage>>,
     /// Damage-narrowed redraw on/off. Off = every redraw repaints the
-    /// whole widget, the pre-damage behavior; `RTK_NO_DAMAGE=1` sets the
-    /// initial state (equivalence tests flip it programmatically).
+    /// whole widget, the pre-damage behavior (on at creation; equivalence
+    /// tests flip it with [`TkApp::set_damage`]).
     damage_enabled: Cell<bool>,
     /// The invisible communication window used by `send`.
     pub(crate) comm: WindowId,
@@ -285,9 +280,7 @@ impl TkApp {
             file_handlers: RefCell::new(Vec::new()),
             idle: RefCell::new(Vec::new()),
             damage: RefCell::new(HashMap::new()),
-            damage_enabled: Cell::new(
-                std::env::var("RTK_NO_DAMAGE").map_or(true, |v| v.is_empty() || v == "0"),
-            ),
+            damage_enabled: Cell::new(true),
             comm,
             destroyed: Cell::new(false),
         });

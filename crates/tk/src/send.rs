@@ -60,9 +60,9 @@ const RETRY_BACKOFF_MS: u64 = 10;
 const MAX_PUMPS_PER_TICK: u32 = 8;
 /// Executed-serial window kept per peer for duplicate suppression.
 const DEDUP_WINDOW: usize = 128;
-/// Default number of registry property shards (`RTK_SEND_SHARDS`
-/// overrides; 1 reproduces the paper's single `InterpRegistry`
-/// property byte for byte).
+/// Default number of registry property shards
+/// ([`crate::TkEnv::set_send_shards`] overrides; 1 reproduces the
+/// paper's single `InterpRegistry` property byte for byte).
 pub const DEFAULT_SEND_SHARDS: u32 = 8;
 
 /// FNV-1a over the interpreter name: the shard router. Stable across
@@ -87,7 +87,7 @@ fn shard_of(name: &str, n: u32) -> u32 {
 }
 
 /// Property name of registry shard `i` of `n`. A single shard keeps the
-/// paper's bare `InterpRegistry` name, so `RTK_SEND_SHARDS=1` is
+/// paper's bare `InterpRegistry` name, so one shard is
 /// byte-identical to the unsharded layout.
 fn shard_property(i: u32, n: u32) -> String {
     if n <= 1 {

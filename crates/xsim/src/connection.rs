@@ -403,9 +403,9 @@ impl Connection {
         self.peek(|s| s.batching())
     }
 
-    /// Turns output buffering on or off for the whole display (the
-    /// `RTK_NO_BATCH` env var sets the initial state). Turning it off
-    /// flushes pending buffers and reproduces the synchronous transport.
+    /// Turns output buffering on or off for the whole display (on at
+    /// creation). Turning it off flushes pending buffers and reproduces
+    /// the synchronous transport.
     pub fn set_batching(&self, on: bool) {
         let mut st = self.transport.lock();
         if !on {

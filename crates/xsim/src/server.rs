@@ -39,7 +39,7 @@ pub struct ClientStats {
     /// write carrying every request queued since the previous flush.
     pub flushes: u64,
     /// Requests that traveled through the output buffer (0 when batching
-    /// is disabled via `RTK_NO_BATCH` or [`Server::set_batching`]).
+    /// is disabled via [`Server::set_batching`]).
     pub batched_requests: u64,
     /// Largest number of requests carried by one flush.
     pub max_batch: u64,
@@ -126,7 +126,7 @@ pub struct Server {
     dirty: std::collections::BTreeSet<ClientId>,
     /// Per-client request quota: the most requests one flushed batch may
     /// apply before the remainder is deferred (backpressure, not loss).
-    /// `None` = unlimited (the default; `RTK_CLIENT_QUOTA` overrides).
+    /// `None` = unlimited (the default; [`Server::set_client_quota`] sets it).
     quota: Option<usize>,
     /// Window ids handed to clients whose CreateWindow is still buffered.
     pending_windows: HashSet<WindowId>,
@@ -196,12 +196,9 @@ impl Server {
             next_client: 0,
             clients: HashMap::new(),
             dirty: std::collections::BTreeSet::new(),
-            quota: std::env::var("RTK_CLIENT_QUOTA")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|q| *q > 0),
+            quota: None,
             pending_windows: HashSet::new(),
-            batching: std::env::var("RTK_NO_BATCH").map_or(true, |v| v.is_empty() || v == "0"),
+            batching: true,
             selections: HashMap::new(),
             focus: Xid::NONE,
             pointer: (0, 0),
@@ -482,8 +479,7 @@ impl Server {
     /// Turns output buffering on or off. Turning it off flushes pending
     /// buffers and makes every subsequent request its own flush (batch of
     /// one), which reproduces the old synchronous transport for
-    /// equivalence tests; the `RTK_NO_BATCH` env var sets the initial
-    /// state at server creation.
+    /// equivalence tests.
     pub fn set_batching(&mut self, on: bool) {
         if !on {
             self.flush_all();

@@ -1,10 +1,9 @@
 #!/bin/sh
-# Offline CI: format check, lints, release build, the full test suite,
-# and the deterministic request-budget gate. Everything here works
-# without network access — the heavy crates.io-dependent benches and
-# property tests live in the workspace-excluded crates/heavy and run in
-# their own scheduled job. `--locked` keeps every invocation on the
-# committed Cargo.lock.
+# Offline CI: format check, lints, release build, the full test suite
+# (property tests included), and the deterministic request-budget gate.
+# Everything here works without network access: the workspace has no
+# external crates. `--locked` keeps every invocation on the committed
+# Cargo.lock.
 set -eu
 
 cd "$(dirname "$0")/.."

@@ -1,9 +1,8 @@
 //! Batching must be invisible on screen: the output buffer reorders
 //! *when* requests reach the server, never *what* they do. These tests
 //! run the same workload with batching on and with the transport forced
-//! back to one-flush-per-request (`Connection::set_batching(false)`,
-//! what `RTK_NO_BATCH=1` selects at startup) and diff the framebuffers
-//! pixel by pixel.
+//! back to one-flush-per-request (`Connection::set_batching(false)`)
+//! and diff the framebuffers pixel by pixel.
 
 use tk::TkEnv;
 use xsim::Surface;

@@ -2,8 +2,7 @@
 //! clip extents each repaint draws under, never which pixels end up in
 //! the framebuffer once the app goes quiescent. These tests run seeded
 //! random mutation scripts twice — damage on vs `TkApp::set_damage(false)`
-//! (what `RTK_NO_DAMAGE=1` selects at startup) — and diff the
-//! framebuffers pixel by pixel at every quiescence point.
+//! — and diff the framebuffers pixel by pixel at every quiescence point.
 
 use tk::{TkApp, TkEnv};
 use xsim::{FaultAction, FaultPlan, Surface, XorShift};

@@ -13,8 +13,8 @@ use tk::TkEnv;
 use xsim::{Display, FaultPlan};
 
 /// The shard count the equivalence claim is made against; matches the
-/// default (`tk` routes by 8 shards unless `RTK_SEND_SHARDS` says
-/// otherwise).
+/// default (`tk` routes by 8 shards unless `TkEnv::set_send_shards`
+/// says otherwise).
 const SHARDS: u32 = 8;
 
 fn env_with(shards: u32, wire: bool) -> TkEnv {
