@@ -166,18 +166,18 @@ fn budget_workloads() -> Vec<BudgetRun> {
     for _ in 0..wire_iters {
         wsender.eval("send wb {}").unwrap();
     }
-    let w = wsender.conn().wire_stats();
+    let o = wsender.conn().with_obs(|o| o.clone()).unwrap();
     assert!(
-        w.active(),
+        o.wire.active(),
         "the wire workload must actually cross the framed transport"
     );
     let wire_counters = vec![
-        ("frames_encoded", w.frames_encoded),
-        ("bytes_encoded", w.bytes_encoded),
-        ("frames_decoded", w.frames_decoded),
-        ("bytes_decoded", w.bytes_decoded),
-        ("flushes", w.flushes),
-        ("frame_bytes_max", w.frame_bytes.max()),
+        ("frames_encoded", o.wire.frames_encoded),
+        ("bytes_encoded", o.wire.bytes_encoded),
+        ("frames_decoded", o.wire.frames_decoded),
+        ("bytes_decoded", o.wire.bytes_decoded),
+        ("flushes", o.wire.flushes),
+        ("frame_bytes_max", o.frame_bytes.max()),
     ];
     out.push((
         "wire_send",

@@ -65,6 +65,34 @@ impl Object {
         self.field_raw(key, if value { "true" } else { "false" })
     }
 
+    /// Adds counters by their dotted `obs` names, with `prefix` dropped
+    /// where a name starts with it and nested on every remaining `.`:
+    /// `a.b` and `a.c` become `"a":{"b":..,"c":..}`.
+    pub fn counters<'a>(
+        &mut self,
+        prefix: &str,
+        pairs: impl IntoIterator<Item = (&'a str, u64)>,
+    ) -> &mut Self {
+        let mut rest: Vec<(&str, u64)> = pairs
+            .into_iter()
+            .map(|(n, v)| (n.strip_prefix(prefix).unwrap_or(n), v))
+            .collect();
+        while let Some(&(name, v)) = rest.first() {
+            let Some((head, _)) = name.split_once('.') else {
+                self.field_u64(name, v);
+                rest.remove(0);
+                continue;
+            };
+            let key = format!("{head}.");
+            let (group, others) = rest.into_iter().partition(|(n, _)| n.starts_with(&key));
+            let mut inner = Object::new();
+            inner.counters(&key, group);
+            self.field_raw(head, &inner.build());
+            rest = others;
+        }
+        self
+    }
+
     /// Serializes the object.
     pub fn build(&self) -> String {
         format!("{{{}}}", self.parts.join(","))

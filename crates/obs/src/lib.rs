@@ -6,8 +6,8 @@
 //! crate provides the primitives to do that *cheaply enough to leave on
 //! in production*:
 //!
-//! * [`Registry`] — named monotonic counters and value histograms with
-//!   interior mutability, so instrumented code needs only `&Registry`;
+//! * [`counter_set!`] — counter sets with static keys: one `u64` field
+//!   per counter, named once, walked by every surface that shows them;
 //! * [`Histogram`] — fixed log₂-bucket latency histograms (no external
 //!   dependencies, constant memory, O(1) record);
 //! * [`span`] — rtk-trace: causal span records across the pipeline, the
@@ -16,14 +16,11 @@
 //!   and virtual-clock-profile exports;
 //! * [`json`] — a tiny hand-rolled JSON emitter used by `obs dump`.
 //!
-//! The counter/histogram [`Registry`] stays single-threaded
-//! (`Cell`/`RefCell`) because each Tk application owns its registry on
-//! its own thread; the [`Tracer`] and [`VirtualClock`] are `Send + Sync`
-//! (`Mutex`/atomics) because, on the wire transport, whichever app thread
-//! holds the server lock may flush another app's buffer and record flush
-//! and fault spans into that app's span tree.
-//! Counters are plain integer bumps and histogram records are one array
-//! increment either way.
+//! A counter bump is a field add on whatever owns the set. The
+//! [`Tracer`] and [`VirtualClock`] are `Send + Sync` (`Mutex`/atomics)
+//! because, on the wire transport, whichever app thread holds the server
+//! lock may flush another app's buffer and record flush and fault spans
+//! into that app's span tree.
 
 mod hist;
 pub mod json;
@@ -31,5 +28,4 @@ mod registry;
 pub mod span;
 
 pub use hist::Histogram;
-pub use registry::Registry;
 pub use span::{SpanGuard, SpanId, SpanRecord, SpanShape, Tracer, VirtualClock};

@@ -1,141 +1,109 @@
-//! A named-metric registry: monotonic counters and value histograms
-//! behind interior mutability, so instrumented code only needs `&Registry`.
-//! Stage timings are not kept here: they come from the span tracer
-//! ([`crate::span::stage_totals`]).
+//! Static counter sets. [`counter_set!`](crate::counter_set) declares a
+//! struct of `u64` counters from one `field => "obs.name"` list, so each
+//! counter is named once: recording is a plain field add, and every
+//! surface (`obs counters`, `obs snapshot`, `obs dump`, `wish --stats`,
+//! the bench) reads the counters by walking the set.
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-
-use crate::hist::Histogram;
-
-/// Named counters and histograms for one subsystem (e.g. one Tk app).
+/// Declares a counter set: a `Copy` struct with one public `u64` field per
+/// counter, and
 ///
-/// Counter bumps are a `BTreeMap` lookup plus an integer add; histogram
-/// records add one bucket increment. Both are cheap enough to stay on in
-/// production; the expensive operations (snapshot, JSON) only run when
-/// someone asks.
-#[derive(Default)]
-pub struct Registry {
-    counters: RefCell<BTreeMap<String, u64>>,
-    histograms: RefCell<BTreeMap<String, Histogram>>,
-}
+/// * `NAMES`: every counter's `obs` name, in declaration order;
+/// * `reset()`: zeroes every counter;
+/// * `get(name)`: one counter, looked up by its `obs` name;
+/// * `iter()`: `(name, value)` for every counter, in declaration order.
+///
+/// ```
+/// rtk_obs::counter_set! {
+///     /// Two counters.
+///     pub struct Demo {
+///         /// Things seen.
+///         seen => "demo.seen",
+///         kept => "demo.kept",
+///     }
+/// }
+/// let mut d = Demo::default();
+/// d.seen += 2;
+/// assert_eq!(d.get("demo.seen"), Some(2));
+/// assert_eq!(d.iter().collect::<Vec<_>>(), [("demo.seen", 2), ("demo.kept", 0)]);
+/// ```
+#[macro_export]
+macro_rules! counter_set {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fmeta:meta])* $field:ident => $key:literal,)*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        $vis struct $name {
+            $($(#[$fmeta])* pub $field: u64,)*
+        }
 
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Registry {
-        Registry::default()
-    }
+        impl $name {
+            /// Every counter's `obs` name, in declaration order.
+            pub const NAMES: &'static [&'static str] = &[$($key),*];
 
-    /// Adds 1 to the named counter, creating it at zero first if needed.
-    pub fn incr(&self, name: &str) {
-        self.add(name, 1);
-    }
+            /// Zeroes every counter.
+            pub fn reset(&mut self) {
+                *self = Self::default();
+            }
 
-    /// Adds `n` to the named counter.
-    pub fn add(&self, name: &str, n: u64) {
-        let mut c = self.counters.borrow_mut();
-        match c.get_mut(name) {
-            Some(v) => *v += n,
-            None => {
-                c.insert(name.to_string(), n);
+            /// The counter named `name`, if this set declares it.
+            pub fn get(&self, name: &str) -> Option<u64> {
+                match name {
+                    $($key => Some(self.$field),)*
+                    _ => None,
+                }
+            }
+
+            /// `(name, value)` for every counter, in declaration order.
+            pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$(($key, self.$field)),*].into_iter()
             }
         }
-    }
-
-    /// Current value of a counter (0 if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.borrow().get(name).copied().unwrap_or(0)
-    }
-
-    /// All counters, sorted by name.
-    pub fn counters(&self) -> Vec<(String, u64)> {
-        self.counters
-            .borrow()
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect()
-    }
-
-    /// Records `ns` into the named histogram, creating it if needed.
-    pub fn record_ns(&self, name: &str, ns: u64) {
-        self.histograms
-            .borrow_mut()
-            .entry(name.to_string())
-            .or_default()
-            .record(ns);
-    }
-
-    /// Snapshot of one histogram, if it exists.
-    pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.histograms.borrow().get(name).cloned()
-    }
-
-    /// Names of all histograms, sorted.
-    pub fn histogram_names(&self) -> Vec<String> {
-        self.histograms.borrow().keys().cloned().collect()
-    }
-
-    /// Zeroes every counter and histogram (names are forgotten too, so a
-    /// snapshot after reset shows only metrics touched since).
-    pub fn reset(&self) {
-        self.counters.borrow_mut().clear();
-        self.histograms.borrow_mut().clear();
-    }
-
-    /// JSON object `{"counters":{...},"histograms":{...}}`.
-    pub fn to_json(&self) -> String {
-        let mut counters = crate::json::Object::new();
-        for (k, v) in self.counters() {
-            counters.field_u64(&k, v);
-        }
-        let mut hists = crate::json::Object::new();
-        for name in self.histogram_names() {
-            if let Some(h) = self.histogram(&name) {
-                hists.field_raw(&name, &h.to_json());
-            }
-        }
-        let mut o = crate::json::Object::new();
-        o.field_raw("counters", &counters.build());
-        o.field_raw("histograms", &hists.build());
-        o.build()
-    }
+    };
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    crate::counter_set! {
+        /// A test set, declared in name order.
+        struct Set {
+            a => "a",
+            b => "b.x",
+        }
+    }
 
     #[test]
     fn counters_accumulate_and_sort() {
-        let r = Registry::new();
-        r.incr("b");
-        r.add("a", 5);
-        r.incr("b");
-        assert_eq!(r.counter("a"), 5);
-        assert_eq!(r.counter("b"), 2);
-        assert_eq!(r.counter("missing"), 0);
-        let names: Vec<String> = r.counters().into_iter().map(|(k, _)| k).collect();
-        assert_eq!(names, vec!["a", "b"]);
+        let mut s = Set::default();
+        s.b += 1;
+        s.a += 5;
+        s.b += 1;
+        assert_eq!(s.get("a"), Some(5));
+        assert_eq!(s.get("b.x"), Some(2));
+        assert_eq!(s.get("missing"), None);
+        let names: Vec<&str> = s.iter().map(|(k, _)| k).collect();
+        assert_eq!(names, Set::NAMES);
+        assert_eq!(names, ["a", "b.x"]);
     }
 
     #[test]
     fn reset_forgets_everything() {
-        let r = Registry::new();
-        r.incr("x");
-        r.record_ns("h", 10);
-        r.reset();
-        assert!(r.counters().is_empty());
-        assert!(r.histogram("h").is_none());
+        let mut s = Set { a: 1, b: 2 };
+        s.reset();
+        assert!(s.iter().all(|(_, v)| v == 0));
+        assert_eq!(s, Set::default());
     }
 
     #[test]
     fn json_is_structurally_valid() {
-        let r = Registry::new();
-        r.incr("events");
-        r.record_ns("lat", 123);
-        let j = r.to_json();
+        let s = Set { a: 1, b: 2 };
+        let mut o = crate::json::Object::new();
+        o.counters("", s.iter());
+        let j = o.build();
         assert!(crate::json::is_valid(&j), "{j}");
-        assert!(j.contains("\"events\":1"), "{j}");
-        assert!(j.contains("\"lat\":{"), "{j}");
+        assert_eq!(j, r#"{"a":1,"b":{"x":2}}"#);
     }
 }

@@ -106,6 +106,10 @@ pub fn parse_number(s: &str) -> Option<Value> {
     // The magnitude is unsigned, so `-9223372036854775808` (i64::MIN) parses.
     let mk = |v: u64| i64::try_from(sign * v as i128).ok().map(Value::Int);
     if let Some(hex) = body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
+        // `from_str_radix` would take a sign after the prefix too.
+        if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return None;
+        }
         return u64::from_str_radix(hex, 16).ok().and_then(mk);
     }
     if body.len() > 1
@@ -1156,6 +1160,8 @@ mod tests {
         assert_eq!(parse_number("-01000000000000000000000"), min);
         assert_eq!(parse_number("9223372036854775808"), None);
         assert_eq!(parse_number("0x8000000000000000"), None);
+        assert_eq!(parse_number("0x+5"), None);
+        assert_eq!(parse_number("0X-5"), None);
     }
 
     #[test]

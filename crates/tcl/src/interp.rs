@@ -200,32 +200,47 @@ impl Executor for SystemExecutor {
 
 /// Deterministic counters for the compile pipeline. All are monotonic
 /// between resets and carry no wall-clock noise, so CI budgets can pin
-/// their exact values.
-#[derive(Default)]
+/// their exact values. [`CompileStats::iter`] is the one place their
+/// `obs` names are written.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompileStats {
     /// Scripts lowered to programs.
-    pub compiles: Cell<u64>,
+    pub compiles: u64,
     /// Program-cache lookups that found a current entry.
-    pub cache_hits: Cell<u64>,
+    pub cache_hits: u64,
     /// Program-cache lookups that had to (re)compile.
-    pub cache_misses: Cell<u64>,
+    pub cache_misses: u64,
     /// Entries dropped because the cache hit capacity.
-    pub evictions: Cell<u64>,
+    pub evictions: u64,
     /// Entries dropped because the command epoch moved under them.
-    pub invalidations: Cell<u64>,
+    pub invalidations: u64,
     /// Commands parsed (`parse_command` yields), in either eval mode.
-    pub parses: Cell<u64>,
-    /// Commands executed from a cached program past its first run — each
-    /// one is a parse the direct interpreter would have repeated.
-    pub parses_avoided: Cell<u64>,
+    pub parses: u64,
+    /// Commands executed from a cached program past its first run:
+    /// each one is a parse the direct interpreter would have repeated.
+    pub parses_avoided: u64,
     /// Expressions lowered to cached programs.
-    pub expr_compiles: Cell<u64>,
+    pub expr_compiles: u64,
     /// Expression-cache lookups that found an entry.
-    pub expr_cache_hits: Cell<u64>,
+    pub expr_cache_hits: u64,
 }
 
-fn bump(c: &Cell<u64>) {
-    c.set(c.get() + 1);
+impl CompileStats {
+    /// `(obs name, value)` for every counter, in declaration order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        [
+            ("tcl.compiles", self.compiles),
+            ("tcl.compile_cache_hits", self.cache_hits),
+            ("tcl.compile_cache_misses", self.cache_misses),
+            ("tcl.compile_evictions", self.evictions),
+            ("tcl.compile_invalidations", self.invalidations),
+            ("tcl.parses", self.parses),
+            ("tcl.parses_avoided", self.parses_avoided),
+            ("tcl.expr_compiles", self.expr_compiles),
+            ("tcl.expr_cache_hits", self.expr_cache_hits),
+        ]
+        .into_iter()
+    }
 }
 
 /// One program-cache entry. `epoch` records the command epoch the program
@@ -257,7 +272,7 @@ struct CompileState {
     cmd_epoch: Cell<u64>,
     /// The `RTK_NO_COMPILE` escape hatch, also settable programmatically.
     enabled: Cell<bool>,
-    stats: CompileStats,
+    stats: RefCell<CompileStats>,
     /// Command-name atom table: name → index into `atom_cmds`.
     atom_ids: RefCell<HashMap<String, u32>>,
     /// Live command bindings per atom, kept in sync by the registry so
@@ -280,7 +295,7 @@ impl CompileState {
             gen: Cell::new(0),
             cmd_epoch: Cell::new(0),
             enabled: Cell::new(enabled),
-            stats: CompileStats::default(),
+            stats: RefCell::default(),
             atom_ids: RefCell::new(HashMap::new()),
             atom_cmds: RefCell::new(Vec::new()),
             baseline: RefCell::new(HashMap::new()),
@@ -955,37 +970,13 @@ impl Interp {
 
     /// The compile pipeline's deterministic counters, in `obs` naming.
     pub fn compile_counters(&self) -> Vec<(&'static str, u64)> {
-        let s = &self.inner.compile.stats;
-        vec![
-            ("tcl.compiles", s.compiles.get()),
-            ("tcl.compile_cache_hits", s.cache_hits.get()),
-            ("tcl.compile_cache_misses", s.cache_misses.get()),
-            ("tcl.compile_evictions", s.evictions.get()),
-            ("tcl.compile_invalidations", s.invalidations.get()),
-            ("tcl.parses", s.parses.get()),
-            ("tcl.parses_avoided", s.parses_avoided.get()),
-            ("tcl.expr_compiles", s.expr_compiles.get()),
-            ("tcl.expr_cache_hits", s.expr_cache_hits.get()),
-        ]
+        self.inner.compile.stats.borrow().iter().collect()
     }
 
     /// Zeroes the compile counters without touching the caches: `obs
     /// reset` starts a fresh measurement epoch against warm caches.
     pub fn reset_compile_stats(&self) {
-        let s = &self.inner.compile.stats;
-        for c in [
-            &s.compiles,
-            &s.cache_hits,
-            &s.cache_misses,
-            &s.evictions,
-            &s.invalidations,
-            &s.parses,
-            &s.parses_avoided,
-            &s.expr_compiles,
-            &s.expr_cache_hits,
-        ] {
-            c.set(0);
-        }
+        *self.inner.compile.stats.borrow_mut() = CompileStats::default();
     }
 
     /// Number of cached programs (for capacity/invalidation tests).
@@ -996,7 +987,7 @@ impl Interp {
     /// Counts one `parse_command` yield (called from both eval modes and
     /// from the compiler, so `tcl.parses` measures total parse work).
     pub(crate) fn note_parse(&self) {
-        bump(&self.inner.compile.stats.parses);
+        self.inner.compile.stats.borrow_mut().parses += 1;
     }
 
     /// Invalidates every cached program by advancing the command epoch.
@@ -1068,19 +1059,19 @@ impl Interp {
             let mut cache = st.programs.borrow_mut();
             if let Some(entry) = cache.get_mut(script) {
                 if entry.epoch == epoch {
-                    bump(&st.stats.cache_hits);
+                    st.stats.borrow_mut().cache_hits += 1;
                     st.gen.set(st.gen.get() + 1);
                     entry.gen = st.gen.get();
                     return entry.prog.clone();
                 }
-                bump(&st.stats.invalidations);
+                st.stats.borrow_mut().invalidations += 1;
                 cache.remove(script);
             }
         }
-        bump(&st.stats.cache_misses);
+        st.stats.borrow_mut().cache_misses += 1;
         let prog = match crate::compile::compile(self, script) {
             Ok(p) => {
-                bump(&st.stats.compiles);
+                st.stats.borrow_mut().compiles += 1;
                 Some(Rc::new(p))
             }
             Err(_) => None,
@@ -1092,9 +1083,7 @@ impl Interp {
             let cutoff = gens[gens.len() / 2];
             let before = cache.len();
             cache.retain(|_, e| e.gen > cutoff);
-            st.stats
-                .evictions
-                .set(st.stats.evictions.get() + (before - cache.len()) as u64);
+            st.stats.borrow_mut().evictions += (before - cache.len()) as u64;
         }
         st.gen.set(st.gen.get() + 1);
         cache.insert(
@@ -1113,11 +1102,11 @@ impl Interp {
     fn run_program(&self, prog: &Program) -> TclResult {
         prog.runs.set(prog.runs.get() + 1);
         let rerun = prog.runs.get() > 1;
-        let stats = &self.inner.compile.stats;
+        let st = &self.inner.compile;
         let mut result = String::new();
         for cmd in &prog.cmds {
             if rerun {
-                bump(&stats.parses_avoided);
+                st.stats.borrow_mut().parses_avoided += 1;
             }
             match self.run_cmd(cmd) {
                 Ok(r) => result = r,
@@ -1234,7 +1223,7 @@ impl Interp {
         let st = &self.inner.compile;
         let hit = st.exprs.borrow().get(src).cloned();
         if hit.is_some() {
-            bump(&st.stats.expr_cache_hits);
+            st.stats.borrow_mut().expr_cache_hits += 1;
         }
         hit
     }
@@ -1243,7 +1232,7 @@ impl Interp {
     pub(crate) fn expr_cache_put(&self, src: &str, prog: Option<Rc<crate::expr::ExprProgram>>) {
         let st = &self.inner.compile;
         if prog.is_some() {
-            bump(&st.stats.expr_compiles);
+            st.stats.borrow_mut().expr_compiles += 1;
         }
         let mut cache = st.exprs.borrow_mut();
         if cache.len() >= EXPR_CACHE_CAP {

@@ -219,7 +219,7 @@ pub struct AppInner {
     /// Toolkit-level observability: counters for event dispatch,
     /// bindings, redraw, relayout, timers, and idle work, and value
     /// histograms (`send_latency_ms`). Stage timings come from `tracer`.
-    pub(crate) obs: rtk_obs::Registry,
+    pub(crate) obs: crate::obs_cmd::ToolkitObs,
     /// Causal span tracing (rtk-trace): one store per application, shared
     /// with the X connection so client- and server-side records form one
     /// tree.
@@ -273,7 +273,7 @@ impl TkApp {
             packer: RefCell::new(Packer::new()),
             selection: RefCell::new(SelectionState::default()),
             send: RefCell::new(SendState::default()),
-            obs: rtk_obs::Registry::new(),
+            obs: Default::default(),
             tracer,
             timers: RefCell::new(Vec::new()),
             next_timer: Cell::new(0),
@@ -350,7 +350,7 @@ impl TkApp {
     }
 
     /// Toolkit-level observability metrics for this application.
-    pub fn obs(&self) -> &rtk_obs::Registry {
+    pub fn obs(&self) -> &crate::obs_cmd::ToolkitObs {
         &self.inner.obs
     }
 
@@ -521,6 +521,14 @@ impl TkApp {
         self.configure(path, &rec, Some((x, y)), width, height);
         if !rec.mapped.replace(true) {
             self.conn().map_window(rec.xid);
+        }
+    }
+
+    /// Unmaps a mapped window: the geometry managers' counterpart of
+    /// [`TkApp::place_window`].
+    pub fn unmap_window(&self, path: &str) {
+        if let Some(rec) = self.window(path).filter(|r| r.mapped.replace(false)) {
+            self.conn().unmap_window(rec.xid);
         }
     }
 
@@ -708,7 +716,7 @@ impl TkApp {
             };
             match due {
                 Some(t) => {
-                    self.inner.obs.incr("timers.fired");
+                    self.inner.obs.count().timers_fired += 1;
                     self.eval_background(&t.script);
                 }
                 None => break,
@@ -778,11 +786,11 @@ impl TkApp {
             for task in tasks {
                 match task {
                     IdleTask::Script(s) => {
-                        self.inner.obs.incr("idle.scripts");
+                        self.inner.obs.count().idle_scripts += 1;
                         self.eval_background(&s);
                     }
                     IdleTask::Redraw { path, cause } => {
-                        self.inner.obs.incr("idle.redraws");
+                        self.inner.obs.count().idle_redraws += 1;
                         let damage = self.inner.damage.borrow_mut().remove(&path);
                         // A window unmapped since the schedule is not drawn.
                         if let Some(rec) = self.window(&path).filter(|w| w.mapped.get()) {
@@ -808,7 +816,7 @@ impl TkApp {
                         }
                     }
                     IdleTask::Relayout { master, cause } => {
-                        self.inner.obs.incr("idle.relayouts");
+                        self.inner.obs.count().idle_relayouts += 1;
                         let _scope = self.inner.tracer.scope(cause);
                         crate::pack::relayout(self, &master);
                     }
@@ -845,7 +853,7 @@ impl TkApp {
         if self.inner.destroyed.get() {
             return false;
         }
-        self.inner.obs.incr("connection.dead");
+        self.inner.obs.count().connection_dead += 1;
         crate::send::withdraw_post_mortem(self);
         // The server already reclaimed the X windows at close-down; this
         // clears the Tk-side records (widget commands, bindings, pack
@@ -885,7 +893,7 @@ impl TkApp {
             if e.code != tcl::Code::Error {
                 return; // break/continue/return at background level: ignore
             }
-            self.inner.obs.incr("background.errors");
+            self.inner.obs.count().background_errors += 1;
             let msg = e.msg.clone();
             if self.inner.interp.command("tkerror").is_some() {
                 let call = tcl::format_list(&["tkerror".to_string(), msg]);
@@ -901,7 +909,7 @@ impl TkApp {
     /// Dispatches one X event: structure cache, send/selection protocol,
     /// the widget's built-in handler, then user bindings.
     pub fn dispatch_event(&self, ev: &Event) {
-        self.inner.obs.incr("events.dispatched");
+        self.inner.obs.count().events_dispatched += 1;
         let _tspan = self.inner.tracer.begin("dispatch", ev.name(), 0);
         self.dispatch_event_inner(ev);
     }
@@ -989,7 +997,7 @@ impl TkApp {
                 .borrow_mut()
                 .match_event(&path, &class, &info);
             if let Some(script) = script {
-                self.inner.obs.incr("bind.matches");
+                self.inner.obs.count().bind_matches += 1;
                 let script = percent_substitute(&script, &info, &path);
                 let _tspan =
                     self.inner
@@ -997,7 +1005,7 @@ impl TkApp {
                         .begin("bind", format!("{path} {}", info.descriptor()), 0);
                 self.eval_background(&script);
             } else {
-                self.inner.obs.incr("bind.misses");
+                self.inner.obs.count().bind_misses += 1;
             }
         }
     }

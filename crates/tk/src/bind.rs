@@ -520,16 +520,23 @@ pub struct Binding {
     pub script: String,
 }
 
+rtk_obs::counter_set! {
+    /// Binding-match counters.
+    pub struct BindStats {
+        /// Bindings whose sequences were examined during matching.
+        considered => "bind.considered",
+        /// `match_event` calls that produced a script.
+        matched => "bind.matched",
+    }
+}
+
 /// Per-owner binding lists plus per-window event history for sequence and
 /// Double/Triple matching.
 #[derive(Debug, Default)]
 pub struct BindingTable {
     by_owner: HashMap<String, Vec<Binding>>,
     history: HashMap<String, VecDeque<EventInfo>>,
-    /// Bindings whose sequences were examined during matching.
-    considered: u64,
-    /// `match_event` calls that produced a script.
-    matched: u64,
+    stats: BindStats,
 }
 
 impl BindingTable {
@@ -583,16 +590,15 @@ impl BindingTable {
             .unwrap_or_default()
     }
 
-    /// `(considered, matched)`: how many binding sequences were examined
-    /// across all `match_event` calls, and how many calls found a script.
-    pub fn match_stats(&self) -> (u64, u64) {
-        (self.considered, self.matched)
+    /// How many binding sequences were examined across all
+    /// `match_event` calls, and how many calls found a script.
+    pub fn stats(&self) -> BindStats {
+        self.stats
     }
 
     /// Zeroes the match counters (bindings themselves stay).
     pub fn reset_stats(&mut self) {
-        self.considered = 0;
-        self.matched = 0;
+        self.stats.reset();
     }
 
     /// Drops all bindings and history for a window (on destroy).
@@ -623,7 +629,7 @@ impl BindingTable {
             let Some(list) = self.by_owner.get(owner) else {
                 continue;
             };
-            self.considered += list.len() as u64;
+            self.stats.considered += list.len() as u64;
             let mut best: Option<(u32, &Binding)> = None;
             for b in list {
                 if let Some(weight) = sequence_matches(&b.sequence, event, history) {
@@ -633,7 +639,7 @@ impl BindingTable {
                 }
             }
             if let Some((_, b)) = best {
-                self.matched += 1;
+                self.stats.matched += 1;
                 return Some(b.script.clone());
             }
         }

@@ -50,27 +50,25 @@ pub struct Border {
     pub dark: Pixel,
 }
 
-/// Hit/miss counters for one cache class. A disabled cache counts every
-/// lookup as a miss, which is exactly what the ablation experiment wants
-/// to see.
-#[derive(Default)]
-struct ClassStats {
-    hits: Cell<u64>,
-    misses: Cell<u64>,
-}
-
-impl ClassStats {
-    fn hit(&self) {
-        self.hits.set(self.hits.get() + 1);
+rtk_obs::counter_set! {
+    /// Hit/miss counters per cache class. A disabled cache counts every
+    /// lookup as a miss, which is exactly what the ablation experiment
+    /// wants to see.
+    pub struct CacheStats {
+        color_hits => "cache.color.hits",
+        color_misses => "cache.color.misses",
+        font_hits => "cache.font.hits",
+        font_misses => "cache.font.misses",
+        cursor_hits => "cache.cursor.hits",
+        cursor_misses => "cache.cursor.misses",
+        border_hits => "cache.border.hits",
+        border_misses => "cache.border.misses",
+        bitmap_hits => "cache.bitmap.hits",
+        bitmap_misses => "cache.bitmap.misses",
+        gc_hits => "cache.gc.hits",
+        gc_misses => "cache.gc.misses",
     }
-
-    fn miss(&self) {
-        self.misses.set(self.misses.get() + 1);
-    }
 }
-
-/// The cache classes reported by [`ResourceCache::stats`], in order.
-pub const CACHE_CLASSES: [&str; 6] = ["color", "font", "cursor", "border", "bitmap", "gc"];
 
 /// Per-application resource caches.
 pub struct ResourceCache {
@@ -83,7 +81,7 @@ pub struct ResourceCache {
     borders: RefCell<HashMap<String, Border>>,
     gcs: RefCell<HashMap<(Pixel, Pixel, u32, FontId), GcId>>,
     bitmaps: RefCell<HashMap<String, (xsim::BitmapId, u32, u32)>>,
-    stats: [ClassStats; 6],
+    stats: RefCell<CacheStats>,
 }
 
 impl Default for ResourceCache {
@@ -119,52 +117,32 @@ impl ResourceCache {
         self.enabled.get()
     }
 
-    fn class(&self, name: &str) -> &ClassStats {
-        let i = CACHE_CLASSES
-            .iter()
-            .position(|c| *c == name)
-            .expect("known class");
-        &self.stats[i]
-    }
-
-    /// Hit/miss counts per cache class, in [`CACHE_CLASSES`] order, as
-    /// `(class, hits, misses)`.
-    pub fn stats(&self) -> Vec<(&'static str, u64, u64)> {
-        CACHE_CLASSES
-            .iter()
-            .zip(&self.stats)
-            .map(|(c, s)| (*c, s.hits.get(), s.misses.get()))
-            .collect()
+    /// The hit/miss counters of every class.
+    pub fn stats(&self) -> CacheStats {
+        *self.stats.borrow()
     }
 
     /// Total hits across every class.
     pub fn hits(&self) -> u64 {
-        self.stats.iter().map(|s| s.hits.get()).sum()
+        self.total(".hits")
     }
 
     /// Total misses across every class.
     pub fn misses(&self) -> u64 {
-        self.stats.iter().map(|s| s.misses.get()).sum()
+        self.total(".misses")
+    }
+
+    fn total(&self, suffix: &str) -> u64 {
+        self.stats()
+            .iter()
+            .filter(|(n, _)| n.ends_with(suffix))
+            .map(|(_, v)| v)
+            .sum()
     }
 
     /// Zeroes all hit/miss counters (cached entries stay).
     pub fn reset_stats(&self) {
-        for s in &self.stats {
-            s.hits.set(0);
-            s.misses.set(0);
-        }
-    }
-
-    /// JSON object `{"color":{"hits":..,"misses":..},...}`.
-    pub fn stats_json(&self) -> String {
-        let mut o = rtk_obs::json::Object::new();
-        for (class, hits, misses) in self.stats() {
-            let mut c = rtk_obs::json::Object::new();
-            c.field_u64("hits", hits);
-            c.field_u64("misses", misses);
-            o.field_raw(class, &c.build());
-        }
-        o.build()
+        self.stats.borrow_mut().reset();
     }
 
     /// Resolves a color name to a pixel, consulting the cache first.
@@ -172,11 +150,11 @@ impl ResourceCache {
         let key = name.to_ascii_lowercase();
         if self.enabled.get() {
             if let Some(&p) = self.colors.borrow().get(&key) {
-                self.class("color").hit();
+                self.stats.borrow_mut().color_hits += 1;
                 return Ok(p);
             }
         }
-        self.class("color").miss();
+        self.stats.borrow_mut().color_misses += 1;
         let (pixel, _) = retry_once(|| {
             self.colors.borrow_mut().remove(&key);
             conn.alloc_named_color(name)
@@ -203,11 +181,11 @@ impl ResourceCache {
     pub fn font(&self, conn: &Connection, name: &str) -> Result<(FontId, FontMetrics), Exception> {
         if self.enabled.get() {
             if let Some(&f) = self.fonts.borrow().get(name) {
-                self.class("font").hit();
+                self.stats.borrow_mut().font_hits += 1;
                 return Ok(f);
             }
         }
-        self.class("font").miss();
+        self.stats.borrow_mut().font_misses += 1;
         let id = retry_once(|| {
             self.fonts.borrow_mut().remove(name);
             conn.open_font(name)
@@ -238,11 +216,11 @@ impl ResourceCache {
     pub fn cursor(&self, conn: &Connection, name: &str) -> Result<CursorId, Exception> {
         if self.enabled.get() {
             if let Some(&c) = self.cursors.borrow().get(name) {
-                self.class("cursor").hit();
+                self.stats.borrow_mut().cursor_hits += 1;
                 return Ok(c);
             }
         }
-        self.class("cursor").miss();
+        self.stats.borrow_mut().cursor_misses += 1;
         let id = retry_once(|| {
             self.cursors.borrow_mut().remove(name);
             conn.create_cursor(name)
@@ -260,11 +238,11 @@ impl ResourceCache {
         let key = bg_name.to_ascii_lowercase();
         if self.enabled.get() {
             if let Some(&b) = self.borders.borrow().get(&key) {
-                self.class("border").hit();
+                self.stats.borrow_mut().border_hits += 1;
                 return Ok(b);
             }
         }
-        self.class("border").miss();
+        self.stats.borrow_mut().border_misses += 1;
         let rgb = xsim::lookup_color(bg_name)
             .ok_or_else(|| Exception::error(format!("unknown color name \"{bg_name}\"")))?;
         let scale = |v: u8, num: u32, den: u32| -> u8 { ((v as u32 * num / den).min(255)) as u8 };
@@ -311,11 +289,11 @@ impl ResourceCache {
     ) -> Result<(xsim::BitmapId, u32, u32), Exception> {
         if self.enabled.get() {
             if let Some(&b) = self.bitmaps.borrow().get(name) {
-                self.class("bitmap").hit();
+                self.stats.borrow_mut().bitmap_hits += 1;
                 return Ok(b);
             }
         }
-        self.class("bitmap").miss();
+        self.stats.borrow_mut().bitmap_misses += 1;
         let bitmap = if let Some(path) = name.strip_prefix('@') {
             let text = std::fs::read_to_string(path).map_err(|e| {
                 Exception::error(format!("error reading bitmap file \"{path}\": {e}"))
@@ -347,11 +325,11 @@ impl ResourceCache {
         );
         if self.enabled.get() {
             if let Some(&gc) = self.gcs.borrow().get(&key) {
-                self.class("gc").hit();
+                self.stats.borrow_mut().gc_hits += 1;
                 return gc;
             }
         }
-        self.class("gc").miss();
+        self.stats.borrow_mut().gc_misses += 1;
         let gc = conn.create_gc(values);
         if self.enabled.get() {
             self.gcs.borrow_mut().insert(key, gc);

@@ -2,8 +2,9 @@
 //!
 //! Everything the toolkit measures — protocol requests per kind, round-trip
 //! latency, cache hits and misses, binding dispatch, redraw and relayout
-//! timing — is inspectable from scripts. Stage timings (`<kind>_ns`) and
-//! the protocol trace are views of the span tracer's store:
+//! timing — is inspectable from scripts. Counters live in static counter
+//! sets, one per family, and every subcommand walks the same sets. Stage timings (`<kind>_ns`), the request
+//! latencies and the protocol trace are views of the span tracer's store:
 //!
 //! ```tcl
 //! obs counters              ;# flat name/value list
@@ -19,9 +20,68 @@
 //! obs dump -format json     ;# machine-readable dump of everything
 //! ```
 
+use std::cell::{RefCell, RefMut};
+
+use rtk_obs::json::Object;
+use rtk_obs::Histogram;
 use tcl::{wrong_args, Exception, TclResult};
 
 use crate::app::TkApp;
+
+rtk_obs::counter_set! {
+    /// The toolkit's own counters: event dispatch, bindings, idle work,
+    /// geometry, `send`, and `obs audit`.
+    pub struct ToolkitCounters {
+        events_dispatched => "events.dispatched",
+        bind_matches => "bind.matches",
+        bind_misses => "bind.misses",
+        timers_fired => "timers.fired",
+        idle_scripts => "idle.scripts",
+        idle_redraws => "idle.redraws",
+        idle_relayouts => "idle.relayouts",
+        pack_relayouts => "pack.relayouts",
+        background_errors => "background.errors",
+        connection_dead => "connection.dead",
+        send_retries => "send_retries",
+        send_timeouts => "send_timeouts",
+        send_dedup_drops => "send_dedup_drops",
+        registry_gc => "registry_gc",
+        audit_runs => "audit.runs",
+        audit_violations => "audit.violations",
+    }
+}
+
+/// One application's toolkit observability: its counter set and the
+/// `send_latency_ms` histogram. Stage timings come from the tracer.
+#[derive(Default)]
+pub struct ToolkitObs {
+    counters: RefCell<ToolkitCounters>,
+    /// Virtual milliseconds per completed `send`.
+    pub send_latency_ms: RefCell<Histogram>,
+}
+
+impl ToolkitObs {
+    /// The counters, for bumping: `obs.count().timers_fired += 1`.
+    pub fn count(&self) -> RefMut<'_, ToolkitCounters> {
+        self.counters.borrow_mut()
+    }
+
+    /// One counter by its `obs` name (0 for a name the set lacks).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.borrow().get(name).unwrap_or(0)
+    }
+
+    /// Every counter.
+    pub fn counters(&self) -> ToolkitCounters {
+        *self.counters.borrow()
+    }
+
+    /// Zeroes the counters and the histogram.
+    pub fn reset(&self) {
+        self.counters.borrow_mut().reset();
+        *self.send_latency_ms.borrow_mut() = Histogram::new();
+    }
+}
 
 /// Registers the `obs` command.
 pub fn register(app: &TkApp) {
@@ -33,17 +93,25 @@ fn cmd_obs(app: &TkApp, _interp: &tcl::Interp, argv: &[String]) -> TclResult {
         return Err(wrong_args("obs option ?arg ...?"));
     }
     match argv[1].as_str() {
-        "counters" => Ok(counters_list(app)),
+        "counters" => {
+            let items = families(app).into_iter().flat_map(|(_, counters)| counters);
+            let items: Vec<String> = items.flat_map(|(n, v)| [n, v.to_string()]).collect();
+            Ok(tcl::format_list(&items))
+        }
         "histogram" => {
             let name = argv
                 .get(2)
                 .ok_or_else(|| wrong_args("obs histogram name"))?;
-            match find_histogram(app, name) {
-                Some(h) => Ok(h.summary()),
-                None => Err(Exception::error(format!(
-                    "no histogram named \"{name}\": should be one of {}",
-                    histogram_names(app).join(", ")
-                ))),
+            let all = histograms(app);
+            match all.iter().find(|(n, _)| n == name) {
+                Some((_, h)) => Ok(h.summary()),
+                None => {
+                    let names: Vec<&str> = all.iter().map(|(n, _)| n.as_str()).collect();
+                    Err(Exception::error(format!(
+                        "no histogram named \"{name}\": should be one of {}",
+                        names.join(", ")
+                    )))
+                }
             }
         }
         "trace" => match argv.get(2).map(String::as_str) {
@@ -81,21 +149,23 @@ fn cmd_obs(app: &TkApp, _interp: &tcl::Interp, argv: &[String]) -> TclResult {
             // registry shard pointing at a vanished comm window). Clean
             // runs return the empty string, so scripts can gate on it.
             let violations = app.conn().audit();
-            app.obs().incr("audit.runs");
-            app.obs().add("audit.violations", violations.len() as u64);
+            let mut count = app.obs().count();
+            count.audit_runs += 1;
+            count.audit_violations += violations.len() as u64;
             Ok(violations.join("\n"))
         }
         "reset" => {
-            // `reset_obs` starts a new tracer epoch server-side (the span
-            // store clears and in-flight spans re-parent to the new root),
-            // so spans stay scoped to the same epoch as every counter.
+            // Every family of `families`, zeroed. `reset_obs` also starts
+            // a new tracer epoch server-side (the span store clears and
+            // in-flight spans re-parent to the new root), so spans stay
+            // scoped to the same epoch as every counter. The Tcl program
+            // cache itself stays warm, so post-reset measurement epochs
+            // replay cached programs.
             app.conn().reset_obs();
-            app.obs().reset();
             app.cache().reset_stats();
             app.inner.bindings.borrow_mut().reset_stats();
-            // Compile counters reset; the program cache itself stays warm
-            // so post-reset measurement epochs replay cached programs.
             app.interp().reset_compile_stats();
+            app.obs().reset();
             Ok(String::new())
         }
         "dump" => {
@@ -124,110 +194,46 @@ fn cmd_obs(app: &TkApp, _interp: &tcl::Interp, argv: &[String]) -> TclResult {
     }
 }
 
-/// Every counter the toolkit knows, as a flat Tcl list of name/value pairs:
-/// protocol requests per kind (prefixed `req.`), cache hits and misses
-/// (`cache.<class>.hits`/`.misses`), binding match statistics, and the
-/// toolkit registry counters.
-fn counters_list(app: &TkApp) -> String {
-    let mut items: Vec<String> = Vec::new();
-    let stats = app.conn().stats();
-    items.push("protocol.requests".into());
-    items.push(stats.requests.to_string());
-    items.push("protocol.round_trips".into());
-    items.push(stats.round_trips.to_string());
-    items.push("protocol.events".into());
-    items.push(stats.events.to_string());
-    items.push("protocol.flushes".into());
-    items.push(stats.flushes.to_string());
-    items.push("protocol.batched_requests".into());
-    items.push(stats.batched_requests.to_string());
-    items.push("protocol.max_batch".into());
-    items.push(stats.max_batch.to_string());
-    items.push("protocol.max_pending_replies".into());
-    items.push(stats.max_pending_replies.to_string());
-    for (kind, n) in app.conn().obs_kind_counts() {
-        items.push(format!("req.{kind}"));
-        items.push(n.to_string());
+/// Every counter the application owns, family by family, each under its
+/// `obs` name: the one list that `obs counters`, `obs snapshot` and `obs
+/// dump` walk, and that `obs reset` zeroes. A family's name is its dump
+/// section.
+fn families(app: &TkApp) -> [(&'static str, Vec<(String, u64)>); 5] {
+    fn named(set: impl Iterator<Item = (&'static str, u64)>) -> Vec<(String, u64)> {
+        set.map(|(n, v)| (n.to_string(), v)).collect()
     }
-    let faults = app
-        .conn()
-        .with_obs(|o| (o.faults_injected, o.fault_kind_counts()));
-    if let Some((total, by_kind)) = faults {
-        items.push("protocol.faults_injected".into());
-        items.push(total.to_string());
-        for (kind, n) in by_kind {
-            items.push(format!("fault.{kind}"));
-            items.push(n.to_string());
-        }
-    }
-    let wire = app.conn().wire_stats();
-    if wire.active() {
-        for (name, v) in [
-            ("wire.frames_encoded", wire.frames_encoded),
-            ("wire.bytes_encoded", wire.bytes_encoded),
-            ("wire.frames_decoded", wire.frames_decoded),
-            ("wire.bytes_decoded", wire.bytes_decoded),
-            ("wire.flushes", wire.flushes),
-            ("wire.backpressure_stalls", wire.backpressure_stalls),
-            ("wire.checksum_errors", wire.checksum_errors),
-            ("wire.watchdog_fires", wire.watchdog_fires),
-        ] {
-            items.push(name.into());
-            items.push(v.to_string());
-        }
-    }
-    for (class, hits, misses) in app.cache().stats() {
-        items.push(format!("cache.{class}.hits"));
-        items.push(hits.to_string());
-        items.push(format!("cache.{class}.misses"));
-        items.push(misses.to_string());
-    }
-    let (considered, matched) = app.inner.bindings.borrow().match_stats();
-    items.push("bind.considered".into());
-    items.push(considered.to_string());
-    items.push("bind.matched".into());
-    items.push(matched.to_string());
-    for (name, v) in app.interp().compile_counters() {
-        items.push(name.into());
-        items.push(v.to_string());
-    }
-    for (name, v) in app.obs().counters() {
-        items.push(name);
-        items.push(v.to_string());
-    }
-    tcl::format_list(&items)
+    [
+        (
+            "protocol",
+            app.conn().with_obs(|o| o.counters()).unwrap_or_default(),
+        ),
+        ("cache", named(app.cache().stats().iter())),
+        ("bind", named(app.inner.bindings.borrow().stats().iter())),
+        ("tcl", named(app.interp().compile_counters().into_iter())),
+        ("toolkit", named(app.obs().counters().iter())),
+    ]
 }
 
-/// The span store's per-stage rollup: the one source of the `<kind>_ns`
-/// stage histograms.
-fn stages(app: &TkApp) -> Vec<rtk_obs::span::Stage> {
-    rtk_obs::span::stage_totals(&app.tracer().snapshot())
-}
-
-/// Looks up a histogram by name: the protocol histograms have the fixed
-/// names `request_ns` and `round_trip_ns`; any other `<kind>_ns` is the
-/// wall time of the current epoch's closed `<kind>` spans; everything
-/// else lives in the toolkit registry.
-fn find_histogram(app: &TkApp, name: &str) -> Option<rtk_obs::Histogram> {
-    match name {
-        "request_ns" => Some(app.conn().obs_request_histogram()),
-        "round_trip_ns" => Some(app.conn().obs_round_trip_histogram()),
-        _ => match name.strip_suffix("_ns") {
-            Some(kind) => stages(app).into_iter().find(|s| s.kind == kind)?.ns,
-            None => app.obs().histogram(name),
-        },
-    }
-}
-
-fn histogram_names(app: &TkApp) -> Vec<String> {
-    let mut names = vec!["request_ns".to_string(), "round_trip_ns".to_string()];
-    for stage in stages(app) {
-        if stage.ns.is_some() {
-            names.push(format!("{}_ns", stage.kind));
+/// Every histogram `obs histogram` answers to, by name: the protocol
+/// latencies (built from the traced requests, so empty while the trace
+/// is off), `send_latency_ms`, and one `<kind>_ns` per span kind with
+/// closed spans in the current epoch.
+fn histograms(app: &TkApp) -> Vec<(String, Histogram)> {
+    let (requests, round_trips) = app.conn().obs_request_histograms();
+    let mut out = vec![
+        ("request_ns".to_string(), requests),
+        ("round_trip_ns".to_string(), round_trips),
+        (
+            "send_latency_ms".to_string(),
+            app.obs().send_latency_ms.borrow().clone(),
+        ),
+    ];
+    for stage in rtk_obs::span::stage_totals(&app.tracer().snapshot()) {
+        if let Some(h) = stage.ns {
+            out.push((format!("{}_ns", stage.kind), h));
         }
     }
-    names.extend(app.obs().histogram_names());
-    names
+    out
 }
 
 /// The last `n` protocol trace records, one per line: a traced request
@@ -248,116 +254,57 @@ fn trace_lines(app: &TkApp, n: usize) -> String {
 /// A human-readable overview of everything, for interactive poking.
 fn snapshot(app: &TkApp) -> String {
     let mut out = String::new();
-    let stats = app.conn().stats();
+    for (family, counters) in families(app) {
+        out.push_str(&format!("{family}:\n"));
+        for (name, v) in counters {
+            out.push_str(&format!("  {name}: {v}\n"));
+        }
+    }
+    out.push_str("histograms:\n");
+    for (name, h) in histograms(app) {
+        out.push_str(&format!("  {name}: {}\n", h.summary()));
+    }
+    let on_off = |on: bool| if on { "on" } else { "off" };
     out.push_str(&format!(
-        "protocol: {} requests, {} round trips, {} events, {} flushes (max batch {})\n",
-        stats.requests, stats.round_trips, stats.events, stats.flushes, stats.max_batch
+        "tcl compile: {}\n",
+        on_off(app.interp().compile_enabled())
     ));
-    for (kind, n) in app.conn().obs_kind_counts() {
-        out.push_str(&format!("  {kind}: {n}\n"));
-    }
-    out.push_str(&format!(
-        "round_trip_ns: {}\n",
-        app.conn().obs_round_trip_histogram().summary()
-    ));
-    out.push_str("cache:\n");
-    for (class, hits, misses) in app.cache().stats() {
-        if hits + misses > 0 {
-            out.push_str(&format!("  {class}: {hits} hits, {misses} misses\n"));
-        }
-    }
-    if let Some((total, by_kind)) = app
-        .conn()
-        .with_obs(|o| (o.faults_injected, o.fault_kind_counts()))
-    {
-        if total > 0 {
-            out.push_str(&format!("faults: {total} injected\n"));
-            for (kind, n) in by_kind {
-                out.push_str(&format!("  {kind}: {n}\n"));
-            }
-        }
-    }
-    let (considered, matched) = app.inner.bindings.borrow().match_stats();
-    out.push_str(&format!(
-        "bind: {considered} considered, {matched} matched\n"
-    ));
-    out.push_str(&format!(
-        "tcl: compile {}\n",
-        if app.interp().compile_enabled() {
-            "on"
-        } else {
-            "off"
-        }
-    ));
-    for (name, v) in app.interp().compile_counters() {
-        out.push_str(&format!("  {name}: {v}\n"));
-    }
-    out.push_str("toolkit:\n");
-    for (name, v) in app.obs().counters() {
-        out.push_str(&format!("  {name}: {v}\n"));
-    }
-    for name in app.obs().histogram_names() {
-        if let Some(h) = app.obs().histogram(&name) {
-            out.push_str(&format!("  {name}: {}\n", h.summary()));
-        }
-    }
-    out.push_str("stages:\n");
-    for stage in stages(app) {
-        if let Some(h) = stage.ns {
-            out.push_str(&format!("  {}_ns: {}\n", stage.kind, h.summary()));
-        }
-    }
     out.push_str(&format!(
         "trace: {}\n",
-        if app.conn().obs_trace_enabled() {
-            "on"
-        } else {
-            "off"
-        }
+        on_off(app.conn().obs_trace_enabled())
     ));
     let t = app.tracer();
     out.push_str(&format!(
-        "spans: {} recorded (epoch {}, {} open, {} dropped)\n",
+        "spans: {} recorded (epoch {}, {} open, {} dropped)",
         t.len(),
         t.epoch(),
         t.open_count(),
         t.dropped()
     ));
-    out.pop();
     out
 }
 
 /// The full machine-readable dump: the acceptance surface of the
-/// observability core. Validated JSON with the app name, the protocol
-/// view (compat `ClientStats` plus the structured per-kind counters,
-/// histograms, and trace), the cache hit/miss table, binding match
-/// statistics, the toolkit registry, and the span store's per-stage
-/// rollup (each timed stage with its `ns` histogram).
+/// observability core. Validated JSON with the app name, every counter
+/// family as a `counters` section (each counter nested on the dots of its
+/// `obs` name, the family's own prefix dropped; `protocol` is xsim's
+/// record with its per-kind tables and trace), every histogram `obs
+/// histogram` knows, and the span store's per-stage rollup.
 pub fn dump_json(app: &TkApp) -> String {
-    let stats = app.conn().stats();
-    let mut protocol = rtk_obs::json::Object::new();
-    protocol.field_u64("requests", stats.requests);
-    protocol.field_u64("round_trips", stats.round_trips);
-    protocol.field_u64("events", stats.events);
-    protocol.field_u64("flushes", stats.flushes);
-    protocol.field_u64("batched_requests", stats.batched_requests);
-    protocol.field_u64("max_batch", stats.max_batch);
-    protocol.field_u64("max_pending_replies", stats.max_pending_replies);
-    protocol.field_u64(
-        "faults_injected",
-        app.conn().with_obs(|o| o.faults_injected).unwrap_or(0),
-    );
-    protocol.field_raw("detail", &app.conn().obs_json());
-
-    let (considered, matched) = app.inner.bindings.borrow().match_stats();
-    let mut bind = rtk_obs::json::Object::new();
-    bind.field_u64("considered", considered);
-    bind.field_u64("matched", matched);
-
-    let mut tcl_obj = rtk_obs::json::Object::new();
-    tcl_obj.field_bool("compile_enabled", app.interp().compile_enabled());
-    for (name, v) in app.interp().compile_counters() {
-        tcl_obj.field_u64(name.trim_start_matches("tcl."), v);
+    let mut counters = Object::new();
+    for (family, list) in families(app) {
+        let section = match family {
+            "protocol" => app.conn().obs_json(),
+            _ => {
+                let pairs = list.iter().map(|(n, v)| (n.as_str(), *v));
+                Object::new().counters(&format!("{family}."), pairs).build()
+            }
+        };
+        counters.field_raw(family, &section);
+    }
+    let mut hists = Object::new();
+    for (name, h) in histograms(app) {
+        hists.field_raw(&name, &h.to_json());
     }
 
     let t = app.tracer();
@@ -366,17 +313,14 @@ pub fn dump_json(app: &TkApp) -> String {
     shape.collect(&span_records);
     let mut stages = rtk_obs::json::Array::new();
     for stage in rtk_obs::span::stage_totals(&span_records) {
-        let mut st = rtk_obs::json::Object::new();
+        let mut st = Object::new();
         st.field_str("kind", stage.kind)
             .field_u64("count", stage.count)
             .field_u64("total_ns", stage.total_ns)
             .field_u64("total_vms", stage.total_vms);
-        if let Some(h) = stage.ns {
-            st.field_raw("ns", &h.to_json());
-        }
         stages.push_raw(&st.build());
     }
-    let mut spans = rtk_obs::json::Object::new();
+    let mut spans = Object::new();
     spans
         .field_u64("count", span_records.len() as u64)
         .field_u64("epoch", t.epoch())
@@ -385,14 +329,12 @@ pub fn dump_json(app: &TkApp) -> String {
         .field_raw("stages", &stages.build())
         .field_raw("shape", &shape.to_json());
 
-    let mut o = rtk_obs::json::Object::new();
-    o.field_str("app", &app.name());
-    o.field_raw("protocol", &protocol.build());
-    o.field_raw("cache", &app.cache().stats_json());
-    o.field_raw("bind", &bind.build());
-    o.field_raw("tcl", &tcl_obj.build());
-    o.field_raw("toolkit", &app.obs().to_json());
-    o.field_raw("spans", &spans.build());
+    let mut o = Object::new();
+    o.field_str("app", &app.name())
+        .field_bool("compile_enabled", app.interp().compile_enabled())
+        .field_raw("counters", &counters.build())
+        .field_raw("histograms", &hists.build())
+        .field_raw("spans", &spans.build());
     o.build()
 }
 
@@ -535,9 +477,8 @@ mod tests {
         assert_eq!(app.conn().stats().requests, 0);
         assert!(app.conn().obs_kind_counts().is_empty());
         assert_eq!(app.cache().hits() + app.cache().misses(), 0);
-        assert!(app.obs().counters().is_empty());
-        let (considered, matched) = app.inner.bindings.borrow().match_stats();
-        assert_eq!((considered, matched), (0, 0));
+        assert_eq!(app.obs().counters(), Default::default());
+        assert_eq!(app.inner.bindings.borrow().stats(), Default::default());
     }
 
     #[test]
@@ -570,7 +511,7 @@ mod tests {
         let trace = app.eval("obs trace").unwrap();
         assert!(trace.contains("fault=error.BadAtom"), "{trace}");
         let snap = app.eval("obs snapshot").unwrap();
-        assert!(snap.contains("faults: 1 injected"), "{snap}");
+        assert!(snap.contains("protocol.faults_injected: 1"), "{snap}");
         let j = app.eval("obs dump -format json").unwrap();
         assert!(rtk_obs::json::is_valid(&j), "{j}");
         assert!(j.contains("\"faults_injected\":1"), "{j}");

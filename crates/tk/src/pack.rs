@@ -267,7 +267,7 @@ pub fn relayout(app: &TkApp, master: &str) {
     if slots.is_empty() {
         return;
     }
-    app.inner.obs.incr("pack.relayouts");
+    app.inner.obs.count().pack_relayouts += 1;
     let _tspan = app.inner.tracer.begin("relayout", master, 0);
     // Requested sizes of every slave (the structure cache; no server trip).
     let req: Vec<(u32, u32)> = slots
@@ -347,9 +347,10 @@ pub fn relayout(app: &TkApp, master: &str) {
             }
             cw -= fw;
         }
-        // Size the slave within its parcel.
-        let avail_w = (frame_w - 2 * slot.padx as i64).max(1);
-        let avail_h = (frame_h - 2 * slot.pady as i64).max(1);
+        // Size the slave within its parcel. As in Tk's `ArrangePacking`,
+        // a slave left no room is unmapped until room returns.
+        let avail_w = frame_w - 2 * slot.padx as i64;
+        let avail_h = frame_h - 2 * slot.pady as i64;
         let w = if slot.fill_x {
             avail_w
         } else {
@@ -360,13 +361,13 @@ pub fn relayout(app: &TkApp, master: &str) {
         } else {
             (rh as i64).min(avail_h)
         };
-        let (ox, oy) = slot.anchor.place(
-            (frame_w - 2 * slot.padx as i64) as i32,
-            (frame_h - 2 * slot.pady as i64) as i32,
-            w as i32,
-            h as i32,
-            0,
-        );
+        if w <= 0 || h <= 0 {
+            app.unmap_window(&slot.path);
+            continue;
+        }
+        let (ox, oy) = slot
+            .anchor
+            .place(avail_w as i32, avail_h as i32, w as i32, h as i32, 0);
         app.place_window(
             &slot.path,
             (frame_x + slot.padx as i64) as i32 + ox,
@@ -453,9 +454,8 @@ fn cmd_pack(app: &TkApp, _interp: &tcl::Interp, argv: &[String]) -> TclResult {
             let master = app.inner.packer.borrow_mut().unpack(path);
             if let Some(rec) = app.window(path) {
                 *rec.manager.borrow_mut() = String::new();
-                rec.mapped.set(false);
-                app.conn().unmap_window(rec.xid);
             }
+            app.unmap_window(path);
             if let Some(master) = master {
                 app.schedule_relayout(&master);
             }

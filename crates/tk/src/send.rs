@@ -166,7 +166,7 @@ pub fn register(app: &TkApp) {
 fn retry_once<T>(app: &TkApp, mut f: impl FnMut() -> Result<T, XError>) -> Result<T, XError> {
     match f() {
         Err(e) if e.retryable() => {
-            app.inner.obs.incr("send_retries");
+            app.inner.obs.count().send_retries += 1;
             app.env().advance(RETRY_BACKOFF_MS);
             f()
         }
@@ -327,7 +327,7 @@ pub fn interps(app: &TkApp) -> Vec<String> {
         names.extend(live.into_iter().map(|(n, _)| n));
     }
     if pruned_total > 0 {
-        app.inner.obs.add("registry_gc", pruned_total);
+        app.inner.obs.count().registry_gc += pruned_total;
     }
     // Sorted, so the listing is identical whatever the shard count —
     // concatenation order would otherwise leak the shard layout.
@@ -378,7 +378,7 @@ fn prune_registry_entry(app: &TkApp, name: &str, comm: WindowId) {
         .filter(|(n, w)| !(n == name && *w == comm))
         .collect();
     if kept.len() != before {
-        app.inner.obs.incr("registry_gc");
+        app.inner.obs.count().registry_gc += 1;
         conn.change_property(conn.root(), registry, &format_registry(&kept));
     }
 }
@@ -420,9 +420,8 @@ fn cmd_send(app: &TkApp, _interp: &tcl::Interp, argv: &[String]) -> TclResult {
     }
     let start = app.env().now();
     let r = send_remote(app, target_name, &script, timeout_ms);
-    app.inner
-        .obs
-        .record_ns("send_latency_ms", app.env().now().saturating_sub(start));
+    let ms = app.env().now().saturating_sub(start);
+    app.inner.obs.send_latency_ms.borrow_mut().record(ms);
     r
 }
 
@@ -543,7 +542,7 @@ fn wait_for_outcome(
         }
         let now = env.now();
         if now >= deadline {
-            app.inner.obs.incr("send_timeouts");
+            app.inner.obs.count().send_timeouts += 1;
             return Err(Exception::error(format!(
                 "send to \"{target_name}\" timed out after {timeout_ms}ms \
                  (target alive but unresponsive)"
@@ -659,7 +658,7 @@ pub fn handle_comm_event(app: &TkApp, ev: &Event) {
             // serial is recorded *before* the eval so a duplicate arriving
             // re-entrantly during the eval is suppressed too.
             if already_executed(app, sender, serial) {
-                app.inner.obs.incr("send_dedup_drops");
+                app.inner.obs.count().send_dedup_drops += 1;
                 continue;
             }
             // First request from this peer: watch its comm window so we
@@ -934,7 +933,6 @@ mod tests {
         let _b = env.app("beta");
         a.eval("send beta {}").unwrap();
         a.eval("send beta {}").unwrap();
-        let h = a.obs().histogram("send_latency_ms").expect("histogram");
-        assert_eq!(h.count(), 2);
+        assert_eq!(a.obs().send_latency_ms.borrow().count(), 2);
     }
 }

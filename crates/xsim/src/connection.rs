@@ -35,15 +35,14 @@
 //! [`poll_event`]: Connection::poll_event
 
 use std::marker::PhantomData;
-use std::time::Instant;
 
 use crate::event::{Event, Keysym};
 use crate::fault::{XError, XErrorCode};
 use crate::gc::GcValues;
 use crate::ids::{ClientId, GcId, WindowId, Xid};
-use crate::obs::{ClientObs, RequestKind, WireStats};
+use crate::obs::{ClientObs, ClientStats, RequestKind, WireStats};
 use crate::render::Surface;
-use crate::server::{ClientStats, Server};
+use crate::server::Server;
 use crate::wire::{Answer, Control, QueuedRequest, ReplyValue, State, SyncReply, SyncRequest};
 use crate::wire::{Transport, WireHandle};
 
@@ -298,7 +297,7 @@ impl Connection {
     /// so callers can tell from the counters alone whether any traffic
     /// actually crossed the framed byte transport.
     pub fn wire_stats(&self) -> WireStats {
-        self.with_obs(|o| o.wire.clone()).unwrap_or_default()
+        self.with_obs(|o| o.wire).unwrap_or_default()
     }
 
     /// This client's byte-fault timeline position: how many frames it
@@ -322,14 +321,12 @@ impl Connection {
         self.with_obs(|o| o.kind_counts()).unwrap_or_default()
     }
 
-    /// Snapshot of the all-requests latency histogram.
-    pub fn obs_request_histogram(&self) -> rtk_obs::Histogram {
-        self.with_obs(|o| o.request_ns.clone()).unwrap_or_default()
-    }
-
-    /// Snapshot of the round-trip latency histogram.
-    pub fn obs_round_trip_histogram(&self) -> rtk_obs::Histogram {
-        self.with_obs(|o| o.round_trip_ns.clone())
+    /// The `request_ns` and `round_trip_ns` latency histograms, built
+    /// from this client's traced requests: both empty while the trace is
+    /// off.
+    pub fn obs_request_histograms(&self) -> (rtk_obs::Histogram, rtk_obs::Histogram) {
+        self.peek(|s| s.client_tracer(self.client).cloned())
+            .map(|t| crate::obs::request_histograms(&t))
             .unwrap_or_default()
     }
 
@@ -508,8 +505,9 @@ impl Connection {
             // Still counted (the server would answer with an error); no
             // id is handed out and nothing is queued.
             let kind = RequestKind::CreateWindow;
+            let start = st.server.trace_start(self.client);
             st.server
-                .note_issue(self.client, kind, false, parent, seq, Instant::now());
+                .note_issue(self.client, kind, false, parent, seq, start);
             return Err(XError {
                 code: XErrorCode::BadWindow,
                 seq,
@@ -787,10 +785,21 @@ mod tests {
         let rt_kinds = c.with_obs(|o| o.kind_round_trip_counts()).unwrap();
         let rt_total: u64 = rt_kinds.iter().map(|(_, n)| n).sum();
         assert_eq!(rt_total, stats.round_trips);
-        assert_eq!(c.obs_request_histogram().count(), stats.requests);
-        assert_eq!(c.obs_round_trip_histogram().count(), stats.round_trips);
         assert!(kinds.contains(&("CreateWindow", 1)), "{kinds:?}");
         assert!(kinds.contains(&("MapWindow", 1)), "{kinds:?}");
+
+        // The latency histograms are built from traced requests only.
+        assert!(c.obs_request_histograms().0.is_empty());
+        c.reset_obs();
+        c.obs_set_trace(true);
+        let w = c.create_window(c.root(), 0, 0, 50, 50, 1).unwrap();
+        c.map_window(w);
+        c.get_geometry(w).unwrap();
+        c.intern_atom("WM_NAME").unwrap();
+        let stats = c.stats();
+        let (all, round_trips) = c.obs_request_histograms();
+        assert_eq!(all.count(), stats.requests);
+        assert_eq!(round_trips.count(), stats.round_trips);
     }
 
     #[test]
@@ -832,8 +841,9 @@ mod tests {
         let stats = c.stats();
         assert_eq!(stats, ClientStats::default(), "all counters zeroed");
         assert!(c.obs_kind_counts().is_empty());
-        assert!(c.obs_request_histogram().is_empty());
-        assert!(c.obs_round_trip_histogram().is_empty());
+        let (all, round_trips) = c.obs_request_histograms();
+        assert!(all.is_empty());
+        assert!(round_trips.is_empty());
         assert!(c.obs_trace(10).is_empty());
         assert!(c.obs_trace_enabled(), "trace flag must survive reset");
 
@@ -866,7 +876,7 @@ mod tests {
         assert_eq!(c.stats().requests, 0);
         assert_eq!(c.stats().flushes, 0);
         assert!(c.obs_kind_counts().is_empty());
-        assert!(c.obs_request_histogram().is_empty());
+        assert!(c.obs_request_histograms().0.is_empty());
     }
 
     // --- fault injection ---

@@ -59,8 +59,8 @@ pub use fault::{FaultAction, FaultPlan, FaultSpec, FiredFault, XError, XErrorCod
 pub use font::FontMetrics;
 pub use gc::GcValues;
 pub use ids::{ClientId, CursorId, FontId, GcId, Pixel, WindowId, Xid};
-pub use obs::{ClientObs, RequestKind, WireStats};
+pub use obs::{ClientObs, ClientStats, ProtocolCounters, RequestKind, WireStats};
 pub use render::Surface;
 pub use rng::XorShift;
-pub use server::{ClientStats, Server, OUT_BUF_CAPACITY, SCREEN_HEIGHT, SCREEN_WIDTH};
+pub use server::{Server, OUT_BUF_CAPACITY, SCREEN_HEIGHT, SCREEN_WIDTH};
 pub use wire::WireHandle;

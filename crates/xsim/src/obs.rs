@@ -1,16 +1,17 @@
 //! Per-connection protocol observability (the `rtk-obs` layer of xsim).
 //!
-//! [`ClientStats`](crate::server::ClientStats) keeps the three coarse
-//! totals the seed exposed; this module extends per-connection accounting
-//! into a structured view: a counter per [`RequestKind`], latency
-//! histograms for all requests and for round trips specifically, and a
-//! protocol trace (off by default): each traced request becomes a
-//! `request` instant in the client's span tracer, keyed on its sequence
-//! number and detailed as `Kind one-way|round-trip 0xWINDOW duration_ns`,
-//! so it joins the `flush` span that carried it on `seq`.
+//! [`ClientObs`] is the one record a connection's accounting lives in:
+//! the [`ProtocolCounters`] and [`WireStats`] counter sets, a counter per
+//! [`RequestKind`] and per fault kind, and the protocol trace toggle
+//! (off by default). Each traced request becomes a `request` instant in
+//! the client's span tracer, keyed on its sequence number and detailed
+//! as `Kind one-way|round-trip 0xWINDOW duration_ns`, so it joins the
+//! `flush` span that carried it on `seq`; the `request_ns` and
+//! `round_trip_ns` histograms are built from those records when asked.
+//! [`ClientStats`] is a view of the record.
 //!
-//! Everything is always-on-cheap: counters are array bumps, histograms
-//! are one bucket increment, and the trace costs nothing until enabled.
+//! Everything is always-on-cheap: counters are field and array bumps, and
+//! an untraced request reads no clock.
 
 use rtk_obs::{Histogram, SpanRecord, Tracer};
 
@@ -122,39 +123,66 @@ pub fn trace_records(tracer: &Tracer, n: usize) -> Vec<SpanRecord> {
     records
 }
 
-/// Per-client wire-transport counters. All zero with the codec off
-/// (`RTK_NO_WIRE=1`): every field counts
-/// actual framed bytes crossing the byte transport, so "did anything go
-/// over the wire" is observable from the counters alone.
-#[derive(Debug, Clone, Default)]
-pub struct WireStats {
-    /// Frames encoded on behalf of this client (requests, control
-    /// frames, and the server's response frames).
-    pub frames_encoded: u64,
-    /// Total encoded bytes, including each frame's length prefix.
-    pub bytes_encoded: u64,
-    /// Frames decoded (client-side responses and server-side dispatch).
-    pub frames_decoded: u64,
-    /// Total decoded bytes, including each frame's length prefix.
-    pub bytes_decoded: u64,
-    /// Buffered-frame batches decoded and applied by the server (the wire
-    /// analogue of `ClientStats::flushes`).
-    pub flushes: u64,
-    /// Flush batches the per-client request quota cut short: the
-    /// overflow was deferred (never dropped) to keep one hot client
-    /// from starving the rest. Counted with the codec on or off —
-    /// the quota lives in the shared batch executor.
-    pub backpressure_stalls: u64,
-    /// Frame-integrity failures detected on this client's stream (bad
-    /// CRC, truncation, garbage between frames). Each one kills the
-    /// connection — corruption is never silently skipped.
-    pub checksum_errors: u64,
-    /// Sync-watchdog expiries: control frames whose injected dispatch
-    /// stall reached the wire deadline (virtual time), surfaced to the
-    /// client as a dead connection instead of a hang.
-    pub watchdog_fires: u64,
-    /// Size distribution of encoded frames, in bytes.
-    pub frame_bytes: Histogram,
+rtk_obs::counter_set! {
+    /// Per-client protocol counters, each bumped at the one site where its
+    /// work happens. `protocol.requests` and `protocol.round_trips` are
+    /// not stored: they are the sums of [`ClientObs`]'s per-kind arrays.
+    pub struct ProtocolCounters {
+        /// Events delivered to this client.
+        events => "protocol.events",
+        /// Non-empty output-buffer flushes: each one is a single
+        /// client-to-server write carrying every request queued since the
+        /// previous flush.
+        flushes => "protocol.flushes",
+        /// Requests that traveled through the output buffer (0 when
+        /// batching is disabled via [`crate::Server::set_batching`]).
+        batched_requests => "protocol.batched_requests",
+        /// Largest number of requests carried by one flush.
+        max_batch => "protocol.max_batch",
+        /// High-water mark of outstanding pipelined replies (cookies
+        /// issued but not yet redeemed).
+        max_pending_replies => "protocol.max_pending_replies",
+        /// Pixels rasterized by this client's drawing requests, after
+        /// clipping. Blits (CopyArea) move pixels without rasterizing and
+        /// do not count.
+        pixels_drawn => "protocol.pixels_drawn",
+        /// Damage rectangles recorded against windows this client owns.
+        damage_rects => "protocol.damage_rects",
+        /// Damage-coalescing steps (contained-drop / overlap-merge /
+        /// overflow-collapse) on windows this client owns.
+        expose_coalesced => "protocol.expose_coalesced",
+    }
+}
+
+rtk_obs::counter_set! {
+    /// Per-client wire-transport counters. All zero with the codec off
+    /// (`RTK_NO_WIRE=1`) except `backpressure_stalls`: the others count
+    /// framed bytes crossing the byte transport, so "did anything go over
+    /// the wire" is observable from the counters alone.
+    pub struct WireStats {
+        /// Frames encoded on behalf of this client (requests, control
+        /// frames, and the server's response frames).
+        frames_encoded => "wire.frames_encoded",
+        /// Total encoded bytes, including each frame's length prefix.
+        bytes_encoded => "wire.bytes_encoded",
+        /// Frames decoded (client-side responses and server-side dispatch).
+        frames_decoded => "wire.frames_decoded",
+        /// Total decoded bytes, including each frame's length prefix.
+        bytes_decoded => "wire.bytes_decoded",
+        /// Buffered-frame batches decoded and applied by the server.
+        flushes => "wire.flushes",
+        /// Flush batches the per-client request quota cut short: the
+        /// overflow was deferred (never dropped). Counted with the codec
+        /// on or off: the quota lives in the shared batch executor.
+        backpressure_stalls => "wire.backpressure_stalls",
+        /// Frame-integrity failures on this client's stream (bad CRC,
+        /// truncation, garbage between frames); each one kills the
+        /// connection.
+        checksum_errors => "wire.checksum_errors",
+        /// Control frames whose injected dispatch stall reached the wire
+        /// deadline (virtual time), surfaced as a dead connection.
+        watchdog_fires => "wire.watchdog_fires",
+    }
 }
 
 impl WireStats {
@@ -164,60 +192,50 @@ impl WireStats {
     }
 }
 
-/// Structured observability state for one client connection.
+/// The one observability record of a client connection: its counter
+/// sets, the per-kind request and fault arrays, the fault total, and the
+/// trace toggle.
 #[derive(Debug, Clone)]
 pub struct ClientObs {
+    /// The scalar protocol counters.
+    pub counters: ProtocolCounters,
+    /// The wire-transport counters.
+    pub wire: WireStats,
+    /// Size distribution of encoded frames, in bytes.
+    pub frame_bytes: Histogram,
     /// Requests issued, by kind.
     pub kind_counts: [u64; RequestKind::COUNT],
     /// Round-trip (reply-bearing) requests issued, by kind; subtracting
     /// from `kind_counts` gives the one-way count per kind.
     pub kind_round_trips: [u64; RequestKind::COUNT],
-    /// Latency of every request.
-    pub request_ns: Histogram,
-    /// Latency of round-trip requests only (the paper's expensive class).
-    pub round_trip_ns: Histogram,
+    /// Injected faults observed by this client.
+    pub faults_injected: u64,
+    /// Injected faults by kind (see [`crate::fault::FAULT_KIND_NAMES`]).
+    pub fault_counts: [u64; crate::fault::FAULT_KIND_COUNT],
     /// Are requests traced into the client's span tracer?
     pub trace_enabled: bool,
-    /// Total injected faults observed by this client.
-    pub faults_injected: u64,
-    /// Injected faults split by kind (see
-    /// [`crate::fault::FAULT_KIND_NAMES`]).
-    pub fault_counts: [u64; crate::fault::FAULT_KIND_COUNT],
-    /// Pixels actually rasterized by this client's drawing requests
-    /// (post-clip: pixels outside a window's clip region cost — and
-    /// count — nothing).
-    pub pixels_drawn: u64,
-    /// Damage rectangles recorded against windows this client owns.
-    pub damage_rects: u64,
-    /// Damage-coalescing steps (contained-drop / overlap-merge /
-    /// overflow-collapse) on windows this client owns.
-    pub expose_coalesced: u64,
-    /// Wire-transport frame/byte counters (all zero with the codec
-    /// off).
-    pub wire: WireStats,
 }
 
 impl Default for ClientObs {
     fn default() -> Self {
         ClientObs {
+            counters: ProtocolCounters::default(),
+            wire: WireStats::default(),
+            frame_bytes: Histogram::new(),
             kind_counts: [0; RequestKind::COUNT],
             kind_round_trips: [0; RequestKind::COUNT],
-            request_ns: Histogram::new(),
-            round_trip_ns: Histogram::new(),
-            trace_enabled: false,
             faults_injected: 0,
             fault_counts: [0; crate::fault::FAULT_KIND_COUNT],
-            pixels_drawn: 0,
-            damage_rects: 0,
-            expose_coalesced: 0,
-            wire: WireStats::default(),
+            trace_enabled: false,
         }
     }
 }
 
 impl ClientObs {
-    /// Records one completed request; while tracing, also a `request`
-    /// instant in `tracer`.
+    /// Counts one issued request: the one site every request total
+    /// derives from. `traced` is its duration, measured only while the
+    /// trace is on; then the request also becomes a `request` instant in
+    /// `tracer`.
     pub fn record(
         &mut self,
         tracer: &Tracer,
@@ -225,16 +243,14 @@ impl ClientObs {
         kind: RequestKind,
         round_trip: bool,
         window: WindowId,
-        duration: std::time::Duration,
+        traced: Option<std::time::Duration>,
     ) {
-        let ns = duration.as_nanos().min(u64::MAX as u128) as u64;
         self.kind_counts[kind as usize] += 1;
-        self.request_ns.record(ns);
         if round_trip {
             self.kind_round_trips[kind as usize] += 1;
-            self.round_trip_ns.record(ns);
         }
-        if self.trace_enabled {
+        if let Some(duration) = traced {
+            let ns = duration.as_nanos().min(u64::MAX as u128);
             let class = if round_trip { "round-trip" } else { "one-way" };
             let detail = format!("{} {class} 0x{:x} {ns}", kind.name(), window.0);
             tracer.instant("request", detail, seq);
@@ -253,30 +269,23 @@ impl ClientObs {
 
     /// Fault kinds with a non-zero count, as `(name, count)` pairs.
     pub fn fault_kind_counts(&self) -> Vec<(&'static str, u64)> {
-        crate::fault::FAULT_KIND_NAMES
-            .iter()
-            .zip(self.fault_counts.iter())
-            .filter(|(_, n)| **n > 0)
-            .map(|(name, n)| (*name, *n))
-            .collect()
+        nonzero(
+            crate::fault::FAULT_KIND_NAMES.iter().copied(),
+            &self.fault_counts,
+        )
     }
 
     /// Kinds with a non-zero count, as `(name, count)` pairs.
     pub fn kind_counts(&self) -> Vec<(&'static str, u64)> {
-        RequestKind::ALL
-            .iter()
-            .filter(|k| self.kind_counts[**k as usize] > 0)
-            .map(|k| (k.name(), self.kind_counts[*k as usize]))
-            .collect()
+        nonzero(RequestKind::ALL.iter().map(|k| k.name()), &self.kind_counts)
     }
 
     /// Round-trip kinds with a non-zero count, as `(name, count)` pairs.
     pub fn kind_round_trip_counts(&self) -> Vec<(&'static str, u64)> {
-        RequestKind::ALL
-            .iter()
-            .filter(|k| self.kind_round_trips[**k as usize] > 0)
-            .map(|k| (k.name(), self.kind_round_trips[*k as usize]))
-            .collect()
+        nonzero(
+            RequestKind::ALL.iter().map(|k| k.name()),
+            &self.kind_round_trips,
+        )
     }
 
     /// Total requests recorded (sum over kinds).
@@ -284,52 +293,58 @@ impl ClientObs {
         self.kind_counts.iter().sum()
     }
 
-    /// Clears counters and histograms; keeps the trace toggle. (The trace
-    /// itself lives in the tracer, which starts a new epoch alongside.)
+    /// Total round trips recorded (sum over kinds).
+    pub fn total_round_trips(&self) -> u64 {
+        self.kind_round_trips.iter().sum()
+    }
+
+    /// The scalar counters by `obs` name: the request and fault totals,
+    /// then the [`ProtocolCounters`] and [`WireStats`] sets.
+    fn scalars(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        let totals = [
+            ("protocol.requests", self.total_requests()),
+            ("protocol.round_trips", self.total_round_trips()),
+            ("protocol.faults_injected", self.faults_injected),
+        ];
+        totals
+            .into_iter()
+            .chain(self.counters.iter())
+            .chain(self.wire.iter())
+    }
+
+    /// Every counter of this record by its `obs` name, in `obs counters`
+    /// order: the scalars, then the non-zero `req.<Kind>` and
+    /// `fault.<kind>` entries.
+    pub fn counters(&self) -> Vec<(String, u64)> {
+        let kinds = self
+            .kind_counts()
+            .into_iter()
+            .map(|(k, n)| (format!("req.{k}"), n));
+        let faults = self.fault_kind_counts().into_iter();
+        let faults = faults.map(|(k, n)| (format!("fault.{k}"), n));
+        let scalars = self.scalars().map(|(n, v)| (n.to_string(), v));
+        scalars.chain(kinds).chain(faults).collect()
+    }
+
+    /// Clears every counter; keeps the trace toggle. (The trace itself
+    /// lives in the tracer, which starts a new epoch alongside.)
     pub fn reset(&mut self) {
         let enabled = self.trace_enabled;
         *self = ClientObs::default();
         self.trace_enabled = enabled;
     }
 
-    /// JSON object with the per-kind counters, both histograms, and —
-    /// only while tracing — `tracer`'s protocol trace records.
+    /// JSON object with the scalar counters (`wire` nested), the per-kind
+    /// tables, the frame-size histogram, and (only while tracing)
+    /// `tracer`'s protocol trace records.
     pub fn to_json(&self, tracer: &Tracer) -> String {
-        let mut by_kind = rtk_obs::json::Object::new();
-        for (name, count) in self.kind_counts() {
-            by_kind.field_u64(name, count);
-        }
-        let mut by_kind_rt = rtk_obs::json::Object::new();
-        for (name, count) in self.kind_round_trip_counts() {
-            by_kind_rt.field_u64(name, count);
-        }
-        let mut by_fault = rtk_obs::json::Object::new();
-        for (name, count) in self.fault_kind_counts() {
-            by_fault.field_u64(name, count);
-        }
+        let table = |pairs| rtk_obs::json::Object::new().counters("", pairs).build();
         let mut o = rtk_obs::json::Object::new();
-        o.field_raw("by_kind", &by_kind.build());
-        o.field_raw("by_kind_round_trip", &by_kind_rt.build());
-        o.field_u64("faults_injected", self.faults_injected);
-        o.field_raw("by_fault", &by_fault.build());
-        o.field_u64("pixels_drawn", self.pixels_drawn);
-        o.field_u64("damage_rects", self.damage_rects);
-        o.field_u64("expose_coalesced", self.expose_coalesced);
-        o.field_raw("request_ns", &self.request_ns.to_json());
-        o.field_raw("round_trip_ns", &self.round_trip_ns.to_json());
-        if self.wire.active() {
-            let mut w = rtk_obs::json::Object::new();
-            w.field_u64("frames_encoded", self.wire.frames_encoded);
-            w.field_u64("bytes_encoded", self.wire.bytes_encoded);
-            w.field_u64("frames_decoded", self.wire.frames_decoded);
-            w.field_u64("bytes_decoded", self.wire.bytes_decoded);
-            w.field_u64("flushes", self.wire.flushes);
-            w.field_u64("backpressure_stalls", self.wire.backpressure_stalls);
-            w.field_u64("checksum_errors", self.wire.checksum_errors);
-            w.field_u64("watchdog_fires", self.wire.watchdog_fires);
-            w.field_raw("frame_bytes", &self.wire.frame_bytes.to_json());
-            o.field_raw("wire", &w.build());
-        }
+        o.counters("protocol.", self.scalars())
+            .field_raw("by_kind", &table(self.kind_counts()))
+            .field_raw("by_kind_round_trip", &table(self.kind_round_trip_counts()))
+            .field_raw("by_fault", &table(self.fault_kind_counts()))
+            .field_raw("frame_bytes", &self.frame_bytes.to_json());
         if self.trace_enabled {
             let trace = trace_records(tracer, usize::MAX);
             o.field_bool("trace_enabled", true);
@@ -338,6 +353,62 @@ impl ClientObs {
         }
         o.build()
     }
+}
+
+/// Per-client protocol statistics: a view of the client's [`ClientObs`]
+/// (see [`ProtocolCounters`] for what each field counts).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClientStats {
+    /// Total requests issued (the sum of the per-kind counts).
+    pub requests: u64,
+    /// Requests that required a reply (the sum of the per-kind round trips).
+    pub round_trips: u64,
+    pub events: u64,
+    pub flushes: u64,
+    pub batched_requests: u64,
+    pub max_batch: u64,
+    pub max_pending_replies: u64,
+    pub pixels_drawn: u64,
+}
+
+impl From<&ClientObs> for ClientStats {
+    fn from(o: &ClientObs) -> ClientStats {
+        ClientStats {
+            requests: o.total_requests(),
+            round_trips: o.total_round_trips(),
+            events: o.counters.events,
+            flushes: o.counters.flushes,
+            batched_requests: o.counters.batched_requests,
+            max_batch: o.counters.max_batch,
+            max_pending_replies: o.counters.max_pending_replies,
+            pixels_drawn: o.counters.pixels_drawn,
+        }
+    }
+}
+
+/// `names` zipped with `counts`, zero counts left out.
+fn nonzero(names: impl Iterator<Item = &'static str>, counts: &[u64]) -> Vec<(&'static str, u64)> {
+    names
+        .zip(counts.iter().copied())
+        .filter(|(_, n)| *n > 0)
+        .collect()
+}
+
+/// The `request_ns` and `round_trip_ns` latency histograms of `tracer`'s
+/// current epoch, built from its traced `request` records when asked: no
+/// clock is read for an untraced request, so both are empty while the
+/// trace is off.
+pub fn request_histograms(tracer: &Tracer) -> (Histogram, Histogram) {
+    let (mut all, mut round_trips) = (Histogram::new(), Histogram::new());
+    for r in tracer.snapshot().iter().filter(|r| r.kind == "request") {
+        let words: Vec<&str> = r.detail.split(' ').collect();
+        let ns = words.last().and_then(|w| w.parse().ok()).unwrap_or(0);
+        all.record(ns);
+        if words.get(1) == Some(&"round-trip") {
+            round_trips.record(ns);
+        }
+    }
+    (all, round_trips)
 }
 
 #[cfg(test)]
@@ -368,7 +439,7 @@ mod tests {
             RequestKind::CreateWindow,
             false,
             Xid(5),
-            Duration::from_micros(2),
+            Some(Duration::from_micros(2)),
         );
         o.record(
             &t,
@@ -376,7 +447,7 @@ mod tests {
             RequestKind::GetGeometry,
             true,
             Xid(5),
-            Duration::from_micros(9),
+            Some(Duration::from_micros(9)),
         );
         assert_eq!(o.total_requests(), 2);
         assert_eq!(
@@ -384,10 +455,8 @@ mod tests {
             vec![("CreateWindow", 1), ("GetGeometry", 1)]
         );
         assert_eq!(o.kind_round_trip_counts(), vec![("GetGeometry", 1)]);
-        assert_eq!(o.request_ns.count(), 2);
-        assert_eq!(o.round_trip_ns.count(), 1);
-        // Trace off by default: nothing recorded.
-        assert!(trace_records(&t, usize::MAX).is_empty());
+        let (all, round_trips) = request_histograms(&t);
+        assert_eq!((all.count(), round_trips.count()), (2, 1));
     }
 
     #[test]
@@ -403,7 +472,7 @@ mod tests {
             RequestKind::MapWindow,
             false,
             Xid(3),
-            Duration::from_nanos(100),
+            Some(Duration::from_nanos(100)),
         );
         let trace = trace_records(&t, usize::MAX);
         assert_eq!(trace.len(), 1);
@@ -411,6 +480,13 @@ mod tests {
         assert_eq!(e.kind, "request");
         assert_eq!(e.seq, 7);
         assert_eq!(e.detail, "MapWindow one-way 0x3 100");
+        // An untraced request is counted and leaves no record.
+        o.record(&t, 8, RequestKind::MapWindow, false, Xid(3), None);
+        assert_eq!(
+            (o.total_requests(), trace_records(&t, usize::MAX).len()),
+            (2, 1)
+        );
+        assert_eq!(request_histograms(&t).0.count(), 1);
     }
 
     #[test]
@@ -426,7 +502,7 @@ mod tests {
             RequestKind::DrawLine,
             false,
             Xid::NONE,
-            Duration::from_nanos(5),
+            Some(Duration::from_nanos(5)),
         );
         o.record_fault(&t, 2, crate::fault::FaultAction::DropRequest);
         assert_eq!(o.faults_injected, 1);
@@ -434,7 +510,7 @@ mod tests {
         // The server starts the tracer's new epoch alongside.
         t.reset_epoch();
         assert_eq!(o.total_requests(), 0);
-        assert!(o.request_ns.is_empty());
+        assert!(request_histograms(&t).0.is_empty());
         assert!(trace_records(&t, usize::MAX).is_empty());
         assert_eq!(o.faults_injected, 0, "fault counters reset too");
         assert!(o.fault_kind_counts().is_empty());
@@ -455,7 +531,7 @@ mod tests {
             RequestKind::MapWindow,
             false,
             Xid(4),
-            Duration::from_nanos(1),
+            Some(Duration::from_nanos(1)),
         );
         o.record_fault(&t, 9, kill);
         o.record_fault(&t, 11, crate::fault::FaultAction::ReorderEvent);
@@ -502,7 +578,7 @@ mod tests {
             RequestKind::InternAtom,
             true,
             Xid::NONE,
-            Duration::from_micros(1),
+            Some(Duration::from_micros(1)),
         );
         let j = o.to_json(&t);
         assert!(rtk_obs::json::is_valid(&j), "{j}");
@@ -511,7 +587,7 @@ mod tests {
             j.contains("\"by_kind_round_trip\":{\"InternAtom\":1}"),
             "{j}"
         );
-        assert!(j.contains("\"round_trip_ns\""), "{j}");
+        assert!(j.contains("\"requests\":1,\"round_trips\":1"), "{j}");
         assert!(j.contains("\"trace\":[{"), "{j}");
     }
 }

@@ -21,36 +21,10 @@ use crate::fault::{FaultAction, FaultPlan, XError};
 use crate::font::{FontMetrics, FontTable};
 use crate::gc::{GcTable, GcValues};
 use crate::ids::{ClientId, CursorId, FontId, GcId, IdAllocator, Pixel, WindowId, Xid};
-use crate::obs::{ClientObs, RequestKind};
+use crate::obs::{ClientObs, ClientStats, RequestKind};
 use crate::render::Surface;
 use crate::window::{Window, WindowTree};
 use crate::wire::{QueuedRequest, ReplyValue, SyncReply, SyncRequest};
-
-/// Per-client protocol statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClientStats {
-    /// Total requests issued.
-    pub requests: u64,
-    /// Requests that required a reply (a full round trip).
-    pub round_trips: u64,
-    /// Events delivered to this client.
-    pub events: u64,
-    /// Non-empty output-buffer flushes: each one is a single client→server
-    /// write carrying every request queued since the previous flush.
-    pub flushes: u64,
-    /// Requests that traveled through the output buffer (0 when batching
-    /// is disabled via [`Server::set_batching`]).
-    pub batched_requests: u64,
-    /// Largest number of requests carried by one flush.
-    pub max_batch: u64,
-    /// High-water mark of outstanding pipelined replies (cookies issued
-    /// but not yet redeemed).
-    pub max_pending_replies: u64,
-    /// Pixels actually rasterized on behalf of this client's drawing
-    /// requests, after clip rectangles are applied. Blits (CopyArea)
-    /// move pixels without rasterizing and do not count.
-    pub pixels_drawn: u64,
-}
 
 /// Capacity of the per-client output buffer; reaching it forces a flush,
 /// like Xlib's fixed-size request buffer.
@@ -71,7 +45,6 @@ struct OutBuf {
 #[derive(Debug, Default)]
 struct ClientState {
     queue: VecDeque<Event>,
-    stats: ClientStats,
     obs: ClientObs,
     out: OutBuf,
     /// The client library's read-ahead (Xlib's event queue): the last
@@ -99,6 +72,15 @@ struct ClientState {
     /// its tracer instead so the server side of the pipeline shares the
     /// application's span tree.
     tracer: rtk_obs::Tracer,
+}
+
+impl ClientState {
+    /// The per-client part of both epoch boundaries: the client's record
+    /// and a new span epoch (the trace on/off toggle is kept).
+    fn reset_stats(&mut self) {
+        self.obs.reset();
+        self.tracer.reset_epoch();
+    }
 }
 
 /// The selection table entry: who owns a selection.
@@ -427,23 +409,19 @@ impl Server {
     pub fn stats(&self, client: ClientId) -> ClientStats {
         self.clients
             .get(&client)
-            .map(|c| c.stats)
+            .map(|c| ClientStats::from(&c.obs))
             .unwrap_or_default()
     }
 
     /// Resets statistics for all clients (benchmark warm-up boundary):
-    /// the coarse [`ClientStats`] — including the flush/batch counters and
-    /// the pending-reply gauge — the per-kind counters, the latency
-    /// histograms, and the span tracers, which hold the protocol trace
-    /// (the trace on/off toggle is preserved), plus the server-wide work
-    /// counters. Output buffers are flushed first so the epoch boundary
-    /// is exact.
+    /// every client's observability record and span tracer (which holds
+    /// the protocol trace; the trace on/off toggle is preserved), the
+    /// fault plan's fired log, and the server-wide work counters. Output
+    /// buffers are flushed first so the epoch boundary is exact.
     pub fn reset_stats(&mut self) {
         self.flush_all();
         for c in self.clients.values_mut() {
-            c.stats = ClientStats::default();
-            c.obs.reset();
-            c.tracer.reset_epoch();
+            c.reset_stats();
         }
         if let Some(p) = self.fault_plan.as_mut() {
             p.clear_log();
@@ -458,9 +436,7 @@ impl Server {
     pub fn reset_client_stats(&mut self, client: ClientId) {
         self.flush_client(client);
         if let Some(c) = self.clients.get_mut(&client) {
-            c.stats = ClientStats::default();
-            c.obs.reset();
-            c.tracer.reset_epoch();
+            c.reset_stats();
         }
         if let Some(p) = self.fault_plan.as_mut() {
             p.clear_log_for(client.0);
@@ -525,10 +501,19 @@ impl Server {
         self.clients.get(&client).map_or(0, |c| c.out.len)
     }
 
-    /// Issue-time accounting: bumps `requests`/`batched_requests`/
-    /// round-trip gauges and records the obs entry. All counters bump
-    /// here, when the request is issued, so statistics never lag behind
-    /// issued requests and are the same with the codec on or off.
+    /// The clock reading a traced request's duration starts from: `None`
+    /// while `client`'s protocol trace is off, so an untraced request
+    /// reads no clock.
+    pub(crate) fn trace_start(&self, client: ClientId) -> Option<std::time::Instant> {
+        let c = self.clients.get(&client)?;
+        c.obs.trace_enabled.then(std::time::Instant::now)
+    }
+
+    /// Issue-time accounting of a buffered request: `batched_requests`,
+    /// the pending-reply gauge, and the per-kind count. Everything bumps
+    /// when the request is issued, so statistics never lag behind issued
+    /// requests and are the same with the codec on or off. `start` is
+    /// [`Server::trace_start`]'s reading.
     pub(crate) fn note_issue(
         &mut self,
         client: ClientId,
@@ -536,21 +521,21 @@ impl Server {
         round_trip: bool,
         window: WindowId,
         seq: u64,
-        start: std::time::Instant,
+        start: Option<std::time::Instant>,
     ) {
         let batching = self.batching;
         if let Some(c) = self.clients.get_mut(&client) {
-            c.stats.requests += 1;
             if batching {
-                c.stats.batched_requests += 1;
+                c.obs.counters.batched_requests += 1;
             }
             if round_trip {
-                c.stats.round_trips += 1;
                 c.pending_replies += 1;
-                c.stats.max_pending_replies = c.stats.max_pending_replies.max(c.pending_replies);
+                c.obs.counters.max_pending_replies =
+                    c.obs.counters.max_pending_replies.max(c.pending_replies);
             }
+            let traced = start.map(|s| s.elapsed());
             c.obs
-                .record(&c.tracer, seq, kind, round_trip, window, start.elapsed());
+                .record(&c.tracer, seq, kind, round_trip, window, traced);
         }
     }
 
@@ -713,8 +698,8 @@ impl Server {
             self.charge_round_trip_cost();
         }
         if let Some(c) = self.clients.get_mut(&client) {
-            c.stats.flushes += 1;
-            c.stats.max_batch = c.stats.max_batch.max(n);
+            c.obs.counters.flushes += 1;
+            c.obs.counters.max_batch = c.obs.counters.max_batch.max(n);
         }
         if killed {
             self.kill_client(client);
@@ -774,8 +759,7 @@ impl Server {
             return;
         }
         if let Some(c) = self.clients.get_mut(&client) {
-            c.stats.pixels_drawn += drawn;
-            c.obs.pixels_drawn += drawn;
+            c.obs.counters.pixels_drawn += drawn;
         }
     }
 
@@ -832,20 +816,20 @@ impl Server {
         self.clients.get_mut(&client).map(|c| &mut c.obs)
     }
 
-    /// Records the structured trace/histogram entry for a completed
-    /// round trip, with the duration measured after its handler ran.
-    pub(crate) fn record_request(
+    /// Counts one synchronous round trip in `client`'s record and, when
+    /// `start` is set (the trace is on), traces it with the time since
+    /// `start`, its handler included.
+    fn record_round_trip(
         &mut self,
         client: ClientId,
         seq: u64,
         kind: RequestKind,
-        round_trip: bool,
         window: WindowId,
-        duration: std::time::Duration,
+        start: Option<std::time::Instant>,
     ) {
         if let Some(c) = self.clients.get_mut(&client) {
-            c.obs
-                .record(&c.tracer, seq, kind, round_trip, window, duration);
+            let traced = start.map(|s| s.elapsed());
+            c.obs.record(&c.tracer, seq, kind, true, window, traced);
         }
     }
 
@@ -859,19 +843,6 @@ impl Server {
         let start = std::time::Instant::now();
         while start.elapsed() < self.round_trip_cost {
             std::hint::spin_loop();
-        }
-    }
-
-    pub(crate) fn note_request(&mut self, client: ClientId, round_trip: bool) {
-        self.time += 1;
-        if round_trip {
-            self.charge_round_trip_cost();
-        }
-        if let Some(c) = self.clients.get_mut(&client) {
-            c.stats.requests += 1;
-            if round_trip {
-                c.stats.round_trips += 1;
-            }
         }
     }
 
@@ -895,16 +866,17 @@ impl Server {
         if !self.is_alive(client) {
             return Err(XError::dead(0));
         }
-        let start = std::time::Instant::now();
+        let start = self.trace_start(client);
         let kind = req.kind();
         let window = req.window();
         let seq = self.next_seq(client);
-        self.note_request(client, true);
+        self.time += 1;
+        self.charge_round_trip_cost();
         if let Some(action) = self.fault_for_round_trip(client, seq) {
             // The request went out and an error (or the connection's
             // death) came back: it costs the round trip either way.
             self.record_fault(client, seq, action);
-            self.record_request(client, seq, kind, true, window, start.elapsed());
+            self.record_round_trip(client, seq, kind, window, start);
             return match action {
                 FaultAction::KillConnection => {
                     self.kill_client(client);
@@ -920,9 +892,8 @@ impl Server {
         }
         let work_start = std::time::Instant::now();
         let r = req.dispatch(self, client);
-        let end = std::time::Instant::now();
-        self.work_time += end - work_start;
-        self.record_request(client, seq, kind, true, window, end - start);
+        self.work_time += work_start.elapsed();
+        self.record_round_trip(client, seq, kind, window, start);
         Ok(r)
     }
 
@@ -934,7 +905,7 @@ impl Server {
         if let Some(c) = self.clients.get_mut(&client) {
             c.obs.wire.frames_encoded += 1;
             c.obs.wire.bytes_encoded += bytes as u64;
-            c.obs.wire.frame_bytes.record(bytes as u64);
+            c.obs.frame_bytes.record(bytes as u64);
         }
     }
 
@@ -995,7 +966,7 @@ impl Server {
         let Some(c) = self.clients.get_mut(&client) else {
             return;
         };
-        c.stats.events += 1;
+        c.obs.counters.events += 1;
         match action {
             Some(FaultAction::DelayEvent(hold)) => {
                 c.delayed.push((idx + u64::from(hold.max(1)), event));
@@ -1274,8 +1245,8 @@ impl Server {
         let coalesced = w.damage.add(clamped);
         let owner = w.owner;
         if let Some(c) = self.clients.get_mut(&owner) {
-            c.obs.damage_rects += 1;
-            c.obs.expose_coalesced += coalesced;
+            c.obs.counters.damage_rects += 1;
+            c.obs.counters.expose_coalesced += coalesced;
         }
     }
 
@@ -2758,13 +2729,26 @@ mod tests {
     #[test]
     fn stats_count_requests_and_round_trips() {
         let (mut s, c) = setup();
-        s.note_request(c, false);
-        s.note_request(c, true);
+        let root = s.root();
+        s.note_issue(c, RequestKind::MapWindow, false, root, 1, None);
+        s.note_issue(c, RequestKind::GetGeometry, true, root, 2, None);
         let st = s.stats(c);
         assert_eq!(st.requests, 2);
         assert_eq!(st.round_trips, 1);
         s.reset_stats();
         assert_eq!(s.stats(c), ClientStats::default());
+    }
+
+    #[test]
+    fn reset_stats_zeroes_server_work_with_no_clients() {
+        let mut s = Server::new();
+        let root = s.root();
+        let gc = s.gcs.create(GcValues::default());
+        s.fill_rectangle(root, gc, 0, 0, 10, 10);
+        assert_eq!(s.draw_requests, 1);
+        s.reset_stats();
+        assert_eq!(s.draw_requests, 0);
+        assert_eq!(s.work_time, std::time::Duration::ZERO);
     }
 
     #[test]
@@ -2991,7 +2975,7 @@ mod tests {
         let events: Vec<Event> = std::iter::from_fn(|| s.poll_event(c)).collect();
         assert_eq!(exposes(&events), vec![(40, 40, 10, 10, 0)]);
         let obs = s.client_obs(c).unwrap();
-        assert!(obs.damage_rects >= 1);
+        assert!(obs.counters.damage_rects >= 1);
     }
 
     #[test]

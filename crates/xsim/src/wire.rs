@@ -42,7 +42,6 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
 
 use crate::atom::Atom;
 use crate::bitmap::{Bitmap, BitmapId};
@@ -1298,7 +1297,7 @@ impl State {
     /// encoded, and exposed to byte faults, with the codec on — records
     /// the issue-time accounting, and flushes at a flush point.
     pub(crate) fn issue(&mut self, client: ClientId, window: WindowId, seq: u64, q: QueuedRequest) {
-        let start = Instant::now();
+        let start = self.server.trace_start(client);
         if self.codec {
             self.tx.clear();
             frame_into(&mut self.tx, FT_REQUEST, seq, |b| q.encode_into(b));

@@ -313,3 +313,73 @@ fn obs_reset_zeroes_wire_and_audit_counters() {
     let pairs = parse_counters(&app.eval("obs counters").unwrap());
     assert_eq!(counter(&pairs, "audit.runs"), 1, "{pairs:?}");
 }
+
+/// Numeric leaves of a parsed JSON document, by dotted path.
+fn json_leaves(v: &rtk_obs::json::Value, path: &str, out: &mut Vec<String>) {
+    if let Some(fields) = v.as_object() {
+        for (k, child) in fields {
+            json_leaves(child, &format!("{path}.{k}"), out);
+        }
+    } else if v.as_u64().is_some() {
+        out.push(path.to_string());
+    }
+}
+
+/// Every counter surface walks the same counter sets: each name `obs
+/// counters` prints appears in `obs snapshot` and in `obs dump` (nested
+/// under its section, its family prefix dropped), the per-client damage
+/// counters are among them, and no two sets declare the same name.
+#[test]
+fn every_surface_shows_every_counter() {
+    let env = TkEnv::new();
+    let app = env.app("fifty");
+    fifty_buttons(&app);
+    let pairs = parse_counters(&app.eval("obs counters").unwrap());
+    let mut names: Vec<&str> = pairs.iter().map(|(n, _)| n.as_str()).collect();
+
+    let snapshot = app.eval("obs snapshot").unwrap();
+    let dump = rtk_obs::json::parse(&app.eval("obs dump -format json").unwrap()).unwrap();
+    let mut leaves = Vec::new();
+    json_leaves(&dump, "", &mut leaves);
+    for name in &names {
+        let line = format!("  {name}: ");
+        assert!(
+            snapshot.lines().any(|l| l.starts_with(&line)),
+            "{name} missing from obs snapshot:\n{snapshot}"
+        );
+        let key = format!(".{}", name.split_once('.').map_or(*name, |(_, rest)| rest));
+        assert!(
+            leaves.iter().any(|path| path.ends_with(&key)),
+            "{name} missing from obs dump: {leaves:?}"
+        );
+    }
+
+    let stats = app.conn().stats();
+    assert!(stats.pixels_drawn > 0);
+    assert_eq!(counter(&pairs, "protocol.pixels_drawn"), stats.pixels_drawn);
+    for name in ["protocol.damage_rects", "protocol.expose_coalesced"] {
+        assert!(names.contains(&name), "obs counters lacks {name}");
+    }
+
+    names.sort_unstable();
+    let printed = names.len();
+    names.dedup();
+    assert_eq!(names.len(), printed, "obs counters prints a name twice");
+    let compile: Vec<&str> = tcl::interp::CompileStats::default()
+        .iter()
+        .map(|(name, _)| name)
+        .collect();
+    let sets: [&[&str]; 6] = [
+        xsim::ProtocolCounters::NAMES,
+        xsim::WireStats::NAMES,
+        tk::cache::CacheStats::NAMES,
+        tk::bind::BindStats::NAMES,
+        &compile,
+        tk::obs_cmd::ToolkitCounters::NAMES,
+    ];
+    let mut declared = sets.concat();
+    declared.sort_unstable();
+    for pair in declared.windows(2) {
+        assert_ne!(pair[0], pair[1], "two counter sets declare {}", pair[0]);
+    }
+}

@@ -199,3 +199,15 @@ fn whole_figure9_proc_parses_and_defines() {
     .unwrap();
     assert_eq!(i.eval("info args browse").unwrap(), "dir file");
 }
+
+/// A sign after `0x` is not a hex digit: `0x+5` is not a number, so
+/// `format %d` and arithmetic reject it as Tcl does.
+#[test]
+fn hex_numbers_take_no_sign_after_the_prefix() {
+    let i = Interp::new();
+    assert_eq!(i.eval("format %d 0x1f").unwrap(), "31");
+    assert!(i.eval("format %d 0x+5").is_err());
+    i.eval("set x 0x+5").unwrap();
+    assert!(i.eval("expr {$x * 2}").is_err());
+    assert_eq!(i.eval("expr {-0x5 * 2}").unwrap(), "-10");
+}
