@@ -653,7 +653,7 @@ fn write_trace(path: &str, format: &str) {
     let text = match format {
         "chrome" => {
             let t = rtk_obs::span::chrome_trace(&traces);
-            assert!(json::is_valid(&t), "chrome trace must be valid JSON");
+            json::parse(&t).expect("chrome trace must be valid JSON");
             t
         }
         "folded" => rtk_obs::span::folded_stacks(&traces),

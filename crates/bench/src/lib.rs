@@ -257,36 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_hot_memoizes_number_parsing() {
-        let (_env, apps) = env_with_apps(&["evalhot"]);
-        let app = &apps[0];
-        app.interp().set_compile(true);
-        setup_eval_hot(app);
-
-        // Cold pass: every literal in the workload parses once, plus each
-        // fresh accumulator value as it appears.
-        tcl::reset_parse_number_calls();
-        eval_hot(app, 5);
-        let cold = tcl::parse_number_calls();
-
-        // Warm pass: the literals are memoized in the value table, so only
-        // the never-seen-before accumulator values still parse.
-        tcl::reset_parse_number_calls();
-        eval_hot(app, 5);
-        let warm = tcl::parse_number_calls();
-
-        assert!(
-            warm < cold,
-            "number memoization had no effect (cold {cold}, warm {warm})"
-        );
-        // The counts are exact and deterministic; a drift here means the
-        // literal memo table stopped (or started) covering something.
-        // 26 cold = the workload's literals plus five fresh totals; 5 warm
-        // = one never-seen accumulator value per iteration, nothing else.
-        assert_eq!((cold, warm), (26, 5), "parse_number call counts drifted");
-    }
-
-    #[test]
     fn fmt_time_units() {
         assert!(fmt_time(5e-9).ends_with("ns"));
         assert!(fmt_time(5e-5).contains("\u{b5}s"));

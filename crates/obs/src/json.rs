@@ -134,42 +134,6 @@ impl Array {
     }
 }
 
-/// Minimal structural validation: balanced strings, braces, and brackets.
-/// Used by tests to check `obs dump` output without a JSON dependency.
-pub fn is_valid(s: &str) -> bool {
-    let mut stack: Vec<char> = Vec::new();
-    let mut chars = s.chars().peekable();
-    let mut in_string = false;
-    let mut any = false;
-    while let Some(c) = chars.next() {
-        if in_string {
-            match c {
-                '\\' => {
-                    chars.next();
-                }
-                '"' => in_string = false,
-                _ => {}
-            }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' | '[' => {
-                any = true;
-                stack.push(c);
-            }
-            '}' if stack.pop() != Some('{') => {
-                return false;
-            }
-            ']' if stack.pop() != Some('[') => {
-                return false;
-            }
-            _ => {}
-        }
-    }
-    any && stack.is_empty() && !in_string
-}
-
 /// A parsed JSON value. Numbers keep their source text so exact integer
 /// budgets survive the round trip without float loss.
 #[derive(Debug, Clone, PartialEq)]
@@ -430,15 +394,7 @@ mod tests {
             .field_raw("list", &inner.build());
         let j = o.build();
         assert_eq!(j, r#"{"name":"x","n":7,"on":true,"list":[1,"two"]}"#);
-        assert!(is_valid(&j));
-    }
-
-    #[test]
-    fn validator_rejects_imbalance() {
-        assert!(!is_valid("{\"a\":1"));
-        assert!(!is_valid("{]}"));
-        assert!(!is_valid("plain text"));
-        assert!(is_valid("{\"a\":\"}\"}"));
+        assert!(parse(&j).is_ok());
     }
 
     #[test]
@@ -469,11 +425,25 @@ mod tests {
         assert_eq!(arr[1].get("b").unwrap().as_str(), Some("cA"));
         assert_eq!(arr[2], Value::Number("-2.5e1".into()));
         assert_eq!(v.as_object().unwrap().len(), 1);
+        assert_eq!(
+            parse("{\"a\":\"}\"}").unwrap().get("a").unwrap().as_str(),
+            Some("}")
+        );
+    }
+
+    #[test]
+    fn validator_rejects_imbalance() {
+        assert!(parse("{\"a\":1").is_err());
+        assert!(parse("{]}").is_err());
+        assert!(parse("plain text").is_err());
+        assert!(parse("{\"a\":\"}\"}").is_ok());
     }
 
     #[test]
     fn parser_rejects_malformed_documents() {
         assert!(parse("").is_err());
+        assert!(parse("{\"a\":1").is_err());
+        assert!(parse("{]}").is_err());
         assert!(parse("{\"a\":1,}").is_err());
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("[1 2]").is_err());

@@ -17,12 +17,10 @@
 //! semantics are preserved byte for byte.
 
 use std::cell::Cell;
-use std::rc::Rc;
 
 use crate::error::Exception;
 use crate::interp::Interp;
 use crate::parser::{parse_command, Part, Word};
-use crate::value::{intern, TclValue};
 
 /// Command names eligible for specialized lowering. Registry changes to
 /// these names bump the compile epoch so stale specializations are thrown
@@ -32,7 +30,7 @@ pub const SPECIALIZED: &[&str] = &["set", "if", "while", "for", "foreach", "expr
 /// One pre-substitution word of a compiled command.
 pub enum CompiledWord {
     /// A fully literal word: no substitution needed at run time.
-    Lit(Rc<TclValue>),
+    Lit(String),
     /// A word with `$`/`[]`/`\` parts, substituted per execution.
     Dyn(Word),
 }
@@ -154,7 +152,7 @@ fn literal(word: &Word) -> Option<&str> {
 
 fn compiled_word(word: &Word) -> CompiledWord {
     match literal(word) {
-        Some(s) => CompiledWord::Lit(intern(s)),
+        Some(s) => CompiledWord::Lit(s.to_string()),
         None => CompiledWord::Dyn(word.clone()),
     }
 }

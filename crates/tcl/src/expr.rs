@@ -38,7 +38,7 @@ impl Value {
         match self {
             Value::Int(i) => Ok(*i != 0),
             Value::Double(d) => Ok(*d != 0.0),
-            Value::Str(s) => match crate::value::memo_number(s) {
+            Value::Str(s) => match parse_number(s) {
                 Some(Value::Int(i)) => Ok(i != 0),
                 Some(Value::Double(d)) => Ok(d != 0.0),
                 _ => match s.to_ascii_lowercase().as_str() {
@@ -70,27 +70,9 @@ pub fn double_to_string(d: f64) -> String {
     }
 }
 
-thread_local! {
-    static PARSE_NUMBER_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// How many times [`parse_number`] has run on this thread. Memoization
-/// through the literal table ([`crate::value::memo_number`]) is visible as
-/// this counter rising slower than the number of numeric coercions — the
-/// `eval_hot` budget pins it.
-pub fn parse_number_calls() -> u64 {
-    PARSE_NUMBER_CALLS.with(|c| c.get())
-}
-
-/// Resets the per-thread [`parse_number_calls`] counter.
-pub fn reset_parse_number_calls() {
-    PARSE_NUMBER_CALLS.with(|c| c.set(0));
-}
-
 /// Attempts to interpret a string as a number: decimal/hex/octal integer or
 /// a float. Returns `None` for anything else.
 pub fn parse_number(s: &str) -> Option<Value> {
-    PARSE_NUMBER_CALLS.with(|c| c.set(c.get() + 1));
     let t = s.trim();
     if t.is_empty() {
         return None;
@@ -674,10 +656,9 @@ fn const_unary(op: Op, v: &Value) -> Result<Value, Exception> {
 }
 
 /// Coerces an operand value: strings that look numeric become numbers.
-/// Goes through the literal table so the same text is parsed at most once.
 fn numeric(v: &Value) -> Value {
     match v {
-        Value::Str(s) => crate::value::memo_number(s).unwrap_or_else(|| v.clone()),
+        Value::Str(s) => parse_number(s).unwrap_or_else(|| v.clone()),
         other => other.clone(),
     }
 }

@@ -1129,7 +1129,7 @@ impl Interp {
     /// Substitutes one compiled word.
     fn word_text(&self, word: &CompiledWord) -> Result<String, Exception> {
         match word {
-            CompiledWord::Lit(v) => Ok(v.text().to_string()),
+            CompiledWord::Lit(s) => Ok(s.clone()),
             CompiledWord::Dyn(w) => self.subst_word(w),
         }
     }

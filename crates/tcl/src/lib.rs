@@ -47,13 +47,8 @@ pub mod list;
 pub mod parser;
 pub mod regex;
 pub mod strutil;
-pub mod value;
 
 pub use error::{wrong_args, Code, Exception, TclResult};
-pub use expr::{
-    eval_expr, expr_bool, expr_bool_cached, expr_string, expr_string_cached, parse_number_calls,
-    reset_parse_number_calls, Value,
-};
+pub use expr::{eval_expr, expr_bool, expr_bool_cached, expr_string, expr_string_cached, Value};
 pub use interp::{split_var_name, Command, Executor, Interp, ProcDef, TraceAction, TraceOps};
 pub use list::{format_list, parse_list};
-pub use value::TclValue;

@@ -628,7 +628,11 @@ mod tests {
         app.update();
         assert_eq!(app.eval("winfo ismapped .a").unwrap(), "1");
         let xid = app.window(".a").unwrap().xid;
-        assert!(app.env().display().with_server(|s| s.is_viewable(xid)));
+        let client = app.conn().client_id();
+        assert!(app
+            .env()
+            .display()
+            .with_server(|s| s.is_viewable(client, xid)));
     }
 
     #[test]

@@ -241,32 +241,25 @@ pub fn withdraw(app: &TkApp) {
     let Ok(existing) = conn.get_property(root, registry) else {
         return;
     };
-    let existing = existing.unwrap_or_default();
-    let name = app.name();
-    let entries: Vec<(String, WindowId)> = parse_registry(&existing)
-        .into_iter()
-        .filter(|(e, _)| *e != name)
-        .collect();
-    conn.change_property(root, registry, &format_registry(&entries));
+    let value = registry_without(&existing.unwrap_or_default(), &app.name());
+    conn.change_property(root, registry, &value);
 }
 
 /// Removes an application from the registry after its connection died.
-/// The protocol path is gone, so this edits the registry property directly
-/// on the server — the same scrubbing a real Tk performs when it notices a
-/// stale entry whose comm window no longer exists.
+/// The protocol path is gone, so this runs the requests' server methods
+/// directly, in the dead application's name and uncounted — the same
+/// scrubbing a real Tk performs when it notices a stale entry whose comm
+/// window no longer exists.
 pub fn withdraw_post_mortem(app: &TkApp) {
     let name = app.name();
     let shards = app.env().send_shards();
     let prop = shard_property(shard_of(&name, shards), shards);
+    let client = app.conn().client_id();
     app.env().display().with_server(|s| {
-        let registry = s.intern_atom_direct(&prop);
+        let registry = s.intern_atom(client, prop);
         let root = s.root();
-        let existing = s.get_property(root, registry).unwrap_or_default();
-        let entries: Vec<(String, WindowId)> = parse_registry(&existing)
-            .into_iter()
-            .filter(|(e, _)| *e != name)
-            .collect();
-        s.change_property(root, registry, format_registry(&entries));
+        let existing = s.get_property(client, root, registry).unwrap_or_default();
+        s.change_property(client, root, registry, registry_without(&existing, &name));
     });
 }
 
@@ -349,6 +342,15 @@ fn parse_registry(text: &str) -> Vec<(String, WindowId)> {
         }
     }
     out
+}
+
+/// A registry value with `name`'s entries removed.
+fn registry_without(value: &str, name: &str) -> String {
+    let entries: Vec<(String, WindowId)> = parse_registry(value)
+        .into_iter()
+        .filter(|(e, _)| e != name)
+        .collect();
+    format_registry(&entries)
 }
 
 fn format_registry(entries: &[(String, WindowId)]) -> String {
@@ -851,7 +853,9 @@ mod tests {
         // Kill beta's comm window server-side without any withdraw — the
         // registry entry goes stale, as after a crash.
         let beta_comm = b.inner.comm;
-        env.display().with_server(|s| s.destroy_window(beta_comm));
+        let beta_client = b.conn().client_id();
+        env.display()
+            .with_server(|s| s.destroy_window(beta_client, beta_comm));
         let t0 = env.now();
         let e = a.eval("send beta {set x 1}").unwrap_err();
         assert!(e.msg.contains("died or did not respond"), "{}", e.msg);
@@ -870,7 +874,9 @@ mod tests {
         let b = env.app("beta");
         let _c = env.app("gamma");
         let beta_comm = b.inner.comm;
-        env.display().with_server(|s| s.destroy_window(beta_comm));
+        let beta_client = b.conn().client_id();
+        env.display()
+            .with_server(|s| s.destroy_window(beta_client, beta_comm));
         let names = crate::send::interps(&a);
         assert!(names.contains(&"alpha".to_string()));
         assert!(names.contains(&"gamma".to_string()));

@@ -514,7 +514,7 @@ impl Connection {
                 kind: Some(kind),
             });
         }
-        let id = st.server.reserve_window_id();
+        let id = st.server.reserve_window_id(self.client);
         let q = QueuedRequest::CreateWindow {
             id,
             parent,
@@ -629,10 +629,10 @@ mod tests {
         c.map_window(w);
         // Nothing has reached the server yet: the window id is reserved
         // client-side but the CreateWindow is still in the buffer.
-        assert!(d.peek_server(|s| s.get_geometry(w).is_none()));
+        assert!(d.peek_server(|s| s.get_geometry(c.client_id(), w).is_none()));
         c.flush();
         assert_eq!(
-            d.peek_server(|s| s.get_geometry(w)),
+            d.peek_server(|s| s.get_geometry(c.client_id(), w)),
             Some((0, 0, 10, 10, 0))
         );
         let st = c.stats();
@@ -705,7 +705,7 @@ mod tests {
         let w = c.create_window(c.root(), 0, 0, 10, 10, 0).unwrap();
         c.map_window(w);
         // Executed immediately: no flush needed to observe the window.
-        assert!(d.peek_server(|s| s.get_geometry(w).is_some()));
+        assert!(d.peek_server(|s| s.get_geometry(c.client_id(), w).is_some()));
         let st = c.stats();
         assert_eq!(st.requests, 2);
         assert_eq!(st.flushes, 2, "every request is its own flush");
@@ -863,7 +863,7 @@ mod tests {
         c.reset_obs();
         assert_eq!(c.stats(), ClientStats::default());
         // The window exists (the buffered create was executed, not lost).
-        assert!(d.peek_server(|s| s.get_geometry(w).is_some()));
+        assert!(d.peek_server(|s| s.get_geometry(c.client_id(), w).is_some()));
     }
 
     #[test]
@@ -926,7 +926,7 @@ mod tests {
         c.map_window(w); // seq 2, dropped at flush
         c.flush();
         assert!(
-            !d.with_server(|s| s.is_viewable(w)),
+            !d.with_server(|s| s.is_viewable(c.client_id(), w)),
             "dropped MapWindow must not execute"
         );
         let faults = c.with_obs(|o| o.fault_kind_counts()).unwrap();
@@ -1066,7 +1066,7 @@ mod tests {
         assert_eq!(err.code, XErrorCode::ConnectionDead);
         assert!(!c.alive());
         // The server reclaimed the client's windows.
-        assert!(d.with_server(|s| s.get_geometry(w).is_none()));
+        assert!(d.with_server(|s| s.get_geometry(c.client_id(), w).is_none()));
         // Post-mortem observability survives the kill.
         let faults = c.with_obs(|o| o.fault_kind_counts()).unwrap();
         assert_eq!(faults, vec![("kill", 1)]);
@@ -1096,7 +1096,37 @@ mod tests {
                 "wire {wire}"
             );
             assert!(
-                d.with_server(|s| s.get_geometry(w).is_none()),
+                d.with_server(|s| s.get_geometry(c.client_id(), w).is_none()),
+                "wire {wire}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_kill_ahead_of_a_buffered_create_window_drops_its_reservation() {
+        // The window id is handed out at issue time. A kill that lands
+        // ahead of the buffered CreateWindow discards it, so the id must
+        // stop counting as a window about to exist.
+        for wire in [true, false] {
+            let d = Display::new();
+            d.set_wire(wire);
+            let c = d.connect();
+            let parent = c.create_window(c.root(), 0, 0, 10, 10, 0).unwrap(); // seq 1
+            c.flush();
+            let plan = FaultPlan::default().kill_at(c.client_id().0, 2);
+            d.with_server(|s| s.install_fault_plan(plan));
+            c.map_window(parent); // seq 2: the kill
+            let w = c.create_window(parent, 0, 0, 5, 5, 0).unwrap(); // seq 3: discarded
+            assert!(d.peek_server(|s| s.window_exists_or_pending(w)));
+            c.flush();
+            assert!(!c.alive(), "wire {wire}");
+            assert!(
+                !d.with_server(|s| s.window_exists_or_pending(w)),
+                "wire {wire}"
+            );
+            assert_eq!(
+                d.with_server(|s| s.audit()),
+                Vec::<String>::new(),
                 "wire {wire}"
             );
         }
@@ -1151,7 +1181,7 @@ mod tests {
             let w = c.create_window(c.root(), 0, 0, 10, 10, 0).unwrap(); // seq 1
             c.map_window(w); // seq 2: dropped
             c.flush();
-            d.with_server(|s| s.is_viewable(w))
+            d.with_server(|s| s.is_viewable(c.client_id(), w))
         };
         assert_eq!(run(true), run(false));
         assert!(!run(true));

@@ -7,8 +7,13 @@
 //! server queues events per client and counts requests and round trips per
 //! client, which is the accounting the paper's Table II and Section 3.3
 //! experiments rely on.
+//!
+//! Each row of the request table (`wire.rs`) names the `Server` method
+//! that runs it; the generated dispatch calls that method with the
+//! issuing client first, then the request's fields. That method is the
+//! request's only body.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use crate::atom::{Atom, AtomTable};
 use crate::bitmap::{Bitmap, BitmapId};
@@ -110,8 +115,9 @@ pub struct Server {
     /// apply before the remainder is deferred (backpressure, not loss).
     /// `None` = unlimited (the default; [`Server::set_client_quota`] sets it).
     quota: Option<usize>,
-    /// Window ids handed to clients whose CreateWindow is still buffered.
-    pending_windows: HashSet<WindowId>,
+    /// Window ids handed to clients whose CreateWindow is still
+    /// buffered, each with the client that reserved it.
+    pending_windows: HashMap<WindowId, ClientId>,
     /// Output buffering on/off (off = every request flushes immediately,
     /// reproducing the pre-buffer synchronous transport).
     batching: bool,
@@ -179,7 +185,7 @@ impl Server {
             clients: HashMap::new(),
             dirty: std::collections::BTreeSet::new(),
             quota: None,
-            pending_windows: HashSet::new(),
+            pending_windows: HashMap::new(),
             batching: true,
             selections: HashMap::new(),
             focus: Xid::NONE,
@@ -253,13 +259,6 @@ impl Server {
         self.clients.get(&client).map_or(0, |c| c.next_seq)
     }
 
-    /// Direct (non-protocol) atom intern for embedders doing post-mortem
-    /// maintenance — e.g. scrubbing a dead application's registry entry.
-    /// No client is involved and nothing is counted.
-    pub fn intern_atom_direct(&mut self, name: &str) -> Atom {
-        self.atoms.intern(name)
-    }
-
     /// Kills a client connection: discards its buffers and queues, then
     /// performs X close-down (DestroyAll): every window the client
     /// created is destroyed (with DestroyNotify to the survivors) and its
@@ -281,6 +280,9 @@ impl Server {
         c.replies.clear();
         c.pending_replies = 0;
         self.dirty.remove(&client);
+        // The discarded buffer held the CreateWindow of every id the
+        // client still had reserved: those windows will never exist.
+        self.pending_windows.retain(|_, owner| *owner != client);
         let owned: Vec<WindowId> = self
             .tree
             .iter()
@@ -288,7 +290,7 @@ impl Server {
             .map(|w| w.id)
             .collect();
         for w in owned {
-            self.destroy_window(w);
+            self.destroy_window(client, w);
         }
         self.selections.retain(|_, o| o.client != client);
         // Close-down also retracts the dead client's interest index
@@ -789,14 +791,14 @@ impl Server {
     /// Does this window id name a live window or one whose CreateWindow
     /// is still sitting in an output buffer?
     pub(crate) fn window_exists_or_pending(&self, id: WindowId) -> bool {
-        self.tree.get(id).is_some() || self.pending_windows.contains(&id)
+        self.tree.get(id).is_some() || self.pending_windows.contains_key(&id)
     }
 
-    /// Hands out a window id ahead of the buffered CreateWindow that will
-    /// use it (client-side XID allocation, as in real X).
-    pub(crate) fn reserve_window_id(&mut self) -> WindowId {
+    /// Hands `client` a window id ahead of the buffered CreateWindow that
+    /// will use it (client-side XID allocation, as in real X).
+    pub(crate) fn reserve_window_id(&mut self, client: ClientId) -> WindowId {
         let id = self.ids.alloc();
-        self.pending_windows.insert(id);
+        self.pending_windows.insert(id, client);
         id
     }
 
@@ -1104,32 +1106,29 @@ impl Server {
 
     // ----- window requests ------------------------------------------------------
 
-    /// Creates a window. The window starts unmapped.
+    /// Creates window `id`, reserved by [`Server::reserve_window_id`],
+    /// owned by `client`. The window starts unmapped.
     #[allow(clippy::too_many_arguments)]
     pub fn create_window(
         &mut self,
         client: ClientId,
+        id: WindowId,
         parent: WindowId,
         x: i32,
         y: i32,
         width: u32,
         height: u32,
         border_width: u32,
-    ) -> Option<WindowId> {
-        self.tree.get(parent)?;
-        let id = self.ids.alloc();
-        crate::wire::Requests::create_window(
-            self,
-            client,
-            id,
-            parent,
-            x,
-            y,
-            width,
-            height,
-            border_width,
-        );
-        Some(id)
+    ) {
+        // Dropped silently if the parent vanished before the buffer
+        // flushed, matching the X error semantics for a stale parent.
+        self.pending_windows.remove(&id);
+        if self.tree.get(parent).is_none() {
+            return;
+        }
+        let bg = self.colormap.rgb(Window::BACKGROUND);
+        let w = Window::new(id, parent, client, x, y, width, height, border_width, bg);
+        self.tree.insert(w);
     }
 
     /// Destroys a window and its subtree, generating DestroyNotify.
@@ -1141,7 +1140,7 @@ impl Server {
     /// about its own window's destruction. A client that cares about a
     /// peer's window (the `send` machinery watching a peer's comm window)
     /// registers interest with SelectInput like any other event.
-    pub fn destroy_window(&mut self, id: WindowId) {
+    pub fn destroy_window(&mut self, _client: ClientId, id: WindowId) {
         if id == self.tree.root() || self.tree.get(id).is_none() {
             return;
         }
@@ -1181,7 +1180,7 @@ impl Server {
     }
 
     /// Maps a window, generating MapNotify and Expose as appropriate.
-    pub fn map_window(&mut self, id: WindowId) {
+    pub fn map_window(&mut self, _client: ClientId, id: WindowId) {
         let Some(w) = self.tree.get_mut(id) else {
             return;
         };
@@ -1197,7 +1196,7 @@ impl Server {
     }
 
     /// Unmaps a window, generating UnmapNotify.
-    pub fn unmap_window(&mut self, id: WindowId) {
+    pub fn unmap_window(&mut self, _client: ClientId, id: WindowId) {
         let Some(w) = self.tree.get_mut(id) else {
             return;
         };
@@ -1280,8 +1279,10 @@ impl Server {
     /// Moves/resizes a window; generates ConfigureNotify and, when the size
     /// changed, returns the surface to undrawn in the background colour
     /// (dropping its pixels) and exposes.
+    #[allow(clippy::too_many_arguments)]
     pub fn configure_window(
         &mut self,
+        _client: ClientId,
         id: WindowId,
         x: Option<i32>,
         y: Option<i32>,
@@ -1322,7 +1323,14 @@ impl Server {
     /// topmost child of `new_parent` at `(x, y)` (Tk uses this to hang
     /// menus off the root window so they can extend beyond their logical
     /// parent).
-    pub fn reparent_window(&mut self, id: WindowId, new_parent: WindowId, x: i32, y: i32) {
+    pub fn reparent_window(
+        &mut self,
+        _client: ClientId,
+        id: WindowId,
+        new_parent: WindowId,
+        x: i32,
+        y: i32,
+    ) {
         if id == self.tree.root() || self.tree.get(new_parent).is_none() {
             return;
         }
@@ -1343,7 +1351,7 @@ impl Server {
     }
 
     /// Raises a window to the top of its siblings.
-    pub fn raise_window(&mut self, id: WindowId) {
+    pub fn raise_window(&mut self, _client: ClientId, id: WindowId) {
         let Some(w) = self.tree.get(id) else { return };
         let parent = w.parent;
         if let Some(p) = self.tree.get_mut(parent) {
@@ -1368,40 +1376,54 @@ impl Server {
     }
 
     /// Sets window attributes that affect rendering.
-    pub fn set_window_background(&mut self, id: WindowId, pixel: Pixel) {
+    pub fn set_window_background(&mut self, _client: ClientId, id: WindowId, pixel: Pixel) {
         if let Some(w) = self.tree.get_mut(id) {
             w.background = pixel;
         }
     }
 
     /// Sets the border pixel.
-    pub fn set_window_border(&mut self, id: WindowId, pixel: Pixel) {
+    pub fn set_window_border(&mut self, _client: ClientId, id: WindowId, pixel: Pixel) {
         if let Some(w) = self.tree.get_mut(id) {
             w.border_pixel = pixel;
         }
     }
 
+    /// Marks a window override-redirect (popup menus).
+    pub fn set_override_redirect(&mut self, _client: ClientId, id: WindowId, on: bool) {
+        if let Some(w) = self.tree.get_mut(id) {
+            w.override_redirect = on;
+        }
+    }
+
+    /// Attaches a cursor to a window.
+    pub fn define_cursor(&mut self, _client: ClientId, id: WindowId, cursor: CursorId) {
+        if let Some(w) = self.tree.get_mut(id) {
+            w.cursor = cursor;
+        }
+    }
+
     /// Parent and children (bottom-to-top) of a window.
-    pub fn query_tree(&self, id: WindowId) -> Option<(WindowId, Vec<WindowId>)> {
+    pub fn query_tree(&self, _client: ClientId, id: WindowId) -> Option<(WindowId, Vec<WindowId>)> {
         self.tree.get(id).map(|w| (w.parent, w.children.clone()))
     }
 
     /// Geometry of a window.
-    pub fn get_geometry(&self, id: WindowId) -> Option<(i32, i32, u32, u32, u32)> {
+    pub fn get_geometry(&self, _client: ClientId, id: WindowId) -> Option<Geometry> {
         self.tree
             .get(id)
             .map(|w| (w.x, w.y, w.width, w.height, w.border_width))
     }
 
     /// Is the window viewable (mapped with all ancestors mapped)?
-    pub fn is_viewable(&self, id: WindowId) -> bool {
+    pub fn is_viewable(&self, _client: ClientId, id: WindowId) -> bool {
         self.tree.viewable(id)
     }
 
     // ----- properties -------------------------------------------------------------
 
     /// Sets a property, generating PropertyNotify.
-    pub fn change_property(&mut self, id: WindowId, atom: Atom, value: String) {
+    pub fn change_property(&mut self, _client: ClientId, id: WindowId, atom: Atom, value: String) {
         let Some(w) = self.tree.get_mut(id) else {
             return;
         };
@@ -1419,7 +1441,7 @@ impl Server {
     /// the concatenation happens server-side, so concurrent appenders can
     /// never lose each other's data to a get/change race. An existing
     /// non-empty value gets a `\n` separator first. Generates PropertyNotify.
-    pub fn append_property(&mut self, id: WindowId, atom: Atom, value: String) {
+    pub fn append_property(&mut self, _client: ClientId, id: WindowId, atom: Atom, value: String) {
         let Some(w) = self.tree.get_mut(id) else {
             return;
         };
@@ -1438,12 +1460,21 @@ impl Server {
     }
 
     /// Reads a property.
-    pub fn get_property(&self, id: WindowId, atom: Atom) -> Option<String> {
+    pub fn get_property(&self, _client: ClientId, id: WindowId, atom: Atom) -> Option<String> {
         self.tree.get(id)?.properties.get(&atom).cloned()
     }
 
+    /// Reads and deletes a property: X's GetProperty with delete=True.
+    /// The read and the delete are one request, so a concurrent append
+    /// can never land between them and be destroyed unread.
+    pub fn take_property(&mut self, client: ClientId, id: WindowId, atom: Atom) -> Option<String> {
+        let value = self.get_property(client, id, atom);
+        self.delete_property(client, id, atom);
+        value
+    }
+
     /// Deletes a property, generating PropertyNotify (deleted).
-    pub fn delete_property(&mut self, id: WindowId, atom: Atom) {
+    pub fn delete_property(&mut self, _client: ClientId, id: WindowId, atom: Atom) {
         let Some(w) = self.tree.get_mut(id) else {
             return;
         };
@@ -1482,7 +1513,7 @@ impl Server {
     }
 
     /// Current owner window of a selection.
-    pub fn get_selection_owner(&self, selection: Atom) -> WindowId {
+    pub fn get_selection_owner(&self, _client: ClientId, selection: Atom) -> WindowId {
         self.selections
             .get(&selection)
             .map(|o| o.window)
@@ -1494,6 +1525,7 @@ impl Server {
     /// requestor immediately gets a refusal SelectionNotify.
     pub fn convert_selection(
         &mut self,
+        _client: ClientId,
         requestor: WindowId,
         selection: Atom,
         target: Atom,
@@ -1527,6 +1559,7 @@ impl Server {
     /// Sent by a selection owner after servicing a SelectionRequest.
     pub fn send_selection_notify(
         &mut self,
+        _client: ClientId,
         requestor: WindowId,
         selection: Atom,
         target: Atom,
@@ -1545,7 +1578,7 @@ impl Server {
     // ----- focus ------------------------------------------------------------------------
 
     /// Sets the input focus, generating FocusOut/FocusIn.
-    pub fn set_input_focus(&mut self, id: WindowId) {
+    pub fn set_input_focus(&mut self, _client: ClientId, id: WindowId) {
         if self.focus == id {
             return;
         }
@@ -1557,6 +1590,11 @@ impl Server {
         if !id.is_none() && self.tree.get(id).is_some() {
             self.deliver(Event::FocusIn { window: id });
         }
+    }
+
+    /// The window holding the input focus.
+    pub fn get_input_focus(&self, _client: ClientId) -> WindowId {
+        self.focus
     }
 
     // ----- drawing ---------------------------------------------------------------------
@@ -1575,27 +1613,107 @@ impl Server {
     }
 
     /// Fills a rectangle in window coordinates.
-    pub fn fill_rectangle(&mut self, id: WindowId, gc: GcId, x: i32, y: i32, w: u32, h: u32) {
+    #[allow(clippy::too_many_arguments)]
+    pub fn fill_rectangle(
+        &mut self,
+        client: ClientId,
+        id: WindowId,
+        gc: GcId,
+        x: i32,
+        y: i32,
+        w: u32,
+        h: u32,
+    ) {
         let (color, _) = self.gc_color(gc);
         self.paint(id, |s| s.fill_rect(x, y, w, h, color));
+        self.drain_pixels(client, id);
+    }
+
+    /// Draws a rectangle outline in the GC's line width.
+    #[allow(clippy::too_many_arguments)]
+    pub fn draw_rectangle(
+        &mut self,
+        client: ClientId,
+        id: WindowId,
+        gc: GcId,
+        x: i32,
+        y: i32,
+        w: u32,
+        h: u32,
+    ) {
+        let (color, values) = self.gc_color(gc);
+        let lw = values.line_width.max(1);
+        self.paint(id, |s| s.draw_rect(x, y, w, h, lw, color));
+        self.drain_pixels(client, id);
+    }
+
+    /// Draws a line in the GC's line width.
+    #[allow(clippy::too_many_arguments)]
+    pub fn draw_line(
+        &mut self,
+        client: ClientId,
+        id: WindowId,
+        gc: GcId,
+        x0: i32,
+        y0: i32,
+        x1: i32,
+        y1: i32,
+    ) {
+        let (color, values) = self.gc_color(gc);
+        let lw = values.line_width.max(1);
+        self.paint(id, |s| s.draw_line(x0, y0, x1, y1, lw, color));
+        self.drain_pixels(client, id);
     }
 
     /// Draws text with the GC's font, baseline at `(x, y)`.
-    pub fn draw_string(&mut self, id: WindowId, gc: GcId, x: i32, y: i32, text: &str) {
+    pub fn draw_string(
+        &mut self,
+        client: ClientId,
+        id: WindowId,
+        gc: GcId,
+        x: i32,
+        y: i32,
+        text: String,
+    ) {
         let (color, values) = self.gc_color(gc);
         let metrics = self.fonts.metrics(values.font).unwrap_or(FontMetrics {
             char_width: 6,
             ascent: 10,
             descent: 3,
         });
-        self.paint(id, |s| s.draw_text(x, y, text, metrics, color));
+        self.paint(id, |s| s.draw_text(x, y, &text, metrics, color));
+        self.drain_pixels(client, id);
+    }
+
+    /// Draws a bitmap's set bits in the GC foreground at `(x, y)`.
+    pub fn copy_bitmap(
+        &mut self,
+        client: ClientId,
+        id: WindowId,
+        gc: GcId,
+        x: i32,
+        y: i32,
+        bitmap: BitmapId,
+    ) {
+        self.draw_requests += 1;
+        let (color, _) = self.gc_color(gc);
+        if let (Some(bm), Some(win)) = (self.bitmaps.get(bitmap), self.tree.get_mut(id)) {
+            for by in 0..bm.height {
+                for bx in 0..bm.width {
+                    if bm.get(bx, by) {
+                        win.surface.put_pixel(x + bx as i32, y + by as i32, color);
+                    }
+                }
+            }
+        }
+        self.drain_pixels(client, id);
     }
 
     /// Clears an area to the window background (whole window when w/h are
     /// 0). Goes through `fill_rect` so an installed clip applies and the
     /// rasterized pixels count; a full-window request still clears the
     /// recorded text overlay even when the clip narrows the raster.
-    pub fn clear_area(&mut self, id: WindowId, x: i32, y: i32, w: u32, h: u32) {
+    pub fn clear_area(&mut self, client: ClientId, id: WindowId, x: i32, y: i32, w: u32, h: u32) {
         self.draw_requests += 1;
         let Some(win) = self.tree.get_mut(id) else {
             return;
@@ -1606,6 +1724,38 @@ impl Server {
         );
         win.surface
             .fill_rect(x, y, w, h, self.colormap.rgb(win.background));
+        self.drain_pixels(client, id);
+    }
+
+    /// Copies a region within one window (the scroll blit). Moved pixels
+    /// are not re-rasterized, so nothing counts toward `pixels_drawn`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn copy_area(
+        &mut self,
+        _client: ClientId,
+        id: WindowId,
+        src_x: i32,
+        src_y: i32,
+        w: u32,
+        h: u32,
+        dst_x: i32,
+        dst_y: i32,
+    ) {
+        self.paint(id, |s| s.copy_within(src_x, src_y, w, h, dst_x, dst_y));
+    }
+
+    /// Installs a clip-rectangle list on a window (empty: unclipped).
+    pub fn set_clip(&mut self, _client: ClientId, id: WindowId, rects: Vec<Rect>) {
+        if let Some(w) = self.tree.get_mut(id) {
+            w.surface.set_clip(rects);
+        }
+    }
+
+    /// Removes a window's clip.
+    pub fn clear_clip(&mut self, _client: ClientId, id: WindowId) {
+        if let Some(w) = self.tree.get_mut(id) {
+            w.surface.clear_clip();
+        }
     }
 
     // ----- input synthesis (the test/driver interface) -------------------------------------
@@ -1906,15 +2056,84 @@ impl Server {
         }
     }
 
-    // ----- resource helpers used by the request handlers --------------------------------
+    // ----- resources: atoms, colours, fonts, cursors, bitmaps, GCs --------------------
 
-    pub(crate) fn alloc_named_color(&mut self, name: &str) -> Option<(Pixel, Rgb)> {
-        let rgb = lookup_color(name)?;
+    /// Interns an atom.
+    pub fn intern_atom(&mut self, _client: ClientId, name: String) -> Atom {
+        self.atoms.intern(&name)
+    }
+
+    /// An atom's name.
+    pub fn atom_name(&self, _client: ClientId, atom: Atom) -> Option<String> {
+        self.atoms.name(atom).map(str::to_string)
+    }
+
+    /// Allocates an RGB colour.
+    pub fn alloc_color(&mut self, _client: ClientId, rgb: Rgb) -> Pixel {
+        self.colormap.alloc(rgb)
+    }
+
+    /// Allocates a named colour, returning its pixel and RGB.
+    pub fn alloc_named_color(&mut self, _client: ClientId, name: String) -> Option<(Pixel, Rgb)> {
+        let rgb = lookup_color(&name)?;
         Some((self.colormap.alloc(rgb), rgb))
     }
 
-    pub(crate) fn open_font(&mut self, name: &str) -> Option<FontId> {
-        self.fonts.open(name)
+    /// The RGB stored in a pixel.
+    pub fn query_color(&self, _client: ClientId, pixel: Pixel) -> Rgb {
+        self.colormap.rgb(pixel)
+    }
+
+    /// Frees one reference to a pixel.
+    pub fn free_color(&mut self, _client: ClientId, pixel: Pixel) {
+        self.colormap.free(pixel);
+    }
+
+    /// Opens a font.
+    pub fn open_font(&mut self, _client: ClientId, name: String) -> Option<FontId> {
+        self.fonts.open(&name)
+    }
+
+    /// A font's metrics.
+    pub fn font_metrics(&self, _client: ClientId, font: FontId) -> Option<FontMetrics> {
+        self.fonts.metrics(font)
+    }
+
+    /// Creates a cursor from the cursor font.
+    pub fn create_cursor(&mut self, _client: ClientId, name: String) -> Option<CursorId> {
+        self.cursors.create(&name)
+    }
+
+    /// Stores an uploaded bitmap under its client-chosen id.
+    pub fn create_bitmap(&mut self, _client: ClientId, id: BitmapId, bitmap: Bitmap) {
+        self.bitmaps.create_with_id(id, bitmap);
+    }
+
+    /// The dimensions of an uploaded bitmap.
+    pub fn bitmap_size(&self, _client: ClientId, id: BitmapId) -> Option<(u32, u32)> {
+        self.bitmaps.get(id).map(|b| (b.width, b.height))
+    }
+
+    /// Frees a bitmap.
+    pub fn free_bitmap(&mut self, _client: ClientId, id: BitmapId) {
+        self.bitmaps.free(id);
+    }
+
+    /// Creates a GC under its client-chosen id, owned by `client`.
+    pub fn create_gc(&mut self, client: ClientId, id: GcId, values: GcValues) {
+        self.gcs.create_with_id(id, values);
+        self.gc_owners.insert(id, client);
+    }
+
+    /// Changes a GC.
+    pub fn change_gc(&mut self, _client: ClientId, gc: GcId, values: GcValues) {
+        self.gcs.change(gc, values);
+    }
+
+    /// Frees a GC.
+    pub fn free_gc(&mut self, _client: ClientId, gc: GcId) {
+        self.gcs.free(gc);
+        self.gc_owners.remove(&gc);
     }
 
     /// Direct read access for tests: a window's surface.
@@ -1933,7 +2152,7 @@ impl Server {
     ///
     /// Invariants:
     /// * no window, window interest entry (saved event mask), selection,
-    ///   or GC is owned by a dead client;
+    ///   GC, or reserved window id is owned by a dead client;
     /// * dead clients hold no buffered requests, read-ahead, queued or
     ///   delayed events, parked replies, or dirty-set membership;
     /// * no live client has a quota-deferred remainder (deferral is
@@ -1982,6 +2201,14 @@ impl Server {
         for (gc, owner) in &self.gc_owners {
             if !self.is_alive(*owner) {
                 v.push(format!("gc {} owned by dead client {}", gc.0, owner.0));
+            }
+        }
+        for (id, owner) in &self.pending_windows {
+            if !self.is_alive(*owner) {
+                v.push(format!(
+                    "window id {} reserved by dead client {}",
+                    id.0, owner.0
+                ));
             }
         }
         for (id, c) in &self.clients {
@@ -2072,343 +2299,6 @@ impl Server {
     }
 }
 
-/// The request handlers: what each request does to the server, reached
-/// through the request tables' `dispatch`. A handler that runs an
-/// inherent method calls it as `Server::name(self, ..)`: inside this impl
-/// a bare `self.name(..)` can resolve to the handler of that name.
-impl crate::wire::Requests for Server {
-    fn create_window(
-        &mut self,
-        client: ClientId,
-        id: WindowId,
-        parent: WindowId,
-        x: i32,
-        y: i32,
-        width: u32,
-        height: u32,
-        border_width: u32,
-    ) {
-        // Dropped silently if the parent vanished before the buffer
-        // flushed, matching the X error semantics for a stale parent.
-        self.pending_windows.remove(&id);
-        if self.tree.get(parent).is_none() {
-            return;
-        }
-        let bg = self.colormap.rgb(Window::BACKGROUND);
-        let w = Window::new(id, parent, client, x, y, width, height, border_width, bg);
-        self.tree.insert(w);
-    }
-
-    fn destroy_window(&mut self, _: ClientId, id: WindowId) {
-        Server::destroy_window(self, id);
-    }
-
-    fn map_window(&mut self, _: ClientId, id: WindowId) {
-        Server::map_window(self, id);
-    }
-
-    fn unmap_window(&mut self, _: ClientId, id: WindowId) {
-        Server::unmap_window(self, id);
-    }
-
-    fn configure_window(
-        &mut self,
-        _: ClientId,
-        id: WindowId,
-        x: Option<i32>,
-        y: Option<i32>,
-        width: Option<u32>,
-        height: Option<u32>,
-        border_width: Option<u32>,
-    ) {
-        Server::configure_window(self, id, x, y, width, height, border_width);
-    }
-
-    fn raise_window(&mut self, _: ClientId, id: WindowId) {
-        Server::raise_window(self, id);
-    }
-
-    fn reparent_window(&mut self, _: ClientId, id: WindowId, new_parent: WindowId, x: i32, y: i32) {
-        Server::reparent_window(self, id, new_parent, x, y);
-    }
-
-    fn select_input(&mut self, client: ClientId, id: WindowId, event_mask: u32) {
-        Server::select_input(self, client, id, event_mask);
-    }
-
-    fn set_window_background(&mut self, _: ClientId, id: WindowId, pixel: Pixel) {
-        Server::set_window_background(self, id, pixel);
-    }
-
-    fn set_window_border(&mut self, _: ClientId, id: WindowId, pixel: Pixel) {
-        Server::set_window_border(self, id, pixel);
-    }
-
-    fn set_override_redirect(&mut self, _: ClientId, id: WindowId, on: bool) {
-        if let Some(w) = self.tree.get_mut(id) {
-            w.override_redirect = on;
-        }
-    }
-
-    fn define_cursor(&mut self, _: ClientId, id: WindowId, cursor: CursorId) {
-        if let Some(w) = self.tree.get_mut(id) {
-            w.cursor = cursor;
-        }
-    }
-
-    fn change_property(&mut self, _: ClientId, id: WindowId, atom: Atom, value: String) {
-        Server::change_property(self, id, atom, value);
-    }
-
-    fn append_property(&mut self, _: ClientId, id: WindowId, atom: Atom, value: String) {
-        Server::append_property(self, id, atom, value);
-    }
-
-    fn delete_property(&mut self, _: ClientId, id: WindowId, atom: Atom) {
-        Server::delete_property(self, id, atom);
-    }
-
-    fn free_color(&mut self, _: ClientId, pixel: Pixel) {
-        self.colormap.free(pixel);
-    }
-
-    fn create_bitmap(&mut self, _: ClientId, id: BitmapId, bitmap: Bitmap) {
-        self.bitmaps.create_with_id(id, bitmap);
-    }
-
-    fn free_bitmap(&mut self, _: ClientId, id: BitmapId) {
-        self.bitmaps.free(id);
-    }
-
-    fn copy_bitmap(
-        &mut self,
-        client: ClientId,
-        id: WindowId,
-        gc: GcId,
-        x: i32,
-        y: i32,
-        bitmap: BitmapId,
-    ) {
-        self.draw_requests += 1;
-        let (color, _) = self.gc_color(gc);
-        if let (Some(bm), Some(win)) = (self.bitmaps.get(bitmap), self.tree.get_mut(id)) {
-            for by in 0..bm.height {
-                for bx in 0..bm.width {
-                    if bm.get(bx, by) {
-                        win.surface.put_pixel(x + bx as i32, y + by as i32, color);
-                    }
-                }
-            }
-        }
-        self.drain_pixels(client, id);
-    }
-
-    fn create_gc(&mut self, client: ClientId, id: GcId, values: GcValues) {
-        self.gcs.create_with_id(id, values);
-        self.gc_owners.insert(id, client);
-    }
-
-    fn change_gc(&mut self, _: ClientId, gc: GcId, values: GcValues) {
-        self.gcs.change(gc, values);
-    }
-
-    fn free_gc(&mut self, _: ClientId, gc: GcId) {
-        self.gcs.free(gc);
-        self.gc_owners.remove(&gc);
-    }
-
-    fn fill_rectangle(
-        &mut self,
-        client: ClientId,
-        id: WindowId,
-        gc: GcId,
-        x: i32,
-        y: i32,
-        w: u32,
-        h: u32,
-    ) {
-        Server::fill_rectangle(self, id, gc, x, y, w, h);
-        self.drain_pixels(client, id);
-    }
-
-    fn draw_rectangle(
-        &mut self,
-        client: ClientId,
-        id: WindowId,
-        gc: GcId,
-        x: i32,
-        y: i32,
-        w: u32,
-        h: u32,
-    ) {
-        let (color, values) = self.gc_color(gc);
-        let lw = values.line_width.max(1);
-        self.paint(id, |s| s.draw_rect(x, y, w, h, lw, color));
-        self.drain_pixels(client, id);
-    }
-
-    fn draw_line(
-        &mut self,
-        client: ClientId,
-        id: WindowId,
-        gc: GcId,
-        x0: i32,
-        y0: i32,
-        x1: i32,
-        y1: i32,
-    ) {
-        let (color, values) = self.gc_color(gc);
-        let lw = values.line_width.max(1);
-        self.paint(id, |s| s.draw_line(x0, y0, x1, y1, lw, color));
-        self.drain_pixels(client, id);
-    }
-
-    fn draw_string(
-        &mut self,
-        client: ClientId,
-        id: WindowId,
-        gc: GcId,
-        x: i32,
-        y: i32,
-        text: String,
-    ) {
-        Server::draw_string(self, id, gc, x, y, &text);
-        self.drain_pixels(client, id);
-    }
-
-    fn clear_area(&mut self, client: ClientId, id: WindowId, x: i32, y: i32, w: u32, h: u32) {
-        Server::clear_area(self, id, x, y, w, h);
-        self.drain_pixels(client, id);
-    }
-
-    fn set_clip(&mut self, _: ClientId, id: WindowId, rects: Vec<Rect>) {
-        if let Some(w) = self.tree.get_mut(id) {
-            w.surface.set_clip(rects);
-        }
-    }
-
-    fn clear_clip(&mut self, _: ClientId, id: WindowId) {
-        if let Some(w) = self.tree.get_mut(id) {
-            w.surface.clear_clip();
-        }
-    }
-
-    fn copy_area(
-        &mut self,
-        _: ClientId,
-        id: WindowId,
-        src_x: i32,
-        src_y: i32,
-        w: u32,
-        h: u32,
-        dst_x: i32,
-        dst_y: i32,
-    ) {
-        // Moved pixels are not re-rasterized, so nothing counts toward
-        // `pixels_drawn`.
-        self.paint(id, |s| s.copy_within(src_x, src_y, w, h, dst_x, dst_y));
-    }
-
-    fn set_selection_owner(&mut self, client: ClientId, selection: Atom, owner: WindowId) {
-        Server::set_selection_owner(self, client, selection, owner);
-    }
-
-    fn convert_selection(
-        &mut self,
-        _: ClientId,
-        requestor: WindowId,
-        selection: Atom,
-        target: Atom,
-        property: Atom,
-    ) {
-        Server::convert_selection(self, requestor, selection, target, property);
-    }
-
-    fn send_selection_notify(
-        &mut self,
-        _: ClientId,
-        requestor: WindowId,
-        selection: Atom,
-        target: Atom,
-        property: Atom,
-    ) {
-        Server::send_selection_notify(self, requestor, selection, target, property);
-    }
-
-    fn set_input_focus(&mut self, _: ClientId, id: WindowId) {
-        Server::set_input_focus(self, id);
-    }
-
-    fn intern_atom(&mut self, _: ClientId, name: String) -> Atom {
-        self.atoms.intern(&name)
-    }
-
-    fn atom_name(&mut self, _: ClientId, atom: Atom) -> Option<String> {
-        self.atoms.name(atom).map(str::to_string)
-    }
-
-    fn query_tree(&mut self, _: ClientId, id: WindowId) -> Option<(WindowId, Vec<WindowId>)> {
-        Server::query_tree(self, id)
-    }
-
-    fn get_geometry(&mut self, _: ClientId, id: WindowId) -> Option<Geometry> {
-        Server::get_geometry(self, id)
-    }
-
-    fn is_viewable(&mut self, _: ClientId, id: WindowId) -> bool {
-        Server::is_viewable(self, id)
-    }
-
-    fn get_property(&mut self, _: ClientId, id: WindowId, atom: Atom) -> Option<String> {
-        Server::get_property(self, id, atom)
-    }
-
-    fn alloc_named_color(&mut self, _: ClientId, name: String) -> Option<(Pixel, Rgb)> {
-        Server::alloc_named_color(self, &name)
-    }
-
-    fn alloc_color(&mut self, _: ClientId, rgb: Rgb) -> Pixel {
-        self.colormap.alloc(rgb)
-    }
-
-    fn query_color(&mut self, _: ClientId, pixel: Pixel) -> Rgb {
-        self.colormap.rgb(pixel)
-    }
-
-    fn open_font(&mut self, _: ClientId, name: String) -> Option<FontId> {
-        Server::open_font(self, &name)
-    }
-
-    fn font_metrics(&mut self, _: ClientId, font: FontId) -> Option<FontMetrics> {
-        self.fonts.metrics(font)
-    }
-
-    fn create_cursor(&mut self, _: ClientId, name: String) -> Option<CursorId> {
-        self.cursors.create(&name)
-    }
-
-    fn bitmap_size(&mut self, _: ClientId, id: BitmapId) -> Option<(u32, u32)> {
-        self.bitmaps.get(id).map(|b| (b.width, b.height))
-    }
-
-    fn get_selection_owner(&mut self, _: ClientId, selection: Atom) -> WindowId {
-        Server::get_selection_owner(self, selection)
-    }
-
-    fn get_input_focus(&mut self, _: ClientId) -> WindowId {
-        self.focus
-    }
-
-    fn take_property(&mut self, _: ClientId, id: WindowId, atom: Atom) -> Option<String> {
-        // X's GetProperty with delete=True: the read and the delete are
-        // one request, so a concurrent append can never land between
-        // them and be destroyed unread.
-        let value = Server::get_property(self, id, atom);
-        Server::delete_property(self, id, atom);
-        value
-    }
-}
-
 /// Minimal Tcl-list splitter for [`Server::audit`]'s registry check:
 /// top-level items separated by whitespace, one brace layer stripped.
 /// Registry values are written by `tcl::format_list`; this subset covers
@@ -2459,6 +2349,24 @@ fn split_braced_list(s: &str) -> Vec<String> {
 mod tests {
     use super::*;
 
+    /// Creates a window the way a connection does: reserve its id,
+    /// then run the CreateWindow request.
+    #[allow(clippy::too_many_arguments)]
+    fn create(
+        s: &mut Server,
+        c: ClientId,
+        parent: WindowId,
+        x: i32,
+        y: i32,
+        width: u32,
+        height: u32,
+        border_width: u32,
+    ) -> WindowId {
+        let id = s.reserve_window_id(c);
+        s.create_window(c, id, parent, x, y, width, height, border_width);
+        id
+    }
+
     fn setup() -> (Server, ClientId) {
         let mut s = Server::new();
         let c = s.connect();
@@ -2469,9 +2377,9 @@ mod tests {
     fn create_and_map_generates_expose() {
         let (mut s, c) = setup();
         let root = s.root();
-        let w = s.create_window(c, root, 10, 10, 100, 50, 1).unwrap();
+        let w = create(&mut s, c, root, 10, 10, 100, 50, 1);
         s.select_input(c, w, mask::EXPOSURE | mask::STRUCTURE_NOTIFY);
-        s.map_window(w);
+        s.map_window(c, w);
         let events: Vec<Event> = std::iter::from_fn(|| s.poll_event(c)).collect();
         assert!(events.iter().any(|e| matches!(e, Event::MapNotify { .. })));
         assert!(events.iter().any(|e| matches!(e, Event::Expose { .. })));
@@ -2481,12 +2389,12 @@ mod tests {
     fn unmapped_window_gets_no_expose() {
         let (mut s, c) = setup();
         let root = s.root();
-        let parent = s.create_window(c, root, 0, 0, 100, 100, 0).unwrap();
-        let child = s.create_window(c, parent, 0, 0, 50, 50, 0).unwrap();
+        let parent = create(&mut s, c, root, 0, 0, 100, 100, 0);
+        let child = create(&mut s, c, parent, 0, 0, 50, 50, 0);
         s.select_input(c, child, mask::EXPOSURE);
-        s.map_window(child); // parent still unmapped: not viewable
+        s.map_window(c, child); // parent still unmapped: not viewable
         assert_eq!(s.pending(c), 0);
-        s.map_window(parent); // now the child becomes viewable
+        s.map_window(c, parent); // now the child becomes viewable
         let events: Vec<Event> = std::iter::from_fn(|| s.poll_event(c)).collect();
         assert!(events
             .iter()
@@ -2497,11 +2405,11 @@ mod tests {
     fn configure_resize_exposes_and_notifies() {
         let (mut s, c) = setup();
         let root = s.root();
-        let w = s.create_window(c, root, 0, 0, 50, 50, 0).unwrap();
+        let w = create(&mut s, c, root, 0, 0, 50, 50, 0);
         s.select_input(c, w, mask::EXPOSURE | mask::STRUCTURE_NOTIFY);
-        s.map_window(w);
+        s.map_window(c, w);
         while s.poll_event(c).is_some() {}
-        s.configure_window(w, Some(5), None, Some(80), Some(60), None);
+        s.configure_window(c, w, Some(5), None, Some(80), Some(60), None);
         let events: Vec<Event> = std::iter::from_fn(|| s.poll_event(c)).collect();
         assert!(events.iter().any(|e| matches!(
             e,
@@ -2513,16 +2421,16 @@ mod tests {
             }
         )));
         assert!(events.iter().any(|e| matches!(e, Event::Expose { .. })));
-        assert_eq!(s.get_geometry(w).unwrap(), (5, 0, 80, 60, 0));
+        assert_eq!(s.get_geometry(c, w).unwrap(), (5, 0, 80, 60, 0));
     }
 
     #[test]
     fn destroy_notifies_and_removes() {
         let (mut s, c) = setup();
         let root = s.root();
-        let w = s.create_window(c, root, 0, 0, 50, 50, 0).unwrap();
-        let kid = s.create_window(c, w, 0, 0, 10, 10, 0).unwrap();
-        s.destroy_window(w);
+        let w = create(&mut s, c, root, 0, 0, 50, 50, 0);
+        let kid = create(&mut s, c, w, 0, 0, 10, 10, 0);
+        s.destroy_window(c, w);
         let events: Vec<Event> = std::iter::from_fn(|| s.poll_event(c)).collect();
         let destroyed: Vec<WindowId> = events
             .iter()
@@ -2532,16 +2440,16 @@ mod tests {
             })
             .collect();
         assert_eq!(destroyed, vec![kid, w]);
-        assert!(s.get_geometry(w).is_none());
+        assert!(s.get_geometry(c, w).is_none());
     }
 
     #[test]
     fn enter_leave_on_pointer_motion() {
         let (mut s, c) = setup();
         let root = s.root();
-        let w = s.create_window(c, root, 100, 100, 50, 50, 0).unwrap();
+        let w = create(&mut s, c, root, 100, 100, 50, 50, 0);
         s.select_input(c, w, mask::ENTER_WINDOW | mask::LEAVE_WINDOW);
-        s.map_window(w);
+        s.map_window(c, w);
         s.warp_pointer(125, 125);
         let events: Vec<Event> = std::iter::from_fn(|| s.poll_event(c)).collect();
         assert!(events
@@ -2558,11 +2466,11 @@ mod tests {
     fn button_press_propagates_to_selecting_ancestor() {
         let (mut s, c) = setup();
         let root = s.root();
-        let parent = s.create_window(c, root, 0, 0, 200, 200, 0).unwrap();
-        let child = s.create_window(c, parent, 50, 50, 100, 100, 0).unwrap();
+        let parent = create(&mut s, c, root, 0, 0, 200, 200, 0);
+        let child = create(&mut s, c, parent, 50, 50, 100, 100, 0);
         s.select_input(c, parent, mask::BUTTON_PRESS);
-        s.map_window(parent);
-        s.map_window(child);
+        s.map_window(c, parent);
+        s.map_window(c, child);
         s.warp_pointer(75, 75); // inside child
         s.press_button(1);
         let events: Vec<Event> = std::iter::from_fn(|| s.poll_event(c)).collect();
@@ -2580,10 +2488,10 @@ mod tests {
     fn key_goes_to_focus_window() {
         let (mut s, c) = setup();
         let root = s.root();
-        let w = s.create_window(c, root, 0, 0, 50, 50, 0).unwrap();
+        let w = create(&mut s, c, root, 0, 0, 50, 50, 0);
         s.select_input(c, w, mask::KEY_PRESS);
-        s.map_window(w);
-        s.set_input_focus(w);
+        s.map_window(c, w);
+        s.set_input_focus(c, w);
         s.press_key(Keysym::from_char('a'));
         let events: Vec<Event> = std::iter::from_fn(|| s.poll_event(c)).collect();
         assert!(events.iter().any(
@@ -2597,12 +2505,12 @@ mod tests {
         let root = s.root();
         s.select_input(c, root, mask::PROPERTY_CHANGE);
         let atom = s.atoms.intern("MY_PROP");
-        s.change_property(root, atom, "hello".into());
-        assert_eq!(s.get_property(root, atom), Some("hello".into()));
+        s.change_property(c, root, atom, "hello".into());
+        assert_eq!(s.get_property(c, root, atom), Some("hello".into()));
         let ev = s.poll_event(c).unwrap();
         assert!(matches!(ev, Event::PropertyNotify { deleted: false, .. }));
-        s.delete_property(root, atom);
-        assert_eq!(s.get_property(root, atom), None);
+        s.delete_property(c, root, atom);
+        assert_eq!(s.get_property(c, root, atom), None);
         let ev = s.poll_event(c).unwrap();
         assert!(matches!(ev, Event::PropertyNotify { deleted: true, .. }));
     }
@@ -2613,10 +2521,10 @@ mod tests {
         let root = s.root();
         s.select_input(c, root, mask::PROPERTY_CHANGE);
         let atom = s.atoms.intern("QUEUE");
-        s.append_property(root, atom, "first".into());
-        assert_eq!(s.get_property(root, atom), Some("first".into()));
-        s.append_property(root, atom, "second".into());
-        assert_eq!(s.get_property(root, atom), Some("first\nsecond".into()));
+        s.append_property(c, root, atom, "first".into());
+        assert_eq!(s.get_property(c, root, atom), Some("first".into()));
+        s.append_property(c, root, atom, "second".into());
+        assert_eq!(s.get_property(c, root, atom), Some("first\nsecond".into()));
         let events: Vec<Event> = std::iter::from_fn(|| s.poll_event(c)).collect();
         assert_eq!(
             events
@@ -2626,7 +2534,7 @@ mod tests {
             2
         );
         // Appending to a missing window is a no-op, not a crash.
-        s.append_property(Xid(0xdead), atom, "lost".into());
+        s.append_property(c, Xid(0xdead), atom, "lost".into());
     }
 
     #[test]
@@ -2635,28 +2543,31 @@ mod tests {
         let c1 = s.connect();
         let c2 = s.connect();
         let root = s.root();
-        let w1 = s.create_window(c1, root, 0, 0, 10, 10, 0).unwrap();
-        let w2 = s.create_window(c2, root, 20, 0, 10, 10, 0).unwrap();
+        let w1 = create(&mut s, c1, root, 0, 0, 10, 10, 0);
+        let w2 = create(&mut s, c2, root, 20, 0, 10, 10, 0);
         let primary = s.atoms.intern("PRIMARY");
         let string = s.atoms.intern("STRING");
         let prop = s.atoms.intern("RESULT");
 
         s.set_selection_owner(c1, primary, w1);
-        assert_eq!(s.get_selection_owner(primary), w1);
+        assert_eq!(s.get_selection_owner(c1, primary), w1);
 
         // c2 requests conversion; c1 gets SelectionRequest.
-        s.convert_selection(w2, primary, string, prop);
+        s.convert_selection(c2, w2, primary, string, prop);
         let req = s.poll_event(c1).unwrap();
         assert!(matches!(req, Event::SelectionRequest { .. }));
 
         // c1 services it.
-        s.change_property(w2, prop, "the selection".into());
-        s.send_selection_notify(w2, primary, string, prop);
+        s.change_property(c1, w2, prop, "the selection".into());
+        s.send_selection_notify(c1, w2, primary, string, prop);
         let notify = std::iter::from_fn(|| s.poll_event(c2))
             .find(|e| matches!(e, Event::SelectionNotify { .. }))
             .unwrap();
         if let Event::SelectionNotify { property, .. } = notify {
-            assert_eq!(s.get_property(w2, property), Some("the selection".into()));
+            assert_eq!(
+                s.get_property(c2, w2, property),
+                Some("the selection".into())
+            );
         }
 
         // New owner: old owner gets SelectionClear.
@@ -2671,11 +2582,11 @@ mod tests {
     fn convert_with_no_owner_refuses() {
         let (mut s, c) = setup();
         let root = s.root();
-        let w = s.create_window(c, root, 0, 0, 10, 10, 0).unwrap();
+        let w = create(&mut s, c, root, 0, 0, 10, 10, 0);
         let sel = s.atoms.intern("PRIMARY");
         let tgt = s.atoms.intern("STRING");
         let prop = s.atoms.intern("R");
-        s.convert_selection(w, sel, tgt, prop);
+        s.convert_selection(c, w, sel, tgt, prop);
         let ev = s.poll_event(c).unwrap();
         assert!(matches!(
             ev,
@@ -2690,12 +2601,12 @@ mod tests {
     fn focus_events() {
         let (mut s, c) = setup();
         let root = s.root();
-        let a = s.create_window(c, root, 0, 0, 10, 10, 0).unwrap();
-        let b = s.create_window(c, root, 20, 0, 10, 10, 0).unwrap();
+        let a = create(&mut s, c, root, 0, 0, 10, 10, 0);
+        let b = create(&mut s, c, root, 20, 0, 10, 10, 0);
         s.select_input(c, a, mask::FOCUS_CHANGE);
         s.select_input(c, b, mask::FOCUS_CHANGE);
-        s.set_input_focus(a);
-        s.set_input_focus(b);
+        s.set_input_focus(c, a);
+        s.set_input_focus(c, b);
         let events: Vec<Event> = std::iter::from_fn(|| s.poll_event(c)).collect();
         assert!(events
             .iter()
@@ -2712,14 +2623,14 @@ mod tests {
     fn drawing_affects_surface_and_compose() {
         let (mut s, c) = setup();
         let root = s.root();
-        let w = s.create_window(c, root, 10, 10, 50, 50, 0).unwrap();
-        s.map_window(w);
-        let red = s.alloc_named_color("red").unwrap().0;
+        let w = create(&mut s, c, root, 10, 10, 50, 50, 0);
+        s.map_window(c, w);
+        let red = s.alloc_named_color(c, "red".into()).unwrap().0;
         let gc = s.gcs.create(GcValues {
             foreground: red,
             ..Default::default()
         });
-        s.fill_rectangle(w, gc, 0, 0, 50, 50);
+        s.fill_rectangle(c, w, gc, 0, 0, 50, 50);
         let screen = s.compose_screen();
         assert_eq!(screen.pixel(10, 10), Rgb::new(255, 0, 0));
         assert_eq!(screen.pixel(9, 9), Rgb::new(255, 255, 255));
@@ -2744,7 +2655,7 @@ mod tests {
         let mut s = Server::new();
         let root = s.root();
         let gc = s.gcs.create(GcValues::default());
-        s.fill_rectangle(root, gc, 0, 0, 10, 10);
+        s.fill_rectangle(ClientId(0), root, gc, 0, 0, 10, 10);
         assert_eq!(s.draw_requests, 1);
         s.reset_stats();
         assert_eq!(s.draw_requests, 0);
@@ -2755,40 +2666,40 @@ mod tests {
     fn raise_window_changes_stacking() {
         let (mut s, c) = setup();
         let root = s.root();
-        let a = s.create_window(c, root, 0, 0, 50, 50, 0).unwrap();
-        let b = s.create_window(c, root, 0, 0, 50, 50, 0).unwrap();
-        s.map_window(a);
-        s.map_window(b);
+        let a = create(&mut s, c, root, 0, 0, 50, 50, 0);
+        let b = create(&mut s, c, root, 0, 0, 50, 50, 0);
+        s.map_window(c, a);
+        s.map_window(c, b);
         s.warp_pointer(25, 25);
         // b was created later so it is on top.
-        assert_eq!(s.query_tree(root).unwrap().1, vec![a, b]);
-        s.raise_window(a);
-        assert_eq!(s.query_tree(root).unwrap().1, vec![b, a]);
+        assert_eq!(s.query_tree(c, root).unwrap().1, vec![a, b]);
+        s.raise_window(c, a);
+        assert_eq!(s.query_tree(c, root).unwrap().1, vec![b, a]);
     }
 
     #[test]
     fn reparent_moves_window_to_new_parent() {
         let (mut s, c) = setup();
         let root = s.root();
-        let a = s.create_window(c, root, 0, 0, 50, 50, 0).unwrap();
-        let w = s.create_window(c, a, 5, 5, 10, 10, 0).unwrap();
-        s.reparent_window(w, root, 200, 100);
-        let (parent, _) = s.query_tree(w).unwrap();
+        let a = create(&mut s, c, root, 0, 0, 50, 50, 0);
+        let w = create(&mut s, c, a, 5, 5, 10, 10, 0);
+        s.reparent_window(c, w, root, 200, 100);
+        let (parent, _) = s.query_tree(c, w).unwrap();
         assert_eq!(parent, root);
-        assert_eq!(s.get_geometry(w).unwrap(), (200, 100, 10, 10, 0));
-        assert!(!s.query_tree(a).unwrap().1.contains(&w));
-        assert!(s.query_tree(root).unwrap().1.contains(&w));
+        assert_eq!(s.get_geometry(c, w).unwrap(), (200, 100, 10, 10, 0));
+        assert!(!s.query_tree(c, a).unwrap().1.contains(&w));
+        assert!(s.query_tree(c, root).unwrap().1.contains(&w));
     }
 
     #[test]
     fn reparented_window_is_hit_by_pointer() {
         let (mut s, c) = setup();
         let root = s.root();
-        let a = s.create_window(c, root, 0, 0, 20, 20, 0).unwrap();
-        let menu = s.create_window(c, a, 0, 0, 40, 40, 0).unwrap();
-        s.map_window(a);
-        s.reparent_window(menu, root, 300, 300);
-        s.map_window(menu);
+        let a = create(&mut s, c, root, 0, 0, 20, 20, 0);
+        let menu = create(&mut s, c, a, 0, 0, 40, 40, 0);
+        s.map_window(c, a);
+        s.reparent_window(c, menu, root, 300, 300);
+        s.map_window(c, menu);
         // The point is far outside `a`, but inside the reparented window.
         assert_eq!(s.tree.window_at(310, 310), menu);
     }
@@ -2797,21 +2708,21 @@ mod tests {
     fn reparent_rejects_root_and_unknown_parents() {
         let (mut s, c) = setup();
         let root = s.root();
-        let w = s.create_window(c, root, 0, 0, 10, 10, 0).unwrap();
-        s.reparent_window(root, w, 0, 0); // no-op
-        assert_eq!(s.query_tree(root).unwrap().0, Xid::NONE);
-        s.reparent_window(w, Xid(9999), 0, 0); // no-op
-        assert_eq!(s.query_tree(w).unwrap().0, root);
+        let w = create(&mut s, c, root, 0, 0, 10, 10, 0);
+        s.reparent_window(c, root, w, 0, 0); // no-op
+        assert_eq!(s.query_tree(c, root).unwrap().0, Xid::NONE);
+        s.reparent_window(c, w, Xid(9999), 0, 0); // no-op
+        assert_eq!(s.query_tree(c, w).unwrap().0, root);
     }
 
     #[test]
     fn compose_draws_borders() {
         let (mut s, c) = setup();
         let root = s.root();
-        let w = s.create_window(c, root, 10, 10, 20, 20, 2).unwrap();
-        let red = s.alloc_named_color("red").unwrap().0;
-        s.set_window_border(w, red);
-        s.map_window(w);
+        let w = create(&mut s, c, root, 10, 10, 20, 20, 2);
+        let red = s.alloc_named_color(c, "red".into()).unwrap().0;
+        s.set_window_border(c, w, red);
+        s.map_window(c, w);
         let screen = s.compose_screen();
         // The window is at (10,10) with border 2, so its interior origin
         // is (12,12) and the border ring covers (10,10) and (11,11).
@@ -2824,13 +2735,13 @@ mod tests {
     fn unmapped_windows_are_not_composited() {
         let (mut s, c) = setup();
         let root = s.root();
-        let w = s.create_window(c, root, 0, 0, 50, 50, 0).unwrap();
-        let red = s.alloc_named_color("red").unwrap().0;
-        s.set_window_background(w, red);
-        s.map_window(w);
-        s.clear_area(w, 0, 0, 0, 0);
+        let w = create(&mut s, c, root, 0, 0, 50, 50, 0);
+        let red = s.alloc_named_color(c, "red".into()).unwrap().0;
+        s.set_window_background(c, w, red);
+        s.map_window(c, w);
+        s.clear_area(c, w, 0, 0, 0, 0);
         assert_eq!(s.compose_screen().pixel(5, 5), Rgb::new(255, 0, 0));
-        s.unmap_window(w);
+        s.unmap_window(c, w);
         assert_eq!(s.compose_screen().pixel(5, 5), Rgb::new(255, 255, 255));
     }
 
@@ -2842,24 +2753,24 @@ mod tests {
         let (mut s, c) = setup();
         let root = s.root();
         let (red, blue) = (Rgb::new(255, 0, 0), Rgb::new(0, 0, 255));
-        let pixel = s.alloc_named_color("red").unwrap().0;
+        let pixel = s.alloc_named_color(c, "red".into()).unwrap().0;
         let gc = s.gcs.create(GcValues {
             foreground: pixel,
             ..Default::default()
         });
-        let w = s.create_window(c, root, 10, 10, 30, 20, 0).unwrap();
-        let bg = s.alloc_named_color("blue").unwrap().0;
-        s.set_window_background(w, bg);
-        s.map_window(w);
+        let w = create(&mut s, c, root, 10, 10, 30, 20, 0);
+        let bg = s.alloc_named_color(c, "blue".into()).unwrap().0;
+        s.set_window_background(c, w, bg);
+        s.map_window(c, w);
         assert_eq!(s.compose_screen().pixel(10, 10), Rgb::new(255, 255, 255));
         for (width, height) in [(50, 10), (7, 40), (7, 40), (64, 64)] {
             assert_eq!(s.audit(), Vec::<String>::new());
-            s.fill_rectangle(w, gc, 2, 2, 3, 3);
+            s.fill_rectangle(c, w, gc, 2, 2, 3, 3);
             let (ww, wh) = (s.tree.get(w).unwrap().width, s.tree.get(w).unwrap().height);
             assert_eq!(s.surface_pixels(), (ww * wh) as u64);
             assert_eq!(s.compose_screen().pixel(12, 12), red);
             assert_eq!(s.audit(), Vec::<String>::new());
-            s.configure_window(w, None, None, Some(width), Some(height), None);
+            s.configure_window(c, w, None, None, Some(width), Some(height), None);
             assert_eq!(s.audit(), Vec::<String>::new());
             let resized = (width, height) != (ww, wh);
             assert_eq!(s.surface_pixels() == 0, resized);
@@ -2879,17 +2790,17 @@ mod tests {
     fn screen_digest_hashes_the_composed_screen() {
         let (mut s, c) = setup();
         let root = s.root();
-        let red = s.alloc_named_color("red").unwrap().0;
+        let red = s.alloc_named_color(c, "red".into()).unwrap().0;
         let gc = s.gcs.create(GcValues {
             foreground: red,
             ..Default::default()
         });
-        let a = s.create_window(c, root, 10, 10, 40, 30, 2).unwrap();
-        let b = s.create_window(c, a, 5, 5, 20, 10, 1).unwrap();
-        s.map_window(a);
-        s.map_window(b);
-        s.draw_string(a, gc, 2, 12, "Hi");
-        s.fill_rectangle(b, gc, 3, 3, 4, 4);
+        let a = create(&mut s, c, root, 10, 10, 40, 30, 2);
+        let b = create(&mut s, c, a, 5, 5, 20, 10, 1);
+        s.map_window(c, a);
+        s.map_window(c, b);
+        s.draw_string(c, a, gc, 2, 12, "Hi".into());
+        s.fill_rectangle(c, b, gc, 3, 3, 4, 4);
         let fnv = |screen: &Surface| {
             let mut h: u64 = 0xcbf2_9ce4_8422_2325;
             for &p in screen.raw_pixels() {
@@ -2899,7 +2810,7 @@ mod tests {
         };
         let before = s.screen_digest();
         assert_eq!(before, fnv(&s.compose_screen()));
-        s.fill_rectangle(a, gc, 0, 0, 1, 1);
+        s.fill_rectangle(c, a, gc, 0, 0, 1, 1);
         assert_ne!(s.screen_digest(), before);
     }
 
@@ -2924,9 +2835,9 @@ mod tests {
     fn expose_count_sequences_damage_rects() {
         let (mut s, c) = setup();
         let root = s.root();
-        let w = s.create_window(c, root, 0, 0, 100, 100, 0).unwrap();
+        let w = create(&mut s, c, root, 0, 0, 100, 100, 0);
         s.select_input(c, w, mask::EXPOSURE);
-        s.map_window(w);
+        s.map_window(c, w);
         // Map with no prior damage: one full-area Expose, count 0 — the
         // shape every count == 0 waiter in the toolkit relies on.
         let events: Vec<Event> = std::iter::from_fn(|| s.poll_event(c)).collect();
@@ -2948,14 +2859,14 @@ mod tests {
     fn map_coalesces_pending_damage_into_full_expose() {
         let (mut s, c) = setup();
         let root = s.root();
-        let w = s.create_window(c, root, 0, 0, 80, 60, 0).unwrap();
+        let w = create(&mut s, c, root, 0, 0, 80, 60, 0);
         s.select_input(c, w, mask::EXPOSURE);
         // Damage before the window is viewable stays pending...
         s.damage_window(w, Rect::new(3, 3, 5, 5));
         s.flush_damage(w); // not viewable: delivers nothing
         assert_eq!(s.pending(c), 0);
         // ...and mapping swallows it into the full-area Expose.
-        s.map_window(w);
+        s.map_window(c, w);
         let events: Vec<Event> = std::iter::from_fn(|| s.poll_event(c)).collect();
         assert_eq!(exposes(&events), vec![(0, 0, 80, 60, 0)]);
     }
@@ -2964,9 +2875,9 @@ mod tests {
     fn damage_clamps_to_window_and_counts_on_owner() {
         let (mut s, c) = setup();
         let root = s.root();
-        let w = s.create_window(c, root, 0, 0, 50, 50, 0).unwrap();
+        let w = create(&mut s, c, root, 0, 0, 50, 50, 0);
         s.select_input(c, w, mask::EXPOSURE);
-        s.map_window(w);
+        s.map_window(c, w);
         while s.poll_event(c).is_some() {}
         // Out-of-bounds damage is dropped; straddling damage is clamped.
         s.damage_window(w, Rect::new(100, 100, 10, 10));
@@ -2982,14 +2893,14 @@ mod tests {
     fn ascii_dump_shows_boxes_and_text() {
         let (mut s, c) = setup();
         let root = s.root();
-        let w = s.create_window(c, root, 16, 32, 200, 100, 1).unwrap();
-        s.map_window(w);
-        let font = s.open_font("fixed").unwrap();
+        let w = create(&mut s, c, root, 16, 32, 200, 100, 1);
+        s.map_window(c, w);
+        let font = s.open_font(c, "fixed".into()).unwrap();
         let gc = s.gcs.create(GcValues {
             font,
             ..Default::default()
         });
-        s.draw_string(w, gc, 40, 50, "Hello");
+        s.draw_string(c, w, gc, 40, 50, "Hello".into());
         let dump = s.ascii_dump();
         assert!(dump.contains('+'), "dump:\n{dump}");
         assert!(dump.contains("Hello"), "dump:\n{dump}");

@@ -38,7 +38,7 @@
 //!
 //! The message tables declare each request once, for both ends: besides
 //! the codec they generate the request types, the `Connection` request
-//! methods, and the `Requests` handler trait the server implements.
+//! methods, and the dispatch that runs each request's [`Server`] method.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -603,8 +603,8 @@ pub(crate) trait Message: Sized {
 /// * `requests` takes both request types, queued then synchronous. A
 ///   row also names the [`RequestKind`] it is counted as, with the field
 ///   it is traced on, and its [`Connection`] method. It generates the
-///   enums, `kind()`, `expects_reply()`, `SyncRequest::window()`, the
-///   [`Requests`] handler trait with `dispatch()` into it, the
+///   enums, `kind()`, `expects_reply()`, `SyncRequest::window()`,
+///   `dispatch()` into the [`Server`] method the row names, the
 ///   `Connection` methods, and a [`FromReply`] impl per cookie type.
 /// * `replies` takes a reply type whose rows are one-field variants.
 /// * `events` generates `name()`, the variant's name.
@@ -642,16 +642,18 @@ macro_rules! message_table {
                 }
             }
 
-            /// Runs the request's handler. A pipelined request hands back
-            /// its reply and the sequence number to file it under.
+            /// Runs the request's `Server` method, passed the issuing
+            /// client and the request's fields. A pipelined request runs
+            /// the method of its synchronous twin and hands back its reply
+            /// and the sequence number to file it under.
             pub(crate) fn dispatch(
                 self,
-                h: &mut impl Requests,
+                s: &mut Server,
                 client: ClientId,
             ) -> Option<(u64, ReplyValue)> {
                 match self {
                     $($Q::$QV { $($seq,)? $($qf),* } => {
-                        message_table!(@apply h client $qm ($($qf),*) $($seq $QR $via)?)
+                        message_table!(@apply s client $qm ($($qf),*) $($seq $QR $via)?)
                     })*
                 }
             }
@@ -673,21 +675,13 @@ macro_rules! message_table {
                 }
             }
 
-            /// Runs the request's handler.
-            pub(crate) fn dispatch(self, h: &mut impl Requests, client: ClientId) -> SyncReply {
+            /// Runs the request's `Server` method, passed the issuing
+            /// client and the request's fields.
+            pub(crate) fn dispatch(self, s: &mut Server, client: ClientId) -> SyncReply {
                 match self {
-                    $($S::$SV { $($($sf),*)? } => SyncReply::$SR(h.$sm(client $($(, $sf)*)?)),)*
+                    $($S::$SV { $($($sf),*)? } => SyncReply::$SR(s.$sm(client $($(, $sf)*)?)),)*
                 }
             }
-        }
-
-        /// The server side of the request protocol: one handler per
-        /// request, passed the issuing client and the request's fields. A
-        /// pipelined request shares the handler of its synchronous twin.
-        #[allow(clippy::too_many_arguments)]
-        pub(crate) trait Requests {
-            $(message_table!(@handler $qm ($($qf: $qt),*) $($via)?);)*
-            $(fn $sm(&mut self, client: ClientId $($(, $sf: $st)*)?) -> $ST;)*
         }
 
         #[allow(clippy::too_many_arguments)]
@@ -767,16 +761,12 @@ macro_rules! message_table {
     (@param $t:ty, $p:ty) => { $p };
     (@own $f:ident) => { $f };
     (@own $f:ident $p:ty) => { $f.into() };
-    (@handler $h:ident ($($f:ident: $t:ty),*)) => {
-        fn $h(&mut self, client: ClientId, $($f: $t),*);
-    };
-    (@handler $h:ident $fields:tt $via:ident) => {};
-    (@apply $h:ident $c:ident $m:ident ($($f:ident),*)) => {{
-        $h.$m($c, $($f),*);
+    (@apply $s:ident $c:ident $m:ident ($($f:ident),*)) => {{
+        let () = $s.$m($c, $($f),*);
         None
     }};
-    (@apply $h:ident $c:ident $m:ident ($($f:ident),*) $seq:ident $R:ident $via:ident) => {
-        Some(($seq, ReplyValue::$R($h.$via($c, $($f),*))))
+    (@apply $s:ident $c:ident $m:ident ($($f:ident),*) $seq:ident $R:ident $via:ident) => {
+        Some(($seq, ReplyValue::$R($s.$via($c, $($f),*))))
     };
     (@method $docs:tt by_hand $($rest:tt)*) => {};
     (@method [$($doc:tt)*] fn $m:ident $Q:ident $V:ident ($($w:ident)?) ($($f:ident: $t:ty $(as $p:ty)?),*)) => {
@@ -813,11 +803,11 @@ macro_rules! message_table {
 // opcode, the variant and its fields in wire order with their types (a
 // `String` field its method takes `as &str`), then the `RequestKind` it
 // is counted as with the field it is traced on (empty: `Xid::NONE`),
-// then its `Connection` method, whose name is also its handler's in
-// `Requests`. `by_hand` marks the three methods written by hand because
+// then its `Connection` method, whose name is also the `Server` method
+// that runs it. `by_hand` marks the three methods written by hand because
 // they reserve the new resource's id on the client side. A pipelined
 // row (`[seq]`, filed under the frame's sequence number) returns a
-// cookie for a `ReplyValue` variant and runs the handler of its
+// cookie for a `ReplyValue` variant and runs the `Server` method of its
 // synchronous twin (`via`). A synchronous row returns the payload of a
 // `SyncReply` variant.
 message_table! { requests

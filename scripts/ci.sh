@@ -4,75 +4,109 @@
 # Everything here works without network access: the workspace has no
 # external crates. `--locked` keeps every invocation on the committed
 # Cargo.lock.
+#
+# Usage: sh scripts/ci.sh [STAGE]
+# With no argument every stage runs, in the order of $STAGES. With a
+# stage name only that stage runs (the CI workflow runs each stage as
+# its own named step).
 set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "==> cargo fmt --check"
-cargo fmt --all --check
+STAGES="fmt clippy build test rtkbench golden budgets table1 wire_equivalence
+oracle_suite wire_stress oracle_budgets compile_equivalence trace_integrity
+trace chaos storm byte_chaos fleet"
 
-if cargo clippy --version >/dev/null 2>&1; then
-    echo "==> cargo clippy -D warnings"
-    cargo clippy --workspace --all-targets --offline --locked -- -D warnings
-else
-    echo "==> clippy not installed; skipping lints"
-fi
+stage_fmt() {
+    echo "==> cargo fmt --check"
+    cargo fmt --all --check
+}
 
-echo "==> cargo build --release"
-cargo build --release --workspace --offline --locked
+stage_clippy() {
+    if cargo clippy --version >/dev/null 2>&1; then
+        echo "==> cargo clippy -D warnings"
+        cargo clippy --workspace --all-targets --offline --locked -- -D warnings
+    else
+        echo "==> clippy not installed; skipping lints"
+    fi
+}
 
-echo "==> cargo test -q"
-cargo test -q --workspace --offline --locked
+stage_build() {
+    echo "==> cargo build --release"
+    cargo build --release --workspace --offline --locked
+}
+
+stage_test() {
+    echo "==> cargo test -q"
+    cargo test -q --workspace --offline --locked
+}
 
 # The benchmark's own checks: replay every rtkbench workload on the
 # in-process transport and compare screenshot digests, in a debug build
 # so arithmetic overflow panics instead of wrapping.
-echo "==> rtkbench checks (debug)"
-cargo test -q --offline --locked --manifest-path rtkbench/Cargo.toml
+stage_rtkbench() {
+    echo "==> rtkbench checks (debug)"
+    cargo test -q --offline --locked --manifest-path rtkbench/Cargo.toml
+}
 
 # The golden-frame suite must be deterministic run to run, not just
 # within a process: render twice, in two separate invocations.
-echo "==> golden frames (twice, for determinism)"
-cargo test -q --offline --locked --test golden_frames
-cargo test -q --offline --locked --test golden_frames
+stage_golden() {
+    echo "==> golden frames (twice, for determinism)"
+    cargo test -q --offline --locked --test golden_frames
+    cargo test -q --offline --locked --test golden_frames
+}
 
-echo "==> bench --check-budgets"
-cargo run -p tk-bench --release --offline --locked --bin bench -- --check-budgets
+stage_budgets() {
+    echo "==> bench --check-budgets"
+    cargo run -p tk-bench --release --offline --locked --bin bench -- --check-budgets
+}
 
 # Economy gate: no Table I row may grow past its code-line ceiling in
 # BUDGETS.json's `table1` object (the paper's Table I claim, pinned).
-echo "==> table1 --check-budgets"
-cargo run -p tk-bench --release --offline --locked --bin table1 -- --check-budgets
+stage_table1() {
+    echo "==> table1 --check-budgets"
+    cargo run -p tk-bench --release --offline --locked --bin table1 -- --check-budgets
+}
 
 # Transport-equivalence gate: the framed wire transport must be
-# invisible. The full run above already exercised the wire side — the
-# framed byte transport is the default unless RTK_NO_WIRE says
-# otherwise. Here the differential suite replays both chaos corpora and
-# a seeded random-script sweep wire-on vs wire-off, asserting
-# byte-identical results, error messages, request streams, fault
-# firings, and final screens; then the whole tier-1 suite runs a second
+# invisible. The full run already exercised the wire side — the framed
+# byte transport is the default unless RTK_NO_WIRE says otherwise. Here
+# the differential suite replays both chaos corpora and a seeded
+# random-script sweep wire-on vs wire-off, asserting byte-identical
+# results, error messages, request streams, fault firings, and final
+# screens; then (`oracle_suite`) the whole tier-1 suite runs a second
 # time on the in-process oracle transport, so both sides of the
 # differential stay green. See docs/PROTOCOL.md.
-echo "==> wire-equivalence gate (both transports, both corpora)"
-cargo test -q --offline --locked --test wire_equivalence
-echo "==> full suite on the oracle transport (RTK_NO_WIRE=1)"
-RTK_NO_WIRE=1 cargo test -q --workspace --offline --locked
+stage_wire_equivalence() {
+    echo "==> wire-equivalence gate (both transports, both corpora)"
+    cargo test -q --offline --locked --test wire_equivalence
+}
+
+stage_oracle_suite() {
+    echo "==> full suite on the oracle transport (RTK_NO_WIRE=1)"
+    RTK_NO_WIRE=1 cargo test -q --workspace --offline --locked
+}
 
 # Threaded stress in an optimised build: a sender spinning on the
 # shared transport lock can starve the peer thread it waits on, and
 # that race only shows with optimisations on. Ten runs, because one
 # green run proves little about a race.
-echo "==> wire_stress in release (10 runs)"
-for i in 1 2 3 4 5 6 7 8 9 10; do
-    echo "    run $i"
-    cargo test -q --release --offline --locked --test wire_stress
-done
+stage_wire_stress() {
+    echo "==> wire_stress in release (10 runs)"
+    for i in 1 2 3 4 5 6 7 8 9 10; do
+        echo "    run $i"
+        cargo test -q --release --offline --locked --test wire_stress
+    done
+}
 
 # The wire budgets must hold on the oracle run too: the wire_send
 # workload forces the framed transport regardless of RTK_NO_WIRE, so
 # its frame/byte counters are pinned in both CI transport runs.
-echo "==> bench --check-budgets (oracle transport)"
-RTK_NO_WIRE=1 cargo run -p tk-bench --release --offline --locked --bin bench -- --check-budgets
+stage_oracle_budgets() {
+    echo "==> bench --check-budgets (oracle transport)"
+    RTK_NO_WIRE=1 cargo run -p tk-bench --release --offline --locked --bin bench -- --check-budgets
+}
 
 # Compile-equivalence gate: the Tcl program cache must be invisible.
 # Replay both chaos corpora and a seeded random-script sweep with the
@@ -80,42 +114,52 @@ RTK_NO_WIRE=1 cargo run -p tk-bench --release --offline --locked --bin bench -- 
 # byte-identical results, error messages, and request streams; then run
 # the interpreter's own suite with the compiler disabled outright, so
 # the direct-eval oracle path stays green too. See docs/TCL.md.
-echo "==> compile-equivalence gate (both modes, both corpora)"
-cargo test -q --offline --locked --test compile_equivalence
-RTK_NO_COMPILE=1 cargo test -q -p tcl --offline --locked
+stage_compile_equivalence() {
+    echo "==> compile-equivalence gate (both modes, both corpora)"
+    cargo test -q --offline --locked --test compile_equivalence
+    RTK_NO_COMPILE=1 cargo test -q -p tcl --offline --locked
+}
 
 # Trace-integrity gate: replay both chaos corpora with the causal span
 # tracer recording, asserting every run's span tree stays well formed
 # (no orphaned parents, nothing left open at quiescence) even while
 # faults drop, duplicate, reorder, and kill traffic. See
 # docs/OBSERVABILITY.md.
-echo "==> trace-integrity replay (both chaos corpora)"
-cargo test -q --offline --locked --test trace_integrity
+stage_trace_integrity() {
+    echo "==> trace-integrity replay (both chaos corpora)"
+    cargo test -q --offline --locked --test trace_integrity
+}
 
-# Span export smoke: the traced workload suite must produce a valid
-# Chrome trace-event file (the same invocation CI uploads as an
+# Span export smoke: the traced workload suite must produce a Chrome
+# trace-event file that parses as JSON (the file CI uploads as an
 # artifact for Perfetto).
-echo "==> bench --trace"
-cargo run -p tk-bench --release --offline --locked --bin bench -- --trace target/trace.json
+stage_trace() {
+    echo "==> bench --trace"
+    cargo run -p tk-bench --release --offline --locked --bin bench -- --trace target/trace.json
+}
 
 # Bounded chaos gate: replay the checked-in fault corpus, then a fixed
 # batch of fresh seed pairs. Any panic fails CI and prints the
 # (script_seed, fault_seed) pair plus a shrunk reproducer to check in.
-echo "==> chaos gate (corpus + 200 fresh seeds)"
-cargo run -p tk-bench --release --offline --locked --bin chaos -- \
-    --corpus tests/chaos_corpus.txt --seeds 200
+stage_chaos() {
+    echo "==> chaos gate (corpus + 200 fresh seeds)"
+    cargo run -p tk-bench --release --offline --locked --bin chaos -- \
+        --corpus tests/chaos_corpus.txt --seeds 200
+}
 
 # Send-storm gate: N apps exchanging seeded nested/concurrent sends
 # under fault plans, checked against the exactly-once-or-clean-error
 # invariant (docs/SEND.md). The corpus carries its own per-entry app
 # counts (3-, 8-, and 16-app storms); the fresh pairs run at the
 # classic three apps, then a smaller fleet-sized sweep at 16.
-echo "==> send-storm gate (corpus + 120 fresh seeds, 3 apps)"
-cargo run -p tk-bench --release --offline --locked --bin chaos -- \
-    --storm --corpus tests/chaos_storm_corpus.txt --seeds 120
-echo "==> fleet-storm sweep (40 fresh seeds, 16 apps)"
-cargo run -p tk-bench --release --offline --locked --bin chaos -- \
-    --storm --apps 16 --seeds 40
+stage_storm() {
+    echo "==> send-storm gate (corpus + 120 fresh seeds, 3 apps)"
+    cargo run -p tk-bench --release --offline --locked --bin chaos -- \
+        --storm --corpus tests/chaos_storm_corpus.txt --seeds 120
+    echo "==> fleet-storm sweep (40 fresh seeds, 16 apps)"
+    cargo run -p tk-bench --release --offline --locked --bin chaos -- \
+        --storm --apps 16 --seeds 40
+}
 
 # Byte-chaos gate: seed-deterministic byte-layer faults (corrupted
 # bytes, truncated frames, injected garbage, split writes, stalled
@@ -124,9 +168,11 @@ cargo run -p tk-bench --release --offline --locked --bin chaos -- \
 # evidence (checksum/watchdog counters), with an intact span tree and
 # a clean Server::audit() resource reckoning either way (docs/FAULTS.md,
 # "Byte-chaos mode"). Corpus replay first, then fresh pairs.
-echo "==> byte-chaos gate (corpus + 1000 fresh seeds)"
-cargo run -p tk-bench --release --offline --locked --bin chaos -- \
-    --bytes --corpus tests/chaos_bytes_corpus.txt --seeds 1000
+stage_byte_chaos() {
+    echo "==> byte-chaos gate (corpus + 1000 fresh seeds)"
+    cargo run -p tk-bench --release --offline --locked --bin chaos -- \
+        --bytes --corpus tests/chaos_bytes_corpus.txt --seeds 1000
+}
 
 # Fleet gate: 64 applications in a send ring under the framed wire
 # transport, with a quota-throttled hot client and a deterministic
@@ -136,8 +182,27 @@ cargo run -p tk-bench --release --offline --locked --bin chaos -- \
 # deterministic fleet twice per invocation and diffs the reports; the
 # gate invokes it twice so the percentiles must also reproduce across
 # processes.
-echo "==> fleet gate (bench --fleet 64 --check-budgets, twice)"
-cargo run -p tk-bench --release --offline --locked --bin bench -- --fleet 64 --check-budgets
-cargo run -p tk-bench --release --offline --locked --bin bench -- --fleet 64 --check-budgets
+stage_fleet() {
+    echo "==> fleet gate (bench --fleet 64 --check-budgets, twice)"
+    cargo run -p tk-bench --release --offline --locked --bin bench -- --fleet 64 --check-budgets
+    cargo run -p tk-bench --release --offline --locked --bin bench -- --fleet 64 --check-budgets
+}
 
-echo "==> ci OK"
+run_stage() {
+    case " $(echo $STAGES) " in
+        *" $1 "*) "stage_$1" ;;
+        *)
+            echo "unknown stage '$1'; stages:" $STAGES >&2
+            exit 2
+            ;;
+    esac
+}
+
+if [ $# -eq 0 ]; then
+    for stage in $STAGES; do
+        run_stage "$stage"
+    done
+    echo "==> ci OK"
+else
+    run_stage "$1"
+fi

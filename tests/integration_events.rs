@@ -75,8 +75,9 @@ fn raise_causes_expose_redraw() {
     let rec = app.window(".b").unwrap();
     // Simulate occlusion damage: raise generates Expose, which must
     // schedule a redraw that repaints the label.
+    let client = app.conn().client_id();
     env.display().with_server(|s| {
-        s.clear_area(rec.xid, 0, 0, 0, 0);
+        s.clear_area(client, rec.xid, 0, 0, 0, 0);
     });
     app.conn().raise_window(rec.xid);
     app.update();
