@@ -394,7 +394,8 @@ fn measured_fleet(napps: usize) -> FleetReport {
     first
 }
 
-fn budgets_to_json(runs: &[BudgetRun], fleet: &FleetReport, table1: Option<&str>) -> String {
+/// The `workloads` object of the budget file for these runs.
+fn workloads_json(runs: &[BudgetRun]) -> String {
     let mut workloads = json::Object::new();
     for (name, iters, stats, shape, groups) in runs {
         let mut w = json::Object::new();
@@ -414,6 +415,10 @@ fn budgets_to_json(runs: &[BudgetRun], fleet: &FleetReport, table1: Option<&str>
         }
         workloads.field_raw(name, &w.build());
     }
+    workloads.build()
+}
+
+fn budgets_to_json(runs: &[BudgetRun], fleet: &FleetReport, table1: Option<&str>) -> String {
     let mut root = json::Object::new();
     root.field_str(
         "comment",
@@ -423,7 +428,7 @@ fn budgets_to_json(runs: &[BudgetRun], fleet: &FleetReport, table1: Option<&str>
          code-line ceilings for `table1 -- --check-budgets`: lower them by hand \
          as the code shrinks; the regeneration keeps them.",
     );
-    root.field_raw("workloads", &workloads.build());
+    root.field_raw("workloads", &workloads_json(runs));
     let mut fleets = json::Object::new();
     let mut f = json::Object::new();
     for (field, value) in fleet_fields(fleet) {
@@ -485,6 +490,20 @@ fn write_budgets(path: &str) {
     println!("wrote {path}");
 }
 
+/// Every key path of a budget object down to `depth` levels, as
+/// `workload/field` or `workload/group/counter`.
+fn key_paths(value: &json::Value, depth: usize) -> Vec<String> {
+    let mut paths = Vec::new();
+    for (key, v) in value.as_object().filter(|_| depth > 0).unwrap_or_default() {
+        let sub = key_paths(v, depth - 1);
+        if sub.is_empty() {
+            paths.push(key.clone());
+        }
+        paths.extend(sub.into_iter().map(|s| format!("{key}/{s}")));
+    }
+    paths
+}
+
 fn check_budgets(path: &str) {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read {path}: {e} (run --write-budgets first)"));
@@ -494,7 +513,18 @@ fn check_budgets(path: &str) {
         .unwrap_or_else(|| panic!("{path}: missing \"workloads\""));
 
     let mut failures = Vec::new();
-    for (name, iters, stats, shape, groups) in measured_budgets() {
+    let runs = measured_budgets();
+    // A pinned workload or counter the run no longer produces is stale.
+    let measured = json::parse(&workloads_json(&runs)).expect("measured budgets are JSON");
+    let measured = key_paths(&measured, 3);
+    for key in key_paths(expected, 3) {
+        if !measured.contains(&key) {
+            failures.push(format!(
+                "{path} pins {key}, which the run no longer produces"
+            ));
+        }
+    }
+    for (name, iters, stats, shape, groups) in runs {
         let Some(budget) = expected.get(name) else {
             failures.push(format!("workload {name}: missing from {path}"));
             continue;

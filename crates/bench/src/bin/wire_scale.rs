@@ -1,6 +1,6 @@
 //! `wire_scale` — thread-scaling measurement for the shared transport.
 //! N `TkEnv`s run on their own OS threads against one shared server
-//! (`Display::wire_handle` / `Display::from_wire`), each
+//! (each thread holds a clone of one `Display`), each
 //! evaluating a fixed Tcl + widget + redraw workload. Client-side work
 //! (parsing, substitution, layout, damage) runs in parallel on the app
 //! threads; protocol dispatch serializes on the shared server lock.
@@ -19,7 +19,6 @@ use std::thread;
 use std::time::Instant;
 
 use tk::{TkApp, TkEnv};
-use xsim::Display;
 
 const ITERS_PER_APP: usize = 2_000;
 /// Runs per configuration; each printed time is their median.
@@ -53,17 +52,17 @@ fn setup(env: &TkEnv, name: &str) -> TkApp {
 /// N apps on N OS threads, one shared wire server.
 fn run_threaded(n: usize) -> f64 {
     let env = TkEnv::new();
-    let handle = env.display().wire_handle();
+    let display = env.display().clone();
     // Registration rewrites the shared registry property
     // (read-modify-write, serialized by XGrabServer in real Tk).
     let startup = Arc::new(Mutex::new(()));
     let start = Instant::now();
     let mut workers = Vec::new();
     for i in 0..n {
-        let handle = handle.clone();
+        let display = display.clone();
         let startup = startup.clone();
         workers.push(thread::spawn(move || {
-            let env = TkEnv::with_display(Display::from_wire(&handle));
+            let env = TkEnv::with_display(display);
             let app = {
                 let _g = startup.lock().unwrap();
                 setup(&env, &format!("scale{i}"))

@@ -111,7 +111,7 @@ pub fn run_wire_mesh(env: &TkEnv, cfg: &MeshConfig) -> MeshReport {
         cfg.fanout >= 1 && cfg.fanout < cfg.apps,
         "fanout must be in 1..apps"
     );
-    let handle = env.display().wire_handle();
+    let display = env.display().clone();
     let start = Instant::now();
 
     let apps = cfg.apps;
@@ -131,7 +131,7 @@ pub fn run_wire_mesh(env: &TkEnv, cfg: &MeshConfig) -> MeshReport {
     let mut workers = Vec::new();
     for i in 0..apps {
         let cfg = cfg.clone();
-        let handle = handle.clone();
+        let display = display.clone();
         let registered = registered.clone();
         let finished = finished.clone();
         let failed = failed.clone();
@@ -139,7 +139,7 @@ pub fn run_wire_mesh(env: &TkEnv, cfg: &MeshConfig) -> MeshReport {
         let latencies = latencies.clone();
         workers.push(thread::spawn(move || {
             let prefix = cfg.prefix;
-            let env = TkEnv::with_display(Display::from_wire(&handle));
+            let env = TkEnv::with_display(display);
             let app = {
                 let _g = startup.lock().unwrap();
                 env.app(&format!("{prefix}{i}"))

@@ -78,12 +78,10 @@ fn cmd_expr(interp: &Interp, argv: &[String]) -> TclResult {
     if argv.len() < 2 {
         return Err(wrong_args("expr arg ?arg ...?"));
     }
-    let src = if argv.len() == 2 {
-        argv[1].clone()
-    } else {
-        argv[1..].join(" ")
-    };
-    expr_string(interp, &src)
+    if argv.len() == 2 {
+        return expr_string(interp, &argv[1]);
+    }
+    expr_string(interp, &argv[1..].join(" "))
 }
 
 fn cmd_subst(interp: &Interp, argv: &[String]) -> TclResult {

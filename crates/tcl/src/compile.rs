@@ -1,31 +1,32 @@
 //! The compile-once/execute-many pipeline.
 //!
 //! `compile` lowers a script string to a [`Program`]: the command boundary
-//! parse is done once, each word is either an interned literal or a
-//! pre-parsed substitution list, and the hottest builtins (`set`, `if`,
-//! `while`, `for`, `foreach`, `expr`) lower to specialized ops that skip
-//! generic dispatch entirely. The interpreter caches programs keyed on the
+//! parse is done once, and each word is either a literal or a pre-parsed
+//! substitution list. Every command then runs through its registered
+//! command procedure, exactly as on the direct path, so `if`, `while`,
+//! `for`, `foreach` and `expr` each have one body, in `commands/`. A
+//! command whose words are all literal keeps the argv built here, and
+//! every run dispatches it by reference: `if {..} {..}`, `for`, `expr {..}`
+//! and `incr i` copy nothing. The interpreter caches programs keyed on the
 //! script string, so a `bind` body or `-command` script is parsed on its
 //! first execution and replayed from the cache afterwards.
 //!
-//! Compilation is deliberately conservative: any shape the lowering does
-//! not recognize — dynamic command names, `then`/`elseif` keywords,
-//! redefined builtins — falls back to [`OpKind::Generic`], which performs
-//! exactly the substitutions and dispatch of the direct interpreter. A
-//! script that fails to parse outright is not compiled at all; the caller
+//! A literal command name is interned to an atom whose slot the registry
+//! keeps current, so a cached program honours every later `proc`, `rename`
+//! or deletion without invalidation. The one specialised op is `set` with
+//! a literal variable name ([`OpKind::Set`]): it reads or writes the
+//! variable directly only while its atom still holds the builtin captured
+//! by `Interp::new`, and dispatches like any other command otherwise.
+//!
+//! A script that fails to parse outright is not compiled at all; the caller
 //! re-runs it through the direct evaluator so partial-execution-then-error
 //! semantics are preserved byte for byte.
 
 use std::cell::Cell;
 
 use crate::error::Exception;
-use crate::interp::Interp;
+use crate::interp::{split_var_name, Interp};
 use crate::parser::{parse_command, Part, Word};
-
-/// Command names eligible for specialized lowering. Registry changes to
-/// these names bump the compile epoch so stale specializations are thrown
-/// away (see `Interp::bump_compile_epoch`).
-pub const SPECIALIZED: &[&str] = &["set", "if", "while", "for", "foreach", "expr"];
 
 /// One pre-substitution word of a compiled command.
 pub enum CompiledWord {
@@ -37,66 +38,19 @@ pub enum CompiledWord {
 
 /// How one command of a program executes.
 pub enum OpKind {
-    /// Pre-parsed words, substituted then dispatched like the direct
-    /// interpreter. `head_atom` is set when the command name is a literal:
-    /// dispatch becomes an index lookup instead of a string hash.
-    Generic {
-        /// The command's words.
-        words: Vec<CompiledWord>,
-        /// Interned command-name atom for index dispatch.
-        head_atom: Option<u32>,
-    },
+    /// Every word is literal: the argv, built once at compile time.
+    Literal(Vec<String>),
+    /// Pre-parsed words, substituted on every run, then dispatched.
+    Generic(Vec<CompiledWord>),
     /// `set name` / `set name value` with a literal variable name.
     Set {
         /// Variable name (already split from `name(index)` form).
         name: String,
         /// Array index, if the name had `(index)` form.
         index: Option<String>,
-        /// The value to assign; `None` reads the variable.
-        value: Option<CompiledWord>,
-    },
-    /// `if {cond} {then}` or `if {cond} {then} else {else}`, all literal.
-    If {
-        /// Condition expression source.
-        cond: String,
-        /// Body when true.
-        then_body: String,
-        /// Body when false (`None`: result is the empty string).
-        else_body: Option<String>,
-    },
-    /// `while {cond} {body}`, both literal.
-    While {
-        /// Condition expression source.
-        cond: String,
-        /// Loop body script.
-        body: String,
-    },
-    /// `for {init} {cond} {next} {body}`, all literal.
-    For {
-        /// Initialization script.
-        init: String,
-        /// Condition expression source.
-        cond: String,
-        /// Per-iteration script.
-        next: String,
-        /// Loop body script.
-        body: String,
-    },
-    /// `foreach var {items} {body}` with a literal, parseable list: the
-    /// list is split once at compile time instead of per execution.
-    Foreach {
-        /// Loop variable name.
-        var: String,
-        /// Pre-split list items.
-        items: Vec<String>,
-        /// Loop body script.
-        body: String,
-    },
-    /// `expr {src}` with a single literal argument: evaluates through the
-    /// interpreter's compiled-expression cache.
-    Expr {
-        /// Expression source.
-        src: String,
+        /// The command's words: `words[2]`, if any, is the value, and the
+        /// whole is dispatched when `set` is no longer the builtin.
+        words: Vec<CompiledWord>,
     },
 }
 
@@ -105,6 +59,9 @@ pub struct CompiledCmd {
     /// The trimmed source text, exactly as the direct interpreter would
     /// report it in `errorInfo`.
     pub source: String,
+    /// Interned atom of a literal, non-empty command name: dispatch is an
+    /// index lookup instead of a string hash.
+    pub head_atom: Option<u32>,
     /// The execution strategy.
     pub op: OpKind,
 }
@@ -132,9 +89,16 @@ pub fn compile(interp: &Interp, script: &str) -> Result<Program, Exception> {
             None => break,
         };
         interp.note_parse();
-        let source = script[start..pos].trim().to_string();
-        let op = lower(interp, &words);
-        cmds.push(CompiledCmd { source, op });
+        let head_atom = words
+            .first()
+            .and_then(literal)
+            .filter(|s| !s.is_empty())
+            .map(|s| interp.intern_atom(s));
+        cmds.push(CompiledCmd {
+            source: script[start..pos].trim().to_string(),
+            head_atom,
+            op: lower(&words),
+        });
     }
     Ok(Program {
         cmds,
@@ -157,99 +121,16 @@ fn compiled_word(word: &Word) -> CompiledWord {
     }
 }
 
-/// Lowers one parsed command to an op. Specialization requires the command
-/// name to still be the baseline builtin — a redefined `set` or `while`
-/// must go through generic dispatch so the redefinition is honored.
-fn lower(interp: &Interp, words: &[Word]) -> OpKind {
-    if let Some(head) = words.first().and_then(literal) {
-        if SPECIALIZED.contains(&head) && interp.is_baseline_command(head) {
-            if let Some(op) = specialize(head, words) {
-                return op;
-            }
-        }
-    }
-    generic(interp, words)
-}
-
-fn generic(interp: &Interp, words: &[Word]) -> OpKind {
-    let head_atom = words
-        .first()
-        .and_then(literal)
-        .filter(|s| !s.is_empty())
-        .map(|s| interp.intern_atom(s));
-    OpKind::Generic {
-        words: words.iter().map(compiled_word).collect(),
-        head_atom,
-    }
-}
-
-/// Attempts a specialized lowering; `None` means the shape is unusual
-/// (keyword forms, dynamic arguments, wrong arity) and generic dispatch
-/// must handle it.
-fn specialize(head: &str, words: &[Word]) -> Option<OpKind> {
+/// Lowers one parsed command to an op.
+fn lower(words: &[Word]) -> OpKind {
     let lit = |i: usize| words.get(i).and_then(literal);
-    match (head, words.len()) {
-        ("set", 2) => {
-            let (name, index) = crate::interp::split_var_name(lit(1)?);
-            Some(OpKind::Set {
-                name,
-                index,
-                value: None,
-            })
-        }
-        ("set", 3) => {
-            let (name, index) = crate::interp::split_var_name(lit(1)?);
-            Some(OpKind::Set {
-                name,
-                index,
-                value: Some(compiled_word(&words[2])),
-            })
-        }
-        // Only the unambiguous `if` shapes specialize: the keyworded
-        // (`then`/`elseif`) and old-style implicit-else forms stay generic.
-        ("if", 3) => {
-            let (cond, then_body) = (lit(1)?, lit(2)?);
-            if matches!(then_body, "then" | "else" | "elseif") {
-                return None;
-            }
-            Some(OpKind::If {
-                cond: cond.to_string(),
-                then_body: then_body.to_string(),
-                else_body: None,
-            })
-        }
-        ("if", 5) => {
-            let (cond, then_body, kw, else_body) = (lit(1)?, lit(2)?, lit(3)?, lit(4)?);
-            if kw != "else" || matches!(then_body, "then" | "else" | "elseif") {
-                return None;
-            }
-            Some(OpKind::If {
-                cond: cond.to_string(),
-                then_body: then_body.to_string(),
-                else_body: Some(else_body.to_string()),
-            })
-        }
-        ("while", 3) => Some(OpKind::While {
-            cond: lit(1)?.to_string(),
-            body: lit(2)?.to_string(),
-        }),
-        ("for", 5) => Some(OpKind::For {
-            init: lit(1)?.to_string(),
-            cond: lit(2)?.to_string(),
-            next: lit(3)?.to_string(),
-            body: lit(4)?.to_string(),
-        }),
-        ("foreach", 4) => {
-            let items = crate::list::parse_list(lit(2)?).ok()?;
-            Some(OpKind::Foreach {
-                var: lit(1)?.to_string(),
-                items,
-                body: lit(3)?.to_string(),
-            })
-        }
-        ("expr", 2) => Some(OpKind::Expr {
-            src: lit(1)?.to_string(),
-        }),
-        _ => None,
+    if let (Some("set"), Some(spec), 2 | 3) = (lit(0), lit(1), words.len()) {
+        let (name, index) = split_var_name(spec);
+        let words = words.iter().map(compiled_word).collect();
+        return OpKind::Set { name, index, words };
+    }
+    match words.iter().map(literal).collect::<Option<Vec<_>>>() {
+        Some(argv) => OpKind::Literal(argv.into_iter().map(str::to_string).collect()),
+        None => OpKind::Generic(words.iter().map(compiled_word).collect()),
     }
 }

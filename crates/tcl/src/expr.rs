@@ -583,12 +583,16 @@ pub fn expr_bool(interp: &Interp, src: &str) -> Result<bool, Exception> {
     eval_expr(interp, src)?.truthy()
 }
 
-/// [`expr_string`] through the compiled-expression cache.
+/// [`expr_string`] through the compiled-expression cache. Inlined into
+/// the `expr` command, so a compiled `expr {..}` adds no call depth.
+#[inline]
 pub fn expr_string_cached(interp: &Interp, src: &str) -> TclResult {
     Ok(eval_expr_cached(interp, src)?.to_result())
 }
 
-/// [`expr_bool`] through the compiled-expression cache.
+/// [`expr_bool`] through the compiled-expression cache (inlined into
+/// the `if`/`while`/`for` command procedures).
+#[inline]
 pub fn expr_bool_cached(interp: &Interp, src: &str) -> Result<bool, Exception> {
     eval_expr_cached(interp, src)?.truthy()
 }

@@ -7,11 +7,11 @@
 //! everywhere: `if` evaluating its body, widgets evaluating their `-command`
 //! scripts, `send` evaluating scripts that arrive from other applications.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use crate::compile::{CompiledCmd, CompiledWord, OpKind, Program, SPECIALIZED};
+use crate::compile::{CompiledCmd, CompiledWord, OpKind, Program};
 use crate::error::{Code, Exception, TclResult};
 use crate::parser::{parse_command, Part, Word};
 
@@ -212,8 +212,6 @@ pub struct CompileStats {
     pub cache_misses: u64,
     /// Entries dropped because the cache hit capacity.
     pub evictions: u64,
-    /// Entries dropped because the command epoch moved under them.
-    pub invalidations: u64,
     /// Commands parsed (`parse_command` yields), in either eval mode.
     pub parses: u64,
     /// Commands executed from a cached program past its first run:
@@ -233,7 +231,6 @@ impl CompileStats {
             ("tcl.compile_cache_hits", self.cache_hits),
             ("tcl.compile_cache_misses", self.cache_misses),
             ("tcl.compile_evictions", self.evictions),
-            ("tcl.compile_invalidations", self.invalidations),
             ("tcl.parses", self.parses),
             ("tcl.parses_avoided", self.parses_avoided),
             ("tcl.expr_compiles", self.expr_compiles),
@@ -243,14 +240,11 @@ impl CompileStats {
     }
 }
 
-/// One program-cache entry. `epoch` records the command epoch the program
-/// was compiled under; a bumped epoch makes the entry stale. `gen` is a
-/// recency stamp for eviction. `prog` is `None` for scripts that failed to
-/// parse — a negative marker so repeated evaluations of a broken script
-/// don't re-attempt compilation.
+/// One program-cache entry. `gen` is a recency stamp for eviction. `prog`
+/// is `None` for scripts that failed to parse — a negative marker so
+/// repeated evaluations of a broken script don't re-attempt compilation.
 struct CacheEntry {
     prog: Option<Rc<Program>>,
-    epoch: u64,
     gen: u64,
 }
 
@@ -260,16 +254,44 @@ const PROGRAM_CACHE_CAP: usize = 512;
 /// Capacity of the compiled-expression cache; cleared wholesale when full.
 const EXPR_CACHE_CAP: usize = 512;
 
+/// The hasher of the two caches, which hash a whole script or expression
+/// on every evaluation: FxHash over 8-byte words, rotated at the end so
+/// the bucket bits come from the best-mixed product bits. It is not
+/// DoS-resistant like the default, and need not be: both caches are
+/// capped, so colliding keys cost at most a bounded probe.
+#[derive(Default)]
+struct TextHasher(u64);
+
+impl TextHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl std::hash::Hasher for TextHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("an 8-byte chunk")));
+        }
+        for &b in words.remainder() {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+type TextHash = std::hash::BuildHasherDefault<TextHasher>;
+
 /// The compile pipeline's shared state.
 struct CompileState {
     /// Script string → compiled program.
-    programs: RefCell<HashMap<String, CacheEntry>>,
+    programs: RefCell<HashMap<String, CacheEntry, TextHash>>,
     /// Recency stamp source for eviction ordering.
     gen: Cell<u64>,
-    /// Bumped whenever a registry change could invalidate specialized
-    /// lowerings (`proc` definitions, `rename`/deletion of specialized
-    /// builtins, trace installation).
-    cmd_epoch: Cell<u64>,
     /// The `RTK_NO_COMPILE` escape hatch, also settable programmatically.
     enabled: Cell<bool>,
     stats: RefCell<CompileStats>,
@@ -278,12 +300,11 @@ struct CompileState {
     /// Live command bindings per atom, kept in sync by the registry so
     /// dispatch through an atom honors later registrations.
     atom_cmds: RefCell<Vec<Option<Command>>>,
-    /// The builtin command procedures captured at construction; a
-    /// specialized lowering is only valid while the registered command is
-    /// still pointer-identical to its baseline.
-    baseline: RefCell<HashMap<String, CmdFn>>,
+    /// The builtin `set` captured at construction: [`OpKind::Set`] runs
+    /// directly only while the `set` atom still holds it.
+    set_builtin: OnceCell<CmdFn>,
     /// Expression source → compiled expression (`None`: parse failed).
-    exprs: RefCell<HashMap<String, Option<Rc<crate::expr::ExprProgram>>>>,
+    exprs: RefCell<HashMap<String, Option<Rc<crate::expr::ExprProgram>>, TextHash>>,
 }
 
 impl CompileState {
@@ -291,15 +312,14 @@ impl CompileState {
         // `RTK_NO_COMPILE` set and non-zero disables the compiler.
         let enabled = std::env::var("RTK_NO_COMPILE").map_or(true, |v| v.is_empty() || v == "0");
         CompileState {
-            programs: RefCell::new(HashMap::new()),
+            programs: RefCell::default(),
             gen: Cell::new(0),
-            cmd_epoch: Cell::new(0),
             enabled: Cell::new(enabled),
             stats: RefCell::default(),
             atom_ids: RefCell::new(HashMap::new()),
             atom_cmds: RefCell::new(Vec::new()),
-            baseline: RefCell::new(HashMap::new()),
-            exprs: RefCell::new(HashMap::new()),
+            set_builtin: OnceCell::new(),
+            exprs: RefCell::default(),
         }
     }
 }
@@ -337,17 +357,8 @@ impl Interp {
     pub fn new() -> Interp {
         let interp = Interp::bare();
         crate::commands::register_all(&interp);
-        // Snapshot the specialized builtins: compile-time specialization
-        // is only valid while the registered command is still this exact
-        // procedure (a `proc set ...` redefinition must win).
-        {
-            let commands = interp.inner.commands.borrow();
-            let mut baseline = interp.inner.compile.baseline.borrow_mut();
-            for name in SPECIALIZED {
-                if let Some(Command::Native(f)) = commands.get(*name) {
-                    baseline.insert(name.to_string(), f.clone());
-                }
-            }
+        if let Some(Command::Native(f)) = interp.command("set") {
+            let _ = interp.inner.compile.set_builtin.set(f);
         }
         interp
     }
@@ -377,9 +388,6 @@ impl Interp {
     where
         F: Fn(&Interp, &[String]) -> TclResult + 'static,
     {
-        if SPECIALIZED.contains(&name) {
-            self.bump_compile_epoch();
-        }
         let cmd = Command::Native(Rc::new(f));
         self.sync_atom(name, Some(cmd.clone()));
         self.inner
@@ -388,11 +396,8 @@ impl Interp {
             .insert(name.to_string(), cmd);
     }
 
-    /// Registers a Tcl procedure. Always bumps the compile epoch: a proc
-    /// (re)definition may shadow a specialized builtin, and cached
-    /// programs compiled against the old registry must not survive it.
+    /// Registers a Tcl procedure.
     pub fn register_proc(&self, name: &str, def: ProcDef) {
-        self.bump_compile_epoch();
         let cmd = Command::Proc(Rc::new(def));
         self.sync_atom(name, Some(cmd.clone()));
         self.inner
@@ -403,18 +408,12 @@ impl Interp {
 
     /// Removes a command. Returns true if it existed.
     pub fn unregister(&self, name: &str) -> bool {
-        if SPECIALIZED.contains(&name) {
-            self.bump_compile_epoch();
-        }
         self.sync_atom(name, None);
         self.inner.commands.borrow_mut().remove(name).is_some()
     }
 
     /// Renames a command; an empty new name deletes it.
     pub fn rename(&self, from: &str, to: &str) -> Result<(), Exception> {
-        if SPECIALIZED.contains(&from) || SPECIALIZED.contains(&to) {
-            self.bump_compile_epoch();
-        }
         let cmd = {
             let mut cmds = self.inner.commands.borrow_mut();
             let Some(cmd) = cmds.remove(from) else {
@@ -547,10 +546,7 @@ impl Interp {
     // ----- variable traces ------------------------------------------------
 
     /// Attaches a trace to a variable in the current frame; returns its id.
-    /// Trace installation bumps the compile epoch: cached programs were
-    /// compiled against a trace-free view of the variable.
     pub fn trace_variable(&self, name: &str, ops: TraceOps, action: TraceAction) -> u64 {
-        self.bump_compile_epoch();
         let (base, _) = split_var_name(name);
         let (level, base) = self.resolve(self.level(), base);
         let id = self.inner.next_trace_id.get() + 1;
@@ -990,24 +986,6 @@ impl Interp {
         self.inner.compile.stats.borrow_mut().parses += 1;
     }
 
-    /// Invalidates every cached program by advancing the command epoch.
-    fn bump_compile_epoch(&self) {
-        let e = &self.inner.compile.cmd_epoch;
-        e.set(e.get() + 1);
-    }
-
-    /// Is `name` still bound to the builtin captured at construction?
-    pub(crate) fn is_baseline_command(&self, name: &str) -> bool {
-        let baseline = self.inner.compile.baseline.borrow();
-        let Some(base) = baseline.get(name) else {
-            return false;
-        };
-        match self.inner.commands.borrow().get(name) {
-            Some(Command::Native(f)) => Rc::ptr_eq(base, f),
-            _ => false,
-        }
-    }
-
     /// Interns a command name, returning its atom. The atom's command slot
     /// tracks the live registry, so dispatch through an atom is an index
     /// lookup that still honors later (re)registrations.
@@ -1030,17 +1008,12 @@ impl Interp {
         }
     }
 
-    /// Dispatches a substituted command line through an interned atom.
-    /// Behaviorally identical to [`Interp::invoke`] — an unbound atom
-    /// falls back to the full path so the `unknown` hook still fires.
-    fn invoke_atom(&self, atom: u32, argv: &[String]) -> TclResult {
-        let cmd = self
-            .inner
-            .compile
-            .atom_cmds
-            .borrow()
-            .get(atom as usize)
-            .and_then(|c| c.clone());
+    /// Dispatches a substituted command line through its interned atom, if
+    /// it has one. Behaviorally identical to [`Interp::invoke`] — an
+    /// unbound atom falls back to the full path so the `unknown` hook
+    /// still fires.
+    fn invoke_atom(&self, atom: Option<u32>, argv: &[String]) -> TclResult {
+        let cmd = atom.and_then(|a| self.inner.compile.atom_cmds.borrow()[a as usize].clone());
         match cmd {
             Some(Command::Native(f)) => f(self, argv),
             Some(Command::Proc(def)) => self.invoke_proc(&argv[0], &def, argv),
@@ -1054,19 +1027,11 @@ impl Interp {
     /// executing any leading commands.
     fn lookup_or_compile(&self, script: &str) -> Option<Rc<Program>> {
         let st = &self.inner.compile;
-        let epoch = st.cmd_epoch.get();
-        {
-            let mut cache = st.programs.borrow_mut();
-            if let Some(entry) = cache.get_mut(script) {
-                if entry.epoch == epoch {
-                    st.stats.borrow_mut().cache_hits += 1;
-                    st.gen.set(st.gen.get() + 1);
-                    entry.gen = st.gen.get();
-                    return entry.prog.clone();
-                }
-                st.stats.borrow_mut().invalidations += 1;
-                cache.remove(script);
-            }
+        if let Some(entry) = st.programs.borrow_mut().get_mut(script) {
+            st.stats.borrow_mut().cache_hits += 1;
+            st.gen.set(st.gen.get() + 1);
+            entry.gen = st.gen.get();
+            return entry.prog.clone();
         }
         st.stats.borrow_mut().cache_misses += 1;
         let prog = match crate::compile::compile(self, script) {
@@ -1090,7 +1055,6 @@ impl Interp {
             script.to_string(),
             CacheEntry {
                 prog: prog.clone(),
-                epoch,
                 gen: st.gen.get(),
             },
         );
@@ -1134,85 +1098,42 @@ impl Interp {
         }
     }
 
-    /// Executes one compiled command. Specialized ops reuse the same
-    /// variable/eval/expr entry points as the builtin command procedures,
-    /// so results, traces, and error messages match the direct path byte
-    /// for byte.
+    /// Executes one compiled command through the registered command
+    /// procedure, as [`Interp::eval_inner`] would. A literal argv is
+    /// dispatched by reference; [`OpKind::Set`] reads or writes its
+    /// variable directly while its atom holds the builtin `set`.
     fn run_cmd(&self, cmd: &CompiledCmd) -> TclResult {
-        use crate::expr::{expr_bool_cached, expr_string_cached};
-        match &cmd.op {
-            OpKind::Generic { words, head_atom } => {
-                let mut argv = Vec::with_capacity(words.len());
+        let mut substituted;
+        let argv = match &cmd.op {
+            OpKind::Literal(argv) => argv,
+            OpKind::Set { name, index, words } if self.set_is_builtin(cmd.head_atom) => {
+                return match words.get(2) {
+                    None => self.get_var(name, index.as_deref()),
+                    Some(CompiledWord::Lit(v)) => self.set_var(name, index.as_deref(), v),
+                    Some(CompiledWord::Dyn(w)) => {
+                        self.set_var(name, index.as_deref(), &self.subst_word(w)?)
+                    }
+                };
+            }
+            OpKind::Set { words, .. } | OpKind::Generic(words) => {
+                substituted = Vec::with_capacity(words.len());
                 for w in words {
-                    argv.push(self.word_text(w)?);
+                    substituted.push(self.word_text(w)?);
                 }
-                match head_atom {
-                    Some(a) => self.invoke_atom(*a, &argv),
-                    None => self.invoke(&argv),
-                }
+                &substituted
             }
-            OpKind::Set { name, index, value } => match value {
-                None => self.get_var(name, index.as_deref()),
-                Some(w) => {
-                    let v = self.word_text(w)?;
-                    self.set_var(name, index.as_deref(), &v)
-                }
-            },
-            OpKind::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                if expr_bool_cached(self, cond)? {
-                    self.eval(then_body)
-                } else if let Some(e) = else_body {
-                    self.eval(e)
-                } else {
-                    Ok(String::new())
-                }
-            }
-            OpKind::While { cond, body } => {
-                while expr_bool_cached(self, cond)? {
-                    match self.eval(body) {
-                        Ok(_) => {}
-                        Err(e) if e.code == Code::Break => break,
-                        Err(e) if e.code == Code::Continue => continue,
-                        Err(e) => return Err(e),
-                    }
-                }
-                Ok(String::new())
-            }
-            OpKind::For {
-                init,
-                cond,
-                next,
-                body,
-            } => {
-                self.eval(init)?;
-                while expr_bool_cached(self, cond)? {
-                    match self.eval(body) {
-                        Ok(_) => {}
-                        Err(e) if e.code == Code::Break => break,
-                        Err(e) if e.code == Code::Continue => {}
-                        Err(e) => return Err(e),
-                    }
-                    self.eval(next)?;
-                }
-                Ok(String::new())
-            }
-            OpKind::Foreach { var, items, body } => {
-                for item in items {
-                    self.set_var(var, None, item)?;
-                    match self.eval(body) {
-                        Ok(_) => {}
-                        Err(e) if e.code == Code::Break => break,
-                        Err(e) if e.code == Code::Continue => continue,
-                        Err(e) => return Err(e),
-                    }
-                }
-                Ok(String::new())
-            }
-            OpKind::Expr { src } => expr_string_cached(self, src),
+        };
+        self.invoke_atom(cmd.head_atom, argv)
+    }
+
+    /// Is `atom` bound to the builtin `set` captured by [`Interp::new`]?
+    fn set_is_builtin(&self, atom: Option<u32>) -> bool {
+        let (Some(atom), Some(builtin)) = (atom, self.inner.compile.set_builtin.get()) else {
+            return false;
+        };
+        match &self.inner.compile.atom_cmds.borrow()[atom as usize] {
+            Some(Command::Native(f)) => Rc::ptr_eq(f, builtin),
+            _ => false,
         }
     }
 
@@ -1613,31 +1534,50 @@ mod tests {
     }
 
     #[test]
-    fn proc_redefinition_invalidates_the_cache() {
+    fn proc_set_defined_after_caching_wins() {
         let i = Interp::new();
         i.set_compile(true);
         assert_eq!(i.eval("set a 7").unwrap(), "7");
         assert_eq!(i.eval("set a 7").unwrap(), "7");
-        // Shadow the builtin: the cached specialized program must not be
-        // consulted again.
         i.eval("proc set {args} {return shadowed}").unwrap();
+        let hits = counter(&i, "tcl.compile_cache_hits");
+        // The cached program runs again and dispatches to the proc (whose
+        // body compiles on its first call).
         assert_eq!(i.eval("set a 7").unwrap(), "shadowed");
-        assert!(counter(&i, "tcl.compile_invalidations") > 0);
-        // Un-shadow via rename-to-delete: still no stale program.
+        assert_eq!(counter(&i, "tcl.compile_cache_hits"), hits + 1);
         i.eval("rename set {}").unwrap();
         assert!(i.eval("set a 7").is_err(), "builtin really gone");
     }
 
     #[test]
-    fn rename_of_a_specialized_builtin_invalidates() {
+    fn rename_of_set_after_caching_is_honoured() {
         let i = Interp::new();
         i.set_compile(true);
         i.eval("set a 1").unwrap();
         i.rename("set", "set_orig").unwrap();
         let e = i.eval("set a 1").unwrap_err();
         assert!(e.msg.contains("invalid command name"), "{}", e.msg);
+        assert_eq!(i.eval("set_orig a 2").unwrap(), "2");
         i.rename("set_orig", "set").unwrap();
         assert_eq!(i.eval("set a 1").unwrap(), "1");
+        assert_eq!(i.eval("set a").unwrap(), "1");
+        assert_eq!(
+            counter(&i, "tcl.compiles"),
+            3,
+            "only the three scripts compiled"
+        );
+    }
+
+    #[test]
+    fn cached_literal_command_follows_a_later_proc() {
+        let i = Interp::new();
+        i.set_compile(true);
+        i.eval("set i 0").unwrap();
+        assert_eq!(i.eval("incr i").unwrap(), "1");
+        assert_eq!(i.eval("incr i").unwrap(), "2");
+        i.eval("proc incr {name} {return redefined}").unwrap();
+        assert_eq!(i.eval("incr i").unwrap(), "redefined");
+        assert_eq!(i.eval("set i").unwrap(), "2");
     }
 
     #[test]
@@ -1654,15 +1594,20 @@ mod tests {
     }
 
     #[test]
-    fn trace_installation_invalidates_the_cache() {
+    fn trace_installed_after_caching_fires_on_the_cached_set() {
         let i = Interp::new();
         i.set_compile(true);
-        i.eval("proc noop {args} {}").unwrap();
+        i.eval("set hits 0; proc count {args} {global hits; incr hits}")
+            .unwrap();
         i.eval("set watched 1").unwrap();
-        let before = counter(&i, "tcl.compile_invalidations");
-        i.eval("trace variable watched w noop").unwrap();
         i.eval("set watched 1").unwrap();
-        assert!(counter(&i, "tcl.compile_invalidations") > before);
+        assert_eq!(i.eval("set hits").unwrap(), "0");
+        i.eval("trace variable watched w count").unwrap();
+        let hits = counter(&i, "tcl.compile_cache_hits");
+        // A cache hit: the trace script and the proc body compile fresh.
+        i.eval("set watched 1").unwrap();
+        assert_eq!(counter(&i, "tcl.compile_cache_hits"), hits + 1);
+        assert_eq!(i.eval("set hits").unwrap(), "1");
     }
 
     #[test]
@@ -1693,6 +1638,17 @@ mod tests {
             "set a 1; nosuchcmd; set b 2",
             "expr {1/0}",
             "for {set i 0} {$i < 3} {incr i} {if {$i == 1} {error mid}}",
+            "if {0} then {set a 1} elseif {1} then {error boom}",
+            "if {0} {set a 1} elseif {$nosuch} {set b 2} else {set c 3}",
+            "if {1} then",
+            "if {0} {set a 1} {set b 2}",
+            "set out {}; foreach x {a b c d} {if {$x == {b}} continue; \
+             if {$x == {d}} break; append out $x}; set out",
+            "foreach x {a b c} {if {$x == {c}} {error last} else continue}",
+            "expr 1 + 2 * 3",
+            "expr {1 +} {2} * 4",
+            "expr 1 / 0 + 2",
+            "expr {1 +}",
         ];
         for script in scripts {
             let direct = Interp::new();

@@ -102,9 +102,8 @@ impl TkEnv {
         TkEnv::with_display(Display::new())
     }
 
-    /// Wraps an existing display (e.g. one built from a shared
-    /// [`xsim::WireHandle`], so several environments on their own threads
-    /// talk to one threaded wire server).
+    /// Wraps an existing display (e.g. a clone of another thread's, so
+    /// several environments on their own threads share one server).
     pub fn with_display(display: Display) -> TkEnv {
         TkEnv {
             display,

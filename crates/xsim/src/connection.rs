@@ -43,8 +43,8 @@ use crate::ids::{ClientId, GcId, WindowId, Xid};
 use crate::obs::{ClientObs, ClientStats, RequestKind, WireStats};
 use crate::render::Surface;
 use crate::server::Server;
+use crate::wire::Transport;
 use crate::wire::{Answer, Control, QueuedRequest, ReplyValue, State, SyncReply, SyncRequest};
-use crate::wire::{Transport, WireHandle};
 
 /// A simulated display: the shared server plus a factory for connections.
 ///
@@ -59,7 +59,7 @@ use crate::wire::{Transport, WireHandle};
 /// connection to turn the codec off and run the in-process oracle.
 #[derive(Clone)]
 pub struct Display {
-    transport: Transport,
+    pub(crate) transport: Transport,
 }
 
 impl Default for Display {
@@ -80,16 +80,6 @@ impl Display {
         }
     }
 
-    /// Builds a display handle attached to an existing server (from
-    /// [`Display::wire_handle`] on another thread). Each thread builds its
-    /// own `Display` this way; the server and all protocol state are
-    /// shared.
-    pub fn from_wire(handle: &WireHandle) -> Display {
-        Display {
-            transport: handle.clone(),
-        }
-    }
-
     /// Is this display's codec on (the framed wire protocol)?
     pub fn wire(&self) -> bool {
         self.transport.lock().codec
@@ -105,12 +95,6 @@ impl Display {
             "Display::set_wire must be called before the first connection"
         );
         st.codec = wire;
-    }
-
-    /// A `Send + Sync` handle to this display's transport, for sharing
-    /// one display across threads.
-    pub fn wire_handle(&self) -> WireHandle {
-        self.transport.clone()
     }
 
     /// Connects a new client.
@@ -1130,6 +1114,40 @@ mod tests {
                 "wire {wire}"
             );
         }
+    }
+
+    #[test]
+    fn a_fault_on_a_buffered_create_window_drops_its_reservation() {
+        // A CreateWindow that a drop or error fault keeps from executing
+        // never creates its window, so the id it reserved must stop
+        // counting as a parent.
+        for wire in [true, false] {
+            for error in [false, true] {
+                let d = Display::new();
+                d.set_wire(wire);
+                let c = d.connect();
+                let client = c.client_id().0;
+                let plan = match error {
+                    false => FaultPlan::default().drop_at(client, 1),
+                    true => FaultPlan::default().error_at(client, 1, XErrorCode::BadAlloc),
+                };
+                d.with_server(|s| s.install_fault_plan(plan));
+                let w = c.create_window(c.root(), 0, 0, 10, 10, 0).unwrap(); // seq 1
+                c.flush();
+                let err = c.create_window(w, 0, 0, 5, 5, 0).unwrap_err();
+                assert_eq!(err.code, XErrorCode::BadWindow, "wire {wire} error {error}");
+                assert!(!d.peek_server(|s| s.window_exists_or_pending(w)));
+                assert_eq!(d.with_server(|s| s.audit()), Vec::<String>::new());
+            }
+        }
+    }
+
+    #[test]
+    fn a_display_clones_across_threads() {
+        // Threads share one server through clones of its `Display`; this
+        // stops compiling if `Display` ever stops being `Send + Sync`.
+        fn send_sync<T: Clone + Send + Sync>() {}
+        send_sync::<Display>();
     }
 
     #[test]

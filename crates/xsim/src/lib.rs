@@ -63,4 +63,3 @@ pub use obs::{ClientObs, ClientStats, ProtocolCounters, RequestKind, WireStats};
 pub use render::Surface;
 pub use rng::XorShift;
 pub use server::{Server, OUT_BUF_CAPACITY, SCREEN_HEIGHT, SCREEN_WIDTH};
-pub use wire::WireHandle;

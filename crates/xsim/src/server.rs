@@ -662,6 +662,14 @@ impl Server {
             if let Some(action) = fault {
                 self.record_fault(client, seq, action);
             }
+            // A CreateWindow that never executes releases its id.
+            if let (
+                Some(FaultAction::Error(_) | FaultAction::DropRequest),
+                QueuedRequest::CreateWindow { id, .. },
+            ) = (fault, &q)
+            {
+                self.pending_windows.remove(id);
+            }
             match fault {
                 Some(FaultAction::KillConnection) => {
                     // The connection dies mid-flush: this request and the

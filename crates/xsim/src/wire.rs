@@ -1240,17 +1240,13 @@ pub(crate) struct State {
 
 /// The one transport between the Xlib-shaped calling surface and the
 /// server: the server behind a mutex that every client thread shares,
-/// with the codec on or off. Clone it into other threads and rebuild
-/// per-thread [`Display`](crate::Display)s with
-/// [`Display::from_wire`](crate::Display::from_wire) — that is how
-/// several `TkApp`s, each on its own thread, share one display.
+/// with the codec on or off. A [`Display`](crate::Display) is a handle
+/// to one, so cloning the `Display` into other threads is how several
+/// `TkApp`s, each on its own thread, share one server.
 #[derive(Clone)]
-pub struct Transport {
+pub(crate) struct Transport {
     state: Arc<Mutex<State>>,
 }
-
-/// A `Send + Sync` handle to a display's shared transport.
-pub type WireHandle = Transport;
 
 impl Transport {
     /// Starts a fresh server, the codec on or off.
@@ -2330,7 +2326,7 @@ mod tests {
         ];
         let resps = controls
             .iter()
-            .map(|ctl| d.wire_handle().lock().ship(c.client_id(), ctl))
+            .map(|ctl| d.transport.lock().ship(c.client_id(), ctl))
             .collect();
         (d, c.client_id(), resps)
     }
@@ -2372,8 +2368,7 @@ mod tests {
         assert!(resps[0].is_empty(), "the stalled frame is never answered");
         assert_eq!(watchdog_fires(&d, c), 1);
         assert!(!d.peek_server(|s| s.is_alive(c)));
-        let handle = d.wire_handle();
-        let mut st = handle.lock();
+        let mut st = d.transport.lock();
         assert!(matches!(
             st.control(c, Control::TakeReply(1)),
             Answer::NoReply { alive: false }

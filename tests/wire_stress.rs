@@ -18,7 +18,7 @@ use std::thread;
 
 use tk::TkEnv;
 use tk_bench::fleet::{run_wire_mesh, watchdog, MeshConfig};
-use xsim::{Display, FaultPlan};
+use xsim::FaultPlan;
 
 const APPS: usize = 4;
 const ROUNDS: u64 = 6;
@@ -64,7 +64,7 @@ fn killing_a_client_mid_flush_tears_down_cleanly() {
     watchdog("mid-flush kill", 240, done.clone());
 
     let env = TkEnv::new();
-    let handle = env.display().wire_handle();
+    let display = env.display().clone();
 
     let registered = Arc::new(Barrier::new(APPS));
     let killed = Arc::new(Barrier::new(APPS));
@@ -76,13 +76,13 @@ fn killing_a_client_mid_flush_tears_down_cleanly() {
     let finished = Arc::new(AtomicUsize::new(0));
     let mut workers = Vec::new();
     for i in 0..APPS {
-        let handle = handle.clone();
+        let display = display.clone();
         let registered = registered.clone();
         let killed = killed.clone();
         let startup = startup.clone();
         let finished = finished.clone();
         workers.push(thread::spawn(move || {
-            let env = TkEnv::with_display(Display::from_wire(&handle));
+            let env = TkEnv::with_display(display);
             let app = {
                 let _g = startup.lock().unwrap();
                 env.app(&format!("victim{i}"))
