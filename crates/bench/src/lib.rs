@@ -221,14 +221,6 @@ pub fn count_loc(path: &std::path::Path) -> (usize, usize) {
     (code, test)
 }
 
-/// Sums [`count_loc`] over files: `(code, test)`.
-pub fn count_loc_files(base: &std::path::Path, files: &[&str]) -> (usize, usize) {
-    files
-        .iter()
-        .map(|f| count_loc(&base.join(f)))
-        .fold((0, 0), |(a, b), (c, d)| (a + c, b + d))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -63,11 +63,6 @@ impl Histogram {
         self.max = self.max.max(ns);
     }
 
-    /// Records a [`std::time::Duration`].
-    pub fn record_duration(&mut self, d: std::time::Duration) {
-        self.record(d.as_nanos().min(u64::MAX as u128) as u64);
-    }
-
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.count

@@ -272,27 +272,6 @@ impl Tracer {
         }
     }
 
-    /// Opens a span with an explicit parent (causal chaining for deferred
-    /// work). A `parent` that no longer exists records as an epoch root.
-    pub fn begin_at(
-        &self,
-        kind: &'static str,
-        detail: impl Into<String>,
-        seq: u64,
-        parent: SpanId,
-    ) -> SpanGuard {
-        let mut t = self.inner.lock().unwrap();
-        let parent = if t.index.contains_key(&parent) {
-            parent
-        } else {
-            0
-        };
-        SpanGuard {
-            id: t.record(kind, detail.into(), seq, parent, true),
-            tracer: self.clone(),
-        }
-    }
-
     /// Records a zero-width marker (damage event, fault injection, event
     /// enqueue, traced request) attached to the innermost open span.
     pub fn instant(&self, kind: &'static str, detail: impl Into<String>, seq: u64) {

@@ -6,6 +6,8 @@
 //! recursive calls to the interpreter; none of them is special-cased by the
 //! parser.
 
+use std::rc::Rc;
+
 use crate::error::{wrong_args, Code, Exception, TclResult};
 use crate::expr::expr_bool_cached as expr_bool;
 use crate::interp::{Interp, ProcDef};
@@ -292,8 +294,8 @@ fn cmd_proc(interp: &Interp, argv: &[String]) -> TclResult {
     for spec in &param_specs {
         let parts = crate::list::parse_list(spec)?;
         match parts.len() {
-            1 => params.push((parts[0].clone(), None)),
-            2 => params.push((parts[0].clone(), Some(parts[1].clone()))),
+            1 => params.push((Rc::from(parts[0].as_str()), None)),
+            2 => params.push((Rc::from(parts[0].as_str()), Some(parts[1].clone()))),
             _ => {
                 return Err(Exception::error(format!(
                     "too many fields in argument specifier \"{spec}\""

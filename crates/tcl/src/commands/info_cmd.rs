@@ -39,7 +39,7 @@ fn cmd_info(interp: &Interp, argv: &[String]) -> TclResult {
                 return Err(wrong_args("info exists varName"));
             }
             let (name, idx) = crate::interp::split_var_name(&argv[2]);
-            Ok(if interp.var_exists(&name, idx.as_deref()) {
+            Ok(if interp.var_exists(name, idx) {
                 "1"
             } else {
                 "0"
@@ -66,7 +66,7 @@ fn cmd_info(interp: &Interp, argv: &[String]) -> TclResult {
                 Some(def) => Ok(format_list(
                     &def.params
                         .iter()
-                        .map(|(n, _)| n.clone())
+                        .map(|(n, _)| n.to_string())
                         .collect::<Vec<_>>(),
                 )),
                 None => Err(Exception::error(format!(
@@ -85,7 +85,7 @@ fn cmd_info(interp: &Interp, argv: &[String]) -> TclResult {
             let param = def
                 .params
                 .iter()
-                .find(|(n, _)| n == &argv[3])
+                .find(|(n, _)| **n == *argv[3])
                 .ok_or_else(|| {
                     Exception::error(format!(
                         "procedure \"{}\" doesn't have an argument \"{}\"",
@@ -116,7 +116,7 @@ fn cmd_info(interp: &Interp, argv: &[String]) -> TclResult {
                 n as usize
             };
             match interp.invocation_at(level) {
-                Some(words) if !words.is_empty() => Ok(format_list(&words)),
+                Some(words) => Ok(format_list(&words[..])),
                 _ => Err(Exception::error(format!("bad level \"{}\"", argv[2]))),
             }
         }

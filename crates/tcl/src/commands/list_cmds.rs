@@ -78,15 +78,12 @@ fn cmd_lappend(interp: &Interp, argv: &[String]) -> TclResult {
         return Err(wrong_args("lappend varName ?value value ...?"));
     }
     let (name, idx) = split_var_name(&argv[1]);
-    let mut value = if interp.var_exists(&name, idx.as_deref()) {
-        interp.get_var(&name, idx.as_deref())?
-    } else {
-        String::new()
-    };
-    for v in &argv[2..] {
-        crate::list::append_element(&mut value, v);
-    }
-    interp.set_var(&name, idx.as_deref(), &value)
+    interp.update_var(name, idx, true, |value| {
+        for v in &argv[2..] {
+            crate::list::append_element(value, v);
+        }
+        Ok(())
+    })
 }
 
 fn cmd_linsert(_i: &Interp, argv: &[String]) -> TclResult {

@@ -1,6 +1,8 @@
 //! Variable commands: `set`, `unset`, `incr`, `append`, `global`, `upvar`,
 //! `uplevel`, and `array`.
 
+use std::fmt::Write;
+
 use crate::error::{wrong_args, Exception, TclResult};
 use crate::interp::{split_var_name, Interp, TraceAction, TraceOps};
 
@@ -61,11 +63,11 @@ fn cmd_set(interp: &Interp, argv: &[String]) -> TclResult {
     match argv.len() {
         2 => {
             let (name, idx) = split_var_name(&argv[1]);
-            interp.get_var(&name, idx.as_deref())
+            interp.get_var(name, idx)
         }
         3 => {
             let (name, idx) = split_var_name(&argv[1]);
-            interp.set_var(&name, idx.as_deref(), &argv[2])
+            interp.set_var(name, idx, &argv[2])
         }
         _ => Err(wrong_args("set varName ?newValue?")),
     }
@@ -77,7 +79,7 @@ fn cmd_unset(interp: &Interp, argv: &[String]) -> TclResult {
     }
     for spec in &argv[1..] {
         let (name, idx) = split_var_name(spec);
-        interp.unset_var(&name, idx.as_deref())?;
+        interp.unset_var(name, idx)?;
     }
     Ok(String::new())
 }
@@ -87,20 +89,20 @@ fn cmd_incr(interp: &Interp, argv: &[String]) -> TclResult {
         return Err(wrong_args("incr varName ?increment?"));
     }
     let (name, idx) = split_var_name(&argv[1]);
-    let cur = interp.get_var(&name, idx.as_deref())?;
-    let cur: i64 = cur
-        .trim()
-        .parse()
-        .map_err(|_| Exception::error(format!("expected integer but got \"{cur}\"")))?;
-    let by: i64 = if argv.len() == 3 {
-        argv[2]
-            .trim()
-            .parse()
-            .map_err(|_| Exception::error(format!("expected integer but got \"{}\"", argv[2])))?
-    } else {
-        1
-    };
-    interp.set_var(&name, idx.as_deref(), &cur.wrapping_add(by).to_string())
+    interp.update_var(name, idx, false, |value| {
+        let cur: i64 = value.trim().parse().map_err(|_| not_integer(value))?;
+        let by: i64 = match argv.get(2) {
+            Some(by) => by.trim().parse().map_err(|_| not_integer(by))?,
+            None => 1,
+        };
+        value.clear();
+        write!(value, "{}", cur.wrapping_add(by)).expect("writing to a String");
+        Ok(())
+    })
+}
+
+fn not_integer(text: &str) -> Exception {
+    Exception::error(format!("expected integer but got \"{text}\""))
 }
 
 fn cmd_append(interp: &Interp, argv: &[String]) -> TclResult {
@@ -108,15 +110,12 @@ fn cmd_append(interp: &Interp, argv: &[String]) -> TclResult {
         return Err(wrong_args("append varName ?value value ...?"));
     }
     let (name, idx) = split_var_name(&argv[1]);
-    let mut value = if interp.var_exists(&name, idx.as_deref()) {
-        interp.get_var(&name, idx.as_deref())?
-    } else {
-        String::new()
-    };
-    for v in &argv[2..] {
-        value.push_str(v);
-    }
-    interp.set_var(&name, idx.as_deref(), &value)
+    interp.update_var(name, idx, true, |value| {
+        for v in &argv[2..] {
+            value.push_str(v);
+        }
+        Ok(())
+    })
 }
 
 fn cmd_global(interp: &Interp, argv: &[String]) -> TclResult {
@@ -430,6 +429,74 @@ mod tests {
         i.eval("proc setter {} {global g; set g 5}").unwrap();
         i.eval("setter").unwrap();
         assert_eq!(i.eval("set hits").unwrap(), "1");
+    }
+
+    #[test]
+    fn read_modify_write_fires_read_then_write_once_each() {
+        let i = Interp::new();
+        i.eval("set log {}; proc watch {n1 n2 op} {global log; lappend log $op}")
+            .unwrap();
+        for (cmd, result) in [
+            ("incr v 2", "3"),
+            ("append v x", "1x"),
+            ("lappend v x", "1 x"),
+        ] {
+            i.eval("set v 1; trace variable v rw watch; set log {}")
+                .unwrap();
+            assert_eq!(i.eval(cmd).unwrap(), result, "{cmd}");
+            assert_eq!(i.eval("set log").unwrap(), "r w", "{cmd}");
+            i.eval("trace vdelete v rw watch").unwrap();
+        }
+    }
+
+    #[test]
+    fn read_trace_on_a_callers_local_fires_through_upvar() {
+        let i = Interp::new();
+        i.eval("set log {}; proc watch {n1 n2 op} {global log; lappend log $n1/$op}")
+            .unwrap();
+        i.eval("proc peek {name} {upvar $name v; return $v}")
+            .unwrap();
+        i.eval("proc owner {} {set mine 7; trace variable mine r watch; peek mine}")
+            .unwrap();
+        assert_eq!(i.eval("owner").unwrap(), "7");
+        assert_eq!(i.eval("set log").unwrap(), "mine/r");
+    }
+
+    #[test]
+    fn append_to_a_traced_array_element_reports_its_index() {
+        let i = Interp::new();
+        i.eval("set log {}; proc watch {n1 n2 op} {global log; lappend log $n1.$n2.$op}")
+            .unwrap();
+        i.eval("set a(k) 1; trace variable a rw watch").unwrap();
+        assert_eq!(i.eval("append a(k) x").unwrap(), "1x");
+        assert_eq!(i.eval("set log").unwrap(), "a.k.r a.k.w");
+    }
+
+    #[test]
+    fn lappend_that_creates_a_variable_fires_its_write_trace() {
+        let i = Interp::new();
+        i.eval("set log {}; proc watch {n1 n2 op} {global log; lappend log $n1/$op}")
+            .unwrap();
+        i.eval("trace variable fresh rw watch").unwrap();
+        assert_eq!(i.eval("lappend fresh a b").unwrap(), "a b");
+        assert_eq!(i.eval("set log").unwrap(), "fresh/w");
+    }
+
+    #[test]
+    fn info_level_returns_the_call_words() {
+        let i = Interp::new();
+        i.eval("proc inner {args} {list [info level 0] [info level 1] [info level -1]}")
+            .unwrap();
+        i.eval("proc outer {a {b dflt}} {inner x \"y z\"}").unwrap();
+        assert_eq!(
+            i.eval("outer 1").unwrap(),
+            "{inner x {y z}} {outer 1} {outer 1}"
+        );
+        assert_eq!(
+            i.eval("set w 2; outer $w 3").unwrap(),
+            "{inner x {y z}} {outer 2 3} {outer 2 3}"
+        );
+        assert!(i.eval("info level 0").is_err());
     }
 
     #[test]

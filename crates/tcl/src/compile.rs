@@ -23,6 +23,7 @@
 //! semantics are preserved byte for byte.
 
 use std::cell::Cell;
+use std::rc::Rc;
 
 use crate::error::Exception;
 use crate::interp::{split_var_name, Interp};
@@ -38,8 +39,9 @@ pub enum CompiledWord {
 
 /// How one command of a program executes.
 pub enum OpKind {
-    /// Every word is literal: the argv, built once at compile time.
-    Literal(Vec<String>),
+    /// Every word is literal: the argv, built once at compile time and
+    /// shared with the frame of a proc it calls.
+    Literal(Rc<[String]>),
     /// Pre-parsed words, substituted on every run, then dispatched.
     Generic(Vec<CompiledWord>),
     /// `set name` / `set name value` with a literal variable name.
@@ -126,8 +128,11 @@ fn lower(words: &[Word]) -> OpKind {
     let lit = |i: usize| words.get(i).and_then(literal);
     if let (Some("set"), Some(spec), 2 | 3) = (lit(0), lit(1), words.len()) {
         let (name, index) = split_var_name(spec);
-        let words = words.iter().map(compiled_word).collect();
-        return OpKind::Set { name, index, words };
+        return OpKind::Set {
+            name: name.to_string(),
+            index: index.map(str::to_string),
+            words: words.iter().map(compiled_word).collect(),
+        };
     }
     match words.iter().map(literal).collect::<Option<Vec<_>>>() {
         Some(argv) => OpKind::Literal(argv.into_iter().map(str::to_string).collect()),

@@ -53,8 +53,10 @@ impl Value {
     }
 }
 
-/// Formats a double the way Tcl does: always distinguishable from an
-/// integer (a bare integral double gains a trailing `.0`).
+/// Formats a double the way Tcl 8.6 does: the shortest digits that read
+/// back exactly, with an exponent (`1e+20`, `2.5e-10`) when the decimal
+/// exponent is below -4 or above 16, and otherwise always distinguishable
+/// from an integer (a bare integral double gains a trailing `.0`).
 pub fn double_to_string(d: f64) -> String {
     if d.is_nan() {
         return "NaN".into();
@@ -62,8 +64,15 @@ pub fn double_to_string(d: f64) -> String {
     if d.is_infinite() {
         return if d > 0.0 { "Inf".into() } else { "-Inf".into() };
     }
+    let sci = format!("{d:e}");
+    let (digits, exp) = sci.split_once('e').expect("`{:e}` writes an exponent");
+    let exp: i32 = exp.parse().expect("`{:e}` writes an integer exponent");
+    if !(-4..=16).contains(&exp) {
+        let sign = if exp < 0 { '-' } else { '+' };
+        return format!("{digits}e{sign}{}", exp.abs());
+    }
     let s = format!("{d}");
-    if s.contains('.') || s.contains('e') || s.contains('E') {
+    if s.contains('.') {
         s
     } else {
         format!("{s}.0")
@@ -1126,6 +1135,23 @@ mod tests {
         assert_eq!(double_to_string(4.0), "4.0");
         assert_eq!(double_to_string(0.5), "0.5");
         assert_eq!(double_to_string(f64::INFINITY), "Inf");
+        // Tcl 8.6 switches to an exponent above 1e16 and below 1e-4.
+        assert_eq!(double_to_string(1e16), "10000000000000000.0");
+        assert_eq!(double_to_string(1e17), "1e+17");
+        assert_eq!(double_to_string(1e20), "1e+20");
+        assert_eq!(double_to_string(1.5e301), "1.5e+301");
+        assert_eq!(double_to_string(2.5e-10), "2.5e-10");
+        assert_eq!(double_to_string(-2.5e-10), "-2.5e-10");
+        assert_eq!(double_to_string(1e-4), "0.0001");
+        assert_eq!(double_to_string(1e-5), "1e-5");
+        assert_eq!(
+            double_to_string(123456789012345678.0),
+            "1.2345678901234568e+17"
+        );
+        assert_eq!(double_to_string(12345678901234567.0), "12345678901234568.0");
+        assert_eq!(double_to_string(5e-324), "5e-324");
+        assert_eq!(ev("1e20"), "1e+20");
+        assert_eq!(ev("1e10 * 1e10"), "1e+20");
     }
 
     #[test]

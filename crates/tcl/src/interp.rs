@@ -34,7 +34,8 @@ pub enum Command {
 pub struct ProcDef {
     /// Formal parameters: `(name, default)`. The final parameter may be the
     /// special name `args`, which collects remaining arguments as a list.
-    pub params: Vec<(String, Option<String>)>,
+    /// Each call binds its arguments under these same shared names.
+    pub params: Vec<(Rc<str>, Option<String>)>,
     /// The body script.
     pub body: String,
 }
@@ -47,7 +48,8 @@ pub enum Var {
     /// An associative array of elements.
     Array(HashMap<String, String>),
     /// A link to a variable in another frame, created by `upvar`/`global`.
-    Link { level: usize, name: String },
+    /// The name is shared, so following a link copies nothing.
+    Link { level: usize, name: Rc<str> },
 }
 
 /// Which operations a variable trace fires on.
@@ -128,10 +130,133 @@ pub struct TraceDef {
 /// A call frame holding local variables. Frame 0 is the global frame.
 #[derive(Default)]
 pub struct Frame {
-    vars: HashMap<String, Var>,
+    /// Variables by name. A key is allocated only when a variable is
+    /// created, and a proc's parameters share the names in its `ProcDef`.
+    vars: HashMap<Rc<str>, Var>,
+    /// Traces by variable name. An access consults this map only when it
+    /// is not empty, so a frame without traces pays nothing for them.
     traces: HashMap<String, Vec<Rc<TraceDef>>>,
-    /// The proc invocation that created this frame, for `info level`.
-    pub invocation: Vec<String>,
+    /// The words of the proc call that created this frame, for `info
+    /// level`: shared with the caller, not copied.
+    pub invocation: Option<Rc<[String]>>,
+}
+
+/// Where a variable access landed after following `upvar`/`global` links.
+struct Place {
+    /// The frame the variable lives in.
+    level: usize,
+    /// The last link's target name, if a link was followed.
+    target: Option<Rc<str>>,
+    /// Does that frame hold traces on the variable?
+    traced: bool,
+}
+
+impl Place {
+    /// The variable's name in its own frame.
+    fn name<'a>(&'a self, asked: &'a str) -> &'a str {
+        self.target.as_deref().unwrap_or(asked)
+    }
+}
+
+/// The entry a variable lookup lands on.
+enum Slot<'a> {
+    /// The variable (never a link).
+    Found(&'a mut Var),
+    /// No such variable: the frame's map, for creating it.
+    Vacant(&'a mut HashMap<Rc<str>, Var>),
+}
+
+/// What an access does with the value it finds. An access that reads
+/// fires `r` traces first, and a missing or misshapen variable is then a
+/// read error; one that writes fires `w` traces after.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Access {
+    /// Read only (`$x`, `set x`): a missing variable is an error.
+    Read,
+    /// Write only (`set x v`).
+    Write,
+    /// Read, then write (`incr`): a missing variable is an error.
+    Update,
+    /// Read what exists, then write (`append`, `lappend`): a missing
+    /// variable starts empty.
+    Extend,
+}
+
+/// Why a variable access failed.
+enum Fault {
+    NoVariable,
+    NoElement,
+    IsArray,
+    NotArray,
+}
+
+impl Fault {
+    /// The error for `verb` ("read", "set" or "unset") on `name(index)`.
+    fn error(self, verb: &str, name: &str, index: Option<&str>) -> Exception {
+        let what = match (&self, index) {
+            (Fault::NoElement | Fault::NotArray, Some(idx)) => format!("{name}({idx})"),
+            _ => name.to_string(),
+        };
+        let why = match self {
+            Fault::NoVariable => "no such variable",
+            Fault::NoElement => "no such element in array",
+            Fault::IsArray => "variable is array",
+            Fault::NotArray => "variable isn't array",
+        };
+        Exception::error(format!("can't {verb} \"{what}\": {why}"))
+    }
+}
+
+impl Var {
+    /// The value `index` (or the whole variable) names, or why it has none.
+    fn value(&mut self, index: Option<&str>) -> Result<&mut String, Fault> {
+        match (self, index) {
+            (Var::Scalar(s), None) => Ok(s),
+            (Var::Array(map), Some(idx)) => map.get_mut(idx).ok_or(Fault::NoElement),
+            (Var::Array(_), None) => Err(Fault::IsArray),
+            (Var::Scalar(_), Some(_)) => Err(Fault::NotArray),
+            (Var::Link { .. }, _) => unreachable!("lookups follow links"),
+        }
+    }
+
+    /// Does `index` (or the whole variable) exist, as `info exists` asks?
+    fn holds(&self, index: Option<&str>) -> bool {
+        match (self, index) {
+            (Var::Array(map), Some(idx)) => map.contains_key(idx),
+            (Var::Scalar(_), Some(_)) => false,
+            _ => true,
+        }
+    }
+}
+
+/// A command's words on their way to dispatch. A proc call keeps them in
+/// its frame for `info level`: shared words as they are and owned ones
+/// moved in; only borrowed ones are copied.
+enum Words<'a> {
+    /// Words the caller keeps, as `Interp::invoke` receives them.
+    Borrowed(&'a [String]),
+    /// A compiled all-literal command's argv.
+    Shared(&'a Rc<[String]>),
+    /// Words substituted for this call.
+    Owned(Vec<String>),
+}
+
+impl Words<'_> {
+    fn as_slice(&self) -> &[String] {
+        match self {
+            Words::Borrowed(words) => words,
+            Words::Shared(words) => words,
+            Words::Owned(words) => words,
+        }
+    }
+
+    fn into_shared(self) -> Rc<[String]> {
+        match self {
+            Words::Borrowed(words) => Rc::from(words),
+            Words::Shared(words) => Rc::clone(words),
+            Words::Owned(words) => Rc::from(words),
+        }
+    }
 }
 
 /// Where `print`/`puts` output goes.
@@ -522,19 +647,40 @@ impl Interp {
         self.frame_count() - 1
     }
 
-    /// Resolves links: returns the (level, name) a variable access lands on.
-    fn resolve(&self, mut level: usize, mut name: String) -> (usize, String) {
+    /// The one variable lookup behind every access. It follows
+    /// `upvar`/`global` links from `(level, name)` inside one borrow of the
+    /// frames, probing each frame's map once, and runs `f` on the entry it
+    /// lands on. Names are borrowed, or shared from the link, never copied.
+    /// `f` runs inside the borrow, so it must not evaluate Tcl: traces fire
+    /// around it, from the returned [`Place`].
+    fn with_var<R>(
+        &self,
+        mut level: usize,
+        name: &str,
+        f: impl FnOnce(&Place, Slot<'_>) -> R,
+    ) -> (Place, R) {
+        let mut frames = self.inner.frames.borrow_mut();
+        let mut target: Option<Rc<str>> = None;
         loop {
-            let frames = self.inner.frames.borrow();
-            match frames[level].vars.get(&name) {
+            let Frame { vars, traces, .. } = &mut frames[level];
+            let key = target.as_deref().unwrap_or(name);
+            let slot = match vars.get_mut(key) {
                 Some(Var::Link { level: l, name: n }) => {
-                    let (l, n) = (*l, n.clone());
-                    drop(frames);
-                    level = l;
-                    name = n;
+                    level = *l;
+                    target = Some(n.clone());
+                    continue;
                 }
-                _ => return (level, name),
-            }
+                Some(var) => Slot::Found(var),
+                None => Slot::Vacant(vars),
+            };
+            let traced = !traces.is_empty() && traces.contains_key(key);
+            let place = Place {
+                level,
+                target,
+                traced,
+            };
+            let r = f(&place, slot);
+            return (place, r);
         }
     }
 
@@ -543,17 +689,268 @@ impl Interp {
         self.get_var_at(self.level(), name, index)
     }
 
+    /// Reads a variable in an explicit frame level.
+    pub fn get_var_at(
+        &self,
+        level: usize,
+        name: &str,
+        index: Option<&str>,
+    ) -> Result<String, Exception> {
+        self.access(level, name, index, Access::Read, |v| Ok(v.clone()))
+    }
+
+    /// Writes a variable in the current frame. Returns the value written.
+    pub fn set_var(
+        &self,
+        name: &str,
+        index: Option<&str>,
+        value: &str,
+    ) -> Result<String, Exception> {
+        self.set_var_at(self.level(), name, index, value)
+    }
+
+    /// Writes a variable in an explicit frame level.
+    pub fn set_var_at(
+        &self,
+        level: usize,
+        name: &str,
+        index: Option<&str>,
+        value: &str,
+    ) -> Result<String, Exception> {
+        self.assign(level, name, index, value)?;
+        Ok(value.to_string())
+    }
+
+    /// Writes a variable over its old value's buffer.
+    fn assign(
+        &self,
+        level: usize,
+        name: &str,
+        index: Option<&str>,
+        value: &str,
+    ) -> Result<(), Exception> {
+        self.access(level, name, index, Access::Write, |s| {
+            s.clear();
+            s.push_str(value);
+            Ok(())
+        })
+    }
+
+    /// The read-modify-write behind `incr`, `append` and `lappend`. `edit`
+    /// changes the value in place; `r` traces fire before it and `w` traces
+    /// after, as a read followed by a write would fire them. A missing
+    /// variable is a read error, unless `create`: then it starts empty and
+    /// nothing is read. Returns a copy of the new value.
+    pub fn update_var(
+        &self,
+        name: &str,
+        index: Option<&str>,
+        create: bool,
+        edit: impl FnOnce(&mut String) -> Result<(), Exception>,
+    ) -> Result<String, Exception> {
+        let how = if create {
+            Access::Extend
+        } else {
+            Access::Update
+        };
+        self.access(self.level(), name, index, how, |s| {
+            edit(s)?;
+            Ok(s.clone())
+        })
+    }
+
+    /// The one access behind every read and write. `op` gets the value in
+    /// place, or a new empty one when a write creates the variable or
+    /// element: the only time a key is allocated. `r` traces fire before
+    /// `op` when `how` reads, and `w` traces after it when `how` writes.
+    fn access<R>(
+        &self,
+        level: usize,
+        name: &str,
+        index: Option<&str>,
+        how: Access,
+        op: impl FnOnce(&mut String) -> Result<R, Exception>,
+    ) -> Result<R, Exception> {
+        let must_exist = matches!(how, Access::Read | Access::Update);
+        let mut op = Some(op);
+        let mut fired = false;
+        loop {
+            let (place, got) = self.with_var(level, name, |place, slot| {
+                let reads = match (&slot, how) {
+                    (_, Access::Write) => false,
+                    (Slot::Found(var), Access::Extend) => var.holds(index),
+                    (Slot::Vacant(_), Access::Extend) => false,
+                    _ => true,
+                };
+                if reads && place.traced && !fired {
+                    return None;
+                }
+                let op = op.take().expect("an access runs its op once");
+                let fail = |fault: Fault, verb| Err(fault.error(verb, place.name(name), index));
+                Some(match slot {
+                    Slot::Found(var) => match var.value(index) {
+                        Ok(v) => op(v),
+                        Err(Fault::NoElement) if !must_exist => {
+                            let (Var::Array(map), Some(idx)) = (var, index) else {
+                                unreachable!("only an array lacks an element")
+                            };
+                            let mut v = String::new();
+                            op(&mut v).map(|r| {
+                                map.insert(idx.to_string(), v);
+                                r
+                            })
+                        }
+                        Err(Fault::IsArray) if how == Access::Write => fail(Fault::IsArray, "set"),
+                        Err(Fault::NotArray) if !must_exist => fail(Fault::NotArray, "set"),
+                        Err(fault) => fail(fault, "read"),
+                    },
+                    Slot::Vacant(_) if must_exist => fail(Fault::NoVariable, "read"),
+                    Slot::Vacant(vars) => {
+                        let mut v = String::new();
+                        op(&mut v).map(|r| {
+                            let var = match index {
+                                None => Var::Scalar(v),
+                                Some(idx) => Var::Array(HashMap::from([(idx.to_string(), v)])),
+                            };
+                            let key = place.target.clone();
+                            vars.insert(key.unwrap_or_else(|| Rc::from(name)), var);
+                            r
+                        })
+                    }
+                })
+            });
+            let Some(result) = got else {
+                self.fire_traces(place.level, place.name(name), index, "r")?;
+                fired = true;
+                continue;
+            };
+            let r = result?;
+            if place.traced && how != Access::Read {
+                self.fire_traces(place.level, place.name(name), index, "w")?;
+            }
+            return Ok(r);
+        }
+    }
+
+    /// Removes a variable (or array element) from the current frame. Unset
+    /// traces fire after the removal; a whole-variable unset then discards
+    /// its traces, as in Tcl.
+    pub fn unset_var(&self, name: &str, index: Option<&str>) -> Result<(), Exception> {
+        let (place, found) = self.with_var(self.level(), name, |_, slot| match (slot, index) {
+            (Slot::Vacant(_), _) => Err(Fault::NoVariable),
+            (Slot::Found(_), None) => Ok(()),
+            (Slot::Found(var), Some(idx)) => match var {
+                Var::Array(map) => map.remove(idx).map(drop).ok_or(Fault::NoElement),
+                _ => Err(Fault::NotArray),
+            },
+        });
+        let name = place.name(name);
+        found.map_err(|fault| fault.error("unset", name, index))?;
+        if index.is_none() {
+            self.inner.frames.borrow_mut()[place.level]
+                .vars
+                .remove(name);
+        }
+        let _ = self.fire_traces(place.level, name, index, "u");
+        if index.is_none() {
+            self.inner.frames.borrow_mut()[place.level]
+                .traces
+                .remove(name);
+        }
+        Ok(())
+    }
+
+    /// Does the variable exist (readably) in the current frame?
+    pub fn var_exists(&self, name: &str, index: Option<&str>) -> bool {
+        let (_, held) = self.with_var(
+            self.level(),
+            name,
+            |_, slot| matches!(slot, Slot::Found(var) if var.holds(index)),
+        );
+        held
+    }
+
+    /// Names of variables visible in the current frame, sorted.
+    pub fn var_names(&self) -> Vec<String> {
+        self.names_at(self.level())
+    }
+
+    /// Names of global variables, sorted.
+    pub fn global_names(&self) -> Vec<String> {
+        self.names_at(0)
+    }
+
+    fn names_at(&self, level: usize) -> Vec<String> {
+        let frames = self.inner.frames.borrow();
+        let mut names: Vec<String> = frames[level].vars.keys().map(|k| k.to_string()).collect();
+        names.sort();
+        names
+    }
+
+    /// Creates a link (`upvar`) in the current frame to `(level, other)`.
+    pub fn link_var(&self, local: &str, level: usize, other: &str) -> Result<(), Exception> {
+        if level >= self.frame_count() {
+            return Err(Exception::error("bad level for upvar"));
+        }
+        let (place, ()) = self.with_var(level, other, |_, _| ());
+        let cur = self.level();
+        if place.level == cur && place.name(other) == local {
+            return Err(Exception::error(format!(
+                "can't upvar \"{local}\" to itself"
+            )));
+        }
+        let name = place.target.unwrap_or_else(|| Rc::from(other));
+        // `global x` links a name to itself: one shared copy serves both.
+        let local = if *name == *local {
+            name.clone()
+        } else {
+            Rc::from(local)
+        };
+        self.inner.frames.borrow_mut()[cur].vars.insert(
+            local,
+            Var::Link {
+                level: place.level,
+                name,
+            },
+        );
+        Ok(())
+    }
+
+    /// Returns the sorted element names of an array variable.
+    pub fn array_names(&self, name: &str) -> Result<Vec<String>, Exception> {
+        let (place, keys) = self.with_var(self.level(), name, |_, slot| match slot {
+            Slot::Found(Var::Array(map)) => Some(map.keys().cloned().collect::<Vec<_>>()),
+            _ => None,
+        });
+        match keys {
+            Some(mut keys) => {
+                keys.sort();
+                Ok(keys)
+            }
+            None => Err(Exception::error(format!(
+                "\"{}\" isn't an array",
+                place.name(name)
+            ))),
+        }
+    }
+
     // ----- variable traces ------------------------------------------------
+
+    /// Where the variable a trace command names lives: its frame, and its
+    /// base name there (an element's trace is its array's).
+    fn trace_place<'a>(&self, name: &'a str) -> (Place, &'a str) {
+        let (base, _) = split_var_name(name);
+        (self.with_var(self.level(), base, |_, _| ()).0, base)
+    }
 
     /// Attaches a trace to a variable in the current frame; returns its id.
     pub fn trace_variable(&self, name: &str, ops: TraceOps, action: TraceAction) -> u64 {
-        let (base, _) = split_var_name(name);
-        let (level, base) = self.resolve(self.level(), base);
+        let (place, base) = self.trace_place(name);
         let id = self.inner.next_trace_id.get() + 1;
         self.inner.next_trace_id.set(id);
-        self.inner.frames.borrow_mut()[level]
+        self.inner.frames.borrow_mut()[place.level]
             .traces
-            .entry(base)
+            .entry(place.name(base).to_string())
             .or_default()
             .push(Rc::new(TraceDef {
                 id,
@@ -564,48 +961,46 @@ impl Interp {
         id
     }
 
-    /// Removes the first script trace matching ops and command text.
-    pub fn trace_vdelete(&self, name: &str, ops: TraceOps, command: &str) -> bool {
-        let (base, _) = split_var_name(name);
-        let (level, base) = self.resolve(self.level(), base);
+    /// Removes the first trace on `name` that `pick` selects, dropping the
+    /// variable's trace list once it is empty.
+    fn remove_trace(&self, name: &str, pick: impl Fn(&TraceDef) -> bool) -> bool {
+        let (place, base) = self.trace_place(name);
+        let base = place.name(base);
         let mut frames = self.inner.frames.borrow_mut();
-        let Some(list) = frames[level].traces.get_mut(&base) else {
+        let traces = &mut frames[place.level].traces;
+        let Some(list) = traces.get_mut(base) else {
             return false;
         };
-        let pos = list.iter().position(|t| {
-            t.ops == ops && matches!(&t.action, TraceAction::Script(c) if c == command)
-        });
-        match pos {
-            Some(i) => {
-                list.remove(i);
-                true
-            }
-            None => false,
+        let Some(i) = list.iter().position(|t| pick(t)) else {
+            return false;
+        };
+        list.remove(i);
+        if list.is_empty() {
+            traces.remove(base);
         }
+        true
+    }
+
+    /// Removes the first script trace matching ops and command text.
+    pub fn trace_vdelete(&self, name: &str, ops: TraceOps, command: &str) -> bool {
+        self.remove_trace(name, |t| {
+            t.ops == ops && matches!(&t.action, TraceAction::Script(c) if c == command)
+        })
     }
 
     /// Removes a trace by id (native traces use this).
     pub fn trace_remove(&self, name: &str, id: u64) -> bool {
-        let (base, _) = split_var_name(name);
-        let (level, base) = self.resolve(self.level(), base);
-        let mut frames = self.inner.frames.borrow_mut();
-        let Some(list) = frames[level].traces.get_mut(&base) else {
-            return false;
-        };
-        let before = list.len();
-        list.retain(|t| t.id != id);
-        list.len() != before
+        self.remove_trace(name, |t| t.id == id)
     }
 
     /// Lists the traces on a variable as `(ops, command)` pairs; native
     /// traces show a placeholder command.
     pub fn trace_info(&self, name: &str) -> Vec<(String, String)> {
-        let (base, _) = split_var_name(name);
-        let (level, base) = self.resolve(self.level(), base);
+        let (place, base) = self.trace_place(name);
         let frames = self.inner.frames.borrow();
-        frames[level]
+        frames[place.level]
             .traces
-            .get(&base)
+            .get(place.name(base))
             .map(|list| {
                 list.iter()
                     .map(|t| {
@@ -670,207 +1065,6 @@ impl Interp {
         Ok(())
     }
 
-    /// Reads a variable in an explicit frame level.
-    pub fn get_var_at(
-        &self,
-        level: usize,
-        name: &str,
-        index: Option<&str>,
-    ) -> Result<String, Exception> {
-        let (level, name) = self.resolve(level, name.to_string());
-        self.fire_traces(level, &name, index, "r")?;
-        let frames = self.inner.frames.borrow();
-        match (frames[level].vars.get(&name), index) {
-            (Some(Var::Scalar(v)), None) => Ok(v.clone()),
-            (Some(Var::Array(_)), None) => Err(Exception::error(format!(
-                "can't read \"{name}\": variable is array"
-            ))),
-            (Some(Var::Array(map)), Some(idx)) => map.get(idx).cloned().ok_or_else(|| {
-                Exception::error(format!(
-                    "can't read \"{name}({idx})\": no such element in array"
-                ))
-            }),
-            (Some(Var::Scalar(_)), Some(_)) => Err(Exception::error(format!(
-                "can't read \"{name}\": variable isn't array"
-            ))),
-            (Some(Var::Link { .. }), _) => unreachable!("links resolved above"),
-            (None, _) => Err(Exception::error(format!(
-                "can't read \"{name}\": no such variable"
-            ))),
-        }
-    }
-
-    /// Writes a variable in the current frame. Returns the value written.
-    pub fn set_var(
-        &self,
-        name: &str,
-        index: Option<&str>,
-        value: &str,
-    ) -> Result<String, Exception> {
-        self.set_var_at(self.level(), name, index, value)
-    }
-
-    /// Writes a variable in an explicit frame level.
-    pub fn set_var_at(
-        &self,
-        level: usize,
-        name: &str,
-        index: Option<&str>,
-        value: &str,
-    ) -> Result<String, Exception> {
-        let (level, name) = self.resolve(level, name.to_string());
-        let written: Result<(), Exception> = {
-            let mut frames = self.inner.frames.borrow_mut();
-            let slot = frames[level].vars.entry(name.clone());
-            use std::collections::hash_map::Entry;
-            match (slot, index) {
-                (Entry::Occupied(mut e), None) => match e.get_mut() {
-                    Var::Scalar(s) => {
-                        *s = value.to_string();
-                        Ok(())
-                    }
-                    Var::Array(_) => Err(Exception::error(format!(
-                        "can't set \"{name}\": variable is array"
-                    ))),
-                    Var::Link { .. } => unreachable!(),
-                },
-                (Entry::Occupied(mut e), Some(idx)) => match e.get_mut() {
-                    Var::Array(map) => {
-                        map.insert(idx.to_string(), value.to_string());
-                        Ok(())
-                    }
-                    Var::Scalar(_) => Err(Exception::error(format!(
-                        "can't set \"{name}({idx})\": variable isn't array"
-                    ))),
-                    Var::Link { .. } => unreachable!(),
-                },
-                (Entry::Vacant(e), None) => {
-                    e.insert(Var::Scalar(value.to_string()));
-                    Ok(())
-                }
-                (Entry::Vacant(e), Some(idx)) => {
-                    let mut map = HashMap::new();
-                    map.insert(idx.to_string(), value.to_string());
-                    e.insert(Var::Array(map));
-                    Ok(())
-                }
-            }
-        };
-        written?;
-        self.fire_traces(level, &name, index, "w")?;
-        Ok(value.to_string())
-    }
-
-    /// Removes a variable (or array element) from the current frame. Unset
-    /// traces fire after the removal; a whole-variable unset then discards
-    /// its traces, as in Tcl.
-    pub fn unset_var(&self, name: &str, index: Option<&str>) -> Result<(), Exception> {
-        let (level, name) = self.resolve(self.level(), name.to_string());
-        let whole = {
-            let mut frames = self.inner.frames.borrow_mut();
-            match index {
-                None => {
-                    if frames[level].vars.remove(&name).is_none() {
-                        return Err(Exception::error(format!(
-                            "can't unset \"{name}\": no such variable"
-                        )));
-                    }
-                    true
-                }
-                Some(idx) => match frames[level].vars.get_mut(&name) {
-                    Some(Var::Array(map)) => {
-                        if map.remove(idx).is_none() {
-                            return Err(Exception::error(format!(
-                                "can't unset \"{name}({idx})\": no such element in array"
-                            )));
-                        }
-                        false
-                    }
-                    Some(_) => {
-                        return Err(Exception::error(format!(
-                            "can't unset \"{name}({idx})\": variable isn't array"
-                        )))
-                    }
-                    None => {
-                        return Err(Exception::error(format!(
-                            "can't unset \"{name}\": no such variable"
-                        )))
-                    }
-                },
-            }
-        };
-        let _ = self.fire_traces(level, &name, index, "u");
-        if whole {
-            self.inner.frames.borrow_mut()[level].traces.remove(&name);
-        }
-        Ok(())
-    }
-
-    /// Does the variable exist (readably) in the current frame?
-    pub fn var_exists(&self, name: &str, index: Option<&str>) -> bool {
-        let (level, name) = self.resolve(self.level(), name.to_string());
-        let frames = self.inner.frames.borrow();
-        match (frames[level].vars.get(&name), index) {
-            (Some(Var::Scalar(_)), None) => true,
-            (Some(Var::Array(_)), None) => true,
-            (Some(Var::Array(map)), Some(i)) => map.contains_key(i),
-            _ => false,
-        }
-    }
-
-    /// Names of variables visible in the current frame, sorted.
-    pub fn var_names(&self) -> Vec<String> {
-        let frames = self.inner.frames.borrow();
-        let mut names: Vec<String> = frames[self.level()].vars.keys().cloned().collect();
-        names.sort();
-        names
-    }
-
-    /// Names of global variables, sorted.
-    pub fn global_names(&self) -> Vec<String> {
-        let frames = self.inner.frames.borrow();
-        let mut names: Vec<String> = frames[0].vars.keys().cloned().collect();
-        names.sort();
-        names
-    }
-
-    /// Creates a link (`upvar`) in the current frame to `(level, other)`.
-    pub fn link_var(&self, local: &str, level: usize, other: &str) -> Result<(), Exception> {
-        if level >= self.frame_count() {
-            return Err(Exception::error("bad level for upvar"));
-        }
-        let (target_level, target_name) = self.resolve(level, other.to_string());
-        let cur = self.level();
-        if target_level == cur && target_name == local {
-            return Err(Exception::error(format!(
-                "can't upvar \"{local}\" to itself"
-            )));
-        }
-        let mut frames = self.inner.frames.borrow_mut();
-        frames[cur].vars.insert(
-            local.to_string(),
-            Var::Link {
-                level: target_level,
-                name: target_name,
-            },
-        );
-        Ok(())
-    }
-
-    /// Returns the sorted element names of an array variable.
-    pub fn array_names(&self, name: &str) -> Result<Vec<String>, Exception> {
-        let (level, name) = self.resolve(self.level(), name.to_string());
-        let frames = self.inner.frames.borrow();
-        match frames[level].vars.get(&name) {
-            Some(Var::Array(map)) => {
-                let mut keys: Vec<String> = map.keys().cloned().collect();
-                keys.sort();
-                Ok(keys)
-            }
-            _ => Err(Exception::error(format!("\"{name}\" isn't an array"))),
-        }
-    }
-
     // ----- evaluation ---------------------------------------------------------
 
     /// Evaluates a script: parses commands one at a time, substitutes their
@@ -927,7 +1121,7 @@ impl Interp {
             }
             let outcome = match subst_err {
                 Some(e) => Err(e),
-                None => self.invoke(&argv),
+                None => self.invoke_words(Words::Owned(argv)),
             };
             match outcome {
                 Ok(r) => result = r,
@@ -1012,12 +1206,11 @@ impl Interp {
     /// it has one. Behaviorally identical to [`Interp::invoke`] — an
     /// unbound atom falls back to the full path so the `unknown` hook
     /// still fires.
-    fn invoke_atom(&self, atom: Option<u32>, argv: &[String]) -> TclResult {
+    fn invoke_atom(&self, atom: Option<u32>, words: Words) -> TclResult {
         let cmd = atom.and_then(|a| self.inner.compile.atom_cmds.borrow()[a as usize].clone());
         match cmd {
-            Some(Command::Native(f)) => f(self, argv),
-            Some(Command::Proc(def)) => self.invoke_proc(&argv[0], &def, argv),
-            None => self.invoke(argv),
+            Some(cmd) => self.call(cmd, words),
+            None => self.invoke_words(words),
         }
     }
 
@@ -1103,27 +1296,30 @@ impl Interp {
     /// dispatched by reference; [`OpKind::Set`] reads or writes its
     /// variable directly while its atom holds the builtin `set`.
     fn run_cmd(&self, cmd: &CompiledCmd) -> TclResult {
-        let mut substituted;
-        let argv = match &cmd.op {
-            OpKind::Literal(argv) => argv,
+        let words = match &cmd.op {
+            OpKind::Literal(argv) => Words::Shared(argv),
             OpKind::Set { name, index, words } if self.set_is_builtin(cmd.head_atom) => {
+                let index = index.as_deref();
                 return match words.get(2) {
-                    None => self.get_var(name, index.as_deref()),
-                    Some(CompiledWord::Lit(v)) => self.set_var(name, index.as_deref(), v),
+                    None => self.get_var(name, index),
+                    Some(CompiledWord::Lit(v)) => self.set_var(name, index, v),
+                    // The substituted value is the result: no copy.
                     Some(CompiledWord::Dyn(w)) => {
-                        self.set_var(name, index.as_deref(), &self.subst_word(w)?)
+                        let v = self.subst_word(w)?;
+                        self.assign(self.level(), name, index, &v)?;
+                        Ok(v)
                     }
                 };
             }
             OpKind::Set { words, .. } | OpKind::Generic(words) => {
-                substituted = Vec::with_capacity(words.len());
+                let mut argv = Vec::with_capacity(words.len());
                 for w in words {
-                    substituted.push(self.word_text(w)?);
+                    argv.push(self.word_text(w)?);
                 }
-                &substituted
+                Words::Owned(argv)
             }
         };
-        self.invoke_atom(cmd.head_atom, argv)
+        self.invoke_atom(cmd.head_atom, words)
     }
 
     /// Is `atom` bound to the builtin `set` captured by [`Interp::new`]?
@@ -1177,10 +1373,16 @@ impl Interp {
         for part in word {
             match part {
                 Part::Lit(s) => out.push_str(s),
-                Part::Var(name, None) => out.push_str(&self.get_var(name, None)?),
-                Part::Var(name, Some(idx_parts)) => {
-                    let idx = self.subst_word(idx_parts)?;
-                    out.push_str(&self.get_var(name, Some(&idx))?);
+                // The value is copied straight into the word.
+                Part::Var(name, idx_parts) => {
+                    let idx = match idx_parts {
+                        Some(parts) => Some(self.subst_word(parts)?),
+                        None => None,
+                    };
+                    self.access(self.level(), name, idx.as_deref(), Access::Read, |v| {
+                        out.push_str(v);
+                        Ok(())
+                    })?;
                 }
                 Part::Cmd(script) => out.push_str(&self.eval(script)?),
             }
@@ -1224,20 +1426,23 @@ impl Interp {
 
     /// Invokes a fully substituted command line.
     pub fn invoke(&self, argv: &[String]) -> TclResult {
+        self.invoke_words(Words::Borrowed(argv))
+    }
+
+    fn invoke_words(&self, words: Words) -> TclResult {
+        let argv = words.as_slice();
         if argv.is_empty() || argv.iter().all(|a| a.is_empty()) && argv.len() == 1 {
             return Ok(String::new());
         }
-        let cmd = self.command(&argv[0]);
-        match cmd {
-            Some(Command::Native(f)) => f(self, argv),
-            Some(Command::Proc(def)) => self.invoke_proc(&argv[0], &def, argv),
+        match self.command(&argv[0]) {
+            Some(cmd) => self.call(cmd, words),
             None => {
                 // The `unknown` hook: if a proc or command named `unknown`
                 // exists, it is called with the original words.
                 if self.command("unknown").is_some() && argv[0] != "unknown" {
                     let mut call = vec!["unknown".to_string()];
                     call.extend_from_slice(argv);
-                    return self.invoke(&call);
+                    return self.invoke_words(Words::Owned(call));
                 }
                 Err(Exception::error(format!(
                     "invalid command name \"{}\"",
@@ -1247,28 +1452,36 @@ impl Interp {
         }
     }
 
+    fn call(&self, cmd: Command, words: Words) -> TclResult {
+        match cmd {
+            Command::Native(f) => f(self, words.as_slice()),
+            Command::Proc(def) => self.invoke_proc(&def, words.into_shared()),
+        }
+    }
+
     /// Invokes a Tcl proc: binds formals in a fresh frame, evaluates the
-    /// body, and maps `return` to a normal completion.
-    fn invoke_proc(&self, name: &str, def: &ProcDef, argv: &[String]) -> TclResult {
+    /// body, and maps `return` to a normal completion. The frame keeps
+    /// `argv` for `info level`, and each parameter binds under its
+    /// `ProcDef`'s shared name.
+    fn invoke_proc(&self, def: &ProcDef, argv: Rc<[String]>) -> TclResult {
+        let name = &argv[0];
         let mut frame = Frame {
-            vars: HashMap::new(),
-            traces: HashMap::new(),
-            invocation: argv.to_vec(),
+            invocation: Some(argv.clone()),
+            ..Frame::default()
         };
         let mut ai = 1usize;
         for (pi, (pname, default)) in def.params.iter().enumerate() {
-            if pname == "args" && pi == def.params.len() - 1 {
-                let rest: Vec<String> = argv[ai.min(argv.len())..].to_vec();
+            if &**pname == "args" && pi == def.params.len() - 1 {
+                let rest = &argv[ai.min(argv.len())..];
                 frame
                     .vars
-                    .insert("args".into(), Var::Scalar(crate::list::format_list(&rest)));
+                    .insert(pname.clone(), Var::Scalar(crate::list::format_list(rest)));
                 ai = argv.len();
                 break;
             }
             let value = if ai < argv.len() {
-                let v = argv[ai].clone();
                 ai += 1;
-                v
+                argv[ai - 1].clone()
             } else if let Some(d) = default {
                 d.clone()
             } else {
@@ -1317,9 +1530,9 @@ impl Interp {
     }
 
     /// The invocation words of the proc at `level`, for `info level`.
-    pub fn invocation_at(&self, level: usize) -> Option<Vec<String>> {
+    pub fn invocation_at(&self, level: usize) -> Option<Rc<[String]>> {
         let frames = self.inner.frames.borrow();
-        frames.get(level).map(|f| f.invocation.clone())
+        frames.get(level).and_then(|f| f.invocation.clone())
     }
 
     /// Parses a `level` argument for `uplevel`/`upvar`: either `#N`
@@ -1361,16 +1574,13 @@ fn truncate(s: &str, max: usize) -> &str {
 
 /// Splits a variable reference `name(index)` into name and index parts.
 /// Used by commands like `set` that accept either form.
-pub fn split_var_name(spec: &str) -> (String, Option<String>) {
+pub fn split_var_name(spec: &str) -> (&str, Option<&str>) {
     if let Some(open) = spec.find('(') {
         if spec.ends_with(')') {
-            return (
-                spec[..open].to_string(),
-                Some(spec[open + 1..spec.len() - 1].to_string()),
-            );
+            return (&spec[..open], Some(&spec[open + 1..spec.len() - 1]));
         }
     }
-    (spec.to_string(), None)
+    (spec, None)
 }
 
 #[cfg(test)]
@@ -1493,9 +1703,9 @@ mod tests {
 
     #[test]
     fn split_var_name_forms() {
-        assert_eq!(split_var_name("a"), ("a".into(), None));
-        assert_eq!(split_var_name("a(i)"), ("a".into(), Some("i".into())));
-        assert_eq!(split_var_name("a(i"), ("a(i".into(), None));
+        assert_eq!(split_var_name("a"), ("a", None));
+        assert_eq!(split_var_name("a(i)"), ("a", Some("i")));
+        assert_eq!(split_var_name("a(i"), ("a(i", None));
     }
 
     #[test]
