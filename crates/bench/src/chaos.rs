@@ -264,7 +264,7 @@ pub fn run_ops(ops: &[Op], plan: &FaultPlan) -> Result<RunStats, Failure> {
 /// entry, queued event, or registry entry pointing at a vanished comm
 /// window — fails the case exactly like a panic would.
 fn check_audit(env: &TkEnv, plan: &FaultPlan) -> Result<(), Failure> {
-    let leaks = env.display().with_server(|s| s.audit());
+    let leaks = tk::send::audit(env);
     if leaks.is_empty() {
         return Ok(());
     }

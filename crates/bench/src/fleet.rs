@@ -386,7 +386,7 @@ pub fn run_fleet(napps: usize) -> FleetReport {
     // Post-run resource reckoning: the tail-round faults killed nothing,
     // so the server must hold zero objects chargeable to dead clients
     // and every registry shard must point at live comm windows.
-    let leaks = env.display().with_server(|s| s.audit());
+    let leaks = tk::send::audit(&env);
     assert!(
         leaks.is_empty(),
         "fleet post-run resource audit: {}",

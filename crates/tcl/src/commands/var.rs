@@ -450,6 +450,36 @@ mod tests {
     }
 
     #[test]
+    fn writing_a_whole_array_reports_a_set_error() {
+        // tclsh 8.6 says "set" for every access that writes, and "read"
+        // only for a plain read.
+        for compile in [true, false] {
+            let i = Interp::new();
+            i.set_compile(compile);
+            i.eval("array set a {k 1}; proc try {cmd} {global a; catch $cmd m; set m}")
+                .unwrap();
+            for (cmd, verb) in [
+                ("incr a", "set"),
+                ("append a x", "set"),
+                ("lappend a x", "set"),
+                ("set a 1", "set"),
+                ("set a", "read"),
+            ] {
+                let want = format!("can't {verb} \"a\": variable is array");
+                let top = format!("catch {{{cmd}}} m; set m");
+                assert_eq!(i.eval(&top).unwrap(), want, "{cmd}, compile {compile}");
+                let in_proc = format!("try {{{cmd}}}");
+                assert_eq!(
+                    i.eval(&in_proc).unwrap(),
+                    want,
+                    "{cmd} in a proc, compile {compile}"
+                );
+            }
+            assert_eq!(i.eval("array get a").unwrap(), "k 1", "compile {compile}");
+        }
+    }
+
+    #[test]
     fn read_trace_on_a_callers_local_fires_through_upvar() {
         let i = Interp::new();
         i.eval("set log {}; proc watch {n1 n2 op} {global log; lappend log $n1/$op}")

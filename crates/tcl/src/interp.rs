@@ -168,7 +168,8 @@ enum Slot<'a> {
 
 /// What an access does with the value it finds. An access that reads
 /// fires `r` traces first, and a missing or misshapen variable is then a
-/// read error; one that writes fires `w` traces after.
+/// read error; one that writes fires `w` traces after, and reports an
+/// array where it wants a scalar as a set error, as Tcl does.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Access {
     /// Read only (`$x`, `set x`): a missing variable is an error.
@@ -800,7 +801,7 @@ impl Interp {
                                 r
                             })
                         }
-                        Err(Fault::IsArray) if how == Access::Write => fail(Fault::IsArray, "set"),
+                        Err(Fault::IsArray) if how != Access::Read => fail(Fault::IsArray, "set"),
                         Err(Fault::NotArray) if !must_exist => fail(Fault::NotArray, "set"),
                         Err(fault) => fail(fault, "read"),
                     },

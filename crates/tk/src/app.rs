@@ -82,12 +82,6 @@ pub struct TkEnv {
     /// tracer measures from here, so multi-app traces align on one
     /// timeline in the Chrome trace export.
     origin: std::time::Instant,
-    /// How many root-window property shards the `send` registry hashes
-    /// interpreter names into ([`TkEnv::set_send_shards`]; 1 = the paper's single
-    /// `InterpRegistry` property). Every environment sharing a display
-    /// must agree — the value routes lookups, it is not stored anywhere
-    /// server-side.
-    send_shards: Rc<Cell<u32>>,
 }
 
 impl Default for TkEnv {
@@ -110,21 +104,7 @@ impl TkEnv {
             apps: Rc::new(RefCell::new(Vec::new())),
             clock: rtk_obs::VirtualClock::new(),
             origin: std::time::Instant::now(),
-            send_shards: Rc::new(Cell::new(crate::send::DEFAULT_SEND_SHARDS)),
         }
-    }
-
-    /// The number of `send` registry shards this environment routes by.
-    pub fn send_shards(&self) -> u32 {
-        self.send_shards.get().max(1)
-    }
-
-    /// Overrides the registry shard count (tests comparing sharded
-    /// against unsharded behavior). Must be set before any application is
-    /// created on this environment: announced names are routed by the
-    /// count in effect at announce time.
-    pub fn set_send_shards(&self, n: u32) {
-        self.send_shards.set(n.max(1));
     }
 
     /// The underlying display (for input synthesis and screendumps).
@@ -1262,12 +1242,15 @@ mod fault_tests {
         env.display().with_server(|s| {
             s.install_fault_plan(xsim::FaultPlan::default().kill_at(client.0, seq + 1))
         });
+        let out = a.interp().capture_output();
         env.dispatch_all();
         assert_eq!(
             a.conn().sequence(),
             seq + 1,
             "the round trip was the last request"
         );
+        // The failed `focus` is the binding's background error.
+        assert_eq!(*out.borrow(), "background error: X connection broken\n");
         assert_eq!(
             a.conn().with_obs(|o| o.fault_kind_counts()).unwrap(),
             vec![("kill", 1)]
@@ -1276,7 +1259,7 @@ mod fault_tests {
         assert_eq!(a.eval("set hits").unwrap(), "1");
         assert!(a.destroyed());
         assert_eq!(a.obs().counter("connection.dead"), 1);
-        let audit = env.display().with_server(|s| s.audit());
+        let audit = crate::send::audit(&env);
         assert!(audit.is_empty(), "{audit:?}");
     }
 

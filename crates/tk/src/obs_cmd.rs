@@ -145,10 +145,11 @@ fn cmd_obs(app: &TkApp, _interp: &tcl::Interp, argv: &[String]) -> TclResult {
         "snapshot" => Ok(snapshot(app)),
         "audit" => {
             // The post-run resource-leak reckoning: every violation is a
-            // server object still chargeable to a dead client (or a
-            // registry shard pointing at a vanished comm window). Clean
-            // runs return the empty string, so scripts can gate on it.
-            let violations = app.conn().audit();
+            // server object still chargeable to a dead client, or a
+            // registry entry that is malformed or points at a vanished
+            // comm window. Clean runs return the empty string, so
+            // scripts can gate on it.
+            let violations = crate::send::audit(app.env());
             let mut count = app.obs().count();
             count.audit_runs += 1;
             count.audit_violations += violations.len() as u64;

@@ -5,8 +5,9 @@
 //! between applications on the same display. The machinery follows the
 //! paper:
 //!
-//! * every application registers `name → comm-window` in a property named
-//!   `InterpRegistry` on the root window;
+//! * every application registers `name → comm-window` in a property on
+//!   the root window: one of [`SEND_SHARDS`] shards `InterpRegistry.k`,
+//!   chosen by a hash of the name;
 //! * a request is transported by appending (server-side `PropModeAppend`,
 //!   so concurrent senders never lose each other's lines) to a
 //!   `TkSendCommand` property on the target's comm window (the target
@@ -36,15 +37,16 @@
 //!
 //! Everything is observable through `rtk-obs`: the `send_latency_ms`
 //! histogram and the `send_timeouts` / `send_retries` /
-//! `send_dedup_drops` / `registry_gc` counters.
+//! `send_dedup_drops` / `registry_gc` counters. [`audit`] checks the
+//! registry after a run, on top of the server's own resource audit.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use tcl::{wrong_args, Code, Exception, TclResult};
 use xsim::event::mask;
-use xsim::{Atom, Event, WindowId, XError, Xid};
+use xsim::{Atom, ClientId, Event, WindowId, XError, Xid};
 
-use crate::app::TkApp;
+use crate::app::{TkApp, TkEnv};
 use crate::cache::xerr;
 
 /// Default send deadline, in simulated milliseconds (~5 s, as real Tk's
@@ -60,10 +62,9 @@ const RETRY_BACKOFF_MS: u64 = 10;
 const MAX_PUMPS_PER_TICK: u32 = 8;
 /// Executed-serial window kept per peer for duplicate suppression.
 const DEDUP_WINDOW: usize = 128;
-/// Default number of registry property shards
-/// ([`crate::TkEnv::set_send_shards`] overrides; 1 reproduces the
-/// paper's single `InterpRegistry` property byte for byte).
-pub const DEFAULT_SEND_SHARDS: u32 = 8;
+/// Number of registry property shards. Every client sharing a display
+/// routes by it, so it is part of the registry's layout.
+pub const SEND_SHARDS: u32 = 8;
 
 /// FNV-1a over the interpreter name: the shard router. Stable across
 /// processes by construction — every client sharing a display computes
@@ -77,31 +78,20 @@ fn name_hash(name: &str) -> u32 {
     h
 }
 
-/// Which of `n` shards holds `name`'s registry entry.
-fn shard_of(name: &str, n: u32) -> u32 {
-    if n <= 1 {
-        0
-    } else {
-        name_hash(name) % n
-    }
+/// Which shard holds `name`'s registry entry.
+fn shard_of(name: &str) -> u32 {
+    name_hash(name) % SEND_SHARDS
 }
 
-/// Property name of registry shard `i` of `n`. A single shard keeps the
-/// paper's bare `InterpRegistry` name, so one shard is
-/// byte-identical to the unsharded layout.
-fn shard_property(i: u32, n: u32) -> String {
-    if n <= 1 {
-        "InterpRegistry".to_string()
-    } else {
-        format!("InterpRegistry.{i}")
-    }
+/// Property name of registry shard `i`.
+fn shard_property(i: u32) -> String {
+    format!("InterpRegistry.{i}")
 }
 
 /// The interned registry atom (and shard index) responsible for `name`.
 fn registry_atom_for(app: &TkApp, name: &str) -> Result<(Atom, u32), Exception> {
-    let n = app.env().send_shards();
-    let shard = shard_of(name, n);
-    Ok((cached_atom(app, &shard_property(shard, n))?, shard))
+    let shard = shard_of(name);
+    Ok((cached_atom(app, &shard_property(shard))?, shard))
 }
 
 /// How a send concluded, filled in from comm-window traffic.
@@ -116,9 +106,9 @@ enum SendOutcome {
 #[derive(Default)]
 pub struct SendState {
     /// Per-shard serial counters: each registry shard has its own serial
-    /// space (shard `k` of `n` issues wire serials `k+1, k+1+n,
-    /// k+1+2n, ...`), disjoint by construction so in-flight sends to
-    /// different shards can never collide on a serial.
+    /// space (shard `k` issues wire serials `k+1, k+1+n, k+1+2n, ...`
+    /// for `n` = [`SEND_SHARDS`]), disjoint by construction so in-flight
+    /// sends to different shards can never collide on a serial.
     next_serials: HashMap<u32, u64>,
     /// Outcomes by serial, filled in by `TkSendResult` property traffic
     /// or by a peer comm window's DestroyNotify.
@@ -147,11 +137,8 @@ fn cached_atom(app: &TkApp, name: &str) -> Result<Atom, Exception> {
         return Ok(*a);
     }
     let a = app.conn().intern_atom(name).map_err(xerr)?;
-    app.inner
-        .send
-        .borrow_mut()
-        .atoms
-        .insert(name.to_string(), a);
+    let mut st = app.inner.send.borrow_mut();
+    st.atoms.insert(name.to_string(), a);
     Ok(a)
 }
 
@@ -179,13 +166,12 @@ fn retry_once<T>(app: &TkApp, mut f: impl FnMut() -> Result<T, XError>) -> Resul
 pub fn announce(app: &TkApp) -> String {
     let conn = app.conn();
     let base = app.name();
-    let shards = app.env().send_shards();
     // Warm the handshake atom cache in one pipelined batch: the base
     // name's registry shard and both transport atoms travel to the
     // server in a single flush. If the handshake fails (fault injection,
     // dead connection) the application keeps its base name and stays
     // unregistered — it still works standalone.
-    let base_shard = shard_property(shard_of(&base, shards), shards);
+    let base_shard = shard_property(shard_of(&base));
     let reg_cookie = conn.send_intern_atom(&base_shard);
     let cmd_cookie = conn.send_intern_atom("TkSendCommand");
     let res_cookie = conn.send_intern_atom("TkSendResult");
@@ -252,8 +238,7 @@ pub fn withdraw(app: &TkApp) {
 /// window no longer exists.
 pub fn withdraw_post_mortem(app: &TkApp) {
     let name = app.name();
-    let shards = app.env().send_shards();
-    let prop = shard_property(shard_of(&name, shards), shards);
+    let prop = shard_property(shard_of(&name));
     let client = app.conn().client_id();
     app.env().display().with_server(|s| {
         let registry = s.intern_atom(client, prop);
@@ -272,14 +257,12 @@ pub fn withdraw_post_mortem(app: &TkApp) {
 /// looks.
 pub fn interps(app: &TkApp) -> Vec<String> {
     let conn = app.conn();
-    let shards = app.env().send_shards();
-    let mut shard_atoms = Vec::with_capacity(shards as usize);
-    for i in 0..shards {
-        let Ok(atom) = cached_atom(app, &shard_property(i, shards)) else {
-            return Vec::new();
-        };
-        shard_atoms.push(atom);
-    }
+    let Ok(shard_atoms) = (0..SEND_SHARDS)
+        .map(|i| cached_atom(app, &shard_property(i)))
+        .collect::<Result<Vec<_>, _>>()
+    else {
+        return Vec::new();
+    };
     let root = conn.root();
     // Read every shard in one pipelined batch (a single flush)...
     let prop_cookies: Vec<_> = shard_atoms
@@ -322,34 +305,87 @@ pub fn interps(app: &TkApp) -> Vec<String> {
     if pruned_total > 0 {
         app.inner.obs.count().registry_gc += pruned_total;
     }
-    // Sorted, so the listing is identical whatever the shard count —
-    // concatenation order would otherwise leak the shard layout.
+    // Sorted: concatenation order would leak the shard layout.
     names.sort();
     names
 }
 
+/// A registry value's items: each a `{name xid}` pair, or the item as
+/// written when it is not one. A value that is not a list is one item.
+fn registry_items(text: &str) -> impl Iterator<Item = Result<(String, WindowId), String>> {
+    let items = tcl::parse_list(text).unwrap_or_else(|_| vec![text.to_string()]);
+    items
+        .into_iter()
+        .map(|item| match tcl::parse_list(&item).as_deref() {
+            Ok([name, xid]) => xid
+                .parse()
+                .map(|x| (name.clone(), Xid(x)))
+                .map_err(|_| item),
+            _ => Err(item),
+        })
+}
+
+/// A registry value's well-formed entries; the lookups skip the rest.
 fn parse_registry(text: &str) -> Vec<(String, WindowId)> {
-    let mut out = Vec::new();
-    if let Ok(items) = tcl::parse_list(text) {
-        for item in items {
-            if let Ok(pair) = tcl::parse_list(&item) {
-                if pair.len() == 2 {
-                    if let Ok(xid) = pair[1].parse::<u32>() {
-                        out.push((pair[0].clone(), Xid(xid)));
+    registry_items(text).flatten().collect()
+}
+
+/// The post-run resource audit of a display that Tk applications share:
+/// the server's own reckoning ([`xsim::Server::audit`]) plus the `send`
+/// registry check of [`registry_violations`], one line per violation,
+/// sorted (empty = clean). It reads the server under one flush, as any
+/// observation does, and issues no request: the request streams and the
+/// atom table stay as they were. Call it at quiescence.
+pub fn audit(env: &TkEnv) -> Vec<String> {
+    env.display().with_server(|s| {
+        let mut v = s.audit();
+        v.extend(registry_violations(
+            // The property read is the request's body run in place; the
+            // client argument is unused.
+            |prop| s.get_property(ClientId(0), s.root(), s.lookup_atom(prop)?),
+            |w| s.window_owner(w),
+            |c| s.is_alive(c),
+        ));
+        v.sort();
+        v
+    })
+}
+
+/// The registry check: every entry of every shard must be a `{name xid}`
+/// pair naming an existing window of a live client. `shard` reads a
+/// shard's property by name, `owner` gives a window's client (`None`: no
+/// such window) and `alive` says whether a client lives.
+fn registry_violations(
+    shard: impl Fn(&str) -> Option<String>,
+    owner: impl Fn(WindowId) -> Option<ClientId>,
+    alive: impl Fn(ClientId) -> bool,
+) -> Vec<String> {
+    let mut v = Vec::new();
+    for prop in (0..SEND_SHARDS).map(shard_property) {
+        for item in registry_items(&shard(&prop).unwrap_or_default()) {
+            let why = match item {
+                Err(item) => format!("has malformed entry {item:?}"),
+                Ok((app, w)) => match owner(w) {
+                    None => format!("entry \"{app}\" references missing window {}", w.0),
+                    Some(c) if !alive(c) => {
+                        format!(
+                            "entry \"{app}\" references window {} of dead client {}",
+                            w.0, c.0
+                        )
                     }
-                }
-            }
+                    Some(_) => continue,
+                },
+            };
+            v.push(format!("registry shard {prop} {why}"));
         }
     }
-    out
+    v
 }
 
 /// A registry value with `name`'s entries removed.
 fn registry_without(value: &str, name: &str) -> String {
-    let entries: Vec<(String, WindowId)> = parse_registry(value)
-        .into_iter()
-        .filter(|(e, _)| e != name)
-        .collect();
+    let mut entries = parse_registry(value);
+    entries.retain(|(e, _)| e != name);
     format_registry(&entries)
 }
 
@@ -372,16 +408,12 @@ fn prune_registry_entry(app: &TkApp, name: &str, comm: WindowId) {
     let Ok(existing) = conn.get_property(conn.root(), registry) else {
         return;
     };
-    let existing = existing.unwrap_or_default();
-    let entries = parse_registry(&existing);
+    let mut entries = parse_registry(&existing.unwrap_or_default());
     let before = entries.len();
-    let kept: Vec<(String, WindowId)> = entries
-        .into_iter()
-        .filter(|(n, w)| !(n == name && *w == comm))
-        .collect();
-    if kept.len() != before {
+    entries.retain(|(n, w)| !(n == name && *w == comm));
+    if entries.len() != before {
         app.inner.obs.count().registry_gc += 1;
-        conn.change_property(conn.root(), registry, &format_registry(&kept));
+        conn.change_property(conn.root(), registry, &format_registry(&entries));
     }
 }
 
@@ -437,8 +469,8 @@ fn send_remote(app: &TkApp, target_name: &str, script: &str, timeout_ms: u64) ->
     let existing = retry_once(app, || conn.get_property(conn.root(), registry))
         .map_err(xerr)?
         .unwrap_or_default();
-    let target_comm = parse_registry(&existing)
-        .into_iter()
+    let target_comm = registry_items(&existing)
+        .flatten()
         .find(|(n, _)| n == target_name)
         .map(|(_, w)| w)
         .ok_or_else(|| {
@@ -463,11 +495,10 @@ fn send_remote(app: &TkApp, target_name: &str, script: &str, timeout_ms: u64) ->
     let cmd_atom = cached_atom(app, "TkSendCommand")?;
     let serial = {
         let mut st = app.inner.send.borrow_mut();
-        // Each shard owns a disjoint serial space: shard k of n issues
-        // k+1, k+1+n, k+1+2n, ... so serials stay globally unique at the
-        // sender without cross-shard coordination (n=1 degenerates to the
-        // classic 1, 2, 3, ...).
-        let n = app.env().send_shards() as u64;
+        // Each shard owns a disjoint serial space: shard k issues k+1,
+        // k+1+n, k+1+2n, ... so serials stay globally unique at the
+        // sender without cross-shard coordination.
+        let n = u64::from(SEND_SHARDS);
         let count = st.next_serials.entry(shard).or_insert(0);
         *count += 1;
         let serial = (*count - 1) * n + shard as u64 + 1;
@@ -617,6 +648,14 @@ pub fn handle_peer_destroyed(app: &TkApp, window: WindowId) {
     st.watched.remove(&window.0);
 }
 
+/// The three-field lines of a comm-window property value; other lines
+/// are skipped.
+fn triples(value: &str) -> impl Iterator<Item = [String; 3]> + '_ {
+    value
+        .lines()
+        .filter_map(|line| tcl::parse_list(line).ok()?.try_into().ok())
+}
+
 /// Handles property traffic on this application's comm window.
 pub fn handle_comm_event(app: &TkApp, ev: &Event) {
     let Event::PropertyNotify {
@@ -643,18 +682,11 @@ pub fn handle_comm_event(app: &TkApp, ev: &Event) {
         let Ok(Some(value)) = conn.take_property(app.inner.comm, *atom) else {
             return;
         };
-        for line in value.lines() {
-            let Ok(fields) = tcl::parse_list(line) else {
+        for [serial, sender, script] in triples(&value) {
+            let Ok(serial) = serial.parse::<u64>() else {
                 continue;
             };
-            if fields.len() != 3 {
-                continue;
-            }
-            let Ok(serial) = fields[0].parse::<u64>() else {
-                continue;
-            };
-            let sender: u32 = fields[1].parse().unwrap_or(0);
-            let script = &fields[2];
+            let sender: u32 = sender.parse().unwrap_or(0);
             // At-most-once: a duplicated ChangeProperty (fault injection)
             // or a retried request is dropped, not re-evaluated. The
             // serial is recorded *before* the eval so a duplicate arriving
@@ -682,7 +714,7 @@ pub fn handle_comm_event(app: &TkApp, ev: &Event) {
                     app.inner
                         .tracer
                         .begin("send.eval", format!("from client {sender}"), serial);
-                match app.interp().eval(script) {
+                match app.interp().eval(&script) {
                     Ok(v) => (0, v),
                     Err(e) => (1, e.msg),
                 }
@@ -697,19 +729,10 @@ pub fn handle_comm_event(app: &TkApp, ev: &Event) {
         let Ok(Some(value)) = conn.take_property(app.inner.comm, *atom) else {
             return;
         };
-        for line in value.lines() {
-            let Ok(fields) = tcl::parse_list(line) else {
-                continue;
-            };
-            if fields.len() != 3 {
-                continue;
-            }
-            if let (Ok(serial), Ok(code)) = (fields[0].parse::<u64>(), fields[1].parse::<i64>()) {
-                app.inner
-                    .send
-                    .borrow_mut()
-                    .outcomes
-                    .insert(serial, SendOutcome::Reply(code, fields[2].clone()));
+        for [serial, code, result] in triples(&value) {
+            if let (Ok(serial), Ok(code)) = (serial.parse::<u64>(), code.parse::<i64>()) {
+                let mut st = app.inner.send.borrow_mut();
+                st.outcomes.insert(serial, SendOutcome::Reply(code, result));
             }
         }
     }
@@ -940,5 +963,77 @@ mod tests {
         a.eval("send beta {}").unwrap();
         a.eval("send beta {}").unwrap();
         assert_eq!(a.obs().send_latency_ms.borrow().count(), 2);
+    }
+
+    #[test]
+    fn a_crashed_apps_stale_entry_is_audited_until_winfo_interps_prunes_it() {
+        let env = TkEnv::new();
+        let a = env.app("alpha");
+        let b = env.app("beta");
+        let _c = env.app("gamma");
+        assert_eq!(super::audit(&env), Vec::<String>::new());
+        // A crash: the server closes beta's connection and beta never
+        // runs again, so its registry entry stays behind.
+        let (victim, comm) = (b.conn().client_id(), b.inner.comm);
+        env.display().with_server(|s| s.kill_client(victim));
+        drop(b);
+        let interned = || {
+            env.display().with_server(|s| {
+                (0..super::SEND_SHARDS)
+                    .filter(|&i| s.lookup_atom(&super::shard_property(i)).is_some())
+                    .count()
+            })
+        };
+        let (atoms, requests) = (interned(), a.conn().stats().requests);
+        let stale = format!(
+            "registry shard {} entry \"beta\" references missing window {}",
+            super::shard_property(super::shard_of("beta")),
+            comm.0
+        );
+        assert_eq!(super::audit(&env), vec![stale.clone()]);
+        // The audit interned no shard atom and issued no request.
+        assert!(atoms < super::SEND_SHARDS as usize);
+        assert_eq!(interned(), atoms);
+        assert_eq!(a.conn().stats().requests, requests);
+        assert_eq!(a.eval("obs audit").unwrap(), stale);
+        assert_eq!(a.obs().counter("audit.violations"), 1);
+        assert_eq!(a.eval("winfo interps").unwrap(), "alpha gamma");
+        assert_eq!(a.obs().counter("registry_gc"), 1);
+        assert_eq!(super::audit(&env), Vec::<String>::new());
+        assert_eq!(a.eval("obs audit").unwrap(), "");
+    }
+
+    #[test]
+    fn the_registry_check_reports_each_kind_of_bad_entry() {
+        use std::collections::HashMap;
+        use xsim::{ClientId, Xid};
+        let shards: HashMap<String, String> = [
+            (0, "{ok 10} {gone 11} {orphan 12}"),
+            (3, "{lonely} {bad xid} {three words here}"),
+            (5, "{unbalanced"),
+        ]
+        .into_iter()
+        .map(|(i, v)| (super::shard_property(i), v.to_string()))
+        .collect();
+        let owners = HashMap::from([(Xid(10), ClientId(1)), (Xid(12), ClientId(2))]);
+        let v = super::registry_violations(
+            |prop| shards.get(prop).cloned(),
+            |w| owners.get(&w).copied(),
+            |c| c == ClientId(1),
+        );
+        assert_eq!(
+            v,
+            [
+                "registry shard InterpRegistry.0 entry \"gone\" references missing window 11",
+                "registry shard InterpRegistry.0 entry \"orphan\" references window 12 \
+                 of dead client 2",
+                "registry shard InterpRegistry.3 has malformed entry \"lonely\"",
+                "registry shard InterpRegistry.3 has malformed entry \"bad xid\"",
+                "registry shard InterpRegistry.3 has malformed entry \"three words here\"",
+                "registry shard InterpRegistry.5 has malformed entry \"{unbalanced\"",
+            ]
+        );
+        // The lookups see only the well-formed entries.
+        assert_eq!(super::parse_registry(&shards["InterpRegistry.3"]), vec![]);
     }
 }

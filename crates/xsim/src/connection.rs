@@ -294,12 +294,6 @@ impl Connection {
         st.frame_seq.get(&self.client.0).copied().unwrap_or(0)
     }
 
-    /// Flushes this client's pending requests, then runs the server's
-    /// post-run resource-leak audit ([`Server::audit`]). Empty = clean.
-    pub fn audit(&self) -> Vec<String> {
-        self.transport.observe(|s| s.audit())
-    }
-
     /// Per-request-kind counts, non-zero kinds only.
     pub fn obs_kind_counts(&self) -> Vec<(&'static str, u64)> {
         self.with_obs(|o| o.kind_counts()).unwrap_or_default()
@@ -377,23 +371,6 @@ impl Connection {
         if st.server.buffered(self.client) > 0 {
             st.control(self.client, Control::Flush);
         }
-    }
-
-    /// Is output buffering enabled on the shared display?
-    pub fn batching(&self) -> bool {
-        self.peek(|s| s.batching())
-    }
-
-    /// Turns output buffering on or off for the whole display (on at
-    /// creation). Turning it off flushes pending buffers and reproduces
-    /// the synchronous transport.
-    pub fn set_batching(&self, on: bool) {
-        let mut st = self.transport.lock();
-        if !on {
-            // Turning batching off is a flush point for everyone.
-            st.control(ClientId(0), Control::FlushAll);
-        }
-        st.server.set_batching(on);
     }
 
     /// The last request sequence number this connection was assigned
@@ -679,22 +656,6 @@ mod tests {
         // One blocking flush carried both replies.
         assert_eq!(c.stats().flushes, 1);
         assert_eq!(c.stats().round_trips, 2);
-    }
-
-    #[test]
-    fn disabling_batching_restores_the_synchronous_transport() {
-        let d = Display::new();
-        let c = d.connect();
-        c.set_batching(false);
-        let w = c.create_window(c.root(), 0, 0, 10, 10, 0).unwrap();
-        c.map_window(w);
-        // Executed immediately: no flush needed to observe the window.
-        assert!(d.peek_server(|s| s.get_geometry(c.client_id(), w).is_some()));
-        let st = c.stats();
-        assert_eq!(st.requests, 2);
-        assert_eq!(st.flushes, 2, "every request is its own flush");
-        assert_eq!(st.batched_requests, 0);
-        assert_eq!(st.max_batch, 1);
     }
 
     #[test]
@@ -1188,21 +1149,28 @@ mod tests {
 
     #[test]
     fn fault_keying_is_identical_batched_and_unbatched() {
-        // The same plan must hit the same request in both transports,
-        // because faults key on the per-client sequence number assigned at
-        // issue time, not on flush boundaries.
-        let run = |batching: bool| {
+        // The same plan must hit the same request whether the client
+        // flushes after each request (batches of one) or once at the
+        // end, because faults key on the per-client sequence number
+        // assigned at issue time, not on flush boundaries.
+        let run = |wire: bool, flush_each: bool| {
             let d = Display::new();
+            d.set_wire(wire);
             let c = d.connect();
-            c.set_batching(batching);
             d.with_server(|s| s.install_fault_plan(FaultPlan::default().drop_at(0, 2)));
             let w = c.create_window(c.root(), 0, 0, 10, 10, 0).unwrap(); // seq 1
+            if flush_each {
+                c.flush();
+            }
             c.map_window(w); // seq 2: dropped
             c.flush();
+            assert_eq!(c.stats().flushes, 1 + u64::from(flush_each));
             d.with_server(|s| s.is_viewable(c.client_id(), w))
         };
-        assert_eq!(run(true), run(false));
-        assert!(!run(true));
+        for wire in [true, false] {
+            assert!(!run(wire, false), "wire {wire}: one flush kept the map");
+            assert!(!run(wire, true), "wire {wire}: two flushes kept the map");
+        }
     }
 
     // --- the generated request surface ---
@@ -1715,7 +1683,7 @@ mod tests {
             out.push(result);
         }
         assert!(c.alive());
-        assert_eq!(c.audit(), Vec::<String>::new());
+        assert_eq!(d.with_server(|s| s.audit()), Vec::<String>::new());
         out
     }
 

@@ -134,8 +134,8 @@ rtk_obs::counter_set! {
         /// client-to-server write carrying every request queued since the
         /// previous flush.
         flushes => "protocol.flushes",
-        /// Requests that traveled through the output buffer (0 when
-        /// batching is disabled via [`crate::Server::set_batching`]).
+        /// Requests that traveled through the output buffer: every
+        /// request, since the transport always buffers.
         batched_requests => "protocol.batched_requests",
         /// Largest number of requests carried by one flush.
         max_batch => "protocol.max_batch",

@@ -118,9 +118,6 @@ pub struct Server {
     /// Window ids handed to clients whose CreateWindow is still
     /// buffered, each with the client that reserved it.
     pending_windows: HashMap<WindowId, ClientId>,
-    /// Output buffering on/off (off = every request flushes immediately,
-    /// reproducing the pre-buffer synchronous transport).
-    batching: bool,
     selections: HashMap<Atom, SelectionOwner>,
     focus: WindowId,
     pointer: (i32, i32),
@@ -186,7 +183,6 @@ impl Server {
             dirty: std::collections::BTreeSet::new(),
             quota: None,
             pending_windows: HashMap::new(),
-            batching: true,
             selections: HashMap::new(),
             focus: Xid::NONE,
             pointer: (0, 0),
@@ -449,22 +445,6 @@ impl Server {
 
     // ----- output buffering (the Xlib-style transport) --------------------------
 
-    /// Is output buffering enabled?
-    pub fn batching(&self) -> bool {
-        self.batching
-    }
-
-    /// Turns output buffering on or off. Turning it off flushes pending
-    /// buffers and makes every subsequent request its own flush (batch of
-    /// one), which reproduces the old synchronous transport for
-    /// equivalence tests.
-    pub fn set_batching(&mut self, on: bool) {
-        if !on {
-            self.flush_all();
-        }
-        self.batching = on;
-    }
-
     /// Allocates the next request sequence number for a client.
     pub(crate) fn next_seq(&mut self, client: ClientId) -> u64 {
         match self.clients.get_mut(&client) {
@@ -525,11 +505,8 @@ impl Server {
         seq: u64,
         start: Option<std::time::Instant>,
     ) {
-        let batching = self.batching;
         if let Some(c) = self.clients.get_mut(&client) {
-            if batching {
-                c.obs.counters.batched_requests += 1;
-            }
+            c.obs.counters.batched_requests += 1;
             if round_trip {
                 c.pending_replies += 1;
                 c.obs.counters.max_pending_replies =
@@ -2071,6 +2048,12 @@ impl Server {
         self.atoms.intern(&name)
     }
 
+    /// The atom interned for `name`, if any. Interns nothing, so a
+    /// reader such as an audit leaves the atom table as it found it.
+    pub fn lookup_atom(&self, name: &str) -> Option<Atom> {
+        self.atoms.lookup(name)
+    }
+
     /// An atom's name.
     pub fn atom_name(&self, _client: ClientId, atom: Atom) -> Option<String> {
         self.atoms.name(atom).map(str::to_string)
@@ -2144,6 +2127,11 @@ impl Server {
         self.gc_owners.remove(&gc);
     }
 
+    /// The client that created window `id`, if the window exists.
+    pub fn window_owner(&self, id: WindowId) -> Option<ClientId> {
+        self.tree.get(id).map(|w| w.owner)
+    }
+
     /// Direct read access for tests: a window's surface.
     pub fn window_surface(&self, id: WindowId) -> Option<&Surface> {
         self.tree.get(id).map(|w| &w.surface)
@@ -2155,8 +2143,9 @@ impl Server {
     /// invariant the kill/teardown paths promise and returns one line
     /// per violation (empty = clean). Call at quiescence — after a final
     /// dispatch/flush — since live clients may legitimately hold
-    /// deferred work mid-run. The chaos harnesses run this after every
-    /// run; Tcl exposes it as `obs audit`.
+    /// deferred work mid-run. Tk's audit (`tk::send::audit`, which the
+    /// chaos harnesses run after every run and Tcl exposes as `obs
+    /// audit`) runs this and adds its own `send` registry check.
     ///
     /// Invariants:
     /// * no window, window interest entry (saved event mask), selection,
@@ -2165,8 +2154,6 @@ impl Server {
     ///   delayed events, parked replies, or dirty-set membership;
     /// * no live client has a quota-deferred remainder (deferral is
     ///   backpressure, never loss — at quiescence it must have drained);
-    /// * every `send` registry shard on the root window references only
-    ///   existing comm windows owned by live clients;
     /// * dead clients' span tracers have no open spans;
     /// * every window's surface has the window's size, and its buffer is
     ///   absent (undrawn) or exactly `width * height` pixels.
@@ -2266,91 +2253,9 @@ impl Server {
                 ));
             }
         }
-        if let Some(rw) = self.tree.get(root) {
-            for (atom, value) in &rw.properties {
-                let Some(name) = self.atoms.name(*atom) else {
-                    continue;
-                };
-                if name != "InterpRegistry" && !name.starts_with("InterpRegistry.") {
-                    continue;
-                }
-                for item in split_braced_list(value) {
-                    let pair = split_braced_list(&item);
-                    let (Some(app), Some(xid)) = (pair.first(), pair.get(1)) else {
-                        v.push(format!(
-                            "registry shard {name} has malformed entry {item:?}"
-                        ));
-                        continue;
-                    };
-                    let Ok(raw) = xid.parse::<u32>() else {
-                        v.push(format!(
-                            "registry shard {name} has malformed entry {item:?}"
-                        ));
-                        continue;
-                    };
-                    match self.tree.get(Xid(raw)) {
-                        None => v.push(format!(
-                            "registry shard {name} entry \"{app}\" references missing window {raw}"
-                        )),
-                        Some(w) if !self.is_alive(w.owner) => v.push(format!(
-                            "registry shard {name} entry \"{app}\" references window {raw} \
-                             of dead client {}",
-                            w.owner.0
-                        )),
-                        Some(_) => {}
-                    }
-                }
-            }
-        }
         v.sort();
         v
     }
-}
-
-/// Minimal Tcl-list splitter for [`Server::audit`]'s registry check:
-/// top-level items separated by whitespace, one brace layer stripped.
-/// Registry values are written by `tcl::format_list`; this subset covers
-/// its output for registry entries (app names and decimal window ids
-/// never need backslash quoting).
-fn split_braced_list(s: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut cur = String::new();
-    let mut in_item = false;
-    for ch in s.chars() {
-        match ch {
-            '{' => {
-                if depth > 0 {
-                    cur.push(ch);
-                }
-                depth += 1;
-                in_item = true;
-            }
-            '}' => {
-                depth = depth.saturating_sub(1);
-                if depth > 0 {
-                    cur.push(ch);
-                } else {
-                    out.push(std::mem::take(&mut cur));
-                    in_item = false;
-                }
-            }
-            c if c.is_whitespace() && depth == 0 => {
-                if in_item {
-                    out.push(std::mem::take(&mut cur));
-                    in_item = false;
-                }
-            }
-            c => {
-                cur.push(c);
-                in_item = true;
-            }
-        }
-    }
-    if in_item {
-        out.push(cur);
-    }
-    out
 }
 
 #[cfg(test)]

@@ -1294,7 +1294,7 @@ impl State {
         let full = self.server.buffer(client, seq, q, frame);
         self.server
             .note_issue(client, kind, reply, window, seq, start);
-        if full || !self.server.batching() {
+        if full {
             self.control(client, Control::Flush);
         }
     }

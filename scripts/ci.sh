@@ -166,7 +166,7 @@ stage_storm() {
 # dispatch) applied inside the wire transport, checked differentially
 # against a fault-free wire run: identical outcomes or clean-death
 # evidence (checksum/watchdog counters), with an intact span tree and
-# a clean Server::audit() resource reckoning either way (docs/FAULTS.md,
+# a clean tk::send::audit resource reckoning either way (docs/FAULTS.md,
 # "Byte-chaos mode"). Corpus replay first, then fresh pairs.
 stage_byte_chaos() {
     echo "==> byte-chaos gate (corpus + 1000 fresh seeds)"
