@@ -22,7 +22,7 @@
 //! * `fleet [napps]` — mines N-app storm entries that each cover 3+
 //!   fault kinds, for the corpus's fleet-sized rows.
 
-use tk_bench::chaos::{run_bytes_case, run_case, run_storm_case};
+use tk_bench::chaos::{run_case, Mode};
 use tk_bench::XorShift;
 use xsim::fault::FAULT_KIND_NAMES;
 
@@ -57,7 +57,7 @@ fn main() {
         "audit" => {
             for (s, f, n) in corpus("tests/chaos_storm_corpus.txt") {
                 let n = n.unwrap_or(3);
-                match run_storm_case(s, f, n) {
+                match run_case(Mode::Storm(n), s, f) {
                     Ok(st) => show(
                         &format!("{s} {f} {n}"),
                         &st.fault_counts,
@@ -69,7 +69,7 @@ fn main() {
         }
         "pairs" => {
             for (s, f, _) in corpus("tests/chaos_corpus.txt") {
-                match run_case(s, f) {
+                match run_case(Mode::Classic, s, f) {
                     Ok(st) => show(&format!("{s} {f}"), &st.fault_counts, st.send_dedup_drops),
                     Err(e) => println!("{s} {f}: FAILED {e}"),
                 }
@@ -77,7 +77,7 @@ fn main() {
         }
         "bytes" => {
             for (s, f, _) in corpus("tests/chaos_bytes_corpus.txt") {
-                match run_bytes_case(s, f) {
+                match run_case(Mode::Bytes, s, f) {
                     Ok(st) => {
                         let fired: Vec<String> = FAULT_KIND_NAMES
                             .iter()
@@ -97,7 +97,7 @@ fn main() {
             let mut rng = XorShift::new(0xf1a9);
             for _ in 0..100_000 {
                 let f = rng.next_u64();
-                let Ok(st) = run_storm_case(0, f, 3) else {
+                let Ok(st) = run_case(Mode::Storm(3), 0, f) else {
                     continue;
                 };
                 let dup = st.fault_counts[FAULT_KIND_NAMES
@@ -120,7 +120,7 @@ fn main() {
             let mut rng = XorShift::new(0x2a44);
             for _ in 0..100_000 {
                 let f = rng.next_u64();
-                let Ok(st) = run_case(142, f) else { continue };
+                let Ok(st) = run_case(Mode::Classic, 142, f) else { continue };
                 let dup = st.fault_counts[FAULT_KIND_NAMES
                     .iter()
                     .position(|n| *n == "duplicate")
@@ -151,7 +151,7 @@ fn main() {
             let mut rng = XorShift::new(0x4e3a ^ script);
             for _ in 0..100_000 {
                 let f = rng.next_u64();
-                let Ok(st) = run_case(script, f) else { continue };
+                let Ok(st) = run_case(Mode::Classic, script, f) else { continue };
                 if kinds.iter().all(|(k, n)| st.fault_counts[*k] >= *n) {
                     show(&format!("{script} {f}"), &st.fault_counts, st.send_dedup_drops);
                     return;
@@ -171,7 +171,7 @@ fn main() {
             for _ in 0..50_000 {
                 let s = rng.below(200);
                 let f = rng.next_u64();
-                let Ok(st) = run_storm_case(s, f, napps) else {
+                let Ok(st) = run_case(Mode::Storm(napps), s, f) else {
                     println!("{s} {f} {napps}: INVARIANT FAILED");
                     continue;
                 };

@@ -15,6 +15,10 @@
 //! shrunk reproducer are printed so the pair can be checked in as a
 //! regression test.
 //!
+//! The flags only pick a [`Mode`]; every mode runs, generates and
+//! shrinks through the same `tk_bench::chaos` entry points, and the
+//! totals are the cases' [`RunStats`] summed.
+//!
 //! `--storm` swaps the generic two-app fuzz for the send-storm harness:
 //! N applications exchanging seeded nested/concurrent `send`s under
 //! the same fault plans, checked against the exactly-once-or-clean-error
@@ -30,152 +34,62 @@
 
 use std::process::ExitCode;
 
-use tk_bench::chaos::{
-    generate_bytes_plan, generate_ops, generate_plan, generate_storm_ops, generate_storm_plan,
-    run_bytes_case, run_bytes_ops, run_case, run_ops, run_storm_case, run_storm_ops, shrink,
-    shrink_bytes, shrink_storm, with_quiet_panics, RunStats, SCRIPT_OPS, STORM_APPS, STORM_OPS,
-};
+use tk_bench::chaos::{run_case, run_ops, shrink, with_quiet_panics, Mode, RunStats, STORM_APPS};
 use xsim::fault::FAULT_KIND_NAMES;
 
-struct Totals {
-    cases: u64,
-    tcl_errors: u64,
-    faults_injected: u64,
-    fault_counts: [u64; FAULT_KIND_NAMES.len()],
-    send_timeouts: u64,
-    send_retries: u64,
-    send_dedup_drops: u64,
-    registry_gc: u64,
-}
-
-impl Totals {
-    fn new() -> Totals {
-        Totals {
-            cases: 0,
-            tcl_errors: 0,
-            faults_injected: 0,
-            fault_counts: [0; FAULT_KIND_NAMES.len()],
-            send_timeouts: 0,
-            send_retries: 0,
-            send_dedup_drops: 0,
-            registry_gc: 0,
+fn print_totals(cases: u64, totals: &RunStats) {
+    println!(
+        "{cases} cases, {} tcl errors, {} faults injected",
+        totals.tcl_errors, totals.faults_injected
+    );
+    for (name, n) in FAULT_KIND_NAMES.iter().zip(totals.fault_counts) {
+        if n > 0 {
+            println!("  {name}: {n}");
         }
     }
-
-    fn absorb(&mut self, stats: &RunStats) {
-        self.cases += 1;
-        self.tcl_errors += stats.tcl_errors;
-        self.faults_injected += stats.faults_injected;
-        for (slot, n) in self.fault_counts.iter_mut().zip(stats.fault_counts) {
-            *slot += n;
-        }
-        self.send_timeouts += stats.send_timeouts;
-        self.send_retries += stats.send_retries;
-        self.send_dedup_drops += stats.send_dedup_drops;
-        self.registry_gc += stats.registry_gc;
-    }
-
-    fn print(&self) {
-        println!(
-            "{} cases, {} tcl errors, {} faults injected",
-            self.cases, self.tcl_errors, self.faults_injected
-        );
-        for (name, n) in FAULT_KIND_NAMES.iter().zip(self.fault_counts) {
-            if n > 0 {
-                println!("  {name}: {n}");
-            }
-        }
-        println!(
-            "send rpc: {} timeouts, {} retries, {} dedup drops, {} registry gc",
-            self.send_timeouts, self.send_retries, self.send_dedup_drops, self.registry_gc
-        );
-    }
+    println!(
+        "send rpc: {} timeouts, {} retries, {} dedup drops, {} registry gc",
+        totals.send_timeouts, totals.send_retries, totals.send_dedup_drops, totals.registry_gc
+    );
 }
 
-/// The chaos driver's case mode.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Classic,
-    Storm,
-    Bytes,
-}
-
-/// Runs one pair in the selected mode; on failure prints the reproducer
-/// and returns false.
-fn run_one(
-    script_seed: u64,
-    fault_seed: u64,
-    mode: Mode,
-    napps: usize,
-    totals: &mut Totals,
-) -> bool {
-    let result = match mode {
-        Mode::Storm => run_storm_case(script_seed, fault_seed, napps),
-        Mode::Bytes => run_bytes_case(script_seed, fault_seed),
-        Mode::Classic => run_case(script_seed, fault_seed),
+/// Runs one pair; on failure prints the reproducer and returns `None`.
+fn run_one(script_seed: u64, fault_seed: u64, mode: Mode) -> Option<RunStats> {
+    let failure = match run_case(mode, script_seed, fault_seed) {
+        Ok(stats) => return Some(stats),
+        Err(failure) => failure,
     };
-    match result {
-        Ok(stats) => {
-            totals.absorb(&stats);
-            true
-        }
-        Err(failure) => {
-            println!("FAIL: script_seed={script_seed} fault_seed={fault_seed}");
-            println!("  {failure}");
-            println!("  plan:");
-            for line in failure.plan.lines() {
-                println!("    {line}");
-            }
-            println!("  shrinking...");
-            let (ops, plan) = match mode {
-                Mode::Storm => (
-                    generate_storm_ops(script_seed, STORM_OPS, napps),
-                    generate_storm_plan(fault_seed, napps),
-                ),
-                Mode::Bytes => (
-                    generate_ops(script_seed, SCRIPT_OPS),
-                    generate_bytes_plan(fault_seed),
-                ),
-                Mode::Classic => (
-                    generate_ops(script_seed, SCRIPT_OPS),
-                    generate_plan(fault_seed),
-                ),
-            };
-            let (min_ops, min_plan) = match mode {
-                Mode::Storm => shrink_storm(&ops, &plan, napps),
-                Mode::Bytes => shrink_bytes(&ops, &plan),
-                Mode::Classic => shrink(&ops, &plan),
-            };
-            println!(
-                "  minimal reproducer: {} ops, {} fault specs",
-                min_ops.len(),
-                min_plan.specs().len()
-            );
-            for op in &min_ops {
-                println!("    {op}");
-            }
-            for line in min_plan.describe().lines() {
-                println!("    {line}");
-            }
-            // Confirm the shrunk case still fails (a flaky shrink would
-            // mean nondeterminism, which is itself a bug worth flagging).
-            let still_fails = match mode {
-                Mode::Storm => run_storm_ops(&min_ops, &min_plan, napps).is_err(),
-                Mode::Bytes => run_bytes_ops(&min_ops, &min_plan).is_err(),
-                Mode::Classic => run_ops(&min_ops, &min_plan).is_err(),
-            };
-            if !still_fails {
-                println!("  WARNING: shrunk reproducer no longer fails (nondeterminism?)");
-            }
-            let mode_flag = match mode {
-                Mode::Storm => format!("--storm --apps {napps} "),
-                Mode::Bytes => "--bytes ".to_string(),
-                Mode::Classic => String::new(),
-            };
-            println!("  replay with: chaos {mode_flag}--replay {script_seed} {fault_seed}");
-            false
-        }
+    println!("FAIL: script_seed={script_seed} fault_seed={fault_seed}");
+    println!("  {failure}");
+    println!("  plan:");
+    for line in failure.plan.lines() {
+        println!("    {line}");
     }
+    println!("  shrinking...");
+    let (min_ops, min_plan) = shrink(mode, &mode.ops(script_seed), &mode.plan(fault_seed));
+    println!(
+        "  minimal reproducer: {} ops, {} fault specs",
+        min_ops.len(),
+        min_plan.specs().len()
+    );
+    for op in &min_ops {
+        println!("    {op}");
+    }
+    for line in min_plan.describe().lines() {
+        println!("    {line}");
+    }
+    // Confirm the shrunk case still fails (a flaky shrink would mean
+    // nondeterminism, which is itself a bug worth flagging).
+    if run_ops(mode, &min_ops, &min_plan).is_ok() {
+        println!("  WARNING: shrunk reproducer no longer fails (nondeterminism?)");
+    }
+    let mode_flag = match mode {
+        Mode::Classic => String::new(),
+        Mode::Storm(napps) => format!("--storm --apps {napps} "),
+        Mode::Bytes => "--bytes ".to_string(),
+    };
+    println!("  replay with: chaos {mode_flag}--replay {script_seed} {fault_seed}");
+    None
 }
 
 fn parse_corpus(path: &str) -> Result<Vec<(u64, u64, Option<usize>)>, String> {
@@ -233,7 +147,7 @@ fn main() -> ExitCode {
     let mut corpus: Option<String> = None;
     let mut replay: Option<(u64, u64)> = None;
     let mut mode = Mode::Classic;
-    let mut apps: usize = STORM_APPS;
+    let mut apps = STORM_APPS;
     fn num(it: &mut std::slice::Iter<'_, String>, name: &str) -> Option<u64> {
         let v = it.next().and_then(|v| v.parse().ok());
         if v.is_none() {
@@ -263,7 +177,7 @@ fn main() -> ExitCode {
                 Some(p) => corpus = Some(p.clone()),
                 None => return usage(),
             },
-            "--storm" if mode == Mode::Classic => mode = Mode::Storm,
+            "--storm" if mode == Mode::Classic => mode = Mode::Storm(STORM_APPS),
             "--bytes" if mode == Mode::Classic => mode = Mode::Bytes,
             "--apps" => match num(&mut it, "--apps") {
                 Some(n) if n >= 2 => apps = n as usize,
@@ -275,16 +189,28 @@ fn main() -> ExitCode {
     if replay.is_none() && corpus.is_none() && seeds == 0 {
         return usage();
     }
+    // A storm corpus line's third column overrides `--apps`.
+    let mode_for = |napps: Option<usize>| match mode {
+        Mode::Storm(_) => Mode::Storm(napps.unwrap_or(apps)),
+        other => other,
+    };
 
     with_quiet_panics(|| {
-        let mut totals = Totals::new();
-        let mut failed = false;
+        let (mut cases, mut totals, mut failed) = (0, RunStats::default(), false);
+        let mut run = |s, f, mode| match run_one(s, f, mode) {
+            Some(stats) => {
+                cases += 1;
+                totals.add(&stats);
+                true
+            }
+            None => false,
+        };
 
         if let Some((s, f)) = replay {
-            let ok = run_one(s, f, mode, apps, &mut totals);
+            let ok = run(s, f, mode_for(None));
             if ok {
                 println!("replay script_seed={s} fault_seed={f}: ok");
-                totals.print();
+                print_totals(cases, &totals);
             }
             return if ok {
                 ExitCode::SUCCESS
@@ -303,7 +229,7 @@ fn main() -> ExitCode {
             };
             println!("corpus: {} pairs from {path}", pairs.len());
             for (s, f, n) in pairs {
-                failed |= !run_one(s, f, mode, n.unwrap_or(apps), &mut totals);
+                failed |= !run(s, f, mode_for(n));
             }
         }
 
@@ -315,11 +241,11 @@ fn main() -> ExitCode {
                 // neither scripts nor plans.
                 let script_seed = base_seed.wrapping_add(i);
                 let fault_seed = script_seed.wrapping_mul(0x9e3779b97f4a7c15).rotate_left(17);
-                failed |= !run_one(script_seed, fault_seed, mode, apps, &mut totals);
+                failed |= !run(script_seed, fault_seed, mode_for(None));
             }
         }
 
-        totals.print();
+        print_totals(cases, &totals);
         if failed {
             ExitCode::FAILURE
         } else {

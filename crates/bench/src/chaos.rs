@@ -1,21 +1,36 @@
 //! The seeded chaos-fuzz harness.
 //!
-//! A chaos case is a pair of seeds: `script_seed` generates a random but
-//! deterministic sequence of Tcl/Tk operations across two applications
-//! (widget creation and destruction, configuration, packing, bindings
-//! plus synthetic input, selection traffic, `send` between the apps,
-//! timer advancement), and `fault_seed` generates an [`xsim::FaultPlan`]
-//! injected into the shared display. Running a case must never panic:
-//! faults surface as Tcl errors, `tkerror` reports, or clean application
-//! teardown. Any failing pair replays deterministically, and [`shrink`]
-//! reduces both the operation list and the fault plan to a minimal
-//! reproducer.
+//! A chaos case is a [`Mode`] and a pair of seeds. `script_seed`
+//! generates a random but deterministic sequence of Tcl/Tk operations
+//! across the mode's applications (widget creation and destruction,
+//! configuration, packing, bindings plus synthetic input, selection
+//! traffic, `send` between the apps, timer advancement), and `fault_seed`
+//! generates an [`xsim::FaultPlan`] injected into the shared display.
+//! Every mode runs through one case runner ([`run_ops`]): a fresh
+//! environment, the plan installed once the apps are up, each op under
+//! `catch_unwind`, then the mode's own check, the span-integrity check
+//! and the resource audit. A run must never panic: faults surface as Tcl
+//! errors, `tkerror` reports, or clean application teardown. Any failing
+//! pair replays deterministically, and [`shrink`] reduces both the
+//! operation list and the fault plan to a minimal reproducer.
+//!
+//! The modes differ only in what [`Mode`] says:
+//!
+//! * [`Mode::Classic`]: two apps (`chaos0`, `chaos1`) under request-level
+//!   faults; the failure condition is a panic, a broken span tree or a
+//!   leak.
+//! * [`Mode::Storm`]: N apps (`storm0` ..) hammering each other with
+//!   nested and concurrent sends, checked against the
+//!   exactly-once-or-clean-error invariant.
+//! * [`Mode::Bytes`]: the classic script over the forced wire transport
+//!   under byte-level faults, checked differentially against the
+//!   fault-free wire run.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use tk::{TkApp, TkEnv};
 use xsim::fault::FAULT_KIND_COUNT;
-use xsim::{FaultPlan, XorShift};
+use xsim::{Display, FaultPlan, XorShift};
 
 /// Number of fault specs a generated plan carries.
 pub const PLAN_FAULTS: usize = 8;
@@ -105,6 +120,61 @@ pub fn generate_plan(seed: u64) -> FaultPlan {
     FaultPlan::from_seed(seed, PLAN_FAULTS, 2, PLAN_HORIZON)
 }
 
+/// What a chaos case runs and how its outcome is checked. Every per-mode
+/// difference lives in these methods and in the case runner's one
+/// `match`, which picks the check after the ops.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    /// Two apps under request-level faults ([`generate_ops`],
+    /// [`generate_plan`]).
+    Classic,
+    /// A send storm among this many apps under request-level faults
+    /// ([`generate_storm_ops`], [`generate_storm_plan`]).
+    Storm(usize),
+    /// The classic script over the forced wire transport under
+    /// byte-level faults ([`BYTES_FAULTS`] specs within
+    /// [`BYTES_HORIZON`] frames).
+    Bytes,
+}
+
+impl Mode {
+    /// The deterministic operation list for a script seed.
+    pub fn ops(self, seed: u64) -> Vec<Op> {
+        match self {
+            Mode::Storm(napps) => generate_storm_ops(seed, STORM_OPS, napps),
+            Mode::Classic | Mode::Bytes => generate_ops(seed, SCRIPT_OPS),
+        }
+    }
+
+    /// The deterministic fault plan for a fault seed.
+    pub fn plan(self, seed: u64) -> FaultPlan {
+        match self {
+            Mode::Classic => generate_plan(seed),
+            Mode::Storm(napps) => generate_storm_plan(seed, napps),
+            Mode::Bytes => FaultPlan::bytes_from_seed(seed, BYTES_FAULTS, 2, BYTES_HORIZON),
+        }
+    }
+
+    fn app_names(self) -> Vec<String> {
+        match self {
+            Mode::Storm(napps) => (0..napps).map(|i| format!("storm{i}")).collect(),
+            Mode::Classic | Mode::Bytes => vec!["chaos0".into(), "chaos1".into()],
+        }
+    }
+
+    /// A fresh environment. Byte faults only exist on the wire, and the
+    /// differential oracle must run the transport the faulted run does,
+    /// so `Bytes` forces the codec on whatever `RTK_NO_WIRE` says.
+    fn env(self) -> TkEnv {
+        let display = Display::new();
+        if self == Mode::Bytes {
+            display.set_wire(true);
+            display.set_wire_deadline(BYTES_WATCHDOG_MS);
+        }
+        TkEnv::with_display(display)
+    }
+}
+
 /// What a successful run reports.
 #[derive(Debug, Default, Clone)]
 pub struct RunStats {
@@ -112,9 +182,9 @@ pub struct RunStats {
     pub ops: usize,
     /// Tcl-level errors observed (expected under faults).
     pub tcl_errors: u64,
-    /// Faults injected, summed over both connections.
+    /// Faults injected, summed over all connections.
     pub faults_injected: u64,
-    /// Per-kind fault splits, summed over both connections, indexed like
+    /// Per-kind fault splits, summed over all connections, indexed like
     /// `xsim::fault::FAULT_KIND_NAMES`.
     pub fault_counts: [u64; FAULT_KIND_COUNT],
     /// `send` timeouts, summed over all apps (`send_timeouts` counter).
@@ -136,28 +206,47 @@ pub struct RunStats {
 
 impl RunStats {
     /// Folds one app's fault-injection and send-RPC observability
-    /// counters into the run totals.
+    /// counters and its span tree into the run totals.
     fn absorb_app(&mut self, app: &TkApp) {
-        if let Some((injected, counts)) =
-            app.conn().with_obs(|o| (o.faults_injected, o.fault_counts))
-        {
-            self.faults_injected += injected;
-            for (slot, n) in self.fault_counts.iter_mut().zip(counts) {
-                *slot += n;
-            }
-        }
-        self.send_timeouts += app.obs().counter("send_timeouts");
-        self.send_retries += app.obs().counter("send_retries");
-        self.send_dedup_drops += app.obs().counter("send_dedup_drops");
-        self.registry_gc += app.obs().counter("registry_gc");
+        let (faults_injected, fault_counts) = app
+            .conn()
+            .with_obs(|o| (o.faults_injected, o.fault_counts))
+            .unwrap_or_default();
+        let counter = |name: &str| app.obs().counter(name);
         let spans = app.tracer().snapshot();
-        self.spans_recorded += spans.len() as u64;
         self.span_shape.collect(&spans);
+        self.add(&RunStats {
+            faults_injected,
+            fault_counts,
+            send_timeouts: counter("send_timeouts"),
+            send_retries: counter("send_retries"),
+            send_dedup_drops: counter("send_dedup_drops"),
+            registry_gc: counter("registry_gc"),
+            spans_recorded: spans.len() as u64,
+            ..RunStats::default()
+        });
+    }
+
+    /// Adds another run's counts to these (the chaos driver's totals).
+    /// The span shape is a per-run check and is not summed.
+    pub fn add(&mut self, other: &RunStats) {
+        self.ops += other.ops;
+        self.tcl_errors += other.tcl_errors;
+        self.faults_injected += other.faults_injected;
+        for (slot, n) in self.fault_counts.iter_mut().zip(other.fault_counts) {
+            *slot += n;
+        }
+        self.send_timeouts += other.send_timeouts;
+        self.send_retries += other.send_retries;
+        self.send_dedup_drops += other.send_dedup_drops;
+        self.registry_gc += other.registry_gc;
+        self.spans_recorded += other.spans_recorded;
     }
 }
 
-/// A panic caught while running a case, or (in storm mode) a violation
-/// of the exactly-once-or-clean-error invariant.
+/// A panic caught while running a case, or a broken invariant: the
+/// storm's exactly-once rule, a silent byte-chaos divergence, a broken
+/// span tree or a resource leak.
 #[derive(Debug, Clone)]
 pub struct Failure {
     /// Index of the offending operation (`None`: setup or teardown).
@@ -200,13 +289,16 @@ pub fn with_quiet_panics<R>(f: impl FnOnce() -> R) -> R {
     r
 }
 
-fn apply(env: &TkEnv, apps: &[TkApp], op: &Op, stats: &mut RunStats) {
+/// A run's comparable outcome: every Tcl op's result (ok or error
+/// message, in order), then in `Bytes` mode a final `winfo children .`
+/// probe per app. Clicks, keys, and timer advances leave their traces in
+/// the Tcl results that follow them.
+type Signature = Vec<Result<String, String>>;
+
+/// Applies one op; a Tcl op returns its outcome for the [`Signature`].
+fn apply(env: &TkEnv, apps: &[TkApp], op: &Op) -> Option<Result<String, String>> {
     match op {
-        Op::Tcl(i, s) => {
-            if apps[*i].eval(s).is_err() {
-                stats.tcl_errors += 1;
-            }
-        }
+        Op::Tcl(i, s) => return Some(apps[*i].eval(s).map_err(|e| e.msg)),
         Op::Click(x, y) => {
             env.display().move_pointer(*x, *y);
             env.display().click(1);
@@ -218,85 +310,181 @@ fn apply(env: &TkEnv, apps: &[TkApp], op: &Op, stats: &mut RunStats) {
         }
         Op::Advance(ms) => env.advance(*ms),
     }
+    None
 }
 
-/// Runs an explicit operation list against an explicit fault plan (the
-/// shrinker's entry point). Returns the run's stats, or the caught panic.
-pub fn run_ops(ops: &[Op], plan: &FaultPlan) -> Result<RunStats, Failure> {
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let env = TkEnv::new();
-        let apps = [env.app("chaos0"), env.app("chaos1")];
+/// The one case loop: a fresh environment, the plan installed once the
+/// apps are up, every op under `catch_unwind`, then the mode's check
+/// (the storm's exactly-once sweep, or the byte-chaos probes and
+/// settling), the span-integrity check and the resource audit. Returns
+/// the stats, the signature, and the death evidence (checksum kills plus
+/// watchdog fires over all connections).
+fn run_once(
+    mode: Mode,
+    ops: &[Op],
+    plan: &FaultPlan,
+) -> Result<(RunStats, Signature, u64), Failure> {
+    let fail = |op_index, message| Failure {
+        op_index,
+        message,
+        plan: plan.describe(),
+    };
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        let env = mode.env();
+        let apps: Vec<TkApp> = mode.app_names().iter().map(|n| env.app(n)).collect();
         env.dispatch_all();
         env.display()
             .with_server(|s| s.install_fault_plan(plan.clone()));
         let mut stats = RunStats::default();
+        let mut sig = Signature::with_capacity(ops.len() + apps.len());
         for (i, op) in ops.iter().enumerate() {
-            let r = catch_unwind(AssertUnwindSafe(|| apply(&env, &apps, op, &mut stats)));
-            if let Err(payload) = r {
-                return Err(Failure {
-                    op_index: Some(i),
-                    message: panic_message(payload),
-                    plan: plan.describe(),
-                });
+            let outcome = catch_unwind(AssertUnwindSafe(|| apply(&env, &apps, op)))
+                .map_err(|payload| fail(Some(i), panic_message(payload)))?;
+            if let Some(Err(_)) = outcome {
+                stats.tcl_errors += 1;
             }
+            sig.extend(outcome);
             stats.ops = i + 1;
         }
         env.dispatch_all();
-        check_span_integrity(&apps, plan)?;
-        check_audit(&env, plan)?;
+        match mode {
+            Mode::Classic => {}
+            Mode::Storm(_) => check_sends(ops, &apps).map_err(|(i, msg)| fail(Some(i), msg))?,
+            Mode::Bytes => {
+                for app in &apps {
+                    sig.push(app.eval("winfo children .").map_err(|e| e.msg));
+                }
+                settle(&env, &apps, plan);
+            }
+        }
+        // Faults may drop requests and kill connections, but they must
+        // never corrupt the trace: no orphaned parents, no span left open
+        // at quiescence.
         for app in &apps {
+            if let Err(msg) = app.tracer().check_integrity() {
+                return Err(fail(
+                    None,
+                    format!("span integrity in {}: {msg}", app.name()),
+                ));
+            }
+        }
+        // Any server object still chargeable to a dead client at
+        // quiescence (a window, GC, selection, interest entry, queued
+        // event, or registry entry pointing at a vanished comm window)
+        // fails the case exactly like a panic would.
+        let leaks = tk::send::audit(&env);
+        if !leaks.is_empty() {
+            return Err(fail(None, format!("resource audit: {}", leaks.join("; "))));
+        }
+        let mut deaths = 0;
+        for app in &apps {
+            let wire = app.conn().wire_stats();
+            deaths += wire.checksum_errors + wire.watchdog_fires;
             stats.absorb_app(app);
         }
-        Ok(stats)
+        Ok((stats, sig, deaths))
     }));
-    match result {
-        Ok(r) => r,
-        Err(payload) => Err(Failure {
+    run.unwrap_or_else(|payload| Err(fail(None, panic_message(payload))))
+}
+
+/// Runs an explicit operation list against an explicit fault plan (the
+/// shrinker's entry point). Returns the run's stats, or its [`Failure`].
+///
+/// `Bytes` checks differentially: it runs the list fault-free first, and
+/// the faulted run must match that run's signature, or back every
+/// divergence with clean-death evidence.
+pub fn run_ops(mode: Mode, ops: &[Op], plan: &FaultPlan) -> Result<RunStats, Failure> {
+    if mode != Mode::Bytes {
+        return run_once(mode, ops, plan).map(|(stats, ..)| stats);
+    }
+    let (_, oracle_sig, oracle_deaths) = run_once(mode, ops, &FaultPlan::new(Vec::new()))?;
+    if oracle_deaths > 0 {
+        return Err(Failure {
             op_index: None,
-            message: panic_message(payload),
+            message: format!("fault-free oracle run lost a connection ({oracle_deaths} kills)"),
             plan: plan.describe(),
-        }),
+        });
     }
-}
-
-/// The post-run resource reckoning: any server object still chargeable
-/// to a dead client at quiescence — a window, GC, selection, interest
-/// entry, queued event, or registry entry pointing at a vanished comm
-/// window — fails the case exactly like a panic would.
-fn check_audit(env: &TkEnv, plan: &FaultPlan) -> Result<(), Failure> {
-    let leaks = tk::send::audit(env);
-    if leaks.is_empty() {
-        return Ok(());
+    let (stats, sig, deaths) = run_once(mode, ops, plan)?;
+    if sig != oracle_sig && deaths == 0 {
+        let first = sig
+            .iter()
+            .zip(&oracle_sig)
+            .position(|(a, b)| a != b)
+            .unwrap_or_else(|| sig.len().min(oracle_sig.len()));
+        return Err(Failure {
+            op_index: Some(first.min(ops.len().saturating_sub(1))),
+            message: format!(
+                "silent divergence from the fault-free oracle at probe {first}: \
+                 faulted {:?} vs oracle {:?}",
+                sig.get(first),
+                oracle_sig.get(first)
+            ),
+            plan: plan.describe(),
+        });
     }
-    Err(Failure {
-        op_index: None,
-        message: format!("resource audit: {}", leaks.join("; ")),
-        plan: plan.describe(),
-    })
-}
-
-/// Asserts that every app's causal span tree stayed well formed (no
-/// orphaned parents, no dangling open spans at quiescence) — faults may
-/// drop requests and kill connections, but they must never corrupt the
-/// trace. A violation is a [`Failure`] like any other invariant break.
-fn check_span_integrity(apps: &[TkApp], plan: &FaultPlan) -> Result<(), Failure> {
-    for app in apps {
-        if let Err(msg) = app.tracer().check_integrity() {
-            return Err(Failure {
-                op_index: None,
-                message: format!("span integrity in {}: {msg}", app.name()),
-                plan: plan.describe(),
-            });
-        }
-    }
-    Ok(())
+    Ok(stats)
 }
 
 /// Runs one seed pair end to end.
-pub fn run_case(script_seed: u64, fault_seed: u64) -> Result<RunStats, Failure> {
-    let ops = generate_ops(script_seed, SCRIPT_OPS);
-    let plan = generate_plan(fault_seed);
-    run_ops(&ops, &plan)
+pub fn run_case(mode: Mode, script_seed: u64, fault_seed: u64) -> Result<RunStats, Failure> {
+    run_ops(mode, &mode.ops(script_seed), &mode.plan(fault_seed))
+}
+
+/// Greedily shrinks a failing `(ops, plan)` to a minimal still-failing
+/// reproducer: first delta-debugs the operation list (chunks halving down
+/// to single ops), then drops fault specs one at a time. Anything
+/// [`run_ops`] reports in `mode` counts as a failure. Deterministic, so
+/// the same failing seed pair always shrinks to the same reproducer.
+pub fn shrink(mode: Mode, ops: &[Op], plan: &FaultPlan) -> (Vec<Op>, FaultPlan) {
+    shrink_with(ops, plan, |ops, plan| run_ops(mode, ops, plan).is_err())
+}
+
+/// [`shrink`] with an explicit failure predicate (separated for testing:
+/// a synthetic predicate exercises the minimization logic without needing
+/// a genuinely panicking toolkit).
+pub fn shrink_with(
+    ops: &[Op],
+    plan: &FaultPlan,
+    fails: impl Fn(&[Op], &FaultPlan) -> bool,
+) -> (Vec<Op>, FaultPlan) {
+    let mut ops = ops.to_vec();
+    let mut chunk = (ops.len() / 2).max(1);
+    loop {
+        let mut shrunk = false;
+        let mut start = 0;
+        while start < ops.len() {
+            let end = (start + chunk).min(ops.len());
+            let mut candidate = ops.clone();
+            candidate.drain(start..end);
+            if fails(&candidate, plan) {
+                ops = candidate;
+                shrunk = true;
+                // Re-test the same start: the next chunk slid into place.
+            } else {
+                start = end;
+            }
+        }
+        if chunk == 1 && !shrunk {
+            break;
+        }
+        if !shrunk {
+            chunk = (chunk / 2).max(1);
+        }
+    }
+    // Now minimize the plan against the minimized ops.
+    let mut specs = plan.specs().to_vec();
+    let mut i = 0;
+    while i < specs.len() {
+        let mut candidate = specs.clone();
+        candidate.remove(i);
+        if fails(&ops, &FaultPlan::new(candidate.clone())) {
+            specs = candidate;
+        } else {
+            i += 1;
+        }
+    }
+    (ops, FaultPlan::new(specs))
 }
 
 // ---------------------------------------------------------------------------
@@ -398,7 +586,7 @@ pub fn generate_storm_plan(seed: u64, napps: usize) -> FaultPlan {
 
 /// Recovers the send manifest from an op list by parsing the fixed op
 /// shape emitted by [`generate_storm_ops`]. Parsing the text (rather than
-/// carrying a side manifest) keeps [`shrink_storm`] trivial: dropping ops
+/// carrying a side manifest) keeps [`shrink`] trivial: dropping ops
 /// drops their invariant checks with them.
 pub fn storm_sends(ops: &[Op]) -> Vec<StormSend> {
     let mut sends = Vec::new();
@@ -443,100 +631,41 @@ pub fn storm_sends(ops: &[Op]) -> Vec<StormSend> {
     sends
 }
 
-/// Reads a variable out of an app's interp, `None` if unset or the app's
-/// eval path itself errors.
-fn read_var(app: &TkApp, name: &str) -> Option<String> {
-    app.eval(&format!("set {name}")).ok()
-}
-
-/// Runs an explicit storm op list against an explicit fault plan and
-/// checks the exactly-once-or-clean-error invariant. Returns the caught
-/// panic or invariant violation as a [`Failure`] (`op_index` points at
-/// the offending send op for violations).
-pub fn run_storm_ops(ops: &[Op], plan: &FaultPlan, napps: usize) -> Result<RunStats, Failure> {
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let env = TkEnv::new();
-        let apps: Vec<TkApp> = (0..napps).map(|i| env.app(&format!("storm{i}"))).collect();
-        env.dispatch_all();
-        env.display()
-            .with_server(|s| s.install_fault_plan(plan.clone()));
-        let mut stats = RunStats::default();
-        for (i, op) in ops.iter().enumerate() {
-            let r = catch_unwind(AssertUnwindSafe(|| apply(&env, &apps, op, &mut stats)));
-            if let Err(payload) = r {
-                return Err(Failure {
-                    op_index: Some(i),
-                    message: panic_message(payload),
-                    plan: plan.describe(),
-                });
-            }
-            stats.ops = i + 1;
-        }
-        env.dispatch_all();
-        // Invariant sweep: every send evaluated at most once, and a send
-        // that reported success evaluated exactly once with the correct
-        // result. (`ok` == 1 with count 0 is a faulted request; with
-        // count 1 it is a lost *reply* — both are clean-error outcomes.)
-        for send in storm_sends(ops) {
-            let violation = |message: String| Failure {
-                op_index: Some(send.op_index),
-                message,
-                plan: plan.describe(),
-            };
-            let count: u64 = read_var(&apps[send.target], &format!("c_{}", send.key))
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0);
-            if count > 1 {
-                return Err(violation(format!(
+/// The storm invariant sweep: every send evaluated at most once, and a
+/// send that reported success evaluated exactly once with the correct
+/// result. (`ok` == 1 with count 0 is a faulted request; with count 1 it
+/// is a lost *reply* — both are clean-error outcomes.) A violation names
+/// the offending send op.
+fn check_sends(ops: &[Op], apps: &[TkApp]) -> Result<(), (usize, String)> {
+    // `None` if unset, or if the app's eval path itself errors.
+    let read = |app: usize, var: &str| apps[app].eval(&format!("set {var}")).ok();
+    for send in storm_sends(ops) {
+        let count: u64 = read(send.target, &format!("c_{}", send.key))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(0);
+        if count > 1 {
+            return Err((
+                send.op_index,
+                format!(
                     "double execution: send {} evaluated {} times in storm{}",
                     send.key, count, send.target
-                )));
-            }
-            if read_var(&apps[send.sender], &format!("ok_{}", send.key)).as_deref() == Some("0") {
-                let r = read_var(&apps[send.sender], &format!("r_{}", send.key));
-                if count != 1 || r.as_deref() != Some("1") {
-                    return Err(violation(format!(
+                ),
+            ));
+        }
+        if read(send.sender, &format!("ok_{}", send.key)).as_deref() == Some("0") {
+            let r = read(send.sender, &format!("r_{}", send.key));
+            if count != 1 || r.as_deref() != Some("1") {
+                return Err((
+                    send.op_index,
+                    format!(
                         "send {} reported success but count={} result={:?}",
                         send.key, count, r
-                    )));
-                }
+                    ),
+                ));
             }
         }
-        check_span_integrity(&apps, plan)?;
-        check_audit(&env, plan)?;
-        for app in &apps {
-            stats.absorb_app(app);
-        }
-        Ok(stats)
-    }));
-    match result {
-        Ok(r) => r,
-        Err(payload) => Err(Failure {
-            op_index: None,
-            message: panic_message(payload),
-            plan: plan.describe(),
-        }),
     }
-}
-
-/// Runs one storm seed pair end to end with `napps` applications
-/// (`STORM_APPS` is the classic default; fleet storms pass more).
-pub fn run_storm_case(
-    script_seed: u64,
-    fault_seed: u64,
-    napps: usize,
-) -> Result<RunStats, Failure> {
-    let ops = generate_storm_ops(script_seed, STORM_OPS, napps);
-    let plan = generate_storm_plan(fault_seed, napps);
-    run_storm_ops(&ops, &plan, napps)
-}
-
-/// [`shrink`] against the storm runner (panics *and* invariant
-/// violations count as failures).
-pub fn shrink_storm(ops: &[Op], plan: &FaultPlan, napps: usize) -> (Vec<Op>, FaultPlan) {
-    shrink_with(ops, plan, |ops, plan| {
-        run_storm_ops(ops, plan, napps).is_err()
-    })
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -563,214 +692,31 @@ pub const BYTES_HORIZON: u64 = 500;
 /// dead connection; a fault-free run never stalls, so never trips it.
 pub const BYTES_WATCHDOG_MS: u64 = 1000;
 
-/// Generates the deterministic byte-fault plan for a fault seed: two
-/// clients, [`BYTES_FAULTS`] specs, [`BYTES_HORIZON`] frame horizon.
-pub fn generate_bytes_plan(seed: u64) -> FaultPlan {
-    FaultPlan::bytes_from_seed(seed, BYTES_FAULTS, 2, BYTES_HORIZON)
-}
-
-/// One byte-chaos run's comparable outcome: every Tcl op's result (ok or
-/// error message, in order) plus a final `winfo children .` probe per
-/// app. Clicks, keys, and timer advances leave their traces in the Tcl
-/// results that follow them.
-type BytesSignature = Vec<Result<String, String>>;
-
-/// Runs one op list over the forced wire transport and returns the
-/// comparable signature, the run stats, and the death evidence (checksum
-/// kills + watchdog fires summed over both connections).
-fn run_bytes_once(
-    ops: &[Op],
-    plan: &FaultPlan,
-) -> Result<(BytesSignature, RunStats, u64), Failure> {
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        // Force the framed wire transport regardless of RTK_NO_WIRE: byte
-        // faults only exist on the wire, and the differential oracle must
-        // run the same transport as the faulted run.
-        let display = xsim::Display::new();
-        display.set_wire(true);
-        display.set_wire_deadline(BYTES_WATCHDOG_MS);
-        let env = TkEnv::with_display(display);
-        let apps = [env.app("chaos0"), env.app("chaos1")];
-        env.dispatch_all();
-        env.display()
-            .with_server(|s| s.install_fault_plan(plan.clone()));
-        let mut stats = RunStats::default();
-        let mut sig: BytesSignature = Vec::with_capacity(ops.len() + 2);
-        for (i, op) in ops.iter().enumerate() {
-            let fail = |payload| Failure {
-                op_index: Some(i),
-                message: panic_message(payload),
-                plan: plan.describe(),
-            };
-            if let Op::Tcl(a, s) = op {
-                match catch_unwind(AssertUnwindSafe(|| apps[*a].eval(s))) {
-                    Ok(r) => {
-                        if r.is_err() {
-                            stats.tcl_errors += 1;
-                        }
-                        sig.push(r.map_err(|e| e.msg));
-                    }
-                    Err(payload) => return Err(fail(payload)),
-                }
-            } else if let Err(payload) =
-                catch_unwind(AssertUnwindSafe(|| apply(&env, &apps, op, &mut stats)))
-            {
-                return Err(fail(payload));
-            }
-            stats.ops = i + 1;
+/// Settles a byte-chaos run before the audit. Byte faults key on
+/// per-client encoded-frame indices, and even an idle round of flush +
+/// dispatch walks those counters (event polling ships control frames), so
+/// a fault plotted past the scripted traffic fires *during* settling.
+/// Spec firing is an exact index match, so once a client's timeline has
+/// walked past the last plotted fault nothing further can fire; settle
+/// until every app is dead or past that point, then demand two quiet
+/// rounds so a late kill is noticed by `dispatch_all` (which scrubs the
+/// dead app's registry entry) before the audit takes the reckoning.
+fn settle(env: &TkEnv, apps: &[TkApp], plan: &FaultPlan) {
+    let max_at = plan.specs().iter().map(|sp| sp.at).max().unwrap_or(0);
+    let mut quiet = 0;
+    for _ in 0..(BYTES_HORIZON + 200) {
+        for app in apps {
+            app.conn().flush();
         }
-        env.dispatch_all();
-        for app in &apps {
-            sig.push(app.eval("winfo children .").map_err(|e| e.msg));
-        }
-        // Settle before the audit. Byte faults key on per-client
-        // encoded-frame indices, and even an idle round of flush +
-        // dispatch walks those counters (event polling ships control
-        // frames), so a fault plotted past the scripted traffic fires
-        // *during* settling. Spec firing is an exact index match, so once
-        // a client's timeline has walked past the last plotted fault
-        // nothing further can fire; settle until every app is dead or
-        // past that point, then demand two quiet rounds so a late kill is
-        // noticed by `dispatch_all` (which scrubs the dead app's registry
-        // entry) before the audit takes the reckoning.
-        let max_at = plan.specs().iter().map(|sp| sp.at).max().unwrap_or(0);
-        let mut quiet = 0;
-        for _ in 0..(BYTES_HORIZON + 200) {
-            for app in &apps {
-                app.conn().flush();
-            }
-            let progressed = env.dispatch_all();
-            let past = apps
-                .iter()
-                .all(|app| !app.conn().alive() || app.conn().wire_frame_timeline() > max_at);
-            quiet = if past && !progressed { quiet + 1 } else { 0 };
-            if quiet >= 2 {
-                break;
-            }
-        }
-        check_span_integrity(&apps, plan)?;
-        check_audit(&env, plan)?;
-        let mut deaths = 0;
-        for app in &apps {
-            let w = app.conn().wire_stats();
-            deaths += w.checksum_errors + w.watchdog_fires;
-        }
-        for app in &apps {
-            stats.absorb_app(app);
-        }
-        Ok((sig, stats, deaths))
-    }));
-    match result {
-        Ok(r) => r,
-        Err(payload) => Err(Failure {
-            op_index: None,
-            message: panic_message(payload),
-            plan: plan.describe(),
-        }),
-    }
-}
-
-/// Runs an explicit op list against an explicit byte-fault plan (the
-/// shrinker's entry point) and checks the differential invariant: the
-/// faulted run is byte-identical to the fault-free wire run, or every
-/// divergence is backed by clean-death evidence. Both runs must pass the
-/// span-integrity check and the post-run resource audit.
-pub fn run_bytes_ops(ops: &[Op], plan: &FaultPlan) -> Result<RunStats, Failure> {
-    let (oracle_sig, _, oracle_deaths) = run_bytes_once(ops, &FaultPlan::new(Vec::new()))?;
-    if oracle_deaths > 0 {
-        return Err(Failure {
-            op_index: None,
-            message: format!("fault-free oracle run lost a connection ({oracle_deaths} kills)"),
-            plan: plan.describe(),
-        });
-    }
-    let (sig, stats, deaths) = run_bytes_once(ops, plan)?;
-    if sig != oracle_sig && deaths == 0 {
-        let first = sig
+        let progressed = env.dispatch_all();
+        let past = apps
             .iter()
-            .zip(&oracle_sig)
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| sig.len().min(oracle_sig.len()));
-        return Err(Failure {
-            op_index: Some(first.min(ops.len().saturating_sub(1))),
-            message: format!(
-                "silent divergence from the fault-free oracle at probe {first}: \
-                 faulted {:?} vs oracle {:?}",
-                sig.get(first),
-                oracle_sig.get(first)
-            ),
-            plan: plan.describe(),
-        });
-    }
-    Ok(stats)
-}
-
-/// Runs one byte-chaos seed pair end to end.
-pub fn run_bytes_case(script_seed: u64, fault_seed: u64) -> Result<RunStats, Failure> {
-    let ops = generate_ops(script_seed, SCRIPT_OPS);
-    let plan = generate_bytes_plan(fault_seed);
-    run_bytes_ops(&ops, &plan)
-}
-
-/// [`shrink`] against the byte-chaos runner (panics, silent divergence,
-/// audit leaks, and span breaks all count as failures).
-pub fn shrink_bytes(ops: &[Op], plan: &FaultPlan) -> (Vec<Op>, FaultPlan) {
-    shrink_with(ops, plan, |ops, plan| run_bytes_ops(ops, plan).is_err())
-}
-
-/// Greedily shrinks a failing `(ops, plan)` to a minimal still-failing
-/// reproducer: first delta-debugs the operation list (chunks halving down
-/// to single ops), then drops fault specs one at a time. Deterministic,
-/// so the same failing seed pair always shrinks to the same reproducer.
-pub fn shrink(ops: &[Op], plan: &FaultPlan) -> (Vec<Op>, FaultPlan) {
-    shrink_with(ops, plan, |ops, plan| run_ops(ops, plan).is_err())
-}
-
-/// [`shrink`] with an explicit failure predicate (separated for testing:
-/// a synthetic predicate exercises the minimization logic without needing
-/// a genuinely panicking toolkit).
-pub fn shrink_with(
-    ops: &[Op],
-    plan: &FaultPlan,
-    fails: impl Fn(&[Op], &FaultPlan) -> bool,
-) -> (Vec<Op>, FaultPlan) {
-    let mut ops = ops.to_vec();
-    let mut chunk = (ops.len() / 2).max(1);
-    loop {
-        let mut shrunk = false;
-        let mut start = 0;
-        while start < ops.len() {
-            let end = (start + chunk).min(ops.len());
-            let mut candidate = ops.clone();
-            candidate.drain(start..end);
-            if fails(&candidate, plan) {
-                ops = candidate;
-                shrunk = true;
-                // Re-test the same start: the next chunk slid into place.
-            } else {
-                start = end;
-            }
-        }
-        if chunk == 1 && !shrunk {
+            .all(|app| !app.conn().alive() || app.conn().wire_frame_timeline() > max_at);
+        quiet = if past && !progressed { quiet + 1 } else { 0 };
+        if quiet >= 2 {
             break;
         }
-        if !shrunk {
-            chunk = (chunk / 2).max(1);
-        }
     }
-    // Now minimize the plan against the minimized ops.
-    let mut specs = plan.specs().to_vec();
-    let mut i = 0;
-    while i < specs.len() {
-        let mut candidate = specs.clone();
-        candidate.remove(i);
-        if fails(&ops, &FaultPlan::new(candidate.clone())) {
-            specs = candidate;
-        } else {
-            i += 1;
-        }
-    }
-    (ops, FaultPlan::new(specs))
 }
 
 #[cfg(test)]
@@ -785,14 +731,14 @@ mod tests {
 
     #[test]
     fn clean_case_runs_without_faults() {
-        let stats = run_case(1, 0).expect("no panic");
+        let stats = run_case(Mode::Classic, 1, 0).expect("no panic");
         assert!(stats.ops > 0);
     }
 
     #[test]
     fn faulted_cases_do_not_panic() {
         for seed in 1..=5 {
-            let r = run_case(seed, seed.wrapping_mul(0x9e37));
+            let r = run_case(Mode::Classic, seed, seed.wrapping_mul(0x9e37));
             assert!(r.is_ok(), "seed {seed}: {}", r.unwrap_err());
         }
     }
@@ -882,7 +828,7 @@ mod tests {
     #[test]
     fn faulted_fleet_storm_holds_the_invariant() {
         with_quiet_panics(|| {
-            let r = run_storm_case(5, 0x0517_eed5, 16);
+            let r = run_case(Mode::Storm(16), 5, 0x0517_eed5);
             assert!(r.is_ok(), "{}", r.unwrap_err());
         });
     }
@@ -890,8 +836,8 @@ mod tests {
     #[test]
     fn clean_storm_case_satisfies_the_invariant() {
         let ops = generate_storm_ops(1, STORM_OPS, STORM_APPS);
-        let stats =
-            run_storm_ops(&ops, &FaultPlan::new(Vec::new()), STORM_APPS).expect("clean storm run");
+        let stats = run_ops(Mode::Storm(STORM_APPS), &ops, &FaultPlan::new(Vec::new()))
+            .expect("clean storm run");
         assert!(stats.ops > 0);
         assert_eq!(stats.faults_injected, 0);
         assert_eq!(stats.send_timeouts, 0);
@@ -903,7 +849,7 @@ mod tests {
         with_quiet_panics(|| {
             for seed in 1..=4u64 {
                 let fault_seed = seed.wrapping_mul(0x9e3779b97f4a7c15).rotate_left(17);
-                let r = run_storm_case(seed, fault_seed, STORM_APPS);
+                let r = run_case(Mode::Storm(STORM_APPS), seed, fault_seed);
                 assert!(r.is_ok(), "seed {seed}: {}", r.unwrap_err());
             }
         });
@@ -911,8 +857,8 @@ mod tests {
 
     #[test]
     fn bytes_plan_generation_is_deterministic_and_byte_only() {
-        let plan = generate_bytes_plan(21);
-        assert_eq!(plan.describe(), generate_bytes_plan(21).describe());
+        let plan = Mode::Bytes.plan(21);
+        assert_eq!(plan.describe(), Mode::Bytes.plan(21).describe());
         assert_eq!(plan.specs().len(), BYTES_FAULTS);
         assert!(plan.specs().iter().all(|s| s.action.is_byte_fault()));
     }
@@ -920,7 +866,8 @@ mod tests {
     #[test]
     fn clean_bytes_case_matches_its_own_oracle() {
         let ops = generate_ops(1, 20);
-        let stats = run_bytes_ops(&ops, &FaultPlan::new(Vec::new())).expect("clean bytes run");
+        let stats =
+            run_ops(Mode::Bytes, &ops, &FaultPlan::new(Vec::new())).expect("clean bytes run");
         assert!(stats.ops > 0);
         assert_eq!(stats.faults_injected, 0);
     }
@@ -930,7 +877,7 @@ mod tests {
         with_quiet_panics(|| {
             for seed in 1..=4u64 {
                 let fault_seed = seed.wrapping_mul(0x9e3779b97f4a7c15).rotate_left(17);
-                let r = run_bytes_case(seed, fault_seed);
+                let r = run_case(Mode::Bytes, seed, fault_seed);
                 assert!(r.is_ok(), "seed {seed}: {}", r.unwrap_err());
             }
         });
@@ -947,7 +894,7 @@ mod tests {
                 "set ok_0 [catch {send -timeout 150 storm1 {if {[catch {incr c_0}]} {set c_0 1}; set c_0}} r_0]".into(),
             ),
         ];
-        let err = run_storm_ops(&ops, &FaultPlan::new(Vec::new()), STORM_APPS)
+        let err = run_ops(Mode::Storm(STORM_APPS), &ops, &FaultPlan::new(Vec::new()))
             .expect_err("double execution must be flagged");
         assert_eq!(err.op_index, Some(1));
         assert!(err.message.contains("double execution"), "{}", err.message);
@@ -964,8 +911,31 @@ mod tests {
             ),
             Op::Tcl(1, "unset c_0".into()),
         ];
-        let err = run_storm_ops(&ops, &FaultPlan::new(Vec::new()), STORM_APPS)
+        let err = run_ops(Mode::Storm(STORM_APPS), &ops, &FaultPlan::new(Vec::new()))
             .expect_err("success without evidence must be flagged");
         assert!(err.message.contains("reported success"), "{}", err.message);
+    }
+
+    #[test]
+    fn storm_shrink_keeps_a_double_execution_and_drops_the_rest() {
+        // The double-execution pair above, padded with ops the violation
+        // does not need: the shrinker must drop them and keep it failing.
+        let core = vec![
+            Op::Tcl(1, "set c_0 2".into()),
+            Op::Tcl(
+                0,
+                "set ok_0 [catch {send -timeout 150 storm1 {if {[catch {incr c_0}]} {set c_0 1}; set c_0}} r_0]".into(),
+            ),
+        ];
+        let mut ops = vec![Op::Tcl(2, "set local_1 7".into()), Op::Advance(5)];
+        ops.extend(core.clone());
+        ops.push(Op::Tcl(0, "winfo interps".into()));
+        let mode = Mode::Storm(STORM_APPS);
+        let plan = FaultPlan::new(Vec::new());
+        assert!(run_ops(mode, &ops, &plan).is_err());
+        let (min_ops, min_plan) = shrink(mode, &ops, &plan);
+        assert!(run_ops(mode, &min_ops, &min_plan).is_err());
+        assert!(min_ops.len() < ops.len(), "{min_ops:?}");
+        assert_eq!(min_ops, core);
     }
 }

@@ -10,7 +10,7 @@
 use std::rc::Rc;
 
 use crate::error::{Exception, TclResult};
-use crate::interp::Interp;
+use crate::interp::{Access, Interp};
 
 /// A computed expression value.
 #[derive(Debug, Clone, PartialEq)]
@@ -614,7 +614,7 @@ fn fold(ast: Ast) -> Ast {
         Ast::Unary(op, a) => {
             let a = fold(*a);
             if let Ast::Num(v) = &a {
-                if let Ok(folded) = const_unary(op, v) {
+                if let Ok(folded) = unary(op, v.clone()) {
                     return Ast::Num(folded);
                 }
             }
@@ -655,25 +655,39 @@ fn fold(ast: Ast) -> Ast {
     }
 }
 
-/// The pure unary operations, mirroring `eval_ast`'s Unary arm on
-/// numeric operands.
-fn const_unary(op: Op, v: &Value) -> Result<Value, Exception> {
-    match (op, v) {
+/// A unary operation on an operand, at evaluation time or, on a
+/// constant, when folding (a fold that fails leaves the subtree as is).
+fn unary(op: Op, v: Value) -> Result<Value, Exception> {
+    match (op, &v) {
         (Op::Neg, Value::Int(i)) => Ok(Value::Int(i.wrapping_neg())),
         (Op::Neg, Value::Double(d)) => Ok(Value::Double(-d)),
-        (Op::Pos, Value::Int(_) | Value::Double(_)) => Ok(v.clone()),
+        (Op::Pos, Value::Int(_) | Value::Double(_)) => Ok(v),
         (Op::Not, _) => Ok(Value::Int(if v.truthy()? { 0 } else { 1 })),
         (Op::BitNot, Value::Int(i)) => Ok(Value::Int(!i)),
-        _ => Err(Exception::error("not constant-foldable")),
+        _ => Err(Exception::error(
+            "can't use non-numeric string as operand of unary operator",
+        )),
     }
 }
 
 /// Coerces an operand value: strings that look numeric become numbers.
-fn numeric(v: &Value) -> Value {
+fn numeric(v: Value) -> Value {
     match v {
-        Value::Str(s) => parse_number(s).unwrap_or_else(|| v.clone()),
-        other => other.clone(),
+        Value::Str(s) => parse_number(&s).unwrap_or(Value::Str(s)),
+        other => other,
     }
+}
+
+/// Evaluates an operand that is coerced with [`numeric`] or tested for
+/// truth. A variable is parsed where it lives, so only a non-numeric
+/// value is copied out of it.
+fn operand(interp: &Interp, ast: &Ast) -> Result<Value, Exception> {
+    let Ast::Var(name, idx) = ast else {
+        return Ok(numeric(eval_ast(interp, ast)?));
+    };
+    interp.access(interp.level(), name, idx.as_deref(), Access::Read, |s| {
+        Ok(parse_number(s).unwrap_or_else(|| Value::Str(s.clone())))
+    })
 }
 
 fn eval_ast(interp: &Interp, ast: &Ast) -> Result<Value, Exception> {
@@ -689,41 +703,29 @@ fn eval_ast(interp: &Interp, ast: &Ast) -> Result<Value, Exception> {
         Ast::Func(name, args) => {
             let mut vals = Vec::with_capacity(args.len());
             for a in args {
-                vals.push(numeric(&eval_ast(interp, a)?));
+                vals.push(operand(interp, a)?);
             }
             eval_func(name, &vals)
         }
-        Ast::Unary(op, operand) => {
-            let v = numeric(&eval_ast(interp, operand)?);
-            match (op, &v) {
-                (Op::Neg, Value::Int(i)) => Ok(Value::Int(i.wrapping_neg())),
-                (Op::Neg, Value::Double(d)) => Ok(Value::Double(-d)),
-                (Op::Pos, Value::Int(_) | Value::Double(_)) => Ok(v),
-                (Op::Not, _) => Ok(Value::Int(if v.truthy()? { 0 } else { 1 })),
-                (Op::BitNot, Value::Int(i)) => Ok(Value::Int(!i)),
-                _ => Err(Exception::error(
-                    "can't use non-numeric string as operand of unary operator",
-                )),
-            }
-        }
+        Ast::Unary(op, arg) => unary(*op, operand(interp, arg)?),
         Ast::Binary(op, l, r) => {
             // Short-circuit operators evaluate the right side lazily.
             match op {
                 Op::And => {
-                    if !eval_ast(interp, l)?.truthy()? {
+                    if !operand(interp, l)?.truthy()? {
                         return Ok(Value::Int(0));
                     }
-                    return Ok(Value::Int(if eval_ast(interp, r)?.truthy()? {
+                    return Ok(Value::Int(if operand(interp, r)?.truthy()? {
                         1
                     } else {
                         0
                     }));
                 }
                 Op::Or => {
-                    if eval_ast(interp, l)?.truthy()? {
+                    if operand(interp, l)?.truthy()? {
                         return Ok(Value::Int(1));
                     }
-                    return Ok(Value::Int(if eval_ast(interp, r)?.truthy()? {
+                    return Ok(Value::Int(if operand(interp, r)?.truthy()? {
                         1
                     } else {
                         0
@@ -731,12 +733,12 @@ fn eval_ast(interp: &Interp, ast: &Ast) -> Result<Value, Exception> {
                 }
                 _ => {}
             }
-            let lv = numeric(&eval_ast(interp, l)?);
-            let rv = numeric(&eval_ast(interp, r)?);
+            let lv = operand(interp, l)?;
+            let rv = operand(interp, r)?;
             eval_binary(*op, &lv, &rv)
         }
         Ast::Ternary(c, t, e) => {
-            if eval_ast(interp, c)?.truthy()? {
+            if operand(interp, c)?.truthy()? {
                 eval_ast(interp, t)
             } else {
                 eval_ast(interp, e)

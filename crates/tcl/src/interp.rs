@@ -171,7 +171,7 @@ enum Slot<'a> {
 /// read error; one that writes fires `w` traces after, and reports an
 /// array where it wants a scalar as a set error, as Tcl does.
 #[derive(Clone, Copy, PartialEq, Eq)]
-enum Access {
+pub(crate) enum Access {
     /// Read only (`$x`, `set x`): a missing variable is an error.
     Read,
     /// Write only (`set x v`).
@@ -764,7 +764,7 @@ impl Interp {
     /// place, or a new empty one when a write creates the variable or
     /// element: the only time a key is allocated. `r` traces fire before
     /// `op` when `how` reads, and `w` traces after it when `how` writes.
-    fn access<R>(
+    pub(crate) fn access<R>(
         &self,
         level: usize,
         name: &str,

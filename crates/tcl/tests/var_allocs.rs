@@ -123,3 +123,13 @@ fn one_argument_empty_proc_call() {
     let n = allocs(&i, "", "p 1");
     assert_eq!(n, expect(&i, 2, 13), "p 1");
 }
+
+/// Both operands are parsed where they live; the one allocation left on
+/// the compiled path is the result string.
+#[test]
+fn expr_compares_two_numeric_variables() {
+    let i = interp();
+    i.eval("set n 10").unwrap();
+    let n = allocs(&i, "", "expr {$i < $n}");
+    assert_eq!(n, expect(&i, 1, 20), "expr {{$i < $n}}");
+}

@@ -74,9 +74,7 @@ rtk_obs::counter_set! {
 pub struct ResourceCache {
     enabled: Cell<bool>,
     colors: RefCell<HashMap<String, Pixel>>,
-    color_names: RefCell<HashMap<Pixel, String>>,
     fonts: RefCell<HashMap<String, (FontId, FontMetrics)>>,
-    font_names: RefCell<HashMap<FontId, String>>,
     cursors: RefCell<HashMap<String, CursorId>>,
     borders: RefCell<HashMap<String, Border>>,
     gcs: RefCell<HashMap<(Pixel, Pixel, u32, FontId), GcId>>,
@@ -96,9 +94,7 @@ impl ResourceCache {
         ResourceCache {
             enabled: Cell::new(true),
             colors: RefCell::new(HashMap::new()),
-            color_names: RefCell::new(HashMap::new()),
             fonts: RefCell::new(HashMap::new()),
-            font_names: RefCell::new(HashMap::new()),
             cursors: RefCell::new(HashMap::new()),
             borders: RefCell::new(HashMap::new()),
             gcs: RefCell::new(HashMap::new()),
@@ -163,17 +159,8 @@ impl ResourceCache {
         .ok_or_else(|| Exception::error(format!("unknown color name \"{name}\"")))?;
         if self.enabled.get() {
             self.colors.borrow_mut().insert(key, pixel);
-            self.color_names
-                .borrow_mut()
-                .entry(pixel)
-                .or_insert_with(|| name.to_string());
         }
         Ok(pixel)
-    }
-
-    /// The textual name a pixel was allocated under (reverse lookup).
-    pub fn name_of_color(&self, pixel: Pixel) -> Option<String> {
-        self.color_names.borrow().get(&pixel).cloned()
     }
 
     /// Resolves a font name to `(id, metrics)`, cached. Caching the
@@ -199,17 +186,8 @@ impl ResourceCache {
             self.fonts
                 .borrow_mut()
                 .insert(name.to_string(), (id, metrics));
-            self.font_names
-                .borrow_mut()
-                .entry(id)
-                .or_insert_with(|| name.to_string());
         }
         Ok((id, metrics))
-    }
-
-    /// The name a font was opened under.
-    pub fn name_of_font(&self, id: FontId) -> Option<String> {
-        self.font_names.borrow().get(&id).cloned()
     }
 
     /// Resolves a cursor name, cached.
@@ -388,15 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn reverse_color_lookup_returns_text() {
-        let d = Display::new();
-        let conn = d.connect();
-        let cache = ResourceCache::new();
-        let p = cache.color(&conn, "MediumSeaGreen").unwrap();
-        assert_eq!(cache.name_of_color(p), Some("MediumSeaGreen".into()));
-    }
-
-    #[test]
     fn unknown_color_reports_error() {
         let d = Display::new();
         let conn = d.connect();
@@ -416,7 +385,6 @@ mod tests {
         assert_eq!(conn.stats().round_trips, before);
         assert_eq!(id, id2);
         assert_eq!(m, m2);
-        assert_eq!(cache.name_of_font(id), Some("fixed".into()));
     }
 
     #[test]

@@ -1144,7 +1144,8 @@ mod tests {
             "fired log starts a new epoch"
         );
         // The consumed-spec markers survive: a spec fires at most once ever.
-        assert!(d.with_server(|s| s.fault_report().contains("[fired]")));
+        let report = d.with_server(|s| s.fault_plan().map(FaultPlan::describe));
+        assert!(report.unwrap().contains("[fired]"));
     }
 
     #[test]

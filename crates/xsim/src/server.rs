@@ -210,15 +210,6 @@ impl Server {
         self.fault_plan.as_ref()
     }
 
-    /// Printable description of the installed plan and what has fired —
-    /// what a failing chaos run dumps next to its seeds.
-    pub fn fault_report(&self) -> String {
-        match &self.fault_plan {
-            Some(p) => p.describe(),
-            None => "no fault plan installed\n".to_string(),
-        }
-    }
-
     /// Sets (or clears) the per-client request quota: at most `q`
     /// requests of one client apply per flushed batch; the overflow is
     /// deferred — never dropped — and each deferral bumps the client's

@@ -138,13 +138,29 @@ stage_trace() {
     cargo run -p tk-bench --release --offline --locked --bin bench -- --trace target/trace.json
 }
 
+# The `chaos` arguments that replay a corpus file's first entry:
+# `--replay S F`, after `--apps N` when the entry names an app count.
+# Call sites leave `$(first_replay FILE)` unquoted so it splits into
+# words.
+first_replay() {
+    sed 's/#.*//' "$1" | awk 'NF {
+        printf "%s--replay %s %s\n", (NF > 2 ? "--apps " $3 " " : ""), $1, $2
+        exit
+    }'
+}
+
 # Bounded chaos gate: replay the checked-in fault corpus, then a fixed
 # batch of fresh seed pairs. Any panic fails CI and prints the
 # (script_seed, fault_seed) pair plus a shrunk reproducer to check in.
+# Each chaos stage also replays its corpus's first pair through
+# `--replay`, so every mode's replay path runs too.
 stage_chaos() {
     echo "==> chaos gate (corpus + 200 fresh seeds)"
     cargo run -p tk-bench --release --offline --locked --bin chaos -- \
         --corpus tests/chaos_corpus.txt --seeds 200
+    echo "==> chaos replay (the corpus's first pair)"
+    cargo run -p tk-bench --release --offline --locked --bin chaos -- \
+        $(first_replay tests/chaos_corpus.txt)
 }
 
 # Send-storm gate: N apps exchanging seeded nested/concurrent sends
@@ -159,6 +175,9 @@ stage_storm() {
     echo "==> fleet-storm sweep (40 fresh seeds, 16 apps)"
     cargo run -p tk-bench --release --offline --locked --bin chaos -- \
         --storm --apps 16 --seeds 40
+    echo "==> send-storm replay (the corpus's first pair)"
+    cargo run -p tk-bench --release --offline --locked --bin chaos -- \
+        --storm $(first_replay tests/chaos_storm_corpus.txt)
 }
 
 # Byte-chaos gate: seed-deterministic byte-layer faults (corrupted
@@ -172,6 +191,9 @@ stage_byte_chaos() {
     echo "==> byte-chaos gate (corpus + 1000 fresh seeds)"
     cargo run -p tk-bench --release --offline --locked --bin chaos -- \
         --bytes --corpus tests/chaos_bytes_corpus.txt --seeds 1000
+    echo "==> byte-chaos replay (the corpus's first pair)"
+    cargo run -p tk-bench --release --offline --locked --bin chaos -- \
+        --bytes $(first_replay tests/chaos_bytes_corpus.txt)
 }
 
 # Fleet gate: 64 applications in a send ring under the framed wire

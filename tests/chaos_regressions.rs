@@ -10,7 +10,8 @@
 //! connection teardown.
 
 use tk_bench::chaos::{
-    generate_ops, generate_plan, run_case, run_ops, run_storm_case, SCRIPT_OPS, STORM_APPS,
+    generate_ops, generate_plan, generate_storm_ops, generate_storm_plan, run_case, run_ops, Mode,
+    SCRIPT_OPS, STORM_APPS, STORM_OPS,
 };
 use xsim::fault::{FAULT_KIND_COUNT, FAULT_KIND_NAMES};
 
@@ -57,7 +58,7 @@ fn fault_kind_index(name: &str) -> usize {
 #[test]
 fn every_corpus_pair_replays_without_panicking() {
     for (script_seed, fault_seed) in corpus() {
-        let r = run_case(script_seed, fault_seed);
+        let r = run_case(Mode::Classic, script_seed, fault_seed);
         assert!(
             r.is_ok(),
             "corpus pair ({script_seed}, {fault_seed}) panicked: {}",
@@ -70,7 +71,8 @@ fn every_corpus_pair_replays_without_panicking() {
 fn the_corpus_exercises_every_fault_kind() {
     let mut totals = [0u64; FAULT_KIND_COUNT];
     for (script_seed, fault_seed) in corpus() {
-        let stats = run_case(script_seed, fault_seed).expect("corpus pair must not panic");
+        let stats =
+            run_case(Mode::Classic, script_seed, fault_seed).expect("corpus pair must not panic");
         for (slot, n) in totals.iter_mut().zip(stats.fault_counts) {
             *slot += n;
         }
@@ -91,7 +93,7 @@ fn the_corpus_exercises_every_fault_kind() {
 #[test]
 fn every_storm_corpus_entry_holds_the_exactly_once_invariant() {
     for (script_seed, fault_seed, napps) in storm_corpus() {
-        let r = run_storm_case(script_seed, fault_seed, napps);
+        let r = run_case(Mode::Storm(napps), script_seed, fault_seed);
         assert!(
             r.is_ok(),
             "storm entry ({script_seed}, {fault_seed}, {napps} apps) failed: {}",
@@ -104,7 +106,8 @@ fn every_storm_corpus_entry_holds_the_exactly_once_invariant() {
 fn the_storm_corpus_exercises_every_fault_kind() {
     let mut totals = [0u64; FAULT_KIND_COUNT];
     for (script_seed, fault_seed, napps) in storm_corpus() {
-        let stats = run_storm_case(script_seed, fault_seed, napps).expect("storm entry must hold");
+        let stats =
+            run_case(Mode::Storm(napps), script_seed, fault_seed).expect("storm entry must hold");
         for (slot, n) in totals.iter_mut().zip(stats.fault_counts) {
             *slot += n;
         }
@@ -124,8 +127,8 @@ fn the_storm_corpus_exercises_every_fault_kind() {
 #[test]
 fn storm_replay_is_deterministic() {
     let (script_seed, fault_seed, napps) = storm_corpus()[0];
-    let a = run_storm_case(script_seed, fault_seed, napps).expect("invariant holds");
-    let b = run_storm_case(script_seed, fault_seed, napps).expect("invariant holds");
+    let a = run_case(Mode::Storm(napps), script_seed, fault_seed).expect("invariant holds");
+    let b = run_case(Mode::Storm(napps), script_seed, fault_seed).expect("invariant holds");
     assert_eq!(a.ops, b.ops);
     assert_eq!(a.tcl_errors, b.tcl_errors);
     assert_eq!(a.fault_counts, b.fault_counts);
@@ -141,7 +144,7 @@ fn storm_replay_is_deterministic() {
 #[test]
 fn a_duplicated_send_request_evaluates_exactly_once() {
     let (script_seed, fault_seed, napps) = storm_corpus()[0];
-    let stats = run_storm_case(script_seed, fault_seed, napps).expect("invariant holds");
+    let stats = run_case(Mode::Storm(napps), script_seed, fault_seed).expect("invariant holds");
     assert!(
         stats.fault_counts[fault_kind_index("duplicate")] >= 1,
         "plan no longer fires a duplicate fault"
@@ -156,7 +159,7 @@ fn a_duplicated_send_request_evaluates_exactly_once() {
 /// duplicates send traffic and the receiver drops the copy.
 #[test]
 fn two_app_dedup_pair_replays_with_a_drop() {
-    let stats = run_case(142, 18325835371311368290).expect("no panic");
+    let stats = run_case(Mode::Classic, 142, 18325835371311368290).expect("no panic");
     assert!(stats.fault_counts[fault_kind_index("duplicate")] >= 1);
     assert!(stats.send_dedup_drops >= 1);
 }
@@ -164,8 +167,8 @@ fn two_app_dedup_pair_replays_with_a_drop() {
 #[test]
 fn replay_is_deterministic() {
     let (script_seed, fault_seed) = corpus()[0];
-    let a = run_case(script_seed, fault_seed).expect("no panic");
-    let b = run_case(script_seed, fault_seed).expect("no panic");
+    let a = run_case(Mode::Classic, script_seed, fault_seed).expect("no panic");
+    let b = run_case(Mode::Classic, script_seed, fault_seed).expect("no panic");
     assert_eq!(a.ops, b.ops);
     assert_eq!(a.tcl_errors, b.tcl_errors);
     assert_eq!(a.faults_injected, b.faults_injected);
@@ -179,7 +182,8 @@ fn replay_is_deterministic() {
 #[test]
 fn connection_kills_mid_script_stay_contained() {
     for (script_seed, fault_seed) in [(3, 15733602095581869388), (137, 18342085214519866823)] {
-        let stats = run_case(script_seed, fault_seed).expect("kill case must not panic");
+        let stats =
+            run_case(Mode::Classic, script_seed, fault_seed).expect("kill case must not panic");
         assert!(stats.faults_injected >= 1);
     }
 }
@@ -204,18 +208,41 @@ fn shrinking_the_same_failure_twice_gives_the_same_reproducer() {
 }
 
 /// The explicit-ops entry point used by the shrinker behaves like
-/// `run_case` when handed the same generated inputs.
+/// `run_case` when handed the same generated inputs, in every mode.
 #[test]
 fn run_ops_matches_run_case() {
-    let (script_seed, fault_seed) = (57, 3790534636700595380);
-    let from_case = run_case(script_seed, fault_seed).expect("no panic");
-    let from_ops = run_ops(
-        &generate_ops(script_seed, SCRIPT_OPS),
-        &generate_plan(fault_seed),
-    )
-    .expect("no panic");
-    assert_eq!(from_case.faults_injected, from_ops.faults_injected);
-    assert_eq!(from_case.tcl_errors, from_ops.tcl_errors);
+    let (storm_script, storm_fault, napps) = storm_corpus()[0];
+    let (bytes_script, bytes_fault) = bytes_corpus()[0];
+    let (classic_script, classic_fault) = (57, 3790534636700595380);
+    let cases = [
+        (
+            Mode::Classic,
+            classic_script,
+            classic_fault,
+            generate_ops(classic_script, SCRIPT_OPS),
+            generate_plan(classic_fault),
+        ),
+        (
+            Mode::Storm(napps),
+            storm_script,
+            storm_fault,
+            generate_storm_ops(storm_script, STORM_OPS, napps),
+            generate_storm_plan(storm_fault, napps),
+        ),
+        (
+            Mode::Bytes,
+            bytes_script,
+            bytes_fault,
+            generate_ops(bytes_script, SCRIPT_OPS),
+            Mode::Bytes.plan(bytes_fault),
+        ),
+    ];
+    for (mode, script_seed, fault_seed, ops, plan) in cases {
+        let from_case = run_case(mode, script_seed, fault_seed).expect("no panic");
+        let from_ops = run_ops(mode, &ops, &plan).expect("no panic");
+        assert_eq!(from_case.faults_injected, from_ops.faults_injected);
+        assert_eq!(from_case.tcl_errors, from_ops.tcl_errors);
+    }
 }
 
 fn bytes_corpus() -> Vec<(u64, u64)> {
@@ -231,9 +258,8 @@ fn bytes_corpus() -> Vec<(u64, u64)> {
 /// post-run resource audit either way.
 #[test]
 fn every_bytes_corpus_pair_holds_the_differential_invariant() {
-    use tk_bench::chaos::run_bytes_case;
     for (script_seed, fault_seed) in bytes_corpus() {
-        let r = run_bytes_case(script_seed, fault_seed);
+        let r = run_case(Mode::Bytes, script_seed, fault_seed);
         assert!(
             r.is_ok(),
             "bytes pair ({script_seed}, {fault_seed}) failed: {}",
@@ -246,10 +272,9 @@ fn every_bytes_corpus_pair_holds_the_differential_invariant() {
 /// means the corpus no longer witnesses that the transport survives it.
 #[test]
 fn the_bytes_corpus_exercises_every_byte_fault_kind() {
-    use tk_bench::chaos::run_bytes_case;
     let mut totals = [0u64; FAULT_KIND_COUNT];
     for (script_seed, fault_seed) in bytes_corpus() {
-        let stats = run_bytes_case(script_seed, fault_seed).expect("bytes pair must hold");
+        let stats = run_case(Mode::Bytes, script_seed, fault_seed).expect("bytes pair must hold");
         for (slot, n) in totals.iter_mut().zip(stats.fault_counts) {
             *slot += n;
         }

@@ -10,7 +10,7 @@
 //! shape assertions on top, so a tracer regression fails here by name
 //! rather than as a generic chaos failure.
 
-use tk_bench::chaos::{run_case, run_storm_case, STORM_APPS};
+use tk_bench::chaos::{run_case, Mode, STORM_APPS};
 
 /// Corpus lines are `script_seed fault_seed [apps]`; the third column is
 /// the storm's app count (the two-app corpus ignores it).
@@ -36,7 +36,7 @@ fn parse_entries(text: &str) -> Vec<(u64, u64, usize)> {
 #[test]
 fn every_corpus_pair_yields_a_well_formed_span_tree() {
     for (script_seed, fault_seed, _) in parse_entries(include_str!("chaos_corpus.txt")) {
-        let stats = run_case(script_seed, fault_seed)
+        let stats = run_case(Mode::Classic, script_seed, fault_seed)
             .unwrap_or_else(|e| panic!("pair ({script_seed}, {fault_seed}): {e}"));
         assert!(
             stats.spans_recorded > 0,
@@ -56,7 +56,7 @@ fn every_corpus_pair_yields_a_well_formed_span_tree() {
 #[test]
 fn every_storm_pair_yields_a_well_formed_span_tree() {
     for (script_seed, fault_seed, napps) in parse_entries(include_str!("chaos_storm_corpus.txt")) {
-        let stats = run_storm_case(script_seed, fault_seed, napps)
+        let stats = run_case(Mode::Storm(napps), script_seed, fault_seed)
             .unwrap_or_else(|e| panic!("storm pair ({script_seed}, {fault_seed}): {e}"));
         assert!(
             stats.spans_recorded > 0,
@@ -78,8 +78,8 @@ fn every_storm_pair_yields_a_well_formed_span_tree() {
 #[test]
 fn faulted_replay_span_shapes_are_deterministic() {
     let (script_seed, fault_seed, _) = parse_entries(include_str!("chaos_corpus.txt"))[0];
-    let a = run_case(script_seed, fault_seed).expect("no panic");
-    let b = run_case(script_seed, fault_seed).expect("no panic");
+    let a = run_case(Mode::Classic, script_seed, fault_seed).expect("no panic");
+    let b = run_case(Mode::Classic, script_seed, fault_seed).expect("no panic");
     assert_eq!(a.spans_recorded, b.spans_recorded);
     assert_eq!(a.span_shape, b.span_shape);
 }
@@ -90,7 +90,7 @@ fn faulted_replay_span_shapes_are_deterministic() {
 #[test]
 fn storm_send_spans_dominate_their_evals() {
     let (script_seed, fault_seed, napps) = parse_entries(include_str!("chaos_storm_corpus.txt"))[0];
-    let stats = run_storm_case(script_seed, fault_seed, napps).expect("invariant holds");
+    let stats = run_case(Mode::Storm(napps), script_seed, fault_seed).expect("invariant holds");
     let sends = stats.span_shape.by_kind.get("send").copied().unwrap_or(0);
     let evals = stats
         .span_shape
