@@ -127,7 +127,8 @@ fn cmd_global(interp: &Interp, argv: &[String]) -> TclResult {
         return Ok(String::new());
     }
     for name in &argv[1..] {
-        interp.link_var(name, 0, name)?;
+        // `global ::x` links the local `x`.
+        interp.link_var(name.strip_prefix("::").unwrap_or(name), 0, name)?;
     }
     Ok(String::new())
 }

@@ -152,8 +152,17 @@ struct Place {
 }
 
 impl Place {
-    /// The variable's name in its own frame.
+    /// The variable's name in its own frame: the last link's target, or
+    /// the name asked for without its `::` prefix.
     fn name<'a>(&'a self, asked: &'a str) -> &'a str {
+        self.target
+            .as_deref()
+            .unwrap_or_else(|| asked.strip_prefix("::").unwrap_or(asked))
+    }
+
+    /// The name an error message shows: the last link's target, or the
+    /// name as the script wrote it.
+    fn shown<'a>(&'a self, asked: &'a str) -> &'a str {
         self.target.as_deref().unwrap_or(asked)
     }
 }
@@ -421,13 +430,8 @@ struct CompileState {
     /// The `RTK_NO_COMPILE` escape hatch, also settable programmatically.
     enabled: Cell<bool>,
     stats: RefCell<CompileStats>,
-    /// Command-name atom table: name → index into `atom_cmds`.
-    atom_ids: RefCell<HashMap<String, u32>>,
-    /// Live command bindings per atom, kept in sync by the registry so
-    /// dispatch through an atom honors later registrations.
-    atom_cmds: RefCell<Vec<Option<Command>>>,
     /// The builtin `set` captured at construction: [`OpKind::Set`] runs
-    /// directly only while the `set` atom still holds it.
+    /// directly only while the `set` slot still holds it.
     set_builtin: OnceCell<CmdFn>,
     /// Expression source → compiled expression (`None`: parse failed).
     exprs: RefCell<HashMap<String, Option<Rc<crate::expr::ExprProgram>>, TextHash>>,
@@ -442,16 +446,67 @@ impl CompileState {
             gen: Cell::new(0),
             enabled: Cell::new(enabled),
             stats: RefCell::default(),
-            atom_ids: RefCell::new(HashMap::new()),
-            atom_cmds: RefCell::new(Vec::new()),
             set_builtin: OnceCell::new(),
             exprs: RefCell::default(),
         }
     }
 }
 
+/// The command table. Every name that was ever registered, or compiled
+/// as the head of a command, has a slot, which is empty while the name
+/// is not a command. A compiled command's `head_atom` is its name's slot,
+/// so a cached program dispatches to whatever the name means now.
+#[derive(Default)]
+struct Commands {
+    /// Name → index into `slots`.
+    ids: HashMap<String, u32>,
+    slots: Vec<Option<Command>>,
+}
+
+impl Commands {
+    /// The index of `name`'s slot, made (empty) on first use.
+    fn id(&mut self, name: &str) -> u32 {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = self.slots.len() as u32;
+        self.slots.push(None);
+        self.ids.insert(name.to_string(), id);
+        id
+    }
+
+    /// The slot of `name`, made (empty) on first use.
+    fn slot(&mut self, name: &str) -> &mut Option<Command> {
+        let id = self.id(name);
+        &mut self.slots[id as usize]
+    }
+
+    /// Empties `name`'s slot, returning the command it held.
+    fn take(&mut self, name: &str) -> Option<Command> {
+        let id = *self.ids.get(name)?;
+        self.slots[id as usize].take()
+    }
+
+    /// The command `name` holds now.
+    fn get(&self, name: &str) -> Option<&Command> {
+        self.slots[*self.ids.get(name)? as usize].as_ref()
+    }
+
+    /// The names holding a command that `keep` accepts, sorted.
+    fn names(&self, keep: impl Fn(&Command) -> bool) -> Vec<String> {
+        let mut names: Vec<String> = self
+            .ids
+            .iter()
+            .filter(|(_, &id)| self.slots[id as usize].as_ref().is_some_and(&keep))
+            .map(|(name, _)| name.clone())
+            .collect();
+        names.sort();
+        names
+    }
+}
+
 struct InterpInner {
-    commands: RefCell<HashMap<String, Command>>,
+    commands: RefCell<Commands>,
     frames: RefCell<Vec<Frame>>,
     output: RefCell<Output>,
     executor: RefCell<Rc<dyn Executor>>,
@@ -494,7 +549,7 @@ impl Interp {
     pub fn bare() -> Interp {
         Interp {
             inner: Rc::new(InterpInner {
-                commands: RefCell::new(HashMap::new()),
+                commands: RefCell::default(),
                 frames: RefCell::new(vec![Frame::default()]),
                 output: RefCell::new(Output::Stdout),
                 executor: RefCell::new(Rc::new(SystemExecutor)),
@@ -514,47 +569,29 @@ impl Interp {
     where
         F: Fn(&Interp, &[String]) -> TclResult + 'static,
     {
-        let cmd = Command::Native(Rc::new(f));
-        self.sync_atom(name, Some(cmd.clone()));
-        self.inner
-            .commands
-            .borrow_mut()
-            .insert(name.to_string(), cmd);
+        *self.inner.commands.borrow_mut().slot(name) = Some(Command::Native(Rc::new(f)));
     }
 
     /// Registers a Tcl procedure.
     pub fn register_proc(&self, name: &str, def: ProcDef) {
-        let cmd = Command::Proc(Rc::new(def));
-        self.sync_atom(name, Some(cmd.clone()));
-        self.inner
-            .commands
-            .borrow_mut()
-            .insert(name.to_string(), cmd);
+        *self.inner.commands.borrow_mut().slot(name) = Some(Command::Proc(Rc::new(def)));
     }
 
     /// Removes a command. Returns true if it existed.
     pub fn unregister(&self, name: &str) -> bool {
-        self.sync_atom(name, None);
-        self.inner.commands.borrow_mut().remove(name).is_some()
+        self.inner.commands.borrow_mut().take(name).is_some()
     }
 
     /// Renames a command; an empty new name deletes it.
     pub fn rename(&self, from: &str, to: &str) -> Result<(), Exception> {
-        let cmd = {
-            let mut cmds = self.inner.commands.borrow_mut();
-            let Some(cmd) = cmds.remove(from) else {
-                return Err(Exception::error(format!(
-                    "can't rename \"{from}\": command doesn't exist"
-                )));
-            };
-            if !to.is_empty() {
-                cmds.insert(to.to_string(), cmd.clone());
-            }
-            cmd
+        let mut table = self.inner.commands.borrow_mut();
+        let Some(cmd) = table.take(from) else {
+            return Err(Exception::error(format!(
+                "can't rename \"{from}\": command doesn't exist"
+            )));
         };
-        self.sync_atom(from, None);
         if !to.is_empty() {
-            self.sync_atom(to, Some(cmd));
+            *table.slot(to) = Some(cmd);
         }
         Ok(())
     }
@@ -566,23 +603,15 @@ impl Interp {
 
     /// Returns the names of all registered commands, sorted.
     pub fn command_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.inner.commands.borrow().keys().cloned().collect();
-        names.sort();
-        names
+        self.inner.commands.borrow().names(|_| true)
     }
 
     /// Returns the names of commands defined as Tcl procs, sorted.
     pub fn proc_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .inner
+        self.inner
             .commands
             .borrow()
-            .iter()
-            .filter(|(_, c)| matches!(c, Command::Proc(_)))
-            .map(|(n, _)| n.clone())
-            .collect();
-        names.sort();
-        names
+            .names(|c| matches!(c, Command::Proc(_)))
     }
 
     /// Returns the definition of a proc, if `name` is one.
@@ -653,13 +682,17 @@ impl Interp {
     /// frames, probing each frame's map once, and runs `f` on the entry it
     /// lands on. Names are borrowed, or shared from the link, never copied.
     /// `f` runs inside the borrow, so it must not evaluate Tcl: traces fire
-    /// around it, from the returned [`Place`].
+    /// around it, from the returned [`Place`]. A name that starts with
+    /// `::` names the global variable of the rest, from any level.
     fn with_var<R>(
         &self,
         mut level: usize,
-        name: &str,
+        mut name: &str,
         f: impl FnOnce(&Place, Slot<'_>) -> R,
     ) -> (Place, R) {
+        if let Some(global) = name.strip_prefix("::") {
+            (level, name) = (0, global);
+        }
         let mut frames = self.inner.frames.borrow_mut();
         let mut target: Option<Rc<str>> = None;
         loop {
@@ -787,7 +820,7 @@ impl Interp {
                     return None;
                 }
                 let op = op.take().expect("an access runs its op once");
-                let fail = |fault: Fault, verb| Err(fault.error(verb, place.name(name), index));
+                let fail = |fault: Fault, verb| Err(fault.error(verb, place.shown(name), index));
                 Some(match slot {
                     Slot::Found(var) => match var.value(index) {
                         Ok(v) => op(v),
@@ -814,7 +847,7 @@ impl Interp {
                                 Some(idx) => Var::Array(HashMap::from([(idx.to_string(), v)])),
                             };
                             let key = place.target.clone();
-                            vars.insert(key.unwrap_or_else(|| Rc::from(name)), var);
+                            vars.insert(key.unwrap_or_else(|| Rc::from(place.name(name))), var);
                             r
                         })
                     }
@@ -845,8 +878,8 @@ impl Interp {
                 _ => Err(Fault::NotArray),
             },
         });
+        found.map_err(|fault| fault.error("unset", place.shown(name), index))?;
         let name = place.name(name);
-        found.map_err(|fault| fault.error("unset", name, index))?;
         if index.is_none() {
             self.inner.frames.borrow_mut()[place.level]
                 .vars
@@ -900,7 +933,10 @@ impl Interp {
                 "can't upvar \"{local}\" to itself"
             )));
         }
-        let name = place.target.unwrap_or_else(|| Rc::from(other));
+        let name = match &place.target {
+            Some(target) => target.clone(),
+            None => Rc::from(place.name(other)),
+        };
         // `global x` links a name to itself: one shared copy serves both.
         let local = if *name == *local {
             name.clone()
@@ -930,7 +966,7 @@ impl Interp {
             }
             None => Err(Exception::error(format!(
                 "\"{}\" isn't an array",
-                place.name(name)
+                place.shown(name)
             ))),
         }
     }
@@ -1181,34 +1217,18 @@ impl Interp {
         self.inner.compile.stats.borrow_mut().parses += 1;
     }
 
-    /// Interns a command name, returning its atom. The atom's command slot
-    /// tracks the live registry, so dispatch through an atom is an index
-    /// lookup that still honors later (re)registrations.
+    /// The command-table slot of `name`, a compiled command's atom:
+    /// dispatch through it is an index lookup that still honors later
+    /// (re)registrations.
     pub(crate) fn intern_atom(&self, name: &str) -> u32 {
-        let mut ids = self.inner.compile.atom_ids.borrow_mut();
-        if let Some(&id) = ids.get(name) {
-            return id;
-        }
-        let mut cmds = self.inner.compile.atom_cmds.borrow_mut();
-        let id = cmds.len() as u32;
-        cmds.push(self.inner.commands.borrow().get(name).cloned());
-        ids.insert(name.to_string(), id);
-        id
+        self.inner.commands.borrow_mut().id(name)
     }
 
-    /// Keeps an interned atom's command slot in sync with the registry.
-    fn sync_atom(&self, name: &str, cmd: Option<Command>) {
-        if let Some(&id) = self.inner.compile.atom_ids.borrow().get(name) {
-            self.inner.compile.atom_cmds.borrow_mut()[id as usize] = cmd;
-        }
-    }
-
-    /// Dispatches a substituted command line through its interned atom, if
-    /// it has one. Behaviorally identical to [`Interp::invoke`] — an
-    /// unbound atom falls back to the full path so the `unknown` hook
-    /// still fires.
+    /// Dispatches a substituted command line through its atom, if it has
+    /// one. Behaviorally identical to [`Interp::invoke`] — an empty slot
+    /// falls back to the full path so the `unknown` hook still fires.
     fn invoke_atom(&self, atom: Option<u32>, words: Words) -> TclResult {
-        let cmd = atom.and_then(|a| self.inner.compile.atom_cmds.borrow()[a as usize].clone());
+        let cmd = atom.and_then(|a| self.inner.commands.borrow().slots[a as usize].clone());
         match cmd {
             Some(cmd) => self.call(cmd, words),
             None => self.invoke_words(words),
@@ -1328,7 +1348,7 @@ impl Interp {
         let (Some(atom), Some(builtin)) = (atom, self.inner.compile.set_builtin.get()) else {
             return false;
         };
-        match &self.inner.compile.atom_cmds.borrow()[atom as usize] {
+        match &self.inner.commands.borrow().slots[atom as usize] {
             Some(Command::Native(f)) => Rc::ptr_eq(f, builtin),
             _ => false,
         }
@@ -1540,22 +1560,13 @@ impl Interp {
     /// (absolute) or `N` (relative to the current frame).
     pub fn parse_level(&self, spec: &str) -> Result<usize, Exception> {
         let cur = self.level();
-        if let Some(abs) = spec.strip_prefix('#') {
-            let n: usize = abs
-                .parse()
-                .map_err(|_| Exception::error(format!("bad level \"{spec}\"")))?;
-            if n > cur {
-                return Err(Exception::error(format!("bad level \"{spec}\"")));
-            }
-            Ok(n)
-        } else {
-            let n: usize = spec
-                .parse()
-                .map_err(|_| Exception::error(format!("bad level \"{spec}\"")))?;
-            if n > cur {
-                return Err(Exception::error(format!("bad level \"{spec}\"")));
-            }
-            Ok(cur - n)
+        let (n, absolute) = match spec.strip_prefix('#') {
+            Some(n) => (n, true),
+            None => (spec, false),
+        };
+        match n.parse::<usize>() {
+            Ok(n) if n <= cur => Ok(if absolute { n } else { cur - n }),
+            _ => Err(Exception::error(format!("bad level \"{spec}\""))),
         }
     }
 }
@@ -1789,6 +1800,59 @@ mod tests {
         i.eval("proc incr {name} {return redefined}").unwrap();
         assert_eq!(i.eval("incr i").unwrap(), "redefined");
         assert_eq!(i.eval("set i").unwrap(), "2");
+    }
+
+    #[test]
+    fn a_name_only_a_compiled_script_mentions_is_no_command() {
+        let i = Interp::new();
+        i.set_compile(true);
+        assert_eq!(i.eval("catch {nosuch}").unwrap(), "1");
+        assert_eq!(i.eval("info commands nosuch").unwrap(), "");
+        assert!(!i.command_names().contains(&"nosuch".to_string()));
+        let e = i.eval("rename nosuch x").unwrap_err();
+        assert_eq!(e.msg, "can't rename \"nosuch\": command doesn't exist");
+    }
+
+    #[test]
+    fn a_leading_double_colon_names_the_global_variable() {
+        // Each script's result as tclsh 8.6 prints it.
+        let cases = [
+            ("set ::a 5; set a", "5"),
+            ("set ::a 5; info exists a", "1"),
+            ("proc p {} {set ::g 7}; p; set g", "7"),
+            (
+                "proc tr {args} {set ::tv 4}; set tv 1; trace variable tv r tr; set tv",
+                "4",
+            ),
+            ("set ::a 5; set x $::a", "5"),
+            (
+                "set a 5; proc p {} {incr ::a; info exists ::a}; list [p] $a",
+                "1 6",
+            ),
+            ("proc p {} {upvar ::z z; set z 3}; p; set z", "3"),
+            ("proc p {} {global ::x; set x 3}; p; set x", "3"),
+            (
+                "set ::arr(x) 1; set k x; list $::arr($k) [array names ::arr]",
+                "1 x",
+            ),
+            ("set a 1; unset ::a; info exists a", "0"),
+            ("set {} e; set y $::", "e"),
+            (
+                "catch {set ::nosuch} m; set m",
+                "can't read \"::nosuch\": no such variable",
+            ),
+        ];
+        for compile in [true, false] {
+            for (script, want) in cases {
+                let i = Interp::new();
+                i.set_compile(compile);
+                assert_eq!(
+                    i.eval(script).unwrap(),
+                    want,
+                    "{script} (compile {compile})"
+                );
+            }
+        }
     }
 
     #[test]

@@ -239,7 +239,8 @@ pub fn parse_dollar(src: &str, pos: usize, parts: &mut Vec<Part>) -> Result<usiz
         parts.push(Part::Var(src[start + 1..i].to_string(), None));
         return Ok(i + 1);
     }
-    let mut i = start;
+    // `$::name` is the global variable `name`.
+    let mut i = start + 2 * usize::from(src[start..].starts_with("::"));
     while i < bytes.len() && is_var_char(bytes[i]) {
         i += 1;
     }

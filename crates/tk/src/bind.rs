@@ -5,60 +5,25 @@
 //! `a`, `<Escape>q`, `<Double-Button-1>`, `<Control-Key-w>`. Before a
 //! bound script runs, `%` sequences are replaced with event fields (`%x`,
 //! `%y`, `%W`, `%K`, `%A`, ...).
+//!
+//! The event types are xsim's: a pattern and an event both name their
+//! type by its X name, [`Event::name`] (`ButtonPress`, `EnterNotify`,
+//! ...), which is also what `%T` prints. `EVENT_WORDS` maps the Tk
+//! words of a binding (`Button`, `Enter`, `Configure`, ...) to those
+//! names, and [`EventInfo::from_event`] copies the fields each event
+//! type carries.
 
 use std::collections::{HashMap, VecDeque};
 
 use tcl::Exception;
 use xsim::event::{state, Event};
 
-/// The kind of X event a pattern matches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Kind {
-    ButtonPress,
-    ButtonRelease,
-    KeyPress,
-    KeyRelease,
-    Enter,
-    Leave,
-    Motion,
-    Expose,
-    Configure,
-    Destroy,
-    Map,
-    Unmap,
-    FocusIn,
-    FocusOut,
-    Property,
-}
-
-impl Kind {
-    /// The `%T` name of this event type.
-    pub fn name(self) -> &'static str {
-        match self {
-            Kind::ButtonPress => "ButtonPress",
-            Kind::ButtonRelease => "ButtonRelease",
-            Kind::KeyPress => "KeyPress",
-            Kind::KeyRelease => "KeyRelease",
-            Kind::Enter => "EnterNotify",
-            Kind::Leave => "LeaveNotify",
-            Kind::Motion => "MotionNotify",
-            Kind::Expose => "Expose",
-            Kind::Configure => "ConfigureNotify",
-            Kind::Destroy => "DestroyNotify",
-            Kind::Map => "MapNotify",
-            Kind::Unmap => "UnmapNotify",
-            Kind::FocusIn => "FocusIn",
-            Kind::FocusOut => "FocusOut",
-            Kind::Property => "PropertyNotify",
-        }
-    }
-}
-
 /// A normalized view of an X event, used for binding matches and `%`
 /// substitution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EventInfo {
-    pub kind: Kind,
+    /// The X event name, as [`Event::name`] gives it (`%T`).
+    pub kind: &'static str,
     /// Button number or keysym name.
     pub detail: String,
     /// The ASCII character for key events (`%A`).
@@ -75,22 +40,14 @@ pub struct EventInfo {
 
 impl EventInfo {
     /// Extracts binding-relevant information from an event, if the event
-    /// type participates in bindings.
+    /// type participates in bindings. Fields an event does not carry stay
+    /// zero.
     pub fn from_event(ev: &Event) -> Option<EventInfo> {
-        let blank = EventInfo {
-            kind: Kind::Expose,
-            detail: String::new(),
-            ch: None,
-            x: 0,
-            y: 0,
-            x_root: 0,
-            y_root: 0,
-            state: 0,
-            time: 0,
-            width: 0,
-            height: 0,
+        let mut e = EventInfo {
+            kind: ev.name(),
+            ..EventInfo::default()
         };
-        Some(match ev {
+        match ev {
             Event::ButtonPress {
                 button,
                 x,
@@ -100,18 +57,8 @@ impl EventInfo {
                 state,
                 time,
                 ..
-            } => EventInfo {
-                kind: Kind::ButtonPress,
-                detail: button.to_string(),
-                x: *x,
-                y: *y,
-                x_root: *x_root,
-                y_root: *y_root,
-                state: *state,
-                time: *time,
-                ..blank
-            },
-            Event::ButtonRelease {
+            }
+            | Event::ButtonRelease {
                 button,
                 x,
                 y,
@@ -120,17 +67,11 @@ impl EventInfo {
                 state,
                 time,
                 ..
-            } => EventInfo {
-                kind: Kind::ButtonRelease,
-                detail: button.to_string(),
-                x: *x,
-                y: *y,
-                x_root: *x_root,
-                y_root: *y_root,
-                state: *state,
-                time: *time,
-                ..blank
-            },
+            } => {
+                e.detail = button.to_string();
+                (e.x, e.y, e.x_root, e.y_root) = (*x, *y, *x_root, *y_root);
+                (e.state, e.time) = (*state, *time);
+            }
             Event::KeyPress {
                 keysym,
                 x,
@@ -138,53 +79,24 @@ impl EventInfo {
                 state,
                 time,
                 ..
-            } => EventInfo {
-                kind: Kind::KeyPress,
-                detail: keysym.name.clone(),
-                ch: keysym.ch,
-                x: *x,
-                y: *y,
-                state: *state,
-                time: *time,
-                ..blank
-            },
-            Event::KeyRelease {
+            }
+            | Event::KeyRelease {
                 keysym,
                 x,
                 y,
                 state,
                 time,
                 ..
-            } => EventInfo {
-                kind: Kind::KeyRelease,
-                detail: keysym.name.clone(),
-                ch: keysym.ch,
-                x: *x,
-                y: *y,
-                state: *state,
-                time: *time,
-                ..blank
-            },
+            } => {
+                (e.detail, e.ch) = (keysym.name.clone(), keysym.ch);
+                (e.x, e.y, e.state, e.time) = (*x, *y, *state, *time);
+            }
             Event::EnterNotify {
                 x, y, state, time, ..
-            } => EventInfo {
-                kind: Kind::Enter,
-                x: *x,
-                y: *y,
-                state: *state,
-                time: *time,
-                ..blank
-            },
-            Event::LeaveNotify {
+            }
+            | Event::LeaveNotify {
                 x, y, state, time, ..
-            } => EventInfo {
-                kind: Kind::Leave,
-                x: *x,
-                y: *y,
-                state: *state,
-                time: *time,
-                ..blank
-            },
+            } => (e.x, e.y, e.state, e.time) = (*x, *y, *state, *time),
             Event::MotionNotify {
                 x,
                 y,
@@ -193,82 +105,43 @@ impl EventInfo {
                 state,
                 time,
                 ..
-            } => EventInfo {
-                kind: Kind::Motion,
-                x: *x,
-                y: *y,
-                x_root: *x_root,
-                y_root: *y_root,
-                state: *state,
-                time: *time,
-                ..blank
-            },
+            } => {
+                (e.x, e.y, e.x_root, e.y_root) = (*x, *y, *x_root, *y_root);
+                (e.state, e.time) = (*state, *time);
+            }
             Event::Expose {
                 x,
                 y,
                 width,
                 height,
                 ..
-            } => EventInfo {
-                kind: Kind::Expose,
-                x: *x,
-                y: *y,
-                width: *width,
-                height: *height,
-                ..blank
-            },
-            Event::ConfigureNotify {
+            }
+            | Event::ConfigureNotify {
                 x,
                 y,
                 width,
                 height,
                 ..
-            } => EventInfo {
-                kind: Kind::Configure,
-                x: *x,
-                y: *y,
-                width: *width,
-                height: *height,
-                ..blank
-            },
-            Event::DestroyNotify { .. } => EventInfo {
-                kind: Kind::Destroy,
-                ..blank
-            },
-            Event::MapNotify { .. } => EventInfo {
-                kind: Kind::Map,
-                ..blank
-            },
-            Event::UnmapNotify { .. } => EventInfo {
-                kind: Kind::Unmap,
-                ..blank
-            },
-            Event::FocusIn { .. } => EventInfo {
-                kind: Kind::FocusIn,
-                ..blank
-            },
-            Event::FocusOut { .. } => EventInfo {
-                kind: Kind::FocusOut,
-                ..blank
-            },
-            Event::PropertyNotify { time, .. } => EventInfo {
-                kind: Kind::Property,
-                time: *time,
-                ..blank
-            },
-            _ => return None,
-        })
+            } => (e.x, e.y, e.width, e.height) = (*x, *y, *width, *height),
+            Event::PropertyNotify { time, .. } => e.time = *time,
+            Event::SelectionClear { .. }
+            | Event::SelectionRequest { .. }
+            | Event::SelectionNotify { .. } => return None,
+            // The structure and focus events carry only their type.
+            _ => {}
+        }
+        Some(e)
     }
 
-    /// A deterministic `<Kind-detail>` descriptor for this event — the
+    /// A deterministic `<Type-detail>` descriptor for this event — the
     /// label the span tracer records on `dispatch`/`bind` spans (never
     /// includes coordinates or timestamps, so span details are stable
     /// run to run).
     pub fn descriptor(&self) -> String {
         if self.detail.is_empty() {
-            format!("<{}>", self.kind.name())
+            format!("<{}>", self.kind)
         } else {
-            format!("<{}-{}>", self.kind.name(), self.detail)
+            format!("<{}-{}>", self.kind, self.detail)
         }
     }
 }
@@ -276,7 +149,8 @@ impl EventInfo {
 /// One pattern within a binding sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pattern {
-    pub kind: Kind,
+    /// The X event name the pattern matches.
+    pub kind: &'static str,
     /// Required button number or keysym (empty = any).
     pub detail: String,
     /// Modifier bits that must be present in the event state.
@@ -291,6 +165,28 @@ pub struct Sequence(pub Vec<Pattern>);
 
 /// Maximum time between repeats/sequence elements (virtual milliseconds).
 const SEQUENCE_TIMEOUT: u64 = 500;
+
+/// The event words of a binding and the X event name each one binds: the
+/// one list of bindable event types in Tk.
+const EVENT_WORDS: &[(&str, &str)] = &[
+    ("ButtonPress", "ButtonPress"),
+    ("Button", "ButtonPress"),
+    ("ButtonRelease", "ButtonRelease"),
+    ("KeyPress", "KeyPress"),
+    ("Key", "KeyPress"),
+    ("KeyRelease", "KeyRelease"),
+    ("Enter", "EnterNotify"),
+    ("Leave", "LeaveNotify"),
+    ("Motion", "MotionNotify"),
+    ("Expose", "Expose"),
+    ("Configure", "ConfigureNotify"),
+    ("Destroy", "DestroyNotify"),
+    ("Map", "MapNotify"),
+    ("Unmap", "UnmapNotify"),
+    ("FocusIn", "FocusIn"),
+    ("FocusOut", "FocusOut"),
+    ("Property", "PropertyNotify"),
+];
 
 /// Parses an event-sequence specification.
 pub fn parse_sequence(spec: &str) -> Result<Sequence, Exception> {
@@ -311,7 +207,7 @@ pub fn parse_sequence(spec: &str) -> Result<Sequence, Exception> {
             // A bare character is shorthand for a KeyPress of that key.
             let c = chars[i];
             patterns.push(Pattern {
-                kind: Kind::KeyPress,
+                kind: "KeyPress",
                 detail: xsim::Keysym::from_char(c).name,
                 modifiers: 0,
                 count: 1,
@@ -329,7 +225,7 @@ fn parse_bracketed(inner: &str, whole: &str) -> Result<Pattern, Exception> {
     let fields: Vec<&str> = inner.split('-').filter(|f| !f.is_empty()).collect();
     let mut modifiers = 0u32;
     let mut count = 1u8;
-    let mut kind: Option<Kind> = None;
+    let mut kind: Option<&str> = None;
     let mut detail = String::new();
     for field in &fields {
         match *field {
@@ -344,22 +240,11 @@ fn parse_bracketed(inner: &str, whole: &str) -> Result<Pattern, Exception> {
             "Any" => {} // extra modifiers are always tolerated
             "Double" => count = 2,
             "Triple" => count = 3,
-            "ButtonPress" | "Button" => kind = Some(Kind::ButtonPress),
-            "ButtonRelease" => kind = Some(Kind::ButtonRelease),
-            "KeyPress" | "Key" => kind = Some(Kind::KeyPress),
-            "KeyRelease" => kind = Some(Kind::KeyRelease),
-            "Enter" => kind = Some(Kind::Enter),
-            "Leave" => kind = Some(Kind::Leave),
-            "Motion" => kind = Some(Kind::Motion),
-            "Expose" => kind = Some(Kind::Expose),
-            "Configure" => kind = Some(Kind::Configure),
-            "Destroy" => kind = Some(Kind::Destroy),
-            "Map" => kind = Some(Kind::Map),
-            "Unmap" => kind = Some(Kind::Unmap),
-            "FocusIn" => kind = Some(Kind::FocusIn),
-            "FocusOut" => kind = Some(Kind::FocusOut),
-            "Property" => kind = Some(Kind::Property),
             other => {
+                if let Some(&(_, name)) = EVENT_WORDS.iter().find(|(word, _)| *word == other) {
+                    kind = Some(name);
+                    continue;
+                }
                 // A detail: a button number after Button*, or a keysym.
                 if !detail.is_empty() {
                     return Err(Exception::error(format!(
@@ -367,7 +252,7 @@ fn parse_bracketed(inner: &str, whole: &str) -> Result<Pattern, Exception> {
                     )));
                 }
                 match kind {
-                    Some(Kind::ButtonPress) | Some(Kind::ButtonRelease) => {
+                    Some("ButtonPress" | "ButtonRelease") => {
                         if other.parse::<u8>().is_err() {
                             return Err(Exception::error(format!(
                                 "bad button number \"{other}\" in binding \"{whole}\""
@@ -375,7 +260,7 @@ fn parse_bracketed(inner: &str, whole: &str) -> Result<Pattern, Exception> {
                         }
                         detail = other.to_string();
                     }
-                    Some(Kind::KeyPress) | Some(Kind::KeyRelease) => {
+                    Some("KeyPress" | "KeyRelease") => {
                         if !is_keysym_name(other) {
                             return Err(Exception::error(format!(
                                 "bad keysym \"{other}\" in binding \"{whole}\""
@@ -387,9 +272,9 @@ fn parse_bracketed(inner: &str, whole: &str) -> Result<Pattern, Exception> {
                         // `<1>` means ButtonPress-1; `<a>`/`<Escape>` mean
                         // KeyPress with that keysym.
                         if other.parse::<u8>().is_ok() {
-                            kind = Some(Kind::ButtonPress);
+                            kind = Some("ButtonPress");
                         } else if is_keysym_name(other) {
-                            kind = Some(Kind::KeyPress);
+                            kind = Some("KeyPress");
                         } else {
                             return Err(Exception::error(format!(
                                 "bad event type or keysym \"{other}\" in binding \"{whole}\""
@@ -399,8 +284,7 @@ fn parse_bracketed(inner: &str, whole: &str) -> Result<Pattern, Exception> {
                     }
                     Some(k) => {
                         return Err(Exception::error(format!(
-                            "detail \"{other}\" not allowed after {} in \"{whole}\"",
-                            k.name()
+                            "detail \"{other}\" not allowed after {k} in \"{whole}\""
                         )))
                     }
                 }
@@ -615,7 +499,7 @@ impl BindingTable {
         // Record key/button events in the history for sequence matching.
         if matches!(
             event.kind,
-            Kind::KeyPress | Kind::ButtonPress | Kind::KeyRelease | Kind::ButtonRelease
+            "KeyPress" | "ButtonPress" | "KeyRelease" | "ButtonRelease"
         ) {
             let h = self.history.entry(path.to_string()).or_default();
             h.push_back(event.clone());
@@ -731,7 +615,7 @@ pub fn percent_substitute(script: &str, event: &EventInfo, path: &str) -> String
             Some('b') => out.push_str(&event.detail),
             Some('s') => out.push_str(&event.state.to_string()),
             Some('t') => out.push_str(&event.time.to_string()),
-            Some('T') => out.push_str(event.kind.name()),
+            Some('T') => out.push_str(event.kind),
             Some('w') => out.push_str(&event.width.to_string()),
             Some('h') => out.push_str(&event.height.to_string()),
             Some(other) => {
@@ -748,7 +632,7 @@ pub fn percent_substitute(script: &str, event: &EventInfo, path: &str) -> String
 mod tests {
     use super::*;
 
-    fn ev(kind: Kind, detail: &str, state: u32, time: u64) -> EventInfo {
+    fn ev(kind: &'static str, detail: &str, state: u32, time: u64) -> EventInfo {
         EventInfo {
             kind,
             detail: detail.to_string(),
@@ -767,15 +651,15 @@ mod tests {
     #[test]
     fn parse_simple_patterns() {
         let s = parse_sequence("<Enter>").unwrap();
-        assert_eq!(s.0[0].kind, Kind::Enter);
+        assert_eq!(s.0[0].kind, "EnterNotify");
         let s = parse_sequence("a").unwrap();
-        assert_eq!(s.0[0].kind, Kind::KeyPress);
+        assert_eq!(s.0[0].kind, "KeyPress");
         assert_eq!(s.0[0].detail, "a");
         let s = parse_sequence("<Button-1>").unwrap();
-        assert_eq!(s.0[0].kind, Kind::ButtonPress);
+        assert_eq!(s.0[0].kind, "ButtonPress");
         assert_eq!(s.0[0].detail, "1");
         let s = parse_sequence("<1>").unwrap();
-        assert_eq!(s.0[0].kind, Kind::ButtonPress);
+        assert_eq!(s.0[0].kind, "ButtonPress");
         assert_eq!(s.0[0].detail, "1");
     }
 
@@ -787,7 +671,7 @@ mod tests {
         assert_eq!(s.0[0].modifiers, state::CONTROL);
         assert_eq!(s.0[0].detail, "w");
         let s = parse_sequence("<Control-q>").unwrap();
-        assert_eq!(s.0[0].kind, Kind::KeyPress);
+        assert_eq!(s.0[0].kind, "KeyPress");
         assert_eq!(s.0[0].detail, "q");
     }
 
@@ -811,10 +695,10 @@ mod tests {
     fn simple_binding_matches() {
         let mut t = BindingTable::new();
         t.add(".x", "<Enter>", "print hi").unwrap();
-        let got = t.match_event(".x", "Frame", &ev(Kind::Enter, "", 0, 1));
+        let got = t.match_event(".x", "Frame", &ev("EnterNotify", "", 0, 1));
         assert_eq!(got.as_deref(), Some("print hi"));
         assert!(t
-            .match_event(".y", "Frame", &ev(Kind::Enter, "", 0, 2))
+            .match_event(".y", "Frame", &ev("EnterNotify", "", 0, 2))
             .is_none());
     }
 
@@ -823,11 +707,11 @@ mod tests {
         let mut t = BindingTable::new();
         t.add(".x", "a", "typed-a").unwrap();
         assert_eq!(
-            t.match_event(".x", "F", &ev(Kind::KeyPress, "a", 0, 1)),
+            t.match_event(".x", "F", &ev("KeyPress", "a", 0, 1)),
             Some("typed-a".into())
         );
         assert!(t
-            .match_event(".x", "F", &ev(Kind::KeyPress, "b", 0, 2))
+            .match_event(".x", "F", &ev("KeyPress", "b", 0, 2))
             .is_none());
     }
 
@@ -836,10 +720,10 @@ mod tests {
         let mut t = BindingTable::new();
         t.add(".x", "<Control-q>", "cq").unwrap();
         assert!(t
-            .match_event(".x", "F", &ev(Kind::KeyPress, "q", 0, 1))
+            .match_event(".x", "F", &ev("KeyPress", "q", 0, 1))
             .is_none());
         assert_eq!(
-            t.match_event(".x", "F", &ev(Kind::KeyPress, "q", state::CONTROL, 2)),
+            t.match_event(".x", "F", &ev("KeyPress", "q", state::CONTROL, 2)),
             Some("cq".into())
         );
     }
@@ -850,11 +734,11 @@ mod tests {
         t.add(".x", "<Key>", "anykey").unwrap();
         t.add(".x", "a", "justa").unwrap();
         assert_eq!(
-            t.match_event(".x", "F", &ev(Kind::KeyPress, "a", 0, 1)),
+            t.match_event(".x", "F", &ev("KeyPress", "a", 0, 1)),
             Some("justa".into())
         );
         assert_eq!(
-            t.match_event(".x", "F", &ev(Kind::KeyPress, "z", 0, 2)),
+            t.match_event(".x", "F", &ev("KeyPress", "z", 0, 2)),
             Some("anykey".into())
         );
     }
@@ -865,11 +749,11 @@ mod tests {
         t.add("Button", "<Enter>", "class").unwrap();
         t.add(".b", "<Enter>", "window").unwrap();
         assert_eq!(
-            t.match_event(".b", "Button", &ev(Kind::Enter, "", 0, 1)),
+            t.match_event(".b", "Button", &ev("EnterNotify", "", 0, 1)),
             Some("window".into())
         );
         assert_eq!(
-            t.match_event(".other", "Button", &ev(Kind::Enter, "", 0, 2)),
+            t.match_event(".other", "Button", &ev("EnterNotify", "", 0, 2)),
             Some("class".into())
         );
     }
@@ -879,15 +763,15 @@ mod tests {
         let mut t = BindingTable::new();
         t.add(".x", "<Double-Button-1>", "dbl").unwrap();
         assert!(t
-            .match_event(".x", "F", &ev(Kind::ButtonPress, "1", 0, 100))
+            .match_event(".x", "F", &ev("ButtonPress", "1", 0, 100))
             .is_none());
         assert_eq!(
-            t.match_event(".x", "F", &ev(Kind::ButtonPress, "1", 0, 200)),
+            t.match_event(".x", "F", &ev("ButtonPress", "1", 0, 200)),
             Some("dbl".into())
         );
         // Slow second click: no match.
         assert!(t
-            .match_event(".x", "F", &ev(Kind::ButtonPress, "1", 0, 2000))
+            .match_event(".x", "F", &ev("ButtonPress", "1", 0, 2000))
             .is_none());
     }
 
@@ -896,16 +780,16 @@ mod tests {
         let mut t = BindingTable::new();
         t.add(".x", "<Escape>q", "seq").unwrap();
         assert!(t
-            .match_event(".x", "F", &ev(Kind::KeyPress, "Escape", 0, 1))
+            .match_event(".x", "F", &ev("KeyPress", "Escape", 0, 1))
             .is_none());
         assert_eq!(
-            t.match_event(".x", "F", &ev(Kind::KeyPress, "q", 0, 2)),
+            t.match_event(".x", "F", &ev("KeyPress", "q", 0, 2)),
             Some("seq".into())
         );
         // q alone (after unrelated key) does not fire.
-        t.match_event(".x", "F", &ev(Kind::KeyPress, "x", 0, 3));
+        t.match_event(".x", "F", &ev("KeyPress", "x", 0, 3));
         assert!(t
-            .match_event(".x", "F", &ev(Kind::KeyPress, "q", 0, 4))
+            .match_event(".x", "F", &ev("KeyPress", "q", 0, 4))
             .is_none());
     }
 
@@ -923,7 +807,7 @@ mod tests {
 
     #[test]
     fn percent_substitution() {
-        let e = ev(Kind::ButtonPress, "1", 0, 42);
+        let e = ev("ButtonPress", "1", 0, 42);
         let s = percent_substitute("print \"mouse at %x %y\"", &e, ".x");
         assert_eq!(s, "print \"mouse at 10 20\"");
         let s = percent_substitute("%W %T %b %s %t %%", &e, ".a.b");
@@ -932,11 +816,177 @@ mod tests {
 
     #[test]
     fn percent_keysym_and_char() {
-        let e = ev(Kind::KeyPress, "a", 0, 1);
+        let e = ev("KeyPress", "a", 0, 1);
         assert_eq!(percent_substitute("%K/%A", &e, ".x"), "a/a");
-        let mut e2 = ev(Kind::KeyPress, "space", 0, 1);
+        let mut e2 = ev("KeyPress", "space", 0, 1);
         e2.ch = Some(' ');
         assert_eq!(percent_substitute("ins %A", &e2, ".x"), "ins { }");
+    }
+
+    #[test]
+    fn from_event_maps_each_field_of_every_bindable_type() {
+        use xsim::{Atom, Keysym, Xid};
+        let w = Xid(9);
+        let cases = [
+            (
+                Event::ButtonPress {
+                    window: w,
+                    button: 2,
+                    x: 1,
+                    y: 2,
+                    x_root: 3,
+                    y_root: 4,
+                    state: 5,
+                    time: 6,
+                },
+                "ButtonPress 1 2 3 4 0 0 5 6 2 {} 2",
+            ),
+            (
+                Event::ButtonRelease {
+                    window: w,
+                    button: 3,
+                    x: 11,
+                    y: 12,
+                    x_root: 13,
+                    y_root: 14,
+                    state: 15,
+                    time: 16,
+                },
+                "ButtonRelease 11 12 13 14 0 0 15 16 3 {} 3",
+            ),
+            (
+                Event::KeyPress {
+                    window: w,
+                    keysym: Keysym::from_char('q'),
+                    x: 21,
+                    y: 22,
+                    state: 23,
+                    time: 24,
+                },
+                "KeyPress 21 22 0 0 0 0 23 24 q q q",
+            ),
+            (
+                Event::KeyRelease {
+                    window: w,
+                    keysym: Keysym::named("F1"),
+                    x: 31,
+                    y: 32,
+                    state: 33,
+                    time: 34,
+                },
+                "KeyRelease 31 32 0 0 0 0 33 34 F1 {} F1",
+            ),
+            (
+                Event::EnterNotify {
+                    window: w,
+                    x: 41,
+                    y: 42,
+                    state: 43,
+                    time: 44,
+                },
+                "EnterNotify 41 42 0 0 0 0 43 44  {} ",
+            ),
+            (
+                Event::LeaveNotify {
+                    window: w,
+                    x: 51,
+                    y: 52,
+                    state: 53,
+                    time: 54,
+                },
+                "LeaveNotify 51 52 0 0 0 0 53 54  {} ",
+            ),
+            (
+                Event::MotionNotify {
+                    window: w,
+                    x: 61,
+                    y: 62,
+                    x_root: 63,
+                    y_root: 64,
+                    state: 65,
+                    time: 66,
+                },
+                "MotionNotify 61 62 63 64 0 0 65 66  {} ",
+            ),
+            (
+                Event::Expose {
+                    window: w,
+                    x: 71,
+                    y: 72,
+                    width: 73,
+                    height: 74,
+                    count: 75,
+                },
+                "Expose 71 72 0 0 73 74 0 0  {} ",
+            ),
+            (
+                Event::ConfigureNotify {
+                    window: w,
+                    x: 81,
+                    y: 82,
+                    width: 83,
+                    height: 84,
+                    border_width: 85,
+                },
+                "ConfigureNotify 81 82 0 0 83 84 0 0  {} ",
+            ),
+            (
+                Event::DestroyNotify { window: w },
+                "DestroyNotify 0 0 0 0 0 0 0 0  {} ",
+            ),
+            (
+                Event::MapNotify { window: w },
+                "MapNotify 0 0 0 0 0 0 0 0  {} ",
+            ),
+            (
+                Event::UnmapNotify { window: w },
+                "UnmapNotify 0 0 0 0 0 0 0 0  {} ",
+            ),
+            (Event::FocusIn { window: w }, "FocusIn 0 0 0 0 0 0 0 0  {} "),
+            (
+                Event::FocusOut { window: w },
+                "FocusOut 0 0 0 0 0 0 0 0  {} ",
+            ),
+            (
+                Event::PropertyNotify {
+                    window: w,
+                    atom: Atom(91),
+                    deleted: true,
+                    time: 92,
+                },
+                "PropertyNotify 0 0 0 0 0 0 0 92  {} ",
+            ),
+        ];
+        for (event, want) in cases {
+            let info = EventInfo::from_event(&event).expect("a bindable event");
+            let got = percent_substitute("%T %x %y %X %Y %w %h %s %t %K %A %b", &info, ".w");
+            assert_eq!(got, want, "{event:?}");
+        }
+        let selection = [
+            Event::SelectionClear {
+                window: w,
+                selection: Atom(1),
+                time: 2,
+            },
+            Event::SelectionRequest {
+                owner: w,
+                requestor: Xid(10),
+                selection: Atom(1),
+                target: Atom(2),
+                property: Atom(3),
+                time: 4,
+            },
+            Event::SelectionNotify {
+                requestor: w,
+                selection: Atom(1),
+                target: Atom(2),
+                property: Atom(3),
+                time: 4,
+            },
+        ];
+        for event in selection {
+            assert!(EventInfo::from_event(&event).is_none(), "{event:?}");
+        }
     }
 
     #[test]
