@@ -159,12 +159,6 @@ impl Place {
             .as_deref()
             .unwrap_or_else(|| asked.strip_prefix("::").unwrap_or(asked))
     }
-
-    /// The name an error message shows: the last link's target, or the
-    /// name as the script wrote it.
-    fn shown<'a>(&'a self, asked: &'a str) -> &'a str {
-        self.target.as_deref().unwrap_or(asked)
-    }
 }
 
 /// The entry a variable lookup lands on.
@@ -452,44 +446,58 @@ impl CompileState {
     }
 }
 
-/// The command table. Every name that was ever registered, or compiled
-/// as the head of a command, has a slot, which is empty while the name
-/// is not a command. A compiled command's `head_atom` is its name's slot,
-/// so a cached program dispatches to whatever the name means now.
+/// The command table. Every command name, and every name compiled as
+/// the head of a command, has a slot, which is empty while the name is
+/// not a command. A compiled command's `head_atom` is its name's slot,
+/// so a cached program dispatches to whatever the name means now. A slot
+/// no compiled program holds is given back when its command is deleted:
+/// its name leaves the map and the next new name reuses it.
 #[derive(Default)]
 struct Commands {
-    /// Name → index into `slots`.
-    ids: HashMap<String, u32>,
+    /// Name → index into `slots`, and whether a compiled program resolved
+    /// a head word to it: such a name keeps its slot for good.
+    ids: HashMap<String, (u32, bool)>,
     slots: Vec<Option<Command>>,
+    /// Slots given back, for the next new name.
+    free: Vec<u32>,
 }
 
 impl Commands {
-    /// The index of `name`'s slot, made (empty) on first use.
-    fn id(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.ids.get(name) {
-            return id;
+    /// The index of `name`'s slot, made (empty) on first use; `compiled`
+    /// marks it held by a compiled program.
+    fn id(&mut self, name: &str, compiled: bool) -> u32 {
+        if let Some((id, held)) = self.ids.get_mut(name) {
+            *held |= compiled;
+            return *id;
         }
-        let id = self.slots.len() as u32;
-        self.slots.push(None);
-        self.ids.insert(name.to_string(), id);
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() as u32 - 1
+        });
+        self.ids.insert(name.to_string(), (id, compiled));
         id
     }
 
     /// The slot of `name`, made (empty) on first use.
     fn slot(&mut self, name: &str) -> &mut Option<Command> {
-        let id = self.id(name);
+        let id = self.id(name, false);
         &mut self.slots[id as usize]
     }
 
-    /// Empties `name`'s slot, returning the command it held.
+    /// Empties `name`'s slot, returning the command it held. A slot no
+    /// compiled program holds is given back.
     fn take(&mut self, name: &str) -> Option<Command> {
-        let id = *self.ids.get(name)?;
+        let (id, compiled) = *self.ids.get(name)?;
+        if !compiled {
+            self.ids.remove(name);
+            self.free.push(id);
+        }
         self.slots[id as usize].take()
     }
 
     /// The command `name` holds now.
     fn get(&self, name: &str) -> Option<&Command> {
-        self.slots[*self.ids.get(name)? as usize].as_ref()
+        self.slots[self.ids.get(name)?.0 as usize].as_ref()
     }
 
     /// The names holding a command that `keep` accepts, sorted.
@@ -497,7 +505,7 @@ impl Commands {
         let mut names: Vec<String> = self
             .ids
             .iter()
-            .filter(|(_, &id)| self.slots[id as usize].as_ref().is_some_and(&keep))
+            .filter(|(_, &(id, _))| self.slots[id as usize].as_ref().is_some_and(&keep))
             .map(|(name, _)| name.clone())
             .collect();
         names.sort();
@@ -820,7 +828,7 @@ impl Interp {
                     return None;
                 }
                 let op = op.take().expect("an access runs its op once");
-                let fail = |fault: Fault, verb| Err(fault.error(verb, place.shown(name), index));
+                let fail = |fault: Fault, verb| Err(fault.error(verb, name, index));
                 Some(match slot {
                     Slot::Found(var) => match var.value(index) {
                         Ok(v) => op(v),
@@ -854,13 +862,13 @@ impl Interp {
                 })
             });
             let Some(result) = got else {
-                self.fire_traces(place.level, place.name(name), index, "r")?;
+                self.fire_traces(place.level, place.name(name), name, index, "r")?;
                 fired = true;
                 continue;
             };
             let r = result?;
             if place.traced && how != Access::Read {
-                self.fire_traces(place.level, place.name(name), index, "w")?;
+                self.fire_traces(place.level, place.name(name), name, index, "w")?;
             }
             return Ok(r);
         }
@@ -878,18 +886,14 @@ impl Interp {
                 _ => Err(Fault::NotArray),
             },
         });
-        found.map_err(|fault| fault.error("unset", place.shown(name), index))?;
-        let name = place.name(name);
+        found.map_err(|fault| fault.error("unset", name, index))?;
+        let (level, key) = (place.level, place.name(name));
         if index.is_none() {
-            self.inner.frames.borrow_mut()[place.level]
-                .vars
-                .remove(name);
+            self.inner.frames.borrow_mut()[level].vars.remove(key);
         }
-        let _ = self.fire_traces(place.level, name, index, "u");
+        let _ = self.fire_traces(level, key, name, index, "u");
         if index.is_none() {
-            self.inner.frames.borrow_mut()[place.level]
-                .traces
-                .remove(name);
+            self.inner.frames.borrow_mut()[level].traces.remove(key);
         }
         Ok(())
     }
@@ -955,7 +959,7 @@ impl Interp {
 
     /// Returns the sorted element names of an array variable.
     pub fn array_names(&self, name: &str) -> Result<Vec<String>, Exception> {
-        let (place, keys) = self.with_var(self.level(), name, |_, slot| match slot {
+        let (_, keys) = self.with_var(self.level(), name, |_, slot| match slot {
             Slot::Found(Var::Array(map)) => Some(map.keys().cloned().collect::<Vec<_>>()),
             _ => None,
         });
@@ -964,10 +968,7 @@ impl Interp {
                 keys.sort();
                 Ok(keys)
             }
-            None => Err(Exception::error(format!(
-                "\"{}\" isn't an array",
-                place.shown(name)
-            ))),
+            None => Err(Exception::error(format!("\"{name}\" isn't an array"))),
         }
     }
 
@@ -1052,18 +1053,22 @@ impl Interp {
             .unwrap_or_default()
     }
 
-    /// Fires the traces on `(level, name)` for operation `op` (`r`/`w`/`u`).
-    /// Script-trace errors propagate (except for unset traces, as in Tcl).
+    /// Fires the traces on variable `key` of frame `level` for operation
+    /// `op` (`r`/`w`/`u`). Each callback gets `name`, the name the access
+    /// was written with (through a link or a `::` prefix, not the
+    /// variable's own), as Tcl passes it. Script-trace errors propagate
+    /// (except for unset traces, as in Tcl).
     fn fire_traces(
         &self,
         level: usize,
+        key: &str,
         name: &str,
         index: Option<&str>,
         op: &str,
     ) -> Result<(), Exception> {
         let list: Vec<Rc<TraceDef>> = {
             let frames = self.inner.frames.borrow();
-            match frames[level].traces.get(name) {
+            match frames[level].traces.get(key) {
                 Some(l) if !l.is_empty() => l.clone(),
                 _ => return Ok(()),
             }
@@ -1221,7 +1226,7 @@ impl Interp {
     /// dispatch through it is an index lookup that still honors later
     /// (re)registrations.
     pub(crate) fn intern_atom(&self, name: &str) -> u32 {
-        self.inner.commands.borrow_mut().id(name)
+        self.inner.commands.borrow_mut().id(name, true)
     }
 
     /// Dispatches a substituted command line through its atom, if it has
@@ -1811,6 +1816,74 @@ mod tests {
         assert!(!i.command_names().contains(&"nosuch".to_string()));
         let e = i.eval("rename nosuch x").unwrap_err();
         assert_eq!(e.msg, "can't rename \"nosuch\": command doesn't exist");
+    }
+
+    /// Error messages and trace callbacks name a variable as the script
+    /// wrote it, through an `upvar` link or a `::` prefix: each script's
+    /// result as tclsh 8.6 prints it.
+    #[test]
+    fn accesses_report_the_name_the_script_wrote() {
+        let cases = [
+            (
+                "list [catch {upvar #0 nosuch2 b; set b} m] $m",
+                "1 {can't read \"b\": no such variable}",
+            ),
+            (
+                "list [catch {set ::nosuch5} m] $m",
+                "1 {can't read \"::nosuch5\": no such variable}",
+            ),
+            (
+                "proc q {} {upvar #0 nosuch3 u; catch {unset u} m; set m}; q",
+                "can't unset \"u\": no such variable",
+            ),
+            ("set tv 1; trace variable tv r tr; set ::tv; set seen", "::tv r"),
+            (
+                "set g 1; trace variable g w tr; proc p {} {upvar #0 g l; set l 2}; p; set seen",
+                "l w",
+            ),
+            (
+                "set arr(k) 1; trace variable arr r tr; proc r {} {upvar #0 arr a; set a(k)}; r; set seen",
+                "a r",
+            ),
+            (
+                "set u1 1; trace variable u1 u tr; proc uu {} {upvar #0 u1 z; unset z}; uu; set seen",
+                "z u",
+            ),
+        ];
+        for compile in [true, false] {
+            for (script, want) in cases {
+                let i = Interp::new();
+                i.set_compile(compile);
+                i.eval("proc tr {n1 n2 op} {lappend ::seen $n1 $op}")
+                    .unwrap();
+                let got = i.eval(script).unwrap();
+                assert_eq!(got, want, "compile {compile}: {script}");
+            }
+        }
+    }
+
+    /// A name no compiled program mentions gives its slot back when its
+    /// command is deleted, so defining and deleting many names does not
+    /// grow the table.
+    #[test]
+    fn a_deleted_command_gives_its_slot_back() {
+        for compile in [true, false] {
+            let i = Interp::new();
+            i.set_compile(compile);
+            let size = |i: &Interp| {
+                let table = i.inner.commands.borrow();
+                (table.slots.len(), table.ids.len())
+            };
+            let before = size(&i);
+            i.eval("for {set i 0} {$i < 10000} {incr i} {proc p$i {} {}; rename p$i {}}")
+                .unwrap();
+            let after = size(&i);
+            assert!(
+                after.0 <= before.0 + 1 && after.1 <= before.1,
+                "compile {compile}: (slots, names) {before:?} -> {after:?}"
+            );
+            assert_eq!(i.eval("info commands {p[0-9]*}").unwrap(), "");
+        }
     }
 
     #[test]

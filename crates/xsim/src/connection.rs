@@ -290,8 +290,7 @@ impl Connection {
     /// Chaos harnesses use it to drive the timeline past a plan's last
     /// plotted fault before auditing.
     pub fn wire_frame_timeline(&self) -> u64 {
-        let st = self.transport.lock();
-        st.frame_seq.get(&self.client.0).copied().unwrap_or(0)
+        self.transport.lock().stream(self.client).frames
     }
 
     /// Per-request-kind counts, non-zero kinds only.
@@ -435,7 +434,7 @@ impl Connection {
             Answer::Reply(v) => {
                 Ok(T::from_reply(v).expect("reply payload does not match cookie type"))
             }
-            Answer::NoReply { alive: true } => {
+            Answer::NoReply(true) => {
                 panic!("no reply filed for live cookie {}", cookie.seq)
             }
             _ => Err(XError::dead(cookie.seq)),

@@ -29,7 +29,7 @@ use crate::ids::{ClientId, CursorId, FontId, GcId, IdAllocator, Pixel, WindowId,
 use crate::obs::{ClientObs, ClientStats, RequestKind};
 use crate::render::Surface;
 use crate::window::{Window, WindowTree};
-use crate::wire::{QueuedRequest, ReplyValue, SyncReply, SyncRequest};
+use crate::wire::{QueuedRequest, ReplyValue, Stream, SyncReply, SyncRequest};
 
 /// Capacity of the per-client output buffer; reaching it forces a flush,
 /// like Xlib's fixed-size request buffer.
@@ -77,6 +77,9 @@ struct ClientState {
     /// its tracer instead so the server side of the pipeline shares the
     /// application's span tree.
     tracer: rtk_obs::Tracer,
+    /// The client's byte stream: its frame timeline and armed stalls,
+    /// kept and read by the transport.
+    stream: Stream,
 }
 
 impl ClientState {
@@ -85,6 +88,23 @@ impl ClientState {
     fn reset_stats(&mut self) {
         self.obs.reset();
         self.tracer.reset_epoch();
+    }
+}
+
+/// Every connection's state, indexed by id: [`Server::connect`] hands out
+/// ids 1, 2, 3, ... in order and never removes one, so client `n` is slot
+/// `n - 1` and finding it is an index, not a hash probe. Id 0, the
+/// transport's own channel, is no connection and finds nothing.
+#[derive(Debug, Default)]
+struct Clients(Vec<ClientState>);
+
+impl Clients {
+    fn get(&self, id: ClientId) -> Option<&ClientState> {
+        self.0.get((id.0 as usize).wrapping_sub(1))
+    }
+
+    fn get_mut(&mut self, id: ClientId) -> Option<&mut ClientState> {
+        self.0.get_mut((id.0 as usize).wrapping_sub(1))
     }
 }
 
@@ -105,8 +125,7 @@ pub struct Server {
     pub(crate) gcs: GcTable,
     pub(crate) bitmaps: crate::bitmap::BitmapTable,
     ids: IdAllocator,
-    next_client: u32,
-    clients: HashMap<ClientId, ClientState>,
+    clients: Clients,
     /// Clients with unapplied work (a non-empty output buffer or a
     /// deferred-by-quota remainder): `flush_all` walks only these, in
     /// sorted id order, instead of scanning every connection.
@@ -178,8 +197,7 @@ impl Server {
             gcs: GcTable::default(),
             bitmaps: crate::bitmap::BitmapTable::default(),
             ids,
-            next_client: 0,
-            clients: HashMap::new(),
+            clients: Clients::default(),
             dirty: std::collections::BTreeSet::new(),
             quota: None,
             pending_windows: HashMap::new(),
@@ -224,26 +242,26 @@ impl Server {
     /// `wire.backpressure_stalls` counter).
     pub fn backpressure_stalls(&self, client: ClientId) -> u64 {
         self.clients
-            .get(&client)
+            .get(client)
             .map_or(0, |c| c.obs.wire.backpressure_stalls)
     }
 
     /// Number of quota-deferred requests still parked on `client`.
     /// Zero once the backlog has drained — deferral is never loss.
     pub fn deferred_len(&self, client: ClientId) -> usize {
-        self.clients.get(&client).map_or(0, |c| c.deferred.len())
+        self.clients.get(client).map_or(0, |c| c.deferred.len())
     }
 
     /// Is this client's connection still alive?
     pub fn is_alive(&self, client: ClientId) -> bool {
-        self.clients.get(&client).is_some_and(|c| !c.dead)
+        self.clients.get(client).is_some_and(|c| !c.dead)
     }
 
     /// The last request sequence number assigned to `client` (0 if none).
     /// Fault plans key on sequence numbers; this is the anchor for
     /// "fault the next request" schedules.
     pub fn current_seq(&self, client: ClientId) -> u64 {
-        self.clients.get(&client).map_or(0, |c| c.next_seq)
+        self.clients.get(client).map_or(0, |c| c.next_seq)
     }
 
     /// Kills a client connection: discards its buffers and queues, then
@@ -252,7 +270,7 @@ impl Server {
     /// selections are released. Statistics survive so a post-mortem can
     /// still read the counters.
     pub fn kill_client(&mut self, client: ClientId) {
-        let Some(c) = self.clients.get_mut(&client) else {
+        let Some(c) = self.clients.get_mut(client) else {
             return;
         };
         if c.dead {
@@ -348,7 +366,7 @@ impl Server {
 
     /// Books an injected fault into the client's obs counters and trace.
     pub(crate) fn record_fault(&mut self, client: ClientId, at: u64, action: FaultAction) {
-        if let Some(c) = self.clients.get_mut(&client) {
+        if let Some(c) = self.clients.get_mut(client) {
             c.obs.record_fault(&c.tracer, at, action);
         }
     }
@@ -357,7 +375,7 @@ impl Server {
     /// event enqueues, and injected faults on that connection record
     /// spans/instants into it.
     pub fn set_client_tracer(&mut self, client: ClientId, tracer: rtk_obs::Tracer) {
-        if let Some(c) = self.clients.get_mut(&client) {
+        if let Some(c) = self.clients.get_mut(client) {
             tracer.set_client(client.0);
             c.tracer = tracer;
         }
@@ -371,17 +389,22 @@ impl Server {
 
     /// Registers a new client connection.
     pub fn connect(&mut self) -> ClientId {
-        self.next_client += 1;
-        let id = ClientId(self.next_client);
         let state = ClientState::default();
+        let id = ClientId(self.clients.0.len() as u32 + 1);
         state.tracer.set_client(id.0);
-        self.clients.insert(id, state);
+        self.clients.0.push(state);
         id
     }
 
     /// Has any client ever connected?
     pub(crate) fn has_clients(&self) -> bool {
-        self.next_client > 0
+        !self.clients.0.is_empty()
+    }
+
+    /// `client`'s byte stream; `None` for id 0, the transport's own
+    /// channel, which is no connection.
+    pub(crate) fn stream(&mut self, client: ClientId) -> Option<&mut Stream> {
+        self.clients.get_mut(client).map(|c| &mut c.stream)
     }
 
     /// The root window.
@@ -397,7 +420,7 @@ impl Server {
     /// Statistics for one client.
     pub fn stats(&self, client: ClientId) -> ClientStats {
         self.clients
-            .get(&client)
+            .get(client)
             .map(|c| ClientStats::from(&c.obs))
             .unwrap_or_default()
     }
@@ -409,7 +432,7 @@ impl Server {
     /// buffers are flushed first so the epoch boundary is exact.
     pub fn reset_stats(&mut self) {
         self.flush_all();
-        for c in self.clients.values_mut() {
+        for c in &mut self.clients.0 {
             c.reset_stats();
         }
         if let Some(p) = self.fault_plan.as_mut() {
@@ -424,7 +447,7 @@ impl Server {
     /// The client's output buffer is flushed first.
     pub fn reset_client_stats(&mut self, client: ClientId) {
         self.flush_client(client);
-        if let Some(c) = self.clients.get_mut(&client) {
+        if let Some(c) = self.clients.get_mut(client) {
             c.reset_stats();
         }
         if let Some(p) = self.fault_plan.as_mut() {
@@ -438,7 +461,7 @@ impl Server {
 
     /// Allocates the next request sequence number for a client.
     pub(crate) fn next_seq(&mut self, client: ClientId) -> u64 {
-        match self.clients.get_mut(&client) {
+        match self.clients.get_mut(client) {
             Some(c) => {
                 c.next_seq += 1;
                 c.next_seq
@@ -457,7 +480,7 @@ impl Server {
         q: QueuedRequest,
         frame: Option<&[u8]>,
     ) -> bool {
-        let Some(c) = self.clients.get_mut(&client) else {
+        let Some(c) = self.clients.get_mut(client) else {
             return false;
         };
         match frame {
@@ -471,14 +494,14 @@ impl Server {
 
     /// Requests waiting in `client`'s output buffer.
     pub(crate) fn buffered(&self, client: ClientId) -> usize {
-        self.clients.get(&client).map_or(0, |c| c.out.len)
+        self.clients.get(client).map_or(0, |c| c.out.len)
     }
 
     /// The clock reading a traced request's duration starts from: `None`
     /// while `client`'s protocol trace is off, so an untraced request
     /// reads no clock.
     pub(crate) fn trace_start(&self, client: ClientId) -> Option<std::time::Instant> {
-        let c = self.clients.get(&client)?;
+        let c = self.clients.get(client)?;
         c.obs.trace_enabled.then(std::time::Instant::now)
     }
 
@@ -496,7 +519,7 @@ impl Server {
         seq: u64,
         start: Option<std::time::Instant>,
     ) {
-        if let Some(c) = self.clients.get_mut(&client) {
+        if let Some(c) = self.clients.get_mut(client) {
             c.obs.counters.batched_requests += 1;
             if round_trip {
                 c.pending_replies += 1;
@@ -523,7 +546,7 @@ impl Server {
     /// the batch, the frames ahead of it still apply, and then the
     /// connection is killed.
     fn flush_inner(&mut self, client: ClientId, enforce_quota: bool) {
-        let out = match self.clients.get_mut(&client) {
+        let out = match self.clients.get_mut(client) {
             Some(c) if c.out.len > 0 || !c.deferred.is_empty() => std::mem::take(&mut c.out),
             _ => return,
         };
@@ -532,27 +555,13 @@ impl Server {
             return;
         }
         let mut fr = crate::wire::FrameReader::from_buffer(out.frames);
-        let mut corrupt = false;
         let mut batch = Vec::new();
-        while !corrupt {
-            let f = match fr.next_frame() {
-                Ok(Some(f)) => f,
-                Ok(None) => break,
-                Err(_) => {
-                    corrupt = true;
-                    break;
-                }
-            };
+        let corrupt = fr.read_all(|f| {
             self.note_wire_decode(client, f.wire_len());
-            match crate::wire::Message::decode(&f) {
-                Ok(q) => batch.push((f.seq, q)),
-                Err(_) => corrupt = true,
-            }
-        }
-        // A partial trailing frame is truncation damage: frames are
-        // buffered whole, so a flush must consume every byte.
-        corrupt |= fr.pending() > 0;
-        if let Some(c) = self.clients.get_mut(&client) {
+            let decoded = crate::wire::Message::decode(&f).map(|q| batch.push((f.seq, q)));
+            decoded.is_ok()
+        });
+        if let Some(c) = self.clients.get_mut(client) {
             c.obs.wire.flushes += 1;
             c.out.frames = fr.into_buffer();
         }
@@ -575,7 +584,7 @@ impl Server {
     ) {
         // Deferred requests re-apply first, in issue order, ahead of the
         // newly flushed batch.
-        if let Some(c) = self.clients.get_mut(&client) {
+        if let Some(c) = self.clients.get_mut(client) {
             if !c.deferred.is_empty() {
                 let mut merged = std::mem::take(&mut c.deferred);
                 merged.append(&mut buf);
@@ -596,7 +605,7 @@ impl Server {
                     let split = last_reply.map_or(quota, |i| quota.max(i + 1));
                     if split < buf.len() {
                         let rest = buf.split_off(split);
-                        if let Some(c) = self.clients.get_mut(&client) {
+                        if let Some(c) = self.clients.get_mut(client) {
                             c.deferred = rest;
                             c.obs.wire.backpressure_stalls += 1;
                             self.dirty.insert(client);
@@ -615,7 +624,7 @@ impl Server {
         let first_seq = buf.first().map_or(0, |(s, _)| *s);
         let last_seq = buf.last().map_or(0, |(s, _)| *s);
         let draws = buf.iter().filter(|(_, q)| q.kind().is_drawing()).count();
-        let Some(tracer) = self.clients.get(&client).map(|c| &c.tracer) else {
+        let Some(tracer) = self.clients.get(client).map(|c| &c.tracer) else {
             return;
         };
         let _flush_span = tracer.begin("flush", format!("seq {first_seq}..{last_seq}"), first_seq);
@@ -675,7 +684,7 @@ impl Server {
         if any_reply {
             self.charge_round_trip_cost();
         }
-        if let Some(c) = self.clients.get_mut(&client) {
+        if let Some(c) = self.clients.get_mut(client) {
             c.obs.counters.flushes += 1;
             c.obs.counters.max_batch = c.obs.counters.max_batch.max(n);
         }
@@ -736,13 +745,13 @@ impl Server {
         if drawn == 0 {
             return;
         }
-        if let Some(c) = self.clients.get_mut(&client) {
+        if let Some(c) = self.clients.get_mut(client) {
             c.obs.counters.pixels_drawn += drawn;
         }
     }
 
     fn store_reply(&mut self, client: ClientId, seq: u64, v: ReplyValue) {
-        if let Some(c) = self.clients.get_mut(&client) {
+        if let Some(c) = self.clients.get_mut(client) {
             c.replies.insert(seq, v);
         }
     }
@@ -750,13 +759,13 @@ impl Server {
     /// Has the reply for `seq` been executed and filed?
     pub(crate) fn has_reply(&self, client: ClientId, seq: u64) -> bool {
         self.clients
-            .get(&client)
+            .get(client)
             .is_some_and(|c| c.replies.contains_key(&seq))
     }
 
     /// Removes and returns the reply filed under `seq`.
     pub(crate) fn take_reply(&mut self, client: ClientId, seq: u64) -> Option<ReplyValue> {
-        let c = self.clients.get_mut(&client)?;
+        let c = self.clients.get_mut(client)?;
         let v = c.replies.remove(&seq);
         if v.is_some() {
             c.pending_replies = c.pending_replies.saturating_sub(1);
@@ -780,18 +789,18 @@ impl Server {
 
     /// Structured observability state for one client.
     pub fn client_obs(&self, client: ClientId) -> Option<&ClientObs> {
-        self.clients.get(&client).map(|c| &c.obs)
+        self.clients.get(client).map(|c| &c.obs)
     }
 
     /// The span tracer one client's flushes, events, faults and traced
     /// requests record into.
     pub fn client_tracer(&self, client: ClientId) -> Option<&rtk_obs::Tracer> {
-        self.clients.get(&client).map(|c| &c.tracer)
+        self.clients.get(client).map(|c| &c.tracer)
     }
 
     /// Mutable observability state for one client (trace toggling).
     pub fn client_obs_mut(&mut self, client: ClientId) -> Option<&mut ClientObs> {
-        self.clients.get_mut(&client).map(|c| &mut c.obs)
+        self.clients.get_mut(client).map(|c| &mut c.obs)
     }
 
     /// Counts one synchronous round trip in `client`'s record and, when
@@ -805,7 +814,7 @@ impl Server {
         window: WindowId,
         start: Option<std::time::Instant>,
     ) {
-        if let Some(c) = self.clients.get_mut(&client) {
+        if let Some(c) = self.clients.get_mut(client) {
             let traced = start.map(|s| s.elapsed());
             c.obs.record(&c.tracer, seq, kind, true, window, traced);
         }
@@ -880,7 +889,7 @@ impl Server {
     /// Counts one frame encoded on behalf of `client` (`bytes` includes
     /// the length prefix).
     pub(crate) fn note_wire_encode(&mut self, client: ClientId, bytes: usize) {
-        if let Some(c) = self.clients.get_mut(&client) {
+        if let Some(c) = self.clients.get_mut(client) {
             c.obs.wire.frames_encoded += 1;
             c.obs.wire.bytes_encoded += bytes as u64;
             c.obs.frame_bytes.record(bytes as u64);
@@ -889,7 +898,7 @@ impl Server {
 
     /// Counts one frame decoded on behalf of `client`.
     pub(crate) fn note_wire_decode(&mut self, client: ClientId, bytes: usize) {
-        if let Some(c) = self.clients.get_mut(&client) {
+        if let Some(c) = self.clients.get_mut(client) {
             c.obs.wire.frames_decoded += 1;
             c.obs.wire.bytes_decoded += bytes as u64;
         }
@@ -902,7 +911,7 @@ impl Server {
     /// protocol violation. Client id 0 is the transport's own control
     /// channel, not a connection, and is never killed.
     pub(crate) fn kill_broken_stream(&mut self, client: ClientId, watchdog: bool) {
-        if let Some(c) = self.clients.get_mut(&client) {
+        if let Some(c) = self.clients.get_mut(client) {
             if watchdog {
                 c.obs.wire.watchdog_fires += 1;
             } else {
@@ -917,7 +926,7 @@ impl Server {
     // ----- event delivery -----------------------------------------------------
 
     fn enqueue(&mut self, client: ClientId, event: Event) {
-        let idx = match self.clients.get_mut(&client) {
+        let idx = match self.clients.get_mut(client) {
             Some(c) if !c.dead => {
                 c.next_event += 1;
                 // The enqueue is an instant keyed on the event index (the
@@ -941,7 +950,7 @@ impl Server {
         if let Some(a) = action {
             self.record_fault(client, idx, a);
         }
-        let Some(c) = self.clients.get_mut(&client) else {
+        let Some(c) = self.clients.get_mut(client) else {
             return;
         };
         c.obs.counters.events += 1;
@@ -973,7 +982,7 @@ impl Server {
     /// same-window ordering guard), or — when `window` is `None` — every
     /// held event (a blocking poll: nothing is ever lost to a delay).
     fn release_delayed(&mut self, client: ClientId, window: Option<WindowId>, now: u64) {
-        let Some(c) = self.clients.get_mut(&client) else {
+        let Some(c) = self.clients.get_mut(client) else {
             return;
         };
         if c.delayed.is_empty() {
@@ -1063,7 +1072,7 @@ impl Server {
     /// back, but never loses it.
     pub fn poll_event(&mut self, client: ClientId) -> Option<Event> {
         self.release_delayed(client, None, u64::MAX);
-        self.clients.get_mut(&client)?.queue.pop_front()
+        self.clients.get_mut(client)?.queue.pop_front()
     }
 
     /// Number of events a client has yet to take: its read-ahead, its
@@ -1071,13 +1080,13 @@ impl Server {
     /// to arrive by the next poll).
     pub fn pending(&self, client: ClientId) -> usize {
         self.clients
-            .get(&client)
+            .get(client)
             .map_or(0, |c| c.read_ahead.len() + c.queue.len() + c.delayed.len())
     }
 
     /// The client's read-ahead queue.
     pub(crate) fn read_ahead(&mut self, client: ClientId) -> Option<&mut VecDeque<Event>> {
-        self.clients.get_mut(&client).map(|c| &mut c.read_ahead)
+        self.clients.get_mut(client).map(|c| &mut c.read_ahead)
     }
 
     // ----- window requests ------------------------------------------------------
@@ -1219,7 +1228,7 @@ impl Server {
         };
         let coalesced = w.damage.add(clamped);
         let owner = w.owner;
-        if let Some(c) = self.clients.get_mut(&owner) {
+        if let Some(c) = self.clients.get_mut(owner) {
             c.obs.counters.damage_rects += 1;
             c.obs.counters.expose_coalesced += coalesced;
         }
@@ -2197,7 +2206,7 @@ impl Server {
                 ));
             }
         }
-        for (id, c) in &self.clients {
+        for (id, c) in (1..).map(ClientId).zip(&self.clients.0) {
             if c.dead {
                 if c.out.len > 0 {
                     v.push(format!(
@@ -2229,7 +2238,7 @@ impl Server {
                         c.pending_replies
                     ));
                 }
-                if self.dirty.contains(id) {
+                if self.dirty.contains(&id) {
                     v.push(format!("dead client {} is still in the dirty set", id.0));
                 }
                 let open = c.tracer.open_count();
@@ -2837,7 +2846,7 @@ mod tests {
     /// `(read-ahead, server queue, delayed)` lengths for `client`.
     fn event_queues(d: &crate::Display, client: ClientId) -> (usize, usize, usize) {
         d.peek_server(|s| {
-            let c = &s.clients[&client];
+            let c = s.clients.get(client).unwrap();
             (c.read_ahead.len(), c.queue.len(), c.delayed.len())
         })
     }
@@ -2931,7 +2940,7 @@ mod tests {
         // A dead client that still held read-ahead would be reported.
         d.peek_server(|s| {
             let ev = Event::FocusIn { window: s.root() };
-            s.clients.get_mut(&client).unwrap().read_ahead.push_back(ev);
+            s.clients.get_mut(client).unwrap().read_ahead.push_back(ev);
             assert_eq!(
                 s.audit(),
                 vec!["dead client 1 still has events (1 read ahead, 0 queued, 0 delayed)"]

@@ -40,7 +40,6 @@
 //! the codec they generate the request types, the `Connection` request
 //! methods, and the dispatch that runs each request's [`Server`] method.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::atom::Atom;
@@ -147,9 +146,6 @@ pub const FT_FLUSH_ALL: u8 = 14;
 /// the decoder never panics and never reads out of bounds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    /// The stream ended inside a frame (only surfaced by explicit EOF
-    /// checks; [`FrameReader::next_frame`] returns `Ok(None)` and waits).
-    Truncated,
     /// The frame header carries an unknown protocol version.
     BadVersion(u8),
     /// The frame type byte is outside the defined range.
@@ -168,7 +164,6 @@ pub enum WireError {
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WireError::Truncated => write!(f, "truncated frame"),
             WireError::BadVersion(v) => write!(f, "unsupported wire version {v}"),
             WireError::BadFrameType(t) => write!(f, "unknown frame type {t}"),
             WireError::BadOpcode(o) => write!(f, "unknown opcode {o}"),
@@ -401,31 +396,22 @@ impl Wire for RequestKind {
 
 // ----- frames -----
 
-/// One decoded frame: header fields plus the raw payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RawFrame {
+/// One decoded frame: header fields plus the payload, borrowed from the
+/// [`FrameReader`]'s buffer (the x11rb model: bytes stay where they were
+/// read until a message is decoded from them).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RawFrame<'a> {
     pub frame_type: u8,
     pub opcode: u16,
     pub seq: u64,
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
 }
 
-impl RawFrame {
+impl RawFrame<'_> {
     /// Total encoded size including the length prefix.
     pub fn wire_len(&self) -> usize {
         4 + HEADER_LEN + self.payload.len()
     }
-}
-
-/// Encodes one frame: length prefix, versioned header with CRC32 of
-/// header fields + payload, payload.
-pub fn frame(frame_type: u8, opcode: u16, seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut b = Vec::with_capacity(4 + HEADER_LEN + payload.len());
-    frame_into(&mut b, frame_type, seq, |b| {
-        b.extend_from_slice(payload);
-        opcode
-    });
-    b
 }
 
 /// Appends one frame to `out` in place: `put` writes the payload straight
@@ -464,10 +450,6 @@ pub struct FrameReader {
 }
 
 impl FrameReader {
-    pub fn new() -> FrameReader {
-        FrameReader::default()
-    }
-
     /// Buffers a read chunk for reassembly. Rejects growth past
     /// [`MAX_BUFFERED`] unconsumed bytes *before* copying anything: a
     /// hostile length prefix that never completes, or a flood of garbage
@@ -506,7 +488,8 @@ impl FrameReader {
         self.buf.len() - self.pos
     }
 
-    pub fn next_frame(&mut self) -> Result<Option<RawFrame>, WireError> {
+    /// The next complete frame, its payload borrowed from the buffer.
+    pub fn next_frame(&mut self) -> Result<Option<RawFrame<'_>>, WireError> {
         let avail = self.buf.len() - self.pos;
         if avail > MAX_BUFFERED {
             return Err(WireError::Oversized(avail.min(u32::MAX as usize) as u32));
@@ -554,14 +537,31 @@ impl FrameReader {
         }
         let opcode = u16::from_le_bytes(self.buf[start + 2..start + 4].try_into().unwrap());
         let seq = u64::from_le_bytes(self.buf[start + 4..start + 12].try_into().unwrap());
-        let payload = self.buf[start + HEADER_LEN..start + len as usize].to_vec();
         self.pos = start + len as usize;
         Ok(Some(RawFrame {
             frame_type,
             opcode,
             seq,
-            payload,
+            payload: &self.buf[start + HEADER_LEN..self.pos],
         }))
+    }
+
+    /// Reads a buffer that was shipped whole, handing each frame to
+    /// `each` until it refuses one. Returns whether the buffer was
+    /// damaged: a frame that does not read, one `each` refused, or a
+    /// partial frame left at the end (frames are written whole, so
+    /// leftover bytes can only mean the stream is broken).
+    pub(crate) fn read_all(&mut self, mut each: impl FnMut(RawFrame<'_>) -> bool) -> bool {
+        loop {
+            let accepted = match self.next_frame() {
+                Ok(Some(f)) => each(f),
+                Ok(None) => return self.pending() > 0,
+                Err(_) => false,
+            };
+            if !accepted {
+                return true;
+            }
+        }
     }
 
     fn compact(&mut self) {
@@ -589,7 +589,7 @@ pub(crate) trait Message: Sized {
     /// Appends the payload to `b` and returns the opcode.
     fn encode_into(&self, b: &mut Vec<u8>) -> u16;
     /// Decodes a frame's opcode and payload.
-    fn decode(f: &RawFrame) -> Result<Self, WireError>;
+    fn decode(f: &RawFrame<'_>) -> Result<Self, WireError>;
 }
 
 /// Generates a message type from its table: the [`Message`] codec for
@@ -732,8 +732,9 @@ macro_rules! message_table {
                     })*
                 }
             }
-            fn decode(f: &RawFrame) -> Result<Self, WireError> {
-                let r = &mut &f.payload[..];
+            fn decode(f: &RawFrame<'_>) -> Result<Self, WireError> {
+                let mut rest = f.payload;
+                let r = &mut rest;
                 let m = match f.opcode {
                     $($op => message_table!(@build r f $E $v $fields),)*
                     other => return Err(WireError::BadOpcode(other)),
@@ -1042,9 +1043,9 @@ pub(crate) enum Answer {
     Done,
     Sync(Result<SyncReply, XError>),
     Reply(ReplyValue),
-    NoReply {
-        alive: bool,
-    },
+    /// No reply is filed under the sequence number; whether the
+    /// connection is still alive.
+    NoReply(bool),
     /// A poll's batch, oldest first; empty when nothing was queued.
     Events(Vec<Event>),
     Pending(usize),
@@ -1081,7 +1082,7 @@ impl Answer {
             }
             Answer::Sync(Err(e)) => frame_into(out, FT_ERROR, e.seq, |b| payload(&e, b)),
             Answer::Reply(v) => frame_into(out, FT_COOKIE_REPLY, seq, |b| v.encode_into(b)),
-            Answer::NoReply { alive } => frame_into(out, FT_NO_REPLY, seq, |b| payload(&alive, b)),
+            Answer::NoReply(alive) => frame_into(out, FT_NO_REPLY, seq, |b| payload(&alive, b)),
             Answer::Events(batch) if !batch.is_empty() => {
                 for ev in &batch {
                     sent(frame_into(out, FT_EVENT, 0, |b| ev.encode_into(b)));
@@ -1094,16 +1095,23 @@ impl Answer {
         sent(n);
     }
 
-    /// Decodes one response frame; anything malformed reads as `Done`.
-    fn decode(f: &RawFrame) -> Answer {
+    /// Folds one response frame into the answer decoded so far: an event
+    /// decodes straight onto the end of the poll's batch, any other frame
+    /// replaces the answer. Anything malformed reads as `Done`.
+    fn decode(self, f: &RawFrame<'_>) -> Answer {
         let answer = match f.frame_type {
             FT_SYNC_REPLY => SyncReply::decode(f).ok().map(|r| Answer::Sync(Ok(r))),
-            FT_ERROR => from_payload(&f.payload).ok().map(|e| Answer::Sync(Err(e))),
+            FT_ERROR => from_payload(f.payload).ok().map(|e| Answer::Sync(Err(e))),
             FT_COOKIE_REPLY => ReplyValue::decode(f).ok().map(Answer::Reply),
-            FT_NO_REPLY => Some(Answer::NoReply {
-                alive: f.payload.first() == Some(&1),
+            FT_NO_REPLY => Some(Answer::NoReply(f.payload.first() == Some(&1))),
+            FT_EVENT => Event::decode(f).ok().map(|ev| {
+                let mut batch = match self {
+                    Answer::Events(batch) => batch,
+                    _ => Vec::new(),
+                };
+                batch.push(ev);
+                Answer::Events(batch)
             }),
-            FT_EVENT => Event::decode(f).ok().map(|ev| Answer::Events(vec![ev])),
             FT_NO_EVENT => Some(Answer::Events(Vec::new())),
             FT_PENDING_COUNT => Some(Answer::Pending(f.seq as usize)),
             _ => None,
@@ -1135,9 +1143,7 @@ fn execute(s: &mut Server, client: ClientId, ctl: Control) -> Answer {
             }
             match s.take_reply(client, seq) {
                 Some(v) => Answer::Reply(v),
-                None => Answer::NoReply {
-                    alive: s.is_alive(client),
-                },
+                None => Answer::NoReply(s.is_alive(client)),
             }
         }
         Control::PollEvent => {
@@ -1161,23 +1167,14 @@ fn flush_buffers(s: &mut Server) {
     s.flush_all();
 }
 
-/// Decodes and executes one shipped control message, returning the
-/// response bytes for the client that sent it; the reader borrows the
-/// message's buffer and hands it back. Damage anywhere in the message
-/// kills the connection and yields an empty response.
-fn dispatch(s: &mut Server, client: ClientId, bytes: &mut Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::new();
+/// Decodes and executes one shipped control message, encoding the
+/// response for the client that sent it into `out`; the reader borrows
+/// the message's buffer and hands it back. Damage anywhere in the
+/// message kills the connection and leaves the response empty.
+fn dispatch(s: &mut Server, client: ClientId, bytes: &mut Vec<u8>, out: &mut Vec<u8>) {
+    out.clear();
     let mut fr = FrameReader::from_buffer(std::mem::take(bytes));
-    let mut intact = true;
-    while intact {
-        let f = match fr.next_frame() {
-            Ok(Some(f)) => f,
-            Ok(None) => break,
-            Err(_) => {
-                intact = false;
-                break;
-            }
-        };
+    let damaged = fr.read_all(|f| {
         s.note_wire_decode(client, f.wire_len());
         let answer = match f.frame_type {
             FT_FLUSH_CLIENT => execute(s, client, Control::Flush),
@@ -1197,38 +1194,42 @@ fn dispatch(s: &mut Server, client: ClientId, bytes: &mut Vec<u8>) -> Vec<u8> {
             FT_TAKE_REPLY => execute(s, client, Control::TakeReply(f.seq)),
             FT_POLL_EVENT => execute(s, client, Control::PollEvent),
             FT_PENDING => execute(s, client, Control::Pending),
-            _ => continue, // data frames never arrive as control messages
+            _ => return true, // data frames never arrive as control messages
         };
-        answer.frame_into(f.seq, &mut out, |n| s.note_wire_encode(client, n));
-    }
-    // A partial frame at the end of a control message is truncation
-    // damage: control frames are shipped whole, so leftover bytes can
-    // only mean the stream is broken.
-    let damaged = !intact || fr.pending() > 0;
+        answer.frame_into(f.seq, out, |n| s.note_wire_encode(client, n));
+        true
+    });
     *bytes = fr.into_buffer();
     if damaged {
         s.kill_broken_stream(client, false);
-        return Vec::new();
+        out.clear();
     }
-    out
+}
+
+/// One client's byte stream as the transport tracks it. A connection's
+/// lives in its server-side client state, indexed by id; client 0's (the
+/// transport's own channel) lives in [`State`].
+#[derive(Debug, Default)]
+pub(crate) struct Stream {
+    /// Frames encoded so far: the timeline byte faults key on
+    /// (`FaultSpec::at` for a byte action is a 1-based index into it).
+    /// Counted identically whether or not a plan is installed.
+    pub(crate) frames: u64,
+    /// Dispatch stall, in [`STALL_TICK_MS`] ticks of virtual time, armed
+    /// by `StallDispatch` faults and charged to the next control frame.
+    pub(crate) stalls: u32,
 }
 
 /// Everything behind the transport mutex: the server (which holds every
-/// client's output buffer) and the byte stream's per-client state.
+/// client's output buffer and byte stream) and the transport's buffers.
 pub(crate) struct State {
     pub(crate) server: Server,
     /// Codec on (the default): requests and control messages cross as
     /// frame bytes. Off (`RTK_NO_WIRE=1`): they cross as typed values,
     /// the oracle the wire-equivalence suite compares against.
     pub(crate) codec: bool,
-    /// Per-client count of encoded frames — the timeline byte faults key
-    /// on (`FaultSpec::at` for a byte action is a 1-based index into this
-    /// stream). Counted identically whether or not a plan is installed.
-    pub(crate) frame_seq: HashMap<u32, u64>,
-    /// Dispatch stalls, in [`STALL_TICK_MS`] ticks of virtual time, armed
-    /// by `StallDispatch` faults and charged to the client's next control
-    /// frame.
-    stalls: HashMap<u32, u32>,
+    /// The byte stream of client 0, the transport's own channel.
+    own: Stream,
     /// Sync-watchdog deadline in ms: a control frame whose virtual stall
     /// reaches it is never answered, and the client gets a clean dead
     /// connection instead.
@@ -1236,6 +1237,9 @@ pub(crate) struct State {
     /// The reused outgoing buffer each request and control frame is
     /// encoded into, and byte faults damage, before it is shipped.
     tx: Vec<u8>,
+    /// The reused response buffer: `dispatch` encodes each control
+    /// message's answer into it and `control` decodes it from there.
+    rx: Vec<u8>,
 }
 
 /// The one transport between the Xlib-shaped calling surface and the
@@ -1255,10 +1259,10 @@ impl Transport {
             state: Arc::new(Mutex::new(State {
                 server: Server::new(),
                 codec,
-                frame_seq: HashMap::new(),
-                stalls: HashMap::new(),
+                own: Stream::default(),
                 deadline_ms: DEFAULT_WIRE_DEADLINE_MS,
                 tx: Vec::new(),
+                rx: Vec::new(),
             })),
         }
     }
@@ -1309,18 +1313,14 @@ impl State {
         if !self.codec {
             return execute(&mut self.server, client, ctl);
         }
-        let mut fr = FrameReader::from_buffer(self.ship(client, &ctl));
+        self.ship(client, &ctl);
+        let mut fr = FrameReader::from_buffer(std::mem::take(&mut self.rx));
         let mut answer = Answer::Done;
         while let Ok(Some(f)) = fr.next_frame() {
             self.server.note_wire_decode(client, f.wire_len());
-            answer = match (answer, Answer::decode(&f)) {
-                (Answer::Events(mut batch), Answer::Events(more)) => {
-                    batch.extend(more);
-                    Answer::Events(batch)
-                }
-                (_, next) => next,
-            };
+            answer = answer.decode(&f);
         }
+        self.rx = fr.into_buffer();
         answer
     }
 
@@ -1349,24 +1349,36 @@ impl State {
     }
 
     /// Ships a control frame and dispatches it inline, under the lock the
-    /// caller already holds; returns the response bytes. A stall armed by
+    /// caller already holds; returns the response bytes, which stay in the
+    /// response buffer for `control` to decode. A stall armed by
     /// `StallDispatch` runs on a virtual clock: one that reaches the
     /// deadline trips the sync watchdog — the connection is torn down,
     /// the frame is never answered, and the client sees an empty response
     /// (`ConnectionDead`, never a hang). A shorter stall costs nothing.
-    fn ship(&mut self, client: ClientId, ctl: &Control) -> Vec<u8> {
+    fn ship(&mut self, client: ClientId, ctl: &Control) -> &[u8] {
         // Control frames ride the same byte stream as data frames, so
         // they share the per-client frame timeline and take byte faults
         // too (a corrupted sync request is damage the server must survive).
         self.tx.clear();
         ctl.frame_into(&mut self.tx);
         self.send_tx(client);
-        let stall = self.stalls.remove(&client.0).unwrap_or(0);
+        let stall = std::mem::take(&mut self.stream(client).stalls);
         if u64::from(stall) * STALL_TICK_MS >= self.deadline_ms {
             self.server.kill_broken_stream(client, true);
-            return Vec::new();
+            self.rx.clear();
+        } else {
+            dispatch(&mut self.server, client, &mut self.tx, &mut self.rx);
         }
-        dispatch(&mut self.server, client, &mut self.tx)
+        &self.rx
+    }
+
+    /// `client`'s byte stream: a connection's from the server's client
+    /// table, the transport's own channel's from here.
+    pub(crate) fn stream(&mut self, client: ClientId) -> &mut Stream {
+        match self.server.stream(client) {
+            Some(stream) => stream,
+            None => &mut self.own,
+        }
     }
 
     /// Sends the frame just encoded into `tx` onto `client`'s byte
@@ -1377,10 +1389,10 @@ impl State {
     /// no plan, so a fault's timeline index is independent of the plan's
     /// own contents.
     fn send_tx(&mut self, client: ClientId) {
+        let stream = self.stream(client);
+        stream.frames += 1;
+        let idx = stream.frames;
         let bytes = &mut self.tx;
-        let counter = self.frame_seq.entry(client.0).or_insert(0);
-        *counter += 1;
-        let idx = *counter;
         match self.server.fire_byte_fault(client, idx) {
             Some(FaultAction::CorruptByte { offset, xor }) if !bytes.is_empty() => {
                 let off = offset as usize % bytes.len();
@@ -1397,7 +1409,7 @@ impl State {
                 bytes.extend((0..n).map(|_| r.below(256) as u8));
             }
             Some(FaultAction::StallDispatch { ticks }) => {
-                *self.stalls.entry(client.0).or_insert(0) += ticks;
+                self.stream(client).stalls += ticks;
             }
             // A SplitWrite lands as two writes to the same stream, which
             // are byte-identical once buffered: the invariant it exists
@@ -1839,6 +1851,17 @@ mod tests {
         }
     }
 
+    /// Encodes one frame: length prefix, versioned header with CRC32 of
+    /// header fields + payload, payload.
+    fn frame(frame_type: u8, opcode: u16, seq: u64, payload: &[u8]) -> Vec<u8> {
+        let mut b = Vec::new();
+        frame_into(&mut b, frame_type, seq, |b| {
+            b.extend_from_slice(payload);
+            opcode
+        });
+        b
+    }
+
     /// A message encoded on its own, into `(opcode, payload)`.
     trait Encode {
         fn encode(&self) -> (u16, Vec<u8>);
@@ -1859,15 +1882,23 @@ mod tests {
         b
     }
 
-    /// Encodes through a frame and decodes back via a FrameReader.
-    fn frame_round_trip(ft: u8, op: u16, seq: u64, payload: &[u8]) -> RawFrame {
+    /// Encodes through a frame, reads it back via a FrameReader, and
+    /// hands the frame to `check`.
+    fn frame_round_trip<R>(
+        ft: u8,
+        op: u16,
+        seq: u64,
+        payload: &[u8],
+        check: impl FnOnce(RawFrame<'_>) -> R,
+    ) -> R {
         let bytes = frame(ft, op, seq, payload);
-        let mut fr = FrameReader::new();
+        let mut fr = FrameReader::default();
         fr.push(&bytes).unwrap();
         let f = fr.next_frame().unwrap().unwrap();
-        assert!(fr.next_frame().unwrap().is_none(), "exactly one frame");
         assert_eq!(f.wire_len(), bytes.len());
-        f
+        let r = check(f);
+        assert!(fr.next_frame().unwrap().is_none(), "exactly one frame");
+        r
     }
 
     /// Frames `m` under `seq`, reads it back, and checks both the opcode
@@ -1875,8 +1906,7 @@ mod tests {
     fn assert_round_trips<M: Message + std::fmt::Debug>(ft: u8, op: u16, seq: u64, m: &M) {
         let (enc_op, payload) = m.encode();
         assert_eq!(enc_op, op, "opcode table mismatch for {m:?}");
-        let f = frame_round_trip(ft, enc_op, seq, &payload);
-        let back = M::decode(&f).unwrap();
+        let back = frame_round_trip(ft, enc_op, seq, &payload, |f| M::decode(&f).unwrap());
         assert_eq!(format!("{m:?}"), format!("{back:?}"));
     }
 
@@ -1890,12 +1920,12 @@ mod tests {
     }
 
     /// A request frame as the reader hands it over.
-    fn raw(opcode: u16, payload: &[u8]) -> RawFrame {
+    fn raw(opcode: u16, payload: &[u8]) -> RawFrame<'_> {
         RawFrame {
             frame_type: FT_REQUEST,
             opcode,
             seq: 1,
-            payload: payload.to_vec(),
+            payload,
         }
     }
 
@@ -1941,8 +1971,9 @@ mod tests {
         }
         for _ in 0..200 {
             let e = rand_error(&mut r);
-            let f = frame_round_trip(FT_ERROR, 0, e.seq, &to_payload(&e));
-            let back: XError = from_payload(&f.payload).unwrap();
+            let back: XError = frame_round_trip(FT_ERROR, 0, e.seq, &to_payload(&e), |f| {
+                from_payload(f.payload).unwrap()
+            });
             assert_eq!(format!("{e:?}"), format!("{back:?}"));
         }
     }
@@ -2003,7 +2034,7 @@ mod tests {
         let (op, payload) = q.encode();
         let bytes = frame(FT_REQUEST, op, 9, &payload);
         for cut in 0..bytes.len() {
-            let mut fr = FrameReader::new();
+            let mut fr = FrameReader::default();
             fr.push(&bytes[..cut]).unwrap();
             assert_eq!(fr.next_frame().unwrap(), None, "cut at {cut}");
             // Feeding the remainder completes the frame.
@@ -2022,7 +2053,7 @@ mod tests {
         // mismatch is reported as such, not as corruption).
         let mut bytes = frame(FT_REQUEST, 3, 1, &[7, 0, 0, 0]);
         bytes[4] = 99;
-        let mut fr = FrameReader::new();
+        let mut fr = FrameReader::default();
         fr.push(&bytes).unwrap();
         assert_eq!(fr.next_frame(), Err(WireError::BadVersion(99)));
 
@@ -2030,7 +2061,7 @@ mod tests {
         // the whole header: checksum, not a misparse.
         let mut bytes = frame(FT_REQUEST, 3, 1, &[7, 0, 0, 0]);
         bytes[5] = 200;
-        let mut fr = FrameReader::new();
+        let mut fr = FrameReader::default();
         fr.push(&bytes).unwrap();
         assert_eq!(fr.next_frame(), Err(WireError::Checksum));
 
@@ -2040,19 +2071,19 @@ mod tests {
         bytes[5] = 200;
         let crc = frame_crc(&bytes[4..4 + CRC_OFFSET], &bytes[4 + HEADER_LEN..]);
         bytes[4 + CRC_OFFSET..4 + HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
-        let mut fr = FrameReader::new();
+        let mut fr = FrameReader::default();
         fr.push(&bytes).unwrap();
         assert_eq!(fr.next_frame(), Err(WireError::BadFrameType(200)));
 
         // Length shorter than the header: no valid encoder emits it, so
         // it is byte damage by definition.
-        let mut fr = FrameReader::new();
+        let mut fr = FrameReader::default();
         fr.push(&3u32.to_le_bytes()).unwrap();
         fr.push(&[0; 16]).unwrap();
         assert_eq!(fr.next_frame(), Err(WireError::Checksum));
 
         // Oversized length prefix: rejected before any allocation.
-        let mut fr = FrameReader::new();
+        let mut fr = FrameReader::default();
         fr.push(&(MAX_FRAME_LEN + 1).to_le_bytes()).unwrap();
         assert_eq!(
             fr.next_frame(),
@@ -2115,7 +2146,7 @@ mod tests {
         }
         // Feed it in random-size chunks; every frame must come back, in
         // order, regardless of where the chunk boundaries fall.
-        let mut fr = FrameReader::new();
+        let mut fr = FrameReader::default();
         let mut decoded = Vec::new();
         let mut pos = 0;
         while pos < stream.len() {
@@ -2163,7 +2194,7 @@ mod tests {
                 let xor = 1 + r.below(255) as u8;
                 let mut bytes = clean.clone();
                 bytes[offset] ^= xor;
-                let mut fr = FrameReader::new();
+                let mut fr = FrameReader::default();
                 fr.push(&bytes).unwrap();
                 match fr.next_frame() {
                     Err(WireError::Checksum)
@@ -2197,12 +2228,12 @@ mod tests {
             stream.extend_from_slice(&rand_request_frame(&mut r, i).1);
         }
         let decode_all = |chunks: &[&[u8]]| -> Vec<(u16, u64, Vec<u8>)> {
-            let mut fr = FrameReader::new();
+            let mut fr = FrameReader::default();
             let mut out = Vec::new();
             for c in chunks {
                 fr.push(c).unwrap();
                 while let Some(f) = fr.next_frame().unwrap() {
-                    out.push((f.opcode, f.seq, f.payload.clone()));
+                    out.push((f.opcode, f.seq, f.payload.to_vec()));
                 }
             }
             out
@@ -2222,13 +2253,13 @@ mod tests {
     #[test]
     fn push_is_bounded_against_hostile_prefixes_and_floods() {
         // 1 GiB length claim: Oversized, no buffering of the payload.
-        let mut fr = FrameReader::new();
+        let mut fr = FrameReader::default();
         fr.push(&(1u32 << 30).to_le_bytes()).unwrap();
         assert_eq!(fr.next_frame(), Err(WireError::Oversized(1 << 30)));
 
         // Garbage flood under a maximal (but legal) length prefix: the
         // reader buffers up to the bound, then refuses further growth.
-        let mut fr = FrameReader::new();
+        let mut fr = FrameReader::default();
         fr.push(&MAX_FRAME_LEN.to_le_bytes()).unwrap();
         let chunk = vec![0xAB_u8; 64 * 1024];
         let mut rejected = false;
@@ -2326,7 +2357,7 @@ mod tests {
         ];
         let resps = controls
             .iter()
-            .map(|ctl| d.transport.lock().ship(c.client_id(), ctl))
+            .map(|ctl| d.transport.lock().ship(c.client_id(), ctl).to_vec())
             .collect();
         (d, c.client_id(), resps)
     }
@@ -2371,7 +2402,7 @@ mod tests {
         let mut st = d.transport.lock();
         assert!(matches!(
             st.control(c, Control::TakeReply(1)),
-            Answer::NoReply { alive: false }
+            Answer::NoReply(false)
         ));
         let req = SyncRequest::InternAtom {
             name: "WM_NAME".into(),

@@ -17,15 +17,19 @@ STAGES="fmt clippy build test rtkbench golden budgets table1 wire_equivalence
 oracle_suite wire_stress oracle_budgets compile_equivalence trace_integrity
 trace chaos storm byte_chaos fleet"
 
+# rtkbench is its own workspace, so the format and lint stages check
+# its manifest too.
 stage_fmt() {
     echo "==> cargo fmt --check"
     cargo fmt --all --check
+    cargo fmt --manifest-path rtkbench/Cargo.toml --check
 }
 
 stage_clippy() {
     if cargo clippy --version >/dev/null 2>&1; then
         echo "==> cargo clippy -D warnings"
         cargo clippy --workspace --all-targets --offline --locked -- -D warnings
+        cargo clippy --manifest-path rtkbench/Cargo.toml --all-targets --offline --locked -- -D warnings
     else
         echo "==> clippy not installed; skipping lints"
     fi
