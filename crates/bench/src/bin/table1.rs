@@ -14,7 +14,9 @@
 //! file no rule claims is an error: the table counts the whole tree or it
 //! fails.
 //!
-//! Run with: `cargo run -p tk-bench --bin table1`
+//! Run with: `cargo run -p tk-bench --bin table1`. It prints the table
+//! as the Markdown that EXPERIMENTS.md's "Table I" section pastes, and
+//! CI (`scripts/ci.sh table1`) fails when that copy differs.
 //!
 //! `table1 -- --check-budgets [BUDGETS.json]` is the economy gate: it
 //! exits 1 if any row's code-line count is above its ceiling in the
@@ -29,9 +31,12 @@ use tk_bench::count_loc;
 /// The crates whose sources the table covers.
 const CRATES: [&str; 6] = ["tcl", "tk", "xsim", "obs", "wish", "bench"];
 
-/// Table rows in print order: name, then the Xt/Motif and Tk-1991 line
-/// counts the paper published (`None` where it has none).
-const ROWS: [(&str, Option<u32>, Option<u32>); 13] = [
+/// A table row: name, then the Xt/Motif and Tk-1991 line counts the
+/// paper published (`None` where it has none).
+type Row = (&'static str, Option<u32>, Option<u32>);
+
+/// Table rows in print order.
+const ROWS: [Row; 13] = [
     ("Intrinsics", Some(24900), Some(15100)),
     ("Tcl", None, Some(9300)),
     ("Geometry Manager", Some(2100), Some(1000)),
@@ -50,7 +55,6 @@ const ROWS: [(&str, Option<u32>, Option<u32>); 13] = [
 /// How many leading [`ROWS`] are the paper's modules; the next two are
 /// modules the paper's Tk did not need, the rest infrastructure and tools.
 const PAPER_ROWS: usize = 6;
-const INFRA_START: usize = 8;
 
 /// Classification rules, `crate/path` relative to the crate's `src`,
 /// first match wins. A rule ending in `/` claims everything under it.
@@ -197,63 +201,63 @@ fn main() {
         return;
     }
 
-    let line = |name: &str, xt: String, tk: String, (code, tests): (usize, usize)| {
-        println!("{name:<18} {xt:>9} {tk:>9} {code:>10} {tests:>11}");
-    };
-    let num = |v: Option<u32>| v.map(|v| v.to_string()).unwrap_or_else(|| "-".into());
-    let sum = |rows: std::ops::Range<usize>| {
-        sums[rows]
-            .iter()
-            .fold((0, 0), |(a, b), &(c, d)| (a + c, b + d))
-    };
+    print!("{}", markdown(&sums));
+}
 
-    println!("Table I — source lines, paper vs this reproduction");
-    println!("(Xt/Motif and Tk-1991 columns are the paper's published numbers;");
-    println!(" the Rust columns are measured from this repository right now.)\n");
-    println!(
-        "{:<18} {:>9} {:>9} {:>10} {:>11}",
-        "", "Xt/Motif", "Tk 1991", "Rust code", "Rust tests"
-    );
-    for (i, &(name, xt, tk)) in ROWS[..PAPER_ROWS].iter().enumerate() {
-        line(name, num(xt), num(tk), sums[i]);
-    }
-    let xt: u32 = ROWS[..PAPER_ROWS].iter().filter_map(|r| r.1).sum();
-    let tk: u32 = ROWS[..PAPER_ROWS].iter().filter_map(|r| r.2).sum();
-    line("Total", xt.to_string(), tk.to_string(), sum(0..PAPER_ROWS));
-
-    println!("\nModules the paper's Tk did not need but this reproduction builds:");
-    for (i, &(name, _, _)) in ROWS.iter().enumerate().take(INFRA_START).skip(PAPER_ROWS) {
-        line(name, "-".into(), "-".into(), sums[i]);
-    }
-    println!(
-        "\nInfrastructure and tools (transport, fault injection, observability, shell, harness):"
-    );
-    for (i, &(name, _, _)) in ROWS.iter().enumerate().skip(INFRA_START) {
-        line(name, "-".into(), "-".into(), sums[i]);
-    }
-    line("All crates", "-".into(), "-".into(), sum(0..ROWS.len()));
-
-    // The paper's second dimension — compiled bytes — can only be
-    // approximated per crate (rlib sizes from a release build), since Rust
-    // compiles per crate, not per module.
-    println!("\nCompiled sizes (release rlibs, when built with --release):");
-    for krate in ["tcl", "tk", "xsim"] {
-        let path = root.join(format!("target/release/lib{krate}.rlib"));
-        match std::fs::metadata(&path) {
-            Ok(m) => println!("  lib{krate}.rlib: {} bytes", m.len()),
-            Err(_) => println!("  lib{krate}.rlib: (run `cargo build --release` first)"),
+/// `n` with thousands separators.
+fn commas(n: usize) -> String {
+    let digits = n.to_string();
+    let mut out = String::new();
+    for (i, c) in digits.chars().enumerate() {
+        if i > 0 && (digits.len() - i) % 3 == 0 {
+            out.push(',');
         }
+        out.push(c);
     }
+    out
+}
 
-    println!("\nShape check (the paper's claims, recomputed for the Rust columns):");
-    let ratio = |row: usize| ROWS[row].1.unwrap_or(0) as f64 / sums[row].0 as f64;
-    println!(
-        "  paper: Tk widgets 2-5x smaller than Motif; Rust buttons vs Motif: {:.1}x,\n\
-         \u{20}        scrollbar: {:.1}x, listbox: {:.1}x smaller",
-        ratio(3),
-        ratio(4),
-        ratio(5),
+/// The header of [`markdown`]'s table.
+const HEADER: &str =
+    "| Module | Xt/Motif (paper) | Tk 1991 (paper) | This repo (Rust, code) | (tests) |\n\
+                      |---|---:|---:|---:|---:|\n";
+
+/// Table I as the Markdown table EXPERIMENTS.md pastes: the paper's rows
+/// and their total, the rows the paper's Tk did not need, the
+/// infrastructure rows, and the total over every crate (totals in bold).
+fn markdown(sums: &[(usize, usize)]) -> String {
+    let num = |v: Option<u32>| v.map_or("—".to_string(), |v| commas(v as usize));
+    let row = |name: &str, xt, tk, (code, tests): (usize, usize)| {
+        [
+            name.to_string(),
+            num(xt),
+            num(tk),
+            commas(code),
+            commas(tests),
+        ]
+    };
+    let bold = |cells: [String; 5]| cells.map(|c| if c == "—" { c } else { format!("**{c}**") });
+    let sum = |rows: &[(usize, usize)]| rows.iter().fold((0, 0), |a, s| (a.0 + s.0, a.1 + s.1));
+    let paper =
+        |col: fn(&Row) -> Option<u32>| Some(ROWS[..PAPER_ROWS].iter().filter_map(col).sum());
+    let mut lines: Vec<[String; 5]> = ROWS
+        .iter()
+        .zip(sums)
+        .map(|(r, &s)| row(r.0, r.1, r.2, s))
+        .collect();
+    let total = row(
+        "Total (paper's rows)",
+        paper(|r| r.1),
+        paper(|r| r.2),
+        sum(&sums[..PAPER_ROWS]),
     );
+    lines.insert(PAPER_ROWS, bold(total));
+    lines.push(bold(row("All six crates", None, None, sum(sums))));
+    let mut out = HEADER.to_string();
+    for cells in lines {
+        out.push_str(&format!("| {} |\n", cells.join(" | ")));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -311,6 +315,27 @@ mod tests {
             "Shell: no ceiling"
         );
         assert!(over_budget("{}", &sums).is_err());
+    }
+
+    #[test]
+    fn the_markdown_table_has_a_row_per_module_and_two_totals() {
+        assert_eq!(commas(0), "0");
+        assert_eq!(commas(999), "999");
+        assert_eq!(commas(21643), "21,643");
+        assert_eq!(commas(1234567), "1,234,567");
+        let sums = [(1000, 10); ROWS.len()];
+        let table = markdown(&sums);
+        let lines: Vec<&str> = table.lines().collect();
+        assert_eq!(lines.len(), 2 + ROWS.len() + 2);
+        assert_eq!(lines[2], "| Intrinsics | 24,900 | 15,100 | 1,000 | 10 |");
+        assert_eq!(
+            lines[2 + PAPER_ROWS],
+            "| **Total (paper's rows)** | **42,700** | **29,200** | **6,000** | **60** |"
+        );
+        assert_eq!(
+            lines.last().unwrap(),
+            &"| **All six crates** | — | — | **13,000** | **130** |"
+        );
     }
 
     #[test]

@@ -117,17 +117,6 @@ impl Array {
         self
     }
 
-    /// Appends a string element.
-    pub fn push_str(&mut self, value: &str) -> &mut Self {
-        let v = string(value);
-        self.push_raw(&v)
-    }
-
-    /// Appends an unsigned integer element.
-    pub fn push_u64(&mut self, value: u64) -> &mut Self {
-        self.push_raw(&value.to_string())
-    }
-
     /// Serializes the array.
     pub fn build(&self) -> String {
         format!("[{}]", self.parts.join(","))
@@ -386,7 +375,7 @@ mod tests {
     #[test]
     fn object_and_array_compose() {
         let mut inner = Array::new();
-        inner.push_u64(1).push_str("two");
+        inner.push_raw("1").push_raw(&string("two"));
         let mut o = Object::new();
         o.field_str("name", "x")
             .field_u64("n", 7)
@@ -400,7 +389,7 @@ mod tests {
     #[test]
     fn parser_round_trips_emitter_output() {
         let mut inner = Array::new();
-        inner.push_u64(1).push_str("two");
+        inner.push_raw("1").push_raw(&string("two"));
         let mut o = Object::new();
         o.field_str("name", "x\n\"y\"")
             .field_u64("n", 18446744073709551615)

@@ -28,4 +28,4 @@ mod registry;
 pub mod span;
 
 pub use hist::Histogram;
-pub use span::{SpanGuard, SpanId, SpanRecord, SpanShape, Tracer, VirtualClock};
+pub use span::{Detail, SpanGuard, SpanId, SpanRecord, SpanShape, Tracer, VirtualClock};

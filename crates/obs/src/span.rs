@@ -21,11 +21,17 @@
 //! orphans a recorded span — a dropped span contributes no stack entry,
 //! so its children attach to the nearest *recorded* ancestor.
 //!
+//! Recording allocates nothing once the store is warm: span ids are
+//! dense within an epoch, so a record's place in the store follows from
+//! its id, and a [`Detail`] keeps short text inline until a snapshot
+//! formats it.
+//!
 //! Span *structure* (counts by kind, parent/child edges) is deterministic
 //! for deterministic workloads, which is what lets CI pin span-tree
 //! shapes in `BUDGETS.json`; durations are report-only.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -116,10 +122,79 @@ impl SpanRecord {
     }
 }
 
+/// Bytes of text a [`Detail`] holds inline; longer text spills to a
+/// `String`. `eval_background`'s 32-character script prefix fits.
+pub const DETAIL_INLINE: usize = 38;
+
+/// A span's detail as the store keeps it: text of up to [`DETAIL_INLINE`]
+/// bytes inline, longer text in a `String`, so recording a short detail
+/// allocates nothing. It converts from a `&str`, or from
+/// `format_args!(..)`, which formats straight into the inline buffer;
+/// [`Tracer::snapshot`] turns it back into [`SpanRecord::detail`] text.
+#[derive(Clone, Debug)]
+pub struct Detail(Text);
+
+/// A [`Detail`]'s text.
+#[derive(Clone, Debug)]
+enum Text {
+    /// The first `len` bytes of the buffer (always whole characters).
+    Inline(u8, [u8; DETAIL_INLINE]),
+    /// Text too long to sit inline.
+    Heap(String),
+}
+
+impl Detail {
+    /// The detail text.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Text::Inline(len, buf) => std::str::from_utf8(&buf[..*len as usize]).expect("utf-8"),
+            Text::Heap(text) => text,
+        }
+    }
+}
+
+impl fmt::Write for Detail {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        match &mut self.0 {
+            Text::Inline(len, buf) if *len as usize + s.len() <= DETAIL_INLINE => {
+                buf[*len as usize..][..s.len()].copy_from_slice(s.as_bytes());
+                *len += s.len() as u8;
+            }
+            Text::Inline(..) => self.0 = Text::Heap([self.as_str(), s].concat()),
+            Text::Heap(text) => text.push_str(s),
+        }
+        Ok(())
+    }
+}
+
+impl From<&str> for Detail {
+    fn from(text: &str) -> Detail {
+        let mut d = Detail(Text::Inline(0, [0; DETAIL_INLINE]));
+        let _ = fmt::Write::write_str(&mut d, text);
+        d
+    }
+}
+
+impl From<fmt::Arguments<'_>> for Detail {
+    fn from(args: fmt::Arguments<'_>) -> Detail {
+        let mut d = Detail::from("");
+        let _ = fmt::Write::write_fmt(&mut d, args);
+        d
+    }
+}
+
+/// The store. Span ids are dense within an epoch, so the record of span
+/// `id` sits at `kept + (id - base)`; the `kept` spans before it are the
+/// ones still open at the last [`Tracer::reset_epoch`], found by a linear
+/// search. The store is therefore always in id order.
+#[derive(Debug)]
 struct TracerInner {
-    spans: Vec<SpanRecord>,
-    /// id → index into `spans` for the current epoch.
-    index: BTreeMap<SpanId, usize>,
+    /// Records with their details; a record's own `detail` stays empty
+    /// until [`Tracer::snapshot`] formats it.
+    spans: Vec<(SpanRecord, Detail)>,
+    kept: usize,
+    /// The first id handed out this epoch.
+    base: SpanId,
     /// Open-context stack: innermost span (or explicitly scoped cause) last.
     stack: Vec<SpanId>,
     next_id: SpanId,
@@ -132,48 +207,43 @@ struct TracerInner {
 }
 
 impl TracerInner {
-    fn now_ns(&self) -> u64 {
-        self.origin.elapsed().as_nanos() as u64
+    fn now(&self) -> (u64, u64) {
+        let vms = self.vclock.as_ref().map_or(0, VirtualClock::get);
+        (self.origin.elapsed().as_nanos() as u64, vms)
     }
 
-    fn now_vms(&self) -> u64 {
-        self.vclock.as_ref().map(|c| c.get()).unwrap_or(0)
+    /// Where span `id`'s record sits, if this epoch recorded it.
+    fn slot(&self, id: SpanId) -> Option<usize> {
+        match id.checked_sub(self.base) {
+            Some(n) => Some(self.kept + n as usize).filter(|&i| i < self.spans.len()),
+            None => self.spans[..self.kept].iter().position(|(s, _)| s.id == id),
+        }
     }
 
     /// The innermost stack entry that still refers to a recorded span
     /// (entries can dangle after an epoch reset dropped their record).
     fn resolve_parent(&self) -> SpanId {
-        for &id in self.stack.iter().rev() {
-            if self.index.contains_key(&id) {
-                return id;
-            }
-        }
-        0
+        let live = |id: &&SpanId| self.slot(**id).is_some();
+        self.stack.iter().rev().find(live).map_or(0, |&id| id)
     }
 
-    /// Stores one record under `parent` and returns its id; an open one
-    /// also becomes the innermost context. When the store is full the
-    /// record is counted in `dropped` instead and the id is `0`.
-    fn record(
-        &mut self,
-        kind: &'static str,
-        detail: String,
-        seq: u64,
-        parent: SpanId,
-        open: bool,
-    ) -> SpanId {
+    /// Stores one record under the innermost recorded context and returns
+    /// its id; an open one also becomes the innermost context. When the
+    /// store is full the record is counted in `dropped` instead and the
+    /// id is `0`.
+    fn record(&mut self, kind: &'static str, detail: Detail, seq: u64, open: bool) -> SpanId {
         if self.spans.len() >= self.cap {
             self.dropped += 1;
             return 0;
         }
         let id = self.next_id;
         self.next_id += 1;
-        let (now, vms) = (self.now_ns(), self.now_vms());
-        self.spans.push(SpanRecord {
+        let ((now, vms), parent) = (self.now(), self.resolve_parent());
+        let rec = SpanRecord {
             id,
             parent,
             kind,
-            detail,
+            detail: String::new(),
             client: self.client,
             seq,
             start_ns: now,
@@ -182,8 +252,8 @@ impl TracerInner {
             end_vms: vms,
             epoch: self.epoch,
             open,
-        });
-        self.index.insert(id, self.spans.len() - 1);
+        };
+        self.spans.push((rec, detail));
         if open {
             self.stack.push(id);
         }
@@ -196,20 +266,9 @@ impl TracerInner {
 /// layers share one tracer per application). The store is behind a
 /// `Mutex` so another app thread driving the shared wire server can
 /// record flush and fault spans into the tree this client thread builds.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct Tracer {
     inner: Arc<Mutex<TracerInner>>,
-}
-
-impl std::fmt::Debug for Tracer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let t = self.inner.lock().unwrap();
-        f.debug_struct("Tracer")
-            .field("spans", &t.spans.len())
-            .field("epoch", &t.epoch)
-            .field("dropped", &t.dropped)
-            .finish()
-    }
 }
 
 impl Default for Tracer {
@@ -226,7 +285,8 @@ impl Tracer {
         Tracer {
             inner: Arc::new(Mutex::new(TracerInner {
                 spans: Vec::new(),
-                index: BTreeMap::new(),
+                kept: 0,
+                base: 1,
                 stack: Vec::new(),
                 next_id: 1,
                 epoch: 0,
@@ -263,21 +323,19 @@ impl Tracer {
 
     /// Opens a span parented on the innermost open span. The returned
     /// guard closes it on drop.
-    pub fn begin(&self, kind: &'static str, detail: impl Into<String>, seq: u64) -> SpanGuard {
-        let mut t = self.inner.lock().unwrap();
-        let parent = t.resolve_parent();
+    pub fn begin(&self, kind: &'static str, detail: impl Into<Detail>, seq: u64) -> SpanGuard {
+        let detail = detail.into();
         SpanGuard {
-            id: t.record(kind, detail.into(), seq, parent, true),
+            id: self.inner.lock().unwrap().record(kind, detail, seq, true),
             tracer: self.clone(),
         }
     }
 
     /// Records a zero-width marker (damage event, fault injection, event
     /// enqueue, traced request) attached to the innermost open span.
-    pub fn instant(&self, kind: &'static str, detail: impl Into<String>, seq: u64) {
-        let mut t = self.inner.lock().unwrap();
-        let parent = t.resolve_parent();
-        t.record(kind, detail.into(), seq, parent, false);
+    pub fn instant(&self, kind: &'static str, detail: impl Into<Detail>, seq: u64) {
+        let detail = detail.into();
+        self.inner.lock().unwrap().record(kind, detail, seq, false);
     }
 
     /// Pushes an explicit parent context (typically a cause captured at
@@ -292,31 +350,18 @@ impl Tracer {
         }
     }
 
-    fn end(&self, id: SpanId) {
-        if id == 0 {
-            return;
-        }
-        let mut t = self.inner.lock().unwrap();
-        // Normally `id` is the innermost entry; tolerate interleaved
-        // drops by removing the matching entry wherever it sits.
-        if let Some(pos) = t.stack.iter().rposition(|&s| s == id) {
-            t.stack.remove(pos);
-        }
-        let (now, vms) = (t.now_ns(), t.now_vms());
-        if let Some(&idx) = t.index.get(&id) {
-            let rec = &mut t.spans[idx];
-            if rec.open {
-                rec.end_ns = now;
-                rec.end_vms = vms;
-                rec.open = false;
-            }
-        }
-    }
-
-    fn end_scope(&self, id: SpanId) {
+    /// Pops `id`'s context entry and, for a span (`close`), closes its
+    /// record. Normally `id` is the innermost entry; interleaved drops are
+    /// tolerated by removing the matching entry wherever it sits.
+    fn pop(&self, id: SpanId, close: bool) {
         let mut t = self.inner.lock().unwrap();
         if let Some(pos) = t.stack.iter().rposition(|&s| s == id) {
             t.stack.remove(pos);
+        }
+        if let Some(i) = t.slot(id).filter(|&i| close && t.spans[i].0.open) {
+            let (now, vms) = t.now();
+            let rec = &mut t.spans[i].0;
+            (rec.end_ns, rec.end_vms, rec.open) = (now, vms, false);
         }
     }
 
@@ -326,23 +371,17 @@ impl Tracer {
     /// re-parents to the new epoch root instead of dangling.
     pub fn reset_epoch(&self) {
         let mut t = self.inner.lock().unwrap();
+        let t = &mut *t;
         t.epoch += 1;
-        let epoch = t.epoch;
-        let survivors: Vec<SpanRecord> = t.spans.iter().filter(|s| s.open).cloned().collect();
-        let kept: BTreeMap<SpanId, ()> = survivors.iter().map(|s| (s.id, ())).collect();
-        t.spans.clear();
-        t.index.clear();
-        for mut s in survivors {
-            s.epoch = epoch;
-            if !kept.contains_key(&s.parent) {
-                s.parent = 0;
+        t.spans.retain(|(s, _)| s.open);
+        for i in 0..t.spans.len() {
+            let parent = t.spans[i].0.parent;
+            if !t.spans.iter().any(|(s, _)| s.id == parent) {
+                t.spans[i].0.parent = 0;
             }
-            let id = s.id;
-            t.spans.push(s);
-            let idx = t.spans.len() - 1;
-            t.index.insert(id, idx);
+            t.spans[i].0.epoch = t.epoch;
         }
-        t.dropped = 0;
+        (t.kept, t.base, t.dropped) = (t.spans.len(), t.next_id, 0);
     }
 
     /// The current epoch number.
@@ -368,15 +407,18 @@ impl Tracer {
     /// Spans still in flight.
     pub fn open_count(&self) -> usize {
         let t = self.inner.lock().unwrap();
-        t.spans.iter().filter(|s| s.open).count()
+        t.spans.iter().filter(|(s, _)| s.open).count()
     }
 
-    /// A copy of the current epoch's spans, in id order.
+    /// A copy of the current epoch's spans, in id order, each with its
+    /// detail formatted to text.
     pub fn snapshot(&self) -> Vec<SpanRecord> {
         let t = self.inner.lock().unwrap();
-        let mut spans = t.spans.clone();
-        spans.sort_by_key(|s| s.id);
-        spans
+        let copy = |(s, d): &(SpanRecord, Detail)| SpanRecord {
+            detail: d.as_str().to_string(),
+            ..s.clone()
+        };
+        t.spans.iter().map(copy).collect()
     }
 
     /// Verifies the span tree is well-formed: every non-root parent
@@ -384,8 +426,8 @@ impl Tracer {
     /// closed interval is ordered. Returns the first violation.
     pub fn check_integrity(&self) -> Result<(), String> {
         let t = self.inner.lock().unwrap();
-        for s in &t.spans {
-            if s.parent != 0 && !t.index.contains_key(&s.parent) {
+        for (s, _) in &t.spans {
+            if s.parent != 0 && t.slot(s.parent).is_none() {
                 return Err(format!(
                     "orphan span: id={} kind={} parent={} missing",
                     s.id, s.kind, s.parent
@@ -418,7 +460,10 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        self.tracer.end(self.id);
+        // A dropped span (id 0) pushed no context entry.
+        if self.id != 0 {
+            self.tracer.pop(self.id, true);
+        }
     }
 }
 
@@ -430,7 +475,7 @@ pub struct ScopeGuard {
 
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
-        self.tracer.end_scope(self.id);
+        self.tracer.pop(self.id, false);
     }
 }
 
@@ -461,15 +506,17 @@ pub fn spans_to_json(spans: &[SpanRecord]) -> String {
     arr.build()
 }
 
+/// Span `id`'s record in `spans`, which are in id order (as
+/// [`Tracer::snapshot`] returns them).
+fn find(spans: &[SpanRecord], id: SpanId) -> Option<&SpanRecord> {
+    let i = spans.binary_search_by_key(&id, |s| s.id).ok()?;
+    Some(&spans[i])
+}
+
 fn children_map(spans: &[SpanRecord]) -> BTreeMap<SpanId, Vec<usize>> {
-    let ids: BTreeMap<SpanId, ()> = spans.iter().map(|s| (s.id, ())).collect();
     let mut map: BTreeMap<SpanId, Vec<usize>> = BTreeMap::new();
     for (i, s) in spans.iter().enumerate() {
-        let parent = if ids.contains_key(&s.parent) {
-            s.parent
-        } else {
-            0
-        };
+        let parent = find(spans, s.parent).map_or(0, |p| p.id);
         map.entry(parent).or_default().push(i);
     }
     map
@@ -493,7 +540,8 @@ fn one_line(s: &SpanRecord) -> String {
     line
 }
 
-/// Renders spans as an indented tree (the `obs spans tree` format).
+/// Renders spans, in id order, as an indented tree (the `obs spans tree`
+/// format).
 pub fn spans_to_tree(spans: &[SpanRecord]) -> String {
     let map = children_map(spans);
     let mut out = String::new();
@@ -547,15 +595,13 @@ const STAGES: [&str; 15] = [
     "script",
 ];
 
-fn stage_tid(kind: &str, extra: &mut Vec<String>) -> u64 {
-    if let Some(i) = STAGES.iter().position(|s| *s == kind) {
-        return i as u64 + 1;
-    }
-    if let Some(i) = extra.iter().position(|s| s == kind) {
-        return STAGES.len() as u64 + 1 + i as u64;
-    }
-    extra.push(kind.to_string());
-    STAGES.len() as u64 + extra.len() as u64
+fn stage_tid(kind: &'static str, extra: &mut Vec<&'static str>) -> u64 {
+    let known = STAGES.iter().chain(extra.iter()).position(|s| *s == kind);
+    let i = known.unwrap_or_else(|| {
+        extra.push(kind);
+        STAGES.len() + extra.len() - 1
+    });
+    i as u64 + 1
 }
 
 fn micros(ns: u64) -> String {
@@ -580,7 +626,7 @@ pub fn chrome_trace(apps: &[(String, Vec<SpanRecord>)]) -> String {
             .field_raw("args", &args.build());
         events.push_raw(&meta.build());
 
-        let mut extra: Vec<String> = Vec::new();
+        let mut extra = Vec::new();
         let mut named_tids: Vec<(u64, String)> = Vec::new();
         for s in spans {
             let tid = stage_tid(s.kind, &mut extra);
@@ -629,9 +675,10 @@ pub fn chrome_trace(apps: &[(String, Vec<SpanRecord>)]) -> String {
     root.build()
 }
 
-/// Aggregates spans into folded stacks (`app;kind;kind value` lines, one
-/// per unique stack) weighted by wall-clock *self* time — the input format
-/// flamegraph tooling expects.
+/// Aggregates spans (each application's in id order, as
+/// [`Tracer::snapshot`] returns them) into folded stacks (`app;kind;kind
+/// value` lines, one per unique stack) weighted by wall-clock *self* time
+/// — the input format flamegraph tooling expects.
 pub fn folded_stacks(apps: &[(String, Vec<SpanRecord>)]) -> String {
     aggregate_stacks(apps, |s| s.dur_ns(), false)
 }
@@ -650,12 +697,10 @@ fn aggregate_stacks(
 ) -> String {
     let mut agg: BTreeMap<String, u64> = BTreeMap::new();
     for (name, spans) in apps {
-        let index: BTreeMap<SpanId, usize> =
-            spans.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
         // Sum each span's children so self time = total - children.
         let mut child_sum: BTreeMap<SpanId, u64> = BTreeMap::new();
         for s in spans {
-            if s.parent != 0 && index.contains_key(&s.parent) {
+            if find(spans, s.parent).is_some() {
                 *child_sum.entry(s.parent).or_insert(0) += weight(s);
             }
         }
@@ -672,10 +717,9 @@ fn aggregate_stacks(
             let mut path: Vec<&str> = vec![s.kind];
             let mut cur = s.parent;
             let mut hops = 0;
-            while cur != 0 && hops < 64 {
-                let Some(&i) = index.get(&cur) else { break };
-                path.push(spans[i].kind);
-                cur = spans[i].parent;
+            while let Some(p) = find(spans, cur).filter(|_| hops < 64) {
+                path.push(p.kind);
+                cur = p.parent;
                 hops += 1;
             }
             path.push(name.as_str());
@@ -746,16 +790,16 @@ pub struct SpanShape {
 }
 
 impl SpanShape {
-    /// Computes the shape of a span set (one application), or folds
-    /// additional spans into an existing shape to aggregate applications.
+    /// Computes the shape of a span set (one application's, in id order),
+    /// or folds additional spans into an existing shape to aggregate
+    /// applications.
     pub fn collect(&mut self, spans: &[SpanRecord]) {
-        let ids: BTreeMap<SpanId, &str> = spans.iter().map(|s| (s.id, s.kind)).collect();
         for s in spans {
             *self.by_kind.entry(s.kind.to_string()).or_insert(0) += 1;
             let parent_kind = if s.parent == 0 {
                 "root"
-            } else if let Some(k) = ids.get(&s.parent) {
-                k
+            } else if let Some(p) = find(spans, s.parent) {
+                p.kind
             } else {
                 self.orphans += 1;
                 "orphan"
@@ -1004,5 +1048,129 @@ mod tests {
         assert!(json::parse(&j).is_ok(), "{j}");
         let parsed = SpanShape::from_value(&json::parse(&j).unwrap()).unwrap();
         assert_eq!(parsed, shape);
+    }
+
+    #[test]
+    fn a_scope_on_a_cleared_cause_falls_through() {
+        let t = tracer();
+        let outer = t.begin("update", "", 0);
+        let cause = t.begin("dispatch", "", 0).id();
+        t.reset_epoch();
+        // The dispatch closed before the reset, so its record is gone: a
+        // span scoped on it parents on the nearest recorded entry.
+        {
+            let _scope = t.scope(cause);
+            assert_eq!(t.current(), outer.id());
+            let _r = t.begin("redraw", ".b", 0);
+        }
+        drop(outer);
+        let spans = t.snapshot();
+        assert_eq!(spans.len(), 2);
+        assert_eq!((spans[1].kind, spans[1].parent), ("redraw", spans[0].id));
+        // With nothing recorded under it, the scope pins the root.
+        t.reset_epoch();
+        {
+            let _scope = t.scope(cause);
+            t.instant("damage", ".b", 0);
+        }
+        assert_eq!(t.snapshot()[0].parent, 0);
+        t.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn a_span_outlives_two_resets() {
+        let t = tracer();
+        let clock = VirtualClock::new();
+        t.set_virtual_clock(clock.clone());
+        let long = t.begin("send", "peer", 3);
+        t.instant("damage", "", 0);
+        t.reset_epoch();
+        let child = t.begin("dispatch", "", 0);
+        t.reset_epoch();
+        clock.set(40);
+        t.instant("event", "KeyPress", 0);
+        drop(child);
+        drop(long);
+        let spans = t.snapshot();
+        let ids: Vec<SpanId> = spans.iter().map(|s| s.id).collect();
+        assert_eq!(ids, [1, 3, 4], "survivors first, then the new epoch");
+        assert_eq!(spans[0].dur_vms(), 40, "the long span closed after both");
+        assert_eq!(spans[1].parent, spans[0].id, "nesting kept across resets");
+        assert_eq!(spans[2].parent, spans[1].id, "the innermost survivor");
+        assert!(spans.iter().all(|s| s.epoch == 2 && !s.open));
+        t.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn nested_survivors_keep_their_nesting() {
+        let t = tracer();
+        let a = t.begin("update", "", 0);
+        drop(t.begin("relayout", ".", 0));
+        let b = t.begin("redraw", ".f", 0);
+        t.instant("damage", ".f", 0);
+        let c = t.begin("flush", "seq 1..2", 1);
+        t.reset_epoch();
+        let spans = t.snapshot();
+        let kinds: Vec<&str> = spans.iter().map(|s| s.kind).collect();
+        assert_eq!(kinds, ["update", "redraw", "flush"]);
+        assert_eq!(spans[1].parent, a.id());
+        assert_eq!(spans[2].parent, b.id());
+        assert_eq!(spans[2].detail, "seq 1..2", "a survivor keeps its detail");
+        // New records parent on the innermost survivor.
+        t.instant("fault", "drop", 2);
+        assert_eq!(t.snapshot()[3].parent, c.id());
+        drop(c);
+        drop(b);
+        drop(a);
+        assert_eq!(t.open_count(), 0);
+        t.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn a_full_store_drops_then_resets() {
+        let t = tracer();
+        t.set_cap(16);
+        let outer = t.begin("update", "", 0);
+        for _ in 0..15 {
+            t.instant("damage", "", 0);
+        }
+        let full = t.begin("redraw", "", 0);
+        assert_eq!(full.id(), 0, "a span begun on a full store gets id 0");
+        t.instant("damage", "", 0);
+        assert_eq!((t.len(), t.dropped()), (16, 2));
+        drop(full);
+        t.check_integrity().unwrap_err();
+        t.reset_epoch();
+        assert_eq!((t.len(), t.dropped()), (1, 0), "only the open span stays");
+        let next = t.begin("redraw", "", 0);
+        assert_eq!(next.id(), 17, "ids stay dense: the dropped spans took none");
+        assert_eq!(t.snapshot()[1].parent, outer.id());
+        drop(next);
+        drop(outer);
+        t.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn detail_text_is_kept_byte_for_byte() {
+        let t = tracer();
+        let ascii = "abcdefghijklmnopqrstuvwxyz0123456789-+=";
+        // A two-byte character straddling the inline limit spills whole.
+        let straddle = format!("{}é", &ascii[..DETAIL_INLINE - 1]);
+        let mut want = Vec::new();
+        for n in [0, 1, 31, 32, 33, DETAIL_INLINE, DETAIL_INLINE + 1] {
+            t.instant("eval", &ascii[..n], 0);
+            t.instant("eval", format_args!("{}", &ascii[..n]), 0);
+            want.extend([&ascii[..n]; 2].map(String::from));
+        }
+        t.instant("eval", straddle.as_str(), 0);
+        // Formatted text that outgrows the buffer part-way spills too.
+        t.instant("bind", format_args!("{} {}", &ascii[..30], &ascii[..12]), 0);
+        want.push(straddle.clone());
+        want.push(format!("{} {}", &ascii[..30], &ascii[..12]));
+        let got: Vec<String> = t.snapshot().into_iter().map(|s| s.detail).collect();
+        assert_eq!(got, want);
+        assert!(matches!(Detail::from(&ascii[..32]).0, Text::Inline(32, _)));
+        assert!(matches!(Detail::from(straddle.as_str()).0, Text::Heap(_)));
+        assert_eq!(Detail::from("").as_str(), "");
     }
 }

@@ -3,7 +3,7 @@
 //! plus the old-style `index` and `range` aliases used in Figure 9.
 
 use crate::error::{wrong_args, Exception, TclResult};
-use crate::interp::{split_var_name, Interp};
+use crate::interp::{split_var_name, Access, Interp};
 use crate::list::{format_list, parse_list};
 
 pub fn register(interp: &Interp) {
@@ -78,7 +78,7 @@ fn cmd_lappend(interp: &Interp, argv: &[String]) -> TclResult {
         return Err(wrong_args("lappend varName ?value value ...?"));
     }
     let (name, idx) = split_var_name(&argv[1]);
-    interp.update_var(name, idx, true, |value| {
+    interp.update_var(name, idx, Access::Extend, |value| {
         for v in &argv[2..] {
             crate::list::append_element(value, v);
         }

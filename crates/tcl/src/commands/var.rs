@@ -4,7 +4,7 @@
 use std::fmt::Write;
 
 use crate::error::{wrong_args, Exception, TclResult};
-use crate::interp::{split_var_name, Interp, TraceAction, TraceOps};
+use crate::interp::{split_var_name, Access, Interp, TraceAction, TraceOps};
 
 pub fn register(interp: &Interp) {
     interp.register("set", cmd_set);
@@ -89,7 +89,7 @@ fn cmd_incr(interp: &Interp, argv: &[String]) -> TclResult {
         return Err(wrong_args("incr varName ?increment?"));
     }
     let (name, idx) = split_var_name(&argv[1]);
-    interp.update_var(name, idx, false, |value| {
+    interp.update_var(name, idx, Access::Update, |value| {
         let cur: i64 = value.trim().parse().map_err(|_| not_integer(value))?;
         let by: i64 = match argv.get(2) {
             Some(by) => by.trim().parse().map_err(|_| not_integer(by))?,
@@ -110,7 +110,7 @@ fn cmd_append(interp: &Interp, argv: &[String]) -> TclResult {
         return Err(wrong_args("append varName ?value value ...?"));
     }
     let (name, idx) = split_var_name(&argv[1]);
-    interp.update_var(name, idx, true, |value| {
+    interp.update_var(name, idx, Access::Extend, |value| {
         for v in &argv[2..] {
             value.push_str(v);
         }
@@ -477,6 +477,44 @@ mod tests {
                 );
             }
             assert_eq!(i.eval("array get a").unwrap(), "k 1", "compile {compile}");
+        }
+    }
+
+    #[test]
+    fn incr_creates_a_missing_variable_at_zero() {
+        // tclsh 8.6's results (since 8.5 `incr` starts a missing variable
+        // at 0), checked by hand; the test runs no tclsh.
+        for compile in [true, false] {
+            let i = Interp::new();
+            i.set_compile(compile);
+            let cases = [
+                ("list [catch {incr nosuch} m] $m", "0 1"),
+                ("incr n1 5", "5"),
+                ("incr arr(k); array get arr", "k 1"),
+                ("proc p {} {incr loc}; p", "1"),
+                ("proc q {} {incr ::g2 3}; list [q] $g2", "3 3"),
+                (
+                    "set e {}; list [catch {incr e} m] $m",
+                    "1 {expected integer but got \"\"}",
+                ),
+                (
+                    "list [catch {incr n2 x} m] $m [info exists n2]",
+                    "1 {expected integer but got \"x\"} 0",
+                ),
+                (
+                    "set hits 0; proc cb {args} {global hits; incr hits}
+                     trace variable tv r cb; list [incr tv] $hits",
+                    "1 1",
+                ),
+                (
+                    "set s 1; list [catch {incr s(x)} m] $m",
+                    "1 {can't read \"s(x)\": variable isn't array}",
+                ),
+                ("array set a {j 1}; list [incr a(z) 2] $a(z)", "2 2"),
+            ];
+            for (script, want) in cases {
+                assert_eq!(i.eval(script).unwrap(), want, "{script}, compile {compile}");
+            }
         }
     }
 

@@ -179,7 +179,9 @@ pub(crate) enum Access {
     Read,
     /// Write only (`set x v`).
     Write,
-    /// Read, then write (`incr`): a missing variable is an error.
+    /// Read, then write (`incr`): a missing variable or element starts
+    /// at `0`, as in Tcl 8.5+, after its `r` traces fire; the write
+    /// creates it only if `op` succeeds.
     Update,
     /// Read what exists, then write (`append`, `lappend`): a missing
     /// variable starts empty.
@@ -778,23 +780,18 @@ impl Interp {
         })
     }
 
-    /// The read-modify-write behind `incr`, `append` and `lappend`. `edit`
-    /// changes the value in place; `r` traces fire before it and `w` traces
-    /// after, as a read followed by a write would fire them. A missing
-    /// variable is a read error, unless `create`: then it starts empty and
-    /// nothing is read. Returns a copy of the new value.
-    pub fn update_var(
+    /// The read-modify-write behind `incr` (`how` is [`Access::Update`]),
+    /// `append` and `lappend` ([`Access::Extend`]). `edit` changes the
+    /// value in place; `r` traces fire before it and `w` traces after, as
+    /// a read followed by a write would fire them. Returns a copy of the
+    /// new value.
+    pub(crate) fn update_var(
         &self,
         name: &str,
         index: Option<&str>,
-        create: bool,
+        how: Access,
         edit: impl FnOnce(&mut String) -> Result<(), Exception>,
     ) -> Result<String, Exception> {
-        let how = if create {
-            Access::Extend
-        } else {
-            Access::Update
-        };
         self.access(self.level(), name, index, how, |s| {
             edit(s)?;
             Ok(s.clone())
@@ -802,8 +799,8 @@ impl Interp {
     }
 
     /// The one access behind every read and write. `op` gets the value in
-    /// place, or a new empty one when a write creates the variable or
-    /// element: the only time a key is allocated. `r` traces fire before
+    /// place, or a new one (empty, or `0` for `incr`) when a write creates
+    /// the variable or element: the only time a key is allocated. `r` traces fire before
     /// `op` when `how` reads, and `w` traces after it when `how` writes.
     pub(crate) fn access<R>(
         &self,
@@ -813,7 +810,9 @@ impl Interp {
         how: Access,
         op: impl FnOnce(&mut String) -> Result<R, Exception>,
     ) -> Result<R, Exception> {
-        let must_exist = matches!(how, Access::Read | Access::Update);
+        // `incr` on a scalar as an array element is a read error, as in Tcl.
+        let read_verb = matches!(how, Access::Read | Access::Update);
+        let fresh = || String::from(if how == Access::Update { "0" } else { "" });
         let mut op = Some(op);
         let mut fired = false;
         loop {
@@ -832,23 +831,23 @@ impl Interp {
                 Some(match slot {
                     Slot::Found(var) => match var.value(index) {
                         Ok(v) => op(v),
-                        Err(Fault::NoElement) if !must_exist => {
+                        Err(Fault::NoElement) if how != Access::Read => {
                             let (Var::Array(map), Some(idx)) = (var, index) else {
                                 unreachable!("only an array lacks an element")
                             };
-                            let mut v = String::new();
+                            let mut v = fresh();
                             op(&mut v).map(|r| {
                                 map.insert(idx.to_string(), v);
                                 r
                             })
                         }
                         Err(Fault::IsArray) if how != Access::Read => fail(Fault::IsArray, "set"),
-                        Err(Fault::NotArray) if !must_exist => fail(Fault::NotArray, "set"),
+                        Err(Fault::NotArray) if !read_verb => fail(Fault::NotArray, "set"),
                         Err(fault) => fail(fault, "read"),
                     },
-                    Slot::Vacant(_) if must_exist => fail(Fault::NoVariable, "read"),
+                    Slot::Vacant(_) if how == Access::Read => fail(Fault::NoVariable, "read"),
                     Slot::Vacant(vars) => {
-                        let mut v = String::new();
+                        let mut v = fresh();
                         op(&mut v).map(|r| {
                             let var = match index {
                                 None => Var::Scalar(v),

@@ -864,10 +864,10 @@ impl TkApp {
     /// Evaluates a script whose errors are reported through `tkerror`
     /// rather than propagated (bindings, timers, idle scripts).
     pub fn eval_background(&self, script: &str) {
-        // The span detail is a short, deterministic script prefix (ASCII
-        // only, so truncation never splits a code point).
-        let prefix: String = script.chars().take(32).collect();
-        let _tspan = self.inner.tracer.begin("eval", prefix, 0);
+        // The span detail is a short, deterministic script prefix: its
+        // first 32 characters.
+        let end = script.char_indices().nth(32).map_or(script.len(), |c| c.0);
+        let _tspan = self.inner.tracer.begin("eval", &script[..end], 0);
         if let Err(e) = self.inner.interp.eval(script) {
             if e.code != tcl::Code::Error {
                 return; // break/continue/return at background level: ignore
@@ -978,10 +978,10 @@ impl TkApp {
             if let Some(script) = script {
                 self.inner.obs.count().bind_matches += 1;
                 let script = percent_substitute(&script, &info, &path);
-                let _tspan =
-                    self.inner
-                        .tracer
-                        .begin("bind", format!("{path} {}", info.descriptor()), 0);
+                let _tspan = self
+                    .inner
+                    .tracer
+                    .begin("bind", format_args!("{path} {info}"), 0);
                 self.eval_background(&script);
             } else {
                 self.inner.obs.count().bind_misses += 1;

@@ -132,17 +132,15 @@ impl EventInfo {
         }
         Some(e)
     }
+}
 
-    /// A deterministic `<Type-detail>` descriptor for this event — the
-    /// label the span tracer records on `dispatch`/`bind` spans (never
-    /// includes coordinates or timestamps, so span details are stable
-    /// run to run).
-    pub fn descriptor(&self) -> String {
-        if self.detail.is_empty() {
-            format!("<{}>", self.kind)
-        } else {
-            format!("<{}-{}>", self.kind, self.detail)
-        }
+/// A deterministic `<Type-detail>` descriptor for this event — the label
+/// the span tracer records on `bind` spans (never includes coordinates
+/// or timestamps, so span details are stable run to run).
+impl std::fmt::Display for EventInfo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let dash = if self.detail.is_empty() { "" } else { "-" };
+        write!(f, "<{}{dash}{}>", self.kind, self.detail)
     }
 }
 

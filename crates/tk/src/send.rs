@@ -710,10 +710,11 @@ pub fn handle_comm_event(app: &TkApp, ev: &Event) {
             // application." The receiver-side span shares the sender's
             // serial, linking both halves of the RPC across traces.
             let (code, result) = {
-                let _tspan =
-                    app.inner
-                        .tracer
-                        .begin("send.eval", format!("from client {sender}"), serial);
+                let _tspan = app.inner.tracer.begin(
+                    "send.eval",
+                    format_args!("from client {sender}"),
+                    serial,
+                );
                 match app.interp().eval(&script) {
                     Ok(v) => (0, v),
                     Err(e) => (1, e.msg),

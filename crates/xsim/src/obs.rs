@@ -251,9 +251,9 @@ impl ClientObs {
         }
         if let Some(duration) = traced {
             let ns = duration.as_nanos().min(u64::MAX as u128);
-            let class = if round_trip { "round-trip" } else { "one-way" };
-            let detail = format!("{} {class} 0x{:x} {ns}", kind.name(), window.0);
-            tracer.instant("request", detail, seq);
+            let way = if round_trip { "round-trip" } else { "one-way" };
+            let (name, win) = (kind.name(), window.0);
+            tracer.instant("request", format_args!("{name} {way} 0x{win:x} {ns}"), seq);
         }
     }
 

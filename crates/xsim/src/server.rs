@@ -621,15 +621,15 @@ impl Server {
         // guards hold a clone of the tracer handle, so span bookkeeping
         // never borrows `self` during the apply loop below — fault
         // instants recorded mid-loop parent on these spans naturally.
-        let first_seq = buf.first().map_or(0, |(s, _)| *s);
-        let last_seq = buf.last().map_or(0, |(s, _)| *s);
+        let first = buf.first().map_or(0, |(s, _)| *s);
+        let last = buf.last().map_or(0, |(s, _)| *s);
         let draws = buf.iter().filter(|(_, q)| q.kind().is_drawing()).count();
         let Some(tracer) = self.clients.get(client).map(|c| &c.tracer) else {
             return;
         };
-        let _flush_span = tracer.begin("flush", format!("seq {first_seq}..{last_seq}"), first_seq);
+        let _flush_span = tracer.begin("flush", format_args!("seq {first}..{last}"), first);
         let _raster_span = (draws > 0)
-            .then(|| tracer.begin("rasterize", format!("{draws} drawing requests"), first_seq));
+            .then(|| tracer.begin("rasterize", format_args!("{draws} drawing requests"), first));
         let mut any_reply = false;
         let mut killed = false;
         let work_start = std::time::Instant::now();

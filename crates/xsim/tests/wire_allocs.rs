@@ -133,3 +133,25 @@ fn a_poll_that_returns_three_events() {
     );
     assert_eq!(n, 2, "poll returning 3 events");
 }
+
+/// A one-way request is buffered, then shipped by its flush exchange;
+/// the server applies the batch under one `flush` span, recorded into a
+/// warm span store (each run starts a new epoch, as rtkbench does per
+/// op). The one allocation is the batch the server decodes the frames
+/// into.
+#[test]
+fn a_one_way_request_and_its_flush_exchange() {
+    let (_d, c, w) = setup();
+    let tracer = rtk_obs::Tracer::default();
+    c.set_tracer(tracer.clone());
+    let n = allocs(
+        || tracer.reset_epoch(),
+        || {
+            c.map_window(w);
+            c.flush();
+        },
+    );
+    assert_eq!(n, 1, "one-way request and flush");
+    let spans = tracer.snapshot();
+    assert_eq!(spans[0].detail, format!("seq {0}..{0}", spans[0].seq));
+}

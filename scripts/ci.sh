@@ -68,9 +68,22 @@ stage_budgets() {
 
 # Economy gate: no Table I row may grow past its code-line ceiling in
 # BUDGETS.json's `table1` object (the paper's Table I claim, pinned).
+# EXPERIMENTS.md's Table I must also be the Markdown `table1` prints
+# now: the table lines of its "## Table I " section, compared verbatim.
 stage_table1() {
     echo "==> table1 --check-budgets"
     cargo run -p tk-bench --release --offline --locked --bin table1 -- --check-budgets
+    echo "==> EXPERIMENTS.md Table I is table1's output"
+    tmp=$(mktemp -d)
+    cargo run -q -p tk-bench --release --offline --locked --bin table1 >"$tmp/table1.md"
+    sed -n '/^## Table I /,/^## /p' EXPERIMENTS.md | grep '^|' >"$tmp/experiments.md" || true
+    if ! diff -u "$tmp/experiments.md" "$tmp/table1.md"; then
+        rm -rf "$tmp"
+        echo "EXPERIMENTS.md's Table I is stale: paste in the output of" >&2
+        echo "  cargo run -p tk-bench --bin table1" >&2
+        return 1
+    fi
+    rm -rf "$tmp"
 }
 
 # Transport-equivalence gate: the framed wire transport must be
