@@ -693,20 +693,21 @@ pub const BYTES_HORIZON: u64 = 500;
 pub const BYTES_WATCHDOG_MS: u64 = 1000;
 
 /// Settles a byte-chaos run before the audit. Byte faults key on
-/// per-client encoded-frame indices, and even an idle round of flush +
-/// dispatch walks those counters (event polling ships control frames), so
-/// a fault plotted past the scripted traffic fires *during* settling.
-/// Spec firing is an exact index match, so once a client's timeline has
-/// walked past the last plotted fault nothing further can fire; settle
-/// until every app is dead or past that point, then demand two quiet
-/// rounds so a late kill is noticed by `dispatch_all` (which scrubs the
-/// dead app's registry entry) before the audit takes the reckoning.
+/// per-client encoded-frame indices, and reading events ships no frame,
+/// so each round walks every live app's timeline with one round trip
+/// (`GetInputFocus`, the request Xlib's `XSync` makes): a fault plotted
+/// past the scripted traffic fires *during* settling. Spec firing is an
+/// exact index match, so once a client's timeline has walked past the
+/// last plotted fault nothing further can fire; settle until every app
+/// is dead or past that point, then demand two quiet rounds so a late
+/// kill is noticed by `dispatch_all` (which scrubs the dead app's
+/// registry entry) before the audit takes the reckoning.
 fn settle(env: &TkEnv, apps: &[TkApp], plan: &FaultPlan) {
     let max_at = plan.specs().iter().map(|sp| sp.at).max().unwrap_or(0);
     let mut quiet = 0;
     for _ in 0..(BYTES_HORIZON + 200) {
-        for app in apps {
-            app.conn().flush();
+        for app in apps.iter().filter(|app| app.conn().alive()) {
+            let _ = app.conn().get_input_focus();
         }
         let progressed = env.dispatch_all();
         let past = apps
@@ -853,6 +854,36 @@ mod tests {
                 assert!(r.is_ok(), "seed {seed}: {}", r.unwrap_err());
             }
         });
+    }
+
+    #[test]
+    fn settle_walks_every_timeline_past_the_last_fault() {
+        let env = Mode::Bytes.env();
+        let apps: Vec<TkApp> = Mode::Bytes.app_names().iter().map(|n| env.app(n)).collect();
+        env.dispatch_all();
+        // One harmless fault per app, plotted well past its idle traffic.
+        let specs = apps
+            .iter()
+            .map(|app| xsim::FaultSpec {
+                client: app.conn().client_id().0,
+                at: app.conn().wire_frame_timeline() + 100,
+                action: xsim::FaultAction::SplitWrite { at: 3 },
+            })
+            .collect();
+        let plan = FaultPlan::new(specs);
+        env.display()
+            .with_server(|s| s.install_fault_plan(plan.clone()));
+        settle(&env, &apps, &plan);
+        let max_at = plan.specs().iter().map(|sp| sp.at).max().unwrap();
+        for app in &apps {
+            assert!(app.conn().alive(), "{}", app.name());
+            assert!(
+                app.conn().wire_frame_timeline() > max_at,
+                "{}: timeline {} not past {max_at}",
+                app.name(),
+                app.conn().wire_frame_timeline()
+            );
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::rc::Rc;
 
-use crate::error::{wrong_args, Code, Exception, TclResult};
+use crate::error::{arity, wrong_args, Code, Exception, TclResult};
 use crate::expr::expr_bool_cached as expr_bool;
 use crate::interp::{Interp, ProcDef};
 
@@ -18,15 +18,11 @@ pub fn register(interp: &Interp) {
     interp.register("for", cmd_for);
     interp.register("foreach", cmd_foreach);
     interp.register("break", |_i, argv| {
-        if argv.len() != 1 {
-            return Err(wrong_args("break"));
-        }
+        arity(argv, 1..=1, "break")?;
         Err(Exception::brk())
     });
     interp.register("continue", |_i, argv| {
-        if argv.len() != 1 {
-            return Err(wrong_args("continue"));
-        }
+        arity(argv, 1..=1, "continue")?;
         Err(Exception::cont())
     });
     interp.register("return", cmd_return);
@@ -89,9 +85,7 @@ fn cmd_if(interp: &Interp, argv: &[String]) -> TclResult {
 }
 
 fn cmd_while(interp: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() != 3 {
-        return Err(wrong_args("while test command"));
-    }
+    arity(argv, 3..=3, "while test command")?;
     while expr_bool(interp, &argv[1])? {
         match interp.eval(&argv[2]) {
             Ok(_) => {}
@@ -104,9 +98,7 @@ fn cmd_while(interp: &Interp, argv: &[String]) -> TclResult {
 }
 
 fn cmd_for(interp: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() != 5 {
-        return Err(wrong_args("for start test next command"));
-    }
+    arity(argv, 5..=5, "for start test next command")?;
     interp.eval(&argv[1])?;
     while expr_bool(interp, &argv[2])? {
         match interp.eval(&argv[4]) {
@@ -121,9 +113,7 @@ fn cmd_for(interp: &Interp, argv: &[String]) -> TclResult {
 }
 
 fn cmd_foreach(interp: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() != 4 {
-        return Err(wrong_args("foreach varName list command"));
-    }
+    arity(argv, 4..=4, "foreach varName list command")?;
     let items = crate::list::parse_list(&argv[2])?;
     for item in items {
         interp.set_var(&argv[1], None, &item)?;
@@ -146,9 +136,7 @@ fn cmd_return(_interp: &Interp, argv: &[String]) -> TclResult {
 }
 
 fn cmd_error(interp: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() < 2 || argv.len() > 4 {
-        return Err(wrong_args("error message ?errorInfo? ?errorCode?"));
-    }
+    arity(argv, 2..=4, "error message ?errorInfo? ?errorCode?")?;
     if argv.len() >= 3 && !argv[2].is_empty() {
         let _ = interp.set_var_at(0, "errorInfo", None, &argv[2]);
     }
@@ -159,9 +147,7 @@ fn cmd_error(interp: &Interp, argv: &[String]) -> TclResult {
 }
 
 fn cmd_catch(interp: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() != 2 && argv.len() != 3 {
-        return Err(wrong_args("catch command ?varName?"));
-    }
+    arity(argv, 2..=3, "catch command ?varName?")?;
     let (code, value) = match interp.eval(&argv[1]) {
         Ok(v) => (0, v),
         Err(e) => {
@@ -181,9 +167,7 @@ fn cmd_catch(interp: &Interp, argv: &[String]) -> TclResult {
 }
 
 fn cmd_eval(interp: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() < 2 {
-        return Err(wrong_args("eval arg ?arg ...?"));
-    }
+    arity(argv, 2.., "eval arg ?arg ...?")?;
     let script = if argv.len() == 2 {
         argv[1].clone()
     } else {
@@ -286,9 +270,7 @@ fn cmd_switch(interp: &Interp, argv: &[String]) -> TclResult {
 }
 
 fn cmd_proc(interp: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() != 4 {
-        return Err(wrong_args("proc name args body"));
-    }
+    arity(argv, 4..=4, "proc name args body")?;
     let param_specs = crate::list::parse_list(&argv[2])?;
     let mut params = Vec::with_capacity(param_specs.len());
     for spec in &param_specs {
@@ -314,17 +296,13 @@ fn cmd_proc(interp: &Interp, argv: &[String]) -> TclResult {
 }
 
 fn cmd_rename(interp: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() != 3 {
-        return Err(wrong_args("rename oldName newName"));
-    }
+    arity(argv, 3..=3, "rename oldName newName")?;
     interp.rename(&argv[1], &argv[2])?;
     Ok(String::new())
 }
 
 fn cmd_source(interp: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() != 2 {
-        return Err(wrong_args("source fileName"));
-    }
+    arity(argv, 2..=2, "source fileName")?;
     let text = std::fs::read_to_string(&argv[1])
         .map_err(|e| Exception::error(format!("couldn't read file \"{}\": {e}", argv[1])))?;
     interp.eval(&text)

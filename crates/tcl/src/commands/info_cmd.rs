@@ -4,7 +4,7 @@
 //! internals (e.g. it is possible to retrieve the body of a Tcl procedure
 //! or a list of all defined variable names)"; this command is that access.
 
-use crate::error::{wrong_args, Exception, TclResult};
+use crate::error::{arity, Exception, TclResult};
 use crate::interp::Interp;
 use crate::list::format_list;
 use crate::strutil::glob_match;
@@ -13,43 +13,25 @@ pub fn register(interp: &Interp) {
     interp.register("info", cmd_info);
 }
 
-fn filtered(names: Vec<String>, pattern: Option<&String>) -> String {
-    match pattern {
-        Some(pat) => format_list(
-            &names
-                .into_iter()
-                .filter(|n| glob_match(pat, n))
-                .collect::<Vec<_>>(),
-        ),
-        None => format_list(&names),
-    }
+fn filtered(mut names: Vec<String>, pattern: Option<&String>) -> String {
+    names.retain(|n| pattern.map_or(true, |pat| glob_match(pat, n)));
+    format_list(&names)
 }
 
 fn cmd_info(interp: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() < 2 {
-        return Err(wrong_args("info option ?arg ...?"));
-    }
+    arity(argv, 2.., "info option ?arg ...?")?;
     match argv[1].as_str() {
         "commands" => Ok(filtered(interp.command_names(), argv.get(2))),
         "procs" => Ok(filtered(interp.proc_names(), argv.get(2))),
         "vars" => Ok(filtered(interp.var_names(), argv.get(2))),
         "globals" => Ok(filtered(interp.global_names(), argv.get(2))),
         "exists" => {
-            if argv.len() != 3 {
-                return Err(wrong_args("info exists varName"));
-            }
+            arity(argv, 3..=3, "info exists varName")?;
             let (name, idx) = crate::interp::split_var_name(&argv[2]);
-            Ok(if interp.var_exists(name, idx) {
-                "1"
-            } else {
-                "0"
-            }
-            .into())
+            Ok(u8::from(interp.var_exists(name, idx)).to_string())
         }
         "body" => {
-            if argv.len() != 3 {
-                return Err(wrong_args("info body procName"));
-            }
+            arity(argv, 3..=3, "info body procName")?;
             match interp.proc_def(&argv[2]) {
                 Some(def) => Ok(def.body.clone()),
                 None => Err(Exception::error(format!(
@@ -59,9 +41,7 @@ fn cmd_info(interp: &Interp, argv: &[String]) -> TclResult {
             }
         }
         "args" => {
-            if argv.len() != 3 {
-                return Err(wrong_args("info args procName"));
-            }
+            arity(argv, 3..=3, "info args procName")?;
             match interp.proc_def(&argv[2]) {
                 Some(def) => Ok(format_list(
                     &def.params
@@ -76,9 +56,7 @@ fn cmd_info(interp: &Interp, argv: &[String]) -> TclResult {
             }
         }
         "default" => {
-            if argv.len() != 5 {
-                return Err(wrong_args("info default procName arg varName"));
-            }
+            arity(argv, 5..=5, "info default procName arg varName")?;
             let def = interp
                 .proc_def(&argv[2])
                 .ok_or_else(|| Exception::error(format!("\"{}\" isn't a procedure", argv[2])))?;

@@ -2,7 +2,7 @@
 //! `lrange`, `lreplace`, `lsearch`, `lsort`, `concat`, `join`, `split`,
 //! plus the old-style `index` and `range` aliases used in Figure 9.
 
-use crate::error::{wrong_args, Exception, TclResult};
+use crate::error::{arity, wrong_args, Exception, TclResult};
 use crate::interp::{split_var_name, Access, Interp};
 use crate::list::{format_list, parse_list};
 
@@ -40,9 +40,7 @@ fn parse_index(spec: &str, len: usize) -> Result<i64, Exception> {
 }
 
 fn cmd_lindex(_i: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() != 3 {
-        return Err(wrong_args("lindex list index"));
-    }
+    arity(argv, 3..=3, "lindex list index")?;
     let items = parse_list(&argv[1])?;
     let idx = parse_index(&argv[2], items.len())?;
     if idx < 0 || idx as usize >= items.len() {
@@ -52,9 +50,7 @@ fn cmd_lindex(_i: &Interp, argv: &[String]) -> TclResult {
 }
 
 fn cmd_llength(_i: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() != 2 {
-        return Err(wrong_args("llength list"));
-    }
+    arity(argv, 2..=2, "llength list")?;
     Ok(parse_list(&argv[1])?.len().to_string())
 }
 
@@ -74,9 +70,7 @@ fn cmd_llength_old(_i: &Interp, argv: &[String]) -> TclResult {
 }
 
 fn cmd_lappend(interp: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() < 2 {
-        return Err(wrong_args("lappend varName ?value value ...?"));
-    }
+    arity(argv, 2.., "lappend varName ?value value ...?")?;
     let (name, idx) = split_var_name(&argv[1]);
     interp.update_var(name, idx, Access::Extend, |value| {
         for v in &argv[2..] {
@@ -87,9 +81,7 @@ fn cmd_lappend(interp: &Interp, argv: &[String]) -> TclResult {
 }
 
 fn cmd_linsert(_i: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() < 4 {
-        return Err(wrong_args("linsert list index element ?element ...?"));
-    }
+    arity(argv, 4.., "linsert list index element ?element ...?")?;
     let mut items = parse_list(&argv[1])?;
     let idx = parse_index(&argv[2], items.len())?.clamp(0, items.len() as i64) as usize;
     // Old Tcl's linsert inserts *before* the given element; `end` appends
@@ -102,9 +94,7 @@ fn cmd_linsert(_i: &Interp, argv: &[String]) -> TclResult {
 }
 
 fn cmd_lrange(_i: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() != 4 {
-        return Err(wrong_args("lrange list first last"));
-    }
+    arity(argv, 4..=4, "lrange list first last")?;
     let items = parse_list(&argv[1])?;
     let first = parse_index(&argv[2], items.len())?.max(0) as usize;
     let last = parse_index(&argv[3], items.len())?;
@@ -116,9 +106,7 @@ fn cmd_lrange(_i: &Interp, argv: &[String]) -> TclResult {
 }
 
 fn cmd_lreplace(_i: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() < 4 {
-        return Err(wrong_args("lreplace list first last ?element element ...?"));
-    }
+    arity(argv, 4.., "lreplace list first last ?element element ...?")?;
     let mut items = parse_list(&argv[1])?;
     let first = parse_index(&argv[2], items.len())?.max(0) as usize;
     let last = parse_index(&argv[3], items.len())?;
@@ -235,9 +223,7 @@ fn cmd_concat(_i: &Interp, argv: &[String]) -> TclResult {
 }
 
 fn cmd_join(_i: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() != 2 && argv.len() != 3 {
-        return Err(wrong_args("join list ?joinString?"));
-    }
+    arity(argv, 2..=3, "join list ?joinString?")?;
     let sep = if argv.len() == 3 {
         argv[2].as_str()
     } else {
@@ -248,9 +234,7 @@ fn cmd_join(_i: &Interp, argv: &[String]) -> TclResult {
 }
 
 fn cmd_split(_i: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() != 2 && argv.len() != 3 {
-        return Err(wrong_args("split string ?splitChars?"));
-    }
+    arity(argv, 2..=3, "split string ?splitChars?")?;
     let text = &argv[1];
     let elems: Vec<String> = if argv.len() == 3 && argv[2].is_empty() {
         text.chars().map(|c| c.to_string()).collect()

@@ -3,7 +3,7 @@
 
 use std::path::Path;
 
-use crate::error::{wrong_args, Exception, TclResult};
+use crate::error::{arity, wrong_args, Exception, TclResult};
 use crate::expr::expr_string_cached as expr_string;
 use crate::interp::Interp;
 use crate::list::format_list;
@@ -18,17 +18,13 @@ pub fn register(interp: &Interp) {
     interp.register("exec", cmd_exec);
     interp.register("glob", cmd_glob);
     interp.register("pwd", |_i, argv| {
-        if argv.len() != 1 {
-            return Err(wrong_args("pwd"));
-        }
+        arity(argv, 1..=1, "pwd")?;
         std::env::current_dir()
             .map(|p| p.display().to_string())
             .map_err(|e| Exception::error(format!("error getting working directory: {e}")))
     });
     interp.register("cd", |_i, argv| {
-        if argv.len() > 2 {
-            return Err(wrong_args("cd ?dirName?"));
-        }
+        arity(argv, ..=2, "cd ?dirName?")?;
         let dir = argv
             .get(1)
             .cloned()
@@ -46,9 +42,7 @@ pub fn register(interp: &Interp) {
 /// `print` (old Tcl): writes its arguments to standard output with no
 /// trailing newline. The Figure 7/9 scripts pass explicit `\n`s.
 fn cmd_print(interp: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() < 2 {
-        return Err(wrong_args("print string ?string ...?"));
-    }
+    arity(argv, 2.., "print string ?string ...?")?;
     for (n, arg) in argv[1..].iter().enumerate() {
         if n > 0 {
             interp.write_output(" ");
@@ -75,9 +69,7 @@ fn cmd_puts(interp: &Interp, argv: &[String]) -> TclResult {
 }
 
 fn cmd_expr(interp: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() < 2 {
-        return Err(wrong_args("expr arg ?arg ...?"));
-    }
+    arity(argv, 2.., "expr arg ?arg ...?")?;
     if argv.len() == 2 {
         return expr_string(interp, &argv[1]);
     }
@@ -85,17 +77,13 @@ fn cmd_expr(interp: &Interp, argv: &[String]) -> TclResult {
 }
 
 fn cmd_subst(interp: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() != 2 {
-        return Err(wrong_args("subst string"));
-    }
+    arity(argv, 2..=2, "subst string")?;
     interp.subst_string(&argv[1])
 }
 
 /// `time command ?count?`: runs the script and reports mean microseconds.
 fn cmd_time(interp: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() != 2 && argv.len() != 3 {
-        return Err(wrong_args("time command ?count?"));
-    }
+    arity(argv, 2..=3, "time command ?count?")?;
     let count: u64 = if argv.len() == 3 {
         argv[2]
             .parse()
@@ -118,9 +106,7 @@ fn cmd_time(interp: &Interp, argv: &[String]) -> TclResult {
 /// (Tcl 7+) and `file name option` (the order the paper's Figure 9 uses:
 /// `file $file isdirectory`).
 fn cmd_file(_i: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() < 3 {
-        return Err(wrong_args("file option name ?arg ...?"));
-    }
+    arity(argv, 3.., "file option name ?arg ...?")?;
     const OPTIONS: &[&str] = &[
         "atime",
         "dirname",
@@ -245,9 +231,7 @@ fn cmd_file(_i: &Interp, argv: &[String]) -> TclResult {
 }
 
 fn cmd_exec(interp: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() < 2 {
-        return Err(wrong_args("exec command ?arg ...?"));
-    }
+    arity(argv, 2.., "exec command ?arg ...?")?;
     interp.run_exec(&argv[1..]).map_err(Exception::error)
 }
 

@@ -1,15 +1,13 @@
 //! String commands: `string` with its subcommands, `format`, and `scan`.
 
-use crate::error::{wrong_args, Exception, TclResult};
+use crate::error::{arity, wrong_args, Exception, TclResult};
 use crate::interp::Interp;
 use crate::strutil::{format_cmd, glob_match, scan_cmd};
 
 pub fn register(interp: &Interp) {
     interp.register("string", cmd_string);
     interp.register("format", |_i, argv| {
-        if argv.len() < 2 {
-            return Err(wrong_args("format formatString ?arg arg ...?"));
-        }
+        arity(argv, 2.., "format formatString ?arg arg ...?")?;
         format_cmd(&argv[1], &argv[2..])
     });
     interp.register("scan", cmd_scan);
@@ -141,22 +139,16 @@ fn char_index(s: &str, spec: &str) -> Result<i64, Exception> {
 }
 
 fn cmd_string(_i: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() < 3 {
-        return Err(wrong_args("string option arg ?arg ...?"));
-    }
+    arity(argv, 3.., "string option arg ?arg ...?")?;
     let opt = argv[1].as_str();
     let s = &argv[2];
     match opt {
         "length" => {
-            if argv.len() != 3 {
-                return Err(wrong_args("string length string"));
-            }
+            arity(argv, 3..=3, "string length string")?;
             Ok(s.chars().count().to_string())
         }
         "compare" => {
-            if argv.len() != 4 {
-                return Err(wrong_args("string compare string1 string2"));
-            }
+            arity(argv, 4..=4, "string compare string1 string2")?;
             Ok(match s.as_str().cmp(argv[3].as_str()) {
                 std::cmp::Ordering::Less => "-1",
                 std::cmp::Ordering::Equal => "0",
@@ -165,33 +157,25 @@ fn cmd_string(_i: &Interp, argv: &[String]) -> TclResult {
             .to_string())
         }
         "match" => {
-            if argv.len() != 4 {
-                return Err(wrong_args("string match pattern string"));
-            }
+            arity(argv, 4..=4, "string match pattern string")?;
             Ok(if glob_match(s, &argv[3]) { "1" } else { "0" }.to_string())
         }
         "first" => {
-            if argv.len() != 4 {
-                return Err(wrong_args("string first string1 string2"));
-            }
+            arity(argv, 4..=4, "string first string1 string2")?;
             Ok(match argv[3].find(s.as_str()) {
                 Some(byte) => argv[3][..byte].chars().count().to_string(),
                 None => "-1".to_string(),
             })
         }
         "last" => {
-            if argv.len() != 4 {
-                return Err(wrong_args("string last string1 string2"));
-            }
+            arity(argv, 4..=4, "string last string1 string2")?;
             Ok(match argv[3].rfind(s.as_str()) {
                 Some(byte) => argv[3][..byte].chars().count().to_string(),
                 None => "-1".to_string(),
             })
         }
         "index" => {
-            if argv.len() != 4 {
-                return Err(wrong_args("string index string charIndex"));
-            }
+            arity(argv, 4..=4, "string index string charIndex")?;
             let idx = char_index(s, &argv[3])?;
             if idx < 0 {
                 return Ok(String::new());
@@ -202,9 +186,7 @@ fn cmd_string(_i: &Interp, argv: &[String]) -> TclResult {
                 .unwrap_or_default())
         }
         "range" => {
-            if argv.len() != 5 {
-                return Err(wrong_args("string range string first last"));
-            }
+            arity(argv, 5..=5, "string range string first last")?;
             let len = s.chars().count() as i64;
             let first = char_index(s, &argv[3])?.max(0);
             let last = char_index(s, &argv[4])?.min(len - 1);
@@ -240,9 +222,7 @@ fn cmd_string(_i: &Interp, argv: &[String]) -> TclResult {
 }
 
 fn cmd_scan(interp: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() < 4 {
-        return Err(wrong_args("scan string format varName ?varName ...?"));
-    }
+    arity(argv, 4.., "scan string format varName ?varName ...?")?;
     let values = scan_cmd(&argv[1], &argv[2])?;
     let vars = &argv[3..];
     let mut assigned = 0usize;

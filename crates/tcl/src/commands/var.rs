@@ -3,7 +3,7 @@
 
 use std::fmt::Write;
 
-use crate::error::{wrong_args, Exception, TclResult};
+use crate::error::{arity, wrong_args, Exception, TclResult};
 use crate::interp::{split_var_name, Access, Interp, TraceAction, TraceOps};
 
 pub fn register(interp: &Interp) {
@@ -22,30 +22,22 @@ pub fn register(interp: &Interp) {
 /// `trace vinfo name`: run a command whenever a variable is read,
 /// written, or unset.
 fn cmd_trace(interp: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() < 3 {
-        return Err(wrong_args("trace option ?arg arg ...?"));
-    }
+    arity(argv, 3.., "trace option ?arg arg ...?")?;
     match argv[1].as_str() {
         "variable" => {
-            if argv.len() != 5 {
-                return Err(wrong_args("trace variable name ops command"));
-            }
+            arity(argv, 5..=5, "trace variable name ops command")?;
             let ops = TraceOps::parse(&argv[3])?;
             interp.trace_variable(&argv[2], ops, TraceAction::Script(argv[4].clone()));
             Ok(String::new())
         }
         "vdelete" => {
-            if argv.len() != 5 {
-                return Err(wrong_args("trace vdelete name ops command"));
-            }
+            arity(argv, 5..=5, "trace vdelete name ops command")?;
             let ops = TraceOps::parse(&argv[3])?;
             interp.trace_vdelete(&argv[2], ops, &argv[4]);
             Ok(String::new())
         }
         "vinfo" => {
-            if argv.len() != 3 {
-                return Err(wrong_args("trace vinfo name"));
-            }
+            arity(argv, 3..=3, "trace vinfo name")?;
             let lines: Vec<String> = interp
                 .trace_info(&argv[2])
                 .into_iter()
@@ -74,9 +66,7 @@ fn cmd_set(interp: &Interp, argv: &[String]) -> TclResult {
 }
 
 fn cmd_unset(interp: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() < 2 {
-        return Err(wrong_args("unset varName ?varName ...?"));
-    }
+    arity(argv, 2.., "unset varName ?varName ...?")?;
     for spec in &argv[1..] {
         let (name, idx) = split_var_name(spec);
         interp.unset_var(name, idx)?;
@@ -85,9 +75,7 @@ fn cmd_unset(interp: &Interp, argv: &[String]) -> TclResult {
 }
 
 fn cmd_incr(interp: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() != 2 && argv.len() != 3 {
-        return Err(wrong_args("incr varName ?increment?"));
-    }
+    arity(argv, 2..=3, "incr varName ?increment?")?;
     let (name, idx) = split_var_name(&argv[1]);
     interp.update_var(name, idx, Access::Update, |value| {
         let cur: i64 = value.trim().parse().map_err(|_| not_integer(value))?;
@@ -106,9 +94,7 @@ fn not_integer(text: &str) -> Exception {
 }
 
 fn cmd_append(interp: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() < 2 {
-        return Err(wrong_args("append varName ?value value ...?"));
-    }
+    arity(argv, 2.., "append varName ?value value ...?")?;
     let (name, idx) = split_var_name(&argv[1]);
     interp.update_var(name, idx, Access::Extend, |value| {
         for v in &argv[2..] {
@@ -119,9 +105,7 @@ fn cmd_append(interp: &Interp, argv: &[String]) -> TclResult {
 }
 
 fn cmd_global(interp: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() < 2 {
-        return Err(wrong_args("global varName ?varName ...?"));
-    }
+    arity(argv, 2.., "global varName ?varName ...?")?;
     if interp.level() == 0 {
         // `global` at global scope is a no-op.
         return Ok(String::new());
@@ -157,9 +141,7 @@ fn cmd_upvar(interp: &Interp, argv: &[String]) -> TclResult {
 }
 
 fn cmd_uplevel(interp: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() < 2 {
-        return Err(wrong_args("uplevel ?level? command ?arg ...?"));
-    }
+    arity(argv, 2.., "uplevel ?level? command ?arg ...?")?;
     let (level, rest) =
         if argv.len() > 2 && (argv[1].starts_with('#') || argv[1].parse::<usize>().is_ok()) {
             (interp.parse_level(&argv[1])?, &argv[2..])
@@ -178,22 +160,29 @@ fn cmd_uplevel(interp: &Interp, argv: &[String]) -> TclResult {
 }
 
 fn cmd_array(interp: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() < 3 {
-        return Err(wrong_args("array option arrayName ?arg ...?"));
-    }
+    arity(argv, 3.., "array option arrayName ?arg ...?")?;
     let name = &argv[2];
     match argv[1].as_str() {
-        "names" => Ok(crate::list::format_list(&interp.array_names(name)?)),
-        "size" => Ok(interp.array_names(name)?.len().to_string()),
-        "exists" => Ok(if interp.array_names(name).is_ok() {
-            "1"
-        } else {
-            "0"
+        "names" => {
+            arity(argv, ..=5, "array names arrayName ?mode? ?pattern?")?;
+            let mut names = interp.array_names(name)?;
+            retain_keys(&mut names, &argv[3..])?;
+            Ok(crate::list::format_list(&names))
         }
-        .into()),
+        "size" => {
+            arity(argv, ..=3, "array size arrayName")?;
+            Ok(interp.array_names(name)?.len().to_string())
+        }
+        "exists" => {
+            arity(argv, ..=3, "array exists arrayName")?;
+            Ok(u8::from(interp.array_names(name).is_ok()).to_string())
+        }
         "get" => {
+            arity(argv, ..=4, "array get arrayName ?pattern?")?;
+            let mut names = interp.array_names(name)?;
+            retain_keys(&mut names, &argv[3..])?;
             let mut out: Vec<String> = Vec::new();
-            for key in interp.array_names(name)? {
+            for key in names {
                 let val = interp.get_var(name, Some(&key))?;
                 out.push(key);
                 out.push(val);
@@ -201,9 +190,7 @@ fn cmd_array(interp: &Interp, argv: &[String]) -> TclResult {
             Ok(crate::list::format_list(&out))
         }
         "set" => {
-            if argv.len() != 4 {
-                return Err(wrong_args("array set arrayName list"));
-            }
+            arity(argv, 4..=4, "array set arrayName list")?;
             let pairs = crate::list::parse_list(&argv[3])?;
             if pairs.len() % 2 != 0 {
                 return Err(Exception::error(
@@ -219,6 +206,32 @@ fn cmd_array(interp: &Interp, argv: &[String]) -> TclResult {
             "bad option \"{other}\": should be exists, get, names, set, or size"
         ))),
     }
+}
+
+/// Keeps the element names that the `?mode? ?pattern?` arguments of
+/// `array names` (`array get` takes a pattern only) select: tclsh's
+/// modes, `-glob` (`string match`) when the mode is left out, and every
+/// name when both are.
+fn retain_keys(names: &mut Vec<String>, args: &[String]) -> Result<(), Exception> {
+    let (mode, pattern) = match args {
+        [] => return Ok(()),
+        [pattern] => ("-glob", pattern),
+        [mode, pattern, ..] => (mode.as_str(), pattern),
+    };
+    match mode {
+        "-exact" => names.retain(|k| k == pattern),
+        "-glob" => names.retain(|k| crate::strutil::glob_match(pattern, k)),
+        "-regexp" => {
+            let re = crate::regex::Regex::compile(pattern, false)?;
+            names.retain(|k| re.find(k).is_some());
+        }
+        _ => {
+            return Err(Exception::error(format!(
+                "bad option \"{mode}\": must be -exact, -glob, or -regexp"
+            )))
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -322,6 +335,47 @@ mod tests {
         i.eval("array set a {x 1 y 2}").unwrap();
         assert_eq!(i.eval("set a(y)").unwrap(), "2");
         assert_eq!(i.eval("array get a").unwrap(), "x 1 y 2");
+    }
+
+    #[test]
+    fn array_get_and_names_filter_by_pattern() {
+        // tclsh 8.6's results, checked by hand; the test runs no tclsh.
+        // tclsh lists names in hash order, so results are sorted here.
+        for compile in [true, false] {
+            let i = Interp::new();
+            i.set_compile(compile);
+            i.eval("array set a {j 1 z 2 zz 3 *z 4}").unwrap();
+            let cases = [
+                ("array get a z", "z 2"),
+                ("array names a z", "z"),
+                ("lsort [array names a z*]", "z zz"),
+                ("lsort [array get a {[jz]}]", "1 2 j z"),
+                ("array names a -exact *z", "*z"),
+                ("lsort [array names a -glob *z]", "*z z zz"),
+                ("lsort [array names a -regexp ^z]", "z zz"),
+                ("array names a -exact", ""),
+                ("array get a nomatch", ""),
+                (
+                    "list [catch {array get a z q} m] $m",
+                    "1 {wrong # args: should be \"array get arrayName ?pattern?\"}",
+                ),
+                (
+                    "list [catch {array names a -glob z q} m] $m",
+                    "1 {wrong # args: should be \"array names arrayName ?mode? ?pattern?\"}",
+                ),
+                (
+                    "list [catch {array names a -foo z} m] $m",
+                    "1 {bad option \"-foo\": must be -exact, -glob, or -regexp}",
+                ),
+                (
+                    "list [catch {array size a b} m] $m",
+                    "1 {wrong # args: should be \"array size arrayName\"}",
+                ),
+            ];
+            for (script, want) in cases {
+                assert_eq!(i.eval(script).unwrap(), want, "{script}, compile {compile}");
+            }
+        }
     }
 
     #[test]

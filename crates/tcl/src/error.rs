@@ -9,6 +9,7 @@
 //! code does).
 
 use std::fmt;
+use std::ops::RangeBounds;
 
 /// Completion code of a Tcl evaluation other than `TCL_OK`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -119,6 +120,19 @@ pub type TclResult = Result<String, Exception>;
 /// Convenience: the canonical "wrong # args" error used by built-ins.
 pub fn wrong_args(usage: &str) -> Exception {
     Exception::error(format!("wrong # args: should be \"{usage}\""))
+}
+
+/// A built-in's word-count check: `Ok` when `argv` has a length in
+/// `words`, the [`wrong_args`] error for `usage` otherwise.
+pub fn arity(
+    argv: &[String],
+    words: impl RangeBounds<usize>,
+    usage: &str,
+) -> Result<(), Exception> {
+    if words.contains(&argv.len()) {
+        return Ok(());
+    }
+    Err(wrong_args(usage))
 }
 
 #[cfg(test)]

@@ -1228,8 +1228,8 @@ mod fault_tests {
             .unwrap();
         a.update();
         let rec = a.window(".f").unwrap();
-        // Five motion events wait in the server queue: one poll exchange
-        // brings them all into the read-ahead.
+        // Five motion events wait in the server queue: one read brings
+        // them all into the read-ahead.
         for i in 0..5 {
             env.display()
                 .move_pointer(rec.x.get() + 5 + i, rec.y.get() + 5);

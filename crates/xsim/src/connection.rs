@@ -10,10 +10,10 @@
 //! sequence-numbered [`Cookie`] that is redeemed later with [`wait`], so
 //! several replies travel back in one blocking wait. Events come the
 //! other way in batches, as with Xlib's event queue: [`poll_event`]
-//! exchanges with the server only when the client's read-ahead is
-//! empty, and that one exchange brings back every queued event, up to
-//! `wire::EVENT_BATCH`. The counters power the Table II client/server
-//! split and the Section 3.3 cache-ablation experiment.
+//! answers from the client's read-ahead, and when that is empty it
+//! flushes and takes every queued event, up to `wire::EVENT_BATCH`, with
+//! no request to the server. The counters power the Table II
+//! client/server split and the Section 3.3 cache-ablation experiment.
 //!
 //! The request methods (one-way, pipelined `send_*`, and round trip)
 //! are generated from the request table in `crate::wire`, which declares
@@ -507,17 +507,17 @@ impl Connection {
     // --- events ---
 
     /// Takes the next event, if any. Like Xlib's `XNextEvent`, it answers
-    /// from the client-side read-ahead and exchanges with the server only
-    /// when that is empty: the exchange is a flush point (all output
-    /// buffers are written out first) and brings back every queued
-    /// event, up to [`EVENT_BATCH`](crate::wire::EVENT_BATCH), at once.
+    /// from the client-side read-ahead; when that is empty it is a flush
+    /// point (all output buffers are written out first) and takes every
+    /// queued event, up to [`EVENT_BATCH`](crate::wire::EVENT_BATCH), at
+    /// once. It sends the server no request.
     pub fn poll_event(&self) -> Option<Event> {
         self.transport.lock().poll_event(self.client)
     }
 
     /// Number of events not yet taken: read-ahead, server queue and
-    /// held-back events. With the read-ahead empty it is an exchange,
-    /// and so a flush point, like `XPending`.
+    /// held-back events. With the read-ahead empty it is a flush point,
+    /// like `XPending`; it sends the server no request.
     pub fn pending(&self) -> usize {
         self.transport.lock().pending(self.client)
     }

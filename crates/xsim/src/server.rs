@@ -542,53 +542,51 @@ impl Server {
 
     /// Takes `client`'s output buffer as one batch and applies it (with
     /// any quota-deferred remainder ahead of it). Encoded frames are
-    /// decoded here, on the server side of the wire: a damaged frame ends
-    /// the batch, the frames ahead of it still apply, and then the
-    /// connection is killed.
+    /// decoded here, on the server side of the wire, into the buffer's
+    /// typed half (unused with the codec on), and the emptied buffer goes
+    /// back to the client for reuse. A damaged frame ends the batch, the
+    /// frames ahead of it still apply, and then the connection is killed.
     fn flush_inner(&mut self, client: ClientId, enforce_quota: bool) {
-        let out = match self.clients.get_mut(client) {
+        let mut out = match self.clients.get_mut(client) {
             Some(c) if c.out.len > 0 || !c.deferred.is_empty() => std::mem::take(&mut c.out),
             _ => return,
         };
-        if out.requests.len() == out.len {
-            self.apply_batch(client, out.requests, enforce_quota);
-            return;
-        }
-        let mut fr = crate::wire::FrameReader::from_buffer(out.frames);
-        let mut batch = Vec::new();
+        let framed = out.requests.len() != out.len;
+        let mut fr = crate::wire::FrameReader::from_buffer(std::mem::take(&mut out.frames));
+        let batch = &mut out.requests;
         let corrupt = fr.read_all(|f| {
             self.note_wire_decode(client, f.wire_len());
             let decoded = crate::wire::Message::decode(&f).map(|q| batch.push((f.seq, q)));
             decoded.is_ok()
         });
+        out.frames = fr.into_buffer();
+        self.apply_batch(client, &mut out.requests, enforce_quota);
         if let Some(c) = self.clients.get_mut(client) {
-            c.obs.wire.flushes += 1;
-            c.out.frames = fr.into_buffer();
+            c.obs.wire.flushes += u64::from(framed);
+            out.len = 0;
+            c.out = out;
         }
-        self.apply_batch(client, batch, enforce_quota);
         if corrupt {
             self.kill_broken_stream(client, false);
         }
     }
 
-    /// Executes one flushed batch of requests in issue order. Fault
-    /// dispatch, the flush/rasterize spans, and every counter live here.
-    /// Drain points (a client's own round trip, display observation)
-    /// pass `enforce_quota = false`: they must apply everything
-    /// regardless of backpressure.
+    /// Executes one flushed batch of requests in issue order, draining
+    /// `buf`. Fault dispatch, the flush/rasterize spans, and every
+    /// counter live here. Drain points (a client's own round trip,
+    /// display observation) pass `enforce_quota = false`: they must apply
+    /// everything regardless of backpressure.
     fn apply_batch(
         &mut self,
         client: ClientId,
-        mut buf: Vec<(u64, QueuedRequest)>,
+        buf: &mut Vec<(u64, QueuedRequest)>,
         enforce_quota: bool,
     ) {
         // Deferred requests re-apply first, in issue order, ahead of the
         // newly flushed batch.
         if let Some(c) = self.clients.get_mut(client) {
             if !c.deferred.is_empty() {
-                let mut merged = std::mem::take(&mut c.deferred);
-                merged.append(&mut buf);
-                buf = merged;
+                buf.splice(0..0, std::mem::take(&mut c.deferred));
             }
         }
         self.dirty.remove(&client);
@@ -633,7 +631,7 @@ impl Server {
         let mut any_reply = false;
         let mut killed = false;
         let work_start = std::time::Instant::now();
-        for (seq, q) in buf {
+        for (seq, q) in buf.drain(..) {
             self.time += 1;
             let fault = self.fault_for_queued(client, seq, q.expects_reply());
             if let Some(action) = fault {
@@ -701,11 +699,7 @@ impl Server {
     /// pass applies at most one quota's worth per client, which is the
     /// backpressure that keeps one hot client from starving the rest.
     pub fn flush_all(&mut self) {
-        // BTreeSet iteration is already sorted by client id.
-        let ids: Vec<ClientId> = self.dirty.iter().copied().collect();
-        for id in ids {
-            self.flush_client(id);
-        }
+        self.for_each_dirty(Server::flush_client);
     }
 
     /// Applies everything `client` has buffered or deferred, ignoring the
@@ -720,9 +714,17 @@ impl Server {
     /// the display" path: a screenshot must show the effect of every
     /// request already issued, deferred or not.
     pub fn drain_all(&mut self) {
-        let ids: Vec<ClientId> = self.dirty.iter().copied().collect();
-        for id in ids {
-            self.drain_client(id);
+        self.for_each_dirty(Server::drain_client);
+    }
+
+    /// Runs `f` once on each dirty client, in id order, walking the set in
+    /// place: a client that `f` puts back in the set is not visited again
+    /// in the same pass.
+    fn for_each_dirty(&mut self, f: fn(&mut Server, ClientId)) {
+        let mut next = ClientId(0);
+        while let Some(&id) = self.dirty.range(next..).next() {
+            next = ClientId(id.0 + 1);
+            f(self, id);
         }
     }
 
@@ -2860,19 +2862,20 @@ mod tests {
 
     #[test]
     fn event_batches_drain_bounded_and_in_order() {
-        use crate::wire::{EVENT_BATCH, HEADER_LEN, MAX_BUFFERED};
+        use crate::wire::{EVENT_BATCH, MAX_BUFFERED};
         let (d, c) = motion_queue(1000, FaultPlan::default());
         let client = c.client_id();
         assert_eq!(event_queues(&d, client), (0, 1000, 0));
         let mut times = Vec::new();
-        let mut exchanges = 0;
+        let mut refills = 0;
         loop {
-            let (frames, bytes) = (c.wire_frame_timeline(), c.wire_stats().bytes_encoded);
+            let before = c.wire_stats();
             let ev = c.poll_event();
-            if c.wire_frame_timeline() > frames {
-                exchanges += 1;
-                // Encoded since: the poll frame and its whole response.
-                let response = c.wire_stats().bytes_encoded - bytes - (4 + HEADER_LEN) as u64;
+            let after = c.wire_stats();
+            if after.frames_encoded > before.frames_encoded {
+                refills += 1;
+                // Encoded since: the whole batch of event frames.
+                let response = after.bytes_encoded - before.bytes_encoded;
                 assert!(response < MAX_BUFFERED as u64, "{response}");
             }
             let (ahead, queued, delayed) = event_queues(&d, client);
@@ -2884,9 +2887,9 @@ mod tests {
         }
         assert_eq!(times.len(), 1000);
         assert!(times.windows(2).all(|t| t[0] < t[1]), "enqueue order");
-        // One exchange per full or partial batch, and the empty one that
-        // ends the drain.
-        assert_eq!(exchanges, 1000usize.div_ceil(EVENT_BATCH) + 1);
+        // One refill per full or partial batch; the empty read that ends
+        // the drain ships nothing.
+        assert_eq!(refills, 1000usize.div_ceil(EVENT_BATCH));
     }
 
     #[test]

@@ -23,12 +23,13 @@
 //! the server: the [`Server`] behind one mutex shared by every client
 //! thread, with the codec on or off. With it on, requests are encoded
 //! into frames in the client's output buffer, and each small control
-//! message (flush, sync, reply take, event poll) is encoded, decoded and
-//! executed inline by the thread that ships it, under the lock it
-//! already holds. An event poll is answered with a batch: every queued
-//! event, up to [`EVENT_BATCH`], one frame each. The sequence number in
-//! the frame header, not a thread, is the boundary between client and
-//! server (the x11rb cookie model).
+//! message (flush, sync, reply take) is encoded, decoded and executed
+//! inline by the thread that ships it, under the lock it already holds.
+//! Reading events is not a control message, as in Xlib: a read that
+//! finds the client's read-ahead empty flushes the output buffers and
+//! takes every queued event, up to [`EVENT_BATCH`], as one `FT_EVENT`
+//! frame each. The sequence number in the frame header, not a thread, is
+//! the boundary between client and server (the x11rb cookie model).
 //! With the codec off (`RTK_NO_WIRE=1`), the same calls carry typed
 //! values instead of bytes: that is the oracle `wire_equivalence`
 //! compares against. Everything else is shared — issue-time accounting,
@@ -126,19 +127,16 @@ fn frame_crc(header_pre_crc: &[u8], payload: &[u8]) -> u32 {
 }
 
 // Frame types. Requests flow client -> server; replies, events, and
-// errors flow back; FLUSH/SYNC/TAKE/POLL/PENDING are transport control.
+// errors flow back; FLUSH/SYNC/TAKE are transport control. The numbers
+// are part of the format, so retired types leave gaps (7, 10-12).
 pub const FT_REQUEST: u8 = 1;
 pub const FT_SYNC: u8 = 2;
 pub const FT_SYNC_REPLY: u8 = 3;
 pub const FT_COOKIE_REPLY: u8 = 4;
 pub const FT_NO_REPLY: u8 = 5;
 pub const FT_EVENT: u8 = 6;
-pub const FT_NO_EVENT: u8 = 7;
 pub const FT_ERROR: u8 = 8;
 pub const FT_TAKE_REPLY: u8 = 9;
-pub const FT_POLL_EVENT: u8 = 10;
-pub const FT_PENDING: u8 = 11;
-pub const FT_PENDING_COUNT: u8 = 12;
 pub const FT_FLUSH_CLIENT: u8 = 13;
 pub const FT_FLUSH_ALL: u8 = 14;
 
@@ -532,7 +530,10 @@ impl FrameReader {
         // Past the CRC the bytes are authentic, so an out-of-range frame
         // type is a genuine protocol disagreement, not corruption.
         let frame_type = self.buf[start + 1];
-        if !(FT_REQUEST..=FT_FLUSH_ALL).contains(&frame_type) {
+        if !matches!(
+            frame_type,
+            FT_REQUEST..=FT_EVENT | FT_ERROR | FT_TAKE_REPLY | FT_FLUSH_CLIENT | FT_FLUSH_ALL
+        ) {
             return Err(WireError::BadFrameType(frame_type));
         }
         let opcode = u16::from_le_bytes(self.buf[start + 2..start + 4].try_into().unwrap());
@@ -1015,15 +1016,15 @@ const STALL_TICK_MS: u64 = 10;
 /// Default sync-watchdog deadline (`Display::set_wire_deadline` changes it).
 pub const DEFAULT_WIRE_DEADLINE_MS: u64 = 5000;
 
-/// Most events one poll exchange carries. A `PollEvent` is answered with
-/// every queued event up to this many, so draining a burst costs one
-/// exchange per batch (Xlib's `XPending`/`XNextEvent` read-ahead) and no
-/// response outgrows [`MAX_BUFFERED`].
+/// Most events one read-ahead refill takes from the server queue, so
+/// draining a burst costs one refill per batch (Xlib's `XPending` /
+/// `XNextEvent` read-ahead) and no batch outgrows [`MAX_BUFFERED`].
 pub const EVENT_BATCH: usize = 256;
 
 /// A control message: everything a client asks of the server besides
 /// buffering a request. With the codec on each one crosses as a control
-/// frame; with it off [`execute`] runs it directly.
+/// frame; with it off [`execute`] runs it directly. Reading events is no
+/// control message: see [`State::poll_event`].
 pub(crate) enum Control {
     /// Apply the sender's output buffer (Xlib's `XFlush`).
     Flush,
@@ -1032,9 +1033,6 @@ pub(crate) enum Control {
     FlushAll,
     Sync(SyncRequest),
     TakeReply(u64),
-    /// Take the next batch of queued events (at most [`EVENT_BATCH`]).
-    PollEvent,
-    Pending,
 }
 
 /// The server's answer to a [`Control`] message. `Done` also stands for
@@ -1046,9 +1044,6 @@ pub(crate) enum Answer {
     /// No reply is filed under the sequence number; whether the
     /// connection is still alive.
     NoReply(bool),
-    /// A poll's batch, oldest first; empty when nothing was queued.
-    Events(Vec<Event>),
-    Pending(usize),
 }
 
 impl Control {
@@ -1062,58 +1057,33 @@ impl Control {
                 return;
             }
             Control::TakeReply(seq) => (FT_TAKE_REPLY, *seq),
-            Control::PollEvent => (FT_POLL_EVENT, 0),
-            Control::Pending => (FT_PENDING, 0),
         };
         frame_into(out, ft, seq, |_| 0);
     }
 }
 
 impl Answer {
-    /// Appends the response frames to a control frame sent under `seq`
-    /// and calls `sent` with each one's size. `Done` has none (flushes
-    /// are not answered); a batch of events is one `FT_EVENT` frame per
-    /// event, an empty one a single `FT_NO_EVENT`.
-    fn frame_into(self, seq: u64, out: &mut Vec<u8>, mut sent: impl FnMut(usize)) {
-        let n = match self {
-            Answer::Done => return,
+    /// Appends the response frame to a control frame sent under `seq`
+    /// and returns its size; `Done` has none (flushes are not answered).
+    fn frame_into(self, seq: u64, out: &mut Vec<u8>) -> Option<usize> {
+        Some(match self {
+            Answer::Done => return None,
             Answer::Sync(Ok(reply)) => {
                 frame_into(out, FT_SYNC_REPLY, seq, |b| reply.encode_into(b))
             }
             Answer::Sync(Err(e)) => frame_into(out, FT_ERROR, e.seq, |b| payload(&e, b)),
             Answer::Reply(v) => frame_into(out, FT_COOKIE_REPLY, seq, |b| v.encode_into(b)),
             Answer::NoReply(alive) => frame_into(out, FT_NO_REPLY, seq, |b| payload(&alive, b)),
-            Answer::Events(batch) if !batch.is_empty() => {
-                for ev in &batch {
-                    sent(frame_into(out, FT_EVENT, 0, |b| ev.encode_into(b)));
-                }
-                return;
-            }
-            Answer::Events(_) => frame_into(out, FT_NO_EVENT, 0, |_| 0),
-            Answer::Pending(n) => frame_into(out, FT_PENDING_COUNT, n as u64, |_| 0),
-        };
-        sent(n);
+        })
     }
 
-    /// Folds one response frame into the answer decoded so far: an event
-    /// decodes straight onto the end of the poll's batch, any other frame
-    /// replaces the answer. Anything malformed reads as `Done`.
-    fn decode(self, f: &RawFrame<'_>) -> Answer {
+    /// Decodes a response frame. Anything malformed reads as `Done`.
+    fn decode(f: &RawFrame<'_>) -> Answer {
         let answer = match f.frame_type {
             FT_SYNC_REPLY => SyncReply::decode(f).ok().map(|r| Answer::Sync(Ok(r))),
             FT_ERROR => from_payload(f.payload).ok().map(|e| Answer::Sync(Err(e))),
             FT_COOKIE_REPLY => ReplyValue::decode(f).ok().map(Answer::Reply),
             FT_NO_REPLY => Some(Answer::NoReply(f.payload.first() == Some(&1))),
-            FT_EVENT => Event::decode(f).ok().map(|ev| {
-                let mut batch = match self {
-                    Answer::Events(batch) => batch,
-                    _ => Vec::new(),
-                };
-                batch.push(ev);
-                Answer::Events(batch)
-            }),
-            FT_NO_EVENT => Some(Answer::Events(Vec::new())),
-            FT_PENDING_COUNT => Some(Answer::Pending(f.seq as usize)),
             _ => None,
         };
         answer.unwrap_or(Answer::Done)
@@ -1146,22 +1116,14 @@ fn execute(s: &mut Server, client: ClientId, ctl: Control) -> Answer {
                 None => Answer::NoReply(s.is_alive(client)),
             }
         }
-        Control::PollEvent => {
-            flush_buffers(s);
-            let batch = std::iter::from_fn(|| s.poll_event(client));
-            Answer::Events(batch.take(EVENT_BATCH).collect())
-        }
-        Control::Pending => {
-            flush_buffers(s);
-            Answer::Pending(s.pending(client))
-        }
     }
 }
 
-/// The flush a blocking control message starts with: every client's
-/// buffer applies, in client-id order, then each quota-deferred
-/// remainder gets one more chunk. That drain rate is what the fleet
-/// budgets (`backpressure_stalls`, send-latency percentiles) pin.
+/// The flush a blocking control message, or a read of events that finds
+/// the read-ahead empty, starts with: every client's buffer applies, in
+/// client-id order, then each quota-deferred remainder gets one more
+/// chunk. That drain rate is what the fleet budgets
+/// (`backpressure_stalls`, send-latency percentiles) pin.
 fn flush_buffers(s: &mut Server) {
     s.flush_all();
     s.flush_all();
@@ -1192,11 +1154,11 @@ fn dispatch(s: &mut Server, client: ClientId, bytes: &mut Vec<u8>, out: &mut Vec
                 }
             },
             FT_TAKE_REPLY => execute(s, client, Control::TakeReply(f.seq)),
-            FT_POLL_EVENT => execute(s, client, Control::PollEvent),
-            FT_PENDING => execute(s, client, Control::Pending),
             _ => return true, // data frames never arrive as control messages
         };
-        answer.frame_into(f.seq, out, |n| s.note_wire_encode(client, n));
+        if let Some(n) = answer.frame_into(f.seq, out) {
+            s.note_wire_encode(client, n);
+        }
         true
     });
     *bytes = fr.into_buffer();
@@ -1307,8 +1269,7 @@ impl State {
     /// transport's own channel) and returns the answer. With the codec
     /// on the message crosses as bytes both ways, so byte faults, the
     /// CRC check and the codec see exactly what a server across a socket
-    /// would; with it off the server executes it directly. A batch of
-    /// events arrives as one frame per event, decoded into one answer.
+    /// would; with it off the server executes it directly.
     pub(crate) fn control(&mut self, client: ClientId, ctl: Control) -> Answer {
         if !self.codec {
             return execute(&mut self.server, client, ctl);
@@ -1318,34 +1279,54 @@ impl State {
         let mut answer = Answer::Done;
         while let Ok(Some(f)) = fr.next_frame() {
             self.server.note_wire_decode(client, f.wire_len());
-            answer = answer.decode(&f);
+            answer = Answer::decode(&f);
         }
         self.rx = fr.into_buffer();
         answer
     }
 
     /// `Connection::poll_event`: the next event from `client`'s
-    /// read-ahead, refilled by one `PollEvent` exchange when empty.
+    /// read-ahead. An empty read-ahead is refilled as Xlib's is, with no
+    /// request to the server: the output buffers flush, then up to
+    /// [`EVENT_BATCH`] queued events move across. With the codec on each
+    /// crosses as an `FT_EVENT` frame, encoded into the response buffer
+    /// and decoded from it; an empty queue ships nothing.
     pub(crate) fn poll_event(&mut self, client: ClientId) -> Option<Event> {
         if let Some(ev) = self.server.read_ahead(client)?.pop_front() {
             return Some(ev);
         }
-        if let Answer::Events(batch) = self.control(client, Control::PollEvent) {
-            self.server.read_ahead(client)?.extend(batch);
+        flush_buffers(&mut self.server);
+        self.rx.clear();
+        for _ in 0..EVENT_BATCH {
+            let Some(ev) = self.server.poll_event(client) else {
+                break;
+            };
+            if self.codec {
+                let n = frame_into(&mut self.rx, FT_EVENT, 0, |b| ev.encode_into(b));
+                self.server.note_wire_encode(client, n);
+            } else {
+                self.server.read_ahead(client)?.push_back(ev);
+            }
         }
+        let mut fr = FrameReader::from_buffer(std::mem::take(&mut self.rx));
+        while let Ok(Some(f)) = fr.next_frame() {
+            self.server.note_wire_decode(client, f.wire_len());
+            if let (Ok(ev), Some(q)) = (Event::decode(&f), self.server.read_ahead(client)) {
+                q.push_back(ev);
+            }
+        }
+        self.rx = fr.into_buffer();
         self.server.read_ahead(client)?.pop_front()
     }
 
-    /// `Connection::pending`: answered from the read-ahead when it holds
-    /// events, by a `Pending` exchange otherwise.
+    /// `Connection::pending`: the events not yet taken, counted after
+    /// the same flush as [`State::poll_event`] when the read-ahead is
+    /// empty. Nothing crosses the wire.
     pub(crate) fn pending(&mut self, client: ClientId) -> usize {
-        if self.server.read_ahead(client).map_or(0, |q| q.len()) > 0 {
-            return self.server.pending(client);
+        if self.server.read_ahead(client).map_or(0, |q| q.len()) == 0 {
+            flush_buffers(&mut self.server);
         }
-        match self.control(client, Control::Pending) {
-            Answer::Pending(n) => n,
-            _ => 0,
-        }
+        self.server.pending(client)
     }
 
     /// Ships a control frame and dispatches it inline, under the lock the
@@ -2313,8 +2294,8 @@ mod tests {
     }
 
     /// Every frame is counted once on each side: a drain of 40 queued
-    /// events (one poll answered by 40 frames, then an empty poll) leaves
-    /// the client's encoded and decoded tallies equal.
+    /// events (one refill of 40 frames, then an empty read that ships
+    /// nothing) leaves the client's encoded and decoded tallies equal.
     #[test]
     fn every_response_frame_is_counted_on_both_sides() {
         let d = Display::new();
@@ -2326,10 +2307,27 @@ mod tests {
         d.with_server(|s| (0..40).for_each(|x| s.warp_pointer(x, 20)));
         assert_eq!(std::iter::from_fn(|| c.poll_event()).count(), 40);
         let wire = c.wire_stats();
-        // 3 requests, 2 polls, 40 events and the empty answer.
-        assert_eq!(wire.frames_encoded, 3 + 2 + 40 + 1);
+        // 3 requests and 40 events.
+        assert_eq!(wire.frames_encoded, 3 + 40);
         assert_eq!(wire.frames_encoded, wire.frames_decoded);
         assert_eq!(wire.bytes_encoded, wire.bytes_decoded);
+    }
+
+    /// Reading events with none queued is a flush and a look at the
+    /// client's own queue, as in Xlib: no frame crosses either way.
+    #[test]
+    fn an_empty_read_ships_no_frame() {
+        let d = Display::new();
+        d.set_wire(true);
+        let c = d.connect();
+        let w = c.create_window(c.root(), 0, 0, 100, 40, 0).unwrap();
+        c.map_window(w);
+        c.flush();
+        let (frames, timeline) = (c.wire_stats().frames_encoded, c.wire_frame_timeline());
+        assert_eq!(c.poll_event(), None);
+        assert_eq!(c.pending(), 0);
+        assert_eq!(c.wire_stats().frames_encoded, frames);
+        assert_eq!(c.wire_frame_timeline(), timeline);
     }
 
     /// Deadline the stall tests run under: 10 ticks of virtual time.
@@ -2351,8 +2349,8 @@ mod tests {
             Control::Sync(SyncRequest::InternAtom {
                 name: "WM_NAME".into(),
             }),
-            Control::Pending,
-            Control::PollEvent,
+            Control::TakeReply(1),
+            Control::Sync(SyncRequest::GetInputFocus),
             Control::Sync(SyncRequest::GetGeometry { id: win }),
         ];
         let resps = controls
