@@ -1,6 +1,6 @@
 //! Corpus-anchoring maintenance tool. Fault plans key on sequence
 //! numbers, so any change to the request stream (new round trips,
-//! interest registration, registry sharding) silently shifts which
+//! interest registration, fewer registry reads) silently shifts which
 //! requests the corpus's fault specs land on. When that drifts a seed
 //! pair off the behavior its regression test asserts, rerun this:
 //!

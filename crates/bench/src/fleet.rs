@@ -122,7 +122,7 @@ pub fn run_wire_mesh(env: &TkEnv, cfg: &MeshConfig) -> MeshReport {
     // failure into a hang, so the wait also watches a failure flag.
     let finished = Arc::new(AtomicUsize::new(0));
     let failed = Arc::new(AtomicBool::new(false));
-    // Registration rewrites a shared registry shard (read-modify-write),
+    // Registration rewrites the shared registry property (read-modify-write),
     // which real Tk serializes with XGrabServer; app startup takes this
     // lock so announcements don't clobber each other. Everything after
     // the barrier runs fully concurrently.
@@ -385,7 +385,7 @@ pub fn run_fleet(napps: usize) -> FleetReport {
 
     // Post-run resource reckoning: the tail-round faults killed nothing,
     // so the server must hold zero objects chargeable to dead clients
-    // and every registry shard must point at live comm windows.
+    // and every registry entry must point at live comm windows.
     let leaks = tk::send::audit(&env);
     assert!(
         leaks.is_empty(),

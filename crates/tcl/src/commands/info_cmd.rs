@@ -23,8 +23,8 @@ fn cmd_info(interp: &Interp, argv: &[String]) -> TclResult {
     match argv[1].as_str() {
         "commands" => Ok(filtered(interp.command_names(), argv.get(2))),
         "procs" => Ok(filtered(interp.proc_names(), argv.get(2))),
-        "vars" => Ok(filtered(interp.var_names(), argv.get(2))),
-        "globals" => Ok(filtered(interp.global_names(), argv.get(2))),
+        "vars" => Ok(filtered(interp.var_names(interp.level()), argv.get(2))),
+        "globals" => Ok(filtered(interp.var_names(0), argv.get(2))),
         "exists" => {
             arity(argv, 3..=3, "info exists varName")?;
             let (name, idx) = crate::interp::split_var_name(&argv[2]);

@@ -118,11 +118,8 @@ fn cmd_global(interp: &Interp, argv: &[String]) -> TclResult {
 }
 
 fn cmd_upvar(interp: &Interp, argv: &[String]) -> TclResult {
-    if argv.len() < 3 {
-        return Err(wrong_args(
-            "upvar ?level? otherVar localVar ?otherVar localVar ...?",
-        ));
-    }
+    const USAGE: &str = "upvar ?level? otherVar localVar ?otherVar localVar ...?";
+    arity(argv, 3.., USAGE)?;
     // The optional level is recognized by its shape: a number or `#number`.
     let (level, rest) = if argv[1].starts_with('#') || argv[1].parse::<usize>().is_ok() {
         (interp.parse_level(&argv[1])?, &argv[2..])
@@ -130,9 +127,7 @@ fn cmd_upvar(interp: &Interp, argv: &[String]) -> TclResult {
         (interp.parse_level("1")?, &argv[1..])
     };
     if rest.is_empty() || rest.len() % 2 != 0 {
-        return Err(wrong_args(
-            "upvar ?level? otherVar localVar ?otherVar localVar ...?",
-        ));
+        return Err(wrong_args(USAGE));
     }
     for pair in rest.chunks(2) {
         interp.link_var(&pair[1], level, &pair[0])?;
@@ -165,21 +160,21 @@ fn cmd_array(interp: &Interp, argv: &[String]) -> TclResult {
     match argv[1].as_str() {
         "names" => {
             arity(argv, ..=5, "array names arrayName ?mode? ?pattern?")?;
-            let mut names = interp.array_names(name)?;
+            let mut names = interp.array_names(name).unwrap_or_default();
             retain_keys(&mut names, &argv[3..])?;
             Ok(crate::list::format_list(&names))
         }
         "size" => {
             arity(argv, ..=3, "array size arrayName")?;
-            Ok(interp.array_names(name)?.len().to_string())
+            Ok(interp.array_names(name).map_or(0, |n| n.len()).to_string())
         }
         "exists" => {
             arity(argv, ..=3, "array exists arrayName")?;
-            Ok(u8::from(interp.array_names(name).is_ok()).to_string())
+            Ok(u8::from(interp.array_names(name).is_some()).to_string())
         }
         "get" => {
             arity(argv, ..=4, "array get arrayName ?pattern?")?;
-            let mut names = interp.array_names(name)?;
+            let mut names = interp.array_names(name).unwrap_or_default();
             retain_keys(&mut names, &argv[3..])?;
             let mut out: Vec<String> = Vec::new();
             for key in names {
@@ -202,8 +197,22 @@ fn cmd_array(interp: &Interp, argv: &[String]) -> TclResult {
             }
             Ok(String::new())
         }
+        "unset" => {
+            arity(argv, ..=4, "array unset arrayName ?pattern?")?;
+            match interp.array_names(name) {
+                Some(_) if argv.len() == 3 => interp.unset_var(name, None)?,
+                Some(mut keys) => {
+                    retain_keys(&mut keys, &argv[3..])?;
+                    for key in keys {
+                        interp.unset_var(name, Some(&key))?;
+                    }
+                }
+                None => {}
+            }
+            Ok(String::new())
+        }
         other => Err(Exception::error(format!(
-            "bad option \"{other}\": should be exists, get, names, set, or size"
+            "bad option \"{other}\": should be exists, get, names, set, size, or unset"
         ))),
     }
 }
@@ -375,6 +384,63 @@ mod tests {
             for (script, want) in cases {
                 assert_eq!(i.eval(script).unwrap(), want, "{script}, compile {compile}");
             }
+        }
+    }
+
+    #[test]
+    fn array_reads_of_a_non_array_are_empty() {
+        // tclsh 8.6's results, checked by hand; the test runs no tclsh.
+        for compile in [true, false] {
+            let i = Interp::new();
+            i.set_compile(compile);
+            i.eval("set s 1").unwrap();
+            let cases = [
+                ("array names nosuch", ""),
+                ("array get nosuch", ""),
+                ("array size nosuch", "0"),
+                ("array names nosuch -glob *", ""),
+                ("array names s", ""),
+                ("array get s", ""),
+                ("array size s", "0"),
+                ("array exists s", "0"),
+                ("info exists nosuch", "0"),
+            ];
+            for (script, want) in cases {
+                assert_eq!(i.eval(script).unwrap(), want, "{script}, compile {compile}");
+            }
+        }
+    }
+
+    #[test]
+    fn array_unset_removes_elements_or_the_array() {
+        // tclsh 8.6's results, checked by hand; the test runs no tclsh.
+        for compile in [true, false] {
+            let i = Interp::new();
+            i.set_compile(compile);
+            let cases = [
+                ("array set a {i 1 j 2}; array unset a j; array names a", "i"),
+                (
+                    "array set b {x1 1 x2 2 y 3}; array unset b x*; array names b",
+                    "y",
+                ),
+                ("array set c {k 1}; array unset c; info exists c", "0"),
+                ("array unset nosuch", ""),
+                ("array unset nosuch x*", ""),
+                ("info exists nosuch", "0"),
+                ("set s 1; array unset s; set s", "1"),
+                (
+                    "list [catch {array unset a j k} m] $m",
+                    "1 {wrong # args: should be \"array unset arrayName ?pattern?\"}",
+                ),
+            ];
+            for (script, want) in cases {
+                assert_eq!(i.eval(script).unwrap(), want, "{script}, compile {compile}");
+            }
+            // rtk's own message (tclsh 8.6's ensemble lists more options).
+            assert_eq!(
+                i.eval("list [catch {array foo a} m] $m").unwrap(),
+                "1 {bad option \"foo\": should be exists, get, names, set, size, or unset}"
+            );
         }
     }
 

@@ -907,17 +907,8 @@ impl Interp {
         held
     }
 
-    /// Names of variables visible in the current frame, sorted.
-    pub fn var_names(&self) -> Vec<String> {
-        self.names_at(self.level())
-    }
-
-    /// Names of global variables, sorted.
-    pub fn global_names(&self) -> Vec<String> {
-        self.names_at(0)
-    }
-
-    fn names_at(&self, level: usize) -> Vec<String> {
+    /// Names of the variables of frame `level` (0 = global), sorted.
+    pub fn var_names(&self, level: usize) -> Vec<String> {
         let frames = self.inner.frames.borrow();
         let mut names: Vec<String> = frames[level].vars.keys().map(|k| k.to_string()).collect();
         names.sort();
@@ -956,19 +947,16 @@ impl Interp {
         Ok(())
     }
 
-    /// Returns the sorted element names of an array variable.
-    pub fn array_names(&self, name: &str) -> Result<Vec<String>, Exception> {
+    /// Returns the sorted element names of an array variable, or `None`
+    /// when `name` is not an array (missing, or a scalar).
+    pub fn array_names(&self, name: &str) -> Option<Vec<String>> {
         let (_, keys) = self.with_var(self.level(), name, |_, slot| match slot {
             Slot::Found(Var::Array(map)) => Some(map.keys().cloned().collect::<Vec<_>>()),
             _ => None,
         });
-        match keys {
-            Some(mut keys) => {
-                keys.sort();
-                Ok(keys)
-            }
-            None => Err(Exception::error(format!("\"{name}\" isn't an array"))),
-        }
+        let mut keys = keys?;
+        keys.sort();
+        Some(keys)
     }
 
     // ----- variable traces ------------------------------------------------

@@ -5,9 +5,8 @@
 //! between applications on the same display. The machinery follows the
 //! paper:
 //!
-//! * every application registers `name → comm-window` in a property on
-//!   the root window: one of [`SEND_SHARDS`] shards `InterpRegistry.k`,
-//!   chosen by a hash of the name;
+//! * every application registers `name → comm-window` in one property,
+//!   `InterpRegistry`, on the root window;
 //! * a request is transported by appending (server-side `PropModeAppend`,
 //!   so concurrent senders never lose each other's lines) to a
 //!   `TkSendCommand` property on the target's comm window (the target
@@ -62,37 +61,13 @@ const RETRY_BACKOFF_MS: u64 = 10;
 const MAX_PUMPS_PER_TICK: u32 = 8;
 /// Executed-serial window kept per peer for duplicate suppression.
 const DEDUP_WINDOW: usize = 128;
-/// Number of registry property shards. Every client sharing a display
-/// routes by it, so it is part of the registry's layout.
-pub const SEND_SHARDS: u32 = 8;
-
-/// FNV-1a over the interpreter name: the shard router. Stable across
-/// processes by construction — every client sharing a display computes
-/// the same shard for the same name.
-fn name_hash(name: &str) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for b in name.bytes() {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
-}
-
-/// Which shard holds `name`'s registry entry.
-fn shard_of(name: &str) -> u32 {
-    name_hash(name) % SEND_SHARDS
-}
-
-/// Property name of registry shard `i`.
-fn shard_property(i: u32) -> String {
-    format!("InterpRegistry.{i}")
-}
-
-/// The interned registry atom (and shard index) responsible for `name`.
-fn registry_atom_for(app: &TkApp, name: &str) -> Result<(Atom, u32), Exception> {
-    let shard = shard_of(name);
-    Ok((cached_atom(app, &shard_property(shard))?, shard))
-}
+/// The protocol's atoms, in the order `announce` interns them: the
+/// root-window registry, then the two comm-window properties.
+const ATOMS: [&str; 3] = ["InterpRegistry", "TkSendCommand", "TkSendResult"];
+/// Indices into [`ATOMS`] and [`SendState::atoms`].
+const REGISTRY: usize = 0;
+const COMMAND: usize = 1;
+const RESULT: usize = 2;
 
 /// How a send concluded, filled in from comm-window traffic.
 enum SendOutcome {
@@ -105,20 +80,17 @@ enum SendOutcome {
 /// Per-application send state.
 #[derive(Default)]
 pub struct SendState {
-    /// Per-shard serial counters: each registry shard has its own serial
-    /// space (shard `k` issues wire serials `k+1, k+1+n, k+1+2n, ...`
-    /// for `n` = [`SEND_SHARDS`]), disjoint by construction so in-flight
-    /// sends to different shards can never collide on a serial.
-    next_serials: HashMap<u32, u64>,
+    /// The last serial this application sent (serials run 1, 2, 3, ...).
+    last_serial: u64,
     /// Outcomes by serial, filled in by `TkSendResult` property traffic
     /// or by a peer comm window's DestroyNotify.
     outcomes: HashMap<u64, SendOutcome>,
     /// In-flight sends: serial → target comm window (so a DestroyNotify
     /// can fail exactly the sends aimed at the vanished peer).
     pending: HashMap<u64, WindowId>,
-    /// Interned handshake atoms, warmed in one pipelined batch at
+    /// The interned [`ATOMS`], warmed in one pipelined batch at
     /// `announce` time so the send path never re-interns per call.
-    atoms: HashMap<String, Atom>,
+    atoms: [Option<Atom>; 3],
     /// Per-peer (sender comm xid) windows of recently executed serials:
     /// the receiver side of at-most-once delivery.
     executed: HashMap<u32, VecDeque<u64>>,
@@ -129,16 +101,15 @@ pub struct SendState {
     watched: HashSet<u32>,
 }
 
-/// Looks up a handshake atom in the per-app cache, interning (one round
-/// trip, first use only) on a miss. A protocol error on the intern (fault
-/// injection, dead connection) surfaces as a Tcl exception.
-fn cached_atom(app: &TkApp, name: &str) -> Result<Atom, Exception> {
-    if let Some(a) = app.inner.send.borrow().atoms.get(name) {
-        return Ok(*a);
+/// Looks up one of the [`ATOMS`] in the per-app cache, interning (one
+/// round trip, first use only) on a miss. A protocol error on the intern
+/// (fault injection, dead connection) surfaces as a Tcl exception.
+fn cached_atom(app: &TkApp, which: usize) -> Result<Atom, Exception> {
+    if let Some(a) = app.inner.send.borrow().atoms[which] {
+        return Ok(a);
     }
-    let a = app.conn().intern_atom(name).map_err(xerr)?;
-    let mut st = app.inner.send.borrow_mut();
-    st.atoms.insert(name.to_string(), a);
+    let a = app.conn().intern_atom(ATOMS[which]).map_err(xerr)?;
+    app.inner.send.borrow_mut().atoms[which] = Some(a);
     Ok(a)
 }
 
@@ -166,51 +137,28 @@ fn retry_once<T>(app: &TkApp, mut f: impl FnMut() -> Result<T, XError>) -> Resul
 pub fn announce(app: &TkApp) -> String {
     let conn = app.conn();
     let base = app.name();
-    // Warm the handshake atom cache in one pipelined batch: the base
-    // name's registry shard and both transport atoms travel to the
-    // server in a single flush. If the handshake fails (fault injection,
-    // dead connection) the application keeps its base name and stays
-    // unregistered — it still works standalone.
-    let base_shard = shard_property(shard_of(&base));
-    let reg_cookie = conn.send_intern_atom(&base_shard);
-    let cmd_cookie = conn.send_intern_atom("TkSendCommand");
-    let res_cookie = conn.send_intern_atom("TkSendResult");
-    let (Ok(registry), Ok(cmd), Ok(res)) = (
-        conn.wait(reg_cookie),
-        conn.wait(cmd_cookie),
-        conn.wait(res_cookie),
-    ) else {
+    // Warm the atom cache in one pipelined batch: all three atoms travel
+    // to the server in a single flush. If the handshake fails (fault
+    // injection, dead connection) the application keeps its base name
+    // and stays unregistered — it still works standalone.
+    let cookies = ATOMS.map(|name| conn.send_intern_atom(name));
+    let [Ok(registry), Ok(cmd), Ok(res)] = cookies.map(|c| conn.wait(c)) else {
         return base;
     };
-    {
-        let mut st = app.inner.send.borrow_mut();
-        st.atoms.insert(base_shard, registry);
-        st.atoms.insert("TkSendCommand".into(), cmd);
-        st.atoms.insert("TkSendResult".into(), res);
-    }
+    app.inner.send.borrow_mut().atoms = [Some(registry), Some(cmd), Some(res)];
     let root = conn.root();
-    // Uniquify across shards: a candidate name lives in exactly one
-    // shard (its hash), so existence is decided by that shard alone.
-    // Each uniquification step re-routes, because "base #2" may hash
-    // somewhere else entirely.
+    // A failed read must not be taken for an empty registry: writing
+    // that back would unregister every other application.
+    let Ok(existing) = conn.get_property(root, registry) else {
+        return base;
+    };
+    let mut entries = parse_registry(&existing.unwrap_or_default());
     let mut name = base.clone();
     let mut n = 1;
-    let (registry, mut entries) = loop {
-        let Ok((atom, _)) = registry_atom_for(app, &name) else {
-            return base;
-        };
-        let existing = conn
-            .get_property(root, atom)
-            .ok()
-            .flatten()
-            .unwrap_or_default();
-        let entries = parse_registry(&existing);
-        if !entries.iter().any(|(e, _)| *e == name) {
-            break (atom, entries);
-        }
+    while entries.iter().any(|(e, _)| *e == name) {
         n += 1;
         name = format!("{base} #{n}");
-    };
+    }
     entries.push((name.clone(), app.inner.comm));
     conn.change_property(root, registry, &format_registry(&entries));
     *app.inner.name.borrow_mut() = name.clone();
@@ -220,7 +168,7 @@ pub fn announce(app: &TkApp) -> String {
 /// Removes an application from the registry (on destroy).
 pub fn withdraw(app: &TkApp) {
     let conn = app.conn();
-    let Ok((registry, _)) = registry_atom_for(app, &app.name()) else {
+    let Ok(registry) = cached_atom(app, REGISTRY) else {
         return;
     };
     let root = conn.root();
@@ -238,10 +186,9 @@ pub fn withdraw(app: &TkApp) {
 /// window no longer exists.
 pub fn withdraw_post_mortem(app: &TkApp) {
     let name = app.name();
-    let prop = shard_property(shard_of(&name));
     let client = app.conn().client_id();
     app.env().display().with_server(|s| {
-        let registry = s.intern_atom(client, prop);
+        let registry = s.intern_atom(client, ATOMS[REGISTRY].to_string());
         let root = s.root();
         let existing = s.get_property(client, root, registry).unwrap_or_default();
         s.change_property(client, root, registry, registry_without(&existing, &name));
@@ -257,55 +204,31 @@ pub fn withdraw_post_mortem(app: &TkApp) {
 /// looks.
 pub fn interps(app: &TkApp) -> Vec<String> {
     let conn = app.conn();
-    let Ok(shard_atoms) = (0..SEND_SHARDS)
-        .map(|i| cached_atom(app, &shard_property(i)))
-        .collect::<Result<Vec<_>, _>>()
-    else {
+    let Ok(registry) = cached_atom(app, REGISTRY) else {
         return Vec::new();
     };
     let root = conn.root();
-    // Read every shard in one pipelined batch (a single flush)...
-    let prop_cookies: Vec<_> = shard_atoms
+    let existing = conn.get_property(root, registry).ok().flatten();
+    let entries = parse_registry(&existing.unwrap_or_default());
+    // Probe every entry's comm window in one pipelined batch (one flush).
+    let probes: Vec<_> = entries
         .iter()
-        .map(|a| conn.send_get_property(root, *a))
+        .map(|(_, w)| conn.send_get_geometry(*w))
         .collect();
-    let per_shard: Vec<Vec<(String, WindowId)>> = prop_cookies
+    let before = entries.len();
+    // A faulted probe keeps its entry: never prune on uncertainty.
+    let live: Vec<(String, WindowId)> = entries
         .into_iter()
-        .map(|c| parse_registry(&conn.wait(c).ok().flatten().unwrap_or_default()))
+        .zip(probes)
+        .filter_map(|(entry, probe)| (!matches!(conn.wait(probe), Ok(None))).then_some(entry))
         .collect();
-    // ...then probe every entry's comm window in a second batch.
-    let probe_cookies: Vec<Vec<_>> = per_shard
-        .iter()
-        .map(|entries| {
-            entries
-                .iter()
-                .map(|(_, w)| conn.send_get_geometry(*w))
-                .collect()
-        })
-        .collect();
-    let mut names = Vec::new();
-    let mut pruned_total = 0u64;
-    for ((atom, entries), cookies) in shard_atoms.into_iter().zip(per_shard).zip(probe_cookies) {
-        let mut live: Vec<(String, WindowId)> = Vec::with_capacity(entries.len());
-        let mut pruned = 0u64;
-        for ((name, w), cookie) in entries.into_iter().zip(cookies) {
-            match conn.wait(cookie) {
-                Ok(Some(_)) => live.push((name, w)),
-                Ok(None) => pruned += 1,
-                // Probe faulted: keep the entry — never prune on uncertainty.
-                Err(_) => live.push((name, w)),
-            }
-        }
-        if pruned > 0 {
-            pruned_total += pruned;
-            conn.change_property(root, atom, &format_registry(&live));
-        }
-        names.extend(live.into_iter().map(|(n, _)| n));
+    let pruned = (before - live.len()) as u64;
+    if pruned > 0 {
+        app.inner.obs.count().registry_gc += pruned;
+        conn.change_property(root, registry, &format_registry(&live));
     }
-    if pruned_total > 0 {
-        app.inner.obs.count().registry_gc += pruned_total;
-    }
-    // Sorted: concatenation order would leak the shard layout.
+    // Sorted, so the listing does not depend on registration order.
+    let mut names: Vec<String> = live.into_iter().map(|(n, _)| n).collect();
     names.sort();
     names
 }
@@ -339,10 +262,13 @@ fn parse_registry(text: &str) -> Vec<(String, WindowId)> {
 pub fn audit(env: &TkEnv) -> Vec<String> {
     env.display().with_server(|s| {
         let mut v = s.audit();
+        // The property read is the request's body run in place; the
+        // client argument is unused.
+        let registry = s
+            .lookup_atom(ATOMS[REGISTRY])
+            .and_then(|atom| s.get_property(ClientId(0), s.root(), atom));
         v.extend(registry_violations(
-            // The property read is the request's body run in place; the
-            // client argument is unused.
-            |prop| s.get_property(ClientId(0), s.root(), s.lookup_atom(prop)?),
+            &registry.unwrap_or_default(),
             |w| s.window_owner(w),
             |c| s.is_alive(c),
         ));
@@ -351,33 +277,31 @@ pub fn audit(env: &TkEnv) -> Vec<String> {
     })
 }
 
-/// The registry check: every entry of every shard must be a `{name xid}`
-/// pair naming an existing window of a live client. `shard` reads a
-/// shard's property by name, `owner` gives a window's client (`None`: no
-/// such window) and `alive` says whether a client lives.
+/// The registry check: every entry of the registry value `registry` must
+/// be a `{name xid}` pair naming an existing window of a live client.
+/// `owner` gives a window's client (`None`: no such window) and `alive`
+/// says whether a client lives.
 fn registry_violations(
-    shard: impl Fn(&str) -> Option<String>,
+    registry: &str,
     owner: impl Fn(WindowId) -> Option<ClientId>,
     alive: impl Fn(ClientId) -> bool,
 ) -> Vec<String> {
     let mut v = Vec::new();
-    for prop in (0..SEND_SHARDS).map(shard_property) {
-        for item in registry_items(&shard(&prop).unwrap_or_default()) {
-            let why = match item {
-                Err(item) => format!("has malformed entry {item:?}"),
-                Ok((app, w)) => match owner(w) {
-                    None => format!("entry \"{app}\" references missing window {}", w.0),
-                    Some(c) if !alive(c) => {
-                        format!(
-                            "entry \"{app}\" references window {} of dead client {}",
-                            w.0, c.0
-                        )
-                    }
-                    Some(_) => continue,
-                },
-            };
-            v.push(format!("registry shard {prop} {why}"));
-        }
+    for item in registry_items(registry) {
+        let why = match item {
+            Err(item) => format!("has malformed entry {item:?}"),
+            Ok((app, w)) => match owner(w) {
+                None => format!("entry \"{app}\" references missing window {}", w.0),
+                Some(c) if !alive(c) => {
+                    format!(
+                        "entry \"{app}\" references window {} of dead client {}",
+                        w.0, c.0
+                    )
+                }
+                Some(_) => continue,
+            },
+        };
+        v.push(format!("registry {} {why}", ATOMS[REGISTRY]));
     }
     v
 }
@@ -402,7 +326,7 @@ fn format_registry(entries: &[(String, WindowId)]) -> String {
 /// that re-announced in the meantime is left untouched.
 fn prune_registry_entry(app: &TkApp, name: &str, comm: WindowId) {
     let conn = app.conn();
-    let Ok((registry, _)) = registry_atom_for(app, name) else {
+    let Ok(registry) = cached_atom(app, REGISTRY) else {
         return;
     };
     let Ok(existing) = conn.get_property(conn.root(), registry) else {
@@ -463,9 +387,7 @@ fn cmd_send(app: &TkApp, _interp: &tcl::Interp, argv: &[String]) -> TclResult {
 /// deadline-based wait for the outcome.
 fn send_remote(app: &TkApp, target_name: &str, script: &str, timeout_ms: u64) -> TclResult {
     let conn = app.conn();
-    // The target's name decides which registry shard to consult — one
-    // GetProperty against that shard, never a scan of all of them.
-    let (registry, shard) = registry_atom_for(app, target_name)?;
+    let registry = cached_atom(app, REGISTRY)?;
     let existing = retry_once(app, || conn.get_property(conn.root(), registry))
         .map_err(xerr)?
         .unwrap_or_default();
@@ -492,16 +414,11 @@ fn send_remote(app: &TkApp, target_name: &str, script: &str, timeout_ms: u64) ->
     // Compose the request and append it atomically (PropModeAppend) to
     // the target's comm property: one one-way request, no read-modify-
     // write race with concurrent senders.
-    let cmd_atom = cached_atom(app, "TkSendCommand")?;
+    let cmd_atom = cached_atom(app, COMMAND)?;
     let serial = {
         let mut st = app.inner.send.borrow_mut();
-        // Each shard owns a disjoint serial space: shard k issues k+1,
-        // k+1+n, k+1+2n, ... so serials stay globally unique at the
-        // sender without cross-shard coordination.
-        let n = u64::from(SEND_SHARDS);
-        let count = st.next_serials.entry(shard).or_insert(0);
-        *count += 1;
-        let serial = (*count - 1) * n + shard as u64 + 1;
+        st.last_serial += 1;
+        let serial = st.last_serial;
         st.pending.insert(serial, target_comm);
         serial
     };
@@ -668,10 +585,7 @@ pub fn handle_comm_event(app: &TkApp, ev: &Event) {
     };
     // Compare against the cached handshake atoms instead of asking the
     // server for the atom's name (a round trip per PropertyNotify).
-    let (Ok(cmd_atom), Ok(res_atom)) = (
-        cached_atom(app, "TkSendCommand"),
-        cached_atom(app, "TkSendResult"),
-    ) else {
+    let (Ok(cmd_atom), Ok(res_atom)) = (cached_atom(app, COMMAND), cached_atom(app, RESULT)) else {
         return;
     };
     let conn = app.conn();
@@ -968,6 +882,7 @@ mod tests {
 
     #[test]
     fn a_crashed_apps_stale_entry_is_audited_until_winfo_interps_prunes_it() {
+        use xsim::{Atom, ClientId};
         let env = TkEnv::new();
         let a = env.app("alpha");
         let b = env.app("beta");
@@ -978,22 +893,19 @@ mod tests {
         let (victim, comm) = (b.conn().client_id(), b.inner.comm);
         env.display().with_server(|s| s.kill_client(victim));
         drop(b);
+        // The atom table's size, read without interning: atoms are
+        // numbered 1, 2, 3, ... in interning order.
         let interned = || {
-            env.display().with_server(|s| {
-                (0..super::SEND_SHARDS)
-                    .filter(|&i| s.lookup_atom(&super::shard_property(i)).is_some())
-                    .count()
-            })
+            env.display()
+                .with_server(|s| (1..).find(|&k| s.atom_name(ClientId(0), Atom(k)).is_none()))
         };
         let (atoms, requests) = (interned(), a.conn().stats().requests);
         let stale = format!(
-            "registry shard {} entry \"beta\" references missing window {}",
-            super::shard_property(super::shard_of("beta")),
+            "registry InterpRegistry entry \"beta\" references missing window {}",
             comm.0
         );
         assert_eq!(super::audit(&env), vec![stale.clone()]);
-        // The audit interned no shard atom and issued no request.
-        assert!(atoms < super::SEND_SHARDS as usize);
+        // The audit interned no atom and issued no request.
         assert_eq!(interned(), atoms);
         assert_eq!(a.conn().stats().requests, requests);
         assert_eq!(a.eval("obs audit").unwrap(), stale);
@@ -1008,33 +920,84 @@ mod tests {
     fn the_registry_check_reports_each_kind_of_bad_entry() {
         use std::collections::HashMap;
         use xsim::{ClientId, Xid};
-        let shards: HashMap<String, String> = [
-            (0, "{ok 10} {gone 11} {orphan 12}"),
-            (3, "{lonely} {bad xid} {three words here}"),
-            (5, "{unbalanced"),
-        ]
-        .into_iter()
-        .map(|(i, v)| (super::shard_property(i), v.to_string()))
-        .collect();
         let owners = HashMap::from([(Xid(10), ClientId(1)), (Xid(12), ClientId(2))]);
-        let v = super::registry_violations(
-            |prop| shards.get(prop).cloned(),
-            |w| owners.get(&w).copied(),
-            |c| c == ClientId(1),
-        );
+        let check = |registry: &str| {
+            super::registry_violations(registry, |w| owners.get(&w).copied(), |c| c == ClientId(1))
+        };
+        let registry = "{ok 10} {gone 11} {orphan 12} {lonely} {bad xid} {three words here}";
         assert_eq!(
-            v,
+            check(registry),
             [
-                "registry shard InterpRegistry.0 entry \"gone\" references missing window 11",
-                "registry shard InterpRegistry.0 entry \"orphan\" references window 12 \
+                "registry InterpRegistry entry \"gone\" references missing window 11",
+                "registry InterpRegistry entry \"orphan\" references window 12 \
                  of dead client 2",
-                "registry shard InterpRegistry.3 has malformed entry \"lonely\"",
-                "registry shard InterpRegistry.3 has malformed entry \"bad xid\"",
-                "registry shard InterpRegistry.3 has malformed entry \"three words here\"",
-                "registry shard InterpRegistry.5 has malformed entry \"{unbalanced\"",
+                "registry InterpRegistry has malformed entry \"lonely\"",
+                "registry InterpRegistry has malformed entry \"bad xid\"",
+                "registry InterpRegistry has malformed entry \"three words here\"",
             ]
         );
+        // A value that is not a list is one malformed entry.
+        assert_eq!(
+            check("{ok 10} {unbalanced"),
+            ["registry InterpRegistry has malformed entry \"{ok 10} {unbalanced\""]
+        );
         // The lookups see only the well-formed entries.
-        assert_eq!(super::parse_registry(&shards["InterpRegistry.3"]), vec![]);
+        assert_eq!(
+            super::parse_registry(registry),
+            [
+                ("ok".to_string(), Xid(10)),
+                ("gone".into(), Xid(11)),
+                ("orphan".into(), Xid(12))
+            ]
+        );
+        assert_eq!(super::parse_registry("{ok 10} {unbalanced"), vec![]);
+    }
+
+    #[test]
+    fn an_error_during_announce_never_unregisters_the_others() {
+        // One BadAlloc on each of gamma's first requests in turn, the
+        // registry read among them: alpha and beta stay registered.
+        for seq in 1..40 {
+            let env = TkEnv::new();
+            let a = env.app("alpha");
+            let _b = env.app("beta");
+            let gamma = a.conn().client_id().0 + 2;
+            let plan = FaultPlan::default().error_at(gamma, seq, XErrorCode::BadAlloc);
+            env.display().with_server(|s| s.install_fault_plan(plan));
+            let _c = env.app("gamma");
+            let listing = a.eval("winfo interps").unwrap();
+            assert!(
+                listing.starts_with("alpha beta"),
+                "fault at {seq}: {listing}"
+            );
+        }
+    }
+
+    /// How many requests of `kind` the app sent since its last obs reset
+    /// (its `req.<kind>` counter).
+    fn sent(app: &crate::app::TkApp, kind: &str) -> u64 {
+        let counters = app.conn().with_obs(|o| o.kind_counts()).unwrap();
+        counters
+            .into_iter()
+            .find(|(k, _)| *k == kind)
+            .map_or(0, |(_, n)| n)
+    }
+
+    #[test]
+    fn interps_and_first_sends_read_the_one_registry() {
+        let env = TkEnv::new();
+        let a = env.app("alpha");
+        let _b = env.app("beta");
+        let _c = env.app("gamma");
+        // A first send to each peer interns nothing.
+        a.conn().reset_obs();
+        a.eval("send beta {}; send gamma {}").unwrap();
+        assert_eq!(sent(&a, "InternAtom"), 0);
+        // `winfo interps`: one registry read, then one probe per app.
+        a.conn().reset_obs();
+        assert_eq!(a.eval("winfo interps").unwrap(), "alpha beta gamma");
+        assert_eq!(sent(&a, "GetProperty"), 1);
+        assert_eq!(sent(&a, "GetGeometry"), 3);
+        assert_eq!(sent(&a, "InternAtom"), 0);
     }
 }

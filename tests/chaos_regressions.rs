@@ -137,14 +137,15 @@ fn storm_replay_is_deterministic() {
     assert_eq!(a.send_dedup_drops, b.send_dedup_drops);
 }
 
-/// At-most-once delivery under a fault-duplicated request: storm pair
-/// 0's plan fires exactly one fault kind — `duplicate` — on the send
-/// `ChangeProperty`, and the receiver's dedup window must drop the copy
-/// (the storm invariant separately proves the script evaluated once).
+/// At-most-once delivery under a fault-duplicated request: the plan of
+/// fresh storm pair 19 (`chaos --storm --seeds`) fires exactly one fault
+/// kind — `duplicate` — on the send `ChangeProperty`, and the receiver's
+/// dedup window must drop the copy (the storm invariant separately
+/// proves the script evaluated once).
 #[test]
 fn a_duplicated_send_request_evaluates_exactly_once() {
-    let (script_seed, fault_seed, napps) = storm_corpus()[0];
-    let stats = run_case(Mode::Storm(napps), script_seed, fault_seed).expect("invariant holds");
+    let stats =
+        run_case(Mode::Storm(STORM_APPS), 19, 1263511545566952508).expect("invariant holds");
     assert!(
         stats.fault_counts[fault_kind_index("duplicate")] >= 1,
         "plan no longer fires a duplicate fault"
@@ -155,13 +156,33 @@ fn a_duplicated_send_request_evaluates_exactly_once() {
     );
 }
 
-/// The same property holds in the generic two-app fuzz: corpus pair 142
-/// duplicates send traffic and the receiver drops the copy.
+/// The same property holds in the generic two-app fuzz: fresh pair 689
+/// (`chaos --seeds`, also in the corpus) duplicates send traffic and the
+/// receiver drops the copy.
 #[test]
 fn two_app_dedup_pair_replays_with_a_drop() {
-    let stats = run_case(Mode::Classic, 142, 18325835371311368290).expect("no panic");
+    let stats = run_case(Mode::Classic, 689, 4071024196108134045).expect("no panic");
     assert!(stats.fault_counts[fault_kind_index("duplicate")] >= 1);
     assert!(stats.send_dedup_drops >= 1);
+}
+
+/// The corpus alone keeps the receiver's dedup path covered, so a change
+/// to the request stream cannot move every duplicate off send traffic
+/// unnoticed.
+#[test]
+fn the_corpus_reaches_the_dedup_path() {
+    let drops: u64 = corpus()
+        .into_iter()
+        .map(|(s, f)| {
+            run_case(Mode::Classic, s, f)
+                .expect("no panic")
+                .send_dedup_drops
+        })
+        .sum();
+    assert!(
+        drops >= 1,
+        "no corpus pair's duplicate is dropped by the receiver; add one that is"
+    );
 }
 
 #[test]

@@ -1,9 +1,11 @@
-//! The `send` name registry is hashed across `tk::send::SEND_SHARDS`
-//! root-window properties; that layout must never show. Each scenario
-//! runs over both transports (framed wire and the in-process oracle),
-//! checks its transcript's content directly — sorted listings, each
-//! uniquified name reaching its own interpreter, one GC per corpse —
-//! and requires the two transcripts to agree byte for byte.
+//! The `send` name registry is one root-window property,
+//! `InterpRegistry`, and the order apps registered in must never show.
+//! (The file is named for the time the registry was split across
+//! several properties.) Each scenario runs over both transports (framed
+//! wire and the in-process oracle), checks its transcript's content
+//! directly — sorted listings, each uniquified name reaching its own
+//! interpreter, one GC per corpse — and requires the two transcripts to
+//! agree byte for byte.
 
 use tk::TkEnv;
 use xsim::Display;
@@ -24,7 +26,7 @@ fn run_both(label: &str, scenario: impl Fn(&TkEnv) -> String, check: impl Fn(&st
 }
 
 /// `winfo interps` returns the same sorted listing from every app's
-/// point of view, however the names hashed across shards.
+/// point of view, whatever order the apps registered in.
 #[test]
 fn interps_listing_is_shard_layout_independent() {
     let names = [
@@ -56,8 +58,7 @@ fn interps_listing_is_shard_layout_independent() {
 }
 
 /// Name collisions uniquify to `editor`, `editor #2`, `editor #3`, and
-/// sends addressed to each name reach its own interpreter — even though
-/// the three names may hash to different shards.
+/// sends addressed to each name reach its own interpreter.
 #[test]
 fn name_collisions_uniquify_identically() {
     run_both(

@@ -68,7 +68,7 @@ fn killing_a_client_mid_flush_tears_down_cleanly() {
 
     let registered = Arc::new(Barrier::new(APPS));
     let killed = Arc::new(Barrier::new(APPS));
-    // Registration rewrites a shared registry shard (read-modify-write),
+    // Registration rewrites the shared registry property (read-modify-write),
     // which real Tk serializes with XGrabServer; app startup takes this
     // lock so announcements don't clobber each other.
     let startup = Arc::new(Mutex::new(()));
