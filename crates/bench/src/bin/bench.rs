@@ -40,8 +40,8 @@
 //! * `bench -- --trace-vprofile [trace.vprofile]` writes the deterministic
 //!   virtual-clock profile (same folded format, simulated-ms weights).
 //!
-//! Wall-clock timings of the paper's Table II rows come from the `table2`
-//! binary; end-to-end benchmark runs from `rtkbench`.
+//! Wall-clock timings of the paper's Table II rows come from Tcl's `time`
+//! in `scripts/table2.tcl`, run by the release `wish`, and from `rtkbench`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

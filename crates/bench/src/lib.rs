@@ -1,8 +1,6 @@
 //! Shared helpers for the benchmark harness: workload builders used by
-//! the `bench` budget checker and the table-printing binaries that
-//! regenerate the paper's Tables I and II and Figure 8.
-
-use std::time::Instant;
+//! the `bench` budget checker and the binaries that regenerate the
+//! paper's Table I and Figure 8 and the Section 3.3 cache ablation.
 
 use tk::{TkApp, TkEnv};
 
@@ -171,15 +169,6 @@ pub fn bind_dispatch(env: &TkEnv, app: &TkApp, n: usize) {
         env.display().click(1);
         env.dispatch_all();
     }
-}
-
-/// Times `f` over `iters` runs and returns mean seconds per run.
-pub fn time_per_iter(iters: u64, mut f: impl FnMut()) -> f64 {
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_secs_f64() / iters as f64
 }
 
 /// Formats seconds with an adaptive unit, for table printing.

@@ -3,8 +3,9 @@
 
 use std::path::Path;
 
+use crate::commands::var::not_integer;
 use crate::error::{arity, wrong_args, Exception, TclResult};
-use crate::expr::expr_string_cached as expr_string;
+use crate::expr::{double_to_string, expr_string_cached as expr_string};
 use crate::interp::Interp;
 use crate::list::format_list;
 
@@ -81,25 +82,26 @@ fn cmd_subst(interp: &Interp, argv: &[String]) -> TclResult {
     interp.subst_string(&argv[1])
 }
 
-/// `time command ?count?`: runs the script and reports mean microseconds.
+/// `time command ?count?`: runs the script `count` times and reports the
+/// mean microseconds as tclsh 8.6 does: `0` for a count of 0 or less, the
+/// whole number for one run, and a double for more.
 fn cmd_time(interp: &Interp, argv: &[String]) -> TclResult {
     arity(argv, 2..=3, "time command ?count?")?;
-    let count: u64 = if argv.len() == 3 {
-        argv[2]
-            .parse()
-            .map_err(|_| Exception::error(format!("expected integer but got \"{}\"", argv[2])))?
-    } else {
-        1
+    let count: i64 = match argv.get(2) {
+        Some(n) => n.parse().map_err(|_| not_integer(n))?,
+        None => 1,
     };
-    if count == 0 {
-        return Ok("0 microseconds per iteration".into());
-    }
     let start = std::time::Instant::now();
     for _ in 0..count {
         interp.eval(&argv[1])?;
     }
-    let micros = start.elapsed().as_micros() as u64 / count;
-    Ok(format!("{micros} microseconds per iteration"))
+    let micros = start.elapsed().as_micros();
+    let mean = match count {
+        ..=0 => "0".into(),
+        1 => micros.to_string(),
+        _ => double_to_string(micros as f64 / count as f64),
+    };
+    Ok(mean + " microseconds per iteration")
 }
 
 /// The `file` command. Accepts both word orders — `file option name`
@@ -347,6 +349,29 @@ mod tests {
         let i = Interp::new();
         let r = i.eval("time {set a 1} 10").unwrap();
         assert!(r.ends_with("microseconds per iteration"), "{r}");
+    }
+
+    #[test]
+    fn time_prints_its_mean_as_tclsh_does() {
+        // tclsh 8.6's forms, checked by hand; the test runs no tclsh.
+        let i = Interp::new();
+        let mean = |script: &str| {
+            let r = i.eval(script).unwrap();
+            r.strip_suffix(" microseconds per iteration")
+                .unwrap()
+                .to_owned()
+        };
+        assert_eq!(mean("time {set a 1} 0"), "0");
+        assert_eq!(mean("time {set a 1} -1"), "0");
+        let one = mean("time {set a 1} 1");
+        assert!(one.parse::<u64>().is_ok(), "{one}");
+        let three = mean("time {set a 1} 3");
+        assert!(
+            three.contains('.') && three.parse::<f64>().is_ok(),
+            "{three}"
+        );
+        let err = i.eval("time {set a 1} x").unwrap_err();
+        assert_eq!(err.msg, "expected integer but got \"x\"");
     }
 
     #[test]

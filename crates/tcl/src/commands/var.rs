@@ -89,7 +89,7 @@ fn cmd_incr(interp: &Interp, argv: &[String]) -> TclResult {
     })
 }
 
-fn not_integer(text: &str) -> Exception {
+pub(crate) fn not_integer(text: &str) -> Exception {
     Exception::error(format!("expected integer but got \"{text}\""))
 }
 
@@ -136,15 +136,16 @@ fn cmd_upvar(interp: &Interp, argv: &[String]) -> TclResult {
 }
 
 fn cmd_uplevel(interp: &Interp, argv: &[String]) -> TclResult {
-    arity(argv, 2.., "uplevel ?level? command ?arg ...?")?;
-    let (level, rest) =
-        if argv.len() > 2 && (argv[1].starts_with('#') || argv[1].parse::<usize>().is_ok()) {
-            (interp.parse_level(&argv[1])?, &argv[2..])
-        } else {
-            (interp.parse_level("1")?, &argv[1..])
-        };
+    const USAGE: &str = "uplevel ?level? command ?arg ...?";
+    arity(argv, 2.., USAGE)?;
+    // As in tclsh, a first word that starts with a digit or `#` is a level.
+    let (level, rest) = if argv[1].starts_with(|c: char| c == '#' || c.is_ascii_digit()) {
+        (interp.parse_level(&argv[1])?, &argv[2..])
+    } else {
+        (interp.parse_level("1")?, &argv[1..])
+    };
     if rest.is_empty() {
-        return Err(wrong_args("uplevel ?level? command ?arg ...?"));
+        return Err(wrong_args(USAGE));
     }
     let script = if rest.len() == 1 {
         rest[0].clone()
@@ -326,6 +327,32 @@ mod tests {
         i.eval("proc f {} {uplevel #0 {incr top}}").unwrap();
         i.eval("f").unwrap();
         assert_eq!(i.eval("set top").unwrap(), "2");
+    }
+
+    #[test]
+    fn uplevel_reads_a_first_word_with_a_digit_or_hash_as_a_level() {
+        // tclsh 8.6's results, checked by hand; the test runs no tclsh.
+        const USAGE: &str = "wrong # args: should be \"uplevel ?level? command ?arg ...?\"";
+        for compile in [true, false] {
+            let i = Interp::new();
+            i.set_compile(compile);
+            i.eval("proc p {a} {list [catch {uplevel $a} m] $m}")
+                .unwrap();
+            let cases = [
+                ("1", format!("1 {{{USAGE}}}")),
+                ("#0", format!("1 {{{USAGE}}}")),
+                ("1x", "1 {bad level \"1x\"}".to_owned()),
+                ("{set x 5}", "0 5".to_owned()),
+                ("x", "1 {invalid command name \"x\"}".to_owned()),
+            ];
+            for (arg, want) in cases {
+                assert_eq!(
+                    i.eval(&format!("p {arg}")).unwrap(),
+                    want,
+                    "{arg}, compile {compile}"
+                );
+            }
+        }
     }
 
     #[test]

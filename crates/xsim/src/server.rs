@@ -144,11 +144,6 @@ pub struct Server {
     buttons: u32,
     modifiers: u32,
     time: u64,
-    /// Cumulative count of drawing requests processed (server work proxy).
-    pub draw_requests: u64,
-    /// Cumulative wall time spent executing requests inside the server —
-    /// the "server half" of the paper's Table II row 3 split.
-    pub work_time: std::time::Duration,
     /// Synthetic latency charged per round trip, simulating the IPC cost a
     /// real X connection pays (zero by default; benchmarks opt in).
     round_trip_cost: std::time::Duration,
@@ -208,8 +203,6 @@ impl Server {
             buttons: 0,
             modifiers: 0,
             time: 0,
-            draw_requests: 0,
-            work_time: std::time::Duration::ZERO,
             round_trip_cost: std::time::Duration::ZERO,
             fault_plan: None,
             gc_owners: HashMap::new(),
@@ -427,9 +420,9 @@ impl Server {
 
     /// Resets statistics for all clients (benchmark warm-up boundary):
     /// every client's observability record and span tracer (which holds
-    /// the protocol trace; the trace on/off toggle is preserved), the
-    /// fault plan's fired log, and the server-wide work counters. Output
-    /// buffers are flushed first so the epoch boundary is exact.
+    /// the protocol trace; the trace on/off toggle is preserved) and the
+    /// fault plan's fired log. Output buffers are flushed first so the
+    /// epoch boundary is exact.
     pub fn reset_stats(&mut self) {
         self.flush_all();
         for c in &mut self.clients.0 {
@@ -438,13 +431,11 @@ impl Server {
         if let Some(p) = self.fault_plan.as_mut() {
             p.clear_log();
         }
-        self.draw_requests = 0;
-        self.work_time = std::time::Duration::ZERO;
     }
 
     /// Resets statistics and observability state for one client only
-    /// (the Tcl-level `obs reset`), plus the server-wide work counters.
-    /// The client's output buffer is flushed first.
+    /// (the Tcl-level `obs reset`), plus its entries in the fault plan's
+    /// fired log. The client's output buffer is flushed first.
     pub fn reset_client_stats(&mut self, client: ClientId) {
         self.flush_client(client);
         if let Some(c) = self.clients.get_mut(client) {
@@ -453,8 +444,6 @@ impl Server {
         if let Some(p) = self.fault_plan.as_mut() {
             p.clear_log_for(client.0);
         }
-        self.draw_requests = 0;
-        self.work_time = std::time::Duration::ZERO;
     }
 
     // ----- output buffering (the Xlib-style transport) --------------------------
@@ -630,7 +619,6 @@ impl Server {
             .then(|| tracer.begin("rasterize", format_args!("{draws} drawing requests"), first));
         let mut any_reply = false;
         let mut killed = false;
-        let work_start = std::time::Instant::now();
         for (seq, q) in buf.drain(..) {
             self.time += 1;
             let fault = self.fault_for_queued(client, seq, q.expects_reply());
@@ -678,7 +666,6 @@ impl Server {
                 }
             }
         }
-        self.work_time += work_start.elapsed();
         if any_reply {
             self.charge_round_trip_cost();
         }
@@ -879,9 +866,7 @@ impl Server {
                 _ => unreachable!("fault_for_round_trip filters to error/kill"),
             };
         }
-        let work_start = std::time::Instant::now();
         let r = req.dispatch(self, client);
-        self.work_time += work_start.elapsed();
         self.record_round_trip(client, seq, kind, window, start);
         Ok(r)
     }
@@ -1591,9 +1576,8 @@ impl Server {
         (self.colormap.rgb(values.foreground), values)
     }
 
-    /// Counts a drawing request and runs it on `id`'s surface, if any.
+    /// Runs a drawing request on `id`'s surface, if any.
     fn paint(&mut self, id: WindowId, f: impl FnOnce(&mut Surface)) {
-        self.draw_requests += 1;
         if let Some(win) = self.tree.get_mut(id) {
             f(&mut win.surface);
         }
@@ -1682,7 +1666,6 @@ impl Server {
         y: i32,
         bitmap: BitmapId,
     ) {
-        self.draw_requests += 1;
         let (color, _) = self.gc_color(gc);
         if let (Some(bm), Some(win)) = (self.bitmaps.get(bitmap), self.tree.get_mut(id)) {
             for by in 0..bm.height {
@@ -1701,7 +1684,6 @@ impl Server {
     /// rasterized pixels count; a full-window request still clears the
     /// recorded text overlay even when the clip narrows the raster.
     pub fn clear_area(&mut self, client: ClientId, id: WindowId, x: i32, y: i32, w: u32, h: u32) {
-        self.draw_requests += 1;
         let Some(win) = self.tree.get_mut(id) else {
             return;
         };
@@ -2549,7 +2531,6 @@ mod tests {
         let screen = s.compose_screen();
         assert_eq!(screen.pixel(10, 10), Rgb::new(255, 0, 0));
         assert_eq!(screen.pixel(9, 9), Rgb::new(255, 255, 255));
-        assert_eq!(s.draw_requests, 1);
     }
 
     #[test]
@@ -2563,18 +2544,6 @@ mod tests {
         assert_eq!(st.round_trips, 1);
         s.reset_stats();
         assert_eq!(s.stats(c), ClientStats::default());
-    }
-
-    #[test]
-    fn reset_stats_zeroes_server_work_with_no_clients() {
-        let mut s = Server::new();
-        let root = s.root();
-        let gc = s.gcs.create(GcValues::default());
-        s.fill_rectangle(ClientId(0), root, gc, 0, 0, 10, 10);
-        assert_eq!(s.draw_requests, 1);
-        s.reset_stats();
-        assert_eq!(s.draw_requests, 0);
-        assert_eq!(s.work_time, std::time::Duration::ZERO);
     }
 
     #[test]

@@ -13,7 +13,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-STAGES="fmt clippy build test rtkbench golden budgets table1 wire_equivalence
+STAGES="fmt clippy build test rtkbench golden budgets table1 table2 wire_equivalence
 oracle_suite wire_stress oracle_budgets compile_equivalence trace_integrity
 trace chaos storm byte_chaos fleet"
 
@@ -84,6 +84,22 @@ stage_table1() {
         return 1
     fi
     rm -rf "$tmp"
+}
+
+# Table II smoke: the release `wish` runs scripts/table2.tcl, and rows 1
+# and 3 must each print a positive mean. This checks the output's shape
+# only; no timing is compared with anything.
+stage_table2() {
+    echo "==> wish -f scripts/table2.tcl"
+    out=$(cargo run -q -p wish --release --offline --locked -- -f scripts/table2.tcl)
+    echo "$out"
+    for row in 1 3; do
+        if ! echo "$out" | awk -v row="$row:" '$1 == "row" && $2 == row && $3 > 0 &&
+            $4 == "microseconds" { ok = 1 } END { exit !ok }'; then
+            echo "scripts/table2.tcl printed no positive figure for row $row" >&2
+            return 1
+        fi
+    done
 }
 
 # Transport-equivalence gate: the framed wire transport must be

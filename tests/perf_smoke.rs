@@ -1,7 +1,8 @@
 //! Performance smoke tests: very loose upper bounds that catch
 //! catastrophic regressions (accidental O(n²) loops, busy-waits) without
-//! being flaky on loaded machines. The real measurements live in the
-//! bench crate; these only assert that the Table II operations stay
+//! being flaky on loaded machines. The real measurements come from Tcl's
+//! `time` in `scripts/table2.tcl`, run by the release `wish`, and from
+//! `rtkbench`; these only assert that the Table II operations stay
 //! within two orders of magnitude of their measured values.
 
 use std::time::Instant;

@@ -1,11 +1,10 @@
 //! The `send` name registry is one root-window property,
 //! `InterpRegistry`, and the order apps registered in must never show.
-//! (The file is named for the time the registry was split across
-//! several properties.) Each scenario runs over both transports (framed
-//! wire and the in-process oracle), checks its transcript's content
-//! directly — sorted listings, each uniquified name reaching its own
-//! interpreter, one GC per corpse — and requires the two transcripts to
-//! agree byte for byte.
+//! Each scenario runs over both transports (framed wire and the
+//! in-process oracle), checks its transcript's content directly —
+//! sorted listings, each uniquified name reaching its own interpreter,
+//! one GC per corpse — and requires the two transcripts to agree byte
+//! for byte.
 
 use tk::TkEnv;
 use xsim::Display;
@@ -28,7 +27,7 @@ fn run_both(label: &str, scenario: impl Fn(&TkEnv) -> String, check: impl Fn(&st
 /// `winfo interps` returns the same sorted listing from every app's
 /// point of view, whatever order the apps registered in.
 #[test]
-fn interps_listing_is_shard_layout_independent() {
+fn interps_listing_is_registration_order_independent() {
     let names = [
         "alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta",
     ];
