@@ -284,7 +284,10 @@ impl Tracer {
     pub fn new(origin: Instant) -> Tracer {
         Tracer {
             inner: Arc::new(Mutex::new(TracerInner {
-                spans: Vec::new(),
+                // Room for the first 64 records: every round trip records
+                // a `flush` span, and a store that started empty would
+                // reallocate at the 5th, 9th, 17th and 33rd record.
+                spans: Vec::with_capacity(64),
                 kept: 0,
                 base: 1,
                 stack: Vec::new(),

@@ -120,15 +120,11 @@ fn cmd_global(interp: &Interp, argv: &[String]) -> TclResult {
 fn cmd_upvar(interp: &Interp, argv: &[String]) -> TclResult {
     const USAGE: &str = "upvar ?level? otherVar localVar ?otherVar localVar ...?";
     arity(argv, 3.., USAGE)?;
-    // The optional level is recognized by its shape: a number or `#number`.
-    let (level, rest) = if argv[1].starts_with('#') || argv[1].parse::<usize>().is_ok() {
-        (interp.parse_level(&argv[1])?, &argv[2..])
-    } else {
-        (interp.parse_level("1")?, &argv[1..])
+    // As in tclsh, an odd count of words after `upvar` puts a level first.
+    let (level, rest) = match argv.len() % 2 {
+        0 => (interp.parse_level(&argv[1])?, &argv[2..]),
+        _ => (interp.parse_level("1")?, &argv[1..]),
     };
-    if rest.is_empty() || rest.len() % 2 != 0 {
-        return Err(wrong_args(USAGE));
-    }
     for pair in rest.chunks(2) {
         interp.link_var(&pair[1], level, &pair[0])?;
     }
@@ -351,6 +347,36 @@ mod tests {
                     want,
                     "{arg}, compile {compile}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn upvar_and_global_check_their_words_as_tclsh_does() {
+        // tclsh 8.6's results, checked by hand; the test runs no tclsh.
+        const EXISTS: &str = "1 {variable \"v\" already exists}";
+        let cases = [
+            ("q {x b c}", "1 {bad level \"x\"}"),
+            ("q {1x b c}", "1 {bad level \"1x\"}"),
+            ("q {1 b}", "0 {}"),
+            ("q {1 b c d}", "0 {}"),
+            ("r {set b; set d}", "0 cee"),
+            ("r {set v 1; global v}", EXISTS),
+            ("r {set v 1; upvar #0 g v}", EXISTS),
+            ("r {set v(1) 1; global v}", EXISTS),
+            ("r {upvar #0 g v; upvar #0 c v; set v}", "0 cee"),
+            ("r {upvar #0 v a(1)}", "1 {bad variable name \"a(1)\": can't create a scalar variable that looks like an array element}"),
+            ("list [catch {upvar #0 v v} m] $m", "1 {can't upvar from variable to itself}"),
+        ];
+        for compile in [true, false] {
+            let i = Interp::new();
+            i.set_compile(compile);
+            i.eval("set 1 one; set c cee; proc q {a} {list [catch {eval upvar $a} m] $m}")
+                .unwrap();
+            i.eval("proc r {s} {upvar 1 b c d; list [catch $s m] $m}")
+                .unwrap();
+            for (script, want) in cases {
+                assert_eq!(i.eval(script).unwrap(), want, "{script}, compile {compile}");
             }
         }
     }

@@ -916,34 +916,37 @@ impl Interp {
     }
 
     /// Creates a link (`upvar`) in the current frame to `(level, other)`.
+    /// As in tclsh, the local name may not look like an array element,
+    /// be the other variable itself, or name a variable that is no link.
     pub fn link_var(&self, local: &str, level: usize, other: &str) -> Result<(), Exception> {
         if level >= self.frame_count() {
             return Err(Exception::error("bad level for upvar"));
         }
+        if local.contains('(') && local.ends_with(')') {
+            return Err(Exception::error(format!("bad variable name \"{local}\": can't create a scalar variable that looks like an array element")));
+        }
         let (place, ()) = self.with_var(level, other, |_, _| ());
         let cur = self.level();
         if place.level == cur && place.name(other) == local {
+            return Err(Exception::error("can't upvar from variable to itself"));
+        }
+        let mut frames = self.inner.frames.borrow_mut();
+        let vars = &mut frames[cur].vars;
+        if let Some(Var::Scalar(_) | Var::Array(_)) = vars.get(local) {
             return Err(Exception::error(format!(
-                "can't upvar \"{local}\" to itself"
+                "variable \"{local}\" already exists"
             )));
         }
-        let name = match &place.target {
-            Some(target) => target.clone(),
-            None => Rc::from(place.name(other)),
-        };
+        let name = place.target.clone();
+        let name = name.unwrap_or_else(|| Rc::from(place.name(other)));
         // `global x` links a name to itself: one shared copy serves both.
         let local = if *name == *local {
             name.clone()
         } else {
             Rc::from(local)
         };
-        self.inner.frames.borrow_mut()[cur].vars.insert(
-            local,
-            Var::Link {
-                level: place.level,
-                name,
-            },
-        );
+        let level = place.level;
+        vars.insert(local, Var::Link { level, name });
         Ok(())
     }
 

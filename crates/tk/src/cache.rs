@@ -19,7 +19,7 @@ use xsim::{Connection, CursorId, FontId, FontMetrics, GcId, GcValues, Pixel, XEr
 /// Converts a protocol error into a Tcl exception so it reaches scripts
 /// (and ultimately `tkerror`) instead of panicking the process. A dead
 /// connection — the server killed this client after wire corruption, or
-/// a sync watchdog fired — gets its own message so scripts (and the chaos
+/// the transport's watchdog fired — gets its own message so scripts (and the chaos
 /// harness) can tell a broken transport from an ordinary request error.
 pub fn xerr(e: XError) -> Exception {
     if e.code == xsim::XErrorCode::ConnectionDead {

@@ -255,7 +255,7 @@ fn parse_registry(text: &str) -> Vec<(String, WindowId)> {
 
 /// The post-run resource audit of a display that Tk applications share:
 /// the server's own reckoning ([`xsim::Server::audit`]) plus the `send`
-/// registry check of [`registry_violations`], one line per violation,
+/// registry check of `registry_violations`, one line per violation,
 /// sorted (empty = clean). It reads the server under one flush, as any
 /// observation does, and issues no request: the request streams and the
 /// atom table stay as they were. Call it at quiescence.

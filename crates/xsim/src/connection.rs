@@ -2,24 +2,26 @@
 //! (one client's protocol endpoint).
 //!
 //! A `Connection` mirrors Xlib's calling surface, including its buffered
-//! transport: one-way requests are queued in a per-client output buffer
-//! and only reach the server at a *flush point* — an explicit [`flush`],
-//! the buffer filling, a synchronous reply-bearing request, or reading
-//! events with an empty read-ahead. Reply-bearing requests can also be
-//! *pipelined*: the `send_*` methods queue the request and return a
-//! sequence-numbered [`Cookie`] that is redeemed later with [`wait`], so
-//! several replies travel back in one blocking wait. Events come the
+//! transport: requests are queued in a per-client output buffer and only
+//! reach the server at a *flush point* — an explicit [`flush`], the
+//! buffer filling, a wait for a reply, or reading events with an empty
+//! read-ahead. A reply-bearing request has one form, as in x11rb: it is
+//! queued like any other and returns a sequence-numbered [`Cookie`],
+//! redeemed with [`wait`]. Its `send_*` method returns the cookie, so
+//! several replies travel back in one blocking wait; its blocking method
+//! is the same request and its wait, under one lock. Events come the
 //! other way in batches, as with Xlib's event queue: [`poll_event`]
 //! answers from the client's read-ahead, and when that is empty it
 //! flushes and takes every queued event, up to `wire::EVENT_BATCH`, with
 //! no request to the server. The counters power the Table II
 //! client/server split and the Section 3.3 cache-ablation experiment.
 //!
-//! The request methods (one-way, pipelined `send_*`, and round trip)
-//! are generated from the request table in `crate::wire`, which declares
-//! each request once. Written here by hand are the three that reserve a
-//! resource id on the client side (`create_window`, `create_gc`,
-//! `create_bitmap`), cookie redemption, events, and flushing.
+//! The request methods (one-way, and a reply row's blocking and `send_*`
+//! pair) are generated from the request table in `crate::wire`, which
+//! declares each request once. Written here by hand are the three that
+//! reserve a resource id on the client side (`create_window`,
+//! `create_gc`, `create_bitmap`), cookie redemption, events, and
+//! flushing.
 //!
 //! Everything below the calling surface goes through one transport
 //! (`crate::wire`): the server behind a mutex, so apps on several
@@ -44,7 +46,7 @@ use crate::obs::{ClientObs, ClientStats, RequestKind, WireStats};
 use crate::render::Surface;
 use crate::server::Server;
 use crate::wire::Transport;
-use crate::wire::{Answer, Control, QueuedRequest, ReplyValue, State, SyncReply, SyncRequest};
+use crate::wire::{Control, QueuedRequest, ReplyValue, State};
 
 /// A simulated display: the shared server plus a factory for connections.
 ///
@@ -106,7 +108,7 @@ impl Display {
         }
     }
 
-    /// Reconfigures the wire sync-watchdog deadline, in milliseconds of
+    /// Reconfigures the wire watchdog deadline, in milliseconds of
     /// virtual time (default `wire::DEFAULT_WIRE_DEADLINE_MS`; chaos
     /// harnesses shrink it so injected stalls trip it). Only the codec
     /// ships frames that can stall.
@@ -222,9 +224,10 @@ impl<T> Cookie<T> {
 }
 
 /// Conversion from the wire-level reply payload to the typed result a
-/// cookie promises. Implemented for exactly the types the `send_*`
-/// methods return cookies for: each pipelined row of the request table
-/// generates one impl.
+/// cookie promises. Implemented for exactly the types reply-bearing
+/// requests return: each variant of the reply table generates one impl,
+/// so a type that backs several requests (`Option<String>`,
+/// `Option<Xid>`) has one.
 pub trait FromReply: Sized {
     #[doc(hidden)]
     fn from_reply(v: ReplyValue) -> Option<Self>;
@@ -236,7 +239,7 @@ pub type Geometry = (i32, i32, u32, u32, u32);
 /// One client's connection to the display.
 #[derive(Clone)]
 pub struct Connection {
-    transport: Transport,
+    pub(crate) transport: Transport,
     client: ClientId,
 }
 
@@ -249,11 +252,6 @@ impl Connection {
     /// Runs `f` against the server without flushing.
     fn peek<R>(&self, f: impl FnOnce(&mut Server) -> R) -> R {
         f(&mut self.transport.lock().server)
-    }
-
-    /// Runs one control message for this client through the transport.
-    fn control(&self, ctl: Control) -> Answer {
-        self.transport.lock().control(self.client, ctl)
     }
 
     /// The root window.
@@ -286,7 +284,7 @@ impl Connection {
 
     /// This client's byte-fault timeline position: how many frames it
     /// has encoded onto the wire so far (the per-client index that
-    /// [`FaultPlan`] byte faults key on). 0 with the codec off.
+    /// [`FaultPlan`](crate::FaultPlan) byte faults key on). 0 with the codec off.
     /// Chaos harnesses use it to drive the timeline past a plan's last
     /// plotted fault before auditing.
     pub fn wire_frame_timeline(&self) -> u64 {
@@ -387,57 +385,50 @@ impl Connection {
         self.peek(|s| s.is_alive(self.client))
     }
 
-    /// Queues a one-way request in the output buffer, accounting for it
-    /// at issue time. On a dead connection the request is discarded.
-    pub(crate) fn one_way(&self, window: WindowId, q: QueuedRequest) {
-        let mut st = self.transport.lock();
-        if st.server.is_alive(self.client) {
-            let seq = st.server.next_seq(self.client);
-            st.issue(self.client, window, seq, q);
-        }
-    }
-
-    /// Queues a pipelined reply-bearing request; the returned sequence
-    /// number is the cookie's claim ticket. On a dead connection nothing
-    /// is queued and redeeming the cookie reports the death.
-    pub(crate) fn pipelined(
+    /// Queues a request in the output buffer, accounting for it at issue
+    /// time, and returns its sequence number: a reply's claim ticket. A
+    /// dead connection queues nothing and assigns no number (0), so a
+    /// cookie for it reports the death.
+    pub(crate) fn queue(
         &self,
+        st: &mut State,
         window: WindowId,
         make: impl FnOnce(u64) -> QueuedRequest,
     ) -> u64 {
-        let mut st = self.transport.lock();
+        if !st.server.is_alive(self.client) {
+            return 0;
+        }
         let seq = st.server.next_seq(self.client);
-        if st.server.is_alive(self.client) {
-            st.issue(self.client, window, seq, make(seq));
-        }
+        st.issue(self.client, window, seq, make(seq));
         seq
-    }
-
-    /// Runs a synchronous reply-bearing request through the transport:
-    /// every output buffer is flushed (a blocked client has, by
-    /// definition, already written out its queue), then the server
-    /// executes and records the request.
-    pub(crate) fn round_trip(&self, req: SyncRequest) -> Result<SyncReply, XError> {
-        match self.control(Control::Sync(req)) {
-            Answer::Sync(r) => r,
-            _ => Err(XError::dead(0)),
-        }
     }
 
     /// Redeems a cookie: blocks (flushes) if the reply has not already
     /// been executed, then returns the typed result. An injected error on
-    /// the pipelined request — or the connection dying before the reply
-    /// traveled back — surfaces here, where Xlib would deliver it.
+    /// the request — or the connection dying before the reply traveled
+    /// back — surfaces here, where Xlib would deliver it.
     pub fn wait<T: FromReply>(&self, cookie: Cookie<T>) -> Result<T, XError> {
-        match self.control(Control::TakeReply(cookie.seq)) {
-            Answer::Reply(ReplyValue::Error(e)) => Err(e),
-            Answer::Reply(v) => {
-                Ok(T::from_reply(v).expect("reply payload does not match cookie type"))
+        self.wait_in(&mut self.transport.lock(), cookie)
+    }
+
+    /// [`Connection::wait`] under a lock the caller holds.
+    pub(crate) fn wait_in<T: FromReply>(
+        &self,
+        st: &mut State,
+        cookie: Cookie<T>,
+    ) -> Result<T, XError> {
+        match st.control(self.client, Control::TakeReply(cookie.seq)) {
+            Some(ReplyValue::Error(e)) => Err(e),
+            Some(v) => Ok(T::from_reply(v).expect("reply payload does not match cookie type")),
+            // No reply will come: the connection died, or the request or
+            // this take was lost on the wire. A wait never hangs: on a live
+            // connection the watchdog ends it, as it ends a stalled frame.
+            None => {
+                if st.server.is_alive(self.client) {
+                    st.server.kill_broken_stream(self.client, true);
+                }
+                Err(XError::dead(cookie.seq))
             }
-            Answer::NoReply(true) => {
-                panic!("no reply filed for live cookie {}", cookie.seq)
-            }
-            _ => Err(XError::dead(cookie.seq)),
         }
     }
 
@@ -492,7 +483,8 @@ impl Connection {
     /// the upload itself is buffered.
     pub fn create_bitmap(&self, bitmap: crate::bitmap::Bitmap) -> crate::bitmap::BitmapId {
         let id = self.peek(|s| s.bitmaps.reserve());
-        self.one_way(Xid::NONE, QueuedRequest::CreateBitmap { id, bitmap });
+        let q = QueuedRequest::CreateBitmap { id, bitmap };
+        self.queue(&mut self.transport.lock(), Xid::NONE, |_| q);
         id
     }
 
@@ -500,7 +492,8 @@ impl Connection {
     /// is buffered.
     pub fn create_gc(&self, values: GcValues) -> GcId {
         let id = self.peek(|s| s.gcs.reserve());
-        self.one_way(Xid::NONE, QueuedRequest::CreateGc { id, values });
+        let q = QueuedRequest::CreateGc { id, values };
+        self.queue(&mut self.transport.lock(), Xid::NONE, |_| q);
         id
     }
 
@@ -1223,8 +1216,8 @@ mod tests {
         fn(&Connection, &Fixture) -> String,
     );
 
-    /// Every row of both request tables, in table order: the queued
-    /// requests, then the synchronous ones.
+    /// Every row of the request table, in table order; a reply-bearing
+    /// row through its blocking method.
     const ROWS: &[Row] = &[
         (
             RequestKind::CreateWindow,
@@ -1532,39 +1525,33 @@ mod tests {
         ),
         (
             RequestKind::InternAtom,
-            "send_intern_atom",
-            |_| Xid::NONE,
-            |c, _| format!("{:?}", c.wait(c.send_intern_atom("RTK_ROW"))),
-        ),
-        (
-            RequestKind::AllocColor,
-            "send_alloc_color",
-            |_| Xid::NONE,
-            |c, _| format!("{:?}", c.wait(c.send_alloc_color(Rgb::new(9, 8, 7)))),
-        ),
-        (
-            RequestKind::AllocColor,
-            "send_alloc_named_color",
-            |_| Xid::NONE,
-            |c, _| format!("{:?}", c.wait(c.send_alloc_named_color("red"))),
-        ),
-        (
-            RequestKind::GetProperty,
-            "send_get_property",
-            |f| f.w,
-            |c, f| format!("{:?}", c.wait(c.send_get_property(f.w, f.atom))),
-        ),
-        (
-            RequestKind::GetGeometry,
-            "send_get_geometry",
-            |f| f.w,
-            |c, f| format!("{:?}", c.wait(c.send_get_geometry(f.w))),
-        ),
-        (
-            RequestKind::InternAtom,
             "intern_atom",
             |_| Xid::NONE,
             |c, _| format!("{:?}", c.intern_atom("RTK_ROW")),
+        ),
+        (
+            RequestKind::AllocColor,
+            "alloc_color",
+            |_| Xid::NONE,
+            |c, _| format!("{:?}", c.alloc_color(Rgb::new(9, 8, 7))),
+        ),
+        (
+            RequestKind::AllocColor,
+            "alloc_named_color",
+            |_| Xid::NONE,
+            |c, _| format!("{:?}", c.alloc_named_color("red")),
+        ),
+        (
+            RequestKind::GetProperty,
+            "get_property",
+            |f| f.w,
+            |c, f| format!("{:?}", c.get_property(f.w, f.atom)),
+        ),
+        (
+            RequestKind::GetGeometry,
+            "get_geometry",
+            |f| f.w,
+            |c, f| format!("{:?}", c.get_geometry(f.w)),
         ),
         (
             RequestKind::GetAtomName,
@@ -1579,34 +1566,10 @@ mod tests {
             |c, f| format!("{:?}", c.query_tree(f.w)),
         ),
         (
-            RequestKind::GetGeometry,
-            "get_geometry",
-            |f| f.w,
-            |c, f| format!("{:?}", c.get_geometry(f.w)),
-        ),
-        (
             RequestKind::GetWindowAttributes,
             "is_viewable",
             |f| f.w,
             |c, f| format!("{:?}", c.is_viewable(f.w)),
-        ),
-        (
-            RequestKind::GetProperty,
-            "get_property",
-            |f| f.w,
-            |c, f| format!("{:?}", c.get_property(f.w, f.atom)),
-        ),
-        (
-            RequestKind::AllocColor,
-            "alloc_named_color",
-            |_| Xid::NONE,
-            |c, _| format!("{:?}", c.alloc_named_color("red")),
-        ),
-        (
-            RequestKind::AllocColor,
-            "alloc_color",
-            |_| Xid::NONE,
-            |c, _| format!("{:?}", c.alloc_color(Rgb::new(9, 8, 7))),
         ),
         (
             RequestKind::QueryColor,
@@ -1659,8 +1622,9 @@ mod tests {
     ];
 
     /// Issues every row once, each in an epoch of its own, checks what it
-    /// was counted and traced as, and returns each row's printed result.
-    fn issue_every_row(wire: bool) -> Vec<String> {
+    /// was counted and traced as, and returns each row's printed result
+    /// and whether it was traced as a round trip.
+    fn issue_every_row(wire: bool) -> Vec<(String, bool)> {
         let d = Display::new();
         d.set_wire(wire);
         let c = d.connect();
@@ -1677,10 +1641,10 @@ mod tests {
             );
             let trace = c.obs_trace(2);
             assert_eq!(trace.len(), 1, "{method}, wire {wire}");
-            let (got, _, window) = traced_request(&trace[0]);
+            let (got, class, window) = traced_request(&trace[0]);
             assert_eq!(got, kind, "{method}, wire {wire}");
             assert_eq!(window, traced(&f), "{method}, wire {wire}");
-            out.push(result);
+            out.push((result, class == "round-trip"));
         }
         assert!(c.alive());
         assert_eq!(d.with_server(|s| s.audit()), Vec::<String>::new());
@@ -1689,29 +1653,124 @@ mod tests {
 
     #[test]
     fn every_request_row_issues_through_its_method() {
-        use crate::wire::{Message, QueuedRequest as Queued, SyncRequest as RoundTrip};
-        let rows = Queued::OPCODES.len() + RoundTrip::OPCODES.len();
-        assert_eq!(ROWS.len(), rows, "one call per table row");
+        use crate::wire::{Message, QueuedRequest};
+        assert_eq!(
+            ROWS.len(),
+            QueuedRequest::OPCODES.len(),
+            "one call per table row"
+        );
         let on = issue_every_row(true);
         let off = issue_every_row(false);
         for ((row, a), b) in ROWS.iter().zip(&on).zip(&off) {
             assert_eq!(a, b, "{}: codec on vs off", row.1);
         }
-        // A pipelined request and its synchronous twin run one handler.
-        let result = |method: &str| {
-            let i = ROWS.iter().position(|r| r.1 == method).unwrap();
-            &on[i]
-        };
-        for sync in [
-            "intern_atom",
-            "alloc_color",
-            "alloc_named_color",
-            "get_property",
-            "get_geometry",
-        ] {
-            let pipelined = format!("send_{sync}");
-            assert_eq!(result(&pipelined), result(sync), "{sync}");
-            assert!(result(sync).starts_with("Ok("), "{sync}: {}", result(sync));
+        // Every reply-bearing row has its pair in `REPLY_ROWS`.
+        let round_trips = ROWS.iter().zip(&on).filter(|(_, (_, rt))| *rt);
+        let names: Vec<&str> = round_trips.map(|(row, _)| row.1).collect();
+        assert_eq!(names, REPLY_ROWS.iter().map(|r| r.0).collect::<Vec<_>>());
+    }
+
+    /// A reply-bearing row: its blocking method, a call through it, and
+    /// the same call through `wait(send_*)`, each printing the result.
+    type ReplyRow = (
+        &'static str,
+        fn(&Connection, &Fixture) -> String,
+        fn(&Connection, &Fixture) -> String,
+    );
+
+    /// A [`ReplyRow`] from the blocking method, its `send_*` twin, and
+    /// the arguments, which may read the fixture `$f`.
+    macro_rules! reply_row {
+        ($m:ident / $send:ident($f:ident $(, $arg:expr)*)) => {(
+            stringify!($m),
+            |c, $f| {
+                let _ = $f;
+                format!("{:?}", c.$m($($arg),*))
+            },
+            |c, $f| {
+                let _ = $f;
+                format!("{:?}", c.wait(c.$send($($arg),*)))
+            },
+        )};
+    }
+
+    /// Every reply-bearing row, in table order.
+    const REPLY_ROWS: &[ReplyRow] = &[
+        reply_row!(intern_atom / send_intern_atom(f, "RTK_ROW")),
+        reply_row!(alloc_color / send_alloc_color(f, Rgb::new(9, 8, 7))),
+        reply_row!(alloc_named_color / send_alloc_named_color(f, "red")),
+        reply_row!(get_property / send_get_property(f, f.w, f.atom)),
+        reply_row!(get_geometry / send_get_geometry(f, f.w)),
+        reply_row!(atom_name / send_atom_name(f, f.atom)),
+        reply_row!(query_tree / send_query_tree(f, f.w)),
+        reply_row!(is_viewable / send_is_viewable(f, f.w)),
+        reply_row!(query_color / send_query_color(f, f.pixel)),
+        reply_row!(open_font / send_open_font(f, "fixed")),
+        reply_row!(font_metrics / send_font_metrics(f, f.font)),
+        reply_row!(create_cursor / send_create_cursor(f, "watch")),
+        reply_row!(bitmap_size / send_bitmap_size(f, f.bitmap)),
+        reply_row!(get_selection_owner / send_get_selection_owner(f, f.atom)),
+        reply_row!(get_input_focus / send_get_input_focus(f)),
+        reply_row!(take_property / send_take_property(f, f.w, f.atom)),
+    ];
+
+    /// One call on a fresh fixture under the fault plan `plan` builds for
+    /// the call's client and sequence number: the printed result, that
+    /// sequence number, and the `requests` and `round_trips` it added.
+    fn call_once(
+        wire: bool,
+        plan: fn(u32, u64) -> FaultPlan,
+        call: fn(&Connection, &Fixture) -> String,
+    ) -> (String, u64, u64, u64) {
+        let d = Display::new();
+        d.set_wire(wire);
+        let c = d.connect();
+        let f = fixture(&c);
+        let seq = c.sequence() + 1;
+        d.with_server(|s| s.install_fault_plan(plan(c.client_id().0, seq)));
+        let before = c.stats();
+        let result = call(&c, &f);
+        let after = c.stats();
+        let requests = after.requests - before.requests;
+        (
+            result,
+            seq,
+            requests,
+            after.round_trips - before.round_trips,
+        )
+    }
+
+    /// A blocking call is its request and its wait: for every
+    /// reply-bearing row, `<name>(..)` and `wait(send_<name>(..))` give
+    /// the same result and add the same counts, clean, with an injected
+    /// error at the request's sequence number, and with a kill there;
+    /// codec on and off.
+    #[test]
+    fn a_blocking_call_is_its_cookie_and_its_wait() {
+        let plans: [fn(u32, u64) -> FaultPlan; 3] = [
+            |_, _| FaultPlan::default(),
+            |client, seq| FaultPlan::default().error_at(client, seq, XErrorCode::BadValue),
+            |client, seq| FaultPlan::default().kill_at(client, seq),
+        ];
+        for wire in [true, false] {
+            for &(method, blocking, cookie) in REPLY_ROWS {
+                for (i, &plan) in plans.iter().enumerate() {
+                    let at = format!("{method}, plan {i}, wire {wire}");
+                    let (result, seq, requests, round_trips) = call_once(wire, plan, blocking);
+                    assert_eq!(
+                        call_once(wire, plan, cookie),
+                        (result.clone(), seq, requests, round_trips),
+                        "{at}"
+                    );
+                    assert_eq!((requests, round_trips), (1, 1), "{at}");
+                    let expected = match i {
+                        0 => "Ok(".to_string(),
+                        1 => format!("Err(XError {{ code: BadValue, seq: {seq}, kind: Some("),
+                        _ => format!("{:?}", Err::<(), _>(XError::dead(seq))),
+                    };
+                    assert!(result.starts_with(&expected), "{at}: {result}");
+                }
+            }
         }
     }
 }

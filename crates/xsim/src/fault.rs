@@ -13,11 +13,12 @@
 //! client:
 //!
 //! * **Error replies** (`BadWindow`, `BadAtom`, `BadValue`, `BadAlloc`)
-//!   from reply-bearing requests — surfaced as [`XError`] from
-//!   `Connection::wait` and the synchronous round-trip methods. On a
-//!   one-way request the same action models an asynchronous protocol
-//!   error: the request is not executed (and no reply exists to carry
-//!   the error back).
+//!   from reply-bearing requests — filed as the request's reply and
+//!   surfaced as [`XError`] by the wait that takes it, `Connection::wait`
+//!   or a blocking method (a reply-bearing request has no other path).
+//!   On a one-way request the same action models an asynchronous
+//!   protocol error: the request is not executed (and no reply exists to
+//!   carry the error back).
 //! * **Drop / duplicate** of queued one-way requests at flush time
 //!   (a lossy or stuttering transport).
 //! * **Delay / reorder** of event delivery, within ICCCM-legal bounds: a
@@ -109,8 +110,8 @@ impl std::error::Error for XError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
     /// Fail the request at this sequence number with an X error. A
-    /// reply-bearing request surfaces the error from `wait`/the
-    /// synchronous call; a one-way request is silently not executed
+    /// reply-bearing request surfaces the error from the wait for its
+    /// reply; a one-way request is silently not executed
     /// (X's asynchronous error semantics).
     Error(XErrorCode),
     /// Drop the one-way request at this sequence number at flush time.
@@ -143,7 +144,7 @@ pub enum FaultAction {
     /// Byte-layer, wire-only: stall dispatch of this client's next
     /// control frame by `ticks` ×10 ms of virtual time. A stall that
     /// reaches the wire deadline (`Display::set_wire_deadline`) trips the
-    /// sync watchdog: the connection dies and the client sees
+    /// watchdog: the connection dies and the client sees
     /// `ConnectionDead`. A shorter stall costs nothing.
     StallDispatch { ticks: u32 },
 }

@@ -29,7 +29,7 @@ use crate::ids::{ClientId, CursorId, FontId, GcId, IdAllocator, Pixel, WindowId,
 use crate::obs::{ClientObs, ClientStats, RequestKind};
 use crate::render::Surface;
 use crate::window::{Window, WindowTree};
-use crate::wire::{QueuedRequest, ReplyValue, Stream, SyncReply, SyncRequest};
+use crate::wire::{QueuedRequest, ReplyValue, Stream};
 
 /// Capacity of the per-client output buffer; reaching it forces a flush,
 /// like Xlib's fixed-size request buffer.
@@ -331,18 +331,6 @@ impl Server {
         })
     }
 
-    /// Matches (and fires) a fault for a synchronous round-trip request.
-    pub(crate) fn fault_for_round_trip(
-        &mut self,
-        client: ClientId,
-        seq: u64,
-    ) -> Option<FaultAction> {
-        let plan = self.fault_plan.as_mut()?;
-        plan.fire(client, seq, |a| {
-            matches!(a, FaultAction::Error(_) | FaultAction::KillConnection)
-        })
-    }
-
     /// Matches (and fires) a byte-layer fault for `client`'s
     /// `frame_idx`-th encoded wire frame. Only the codec calls
     /// this, so byte faults are strict no-ops under `RTK_NO_WIRE=1`.
@@ -526,7 +514,7 @@ impl Server {
     /// the batch carried any reply-bearing request (the pipelined replies
     /// all travel back in one blocking wait).
     pub fn flush_client(&mut self, client: ClientId) {
-        self.flush_inner(client, true);
+        self.flush_inner(client, true, false);
     }
 
     /// Takes `client`'s output buffer as one batch and applies it (with
@@ -535,7 +523,9 @@ impl Server {
     /// typed half (unused with the codec on), and the emptied buffer goes
     /// back to the client for reuse. A damaged frame ends the batch, the
     /// frames ahead of it still apply, and then the connection is killed.
-    fn flush_inner(&mut self, client: ClientId, enforce_quota: bool) {
+    /// With `hold` the batch stops short of its first reply-bearing
+    /// request (see [`Server::flush_for_reply`]).
+    fn flush_inner(&mut self, client: ClientId, enforce_quota: bool, hold: bool) {
         let mut out = match self.clients.get_mut(client) {
             Some(c) if c.out.len > 0 || !c.deferred.is_empty() => std::mem::take(&mut c.out),
             _ => return,
@@ -549,7 +539,7 @@ impl Server {
             decoded.is_ok()
         });
         out.frames = fr.into_buffer();
-        self.apply_batch(client, &mut out.requests, enforce_quota);
+        self.apply_batch(client, &mut out.requests, enforce_quota, hold);
         if let Some(c) = self.clients.get_mut(client) {
             c.obs.wire.flushes += u64::from(framed);
             out.len = 0;
@@ -562,44 +552,48 @@ impl Server {
 
     /// Executes one flushed batch of requests in issue order, draining
     /// `buf`. Fault dispatch, the flush/rasterize spans, and every
-    /// counter live here. Drain points (a client's own round trip,
-    /// display observation) pass `enforce_quota = false`: they must apply
-    /// everything regardless of backpressure.
+    /// counter live here. Drain points (a client's own wait, display
+    /// observation) pass `enforce_quota = false`: they must apply
+    /// everything regardless of backpressure. With `hold`, the requests
+    /// from the first reply-bearing one on wait in the deferred queue, as
+    /// a quota's overflow does.
     fn apply_batch(
         &mut self,
         client: ClientId,
         buf: &mut Vec<(u64, QueuedRequest)>,
         enforce_quota: bool,
+        hold: bool,
     ) {
         // Deferred requests re-apply first, in issue order, ahead of the
-        // newly flushed batch.
+        // newly flushed batch; the two buffers trade places, so neither
+        // allocates once warm.
         if let Some(c) = self.clients.get_mut(client) {
             if !c.deferred.is_empty() {
-                buf.splice(0..0, std::mem::take(&mut c.deferred));
+                c.deferred.append(buf);
+                std::mem::swap(buf, &mut c.deferred);
             }
         }
         self.dirty.remove(&client);
+        let held = hold.then(|| buf.iter().position(|(_, q)| q.expects_reply()));
+        let mut apply = held.flatten().unwrap_or(buf.len());
+        let mut stalled = false;
+        if let Some(quota) = self.quota.filter(|&q| enforce_quota && apply > q) {
+            // Never defer past a reply-bearing request: its cookie must
+            // stay redeemable, so the split lands after the last one.
+            let last_reply = buf[..apply].iter().rposition(|(_, q)| q.expects_reply());
+            let split = last_reply.map_or(quota, |i| quota.max(i + 1));
+            stalled = split < apply;
+            apply = split.min(apply);
+        }
+        if apply < buf.len() {
+            if let Some(c) = self.clients.get_mut(client) {
+                c.deferred.extend(buf.drain(apply..));
+                c.obs.wire.backpressure_stalls += u64::from(stalled);
+                self.dirty.insert(client);
+            }
+        }
         if buf.is_empty() {
             return;
-        }
-        if enforce_quota {
-            if let Some(quota) = self.quota {
-                if buf.len() > quota {
-                    // Never defer past a reply-bearing request: its
-                    // cookie must stay redeemable, so the split lands
-                    // after the last one in the batch.
-                    let last_reply = buf.iter().rposition(|(_, q)| q.expects_reply());
-                    let split = last_reply.map_or(quota, |i| quota.max(i + 1));
-                    if split < buf.len() {
-                        let rest = buf.split_off(split);
-                        if let Some(c) = self.clients.get_mut(client) {
-                            c.deferred = rest;
-                            c.obs.wire.backpressure_stalls += 1;
-                            self.dirty.insert(client);
-                        }
-                    }
-                }
-            }
         }
         let n = buf.len() as u64;
         // The whole batch becomes one "flush" span keyed on its first
@@ -690,11 +684,27 @@ impl Server {
     }
 
     /// Applies everything `client` has buffered or deferred, ignoring the
-    /// quota — the drain point before the client's own round trip
-    /// executes (its synchronous request must observe all its earlier
-    /// one-ways, in order).
+    /// quota: a blocked client has written out its whole queue.
     fn drain_client(&mut self, client: ClientId) {
-        self.flush_inner(client, false);
+        self.flush_inner(client, false, false);
+    }
+
+    /// The flush a wait for a reply not yet filed starts with: the two
+    /// passes over every buffer that a read of events makes, except that
+    /// in the first the waiter's requests from its first reply-bearing one
+    /// on are held back, and the second, which gives quota-deferred work
+    /// one more chunk, skips the waiter; then the waiter drains whole. So
+    /// the request it waits for runs after every request the other
+    /// clients had buffered, as a blocked client's request would, and the
+    /// replies it has queued travel back in one batch.
+    pub(crate) fn flush_for_reply(&mut self, client: ClientId) {
+        self.for_each_dirty(|s, id| s.flush_inner(id, true, id == client));
+        self.for_each_dirty(|s, id| {
+            if id != client {
+                s.flush_client(id);
+            }
+        });
+        self.drain_client(client);
     }
 
     /// Drains every client completely, quota ignored — the "user observes
@@ -707,7 +717,7 @@ impl Server {
     /// Runs `f` once on each dirty client, in id order, walking the set in
     /// place: a client that `f` puts back in the set is not visited again
     /// in the same pass.
-    fn for_each_dirty(&mut self, f: fn(&mut Server, ClientId)) {
+    fn for_each_dirty(&mut self, mut f: impl FnMut(&mut Server, ClientId)) {
         let mut next = ClientId(0);
         while let Some(&id) = self.dirty.range(next..).next() {
             next = ClientId(id.0 + 1);
@@ -743,13 +753,6 @@ impl Server {
         if let Some(c) = self.clients.get_mut(client) {
             c.replies.insert(seq, v);
         }
-    }
-
-    /// Has the reply for `seq` been executed and filed?
-    pub(crate) fn has_reply(&self, client: ClientId, seq: u64) -> bool {
-        self.clients
-            .get(client)
-            .is_some_and(|c| c.replies.contains_key(&seq))
     }
 
     /// Removes and returns the reply filed under `seq`.
@@ -792,23 +795,6 @@ impl Server {
         self.clients.get_mut(client).map(|c| &mut c.obs)
     }
 
-    /// Counts one synchronous round trip in `client`'s record and, when
-    /// `start` is set (the trace is on), traces it with the time since
-    /// `start`, its handler included.
-    fn record_round_trip(
-        &mut self,
-        client: ClientId,
-        seq: u64,
-        kind: RequestKind,
-        window: WindowId,
-        start: Option<std::time::Instant>,
-    ) {
-        if let Some(c) = self.clients.get_mut(client) {
-            let traced = start.map(|s| s.elapsed());
-            c.obs.record(&c.tracer, seq, kind, true, window, traced);
-        }
-    }
-
     /// Busy-waits the synthetic IPC latency of one blocking round trip
     /// (busy, not sleeping: the simulated cost must not depend on the
     /// scheduler's sleep granularity).
@@ -820,55 +806,6 @@ impl Server {
         while start.elapsed() < self.round_trip_cost {
             std::hint::spin_loop();
         }
-    }
-
-    /// Executes one synchronous reply-bearing request end to end: flush
-    /// every output buffer (a blocked client has, by definition, already
-    /// written out its queue), allocate the sequence number, dispatch any
-    /// injected error/kill fault, and run the request body. The
-    /// transport's sync control message runs this with the codec on or
-    /// off alike.
-    pub(crate) fn execute_round_trip(
-        &mut self,
-        client: ClientId,
-        req: SyncRequest,
-    ) -> Result<SyncReply, XError> {
-        self.flush_all();
-        // The round trip must observe every request this client already
-        // issued, so its own quota-deferred remainder (if any) drains
-        // fully — backpressure only ever holds back one-way traffic.
-        self.drain_client(client);
-        // The flush may have executed an injected kill for this client.
-        if !self.is_alive(client) {
-            return Err(XError::dead(0));
-        }
-        let start = self.trace_start(client);
-        let kind = req.kind();
-        let window = req.window();
-        let seq = self.next_seq(client);
-        self.time += 1;
-        self.charge_round_trip_cost();
-        if let Some(action) = self.fault_for_round_trip(client, seq) {
-            // The request went out and an error (or the connection's
-            // death) came back: it costs the round trip either way.
-            self.record_fault(client, seq, action);
-            self.record_round_trip(client, seq, kind, window, start);
-            return match action {
-                FaultAction::KillConnection => {
-                    self.kill_client(client);
-                    Err(XError::dead(seq))
-                }
-                FaultAction::Error(code) => Err(XError {
-                    code,
-                    seq,
-                    kind: Some(kind),
-                }),
-                _ => unreachable!("fault_for_round_trip filters to error/kill"),
-            };
-        }
-        let r = req.dispatch(self, client);
-        self.record_round_trip(client, seq, kind, window, start);
-        Ok(r)
     }
 
     // ----- wire-transport counters ----------------------------------------------
@@ -1078,7 +1015,7 @@ impl Server {
 
     // ----- window requests ------------------------------------------------------
 
-    /// Creates window `id`, reserved by [`Server::reserve_window_id`],
+    /// Creates window `id`, reserved by `Server::reserve_window_id`,
     /// owned by `client`. The window starts unmapped.
     #[allow(clippy::too_many_arguments)]
     pub fn create_window(

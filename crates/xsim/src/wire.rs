@@ -23,13 +23,17 @@
 //! the server: the [`Server`] behind one mutex shared by every client
 //! thread, with the codec on or off. With it on, requests are encoded
 //! into frames in the client's output buffer, and each small control
-//! message (flush, sync, reply take) is encoded, decoded and executed
-//! inline by the thread that ships it, under the lock it already holds.
-//! Reading events is not a control message, as in Xlib: a read that
-//! finds the client's read-ahead empty flushes the output buffers and
-//! takes every queued event, up to [`EVENT_BATCH`], as one `FT_EVENT`
-//! frame each. The sequence number in the frame header, not a thread, is
-//! the boundary between client and server (the x11rb cookie model).
+//! message (a flush, or the take of a reply) is encoded, decoded and
+//! executed inline by the thread that ships it, under the lock it
+//! already holds. A reply-bearing request has one path: it is buffered
+//! like any other request, and its reply is filed under its sequence
+//! number until the client takes it; a blocking call is the request and
+//! that take under one lock. Reading events is not a control message, as
+//! in Xlib: a read that finds the client's read-ahead empty flushes the
+//! output buffers and takes every queued event, up to [`EVENT_BATCH`],
+//! as one `FT_EVENT` frame each. The sequence number in the frame
+//! header, not a thread, is the boundary between client and server (the
+//! x11rb cookie model).
 //! With the codec off (`RTK_NO_WIRE=1`), the same calls carry typed
 //! values instead of bytes: that is the oracle `wire_equivalence`
 //! compares against. Everything else is shared — issue-time accounting,
@@ -126,16 +130,13 @@ fn frame_crc(header_pre_crc: &[u8], payload: &[u8]) -> u32 {
     crc32_update(state, payload) ^ 0xFFFF_FFFF
 }
 
-// Frame types. Requests flow client -> server; replies, events, and
-// errors flow back; FLUSH/SYNC/TAKE are transport control. The numbers
-// are part of the format, so retired types leave gaps (7, 10-12).
+// Frame types. Requests flow client -> server; replies (an X error
+// travels as one) and events flow back; FLUSH/TAKE are transport
+// control. The numbers are part of the format, so retired types leave
+// gaps (2, 3, 5, 7, 8, 10-12).
 pub const FT_REQUEST: u8 = 1;
-pub const FT_SYNC: u8 = 2;
-pub const FT_SYNC_REPLY: u8 = 3;
-pub const FT_COOKIE_REPLY: u8 = 4;
-pub const FT_NO_REPLY: u8 = 5;
+pub const FT_REPLY: u8 = 4;
 pub const FT_EVENT: u8 = 6;
-pub const FT_ERROR: u8 = 8;
 pub const FT_TAKE_REPLY: u8 = 9;
 pub const FT_FLUSH_CLIENT: u8 = 13;
 pub const FT_FLUSH_ALL: u8 = 14;
@@ -203,20 +204,6 @@ fn done(r: &[u8]) -> Result<(), WireError> {
     } else {
         Err(WireError::Malformed("trailing bytes"))
     }
-}
-
-/// Encodes one value as a whole payload (the body of an error frame), for
-/// [`frame_into`]: a frame type that carries a bare value has opcode 0.
-fn payload<T: Wire>(v: &T, b: &mut Vec<u8>) -> u16 {
-    v.put(b);
-    0
-}
-
-/// Decodes a payload that holds exactly one value.
-fn from_payload<T: Wire>(mut r: &[u8]) -> Result<T, WireError> {
-    let v = T::get(&mut r)?;
-    done(r)?;
-    Ok(v)
 }
 
 /// Integers: their little-endian bytes.
@@ -532,7 +519,7 @@ impl FrameReader {
         let frame_type = self.buf[start + 1];
         if !matches!(
             frame_type,
-            FT_REQUEST..=FT_EVENT | FT_ERROR | FT_TAKE_REPLY | FT_FLUSH_CLIENT | FT_FLUSH_ALL
+            FT_REQUEST | FT_REPLY | FT_EVENT | FT_TAKE_REPLY | FT_FLUSH_CLIENT | FT_FLUSH_ALL
         ) {
             return Err(WireError::BadFrameType(frame_type));
         }
@@ -601,31 +588,24 @@ pub(crate) trait Message: Sized {
 /// Encode binds every field and decode builds a complete literal, so a
 /// row that misses a field does not compile.
 ///
-/// * `requests` takes both request types, queued then synchronous. A
-///   row also names the [`RequestKind`] it is counted as, with the field
-///   it is traced on, and its [`Connection`] method. It generates the
-///   enums, `kind()`, `expects_reply()`, `SyncRequest::window()`,
-///   `dispatch()` into the [`Server`] method the row names, the
-///   `Connection` methods, and a [`FromReply`] impl per cookie type.
-/// * `replies` takes a reply type whose rows are one-field variants.
+/// * `requests` takes the request type. A row also names the
+///   [`RequestKind`] it is counted as, with the field it is traced on,
+///   and its [`Connection`] method. It generates the enum, `kind()`,
+///   `expects_reply()`, `dispatch()` into the [`Server`] method the row
+///   names, and the `Connection` methods: a one-way row's, or a reply
+///   row's blocking method and its `send_*` twin, which returns a cookie.
+/// * `replies` takes the reply type, whose rows are one-field variants.
+///   Each variant but the error converts from its field type and back
+///   ([`FromReply`]), so a type that backs several rows converts once.
 /// * `events` generates `name()`, the variant's name.
 macro_rules! message_table {
-    (requests
-        $(#[$qa:meta])* $qvis:vis enum $Q:ident { $(
-            $(#[$qdoc:meta])*
-            $qop:literal $QV:ident { $([$seq:ident])? $($qf:ident: $qt:ty $(as $qp:ty)?),* }
-                => $qk:ident($($qw:ident)?) $how:tt $qm:ident $(-> $QR:ident($QT:ty) via $via:ident)?;
-        )* }
-        $(#[$sa:meta])* $svis:vis enum $S:ident { $(
-            $(#[$sdoc:meta])*
-            $sop:literal $SV:ident $({ $($sf:ident: $st:ty $(as $sp:ty)?),* })?
-                => $sk:ident($($sw:ident)?) fn $sm:ident -> $SR:ident($ST:ty);
-        )* }
-    ) => {
+    (requests $(#[$qa:meta])* $qvis:vis enum $Q:ident { $(
+        $(#[$qdoc:meta])*
+        $qop:literal $QV:ident { $([$seq:ident])? $($qf:ident: $qt:ty $(as $qp:ty)?),* }
+            => $qk:ident($($qw:ident)?) $how:tt $qm:ident $(/ $send:ident -> $QT:ty)?;
+    )* }) => {
         $(#[$qa])* $qvis enum $Q { $($(#[$qdoc])* $QV { $($seq: u64,)? $($qf: $qt),* },)* }
-        $(#[$sa])* $svis enum $S { $($(#[$sdoc])* $SV $({ $($sf: $st),* })?,)* }
         message_table!($Q { $($qop $QV { $([$seq])? $($qf),* },)* });
-        message_table!($S { $($sop $SV { $($($sf),*)? },)* });
 
         impl $Q {
             /// The [`RequestKind`] the request is counted and traced as,
@@ -644,9 +624,9 @@ macro_rules! message_table {
             }
 
             /// Runs the request's `Server` method, passed the issuing
-            /// client and the request's fields. A pipelined request runs
-            /// the method of its synchronous twin and hands back its reply
-            /// and the sequence number to file it under.
+            /// client and the request's fields. A reply-bearing request
+            /// hands back its reply and the sequence number to file it
+            /// under.
             pub(crate) fn dispatch(
                 self,
                 s: &mut Server,
@@ -654,33 +634,8 @@ macro_rules! message_table {
             ) -> Option<(u64, ReplyValue)> {
                 match self {
                     $($Q::$QV { $($seq,)? $($qf),* } => {
-                        message_table!(@apply s client $qm ($($qf),*) $($seq $QR $via)?)
+                        message_table!(@apply s client $qm ($($qf),*) $($seq)?)
                     })*
-                }
-            }
-        }
-
-        impl $S {
-            /// The [`RequestKind`] the request is counted and traced as.
-            pub(crate) fn kind(&self) -> RequestKind {
-                match self {
-                    $($S::$SV { .. } => RequestKind::$sk,)*
-                }
-            }
-
-            /// The window the request is traced on (`Xid::NONE` for
-            /// windowless ones).
-            pub(crate) fn window(&self) -> WindowId {
-                match self {
-                    $($S::$SV { $($sw,)? .. } => message_table!(@window $(*$sw)?),)*
-                }
-            }
-
-            /// Runs the request's `Server` method, passed the issuing
-            /// client and the request's fields.
-            pub(crate) fn dispatch(self, s: &mut Server, client: ClientId) -> SyncReply {
-                match self {
-                    $($S::$SV { $($($sf),*)? } => SyncReply::$SR(s.$sm(client $($(, $sf)*)?)),)*
                 }
             }
         }
@@ -688,26 +643,16 @@ macro_rules! message_table {
         #[allow(clippy::too_many_arguments)]
         impl Connection {
             $(message_table!(
-                @method [$(#[$qdoc])*] $how $qm $Q $QV ($($qw)?) ($($qf: $qt $(as $qp)?),*) $($seq $QT)?
+                @method [$(#[$qdoc])*] $how $qm $Q $QV ($($qw)?) ($($qf: $qt $(as $qp)?),*) $($seq $send $QT)?
             );)*
-            $(
-                $(#[$sdoc])*
-                pub fn $sm(&self $($(, $sf: message_table!(@param $st $(, $sp)?))*)?) -> Result<$ST, XError> {
-                    match self.round_trip($S::$SV { $($($sf: message_table!(@own $sf $($sp)?)),*)? })? {
-                        SyncReply::$SR(v) => Ok(v),
-                        // A reply of another type is as broken as one that
-                        // does not decode.
-                        _ => Err(XError::dead(0)),
-                    }
-                }
-            )*
         }
-
-        $(message_table!(@from_reply $($QR $QT)?);)*
     };
-    (replies $(#[$a:meta])* $vis:vis enum $E:ident { $($(#[$doc:meta])* $op:literal $v:ident($t:ty),)* }) => {
+    (replies $(#[$a:meta])* $vis:vis enum $E:ident {
+        $($(#[$doc:meta])* $op:literal $v:ident($t:ty) $($error:ident)?,)*
+    }) => {
         $(#[$a])* $vis enum $E { $($(#[$doc])* $v($t),)* }
         message_table!($E { $($op $v(v),)* });
+        $(message_table!(@reply_type $E $v($t) $($error)?);)*
     };
     (events $E:ident { $($op:literal $v:ident $fields:tt,)* }) => {
         message_table!($E { $($op $v $fields,)* });
@@ -767,35 +712,56 @@ macro_rules! message_table {
         let () = $s.$m($c, $($f),*);
         None
     }};
-    (@apply $s:ident $c:ident $m:ident ($($f:ident),*) $seq:ident $R:ident $via:ident) => {
-        Some(($seq, ReplyValue::$R($s.$via($c, $($f),*))))
+    (@apply $s:ident $c:ident $m:ident ($($f:ident),*) $seq:ident) => {
+        Some(($seq, ReplyValue::from($s.$m($c, $($f),*))))
     };
     (@method $docs:tt by_hand $($rest:tt)*) => {};
     (@method [$($doc:tt)*] fn $m:ident $Q:ident $V:ident ($($w:ident)?) ($($f:ident: $t:ty $(as $p:ty)?),*)) => {
         $($doc)*
         pub fn $m(&self, $($f: message_table!(@param $t $(, $p)?)),*) {
             let q = $Q::$V { $($f: message_table!(@own $f $($p)?)),* };
-            self.one_way(message_table!(@window $($w)?), q);
+            self.queue(&mut self.transport.lock(), message_table!(@window $($w)?), |_| q);
         }
     };
-    (@method [$($doc:tt)*] fn $m:ident $Q:ident $V:ident ($($w:ident)?) ($($f:ident: $t:ty $(as $p:ty)?),*) $seq:ident $T:ty) => {
+    (@method [$($doc:tt)*] fn $m:ident $Q:ident $V:ident ($($w:ident)?) ($($f:ident: $t:ty $(as $p:ty)?),*) $seq:ident $send:ident $T:ty) => {
         $($doc)*
-        pub fn $m(&self, $($f: message_table!(@param $t $(, $p)?)),*) -> Cookie<$T> {
+        ///
+        /// Blocks for the reply: the request and its wait, under one lock.
+        pub fn $m(&self, $($f: message_table!(@param $t $(, $p)?)),*) -> Result<$T, XError> {
+            let mut st = self.transport.lock();
             let window = message_table!(@window $($w)?);
-            Cookie::new(self.pipelined(window, |$seq| $Q::$V {
+            let seq = self.queue(&mut st, window, |$seq| $Q::$V {
+                $seq,
+                $($f: message_table!(@own $f $($p)?)),*
+            });
+            self.wait_in(&mut st, Cookie::new(seq))
+        }
+
+        $($doc)*
+        ///
+        /// Pipelined: returns at once with a cookie for [`Connection::wait`].
+        pub fn $send(&self, $($f: message_table!(@param $t $(, $p)?)),*) -> Cookie<$T> {
+            let window = message_table!(@window $($w)?);
+            Cookie::new(self.queue(&mut self.transport.lock(), window, |$seq| $Q::$V {
                 $seq,
                 $($f: message_table!(@own $f $($p)?)),*
             }))
         }
     };
-    (@from_reply) => {};
-    (@from_reply $R:ident $T:ty) => {
-        impl FromReply for $T {
-            fn from_reply(v: ReplyValue) -> Option<Self> {
+    (@reply_type $E:ident $v:ident($t:ty) error) => {};
+    (@reply_type $E:ident $v:ident($t:ty)) => {
+        impl FromReply for $t {
+            fn from_reply(v: $E) -> Option<Self> {
                 match v {
-                    ReplyValue::$R(r) => Some(r),
+                    $E::$v(r) => Some(r),
                     _ => None,
                 }
+            }
+        }
+
+        impl From<$t> for $E {
+            fn from(r: $t) -> $E {
+                $E::$v(r)
             }
         }
     };
@@ -807,14 +773,14 @@ macro_rules! message_table {
 // is counted as with the field it is traced on (empty: `Xid::NONE`),
 // then its `Connection` method, whose name is also the `Server` method
 // that runs it. `by_hand` marks the three methods written by hand because
-// they reserve the new resource's id on the client side. A pipelined
-// row (`[seq]`, filed under the frame's sequence number) returns a
-// cookie for a `ReplyValue` variant and runs the `Server` method of its
-// synchronous twin (`via`). A synchronous row returns the payload of a
-// `SyncReply` variant.
+// they reserve the new resource's id on the client side. A reply-bearing
+// row (`[seq]`, filed under the frame's sequence number) also names its
+// pipelined `send_*` method and the reply type, a `ReplyValue` variant's
+// field: the blocking method returns it, the `send_*` method a cookie
+// for it.
 message_table! { requests
-    /// A buffered request, held in the per-client output buffer until a
-    /// flush point.
+    /// A request, held in the per-client output buffer until a flush
+    /// point.
     #[derive(Debug, Clone)]
     #[allow(clippy::enum_variant_names)]
     pub(crate) enum QueuedRequest {
@@ -894,95 +860,67 @@ message_table! { requests
         33 SendSelectionNotify { requestor: WindowId, selection: Atom, target: Atom, property: Atom } => SendEvent(requestor) fn send_selection_notify;
         /// Assigns the input focus.
         34 SetInputFocus { id: WindowId } => SetInputFocus(id) fn set_input_focus;
-        /// Interns an atom without blocking (pipelined).
-        35 InternAtom { [seq] name: String as &str } => InternAtom() fn send_intern_atom -> Atom(Atom) via intern_atom;
-        /// Allocates an RGB color without blocking (pipelined).
-        36 AllocColor { [seq] rgb: Rgb } => AllocColor() fn send_alloc_color -> Pixel(Pixel) via alloc_color;
-        /// Allocates a named color without blocking (pipelined).
-        37 AllocNamedColor { [seq] name: String as &str } => AllocColor() fn send_alloc_named_color -> NamedColor(Option<(Pixel, Rgb)>) via alloc_named_color;
-        /// Reads a property without blocking (pipelined).
-        38 GetProperty { [seq] id: WindowId, atom: Atom } => GetProperty(id) fn send_get_property -> Property(Option<String>) via get_property;
-        /// Queries geometry without blocking (pipelined).
-        39 GetGeometry { [seq] id: WindowId } => GetGeometry(id) fn send_get_geometry -> Geometry(Option<Geometry>) via get_geometry;
-    }
-
-    /// A synchronous reply-bearing request, as data: it crosses the
-    /// transport in a sync control message, one round trip each.
-    #[doc(hidden)]
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum SyncRequest {
-        /// Interns an atom (round trip).
-        1 InternAtom { name: String as &str } => InternAtom() fn intern_atom -> Atom(Atom);
-        /// Gets an atom's name (round trip).
-        2 GetAtomName { atom: Atom } => GetAtomName() fn atom_name -> OptString(Option<String>);
-        /// Queries parent and children (round trip).
-        3 QueryTree { id: WindowId } => QueryTree(id) fn query_tree -> Tree(Option<(WindowId, Vec<WindowId>)>);
-        /// Queries geometry (round trip).
-        4 GetGeometry { id: WindowId } => GetGeometry(id) fn get_geometry -> Geometry(Option<Geometry>);
-        /// Is the window viewable? (round trip)
-        5 IsViewable { id: WindowId } => GetWindowAttributes(id) fn is_viewable -> Bool(bool);
-        /// Reads a property (round trip).
-        6 GetProperty { id: WindowId, atom: Atom } => GetProperty(id) fn get_property -> OptString(Option<String>);
-        /// Allocates a named color (round trip), returning pixel and RGB.
-        7 AllocNamedColor { name: String as &str } => AllocColor() fn alloc_named_color -> NamedColor(Option<(Pixel, Rgb)>);
-        /// Allocates an RGB color (round trip).
-        8 AllocColor { rgb: Rgb } => AllocColor() fn alloc_color -> Pixel(Pixel);
-        /// Looks up the RGB stored in a pixel (round trip).
-        9 QueryColor { pixel: Pixel } => QueryColor() fn query_color -> Rgb(Rgb);
-        /// Opens a font (round trip).
-        10 OpenFont { name: String as &str } => OpenFont() fn open_font -> OptXid(Option<FontId>);
-        /// Queries font metrics (round trip).
-        11 QueryFont { font: FontId } => QueryFont() fn font_metrics -> Metrics(Option<FontMetrics>);
-        /// Creates a cursor from the cursor font (round trip).
-        12 CreateCursor { name: String as &str } => CreateCursor() fn create_cursor -> OptXid(Option<CursorId>);
-        /// Dimensions of an uploaded bitmap (round trip).
-        13 QueryBitmap { id: BitmapId } => QueryBitmap() fn bitmap_size -> Size(Option<(u32, u32)>);
-        /// Queries the selection owner (round trip).
-        14 GetSelectionOwner { selection: Atom } => GetSelectionOwner() fn get_selection_owner -> Window(WindowId);
-        /// Queries the input focus (round trip).
-        15 GetInputFocus => GetInputFocus() fn get_input_focus -> Window(WindowId);
-        /// Reads AND deletes a property in one round trip — X's
+        /// Interns an atom.
+        35 InternAtom { [seq] name: String as &str } => InternAtom() fn intern_atom / send_intern_atom -> Atom;
+        /// Allocates an RGB color.
+        36 AllocColor { [seq] rgb: Rgb } => AllocColor() fn alloc_color / send_alloc_color -> Pixel;
+        /// Allocates a named color, returning pixel and RGB.
+        37 AllocNamedColor { [seq] name: String as &str } => AllocColor() fn alloc_named_color / send_alloc_named_color -> Option<(Pixel, Rgb)>;
+        /// Reads a property.
+        38 GetProperty { [seq] id: WindowId, atom: Atom } => GetProperty(id) fn get_property / send_get_property -> Option<String>;
+        /// Queries geometry.
+        39 GetGeometry { [seq] id: WindowId } => GetGeometry(id) fn get_geometry / send_get_geometry -> Option<Geometry>;
+        /// Gets an atom's name.
+        40 GetAtomName { [seq] atom: Atom } => GetAtomName() fn atom_name / send_atom_name -> Option<String>;
+        /// Queries parent and children.
+        41 QueryTree { [seq] id: WindowId } => QueryTree(id) fn query_tree / send_query_tree -> Option<(WindowId, Vec<WindowId>)>;
+        /// Is the window viewable?
+        42 IsViewable { [seq] id: WindowId } => GetWindowAttributes(id) fn is_viewable / send_is_viewable -> bool;
+        /// Looks up the RGB stored in a pixel.
+        43 QueryColor { [seq] pixel: Pixel } => QueryColor() fn query_color / send_query_color -> Rgb;
+        /// Opens a font.
+        44 OpenFont { [seq] name: String as &str } => OpenFont() fn open_font / send_open_font -> Option<FontId>;
+        /// Queries font metrics.
+        45 QueryFont { [seq] font: FontId } => QueryFont() fn font_metrics / send_font_metrics -> Option<FontMetrics>;
+        /// Creates a cursor from the cursor font.
+        46 CreateCursor { [seq] name: String as &str } => CreateCursor() fn create_cursor / send_create_cursor -> Option<CursorId>;
+        /// Dimensions of an uploaded bitmap.
+        47 QueryBitmap { [seq] id: BitmapId } => QueryBitmap() fn bitmap_size / send_bitmap_size -> Option<(u32, u32)>;
+        /// Queries the selection owner.
+        48 GetSelectionOwner { [seq] selection: Atom } => GetSelectionOwner() fn get_selection_owner / send_get_selection_owner -> WindowId;
+        /// Queries the input focus.
+        49 GetInputFocus { [seq] } => GetInputFocus() fn get_input_focus / send_get_input_focus -> WindowId;
+        /// Reads AND deletes a property in one request — X's
         /// `XGetWindowProperty` with `delete=True`. Atomic at the server, so
         /// a concurrent append from another client can never land between
         /// the read and the delete and be destroyed unread.
-        16 TakeProperty { id: WindowId, atom: Atom } => GetProperty(id) fn take_property -> OptString(Option<String>);
+        50 TakeProperty { [seq] id: WindowId, atom: Atom } => GetProperty(id) fn take_property / send_take_property -> Option<String>;
     }
 }
 
 message_table! { replies
-    /// Server -> client: the answer to a `SyncRequest`.
-    #[doc(hidden)]
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum SyncReply {
-        1 Atom(Atom),
-        2 OptString(Option<String>),
-        3 Tree(Option<(WindowId, Vec<WindowId>)>),
-        4 Geometry(Option<Geometry>),
-        5 Bool(bool),
-        6 NamedColor(Option<(Pixel, Rgb)>),
-        7 Pixel(Pixel),
-        8 Rgb(Rgb),
-        9 OptXid(Option<Xid>),
-        10 Metrics(Option<FontMetrics>),
-        11 Size(Option<(u32, u32)>),
-        12 Window(WindowId),
-    }
-}
-
-message_table! { replies
-    /// Server -> client: a pipelined reply, collected by its cookie.
-    /// Public only because the [`FromReply`] conversion trait needs it in
-    /// its signature; not part of the supported API surface.
+    /// Server -> client: the reply to a reply-bearing request, filed
+    /// under its sequence number until the client takes it. Public only
+    /// because the [`FromReply`] conversion trait needs it in its
+    /// signature; not part of the supported API surface.
     #[doc(hidden)]
     #[derive(Debug, Clone)]
     pub enum ReplyValue {
         1 Atom(Atom),
         2 Pixel(Pixel),
         3 NamedColor(Option<(Pixel, Rgb)>),
-        4 Property(Option<String>),
+        4 OptString(Option<String>),
         5 Geometry(Option<Geometry>),
-        /// An injected X error traveled back instead of a reply.
-        6 Error(XError),
+        /// An injected X error traveled back instead of a reply: a wait
+        /// returns it as its `Err`, so no cookie type converts from it.
+        6 Error(XError) error,
+        7 Tree(Option<(WindowId, Vec<WindowId>)>),
+        8 Bool(bool),
+        9 Rgb(Rgb),
+        10 OptXid(Option<Xid>),
+        11 Metrics(Option<FontMetrics>),
+        12 Size(Option<(u32, u32)>),
+        13 Window(WindowId),
     }
 }
 
@@ -1013,7 +951,7 @@ message_table! { events Event {
 /// Virtual duration of one `StallDispatch` tick, in milliseconds.
 const STALL_TICK_MS: u64 = 10;
 
-/// Default sync-watchdog deadline (`Display::set_wire_deadline` changes it).
+/// Default watchdog deadline (`Display::set_wire_deadline` changes it).
 pub const DEFAULT_WIRE_DEADLINE_MS: u64 = 5000;
 
 /// Most events one read-ahead refill takes from the server queue, so
@@ -1031,19 +969,9 @@ pub(crate) enum Control {
     /// Apply every buffer and drain quota-deferred work: the path by
     /// which the user observes the display.
     FlushAll,
-    Sync(SyncRequest),
+    /// Take the reply filed under a sequence number, applying the
+    /// buffers first if it is not filed yet.
     TakeReply(u64),
-}
-
-/// The server's answer to a [`Control`] message. `Done` also stands for
-/// a lost connection: a tripped watchdog or a damaged response.
-pub(crate) enum Answer {
-    Done,
-    Sync(Result<SyncReply, XError>),
-    Reply(ReplyValue),
-    /// No reply is filed under the sequence number; whether the
-    /// connection is still alive.
-    NoReply(bool),
 }
 
 impl Control {
@@ -1052,77 +980,38 @@ impl Control {
         let (ft, seq) = match self {
             Control::Flush => (FT_FLUSH_CLIENT, 0),
             Control::FlushAll => (FT_FLUSH_ALL, 0),
-            Control::Sync(req) => {
-                frame_into(out, FT_SYNC, 0, |b| req.encode_into(b));
-                return;
-            }
             Control::TakeReply(seq) => (FT_TAKE_REPLY, *seq),
         };
         frame_into(out, ft, seq, |_| 0);
     }
 }
 
-impl Answer {
-    /// Appends the response frame to a control frame sent under `seq`
-    /// and returns its size; `Done` has none (flushes are not answered).
-    fn frame_into(self, seq: u64, out: &mut Vec<u8>) -> Option<usize> {
-        Some(match self {
-            Answer::Done => return None,
-            Answer::Sync(Ok(reply)) => {
-                frame_into(out, FT_SYNC_REPLY, seq, |b| reply.encode_into(b))
-            }
-            Answer::Sync(Err(e)) => frame_into(out, FT_ERROR, e.seq, |b| payload(&e, b)),
-            Answer::Reply(v) => frame_into(out, FT_COOKIE_REPLY, seq, |b| v.encode_into(b)),
-            Answer::NoReply(alive) => frame_into(out, FT_NO_REPLY, seq, |b| payload(&alive, b)),
-        })
-    }
-
-    /// Decodes a response frame. Anything malformed reads as `Done`.
-    fn decode(f: &RawFrame<'_>) -> Answer {
-        let answer = match f.frame_type {
-            FT_SYNC_REPLY => SyncReply::decode(f).ok().map(|r| Answer::Sync(Ok(r))),
-            FT_ERROR => from_payload(f.payload).ok().map(|e| Answer::Sync(Err(e))),
-            FT_COOKIE_REPLY => ReplyValue::decode(f).ok().map(Answer::Reply),
-            FT_NO_REPLY => Some(Answer::NoReply(f.payload.first() == Some(&1))),
-            _ => None,
-        };
-        answer.unwrap_or(Answer::Done)
-    }
-}
-
 /// Runs one control message against the server: the server side of the
-/// transport, the same with the codec on or off.
-fn execute(s: &mut Server, client: ClientId, ctl: Control) -> Answer {
+/// transport, the same with the codec on or off. Only a reply take is
+/// answered, and only with a reply filed under its sequence number: one
+/// filed already, or one the flush that starts a wait files.
+fn execute(s: &mut Server, client: ClientId, ctl: Control) -> Option<ReplyValue> {
     match ctl {
         Control::Flush => {
             s.flush_client(client);
-            Answer::Done
+            None
         }
         Control::FlushAll => {
             flush_buffers(s);
             s.drain_all();
-            Answer::Done
+            None
         }
-        Control::Sync(req) => {
-            flush_buffers(s);
-            Answer::Sync(s.execute_round_trip(client, req))
-        }
-        Control::TakeReply(seq) => {
-            if !s.has_reply(client, seq) {
-                flush_buffers(s);
-            }
-            match s.take_reply(client, seq) {
-                Some(v) => Answer::Reply(v),
-                None => Answer::NoReply(s.is_alive(client)),
-            }
-        }
+        Control::TakeReply(seq) => s.take_reply(client, seq).or_else(|| {
+            s.flush_for_reply(client);
+            s.take_reply(client, seq)
+        }),
     }
 }
 
-/// The flush a blocking control message, or a read of events that finds
-/// the read-ahead empty, starts with: every client's buffer applies, in
-/// client-id order, then each quota-deferred remainder gets one more
-/// chunk. That drain rate is what the fleet budgets
+/// The flush a read of events that finds the read-ahead empty, or an
+/// observation of the display, starts with: every client's buffer
+/// applies, in client-id order, then each quota-deferred remainder gets
+/// one more chunk. That drain rate is what the fleet budgets
 /// (`backpressure_stalls`, send-latency percentiles) pin.
 fn flush_buffers(s: &mut Server) {
     s.flush_all();
@@ -1138,25 +1027,14 @@ fn dispatch(s: &mut Server, client: ClientId, bytes: &mut Vec<u8>, out: &mut Vec
     let mut fr = FrameReader::from_buffer(std::mem::take(bytes));
     let damaged = fr.read_all(|f| {
         s.note_wire_decode(client, f.wire_len());
-        let answer = match f.frame_type {
-            FT_FLUSH_CLIENT => execute(s, client, Control::Flush),
-            FT_FLUSH_ALL => execute(s, client, Control::FlushAll),
-            FT_SYNC => match SyncRequest::decode(&f) {
-                Ok(req) => execute(s, client, Control::Sync(req)),
-                // An intact frame the codec cannot read: BadValue.
-                Err(_) => {
-                    flush_buffers(s);
-                    Answer::Sync(Err(XError {
-                        code: XErrorCode::BadValue,
-                        seq: f.seq,
-                        kind: None,
-                    }))
-                }
-            },
-            FT_TAKE_REPLY => execute(s, client, Control::TakeReply(f.seq)),
+        let ctl = match f.frame_type {
+            FT_FLUSH_CLIENT => Control::Flush,
+            FT_FLUSH_ALL => Control::FlushAll,
+            FT_TAKE_REPLY => Control::TakeReply(f.seq),
             _ => return true, // data frames never arrive as control messages
         };
-        if let Some(n) = answer.frame_into(f.seq, out) {
+        if let Some(reply) = execute(s, client, ctl) {
+            let n = frame_into(out, FT_REPLY, f.seq, |b| reply.encode_into(b));
             s.note_wire_encode(client, n);
         }
         true
@@ -1192,7 +1070,7 @@ pub(crate) struct State {
     pub(crate) codec: bool,
     /// The byte stream of client 0, the transport's own channel.
     own: Stream,
-    /// Sync-watchdog deadline in ms: a control frame whose virtual stall
+    /// Watchdog deadline in ms: a control frame whose virtual stall
     /// reaches it is never answered, and the client gets a clean dead
     /// connection instead.
     pub(crate) deadline_ms: u64,
@@ -1266,23 +1144,26 @@ impl State {
     }
 
     /// The control call: runs one control message for `client` (0 is the
-    /// transport's own channel) and returns the answer. With the codec
-    /// on the message crosses as bytes both ways, so byte faults, the
-    /// CRC check and the codec see exactly what a server across a socket
-    /// would; with it off the server executes it directly.
-    pub(crate) fn control(&mut self, client: ClientId, ctl: Control) -> Answer {
+    /// transport's own channel) and returns the reply it was answered
+    /// with, if any. With the codec on the message crosses as bytes both
+    /// ways, so byte faults, the CRC check and the codec see exactly what
+    /// a server across a socket would; with it off the server executes
+    /// it directly.
+    pub(crate) fn control(&mut self, client: ClientId, ctl: Control) -> Option<ReplyValue> {
         if !self.codec {
             return execute(&mut self.server, client, ctl);
         }
         self.ship(client, &ctl);
         let mut fr = FrameReader::from_buffer(std::mem::take(&mut self.rx));
-        let mut answer = Answer::Done;
+        let mut reply = None;
         while let Ok(Some(f)) = fr.next_frame() {
             self.server.note_wire_decode(client, f.wire_len());
-            answer = Answer::decode(&f);
+            if f.frame_type == FT_REPLY {
+                reply = ReplyValue::decode(&f).ok();
+            }
         }
         self.rx = fr.into_buffer();
-        answer
+        reply
     }
 
     /// `Connection::poll_event`: the next event from `client`'s
@@ -1333,13 +1214,13 @@ impl State {
     /// caller already holds; returns the response bytes, which stay in the
     /// response buffer for `control` to decode. A stall armed by
     /// `StallDispatch` runs on a virtual clock: one that reaches the
-    /// deadline trips the sync watchdog — the connection is torn down,
+    /// deadline trips the watchdog — the connection is torn down,
     /// the frame is never answered, and the client sees an empty response
     /// (`ConnectionDead`, never a hang). A shorter stall costs nothing.
     fn ship(&mut self, client: ClientId, ctl: &Control) -> &[u8] {
         // Control frames ride the same byte stream as data frames, so
         // they share the per-client frame timeline and take byte faults
-        // too (a corrupted sync request is damage the server must survive).
+        // too (a corrupted reply take is damage the server must survive).
         self.tx.clear();
         ctl.frame_into(&mut self.tx);
         self.send_tx(client);
@@ -1460,7 +1341,7 @@ mod tests {
         (r.below(2) == 1).then(|| ru32(r))
     }
 
-    /// A random request of the given opcode (1..=39).
+    /// A random request of the given opcode (1..=50).
     fn rand_request(op: u16, r: &mut XorShift, seq: u64) -> QueuedRequest {
         use QueuedRequest as Q;
         match op {
@@ -1627,63 +1508,30 @@ mod tests {
                 atom: ratom(r),
             },
             39 => Q::GetGeometry { seq, id: rxid(r) },
-            _ => unreachable!(),
-        }
-    }
-
-    fn rand_sync_request(op: u16, r: &mut XorShift) -> SyncRequest {
-        use SyncRequest as S;
-        match op {
-            1 => S::InternAtom { name: rstr(r) },
-            2 => S::GetAtomName { atom: ratom(r) },
-            3 => S::QueryTree { id: rxid(r) },
-            4 => S::GetGeometry { id: rxid(r) },
-            5 => S::IsViewable { id: rxid(r) },
-            6 => S::GetProperty {
-                id: rxid(r),
+            40 => Q::GetAtomName {
+                seq,
                 atom: ratom(r),
             },
-            7 => S::AllocNamedColor { name: rstr(r) },
-            8 => S::AllocColor { rgb: rrgb(r) },
-            9 => S::QueryColor { pixel: rpixel(r) },
-            10 => S::OpenFont { name: rstr(r) },
-            11 => S::QueryFont { font: rxid(r) },
-            12 => S::CreateCursor { name: rstr(r) },
-            13 => S::QueryBitmap { id: rxid(r) },
-            14 => S::GetSelectionOwner {
+            41 => Q::QueryTree { seq, id: rxid(r) },
+            42 => Q::IsViewable { seq, id: rxid(r) },
+            43 => Q::QueryColor {
+                seq,
+                pixel: rpixel(r),
+            },
+            44 => Q::OpenFont { seq, name: rstr(r) },
+            45 => Q::QueryFont { seq, font: rxid(r) },
+            46 => Q::CreateCursor { seq, name: rstr(r) },
+            47 => Q::QueryBitmap { seq, id: rxid(r) },
+            48 => Q::GetSelectionOwner {
+                seq,
                 selection: ratom(r),
             },
-            15 => S::GetInputFocus,
-            16 => S::TakeProperty {
+            49 => Q::GetInputFocus { seq },
+            50 => Q::TakeProperty {
+                seq,
                 id: rxid(r),
                 atom: ratom(r),
             },
-            _ => unreachable!(),
-        }
-    }
-
-    fn rand_sync_reply(op: u16, r: &mut XorShift) -> SyncReply {
-        use SyncReply as R;
-        let some = r.below(2) == 1;
-        match op {
-            1 => R::Atom(ratom(r)),
-            2 => R::OptString(some.then(|| rstr(r))),
-            3 => R::Tree(
-                some.then(|| (rxid(r), (0..r.below(6) as usize).map(|_| rxid(r)).collect())),
-            ),
-            4 => R::Geometry(some.then(|| (ri32(r), ri32(r), ru32(r), ru32(r), ru32(r)))),
-            5 => R::Bool(some),
-            6 => R::NamedColor(some.then(|| (rpixel(r), rrgb(r)))),
-            7 => R::Pixel(rpixel(r)),
-            8 => R::Rgb(rrgb(r)),
-            9 => R::OptXid(some.then(|| rxid(r))),
-            10 => R::Metrics(some.then(|| FontMetrics {
-                char_width: ru32(r),
-                ascent: ru32(r),
-                descent: ru32(r),
-            })),
-            11 => R::Size(some.then(|| (ru32(r), ru32(r)))),
-            12 => R::Window(rxid(r)),
             _ => unreachable!(),
         }
     }
@@ -1712,9 +1560,22 @@ mod tests {
             1 => V::Atom(ratom(r)),
             2 => V::Pixel(rpixel(r)),
             3 => V::NamedColor(some.then(|| (rpixel(r), rrgb(r)))),
-            4 => V::Property(some.then(|| rstr(r))),
+            4 => V::OptString(some.then(|| rstr(r))),
             5 => V::Geometry(some.then(|| (ri32(r), ri32(r), ru32(r), ru32(r), ru32(r)))),
             6 => V::Error(rand_error(r)),
+            7 => V::Tree(
+                some.then(|| (rxid(r), (0..r.below(6) as usize).map(|_| rxid(r)).collect())),
+            ),
+            8 => V::Bool(some),
+            9 => V::Rgb(rrgb(r)),
+            10 => V::OptXid(some.then(|| rxid(r))),
+            11 => V::Metrics(some.then(|| FontMetrics {
+                char_width: ru32(r),
+                ascent: ru32(r),
+                descent: ru32(r),
+            })),
+            12 => V::Size(some.then(|| (ru32(r), ru32(r)))),
+            13 => V::Window(rxid(r)),
             _ => unreachable!(),
         }
     }
@@ -1856,13 +1717,6 @@ mod tests {
         }
     }
 
-    /// Encodes one value as a whole payload (the body of an error frame).
-    fn to_payload<T: Wire>(v: &T) -> Vec<u8> {
-        let mut b = Vec::new();
-        v.put(&mut b);
-        b
-    }
-
     /// Encodes through a frame, reads it back via a FrameReader, and
     /// hands the frame to `check`.
     fn frame_round_trip<R>(
@@ -1923,26 +1777,11 @@ mod tests {
     }
 
     #[test]
-    fn every_sync_request_and_reply_round_trips() {
-        let mut r = XorShift::new(0x57ee1);
-        for &op in SyncRequest::OPCODES {
-            for _ in 0..25 {
-                assert_round_trips(FT_SYNC, op, 0, &rand_sync_request(op, &mut r));
-            }
-        }
-        for &op in SyncReply::OPCODES {
-            for _ in 0..25 {
-                assert_round_trips(FT_SYNC_REPLY, op, 0, &rand_sync_reply(op, &mut r));
-            }
-        }
-    }
-
-    #[test]
     fn every_reply_value_event_and_error_round_trips() {
         let mut r = XorShift::new(0xeeee);
         for &op in ReplyValue::OPCODES {
             for _ in 0..25 {
-                assert_round_trips(FT_COOKIE_REPLY, op, 7, &rand_reply_value(op, &mut r));
+                assert_round_trips(FT_REPLY, op, 7, &rand_reply_value(op, &mut r));
             }
         }
         for &op in Event::OPCODES {
@@ -1950,18 +1789,10 @@ mod tests {
                 assert_round_trips(FT_EVENT, op, 0, &rand_event(op, &mut r));
             }
         }
-        for _ in 0..200 {
-            let e = rand_error(&mut r);
-            let back: XError = frame_round_trip(FT_ERROR, 0, e.seq, &to_payload(&e), |f| {
-                from_payload(f.payload).unwrap()
-            });
-            assert_eq!(format!("{e:?}"), format!("{back:?}"));
-        }
     }
 
     /// The wire format, frozen: one CRC32 over the frames of seeded random
-    /// messages covering every opcode of every message type, plus error
-    /// bodies. Any change to an opcode, a field order or a field encoding
+    /// messages covering every opcode of every message type. Any change to an opcode, a field order or a field encoding
     /// moves the digest. The hand-written generators above are the
     /// independent statement of which variant each opcode carries.
     #[test]
@@ -1976,19 +1807,9 @@ mod tests {
                 feed(FT_REQUEST, rand_request(op, &mut r, seq).encode(), seq);
             }
         }
-        for &op in SyncRequest::OPCODES {
-            for _ in 0..8 {
-                feed(FT_SYNC, rand_sync_request(op, &mut r).encode(), 0);
-            }
-        }
-        for &op in SyncReply::OPCODES {
-            for _ in 0..8 {
-                feed(FT_SYNC_REPLY, rand_sync_reply(op, &mut r).encode(), 0);
-            }
-        }
         for &op in ReplyValue::OPCODES {
             for seq in 0..8 {
-                feed(FT_COOKIE_REPLY, rand_reply_value(op, &mut r).encode(), seq);
+                feed(FT_REPLY, rand_reply_value(op, &mut r).encode(), seq);
             }
         }
         for &op in Event::OPCODES {
@@ -1996,11 +1817,7 @@ mod tests {
                 feed(FT_EVENT, rand_event(op, &mut r).encode(), 0);
             }
         }
-        for _ in 0..32 {
-            let e = rand_error(&mut r);
-            feed(FT_ERROR, (0, to_payload(&e)), e.seq);
-        }
-        assert_eq!(crc ^ 0xFFFF_FFFF, 0x4341_842C, "wire format changed");
+        assert_eq!(crc ^ 0xFFFF_FFFF, 0x84E2_F8F6, "wire format changed");
     }
 
     #[test]
@@ -2076,10 +1893,10 @@ mod tests {
             QueuedRequest::decode(&raw(999, &[])).err(),
             Some(WireError::BadOpcode(999))
         );
-        assert_eq!(
-            SyncRequest::decode(&raw(99, &[])),
+        assert!(matches!(
+            ReplyValue::decode(&raw(99, &[])),
             Err(WireError::BadOpcode(99))
-        );
+        ));
         assert!(matches!(
             Event::decode(&raw(99, &[])),
             Err(WireError::BadOpcode(99))
@@ -2098,7 +1915,7 @@ mod tests {
             Some(WireError::Malformed("trailing bytes"))
         );
         assert!(matches!(
-            from_payload::<XError>(&[77, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+            ReplyValue::decode(&raw(6, &[77, 0, 0, 0, 0, 0, 0, 0, 0, 0])),
             Err(WireError::Malformed(_))
         ));
         // A corrupt bool/Option tag.
@@ -2333,10 +2150,11 @@ mod tests {
     /// Deadline the stall tests run under: 10 ticks of virtual time.
     const STALL_DEADLINE_MS: u64 = 100;
 
-    /// A fixed client script with the codec on: three data frames
-    /// (create, select input, map; frame indices 1-3), then four control
-    /// frames (indices 4-7) whose raw response bytes are returned.
-    fn stall_script(plan: FaultPlan) -> (Display, ClientId, Vec<Vec<u8>>) {
+    /// A fixed client script with the codec on: three one-way data frames
+    /// (create, select input, map; frame indices 1-3), four reply-bearing
+    /// ones (indices 4-7), then their four reply takes, control frames
+    /// (indices 8-11) whose raw response bytes are returned.
+    fn stall_script(plan: FaultPlan) -> (Display, Connection, Vec<Vec<u8>>) {
         let d = Display::new();
         d.set_wire(true);
         d.set_wire_deadline(STALL_DEADLINE_MS);
@@ -2345,19 +2163,20 @@ mod tests {
         let win = c.create_window(c.root(), 0, 0, 40, 20, 0).unwrap();
         c.select_input(win, crate::event::mask::EXPOSURE);
         c.map_window(win);
-        let controls = [
-            Control::Sync(SyncRequest::InternAtom {
-                name: "WM_NAME".into(),
-            }),
-            Control::TakeReply(1),
-            Control::Sync(SyncRequest::GetInputFocus),
-            Control::Sync(SyncRequest::GetGeometry { id: win }),
+        let seqs = [
+            c.send_intern_atom("WM_NAME").sequence(),
+            c.send_query_tree(win).sequence(),
+            c.send_get_input_focus().sequence(),
+            c.send_get_geometry(win).sequence(),
         ];
-        let resps = controls
+        let resps = seqs
             .iter()
-            .map(|ctl| d.transport.lock().ship(c.client_id(), ctl).to_vec())
+            .map(|&seq| {
+                let ctl = Control::TakeReply(seq);
+                d.transport.lock().ship(c.client_id(), &ctl).to_vec()
+            })
             .collect();
-        (d, c.client_id(), resps)
+        (d, c, resps)
     }
 
     /// A plan that stalls dispatch by `ticks` from the map frame (index
@@ -2377,9 +2196,10 @@ mod tests {
     #[test]
     fn stall_below_the_deadline_costs_nothing() {
         let (_, c, clean) = stall_script(FaultPlan::default());
+        let c = c.client_id();
         let ticks = (STALL_DEADLINE_MS / STALL_TICK_MS) as u32 - 1;
         let (d, c2, stalled) = stall_script(stall_plan(c, ticks));
-        assert_eq!(c, c2);
+        assert_eq!(c, c2.client_id());
         assert!(clean.iter().all(|r| !r.is_empty()), "{clean:?}");
         assert_eq!(stalled, clean, "a short stall must not change a reply byte");
         assert_eq!(watchdog_fires(&d, c), 0);
@@ -2390,34 +2210,44 @@ mod tests {
 
     #[test]
     fn stall_at_the_deadline_trips_the_watchdog() {
-        let (_, c, _) = stall_script(FaultPlan::default());
+        let (_, conn, _) = stall_script(FaultPlan::default());
+        let c = conn.client_id();
         let ticks = (STALL_DEADLINE_MS / STALL_TICK_MS) as u32;
-        let (d, c2, resps) = stall_script(stall_plan(c, ticks));
-        assert_eq!(c, c2);
+        let (d, conn, resps) = stall_script(stall_plan(c, ticks));
+        assert_eq!(c, conn.client_id());
         assert!(resps[0].is_empty(), "the stalled frame is never answered");
         assert_eq!(watchdog_fires(&d, c), 1);
         assert!(!d.peek_server(|s| s.is_alive(c)));
-        let mut st = d.transport.lock();
-        assert!(matches!(
-            st.control(c, Control::TakeReply(1)),
-            Answer::NoReply(false)
-        ));
-        let req = SyncRequest::InternAtom {
-            name: "WM_NAME".into(),
-        };
-        assert!(matches!(
-            st.control(c, Control::Sync(req)),
-            Answer::Sync(Err(e)) if e == XError::dead(0)
-        ));
-        drop(st);
+        let err = conn.intern_atom("WM_NAME").unwrap_err();
+        assert_eq!(err.code, XErrorCode::ConnectionDead);
         assert_eq!(watchdog_fires(&d, c), 1, "only the stalled frame trips it");
+    }
+
+    /// A blocking call whose request frame, or whose reply take, a byte
+    /// fault truncates to nothing gets no reply: the wait ends on the
+    /// watchdog with `ConnectionDead`, never in a hang or a panic.
+    #[test]
+    fn a_lost_frame_ends_its_wait_on_the_watchdog() {
+        for at in [1, 2] {
+            let d = Display::new();
+            d.set_wire(true);
+            let c = d.connect();
+            let action = FaultAction::TruncateFrame { keep: 0 };
+            let client = c.client_id().0;
+            let plan = FaultPlan::new(vec![FaultSpec { client, at, action }]);
+            d.peek_server(|s| s.install_fault_plan(plan));
+            assert_eq!(c.intern_atom("LOST"), Err(XError::dead(1)), "frame {at}");
+            assert_eq!(watchdog_fires(&d, c.client_id()), 1, "frame {at}");
+            assert!(!c.alive(), "frame {at}");
+            assert_eq!(d.with_server(|s| s.audit()), Vec::<String>::new());
+        }
     }
 
     #[test]
     fn a_watchdog_kill_leaves_a_clean_audit() {
         for ticks in [1, 10, 40] {
             let (_, c, _) = stall_script(FaultPlan::default());
-            let (d, _, _) = stall_script(stall_plan(c, ticks));
+            let (d, _, _) = stall_script(stall_plan(c.client_id(), ticks));
             let violations = d.with_server(|s| s.audit());
             assert!(violations.is_empty(), "ticks {ticks}: {violations:?}");
         }

@@ -13,7 +13,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-STAGES="fmt clippy build test rtkbench golden budgets table1 table2 wire_equivalence
+STAGES="fmt clippy doc build test rtkbench golden budgets table1 table2 wire_equivalence
 oracle_suite wire_stress oracle_budgets compile_equivalence trace_integrity
 trace chaos storm byte_chaos fleet"
 
@@ -33,6 +33,13 @@ stage_clippy() {
     else
         echo "==> clippy not installed; skipping lints"
     fi
+}
+
+# The API docs build with every rustdoc warning an error: an intra-doc
+# link to a deleted or private item fails here, not in a reader's browser.
+stage_doc() {
+    echo "==> cargo doc -D warnings"
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --locked
 }
 
 stage_build() {
