@@ -379,7 +379,7 @@ fn run_once(
         let mut deaths = 0;
         for app in &apps {
             let wire = app.conn().wire_stats();
-            deaths += wire.checksum_errors + wire.watchdog_fires;
+            deaths += wire.checksum_errors + wire.lost_frames + wire.watchdog_fires;
             stats.absorb_app(app);
         }
         Ok((stats, sig, deaths))

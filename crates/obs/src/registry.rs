@@ -51,10 +51,7 @@ macro_rules! counter_set {
 
             /// The counter named `name`, if this set declares it.
             pub fn get(&self, name: &str) -> Option<u64> {
-                match name {
-                    $($key => Some(self.$field),)*
-                    _ => None,
-                }
+                self.iter().find(|&(key, _)| key == name).map(|(_, v)| v)
             }
 
             /// `(name, value)` for every counter, in declaration order.

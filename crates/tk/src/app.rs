@@ -373,7 +373,7 @@ impl TkApp {
     pub fn make_window(
         &self,
         path: &str,
-        class: &str,
+        class: &'static str,
         width: u32,
         height: u32,
         border_width: u32,
@@ -965,16 +965,13 @@ impl TkApp {
             }
         }
         // User bindings (Figure 7).
-        let class = self
-            .window(&path)
-            .map(|r| r.class.clone())
-            .unwrap_or_default();
+        let class = self.window(&path).map_or("", |r| r.class);
         if let Some(info) = EventInfo::from_event(ev) {
             let script = self
                 .inner
                 .bindings
                 .borrow_mut()
-                .match_event(&path, &class, &info);
+                .match_event(&path, class, &info);
             if let Some(script) = script {
                 self.inner.obs.count().bind_matches += 1;
                 let script = percent_substitute(&script, &info, &path);
@@ -992,25 +989,35 @@ impl TkApp {
     /// Queries the option database for `path`'s option `name`/`class`,
     /// following Section 3.5's name/class matching.
     pub fn option_get(&self, path: &str, name: &str, class: &str) -> Option<String> {
-        let comps = crate::window::components(path);
-        let mut names: Vec<&str> = comps.clone();
-        names.push(name);
-        // The class list parallels the name list: the class of each window
-        // on the path, then the option's class.
-        let mut classes: Vec<String> = Vec::with_capacity(comps.len() + 1);
-        let mut cur = String::new();
-        for comp in &comps {
-            cur.push('.');
-            cur.push_str(comp);
-            classes.push(
-                self.window(&cur)
-                    .map(|w| w.class.clone())
-                    .unwrap_or_else(|| "Frame".to_string()),
-            );
-        }
-        classes.push(class.to_string());
-        let class_refs: Vec<&str> = classes.iter().map(String::as_str).collect();
-        self.inner.options.borrow().get(&names, &class_refs)
+        let levels = self.option_levels(path, name, class);
+        self.inner.options.borrow().get(&levels).map(str::to_string)
+    }
+
+    /// The levels [`OptionDb::get`] matches for `path`'s option
+    /// `name`/`class`: each window on the path, from the main window's
+    /// child down to `path` itself, by name and class (one window lookup
+    /// each), then the option. A widget builds them once for all of its
+    /// options, rewriting only the last pair.
+    pub(crate) fn option_levels<'a>(
+        &self,
+        path: &'a str,
+        name: &'a str,
+        class: &'a str,
+    ) -> Vec<(&'a str, &'a str)> {
+        let windows = self.inner.windows.borrow();
+        let mut end = 0;
+        let below_main = path.strip_prefix('.').filter(|rest| !rest.is_empty());
+        let mut levels: Vec<_> = below_main
+            .into_iter()
+            .flat_map(|rest| rest.split('.'))
+            .map(|level| {
+                end += 1 + level.len();
+                let class = windows.get(&path[..end]).map_or("Frame", |w| w.class);
+                (level, class)
+            })
+            .collect();
+        levels.push((name, class));
+        levels
     }
 
     /// Registers a Tcl command whose closure receives this app (weakly,

@@ -86,7 +86,7 @@ fn cmd_winfo(app: &TkApp, _interp: &tcl::Interp, argv: &[String]) -> TclResult {
         .ok_or_else(|| wrong_args("winfo option window"))?;
     let rec = app.require_window(path)?;
     match argv[1].as_str() {
-        "class" => Ok(rec.class.clone()),
+        "class" => Ok(rec.class.to_string()),
         "name" => Ok(if path == "." {
             app.name()
         } else {

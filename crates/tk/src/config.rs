@@ -7,8 +7,8 @@
 //! exactly the paper's description. `configure` reads or rewrites any
 //! option at any time.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 use tcl::{Exception, TclResult};
 
@@ -89,10 +89,11 @@ pub const fn synonym(name: &'static str, target: &'static str) -> OptSpec {
     }
 }
 
-/// The current option values of one widget.
+/// The current option values of one widget, one slot per spec, indexed
+/// by the spec's position in its table (a synonym's slot stays empty).
 pub struct ConfigStore {
     specs: &'static [OptSpec],
-    values: RefCell<HashMap<&'static str, String>>,
+    values: RefCell<Vec<Cow<'static, str>>>,
 }
 
 impl ConfigStore {
@@ -101,56 +102,56 @@ impl ConfigStore {
     pub fn new(specs: &'static [OptSpec]) -> ConfigStore {
         ConfigStore {
             specs,
-            values: RefCell::new(HashMap::new()),
+            values: RefCell::new(vec![Cow::Borrowed(""); specs.len()]),
         }
     }
 
     /// Fills every non-synonym option from the option database or its
     /// default ("for unspecified options, the widget checks in the option
-    /// database; if none is found then it uses a default").
+    /// database; if none is found then it uses a default"). The window's
+    /// levels are resolved once, then each option is one lookup.
     pub fn init(&self, app: &TkApp, path: &str) -> Result<(), Exception> {
-        for spec in self.specs.iter().filter(|s| !s.synonym) {
-            let from_db = app.option_get(path, spec.db_name, spec.db_class);
-            let value = from_db.unwrap_or_else(|| spec.default.to_string());
-            self.apply(app, spec, &value)?;
+        let mut levels = app.option_levels(path, "", "");
+        let leaf = levels.len() - 1;
+        for (i, spec) in self.specs.iter().enumerate().filter(|(_, s)| !s.synonym) {
+            levels[leaf] = (spec.db_name, spec.db_class);
+            let from_db = app.inner.options.borrow().get(&levels).map(str::to_string);
+            let value = from_db.map_or(Cow::Borrowed(spec.default), Cow::Owned);
+            self.apply(app, i, value)?;
         }
         Ok(())
     }
 
     /// Resolves an option switch, supporting synonyms and unique
-    /// abbreviations (`-bg`, `-backgr`).
-    pub fn resolve(&self, name: &str) -> Result<&'static OptSpec, Exception> {
-        // Exact match first.
-        if let Some(spec) = self.specs.iter().find(|s| s.name == name) {
-            return if spec.synonym {
-                self.resolve(spec.db_name)
-            } else {
-                Ok(spec)
-            };
-        }
-        // Unique-prefix abbreviation.
-        let matches: Vec<&'static OptSpec> = self
-            .specs
-            .iter()
-            .filter(|s| s.name.starts_with(name))
-            .collect();
-        match matches.len() {
-            1 => {
-                let spec = matches[0];
-                if spec.synonym {
-                    self.resolve(spec.db_name)
-                } else {
-                    Ok(spec)
+    /// abbreviations (`-bg`, `-backgr`), to the spec's position in its
+    /// table.
+    fn resolve(&self, name: &str) -> Result<usize, Exception> {
+        let specs = self.specs;
+        // Exact match first, then a unique-prefix abbreviation.
+        let i = match specs.iter().position(|s| s.name == name) {
+            Some(i) => i,
+            None => {
+                let mut matches = (0..specs.len()).filter(|&i| specs[i].name.starts_with(name));
+                match (matches.next(), matches.next()) {
+                    (Some(i), None) => i,
+                    (None, _) => {
+                        return Err(Exception::error(format!("unknown option \"{name}\"")))
+                    }
+                    _ => return Err(Exception::error(format!("ambiguous option \"{name}\""))),
                 }
             }
-            0 => Err(Exception::error(format!("unknown option \"{name}\""))),
-            _ => Err(Exception::error(format!("ambiguous option \"{name}\""))),
+        };
+        if specs[i].synonym {
+            self.resolve(specs[i].db_name)
+        } else {
+            Ok(i)
         }
     }
 
-    /// Validates and stores one option value.
-    fn apply(&self, app: &TkApp, spec: &'static OptSpec, value: &str) -> Result<(), Exception> {
-        match spec.kind {
+    /// Validates and stores the value of the option in slot `i`.
+    fn apply(&self, app: &TkApp, i: usize, stored: Cow<'static, str>) -> Result<(), Exception> {
+        let value: &str = &stored;
+        match self.specs[i].kind {
             OptKind::Str => {}
             OptKind::Int => {
                 value.trim().parse::<i64>().map_err(|_| {
@@ -195,9 +196,7 @@ impl ConfigStore {
                 }
             }
         }
-        self.values
-            .borrow_mut()
-            .insert(spec.name, value.to_string());
+        self.values.borrow_mut()[i] = stored;
         Ok(())
     }
 
@@ -210,46 +209,59 @@ impl ConfigStore {
             )));
         }
         for pair in args.chunks(2) {
-            let spec = self.resolve(&pair[0])?;
-            self.apply(app, spec, &pair[1])?;
+            let i = self.resolve(&pair[0])?;
+            self.apply(app, i, Cow::Owned(pair[1].clone()))?;
         }
         Ok(())
     }
 
+    /// Reads the current value of the option switched by `name` (exactly,
+    /// no synonym or abbreviation; empty if there is no such option).
+    fn read<R>(&self, name: &str, f: impl FnOnce(&str) -> R) -> R {
+        let values = self.values.borrow();
+        f(self
+            .specs
+            .iter()
+            .position(|s| s.name == name)
+            .map_or("", |i| &values[i]))
+    }
+
     /// The current value of an option (empty if unset).
     pub fn get(&self, name: &str) -> String {
-        self.values.borrow().get(name).cloned().unwrap_or_default()
+        self.read(name, str::to_string)
     }
 
     /// Integer accessor (options already validated).
     pub fn get_int(&self, name: &str) -> i64 {
-        self.get(name).trim().parse().unwrap_or(0)
+        self.read(name, |v| v.trim().parse().unwrap_or(0))
     }
 
     /// Pixel-distance accessor.
     pub fn get_pixels(&self, name: &str) -> i64 {
-        parse_pixels(&self.get(name)).unwrap_or(0)
+        self.read(name, |v| parse_pixels(v).unwrap_or(0))
     }
 
     /// Boolean accessor.
     pub fn get_bool(&self, name: &str) -> bool {
-        parse_boolean(&self.get(name)).unwrap_or(false)
+        self.read(name, |v| parse_boolean(v).unwrap_or(false))
     }
 
     /// Relief accessor.
     pub fn get_relief(&self, name: &str) -> Relief {
-        Relief::parse(&self.get(name)).unwrap_or_default()
+        self.read(name, |v| Relief::parse(v).unwrap_or_default())
     }
 
     /// Anchor accessor.
     pub fn get_anchor(&self, name: &str) -> Anchor {
-        Anchor::parse(&self.get(name)).unwrap_or_default()
+        self.read(name, |v| Anchor::parse(v).unwrap_or_default())
     }
 
     /// Formats `configure` query output: with `name`, one spec line
     /// `{-switch dbName dbClass default current}`; without, all of them.
     pub fn info(&self, name: Option<&str>) -> TclResult {
-        let line = |spec: &'static OptSpec| -> String {
+        let values = self.values.borrow();
+        let line = |i: usize| -> String {
+            let spec = &self.specs[i];
             if spec.synonym {
                 tcl::format_list(&[spec.name, spec.db_name])
             } else {
@@ -258,17 +270,14 @@ impl ConfigStore {
                     spec.db_name,
                     spec.db_class,
                     spec.default,
-                    &self.get(spec.name),
+                    &values[i],
                 ])
             }
         };
         match name {
-            Some(n) => {
-                let spec = self.resolve(n)?;
-                Ok(line(spec))
-            }
+            Some(n) => Ok(line(self.resolve(n)?)),
             None => {
-                let lines: Vec<String> = self.specs.iter().map(line).collect();
+                let lines: Vec<String> = (0..self.specs.len()).map(line).collect();
                 Ok(tcl::format_list(&lines))
             }
         }

@@ -112,18 +112,19 @@ impl OptionDb {
         self.entries.is_empty()
     }
 
-    /// Looks up the option for a widget.
+    /// Looks up an option for a window.
     ///
-    /// `names` is the widget path split into levels with the option's
-    /// *name* appended (e.g. `["x", "b", "background"]` for window `.x.b`);
-    /// `classes` is the parallel class list (e.g. `["Frame", "Button",
-    /// "Background"]`). Returns the winning value, if any entry matches.
-    pub fn get(&self, names: &[&str], classes: &[&str]) -> Option<String> {
-        debug_assert_eq!(names.len(), classes.len());
+    /// `levels` is the window's path split into (name, class) pairs with
+    /// the option's own name and class last (e.g. `[("x", "Frame"), ("b",
+    /// "Button"), ("background", "Background")]` for window `.x.b`). A
+    /// widget builds it once and rewrites only the last pair per option,
+    /// as tkOption.c resolves a window once for all of its options.
+    /// Returns the winning value, if any entry matches.
+    pub fn get(&self, levels: &[(&str, &str)]) -> Option<&str> {
         let mut best: Option<(u32, u64, u64)> = None; // (priority, specificity, serial)
         let mut best_value: Option<&str> = None;
         for e in &self.entries {
-            if let Some(spec) = match_entry(&e.components, names, classes) {
+            if let Some(spec) = match_entry(&e.components, levels) {
                 let key = (e.priority, spec, e.serial);
                 if best.map(|b| key > b).unwrap_or(true) {
                     best = Some(key);
@@ -131,7 +132,7 @@ impl OptionDb {
                 }
             }
         }
-        best_value.map(str::to_string)
+        best_value
     }
 
     /// Parses `.Xdefaults`-style text (`pattern: value` lines, `!` or `#`
@@ -156,31 +157,23 @@ impl OptionDb {
     }
 }
 
-/// Matches the entry components against the widget levels; returns a
+/// Matches the entry components against the levels; returns a
 /// specificity score (higher = more specific) or `None` on mismatch.
-fn match_entry(components: &[Component], names: &[&str], classes: &[&str]) -> Option<u64> {
+fn match_entry(components: &[Component], levels: &[(&str, &str)]) -> Option<u64> {
     // Recursive matcher over (component index, level index). Specificity
     // accumulates 3 for a name match, 2 for a class match, 1 for `?`, and
     // tight bindings add 1 per component; implemented as base-8 digits so
     // earlier (higher) levels dominate.
-    fn rec(
-        comps: &[Component],
-        names: &[&str],
-        classes: &[&str],
-        ci: usize,
-        li: usize,
-    ) -> Option<u64> {
+    fn rec(comps: &[Component], levels: &[(&str, &str)], ci: usize, li: usize) -> Option<u64> {
         if ci == comps.len() {
-            return if li == names.len() { Some(0) } else { None };
+            return if li == levels.len() { Some(0) } else { None };
         }
         let c = &comps[ci];
         let here = |li: usize| -> Option<u64> {
-            if li >= names.len() {
-                return None;
-            }
-            let base = if c.text == names[li] {
+            let (name, class) = *levels.get(li)?;
+            let base = if c.text == name {
                 3
-            } else if c.text == classes[li] {
+            } else if c.text == class {
                 2
             } else if c.text == "?" {
                 1
@@ -188,14 +181,13 @@ fn match_entry(components: &[Component], names: &[&str], classes: &[&str]) -> Op
                 return None;
             };
             let tight_bonus = if c.loose { 0 } else { 1 };
-            let shift = 4 * (names.len() - 1 - li).min(15);
-            rec(comps, names, classes, ci + 1, li + 1)
-                .map(|rest| rest + ((base + tight_bonus) << shift))
+            let shift = 4 * (levels.len() - 1 - li).min(15);
+            rec(comps, levels, ci + 1, li + 1).map(|rest| rest + ((base + tight_bonus) << shift))
         };
         if c.loose {
             // Try matching at this level or any deeper level.
             let mut best: Option<u64> = None;
-            for skip in li..names.len() {
+            for skip in li..levels.len() {
                 if let Some(score) = here(skip) {
                     best = Some(best.map_or(score, |b: u64| b.max(score)));
                 }
@@ -205,12 +197,20 @@ fn match_entry(components: &[Component], names: &[&str], classes: &[&str]) -> Op
             here(li)
         }
     }
-    rec(components, names, classes, 0, 0)
+    rec(components, levels, 0, 0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `d.get` for a window path given as parallel name and class lists,
+    /// with the option's own name and class last.
+    fn get(d: &OptionDb, names: &[&str], classes: &[&str]) -> Option<String> {
+        let levels: Vec<(&str, &str)> =
+            names.iter().copied().zip(classes.iter().copied()).collect();
+        d.get(&levels).map(str::to_string)
+    }
 
     fn db(entries: &[(&str, &str)]) -> OptionDb {
         let mut d = OptionDb::new();
@@ -224,21 +224,27 @@ mod tests {
     fn star_class_pattern_matches_any_depth() {
         let d = db(&[("*Button.background", "red")]);
         assert_eq!(
-            d.get(
+            get(
+                &d,
                 &["a", "b", "background"],
                 &["Frame", "Button", "Background"]
             ),
             Some("red".into())
         );
         assert_eq!(
-            d.get(
+            get(
+                &d,
                 &["deep", "er", "b", "background"],
                 &["Frame", "Frame", "Button", "Background"]
             ),
             Some("red".into())
         );
         assert_eq!(
-            d.get(&["a", "l", "background"], &["Frame", "Label", "Background"]),
+            get(
+                &d,
+                &["a", "l", "background"],
+                &["Frame", "Label", "Background"]
+            ),
             None
         );
     }
@@ -247,14 +253,16 @@ mod tests {
     fn exact_name_pattern() {
         let d = db(&[(".a.b.foreground", "blue")]);
         assert_eq!(
-            d.get(
+            get(
+                &d,
                 &["a", "b", "foreground"],
                 &["Frame", "Button", "Foreground"]
             ),
             Some("blue".into())
         );
         assert_eq!(
-            d.get(
+            get(
+                &d,
                 &["a", "c", "foreground"],
                 &["Frame", "Button", "Foreground"]
             ),
@@ -268,7 +276,8 @@ mod tests {
         d.add("*Button.background", "red", priority::USER_DEFAULT);
         d.add("*b.background", "green", priority::USER_DEFAULT);
         assert_eq!(
-            d.get(
+            get(
+                &d,
                 &["a", "b", "background"],
                 &["Frame", "Button", "Background"]
             ),
@@ -282,7 +291,8 @@ mod tests {
         d.add(".a.b.background", "specific", priority::WIDGET_DEFAULT);
         d.add("*background", "loud", priority::INTERACTIVE);
         assert_eq!(
-            d.get(
+            get(
+                &d,
                 &["a", "b", "background"],
                 &["Frame", "Button", "Background"]
             ),
@@ -296,7 +306,7 @@ mod tests {
         d.add("*background", "first", priority::USER_DEFAULT);
         d.add("*background", "second", priority::USER_DEFAULT);
         assert_eq!(
-            d.get(&["a", "background"], &["Button", "Background"]),
+            get(&d, &["a", "background"], &["Button", "Background"]),
             Some("second".into())
         );
     }
@@ -305,7 +315,8 @@ mod tests {
     fn global_star_option() {
         let d = db(&[("*background", "gray")]);
         assert_eq!(
-            d.get(
+            get(
+                &d,
                 &["x", "y", "z", "background"],
                 &["A", "B", "C", "Background"]
             ),
@@ -317,11 +328,15 @@ mod tests {
     fn question_mark_matches_one_level() {
         let d = db(&[(".?.background", "x")]);
         assert_eq!(
-            d.get(&["a", "background"], &["Frame", "Background"]),
+            get(&d, &["a", "background"], &["Frame", "Background"]),
             Some("x".into())
         );
         assert_eq!(
-            d.get(&["a", "b", "background"], &["Frame", "Frame", "Background"]),
+            get(
+                &d,
+                &["a", "b", "background"],
+                &["Frame", "Frame", "Background"]
+            ),
             None
         );
     }
@@ -335,7 +350,7 @@ mod tests {
         );
         assert_eq!(n, 2);
         assert_eq!(
-            d.get(&["b", "font"], &["Button", "Font"]),
+            get(&d, &["b", "font"], &["Button", "Font"]),
             Some("fixed".into())
         );
     }
@@ -359,7 +374,7 @@ mod tests {
             cls[path.len() - 2] = "Button";
             cls.push("Background");
             assert_eq!(
-                d.get(&path, &cls[..path.len()]),
+                get(&d, &path, &cls[..path.len()]),
                 Some("red".into()),
                 "path {path:?}"
             );

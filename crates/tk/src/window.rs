@@ -20,7 +20,7 @@ pub struct TkWindow {
     /// Full path name (`.a.b`).
     pub path: String,
     /// Widget class (`Button`, `Frame`, ...).
-    pub class: String,
+    pub class: &'static str,
     /// The server-side window.
     pub xid: WindowId,
     /// Structure cache: position in the parent.
@@ -54,11 +54,11 @@ pub struct TkWindow {
 impl TkWindow {
     /// Creates the record of an unmapped window of the given size at the
     /// origin, which also asks for that size.
-    pub fn new(path: &str, class: &str, xid: WindowId, width: u32, height: u32) -> TkWindow {
-        let (width, height) = (width.max(1), height.max(1));
+    pub fn new(path: &str, class: &'static str, xid: WindowId, w: u32, h: u32) -> TkWindow {
+        let (width, height) = (w.max(1), h.max(1));
         TkWindow {
             path: path.to_string(),
-            class: class.to_string(),
+            class,
             xid,
             x: Cell::new(0),
             y: Cell::new(0),

@@ -425,7 +425,8 @@ impl Connection {
             // connection the watchdog ends it, as it ends a stalled frame.
             None => {
                 if st.server.is_alive(self.client) {
-                    st.server.kill_broken_stream(self.client, true);
+                    st.server
+                        .kill_broken_stream(self.client, |w| &mut w.watchdog_fires);
                 }
                 Err(XError::dead(cookie.seq))
             }

@@ -179,6 +179,10 @@ rtk_obs::counter_set! {
         /// truncation, garbage between frames); each one kills the
         /// connection.
         checksum_errors => "wire.checksum_errors",
+        /// Flushes that decoded fewer frames than the client buffered
+        /// requests (a frame lost whole on the stream); each one kills
+        /// the connection.
+        lost_frames => "wire.lost_frames",
         /// Control frames whose injected dispatch stall reached the wire
         /// deadline (virtual time), surfaced as a dead connection.
         watchdog_fires => "wire.watchdog_fires",

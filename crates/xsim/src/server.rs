@@ -26,7 +26,7 @@ use crate::fault::{FaultAction, FaultPlan, XError};
 use crate::font::{FontMetrics, FontTable};
 use crate::gc::{GcTable, GcValues};
 use crate::ids::{ClientId, CursorId, FontId, GcId, IdAllocator, Pixel, WindowId, Xid};
-use crate::obs::{ClientObs, ClientStats, RequestKind};
+use crate::obs::{ClientObs, ClientStats, RequestKind, WireStats};
 use crate::render::Surface;
 use crate::window::{Window, WindowTree};
 use crate::wire::{QueuedRequest, ReplyValue, Stream};
@@ -522,7 +522,9 @@ impl Server {
     /// decoded here, on the server side of the wire, into the buffer's
     /// typed half (unused with the codec on), and the emptied buffer goes
     /// back to the client for reuse. A damaged frame ends the batch, the
-    /// frames ahead of it still apply, and then the connection is killed.
+    /// frames ahead of it still apply, and then the connection is killed;
+    /// so is it when fewer frames decode than requests were buffered (a
+    /// frame lost whole, which no frame check can see).
     /// With `hold` the batch stops short of its first reply-bearing
     /// request (see [`Server::flush_for_reply`]).
     fn flush_inner(&mut self, client: ClientId, enforce_quota: bool, hold: bool) {
@@ -539,6 +541,7 @@ impl Server {
             decoded.is_ok()
         });
         out.frames = fr.into_buffer();
+        let lost = framed && !corrupt && out.requests.len() < out.len;
         self.apply_batch(client, &mut out.requests, enforce_quota, hold);
         if let Some(c) = self.clients.get_mut(client) {
             c.obs.wire.flushes += u64::from(framed);
@@ -546,7 +549,9 @@ impl Server {
             c.out = out;
         }
         if corrupt {
-            self.kill_broken_stream(client, false);
+            self.kill_broken_stream(client, |w| &mut w.checksum_errors);
+        } else if lost {
+            self.kill_broken_stream(client, |w| &mut w.lost_frames);
         }
     }
 
@@ -829,21 +834,18 @@ impl Server {
     }
 
     /// The server's reaction to unrecoverable damage on `client`'s byte
-    /// stream: a frame-integrity failure (bad CRC, truncation, garbage)
-    /// or, with `watchdog`, a control frame stalled past the sync
-    /// deadline. Counts it and kills the connection, X's response to a
-    /// protocol violation. Client id 0 is the transport's own control
-    /// channel, not a connection, and is never killed.
-    pub(crate) fn kill_broken_stream(&mut self, client: ClientId, watchdog: bool) {
-        if let Some(c) = self.clients.get_mut(client) {
-            if watchdog {
-                c.obs.wire.watchdog_fires += 1;
-            } else {
-                c.obs.wire.checksum_errors += 1;
-            }
+    /// stream: a frame-integrity failure (`checksum_errors`), a flush
+    /// short of frames (`lost_frames`), or a control frame stalled past
+    /// the deadline or a wait with no reply coming (`watchdog_fires`).
+    /// Ticks the counter `tick` picks and kills the connection, X's
+    /// response to a protocol violation. Client id 0 is the transport's
+    /// own control channel, not a connection, and is never killed.
+    pub(crate) fn kill_broken_stream(&mut self, c: ClientId, tick: fn(&mut WireStats) -> &mut u64) {
+        if let Some(state) = self.clients.get_mut(c) {
+            *tick(&mut state.obs.wire) += 1;
         }
-        if client.0 != 0 {
-            self.kill_client(client);
+        if c.0 != 0 {
+            self.kill_client(c);
         }
     }
 

@@ -1041,7 +1041,7 @@ fn dispatch(s: &mut Server, client: ClientId, bytes: &mut Vec<u8>, out: &mut Vec
     });
     *bytes = fr.into_buffer();
     if damaged {
-        s.kill_broken_stream(client, false);
+        s.kill_broken_stream(client, |w| &mut w.checksum_errors);
         out.clear();
     }
 }
@@ -1226,7 +1226,8 @@ impl State {
         self.send_tx(client);
         let stall = std::mem::take(&mut self.stream(client).stalls);
         if u64::from(stall) * STALL_TICK_MS >= self.deadline_ms {
-            self.server.kill_broken_stream(client, true);
+            self.server
+                .kill_broken_stream(client, |w| &mut w.watchdog_fires);
             self.rx.clear();
         } else {
             dispatch(&mut self.server, client, &mut self.tx, &mut self.rx);
@@ -1270,9 +1271,7 @@ impl State {
                 );
                 bytes.extend((0..n).map(|_| r.below(256) as u8));
             }
-            Some(FaultAction::StallDispatch { ticks }) => {
-                self.stream(client).stalls += ticks;
-            }
+            Some(FaultAction::StallDispatch { ticks }) => self.stream(client).stalls += ticks,
             // A SplitWrite lands as two writes to the same stream, which
             // are byte-identical once buffered: the invariant it exists
             // to witness.
@@ -2223,22 +2222,66 @@ mod tests {
         assert_eq!(watchdog_fires(&d, c), 1, "only the stalled frame trips it");
     }
 
-    /// A blocking call whose request frame, or whose reply take, a byte
-    /// fault truncates to nothing gets no reply: the wait ends on the
-    /// watchdog with `ConnectionDead`, never in a hang or a panic.
+    /// A blocking call whose reply take a byte fault truncates to
+    /// nothing gets no reply: the wait ends on the watchdog with
+    /// `ConnectionDead`, never in a hang or a panic. (Its request frame
+    /// lost the same way is caught earlier, by the flush the wait starts:
+    /// `a_frame_lost_whole_kills_the_connection_at_its_flush`.)
     #[test]
     fn a_lost_frame_ends_its_wait_on_the_watchdog() {
-        for at in [1, 2] {
+        let d = Display::new();
+        d.set_wire(true);
+        let c = d.connect();
+        let action = FaultAction::TruncateFrame { keep: 0 };
+        let client = c.client_id().0;
+        let plan = FaultPlan::new(vec![FaultSpec {
+            client,
+            at: 2,
+            action,
+        }]);
+        d.peek_server(|s| s.install_fault_plan(plan));
+        assert_eq!(c.intern_atom("LOST"), Err(XError::dead(1)));
+        assert_eq!(watchdog_fires(&d, c.client_id()), 1);
+        assert!(!c.alive());
+        assert_eq!(d.with_server(|s| s.audit()), Vec::<String>::new());
+    }
+
+    /// A request frame a byte fault truncates to nothing leaves no trace
+    /// a frame check can see, but the flush that should carry it decodes
+    /// one frame fewer than the client buffered requests: the connection
+    /// dies there and `wire.lost_frames` ticks, for a one-way request
+    /// (which would otherwise vanish on a live connection) and for a
+    /// reply-bearing one (whose wait would otherwise end on the watchdog).
+    #[test]
+    fn a_frame_lost_whole_kills_the_connection_at_its_flush() {
+        for reply in [false, true] {
             let d = Display::new();
             d.set_wire(true);
             let c = d.connect();
             let action = FaultAction::TruncateFrame { keep: 0 };
             let client = c.client_id().0;
-            let plan = FaultPlan::new(vec![FaultSpec { client, at, action }]);
+            let plan = FaultPlan::new(vec![FaultSpec {
+                client,
+                at: 1,
+                action,
+            }]);
             d.peek_server(|s| s.install_fault_plan(plan));
-            assert_eq!(c.intern_atom("LOST"), Err(XError::dead(1)), "frame {at}");
-            assert_eq!(watchdog_fires(&d, c.client_id()), 1, "frame {at}");
-            assert!(!c.alive(), "frame {at}");
+            if reply {
+                assert_eq!(c.intern_atom("LOST"), Err(XError::dead(1)));
+            } else {
+                let w = c.create_window(c.root(), 0, 0, 10, 10, 0).unwrap();
+                c.map_window(w);
+                assert!(c.alive(), "nothing is checked before the flush");
+                c.flush();
+            }
+            let wire = d.peek_server(|s| s.client_obs(c.client_id()).unwrap().wire);
+            assert_eq!(wire.lost_frames, 1, "reply {reply}");
+            assert_eq!(
+                wire.checksum_errors + wire.watchdog_fires,
+                0,
+                "reply {reply}"
+            );
+            assert!(!c.alive(), "reply {reply}");
             assert_eq!(d.with_server(|s| s.audit()), Vec::<String>::new());
         }
     }

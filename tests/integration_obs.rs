@@ -288,6 +288,7 @@ fn obs_reset_zeroes_wire_and_audit_counters() {
     assert!(counter(&pairs, "wire.frames_encoded") > 0, "{pairs:?}");
     assert!(counter(&pairs, "wire.flushes") > 0, "{pairs:?}");
     assert_eq!(counter(&pairs, "wire.checksum_errors"), 0, "{pairs:?}");
+    assert_eq!(counter(&pairs, "wire.lost_frames"), 0, "{pairs:?}");
     assert_eq!(counter(&pairs, "wire.watchdog_fires"), 0, "{pairs:?}");
     assert_eq!(counter(&pairs, "audit.runs"), 1, "{pairs:?}");
     assert_eq!(counter(&pairs, "audit.violations"), 0, "{pairs:?}");
@@ -301,6 +302,7 @@ fn obs_reset_zeroes_wire_and_audit_counters() {
         "wire.frames_decoded",
         "wire.flushes",
         "wire.checksum_errors",
+        "wire.lost_frames",
         "wire.watchdog_fires",
         "audit.runs",
         "audit.violations",
