@@ -8,8 +8,9 @@
 
 use std::rc::Rc;
 
+use crate::compile::Held;
 use crate::error::{arity, wrong_args, Code, Exception, TclResult};
-use crate::expr::expr_bool_cached as expr_bool;
+use crate::expr::{eval_expr_cached, eval_expr_held};
 use crate::interp::{Interp, ProcDef};
 
 pub fn register(interp: &Interp) {
@@ -46,7 +47,7 @@ fn cmd_if(interp: &Interp, argv: &[String]) -> TclResult {
                 "if test script ?elseif test script? ?else script?",
             ));
         }
-        let cond = expr_bool(interp, &argv[i])?;
+        let cond = eval_expr_cached(interp, &argv[i])?.truthy()?;
         i += 1;
         if i < argv.len() && argv[i] == "then" {
             i += 1;
@@ -84,10 +85,13 @@ fn cmd_if(interp: &Interp, argv: &[String]) -> TclResult {
     }
 }
 
+// A loop finds its condition's and its scripts' programs on their first
+// run and holds them for the rest of the invocation.
 fn cmd_while(interp: &Interp, argv: &[String]) -> TclResult {
     arity(argv, 3..=3, "while test command")?;
-    while expr_bool(interp, &argv[1])? {
-        match interp.eval(&argv[2]) {
+    let (test, body) = (Held::default(), Held::default());
+    while eval_expr_held(interp, &argv[1], &test)?.truthy()? {
+        match interp.eval_held(&argv[2], &body) {
             Ok(_) => {}
             Err(e) if e.code == Code::Break => break,
             Err(e) if e.code == Code::Continue => continue,
@@ -100,14 +104,15 @@ fn cmd_while(interp: &Interp, argv: &[String]) -> TclResult {
 fn cmd_for(interp: &Interp, argv: &[String]) -> TclResult {
     arity(argv, 5..=5, "for start test next command")?;
     interp.eval(&argv[1])?;
-    while expr_bool(interp, &argv[2])? {
-        match interp.eval(&argv[4]) {
+    let (test, next, body) = (Held::default(), Held::default(), Held::default());
+    while eval_expr_held(interp, &argv[2], &test)?.truthy()? {
+        match interp.eval_held(&argv[4], &body) {
             Ok(_) => {}
             Err(e) if e.code == Code::Break => break,
             Err(e) if e.code == Code::Continue => {}
             Err(e) => return Err(e),
         }
-        interp.eval(&argv[3])?;
+        interp.eval_held(&argv[3], &next)?;
     }
     Ok(String::new())
 }
@@ -115,9 +120,10 @@ fn cmd_for(interp: &Interp, argv: &[String]) -> TclResult {
 fn cmd_foreach(interp: &Interp, argv: &[String]) -> TclResult {
     arity(argv, 4..=4, "foreach varName list command")?;
     let items = crate::list::parse_list(&argv[2])?;
+    let body = Held::default();
     for item in items {
         interp.set_var(&argv[1], None, &item)?;
-        match interp.eval(&argv[3]) {
+        match interp.eval_held(&argv[3], &body) {
             Ok(_) => {}
             Err(e) if e.code == Code::Break => break,
             Err(e) if e.code == Code::Continue => continue,
@@ -290,6 +296,7 @@ fn cmd_proc(interp: &Interp, argv: &[String]) -> TclResult {
         ProcDef {
             params,
             body: argv[3].clone(),
+            prog: Held::default(),
         },
     );
     Ok(String::new())

@@ -5,7 +5,7 @@ use std::path::Path;
 
 use crate::commands::var::not_integer;
 use crate::error::{arity, wrong_args, Exception, TclResult};
-use crate::expr::{double_to_string, expr_string_cached as expr_string};
+use crate::expr::{double_to_string, eval_expr_cached};
 use crate::interp::Interp;
 use crate::list::format_list;
 
@@ -72,9 +72,9 @@ fn cmd_puts(interp: &Interp, argv: &[String]) -> TclResult {
 fn cmd_expr(interp: &Interp, argv: &[String]) -> TclResult {
     arity(argv, 2.., "expr arg ?arg ...?")?;
     if argv.len() == 2 {
-        return expr_string(interp, &argv[1]);
+        return Ok(eval_expr_cached(interp, &argv[1])?.to_result());
     }
-    expr_string(interp, &argv[1..].join(" "))
+    Ok(eval_expr_cached(interp, &argv[1..].join(" "))?.to_result())
 }
 
 fn cmd_subst(interp: &Interp, argv: &[String]) -> TclResult {

@@ -11,6 +11,16 @@
 //! script string, so a `bind` body or `-command` script is parsed on its
 //! first execution and replayed from the cache afterwards.
 //!
+//! Whatever holds a script for more than one run keeps the program found
+//! for it in a [`Held`], so the cache is searched once per holder, not
+//! once per run: a `ProcDef` holds its body's program from the first call
+//! on, a word that is one `[cmd]` ([`CompiledWord::Cmd`]) and a `[cmd]`
+//! operand of a compiled expression hold theirs on the compiled node, and
+//! `for`, `while` and `foreach` hold their body's (and `for`'s `next`'s)
+//! and their condition's for one invocation. `Interp::eval` is the same
+//! path with a holder of its own, so a fresh script's program is found by
+//! text, as before. A held program runs only while the compiler is on.
+//!
 //! A literal command name is interned to an atom whose slot the registry
 //! keeps current, so a cached program honours every later `proc`, `rename`
 //! or deletion without invalidation. The one specialised op is `set` with
@@ -22,7 +32,7 @@
 //! re-runs it through the direct evaluator so partial-execution-then-error
 //! semantics are preserved byte for byte.
 
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 use std::rc::Rc;
 
 use crate::error::Exception;
@@ -33,9 +43,16 @@ use crate::parser::{parse_command, Part, Word};
 pub enum CompiledWord {
     /// A fully literal word: no substitution needed at run time.
     Lit(String),
+    /// A word that is one `[cmd]`: its script and the program it holds.
+    Cmd(String, Held<Program>),
     /// A word with `$`/`[]`/`\` parts, substituted per execution.
     Dyn(Word),
 }
+
+/// The compiled form a holder found for its source on the first run that
+/// asked for it, kept for every later run: `None` inside marks a source
+/// that does not compile, which takes the direct path every time.
+pub type Held<T> = OnceCell<Option<Rc<T>>>;
 
 /// How one command of a program executes.
 pub enum OpKind {
@@ -117,9 +134,10 @@ fn literal(word: &Word) -> Option<&str> {
 }
 
 fn compiled_word(word: &Word) -> CompiledWord {
-    match literal(word) {
-        Some(s) => CompiledWord::Lit(s.to_string()),
-        None => CompiledWord::Dyn(word.clone()),
+    match word.as_slice() {
+        [Part::Lit(s)] => CompiledWord::Lit(s.clone()),
+        [Part::Cmd(s)] => CompiledWord::Cmd(s.clone(), Held::default()),
+        _ => CompiledWord::Dyn(word.clone()),
     }
 }
 

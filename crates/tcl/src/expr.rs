@@ -7,8 +7,7 @@
 //! brace-quoted strings (verbatim). `&&`, `||`, and `?:` evaluate their
 //! operands lazily, so `[...]` side effects only fire on the taken branch.
 
-use std::rc::Rc;
-
+use crate::compile::{Held, Program};
 use crate::error::{Exception, TclResult};
 use crate::interp::{Access, Interp};
 
@@ -159,8 +158,8 @@ enum Ast {
     Num(Value),
     /// `$name` or `$name(index)`.
     Var(String, Option<String>),
-    /// `[script]`.
-    Cmd(String),
+    /// `[script]`, and the program it holds once compiled.
+    Cmd(String, Held<Program>),
     /// A double-quoted string: substitutions performed at eval time.
     QuotedStr(String),
     /// A brace-quoted string: verbatim.
@@ -447,7 +446,7 @@ impl<'a> Parser<'a> {
         match self.next()? {
             Token::Value(v) => Ok(Ast::Num(v)),
             Token::Var(n, i) => Ok(Ast::Var(n, i)),
-            Token::Cmd(s) => Ok(Ast::Cmd(s)),
+            Token::Cmd(s) => Ok(Ast::Cmd(s, Held::default())),
             Token::QuotedStr(s) => Ok(Ast::QuotedStr(s)),
             Token::BracedStr(s) => Ok(Ast::BracedStr(s)),
             Token::LParen => {
@@ -541,7 +540,8 @@ pub fn eval_expr(interp: &Interp, src: &str) -> Result<Value, Exception> {
 /// A compiled (parsed and constant-folded) expression. The AST stores
 /// `$var` and `[cmd]` operands as source strings resolved at evaluation
 /// time, so a compiled expression never goes stale: only the fold of
-/// static subtrees is baked in.
+/// static subtrees is baked in. A `[cmd]` operand keeps the program found
+/// for its script, which dispatches through atoms like any other.
 pub struct ExprProgram {
     ast: Ast,
 }
@@ -556,30 +556,29 @@ pub fn compile_expr(src: &str) -> Result<ExprProgram, Exception> {
     })
 }
 
-/// Evaluates `src` through the interpreter's compiled-expression cache.
-/// With compilation disabled this is exactly [`eval_expr`]; with it
-/// enabled, the parse happens once per distinct source string.
+/// Evaluates `src` through the program `held` keeps for it: found in the
+/// interpreter's compiled-expression cache on the first run under the
+/// compiler (the parse happens once per distinct source string) and used
+/// as found on every later one. With compilation disabled, or on a source
+/// that does not parse, this is exactly [`eval_expr`].
+pub(crate) fn eval_expr_held(
+    interp: &Interp,
+    src: &str,
+    held: &Held<ExprProgram>,
+) -> Result<Value, Exception> {
+    if interp.compile_enabled() {
+        if let Some(p) = held.get_or_init(|| interp.find_expr(src)) {
+            return eval_ast(interp, &p.ast);
+        }
+    }
+    eval_expr(interp, src)
+}
+
+/// Evaluates `src` through the compiled-expression cache, finding its
+/// program by text on every call: `eval_expr_held` with a holder of its
+/// own.
 pub fn eval_expr_cached(interp: &Interp, src: &str) -> Result<Value, Exception> {
-    if !interp.compile_enabled() {
-        return eval_expr(interp, src);
-    }
-    if let Some(hit) = interp.expr_cache_get(src) {
-        return match hit {
-            Some(p) => eval_ast(interp, &p.ast),
-            None => eval_expr(interp, src),
-        };
-    }
-    match compile_expr(src) {
-        Ok(p) => {
-            let p = Rc::new(p);
-            interp.expr_cache_put(src, Some(p.clone()));
-            eval_ast(interp, &p.ast)
-        }
-        Err(_) => {
-            interp.expr_cache_put(src, None);
-            eval_expr(interp, src)
-        }
-    }
+    eval_expr_held(interp, src, &Held::default())
 }
 
 /// Evaluates `src` and renders the result as a string (the `expr` command).
@@ -590,20 +589,6 @@ pub fn expr_string(interp: &Interp, src: &str) -> TclResult {
 /// Evaluates `src` as a boolean condition (for `if`, `while`, `for`).
 pub fn expr_bool(interp: &Interp, src: &str) -> Result<bool, Exception> {
     eval_expr(interp, src)?.truthy()
-}
-
-/// [`expr_string`] through the compiled-expression cache. Inlined into
-/// the `expr` command, so a compiled `expr {..}` adds no call depth.
-#[inline]
-pub fn expr_string_cached(interp: &Interp, src: &str) -> TclResult {
-    Ok(eval_expr_cached(interp, src)?.to_result())
-}
-
-/// [`expr_bool`] through the compiled-expression cache (inlined into
-/// the `if`/`while`/`for` command procedures).
-#[inline]
-pub fn expr_bool_cached(interp: &Interp, src: &str) -> Result<bool, Exception> {
-    eval_expr_cached(interp, src)?.truthy()
 }
 
 /// Folds static all-numeric subtrees to their values. Only pure shapes
@@ -697,7 +682,7 @@ fn eval_ast(interp: &Interp, ast: &Ast) -> Result<Value, Exception> {
             let s = interp.get_var(name, idx.as_deref())?;
             Ok(Value::Str(s))
         }
-        Ast::Cmd(script) => Ok(Value::Str(interp.eval(script)?)),
+        Ast::Cmd(script, held) => Ok(Value::Str(interp.eval_held(script, held)?)),
         Ast::QuotedStr(s) => Ok(Value::Str(interp.subst_string(s)?)),
         Ast::BracedStr(s) => Ok(Value::Str(s.clone())),
         Ast::Func(name, args) => {

@@ -11,8 +11,9 @@ use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use crate::compile::{CompiledCmd, CompiledWord, OpKind, Program};
+use crate::compile::{CompiledCmd, CompiledWord, Held, OpKind, Program};
 use crate::error::{Code, Exception, TclResult};
+use crate::expr::ExprProgram;
 use crate::parser::{parse_command, Part, Word};
 
 /// A native command procedure.
@@ -38,6 +39,8 @@ pub struct ProcDef {
     pub params: Vec<(Rc<str>, Option<String>)>,
     /// The body script.
     pub body: String,
+    /// The body's program, found on the first call under the compiler.
+    pub prog: Held<Program>,
 }
 
 /// One variable slot in a call frame.
@@ -132,7 +135,7 @@ pub struct TraceDef {
 pub struct Frame {
     /// Variables by name. A key is allocated only when a variable is
     /// created, and a proc's parameters share the names in its `ProcDef`.
-    vars: HashMap<Rc<str>, Var>,
+    vars: HashMap<Rc<str>, Var, TextHash>,
     /// Traces by variable name. An access consults this map only when it
     /// is not empty, so a frame without traces pays nothing for them.
     traces: HashMap<String, Vec<Rc<TraceDef>>>,
@@ -166,7 +169,7 @@ enum Slot<'a> {
     /// The variable (never a link).
     Found(&'a mut Var),
     /// No such variable: the frame's map, for creating it.
-    Vacant(&'a mut HashMap<Rc<str>, Var>),
+    Vacant(&'a mut HashMap<Rc<str>, Var, TextHash>),
 }
 
 /// What an access does with the value it finds. An access that reads
@@ -385,11 +388,16 @@ const PROGRAM_CACHE_CAP: usize = 512;
 /// Capacity of the compiled-expression cache; cleared wholesale when full.
 const EXPR_CACHE_CAP: usize = 512;
 
-/// The hasher of the two caches, which hash a whole script or expression
-/// on every evaluation: FxHash over 8-byte words, rotated at the end so
-/// the bucket bits come from the best-mixed product bits. It is not
-/// DoS-resistant like the default, and need not be: both caches are
-/// capped, so colliding keys cost at most a bounded probe.
+/// The hasher of the two caches, which hash a script or expression each
+/// time one is found by text, and of every frame's variable map, which
+/// hashes a name on every access: FxHash over 8-byte words, rotated at
+/// the end so the bucket bits come from the best-mixed product bits. It
+/// is not DoS-resistant like the default, and need not be. Both caches
+/// are capped, so colliding keys cost at most a bounded probe. A variable
+/// map is not capped, but only a script running in the interpreter (its
+/// own, or one another application `send`s it) names its variables, and
+/// such a script can already spend unbounded time there (`while 1 {}`)
+/// without crafting colliding names.
 #[derive(Default)]
 struct TextHasher(u64);
 
@@ -430,7 +438,7 @@ struct CompileState {
     /// directly only while the `set` slot still holds it.
     set_builtin: OnceCell<CmdFn>,
     /// Expression source → compiled expression (`None`: parse failed).
-    exprs: RefCell<HashMap<String, Option<Rc<crate::expr::ExprProgram>>, TextHash>>,
+    exprs: RefCell<HashMap<String, Option<Rc<ExprProgram>>, TextHash>>,
 }
 
 impl CompileState {
@@ -520,7 +528,7 @@ struct InterpInner {
     frames: RefCell<Vec<Frame>>,
     output: RefCell<Output>,
     executor: RefCell<Rc<dyn Executor>>,
-    nesting: RefCell<usize>,
+    nesting: Cell<usize>,
     next_trace_id: std::cell::Cell<u64>,
     /// Set by the `exit` command so embedding shells can terminate cleanly.
     exit_requested: RefCell<Option<i32>>,
@@ -563,7 +571,7 @@ impl Interp {
                 frames: RefCell::new(vec![Frame::default()]),
                 output: RefCell::new(Output::Stdout),
                 executor: RefCell::new(Rc::new(SystemExecutor)),
-                nesting: RefCell::new(0),
+                nesting: Cell::new(0),
                 next_trace_id: std::cell::Cell::new(0),
                 exit_requested: RefCell::new(None),
                 compile: CompileState::new(),
@@ -1105,26 +1113,37 @@ impl Interp {
     /// With compilation enabled (the default), the script is lowered once
     /// to a cached [`Program`] and replayed from the cache on subsequent
     /// evaluations; `RTK_NO_COMPILE=1` (or [`Interp::set_compile`]) keeps
-    /// every evaluation on the direct parse-and-substitute path.
+    /// every evaluation on the direct parse-and-substitute path. This is
+    /// `eval_held` with a holder of its own.
     pub fn eval(&self, script: &str) -> TclResult {
-        {
-            let mut n = self.inner.nesting.borrow_mut();
-            if *n >= MAX_NESTING {
-                return Err(Exception::error(
-                    "too many nested calls to Tcl_Eval (infinite loop?)",
-                ));
-            }
-            *n += 1;
+        self.eval_held(script, &Held::default())
+    }
+
+    /// Evaluates `script` through the program `held` keeps for it: found
+    /// by text on the first run under the compiler and run as found on
+    /// every later one, so a holder that runs its script many times (a
+    /// loop or proc body, a `[cmd]` word) searches the cache once. With
+    /// the compiler off the held program is not used. An empty script
+    /// makes no lookup.
+    pub(crate) fn eval_held(&self, script: &str, held: &Held<Program>) -> TclResult {
+        let depth = self.inner.nesting.get();
+        if depth >= MAX_NESTING {
+            return Err(Exception::error(
+                "too many nested calls to Tcl_Eval (infinite loop?)",
+            ));
         }
-        let result = if self.inner.compile.enabled.get() {
-            match self.lookup_or_compile(script) {
-                Some(prog) => self.run_program(&prog),
-                None => self.eval_inner(script),
-            }
+        self.inner.nesting.set(depth + 1);
+        let prog = if self.compile_enabled() && !script.is_empty() {
+            held.get_or_init(|| self.lookup_or_compile(script))
+                .as_deref()
         } else {
-            self.eval_inner(script)
+            None
         };
-        *self.inner.nesting.borrow_mut() -= 1;
+        let result = match prog {
+            Some(prog) => self.run_program(prog),
+            None => self.eval_inner(script),
+        };
+        self.inner.nesting.set(depth);
         result
     }
 
@@ -1181,7 +1200,9 @@ impl Interp {
 
     /// Enables or disables compilation programmatically (the in-process
     /// equivalent of `RTK_NO_COMPILE=1`). Disabling also drops the caches
-    /// so a later re-enable starts cold and deterministic.
+    /// so a later re-enable starts cold and deterministic; programs held
+    /// by procs and compiled nodes stay with their holders, unused while
+    /// the compiler is off.
     pub fn set_compile(&self, enabled: bool) {
         self.inner.compile.enabled.set(enabled);
         if !enabled {
@@ -1303,6 +1324,7 @@ impl Interp {
     fn word_text(&self, word: &CompiledWord) -> Result<String, Exception> {
         match word {
             CompiledWord::Lit(s) => Ok(s.clone()),
+            CompiledWord::Cmd(script, held) => self.eval_held(script, held),
             CompiledWord::Dyn(w) => self.subst_word(w),
         }
     }
@@ -1318,10 +1340,9 @@ impl Interp {
                 let index = index.as_deref();
                 return match words.get(2) {
                     None => self.get_var(name, index),
-                    Some(CompiledWord::Lit(v)) => self.set_var(name, index, v),
                     // The substituted value is the result: no copy.
-                    Some(CompiledWord::Dyn(w)) => {
-                        let v = self.subst_word(w)?;
+                    Some(w) => {
+                        let v = self.word_text(w)?;
                         self.assign(self.level(), name, index, &v)?;
                         Ok(v)
                     }
@@ -1349,21 +1370,16 @@ impl Interp {
         }
     }
 
-    /// Looks up a compiled expression: `Some(hit)` on a cache entry
-    /// (where an inner `None` marks a known-unparseable source), `None`
-    /// on a miss.
-    pub(crate) fn expr_cache_get(&self, src: &str) -> Option<Option<Rc<crate::expr::ExprProgram>>> {
+    /// Looks up (or compiles and caches) the program for an expression.
+    /// `None` marks a source that does not parse: the caller evaluates it
+    /// directly, which reports the error.
+    pub(crate) fn find_expr(&self, src: &str) -> Option<Rc<ExprProgram>> {
         let st = &self.inner.compile;
-        let hit = st.exprs.borrow().get(src).cloned();
-        if hit.is_some() {
+        if let Some(hit) = st.exprs.borrow().get(src) {
             st.stats.borrow_mut().expr_cache_hits += 1;
+            return hit.clone();
         }
-        hit
-    }
-
-    /// Stores a compiled expression (or an unparseable marker).
-    pub(crate) fn expr_cache_put(&self, src: &str, prog: Option<Rc<crate::expr::ExprProgram>>) {
-        let st = &self.inner.compile;
+        let prog = crate::expr::compile_expr(src).ok().map(Rc::new);
         if prog.is_some() {
             st.stats.borrow_mut().expr_compiles += 1;
         }
@@ -1371,7 +1387,8 @@ impl Interp {
         if cache.len() >= EXPR_CACHE_CAP {
             cache.clear();
         }
-        cache.insert(src.to_string(), prog);
+        cache.insert(src.to_string(), prog.clone());
+        prog
     }
 
     /// Stores `errorInfo` in the global frame when an error unwinds.
@@ -1513,7 +1530,7 @@ impl Interp {
             )));
         }
         self.inner.frames.borrow_mut().push(frame);
-        let result = self.eval(&def.body);
+        let result = self.eval_held(&def.body, &def.prog);
         self.inner.frames.borrow_mut().pop();
         match result {
             Err(e) if e.code == Code::Return => Ok(e.msg),

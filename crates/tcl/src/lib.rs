@@ -49,6 +49,6 @@ pub mod regex;
 pub mod strutil;
 
 pub use error::{wrong_args, Code, Exception, TclResult};
-pub use expr::{eval_expr, expr_bool, expr_bool_cached, expr_string, expr_string_cached, Value};
+pub use expr::{eval_expr, eval_expr_cached, expr_bool, expr_string, Value};
 pub use interp::{split_var_name, Command, Executor, Interp, ProcDef, TraceAction, TraceOps};
 pub use list::{format_list, parse_list};
