@@ -9,8 +9,8 @@
 //! * `pairs` — the same for the two-app corpus, `tests/chaos_corpus.txt`.
 //! * `bytes` — replays `tests/chaos_bytes_corpus.txt` and prints each
 //!   entry's `byte.*` firings. Byte faults key on per-client frame
-//!   indices, so any change to how many frames a client ships (event
-//!   batching, a new control message) moves them; an entry that stops
+//!   indices, so any change to how many request frames a client ships
+//!   moves them; an entry that stops
 //!   hitting its fault needs a new fault seed.
 //! * `flagship` — searches for a 3-app storm fault seed that fires
 //!   ONLY a duplicate, with the receiver dropping the copy (corpus

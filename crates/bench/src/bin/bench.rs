@@ -127,8 +127,8 @@ fn shape_of(apps: &[TkApp]) -> SpanShape {
     shape
 }
 
-/// Runs the deterministic protocol workloads (no synthetic round-trip
-/// cost, reduced iteration counts — the counters scale linearly, so fewer
+/// Runs the deterministic protocol workloads (reduced iteration
+/// counts — the counters scale linearly, so fewer
 /// iterations pin the same behavior) and returns each one's client stats.
 fn budget_workloads() -> Vec<BudgetRun> {
     let mut out = Vec::new();

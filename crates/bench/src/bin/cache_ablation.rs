@@ -4,7 +4,9 @@
 //! a few resources are used in many different widgets."
 //!
 //! Builds the same 50-widget interface with the resource cache enabled and
-//! disabled, and reports the server round trips each configuration needed.
+//! disabled, and reports the server round trips each configuration needed,
+//! the measured time, and that time with each round trip charged the IPC
+//! latency a real X connection pays (the simulated server pays none).
 //!
 //! Run with: `cargo run -p tk-bench --release --bin cache_ablation`
 
@@ -29,16 +31,14 @@ fn build_interface(app: &tk::TkApp, n: usize) {
     app.update();
 }
 
-/// The IPC latency a real X round trip costs on a local connection
-/// (~tens of microseconds on 1991 workstations were milliseconds; this is
-/// a conservative modern-local-socket figure).
-const ROUND_TRIP_COST: std::time::Duration = std::time::Duration::from_micros(50);
+/// The IPC latency a real X round trip costs on a local connection, in
+/// seconds (~tens of microseconds on 1991 workstations were milliseconds;
+/// this is a conservative modern-local-socket figure).
+const ROUND_TRIP_COST: f64 = 50e-6;
 
 fn run(cache_enabled: bool, n: usize) -> (u64, u64, f64) {
     let (env, apps) = env_with_apps(&["ablation"]);
     let app = &apps[0];
-    env.display()
-        .with_server(|s| s.set_round_trip_cost(ROUND_TRIP_COST));
     app.cache().set_enabled(cache_enabled);
     // One warm-up pass so startup costs don't pollute the comparison.
     build_interface(app, 4);
@@ -54,30 +54,29 @@ fn main() {
     const N: usize = 50;
     println!("Section 3.3 ablation — resource caches vs server traffic");
     println!(
-        "({N} widgets sharing 4 colors and 1 font; each round trip charged {}\u{b5}s\n\
-         of simulated IPC latency, as a real X connection would pay)\n",
-        ROUND_TRIP_COST.as_micros()
+        "({N} widgets sharing 4 colors and 1 font; \"with IPC\" adds {}\u{b5}s per round\n\
+         trip, the latency a real X connection would pay)\n",
+        ROUND_TRIP_COST * 1e6
     );
     println!(
-        "{:<16} {:>10} {:>13} {:>12}",
-        "configuration", "requests", "round trips", "time"
+        "{:<16} {:>10} {:>13} {:>12} {:>12}",
+        "configuration", "requests", "round trips", "time", "with IPC"
     );
     let (req_on, rt_on, t_on) = run(true, N);
     let (req_off, rt_off, t_off) = run(false, N);
-    println!(
-        "{:<16} {:>10} {:>13} {:>12}",
-        "cache enabled",
-        req_on,
-        rt_on,
-        tk_bench::fmt_time(t_on)
-    );
-    println!(
-        "{:<16} {:>10} {:>13} {:>12}",
-        "cache disabled",
-        req_off,
-        rt_off,
-        tk_bench::fmt_time(t_off)
-    );
+    for (name, req, rt, t) in [
+        ("cache enabled", req_on, rt_on, t_on),
+        ("cache disabled", req_off, rt_off, t_off),
+    ] {
+        println!(
+            "{:<16} {:>10} {:>13} {:>12} {:>12}",
+            name,
+            req,
+            rt,
+            tk_bench::fmt_time(t),
+            tk_bench::fmt_time(t + rt as f64 * ROUND_TRIP_COST)
+        );
+    }
     println!(
         "\nThe cache removes {} round trips ({:.1}x fewer), reproducing the\n\
          section's claim that textual-name caching cuts server traffic.",

@@ -684,8 +684,7 @@ fn check_sends(ops: &[Op], apps: &[TkApp]) -> Result<(), (usize, String)> {
 /// so dense plans just re-kill a corpse.
 pub const BYTES_FAULTS: usize = 4;
 /// Encoded-frame horizon for bytes plans. Byte faults key on per-client
-/// *frame* indices (every request and control frame counts), which run a
-/// little past the request horizon of the same script.
+/// *frame* indices, one per request frame the client encodes.
 pub const BYTES_HORIZON: u64 = 500;
 /// Sync-watchdog deadline for byte-chaos runs, in ms of virtual time.
 /// An injected dispatch stall that adds up to this converts to a clean

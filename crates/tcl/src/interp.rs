@@ -1705,6 +1705,29 @@ mod tests {
         i.eval("proc loop {} {loop}").unwrap();
         let e = i.eval("loop").unwrap_err();
         assert!(e.msg.contains("too many nested calls") || e.msg.contains("recursion"));
+        // Every nested evaluation counts, loop bodies and `if` branches
+        // included, as Tcl 6's `Tcl_Eval` counted them: a proc that
+        // recurses from inside a loop stops at a half or a third of the
+        // depth (docs/TCL.md, "Scope decisions").
+        for compile in [true, false] {
+            i.set_compile(compile);
+            for (script, depth) in [
+                (
+                    "proc walk {} {incr ::d; foreach c {x} {if 1 {walk}}}; walk",
+                    "50",
+                ),
+                ("proc rec {} {incr ::d; for {} 1 {} {rec}}; rec", "75"),
+            ] {
+                i.eval("set ::d 0").unwrap();
+                let e = i.eval(script).unwrap_err();
+                assert_eq!(e.msg, "too many nested calls to Tcl_Eval (infinite loop?)");
+                assert_eq!(
+                    i.eval("set ::d").unwrap(),
+                    depth,
+                    "{script}, compile {compile}"
+                );
+            }
+        }
     }
 
     #[test]

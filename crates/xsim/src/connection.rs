@@ -46,7 +46,7 @@ use crate::obs::{ClientObs, ClientStats, RequestKind, WireStats};
 use crate::render::Surface;
 use crate::server::Server;
 use crate::wire::Transport;
-use crate::wire::{Control, QueuedRequest, ReplyValue, State};
+use crate::wire::{QueuedRequest, ReplyValue, State};
 
 /// A simulated display: the shared server plus a factory for connections.
 ///
@@ -111,7 +111,7 @@ impl Display {
     /// Reconfigures the wire watchdog deadline, in milliseconds of
     /// virtual time (default `wire::DEFAULT_WIRE_DEADLINE_MS`; chaos
     /// harnesses shrink it so injected stalls trip it). Only the codec
-    /// ships frames that can stall.
+    /// encodes frames that can arm a stall.
     pub fn set_wire_deadline(&self, ms: u64) {
         self.transport.lock().deadline_ms = ms.max(1);
     }
@@ -288,7 +288,7 @@ impl Connection {
     /// Chaos harnesses use it to drive the timeline past a plan's last
     /// plotted fault before auditing.
     pub fn wire_frame_timeline(&self) -> u64 {
-        self.transport.lock().stream(self.client).frames
+        self.peek(|s| s.stream(self.client).map_or(0, |stream| stream.frames))
     }
 
     /// Per-request-kind counts, non-zero kinds only.
@@ -366,7 +366,7 @@ impl Connection {
 
     fn flush_in(&self, st: &mut State) {
         if st.server.buffered(self.client) > 0 {
-            st.control(self.client, Control::Flush);
+            st.flush(self.client);
         }
     }
 
@@ -417,19 +417,12 @@ impl Connection {
         st: &mut State,
         cookie: Cookie<T>,
     ) -> Result<T, XError> {
-        match st.control(self.client, Control::TakeReply(cookie.seq)) {
+        match st.read_reply(self.client, cookie.seq) {
             Some(ReplyValue::Error(e)) => Err(e),
             Some(v) => Ok(T::from_reply(v).expect("reply payload does not match cookie type")),
-            // No reply will come: the connection died, or the request or
-            // this take was lost on the wire. A wait never hangs: on a live
-            // connection the watchdog ends it, as it ends a stalled frame.
-            None => {
-                if st.server.is_alive(self.client) {
-                    st.server
-                        .kill_broken_stream(self.client, |w| &mut w.watchdog_fires);
-                }
-                Err(XError::dead(cookie.seq))
-            }
+            // No reply comes only when the connection died: a kill, a
+            // damaged or lost request frame, or a stall past the deadline.
+            None => Err(XError::dead(cookie.seq)),
         }
     }
 

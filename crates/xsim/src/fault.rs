@@ -141,8 +141,8 @@ pub enum FaultAction {
     /// at `at` (modulo the frame length). Behavior-invisible by design:
     /// the frame reader reassembles across write boundaries.
     SplitWrite { at: u16 },
-    /// Byte-layer, wire-only: stall dispatch of this client's next
-    /// control frame by `ticks` ×10 ms of virtual time. A stall that
+    /// Byte-layer, wire-only: stall the next flush this client starts
+    /// by `ticks` ×10 ms of virtual time. A stall that
     /// reaches the wire deadline (`Display::set_wire_deadline`) trips the
     /// watchdog: the connection dies and the client sees
     /// `ConnectionDead`. A shorter stall costs nothing.

@@ -160,12 +160,13 @@ rtk_obs::counter_set! {
     /// framed bytes crossing the byte transport, so "did anything go over
     /// the wire" is observable from the counters alone.
     pub struct WireStats {
-        /// Frames encoded on behalf of this client (requests, control
-        /// frames, and the server's response frames).
+        /// Frames encoded on behalf of this client (its requests, and
+        /// the replies and events the server sends it).
         frames_encoded => "wire.frames_encoded",
         /// Total encoded bytes, including each frame's length prefix.
         bytes_encoded => "wire.bytes_encoded",
-        /// Frames decoded (client-side responses and server-side dispatch).
+        /// Frames decoded (its requests on the server side, its replies
+        /// and events on the client side).
         frames_decoded => "wire.frames_decoded",
         /// Total decoded bytes, including each frame's length prefix.
         bytes_decoded => "wire.bytes_decoded",

@@ -94,7 +94,7 @@ impl ClientState {
 /// Every connection's state, indexed by id: [`Server::connect`] hands out
 /// ids 1, 2, 3, ... in order and never removes one, so client `n` is slot
 /// `n - 1` and finding it is an index, not a hash probe. Id 0, the
-/// transport's own channel, is no connection and finds nothing.
+/// root window's owner, is no connection and finds nothing.
 #[derive(Debug, Default)]
 struct Clients(Vec<ClientState>);
 
@@ -144,9 +144,6 @@ pub struct Server {
     buttons: u32,
     modifiers: u32,
     time: u64,
-    /// Synthetic latency charged per round trip, simulating the IPC cost a
-    /// real X connection pays (zero by default; benchmarks opt in).
-    round_trip_cost: std::time::Duration,
     /// The installed deterministic fault schedule, if any.
     fault_plan: Option<FaultPlan>,
     /// Which client created each live GC — close-down bookkeeping so a
@@ -203,7 +200,6 @@ impl Server {
             buttons: 0,
             modifiers: 0,
             time: 0,
-            round_trip_cost: std::time::Duration::ZERO,
             fault_plan: None,
             gc_owners: HashMap::new(),
         }
@@ -362,12 +358,6 @@ impl Server {
         }
     }
 
-    /// Sets the synthetic per-round-trip latency (see the cache-ablation
-    /// benchmark: real X requests with replies cost an IPC round trip).
-    pub fn set_round_trip_cost(&mut self, cost: std::time::Duration) {
-        self.round_trip_cost = cost;
-    }
-
     /// Registers a new client connection.
     pub fn connect(&mut self) -> ClientId {
         let state = ClientState::default();
@@ -382,8 +372,7 @@ impl Server {
         !self.clients.0.is_empty()
     }
 
-    /// `client`'s byte stream; `None` for id 0, the transport's own
-    /// channel, which is no connection.
+    /// `client`'s byte stream; `None` for an id no connection has.
     pub(crate) fn stream(&mut self, client: ClientId) -> Option<&mut Stream> {
         self.clients.get_mut(client).map(|c| &mut c.stream)
     }
@@ -510,9 +499,7 @@ impl Server {
     }
 
     /// Flushes one client's output buffer: executes every queued request
-    /// in issue order. A single synthetic round-trip cost is charged if
-    /// the batch carried any reply-bearing request (the pipelined replies
-    /// all travel back in one blocking wait).
+    /// in issue order.
     pub fn flush_client(&mut self, client: ClientId) {
         self.flush_inner(client, true, false);
     }
@@ -616,7 +603,6 @@ impl Server {
         let _flush_span = tracer.begin("flush", format_args!("seq {first}..{last}"), first);
         let _raster_span = (draws > 0)
             .then(|| tracer.begin("rasterize", format_args!("{draws} drawing requests"), first));
-        let mut any_reply = false;
         let mut killed = false;
         for (seq, q) in buf.drain(..) {
             self.time += 1;
@@ -645,7 +631,6 @@ impl Server {
                     // its cookie; a one-way fails asynchronously (the
                     // default Xlib handler would print it and carry on).
                     if q.expects_reply() {
-                        any_reply = true;
                         let err = XError {
                             code,
                             seq,
@@ -659,14 +644,8 @@ impl Server {
                     self.apply_queued(client, q.clone());
                     self.apply_queued(client, q);
                 }
-                _ => {
-                    any_reply |= q.expects_reply();
-                    self.apply_queued(client, q);
-                }
+                _ => self.apply_queued(client, q),
             }
-        }
-        if any_reply {
-            self.charge_round_trip_cost();
         }
         if let Some(c) = self.clients.get_mut(client) {
             c.obs.counters.flushes += 1;
@@ -800,19 +779,6 @@ impl Server {
         self.clients.get_mut(client).map(|c| &mut c.obs)
     }
 
-    /// Busy-waits the synthetic IPC latency of one blocking round trip
-    /// (busy, not sleeping: the simulated cost must not depend on the
-    /// scheduler's sleep granularity).
-    fn charge_round_trip_cost(&self) {
-        if self.round_trip_cost.is_zero() {
-            return;
-        }
-        let start = std::time::Instant::now();
-        while start.elapsed() < self.round_trip_cost {
-            std::hint::spin_loop();
-        }
-    }
-
     // ----- wire-transport counters ----------------------------------------------
 
     /// Counts one frame encoded on behalf of `client` (`bytes` includes
@@ -835,18 +801,14 @@ impl Server {
 
     /// The server's reaction to unrecoverable damage on `client`'s byte
     /// stream: a frame-integrity failure (`checksum_errors`), a flush
-    /// short of frames (`lost_frames`), or a control frame stalled past
-    /// the deadline or a wait with no reply coming (`watchdog_fires`).
-    /// Ticks the counter `tick` picks and kills the connection, X's
-    /// response to a protocol violation. Client id 0 is the transport's
-    /// own control channel, not a connection, and is never killed.
+    /// short of frames (`lost_frames`), or a flush stalled past the
+    /// deadline (`watchdog_fires`). Ticks the counter `tick` picks and
+    /// kills the connection, X's response to a protocol violation.
     pub(crate) fn kill_broken_stream(&mut self, c: ClientId, tick: fn(&mut WireStats) -> &mut u64) {
         if let Some(state) = self.clients.get_mut(c) {
             *tick(&mut state.obs.wire) += 1;
         }
-        if c.0 != 0 {
-            self.kill_client(c);
-        }
+        self.kill_client(c);
     }
 
     // ----- event delivery -----------------------------------------------------

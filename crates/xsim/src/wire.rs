@@ -21,19 +21,20 @@
 //!
 //! The transport half is the one path between the client library and
 //! the server: the [`Server`] behind one mutex shared by every client
-//! thread, with the codec on or off. With it on, requests are encoded
-//! into frames in the client's output buffer, and each small control
-//! message (a flush, or the take of a reply) is encoded, decoded and
-//! executed inline by the thread that ships it, under the lock it
-//! already holds. A reply-bearing request has one path: it is buffered
-//! like any other request, and its reply is filed under its sequence
-//! number until the client takes it; a blocking call is the request and
-//! that take under one lock. Reading events is not a control message, as
-//! in Xlib: a read that finds the client's read-ahead empty flushes the
-//! output buffers and takes every queued event, up to [`EVENT_BATCH`],
-//! as one `FT_EVENT` frame each. The sequence number in the frame
-//! header, not a thread, is the boundary between client and server (the
-//! x11rb cookie model).
+//! thread, with the codec on or off. Only data crosses, as in Xlib: with
+//! the codec on, requests are encoded into frames in the client's output
+//! buffer, and replies and events come back as frames, each encoded and
+//! decoded inline by the thread that reads it, under the lock it already
+//! holds. A flush applies what the client wrote. A reply-bearing request
+//! has one path: it is buffered like any other request, and its reply is
+//! filed under its sequence number until the client reads it; a blocking
+//! call is the request and that read under one lock, and a read that
+//! finds its reply unfiled flushes first. Reading events is the same: a
+//! read that finds the client's read-ahead empty flushes the output
+//! buffers and takes every queued event, up to [`EVENT_BATCH`], as one
+//! `FT_EVENT` frame each. The sequence number in the frame header, not a
+//! thread, is the boundary between client and server (the x11rb cookie
+//! model).
 //! With the codec off (`RTK_NO_WIRE=1`), the same calls carry typed
 //! values instead of bytes: that is the oracle `wire_equivalence`
 //! compares against. Everything else is shared — issue-time accounting,
@@ -131,15 +132,11 @@ fn frame_crc(header_pre_crc: &[u8], payload: &[u8]) -> u32 {
 }
 
 // Frame types. Requests flow client -> server; replies (an X error
-// travels as one) and events flow back; FLUSH/TAKE are transport
-// control. The numbers are part of the format, so retired types leave
-// gaps (2, 3, 5, 7, 8, 10-12).
+// travels as one) and events flow back. The numbers are part of the
+// format, so retired types leave gaps (2, 3, 5, 7-14).
 pub const FT_REQUEST: u8 = 1;
 pub const FT_REPLY: u8 = 4;
 pub const FT_EVENT: u8 = 6;
-pub const FT_TAKE_REPLY: u8 = 9;
-pub const FT_FLUSH_CLIENT: u8 = 13;
-pub const FT_FLUSH_ALL: u8 = 14;
 
 /// A decode failure. Every malformed input maps to a structured error —
 /// the decoder never panics and never reads out of bounds.
@@ -452,7 +449,7 @@ impl FrameReader {
     }
 
     /// A reader over a whole buffer it takes ownership of (a flushed
-    /// batch, a shipped control message, a response) instead of copying
+    /// batch, a reply, a refill of events) instead of copying
     /// it in through [`push`](FrameReader::push). The same
     /// [`MAX_BUFFERED`] bound applies: an oversized buffer yields
     /// `Oversized` from [`next_frame`](FrameReader::next_frame), not a
@@ -517,10 +514,7 @@ impl FrameReader {
         // Past the CRC the bytes are authentic, so an out-of-range frame
         // type is a genuine protocol disagreement, not corruption.
         let frame_type = self.buf[start + 1];
-        if !matches!(
-            frame_type,
-            FT_REQUEST | FT_REPLY | FT_EVENT | FT_TAKE_REPLY | FT_FLUSH_CLIENT | FT_FLUSH_ALL
-        ) {
+        if !matches!(frame_type, FT_REQUEST | FT_REPLY | FT_EVENT) {
             return Err(WireError::BadFrameType(frame_type));
         }
         let opcode = u16::from_le_bytes(self.buf[start + 2..start + 4].try_into().unwrap());
@@ -959,55 +953,6 @@ pub const DEFAULT_WIRE_DEADLINE_MS: u64 = 5000;
 /// `XNextEvent` read-ahead) and no batch outgrows [`MAX_BUFFERED`].
 pub const EVENT_BATCH: usize = 256;
 
-/// A control message: everything a client asks of the server besides
-/// buffering a request. With the codec on each one crosses as a control
-/// frame; with it off [`execute`] runs it directly. Reading events is no
-/// control message: see [`State::poll_event`].
-pub(crate) enum Control {
-    /// Apply the sender's output buffer (Xlib's `XFlush`).
-    Flush,
-    /// Apply every buffer and drain quota-deferred work: the path by
-    /// which the user observes the display.
-    FlushAll,
-    /// Take the reply filed under a sequence number, applying the
-    /// buffers first if it is not filed yet.
-    TakeReply(u64),
-}
-
-impl Control {
-    /// Appends the control frame that carries this message to `out`.
-    fn frame_into(&self, out: &mut Vec<u8>) {
-        let (ft, seq) = match self {
-            Control::Flush => (FT_FLUSH_CLIENT, 0),
-            Control::FlushAll => (FT_FLUSH_ALL, 0),
-            Control::TakeReply(seq) => (FT_TAKE_REPLY, *seq),
-        };
-        frame_into(out, ft, seq, |_| 0);
-    }
-}
-
-/// Runs one control message against the server: the server side of the
-/// transport, the same with the codec on or off. Only a reply take is
-/// answered, and only with a reply filed under its sequence number: one
-/// filed already, or one the flush that starts a wait files.
-fn execute(s: &mut Server, client: ClientId, ctl: Control) -> Option<ReplyValue> {
-    match ctl {
-        Control::Flush => {
-            s.flush_client(client);
-            None
-        }
-        Control::FlushAll => {
-            flush_buffers(s);
-            s.drain_all();
-            None
-        }
-        Control::TakeReply(seq) => s.take_reply(client, seq).or_else(|| {
-            s.flush_for_reply(client);
-            s.take_reply(client, seq)
-        }),
-    }
-}
-
 /// The flush a read of events that finds the read-ahead empty, or an
 /// observation of the display, starts with: every client's buffer
 /// applies, in client-id order, then each quota-deferred remainder gets
@@ -1018,37 +963,8 @@ fn flush_buffers(s: &mut Server) {
     s.flush_all();
 }
 
-/// Decodes and executes one shipped control message, encoding the
-/// response for the client that sent it into `out`; the reader borrows
-/// the message's buffer and hands it back. Damage anywhere in the
-/// message kills the connection and leaves the response empty.
-fn dispatch(s: &mut Server, client: ClientId, bytes: &mut Vec<u8>, out: &mut Vec<u8>) {
-    out.clear();
-    let mut fr = FrameReader::from_buffer(std::mem::take(bytes));
-    let damaged = fr.read_all(|f| {
-        s.note_wire_decode(client, f.wire_len());
-        let ctl = match f.frame_type {
-            FT_FLUSH_CLIENT => Control::Flush,
-            FT_FLUSH_ALL => Control::FlushAll,
-            FT_TAKE_REPLY => Control::TakeReply(f.seq),
-            _ => return true, // data frames never arrive as control messages
-        };
-        if let Some(reply) = execute(s, client, ctl) {
-            let n = frame_into(out, FT_REPLY, f.seq, |b| reply.encode_into(b));
-            s.note_wire_encode(client, n);
-        }
-        true
-    });
-    *bytes = fr.into_buffer();
-    if damaged {
-        s.kill_broken_stream(client, |w| &mut w.checksum_errors);
-        out.clear();
-    }
-}
-
-/// One client's byte stream as the transport tracks it. A connection's
-/// lives in its server-side client state, indexed by id; client 0's (the
-/// transport's own channel) lives in [`State`].
+/// One client's byte stream as the transport tracks it, kept in the
+/// connection's server-side client state.
 #[derive(Debug, Default)]
 pub(crate) struct Stream {
     /// Frames encoded so far: the timeline byte faults key on
@@ -1056,7 +972,8 @@ pub(crate) struct Stream {
     /// Counted identically whether or not a plan is installed.
     pub(crate) frames: u64,
     /// Dispatch stall, in [`STALL_TICK_MS`] ticks of virtual time, armed
-    /// by `StallDispatch` faults and charged to the next control frame.
+    /// by `StallDispatch` faults and charged to the next flush the client
+    /// starts.
     pub(crate) stalls: u32,
 }
 
@@ -1064,21 +981,19 @@ pub(crate) struct Stream {
 /// client's output buffer and byte stream) and the transport's buffers.
 pub(crate) struct State {
     pub(crate) server: Server,
-    /// Codec on (the default): requests and control messages cross as
+    /// Codec on (the default): requests, replies and events cross as
     /// frame bytes. Off (`RTK_NO_WIRE=1`): they cross as typed values,
     /// the oracle the wire-equivalence suite compares against.
     pub(crate) codec: bool,
-    /// The byte stream of client 0, the transport's own channel.
-    own: Stream,
-    /// Watchdog deadline in ms: a control frame whose virtual stall
-    /// reaches it is never answered, and the client gets a clean dead
-    /// connection instead.
+    /// Watchdog deadline in ms: a flush whose virtual stall reaches it
+    /// never applies, and the client gets a clean dead connection
+    /// instead.
     pub(crate) deadline_ms: u64,
-    /// The reused outgoing buffer each request and control frame is
-    /// encoded into, and byte faults damage, before it is shipped.
+    /// The reused outgoing buffer each request frame is encoded into,
+    /// and byte faults damage, before it is buffered.
     tx: Vec<u8>,
-    /// The reused response buffer: `dispatch` encodes each control
-    /// message's answer into it and `control` decodes it from there.
+    /// The reused inbound buffer: each reply and event the server sends
+    /// a client is encoded into it and decoded from it.
     rx: Vec<u8>,
 }
 
@@ -1099,7 +1014,6 @@ impl Transport {
             state: Arc::new(Mutex::new(State {
                 server: Server::new(),
                 codec,
-                own: Stream::default(),
                 deadline_ms: DEFAULT_WIRE_DEADLINE_MS,
                 tx: Vec::new(),
                 rx: Vec::new(),
@@ -1117,7 +1031,8 @@ impl Transport {
     /// "user observes the display" path — then runs `f`.
     pub(crate) fn observe<R>(&self, f: impl FnOnce(&mut Server) -> R) -> R {
         let mut st = self.lock();
-        st.control(ClientId(0), Control::FlushAll);
+        flush_buffers(&mut st.server);
+        st.server.drain_all();
         f(&mut st.server)
     }
 }
@@ -1139,38 +1054,57 @@ impl State {
         self.server
             .note_issue(client, kind, reply, window, seq, start);
         if full {
-            self.control(client, Control::Flush);
+            self.flush(client);
         }
     }
 
-    /// The control call: runs one control message for `client` (0 is the
-    /// transport's own channel) and returns the reply it was answered
-    /// with, if any. With the codec on the message crosses as bytes both
-    /// ways, so byte faults, the CRC check and the codec see exactly what
-    /// a server across a socket would; with it off the server executes
-    /// it directly.
-    pub(crate) fn control(&mut self, client: ClientId, ctl: Control) -> Option<ReplyValue> {
-        if !self.codec {
-            return execute(&mut self.server, client, ctl);
+    /// `Connection::flush`: applies `client`'s output buffer (Xlib's
+    /// `XFlush`), unless an armed stall trips the watchdog first.
+    pub(crate) fn flush(&mut self, client: ClientId) {
+        if !self.stall_trips(client) {
+            self.server.flush_client(client);
         }
-        self.ship(client, &ctl);
-        let mut fr = FrameReader::from_buffer(std::mem::take(&mut self.rx));
-        let mut reply = None;
-        while let Ok(Some(f)) = fr.next_frame() {
-            self.server.note_wire_decode(client, f.wire_len());
-            if f.frame_type == FT_REPLY {
-                reply = ReplyValue::decode(&f).ok();
+    }
+
+    /// `Connection::wait`: reads the reply filed under `seq`, as x11rb's
+    /// `reply()` does. One filed by an earlier flush is read at once;
+    /// otherwise the wait flushes first ([`Server::flush_for_reply`],
+    /// after the stall check every flush makes). With the codec on the
+    /// reply crosses as an `FT_REPLY` frame, encoded into the inbound
+    /// buffer and decoded from it. `None` means the connection is dead:
+    /// it died before the wait or during its flush.
+    pub(crate) fn read_reply(&mut self, client: ClientId, seq: u64) -> Option<ReplyValue> {
+        let reply = match self.server.take_reply(client, seq) {
+            Some(reply) => reply,
+            None => {
+                if self.stall_trips(client) {
+                    return None;
+                }
+                self.server.flush_for_reply(client);
+                self.server.take_reply(client, seq)?
             }
+        };
+        if !self.codec {
+            return Some(reply);
+        }
+        self.rx.clear();
+        let n = frame_into(&mut self.rx, FT_REPLY, seq, |b| reply.encode_into(b));
+        self.server.note_wire_encode(client, n);
+        let mut fr = FrameReader::from_buffer(std::mem::take(&mut self.rx));
+        let mut read = None;
+        if let Ok(Some(f)) = fr.next_frame() {
+            self.server.note_wire_decode(client, f.wire_len());
+            read = ReplyValue::decode(&f).ok();
         }
         self.rx = fr.into_buffer();
-        reply
+        read
     }
 
     /// `Connection::poll_event`: the next event from `client`'s
     /// read-ahead. An empty read-ahead is refilled as Xlib's is, with no
     /// request to the server: the output buffers flush, then up to
     /// [`EVENT_BATCH`] queued events move across. With the codec on each
-    /// crosses as an `FT_EVENT` frame, encoded into the response buffer
+    /// crosses as an `FT_EVENT` frame, encoded into the inbound buffer
     /// and decoded from it; an empty queue ships nothing.
     pub(crate) fn poll_event(&mut self, client: ClientId) -> Option<Event> {
         if let Some(ev) = self.server.read_ahead(client)?.pop_front() {
@@ -1210,49 +1144,37 @@ impl State {
         self.server.pending(client)
     }
 
-    /// Ships a control frame and dispatches it inline, under the lock the
-    /// caller already holds; returns the response bytes, which stay in the
-    /// response buffer for `control` to decode. A stall armed by
-    /// `StallDispatch` runs on a virtual clock: one that reaches the
-    /// deadline trips the watchdog — the connection is torn down,
-    /// the frame is never answered, and the client sees an empty response
-    /// (`ConnectionDead`, never a hang). A shorter stall costs nothing.
-    fn ship(&mut self, client: ClientId, ctl: &Control) -> &[u8] {
-        // Control frames ride the same byte stream as data frames, so
-        // they share the per-client frame timeline and take byte faults
-        // too (a corrupted reply take is damage the server must survive).
-        self.tx.clear();
-        ctl.frame_into(&mut self.tx);
-        self.send_tx(client);
-        let stall = std::mem::take(&mut self.stream(client).stalls);
-        if u64::from(stall) * STALL_TICK_MS >= self.deadline_ms {
+    /// Charges the stall `StallDispatch` faults armed on `client`'s
+    /// stream to the flush it starts (an explicit or buffer-full flush,
+    /// or the one a wait for an unfiled reply starts). The stall runs on
+    /// a virtual clock: one that reaches the deadline trips the watchdog
+    /// — the connection is torn down, the flush never applies, and the
+    /// client sees `ConnectionDead`, never a hang. A shorter stall costs
+    /// nothing. Returns whether the watchdog tripped.
+    fn stall_trips(&mut self, client: ClientId) -> bool {
+        let Some(stream) = self.server.stream(client) else {
+            return false;
+        };
+        let stall = std::mem::take(&mut stream.stalls);
+        let trips = u64::from(stall) * STALL_TICK_MS >= self.deadline_ms;
+        if trips {
             self.server
                 .kill_broken_stream(client, |w| &mut w.watchdog_fires);
-            self.rx.clear();
-        } else {
-            dispatch(&mut self.server, client, &mut self.tx, &mut self.rx);
         }
-        &self.rx
+        trips
     }
 
-    /// `client`'s byte stream: a connection's from the server's client
-    /// table, the transport's own channel's from here.
-    pub(crate) fn stream(&mut self, client: ClientId) -> &mut Stream {
-        match self.server.stream(client) {
-            Some(stream) => stream,
-            None => &mut self.own,
-        }
-    }
-
-    /// Sends the frame just encoded into `tx` onto `client`'s byte
-    /// stream: fires any byte fault scheduled for the client's next
+    /// Sends the request frame just encoded into `tx` onto `client`'s
+    /// byte stream: fires any byte fault scheduled for the client's next
     /// encoded frame and applies it to `tx` in place (a `StallDispatch`
-    /// is armed for the client's next control frame), then counts the
-    /// frame. The frame counter advances on every encoded frame, plan or
-    /// no plan, so a fault's timeline index is independent of the plan's
-    /// own contents.
+    /// is armed for the client's next flush), then counts the frame. The
+    /// frame counter advances on every encoded frame, plan or no plan, so
+    /// a fault's timeline index is independent of the plan's own
+    /// contents.
     fn send_tx(&mut self, client: ClientId) {
-        let stream = self.stream(client);
+        let Some(stream) = self.server.stream(client) else {
+            return;
+        };
         stream.frames += 1;
         let idx = stream.frames;
         let bytes = &mut self.tx;
@@ -1271,7 +1193,11 @@ impl State {
                 );
                 bytes.extend((0..n).map(|_| r.below(256) as u8));
             }
-            Some(FaultAction::StallDispatch { ticks }) => self.stream(client).stalls += ticks,
+            Some(FaultAction::StallDispatch { ticks }) => {
+                if let Some(stream) = self.server.stream(client) {
+                    stream.stalls += ticks;
+                }
+            }
             // A SplitWrite lands as two writes to the same stream, which
             // are byte-identical once buffered: the invariant it exists
             // to witness.
@@ -2129,8 +2055,11 @@ mod tests {
         assert_eq!(wire.bytes_encoded, wire.bytes_decoded);
     }
 
-    /// Reading events with none queued is a flush and a look at the
-    /// client's own queue, as in Xlib: no frame crosses either way.
+    /// Reading is no message to the server, as in Xlib: events with none
+    /// queued are a flush and a look at the client's own queue, and a
+    /// reply already filed is read with no flush at all. Only a request
+    /// moves the client's frame timeline, so a blocking call ships one
+    /// frame.
     #[test]
     fn an_empty_read_ships_no_frame() {
         let d = Display::new();
@@ -2144,15 +2073,24 @@ mod tests {
         assert_eq!(c.pending(), 0);
         assert_eq!(c.wire_stats().frames_encoded, frames);
         assert_eq!(c.wire_frame_timeline(), timeline);
+        c.intern_atom("ONE").unwrap();
+        assert_eq!(c.wire_frame_timeline(), timeline + 1);
+        let (first, second) = (c.send_intern_atom("TWO"), c.send_intern_atom("THREE"));
+        c.wait(second).unwrap();
+        let (flushes, timeline) = (c.stats().flushes, c.wire_frame_timeline());
+        c.wait(first).unwrap();
+        assert_eq!(c.stats().flushes, flushes);
+        assert_eq!(c.wire_frame_timeline(), timeline);
     }
 
     /// Deadline the stall tests run under: 10 ticks of virtual time.
     const STALL_DEADLINE_MS: u64 = 100;
 
-    /// A fixed client script with the codec on: three one-way data frames
-    /// (create, select input, map; frame indices 1-3), four reply-bearing
-    /// ones (indices 4-7), then their four reply takes, control frames
-    /// (indices 8-11) whose raw response bytes are returned.
+    /// A fixed client script with the codec on: three one-way request
+    /// frames (create, select input, map; frame indices 1-3), four
+    /// reply-bearing ones (indices 4-7), then a read of each reply; the
+    /// first read finds its reply unfiled and flushes. Returns each
+    /// reply's frame bytes, empty where no reply came.
     fn stall_script(plan: FaultPlan) -> (Display, Connection, Vec<Vec<u8>>) {
         let d = Display::new();
         d.set_wire(true);
@@ -2171,15 +2109,18 @@ mod tests {
         let resps = seqs
             .iter()
             .map(|&seq| {
-                let ctl = Control::TakeReply(seq);
-                d.transport.lock().ship(c.client_id(), &ctl).to_vec()
+                let mut bytes = Vec::new();
+                if let Some(v) = d.transport.lock().read_reply(c.client_id(), seq) {
+                    frame_into(&mut bytes, FT_REPLY, seq, |b| v.encode_into(b));
+                }
+                bytes
             })
             .collect();
         (d, c, resps)
     }
 
     /// A plan that stalls dispatch by `ticks` from the map frame (index
-    /// 3); the stall is charged to the first control frame.
+    /// 3); the stall is charged to the flush the first read starts.
     fn stall_plan(client: ClientId, ticks: u32) -> FaultPlan {
         FaultPlan::new(vec![FaultSpec {
             client: client.0,
@@ -2214,36 +2155,12 @@ mod tests {
         let ticks = (STALL_DEADLINE_MS / STALL_TICK_MS) as u32;
         let (d, conn, resps) = stall_script(stall_plan(c, ticks));
         assert_eq!(c, conn.client_id());
-        assert!(resps[0].is_empty(), "the stalled frame is never answered");
+        assert!(resps[0].is_empty(), "the stalled wait is never answered");
         assert_eq!(watchdog_fires(&d, c), 1);
         assert!(!d.peek_server(|s| s.is_alive(c)));
         let err = conn.intern_atom("WM_NAME").unwrap_err();
         assert_eq!(err.code, XErrorCode::ConnectionDead);
-        assert_eq!(watchdog_fires(&d, c), 1, "only the stalled frame trips it");
-    }
-
-    /// A blocking call whose reply take a byte fault truncates to
-    /// nothing gets no reply: the wait ends on the watchdog with
-    /// `ConnectionDead`, never in a hang or a panic. (Its request frame
-    /// lost the same way is caught earlier, by the flush the wait starts:
-    /// `a_frame_lost_whole_kills_the_connection_at_its_flush`.)
-    #[test]
-    fn a_lost_frame_ends_its_wait_on_the_watchdog() {
-        let d = Display::new();
-        d.set_wire(true);
-        let c = d.connect();
-        let action = FaultAction::TruncateFrame { keep: 0 };
-        let client = c.client_id().0;
-        let plan = FaultPlan::new(vec![FaultSpec {
-            client,
-            at: 2,
-            action,
-        }]);
-        d.peek_server(|s| s.install_fault_plan(plan));
-        assert_eq!(c.intern_atom("LOST"), Err(XError::dead(1)));
-        assert_eq!(watchdog_fires(&d, c.client_id()), 1);
-        assert!(!c.alive());
-        assert_eq!(d.with_server(|s| s.audit()), Vec::<String>::new());
+        assert_eq!(watchdog_fires(&d, c), 1, "only the stalled wait trips it");
     }
 
     /// A request frame a byte fault truncates to nothing leaves no trace
@@ -2251,7 +2168,8 @@ mod tests {
     /// one frame fewer than the client buffered requests: the connection
     /// dies there and `wire.lost_frames` ticks, for a one-way request
     /// (which would otherwise vanish on a live connection) and for a
-    /// reply-bearing one (whose wait would otherwise end on the watchdog).
+    /// reply-bearing one (whose wait would otherwise find no reply on a
+    /// live connection).
     #[test]
     fn a_frame_lost_whole_kills_the_connection_at_its_flush() {
         for reply in [false, true] {

@@ -13,7 +13,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-STAGES="fmt clippy doc build test rtkbench golden budgets table1 table2 wire_equivalence
+STAGES="fmt clippy doc build test rtkbench golden budgets table1 table2 round_trip wire_equivalence
 oracle_suite wire_stress oracle_budgets compile_equivalence trace_integrity
 trace chaos storm byte_chaos fleet"
 
@@ -107,6 +107,21 @@ stage_table2() {
             return 1
         fi
     done
+}
+
+# Round-trip probe smoke: the example prints ns per `get_geometry` round
+# trip and per `map_window` + `flush`, codec on and off, and all four
+# figures must be positive. This checks the output's shape only; no
+# timing is compared with anything.
+stage_round_trip() {
+    echo "==> round_trip probe"
+    out=$(cargo run -q -p tk-bench --release --offline --locked --example round_trip -- 1000)
+    echo "$out"
+    if ! echo "$out" | awk '$1 == "codec" && $4 > 0 && $5 == "ns/op" { n++ }
+        END { exit n != 4 }'; then
+        echo "the round_trip probe printed fewer than four positive figures" >&2
+        return 1
+    fi
 }
 
 # Transport-equivalence gate: the framed wire transport must be
